@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from hotpath_smoke import _sha, digest_result  # noqa: E402
+from hotpath_smoke import _sha, blas_threads, check_probes, digest_result  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "cityscale_golden.json"
 
@@ -116,13 +116,17 @@ def run_and_digest() -> dict:
     from repro.experiments.runner import RunSpec, build_context, run_method
 
     scale = build_scale()
-    print("building mini city world (2x2 blocks, 48 vehicles)...")
+    print(
+        "building mini city world (2x2 blocks, 48 vehicles)... "
+        f"(BLAS threads: {blas_threads()})"
+    )
     context = build_context(scale)
     digests: dict = {"contacts": digest_contacts(context)}
     print(f"running LbChat seed={SEED}...")
     spec = RunSpec.for_context(context, "LbChat", wireless=True, seed=SEED)
     result = run_method(context, spec)
     check_budgets(scale, result)
+    check_probes(result)
     digests["LbChat"] = digest_result(result)
     return digests
 

@@ -25,7 +25,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+from repro.blas import blas_threads, pin_blas_threads
+
+pin_blas_threads()  # the goldens are single-thread GEMM results
+
+import numpy as np  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "hotpath_golden.json"
 
@@ -67,10 +71,32 @@ def _sha(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
+def result_counters(counters: dict, prefix: str = "") -> dict:
+    """``counters`` minus the ones that say *how* a run executed.
+
+    The psi-probe tallies are asserted on (:func:`check_probes`), not
+    digested: the goldens pin what a run computed.
+    """
+    from repro.core.lbchat import PROBE_COUNTERS
+
+    skipped = {prefix + name for name in PROBE_COUNTERS}
+    return {name: value for name, value in counters.items() if name not in skipped}
+
+
+def check_probes(result) -> None:
+    """An LbChat run must fit its psi maps on the dense probe bank."""
+    builds = result.counters.get("psi_probe_builds", 0)
+    fallbacks = result.counters.get("psi_probe_fallbacks", 0)
+    print(f"  psi maps: {builds:.0f} dense probe builds, {fallbacks:.0f} fallbacks")
+    if builds <= 0 or fallbacks != 0:
+        print("SMOKE FAILED: LbChat psi maps left the dense probe path")
+        raise SystemExit(1)
+
+
 def digest_result(result) -> dict[str, str]:
     """Componentwise digests of one RunResult (localizes any mismatch)."""
     _, curve = result.loss_curve(CURVE_POINTS)
-    counters = json.dumps(sorted(result.counters.items()), sort_keys=True)
+    counters = json.dumps(sorted(result_counters(result.counters).items()), sort_keys=True)
     params = b"".join(
         np.ascontiguousarray(node.flat_params, dtype=np.float32).tobytes()
         for node in result.nodes
@@ -158,6 +184,7 @@ def digest_fleet() -> dict[str, str]:
 
 def digest_registry(session) -> str:
     state = session.registry.state()
+    state["counters"] = result_counters(state["counters"], prefix="trainer.")
     payload = json.dumps(
         {kind: state[kind] for kind in ("counters", "gauges", "histograms")},
         sort_keys=True,
@@ -171,7 +198,7 @@ def run_and_digest() -> dict:
     from repro.telemetry import TelemetrySession
 
     scale = build_scale()
-    print("building mini world...")
+    print(f"building mini world... (BLAS threads: {blas_threads()})")
     context = build_context(scale)
     digests: dict = {}
     session = TelemetrySession(label="hotpath smoke")
@@ -179,7 +206,10 @@ def run_and_digest() -> dict:
         for method in METHODS:
             print(f"running {method} seed={SEED}...")
             spec = RunSpec.for_context(context, method, wireless=True, seed=SEED)
-            digests[method] = digest_result(run_method(context, spec))
+            result = run_method(context, spec)
+            if method == "LbChat":
+                check_probes(result)
+            digests[method] = digest_result(result)
     digests["telemetry"] = digest_registry(session)
     print("digesting batched fleet round...")
     digests["fleet"] = digest_fleet()

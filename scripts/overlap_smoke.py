@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from hotpath_smoke import build_scale as hotpath_scale
-from hotpath_smoke import digest_result
+from hotpath_smoke import blas_threads, digest_result
 
 GOLDEN_PATH = Path(__file__).parent / "overlap_golden.json"
 SEED = 3
@@ -87,7 +87,7 @@ def run_and_digest() -> tuple[dict, dict[int, dict], object]:
     from repro.experiments.runner import RunSpec, build_context, run_method
 
     scale = build_scale()
-    print("building mini world...")
+    print(f"building mini world... (BLAS threads: {blas_threads()})")
     context = build_context(scale)
     digests: dict = {}
     print("running LbChat, overlap off...")

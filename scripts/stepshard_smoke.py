@@ -31,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from hotpath_smoke import build_scale as _hotpath_scale  # noqa: E402
-from hotpath_smoke import digest_result  # noqa: E402
+from hotpath_smoke import blas_threads, digest_result  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "stepshard_golden.json"
 
@@ -75,7 +75,7 @@ def run_and_digest() -> dict:
     from repro.experiments.runner import build_context
 
     scale = build_scale()
-    print("building smoke world (3 vehicles, batch 16)...")
+    print(f"building smoke world (3 vehicles, batch 16)... (BLAS threads: {blas_threads()})")
     context = build_context(scale)
     print("running LbChat serially...")
     serial = run_digest(context, 1)

@@ -10,6 +10,9 @@ One chat between vehicles i and j, simulated with real transfer timing:
    on arrival via Eq. 8 on the joint coreset C_i ∪ C_j,
 6. both sides absorb the peer's coreset into their local dataset.
 
+Stages 1-4 (:func:`_negotiate`) are shared with the overlapped protocol
+(:mod:`repro.core.overlap`), which ships stage 5 in the background.
+
 A chat can be cut short at any stage by the vehicles moving out of
 range; whatever already arrived is still used (a received coreset is
 absorbed even if the model transfer after it died).
@@ -17,9 +20,10 @@ absorbed even if the model transfer after it died).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.compression import CompressedModel, TopkPlan
 from repro.core.node import VehicleNode
 from repro.core.psi import PsiDecision, optimize_compression
 from repro.core.value import assess_value
@@ -47,6 +51,152 @@ class ChatOutcome:
     absorbed_by_i: int = 0
     absorbed_by_j: int = 0
     aborted: str = ""  # stage at which contact was lost, if any
+    #: Psi maps this chat fitted with the dense probe bank / with the
+    #: per-level fallback loop (trainers tally them; never silent).
+    psi_probe_builds: int = 0
+    psi_probe_fallbacks: int = 0
+
+
+@dataclass
+class _Negotiation:
+    """Stages 1-4 of a chat: everything up to the Eq. 7 decision."""
+
+    outcome: ChatOutcome
+    now: float  # virtual time the negotiation ended
+    #: node_id -> (TopkPlan, model version it was sorted at), for the
+    #: nodes whose psi map came from the dense prober.
+    plans: dict[str, tuple[TopkPlan, int]] = field(default_factory=dict)
+
+    @property
+    def settled(self) -> bool:
+        """The chat ended before Eq. 7 (stage abort or coreset-only):
+        coresets that got through are absorbed and ``outcome`` is final."""
+        return self.outcome.psi is None
+
+    def payload(self, node: VehicleNode, psi: float) -> CompressedModel:
+        """``node``'s model compressed to ``psi``.
+
+        Reuses the psi map's magnitude ordering while the parameters it
+        sorted are still current (in the synchronous protocol the second
+        sender compresses *after* absorbing the first model).
+        """
+        plan, version = self.plans.get(node.node_id, (None, -1))
+        if plan is not None and version == node.model_version:
+            return plan.compress(psi)
+        return node.compress_model(psi)
+
+
+def _negotiate(
+    node_i: VehicleNode,
+    node_j: VehicleNode,
+    distance_fn: Callable[[float], float],
+    start_time: float,
+    contact_deadline: float,
+    wireless: WirelessModel,
+    channel: ChannelConfig,
+    time_budget: float,
+    *,
+    lambda_c: float,
+    refresh_coresets: bool,
+    equal_compression: bool,
+    coreset_only: bool,
+    expected_goodput: float,
+    prober,
+) -> _Negotiation:
+    """Run stages 1-4; ``outcome.psi`` is set unless the chat settled."""
+    outcome = ChatOutcome(duration=0.0)
+    talks = _Negotiation(outcome, start_time)
+
+    def exchange(stage: str, n_bytes: float) -> bool:
+        transfer = simulate_transfer(
+            n_bytes, distance_fn, wireless, channel, talks.now, contact_deadline
+        )
+        talks.now += transfer.elapsed
+        telemetry.on_chat_stage(stage, talks.now, transfer.completed)
+        return transfer.completed
+
+    def settle(aborted: str = "", absorb: bool = True) -> _Negotiation:
+        outcome.aborted = aborted
+        if absorb:
+            # Coresets still got through: absorb them before bailing.
+            _absorb_both(node_i, node_j, outcome)
+        outcome.duration = talks.now - start_time
+        return talks
+
+    # 1. assistive info both ways.
+    if not exchange("assist", 2 * channel.assist_info_bytes):
+        return settle("assist", absorb=False)
+
+    # 2. coresets (rebuild first so they reflect the current model/data).
+    if refresh_coresets:
+        node_i.maybe_refresh_coreset()
+        node_j.maybe_refresh_coreset()
+    if not exchange(
+        "coresets", node_i.coreset.nominal_bytes + node_j.coreset.nominal_bytes
+    ):
+        return settle("coresets", absorb=False)
+    outcome.coresets_exchanged = True
+
+    if coreset_only:
+        # SCO (§IV-G): data sharing only; no model value assessment or
+        # model exchange at all.
+        return settle()
+
+    # 3. cross-evaluations and psi maps (compute treated as free, §IV-A).
+    value = assess_value(
+        loss_i_on_ci=node_i.evaluate(node_i.coreset.data),
+        loss_i_on_cj=node_i.evaluate(node_j.coreset.data),
+        loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
+        loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
+    )
+    maps = []
+    for node in (node_i, node_j):
+        if prober is not None and prober.compatible(node):
+            psi_map, plan = prober.build(node)
+            talks.plans[node.node_id] = (plan, node.model_version)
+            outcome.psi_probe_builds += 1
+        else:
+            psi_map = node.build_psi_map()
+            outcome.psi_probe_fallbacks += 1
+        maps.append(psi_map)
+    if not exchange("results", 2 * 256):  # tiny payloads
+        return settle("results")
+    # The fixed compute/exchange overhead applies only when the results
+    # actually made it across — and it can itself eat the rest of the
+    # contact, in which case planning Eq. 7 and starting model transfers
+    # against an already-dead pair would be wasted (and would distort
+    # receive-rate accounting with doomed attempts).
+    talks.now += _RESULTS_EXCHANGE_SECONDS
+    if talks.now >= contact_deadline:
+        telemetry.on_chat_stage("results_overhead", talks.now, False)
+        return settle("results_overhead")
+
+    # 4. Eq. 7: optimize both compression ratios jointly.  Planning uses
+    # the loss-discounted effective bandwidth the §III-A estimator
+    # predicts; actual transfers are simulated against the real channel.
+    bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
+    planning_bandwidth = bandwidth * max(min(expected_goodput, 1.0), 1e-3)
+    remaining_contact = max(contact_deadline - talks.now, 0.0)
+    if equal_compression:
+        outcome.psi = equal_compression_decision(
+            node_i.config.nominal_model_bytes,
+            planning_bandwidth,
+            time_budget,
+            remaining_contact,
+        )
+    else:
+        outcome.psi = optimize_compression(
+            maps[0],
+            maps[1],
+            loss_i_on_cj=value.loss_i_on_cj,
+            loss_j_on_ci=value.loss_j_on_ci,
+            model_size_bytes=node_i.config.nominal_model_bytes,
+            bandwidth_bps=planning_bandwidth,
+            time_budget=time_budget,
+            contact_duration=remaining_contact,
+            lambda_c=lambda_c,
+        )
+    return talks
 
 
 def pairwise_chat(
@@ -64,6 +214,7 @@ def pairwise_chat(
     mean_aggregation: bool = False,
     coreset_only: bool = False,
     expected_goodput: float = 1.0,
+    prober=None,
 ) -> ChatOutcome:
     """Run one full chat; mutates both nodes on success.
 
@@ -76,13 +227,17 @@ def pairwise_chat(
     window (§IV-F); ``mean_aggregation`` replaces Eq. 8 with plain
     averaging (§IV-F); ``coreset_only`` skips model exchange entirely —
     the SCO variant of §IV-G.
+
+    ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`;
+    without one (or for a node it does not fit) the psi maps come from
+    the per-level loop of :func:`repro.core.psi.build_psi_map`.
     """
     session = telemetry.active()
     if session is not None:
         session.tracer.start_span(
             "chat", start_time, i=node_i.node_id, j=node_j.node_id
         )
-    outcome = _pairwise_chat_impl(
+    talks = _negotiate(
         node_i,
         node_j,
         distance_fn,
@@ -94,163 +249,53 @@ def pairwise_chat(
         lambda_c=lambda_c,
         refresh_coresets=refresh_coresets,
         equal_compression=equal_compression,
-        mean_aggregation=mean_aggregation,
         coreset_only=coreset_only,
         expected_goodput=expected_goodput,
+        prober=prober,
     )
-    if session is not None:
-        telemetry.on_chat_outcome(start_time, outcome)
-    return outcome
+    outcome = talks.outcome
+    model_deadline = min(contact_deadline, talks.now + time_budget)
+    joint = None  # C_i ∪ C_j, built once a model actually arrives
 
-
-def _pairwise_chat_impl(
-    node_i: VehicleNode,
-    node_j: VehicleNode,
-    distance_fn: Callable[[float], float],
-    start_time: float,
-    contact_deadline: float,
-    wireless: WirelessModel,
-    channel: ChannelConfig,
-    time_budget: float,
-    lambda_c: float,
-    refresh_coresets: bool,
-    equal_compression: bool,
-    mean_aggregation: bool,
-    coreset_only: bool,
-    expected_goodput: float,
-) -> ChatOutcome:
-    outcome = ChatOutcome(duration=0.0)
-    now = start_time
-    # Planning (Eq. 7) uses the loss-discounted effective bandwidth the
-    # §III-A estimator predicts; actual transfers below are simulated
-    # against the real channel.
-    bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
-    planning_bandwidth = bandwidth * max(min(expected_goodput, 1.0), 1e-3)
-
-    def shared_channel(n_bytes: float, deadline: float):
-        return simulate_transfer(
-            n_bytes, distance_fn, wireless, channel, now, deadline
-        )
-
-    # 1. assistive info both ways.
-    assist = shared_channel(2 * channel.assist_info_bytes, contact_deadline)
-    now += assist.elapsed
-    telemetry.on_chat_stage("assist", now, assist.completed)
-    if not assist.completed:
-        outcome.duration = now - start_time
-        outcome.aborted = "assist"
-        return outcome
-
-    # 2. coresets (rebuild first so they reflect the current model/data).
-    if refresh_coresets:
-        node_i.maybe_refresh_coreset()
-        node_j.maybe_refresh_coreset()
-    coreset_bytes = node_i.coreset.nominal_bytes + node_j.coreset.nominal_bytes
-    transfer = shared_channel(coreset_bytes, contact_deadline)
-    now += transfer.elapsed
-    telemetry.on_chat_stage("coresets", now, transfer.completed)
-    if not transfer.completed:
-        outcome.duration = now - start_time
-        outcome.aborted = "coresets"
-        return outcome
-    outcome.coresets_exchanged = True
-
-    if coreset_only:
-        # SCO (§IV-G): data sharing only; no model value assessment or
-        # model exchange at all.
-        _absorb_both(node_i, node_j, outcome)
-        outcome.duration = now - start_time
-        return outcome
-
-    # 3. cross-evaluations and psi maps (compute treated as free, §IV-A).
-    value = assess_value(
-        loss_i_on_ci=node_i.evaluate(node_i.coreset.data),
-        loss_i_on_cj=node_i.evaluate(node_j.coreset.data),
-        loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
-        loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
-    )
-    map_i = node_i.build_psi_map()
-    map_j = node_j.build_psi_map()
-    results = shared_channel(2 * 256, contact_deadline)  # tiny payloads
-    now += results.elapsed
-    telemetry.on_chat_stage("results", now, results.completed)
-    if not results.completed:
-        outcome.duration = now - start_time
-        outcome.aborted = "results"
-        # Coresets still got through: absorb them before bailing.
-        _absorb_both(node_i, node_j, outcome)
-        return outcome
-    # The fixed compute/exchange overhead applies only when the results
-    # actually made it across — and it can itself eat the rest of the
-    # contact, in which case planning Eq. 7 and starting model transfers
-    # against an already-dead pair would be wasted (and would distort
-    # receive-rate accounting with doomed attempts).
-    now += _RESULTS_EXCHANGE_SECONDS
-    if now >= contact_deadline:
-        outcome.duration = now - start_time
-        outcome.aborted = "results_overhead"
-        telemetry.on_chat_stage("results_overhead", now, False)
-        _absorb_both(node_i, node_j, outcome)
-        return outcome
-
-    # 4. Eq. 7: optimize both compression ratios jointly.
-    remaining_contact = max(contact_deadline - now, 0.0)
-    if equal_compression:
-        decision = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
-            planning_bandwidth,
-            time_budget,
-            remaining_contact,
-        )
-    else:
-        decision = optimize_compression(
-            map_i,
-            map_j,
-            loss_i_on_cj=value.loss_i_on_cj,
-            loss_j_on_ci=value.loss_j_on_ci,
-            model_size_bytes=node_i.config.nominal_model_bytes,
-            bandwidth_bps=planning_bandwidth,
-            time_budget=time_budget,
-            contact_duration=remaining_contact,
-            lambda_c=lambda_c,
-        )
-    outcome.psi = decision
-
-    # 5. model exchange: x_i to j, then x_j to i, on the shared channel.
-    joint = node_i.coreset.data.copy()
-    joint.absorb_from(node_j.coreset.data)
-    model_deadline = min(contact_deadline, now + time_budget)
-    if decision.psi_i > 0:
-        compressed_i = node_i.compress_model(decision.psi_i)
+    def ship(sender, receiver, psi: float, stage: str) -> tuple[bool, bool]:
+        """One model leg; ``(attempted, received)``."""
+        nonlocal joint
+        if psi <= 0:
+            return False, False
+        compressed = talks.payload(sender, psi)
         # A positive psi can still round to an empty model (top-k keeps
         # zero entries); a zero-byte "transfer" would complete instantly
         # and inflate the receive rate, so skip it entirely.
-        if compressed_i.nominal_bytes > 0:
-            outcome.j_attempted = True
-            sent = shared_channel(compressed_i.nominal_bytes, model_deadline)
-            now += sent.elapsed
-            telemetry.on_chat_stage("model_i", now, sent.completed)
-            if sent.completed:
-                node_j.receive_and_aggregate(
-                    compressed_i, joint, mean_weights=mean_aggregation
-                )
-                outcome.j_received_model = True
-    if decision.psi_j > 0:
-        compressed_j = node_j.compress_model(decision.psi_j)
-        if compressed_j.nominal_bytes > 0:
-            outcome.i_attempted = True
-            sent = shared_channel(compressed_j.nominal_bytes, model_deadline)
-            now += sent.elapsed
-            telemetry.on_chat_stage("model_j", now, sent.completed)
-            if sent.completed:
-                node_i.receive_and_aggregate(
-                    compressed_j, joint, mean_weights=mean_aggregation
-                )
-                outcome.i_received_model = True
+        if compressed.nominal_bytes <= 0:
+            return False, False
+        sent = simulate_transfer(
+            compressed.nominal_bytes, distance_fn, wireless, channel,
+            talks.now, model_deadline,
+        )
+        talks.now += sent.elapsed
+        telemetry.on_chat_stage(stage, talks.now, sent.completed)
+        if sent.completed:
+            if joint is None:
+                joint = node_i.coreset.data.copy()
+                joint.absorb_from(node_j.coreset.data)
+            receiver.receive_and_aggregate(
+                compressed, joint, mean_weights=mean_aggregation
+            )
+        return True, sent.completed
 
-    # 6. absorb peer coresets, expanding local datasets.
-    _absorb_both(node_i, node_j, outcome)
-    outcome.duration = now - start_time
+    if not talks.settled:
+        # 5. model exchange: x_i to j, then x_j to i, on the shared channel.
+        outcome.j_attempted, outcome.j_received_model = ship(
+            node_i, node_j, outcome.psi.psi_i, "model_i"
+        )
+        outcome.i_attempted, outcome.i_received_model = ship(
+            node_j, node_i, outcome.psi.psi_j, "model_j"
+        )
+        # 6. absorb peer coresets, expanding local datasets.
+        _absorb_both(node_i, node_j, outcome)
+        outcome.duration = talks.now - start_time
+    if session is not None:
+        telemetry.on_chat_outcome(start_time, outcome)
     return outcome
 
 

@@ -26,8 +26,13 @@ from repro.core.trainer_base import (
     pair_times_from_state,
     pair_times_state,
 )
+from repro.telemetry import hooks as telemetry
 
-__all__ = ["LbChatConfig", "LbChatTrainer"]
+__all__ = ["PROBE_COUNTERS", "LbChatConfig", "LbChatTrainer"]
+
+#: Counters of how psi maps were fitted (dense probe bank vs the
+#: per-level fallback) — execution facts, kept out of result digests.
+PROBE_COUNTERS = ("psi_probe_builds", "psi_probe_fallbacks")
 
 
 @dataclass
@@ -74,6 +79,8 @@ class LbChatTrainer(TrainerBase):
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)
+        #: Lazily built DensePsiProber (False once construction failed).
+        self._prober = None
         if self.config.overlap_chat:
             from repro.core.overlap import TransferScheduler
 
@@ -131,25 +138,43 @@ class LbChatTrainer(TrainerBase):
 
     # -- the chat itself ------------------------------------------------------------
 
+    def prober_for(self, node):
+        """The fleet's dense psi prober, built lazily with ``node`` as template.
+
+        None when the probe bank cannot hold the architecture.  A node
+        the prober does not fit (``quantize`` compressor, another psi
+        grid, other parameter shapes) takes the per-level loop inside
+        the chat, which tallies it in ``psi_probe_fallbacks``.
+        """
+        if self._prober is None:
+            from repro.core.overlap import DensePsiProber
+
+            try:
+                self._prober = DensePsiProber(node.model, node.config.psi_grid)
+            except (ValueError, AttributeError, TypeError):
+                self._prober = False  # bank-incompatible architecture
+        return self._prober or None
+
     def _chat(self, i: int, j: int) -> None:
+        """Run one chat: inline, or planned now and shipped in the background.
+
+        An overlapped chat occupies the radios only for its plan phase —
+        the transfer window is covered by the
+        :class:`~repro.core.ledger.TransferLedger`'s in-flight marks,
+        which block chats without blocking training.
+        """
         now = self.sim.now
         estimate = self.contact_estimate(i, j, self.estimate_chat_bytes(i, j, 1.0))
-        contact_deadline = now + max(estimate.contact_duration, 1.0)
         time_budget = self.config.time_budget
         if self.config.dynamic_time_budget:
             n_available = max(len(self.idle_neighbors(i)), 1)
             time_budget = max(
                 self.config.time_budget / n_available, self.config.min_time_budget
             )
-        if self.overlap is not None:
-            self._chat_overlapped(i, j, estimate, contact_deadline, time_budget)
-            return
-        outcome = pairwise_chat(
-            self.nodes[i],
-            self.nodes[j],
-            self.pair_distance_fn(i, j),
+        protocol = dict(
+            distance_fn=self.pair_distance_fn(i, j),
             start_time=now,
-            contact_deadline=contact_deadline,
+            contact_deadline=now + max(estimate.contact_duration, 1.0),
             wireless=self.wireless,
             channel=self.config.channel,
             time_budget=time_budget,
@@ -158,12 +183,34 @@ class LbChatTrainer(TrainerBase):
             mean_aggregation=self.config.mean_aggregation,
             coreset_only=self.config.coreset_only,
             expected_goodput=estimate.mean_goodput_factor,
+            prober=self.prober_for(self.nodes[i]),
         )
-        self.occupy(i, outcome.duration)
-        self.occupy(j, outcome.duration)
+        flight = None
+        if self.overlap is None:
+            outcome = pairwise_chat(self.nodes[i], self.nodes[j], **protocol)
+            busy = outcome.duration
+        else:
+            from repro.core.overlap import plan_chat
+
+            plan = plan_chat(self.nodes[i], self.nodes[j], i=i, j=j, **protocol)
+            outcome, busy, flight = plan.outcome, plan.elapsed, plan.flight
+        self.occupy(i, busy)
+        self.occupy(j, busy)
         self.note_chat(i, j)
-        self.note_transfer_window(i, j, outcome.duration)
         self.counters.add("chats")
+        for name in PROBE_COUNTERS:
+            self.counters.add(name, getattr(outcome, name))
+        if flight is not None:
+            self.note_transfer_window(i, j, flight.model_deadline - now)
+            self.overlap.launch(flight)
+            return
+        self.note_transfer_window(i, j, outcome.duration)
+        if self.overlap is not None:
+            # The chat resolved in planning (abort, SCO, psi = 0):
+            # finalize immediately, as the synchronous path does.
+            telemetry.on_overlap_outcome(
+                now, now + outcome.duration, outcome, committed=not outcome.aborted
+            )
         self._account_chat(now, i, j, outcome)
 
     def _account_chat(self, started_at: float, i: int, j: int, outcome) -> None:
@@ -190,56 +237,6 @@ class LbChatTrainer(TrainerBase):
             self.counters.add(
                 "frames_absorbed", outcome.absorbed_by_i + outcome.absorbed_by_j
             )
-
-    # -- overlapped chats (plan now, transfer in the background) -------------------
-
-    def _chat_overlapped(
-        self, i: int, j: int, estimate, contact_deadline: float, time_budget: float
-    ) -> None:
-        """Plan the chat synchronously; ship models as a background flight.
-
-        Radios are occupied only for the plan phase — the transfer window
-        is covered by the :class:`~repro.core.ledger.TransferLedger`'s
-        in-flight marks, which block chats without blocking training.
-        """
-        from repro.core.overlap import plan_chat
-        from repro.telemetry import hooks as telemetry
-
-        now = self.sim.now
-        plan = plan_chat(
-            self.nodes[i],
-            self.nodes[j],
-            i,
-            j,
-            self.pair_distance_fn(i, j),
-            start_time=now,
-            contact_deadline=contact_deadline,
-            wireless=self.wireless,
-            channel=self.config.channel,
-            time_budget=time_budget,
-            lambda_c=self.config.lambda_c,
-            equal_compression=self.config.equal_compression,
-            mean_aggregation=self.config.mean_aggregation,
-            coreset_only=self.config.coreset_only,
-            expected_goodput=estimate.mean_goodput_factor,
-            prober=self.overlap.prober_for(self.nodes[i]),
-        )
-        self.occupy(i, plan.elapsed)
-        self.occupy(j, plan.elapsed)
-        self.note_chat(i, j)
-        self.counters.add("chats")
-        if plan.flight is None:
-            # The chat resolved in planning (abort, SCO, psi = 0):
-            # finalize immediately, as the synchronous path would.
-            self.note_transfer_window(i, j, plan.outcome.duration)
-            telemetry.on_overlap_outcome(
-                now, now + plan.outcome.duration, plan.outcome,
-                committed=not plan.outcome.aborted,
-            )
-            self._account_chat(now, i, j, plan.outcome)
-        else:
-            self.note_transfer_window(i, j, plan.flight.model_deadline - now)
-            self.overlap.launch(plan.flight)
 
     def on_overlap_commit(self, flight) -> None:
         """Scheduler callback: a flight committed (or aborted) — account it."""

@@ -302,7 +302,9 @@ class VehicleNode:
         losses = self.per_sample_losses(dataset)
         _, commands, _, weights = dataset.arrays()  # cached views, no re-stack
         if with_penalty and self.config.penalty.enabled:
-            return penalized_loss(self.model, losses, commands, weights, self.config.penalty)
+            return penalized_loss(
+                self.flat_params, losses, commands, weights, self.config.penalty
+            )
         total = weights.sum()
         return float(losses @ (weights / total))
 
@@ -364,13 +366,14 @@ class VehicleNode:
     # -- model exchange ------------------------------------------------------------
 
     def build_psi_map(self) -> PsiLossMap:
-        """Fit phi: compression level -> loss on the own coreset.
+        """Fit phi: compression level -> loss on the own coreset, level by level.
 
-        With the default top-k compressor the psi grid is sampled from
-        one shared magnitude ordering (``compress_fn=None`` lets
-        :func:`repro.core.psi.build_psi_map` build a
-        :class:`~repro.compression.TopkPlan`); quantization has no such
-        reusable precomputation and keeps the per-psi path.
+        Chats fit the map on the dense probe bank
+        (:class:`~repro.core.overlap.DensePsiProber`); this loop — clone,
+        compress, decompress and evaluate per level — is its test oracle
+        and the fallback for nodes the bank cannot serve.  Top-k levels
+        share one magnitude ordering (``compress_fn=None``); quantization
+        has no such reusable precomputation.
         """
         compress_fn = None
         if self.config.compressor != "topk":

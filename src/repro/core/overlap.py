@@ -7,15 +7,17 @@ This module splits that into two phases:
 
 **Plan phase** (synchronous, at contact start): assistive info,
 coreset exchange, cross-evaluations, psi-map fitting, and the Eq. 7
-compression decision run exactly as in the synchronous protocol, and
-both directions' compressed payloads are captured immediately.  The psi
-probes are evaluated as one *dense fleet batch* — the ~7 compressed
-variants are stacked into a small :class:`~repro.nn.bank.ParamBank` and
-scored with a single :class:`~repro.nn.bank.FleetWaypointNet` forward
-over the coreset instead of seven sequential per-model forwards
-(:class:`DensePsiProber`); payload compression reuses the psi map's
-:class:`~repro.compression.TopkPlan` ordering, avoiding fresh
-argpartitions.
+compression decision run exactly as in the synchronous protocol (the
+same :func:`repro.core.chat._negotiate`), and both directions'
+compressed payloads are captured immediately.
+
+Both protocols fit their psi maps with :class:`DensePsiProber`: the ~7
+compressed variants are stacked into a small
+:class:`~repro.nn.bank.ParamBank` and scored with a single
+:class:`~repro.nn.bank.FleetWaypointNet` forward over the coreset
+instead of seven sequential per-model forwards, and payload compression
+reuses the psi map's :class:`~repro.compression.TopkPlan` ordering,
+avoiding fresh argpartitions.
 
 **Transfer phase** (background): the model byte-transfers become an
 :class:`InFlightTransfer` activity on the virtual clock, advanced one
@@ -43,22 +45,16 @@ bit-identical even with transfers in the air.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.compression import CompressedModel, topk_plan
-from repro.core.chat import (
-    _RESULTS_EXCHANGE_SECONDS,
-    _absorb_both,
-    ChatOutcome,
-    equal_compression_decision,
-)
-from repro.core.psi import PsiDecision, PsiLossMap, optimize_compression
-from repro.core.value import assess_value
+from repro.core.chat import ChatOutcome, _absorb_both, _negotiate
+from repro.core.psi import PsiDecision, PsiLossMap
 from repro.coreset.construction import Coreset
-from repro.coreset.penalty import command_loss_entropy
-from repro.net.channel import TransferSession, simulate_transfer
+from repro.coreset.penalty import penalized_loss
+from repro.net.channel import TransferSession
 from repro.telemetry import hooks as telemetry
 
 __all__ = [
@@ -135,21 +131,12 @@ class DensePsiProber:
         pred = self.net.forward(bev, commands)  # (levels, batch, 2w)
         per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
         penalty = node.config.penalty
-        weights64 = np.asarray(weights, dtype=float)
-        weights64 = weights64 / weights64.sum()
         losses = []
-        for row in range(len(self.psis)):
-            row_losses = per_sample[row]
+        for row, row_losses in enumerate(per_sample):
             if penalty.enabled:
-                value = float(np.asarray(row_losses) @ weights64)
-                if penalty.lambda_l2 > 0:
-                    value += penalty.lambda_l2 * float(
-                        np.linalg.norm(self.bank.flat[row])
-                    )
-                if penalty.lambda_entropy > 0:
-                    value += penalty.lambda_entropy * command_loss_entropy(
-                        row_losses, commands
-                    )
+                value = penalized_loss(
+                    self.bank.flat[row], row_losses, commands, weights, penalty
+                )
             else:
                 norm = np.asarray(weights, dtype=row_losses.dtype)
                 value = float(row_losses @ (norm / norm.sum()))
@@ -229,132 +216,43 @@ def plan_chat(
     compressed from plan-time parameter snapshots and returned as an
     unlaunched :class:`InFlightTransfer`.
     """
-    outcome = ChatOutcome(duration=0.0)
-    now = start_time
-    bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
-    planning_bandwidth = bandwidth * max(min(expected_goodput, 1.0), 1e-3)
-
-    def shared_channel(n_bytes: float, deadline: float):
-        return simulate_transfer(n_bytes, distance_fn, wireless, channel, now, deadline)
-
-    def finish_planned() -> ChatPlan:
-        outcome.duration = now - start_time
-        return ChatPlan(outcome, now - start_time, None)
-
-    # 1. assistive info both ways.
-    assist = shared_channel(2 * channel.assist_info_bytes, contact_deadline)
-    now += assist.elapsed
-    telemetry.on_chat_stage("assist", now, assist.completed)
-    if not assist.completed:
-        outcome.aborted = "assist"
-        return finish_planned()
-
-    # 2. coresets (rebuild first so they reflect the current model/data).
-    if refresh_coresets:
-        node_i.maybe_refresh_coreset()
-        node_j.maybe_refresh_coreset()
-    coreset_bytes = node_i.coreset.nominal_bytes + node_j.coreset.nominal_bytes
-    transfer = shared_channel(coreset_bytes, contact_deadline)
-    now += transfer.elapsed
-    telemetry.on_chat_stage("coresets", now, transfer.completed)
-    if not transfer.completed:
-        outcome.aborted = "coresets"
-        return finish_planned()
-    outcome.coresets_exchanged = True
-
-    if coreset_only:
-        _absorb_both(node_i, node_j, outcome)
-        return finish_planned()
-
-    # 3. cross-evaluations and psi maps (compute treated as free, §IV-A).
-    value = assess_value(
-        loss_i_on_ci=node_i.evaluate(node_i.coreset.data),
-        loss_i_on_cj=node_i.evaluate(node_j.coreset.data),
-        loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
-        loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
+    talks = _negotiate(
+        node_i,
+        node_j,
+        distance_fn,
+        start_time,
+        contact_deadline,
+        wireless,
+        channel,
+        time_budget,
+        lambda_c=lambda_c,
+        refresh_coresets=refresh_coresets,
+        equal_compression=equal_compression,
+        coreset_only=coreset_only,
+        expected_goodput=expected_goodput,
+        prober=prober,
     )
-    plan_i = plan_j = None
-    if prober is not None and prober.compatible(node_i) and prober.compatible(node_j):
-        map_i, plan_i = prober.build(node_i)
-        map_j, plan_j = prober.build(node_j)
-    else:
-        map_i = node_i.build_psi_map()
-        map_j = node_j.build_psi_map()
-    results = shared_channel(2 * 256, contact_deadline)  # tiny payloads
-    now += results.elapsed
-    telemetry.on_chat_stage("results", now, results.completed)
-    if not results.completed:
-        outcome.aborted = "results"
-        _absorb_both(node_i, node_j, outcome)
-        return finish_planned()
-    now += _RESULTS_EXCHANGE_SECONDS
-    if now >= contact_deadline:
-        outcome.aborted = "results_overhead"
-        telemetry.on_chat_stage("results_overhead", now, False)
-        _absorb_both(node_i, node_j, outcome)
-        return finish_planned()
-
-    # 4. Eq. 7: optimize both compression ratios jointly.
-    remaining_contact = max(contact_deadline - now, 0.0)
-    if equal_compression:
-        decision = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
-            planning_bandwidth,
-            time_budget,
-            remaining_contact,
-        )
-    else:
-        decision = optimize_compression(
-            map_i,
-            map_j,
-            loss_i_on_cj=value.loss_i_on_cj,
-            loss_j_on_ci=value.loss_j_on_ci,
-            model_size_bytes=node_i.config.nominal_model_bytes,
-            bandwidth_bps=planning_bandwidth,
-            time_budget=time_budget,
-            contact_duration=remaining_contact,
-            lambda_c=lambda_c,
-        )
-    outcome.psi = decision
-
+    outcome, now = talks.outcome, talks.now
+    if talks.settled:
+        return ChatPlan(outcome, now - start_time, None)
     # Capture payloads now: overlapped transfers ship plan-time parameter
     # snapshots (the delayed-averaging staleness model, see module doc).
     legs: list[TransferLeg] = []
-    if decision.psi_i > 0:
-        compressed_i = (
-            plan_i.compress(decision.psi_i)
-            if plan_i is not None
-            else node_i.compress_model(decision.psi_i)
-        )
-        if compressed_i.nominal_bytes > 0:
+    for sender, receiver, node, psi in (
+        (i, j, node_i, outcome.psi.psi_i),
+        (j, i, node_j, outcome.psi.psi_j),
+    ):
+        payload = talks.payload(node, psi) if psi > 0 else None
+        if payload is not None and payload.nominal_bytes > 0:
             legs.append(
-                TransferLeg(
-                    sender=i,
-                    receiver=j,
-                    n_bytes=float(compressed_i.nominal_bytes),
-                    payload=compressed_i,
-                )
-            )
-    if decision.psi_j > 0:
-        compressed_j = (
-            plan_j.compress(decision.psi_j)
-            if plan_j is not None
-            else node_j.compress_model(decision.psi_j)
-        )
-        if compressed_j.nominal_bytes > 0:
-            legs.append(
-                TransferLeg(
-                    sender=j,
-                    receiver=i,
-                    n_bytes=float(compressed_j.nominal_bytes),
-                    payload=compressed_j,
-                )
+                TransferLeg(sender, receiver, float(payload.nominal_bytes), payload)
             )
     if not legs:
         # Nothing to ship: the chat resolves at plan end, as the
         # synchronous protocol would.
         _absorb_both(node_i, node_j, outcome)
-        return finish_planned()
+        outcome.duration = now - start_time
+        return ChatPlan(outcome, now - start_time, None)
 
     joint = node_i.coreset.data.copy()
     joint.absorb_from(node_j.coreset.data)
@@ -375,44 +273,9 @@ def plan_chat(
     return ChatPlan(outcome, now - start_time, flight)
 
 
-def _outcome_state(outcome: ChatOutcome) -> dict:
-    psi = None
-    if outcome.psi is not None:
-        psi = {
-            "psi_i": float(outcome.psi.psi_i),
-            "psi_j": float(outcome.psi.psi_j),
-            "objective": float(outcome.psi.objective),
-            "exchange_time": float(outcome.psi.exchange_time),
-        }
-    return {
-        "duration": float(outcome.duration),
-        "coresets_exchanged": bool(outcome.coresets_exchanged),
-        "i_attempted": bool(outcome.i_attempted),
-        "j_attempted": bool(outcome.j_attempted),
-        "i_received_model": bool(outcome.i_received_model),
-        "j_received_model": bool(outcome.j_received_model),
-        "psi": psi,
-        "absorbed_by_i": int(outcome.absorbed_by_i),
-        "absorbed_by_j": int(outcome.absorbed_by_j),
-        "aborted": outcome.aborted,
-    }
-
-
 def _outcome_from_state(state) -> ChatOutcome:
     psi = state["psi"]
-    decision = PsiDecision(**psi) if psi is not None else None
-    return ChatOutcome(
-        duration=float(state["duration"]),
-        coresets_exchanged=bool(state["coresets_exchanged"]),
-        i_attempted=bool(state["i_attempted"]),
-        j_attempted=bool(state["j_attempted"]),
-        i_received_model=bool(state["i_received_model"]),
-        j_received_model=bool(state["j_received_model"]),
-        psi=decision,
-        absorbed_by_i=int(state["absorbed_by_i"]),
-        absorbed_by_j=int(state["absorbed_by_j"]),
-        aborted=str(state["aborted"]),
-    )
+    return ChatOutcome(**{**state, "psi": None if psi is None else PsiDecision(**psi)})
 
 
 def _payload_state(payload: CompressedModel | None):
@@ -453,22 +316,6 @@ class TransferScheduler:
     def __init__(self, trainer):
         self.trainer = trainer
         self.flights: list[InFlightTransfer] = []
-        self._prober: DensePsiProber | None = None
-        self._prober_failed = False
-
-    # -- planning helpers ----------------------------------------------------
-
-    def prober_for(self, node) -> DensePsiProber | None:
-        """A dense probe evaluator for ``node``, or None to fall back."""
-        if self._prober_failed or node.config.compressor != "topk":
-            return None
-        if self._prober is None or not self._prober.compatible(node):
-            try:
-                self._prober = DensePsiProber(node.model, node.config.psi_grid)
-            except (ValueError, AttributeError, TypeError):
-                self._prober_failed = True
-                return None
-        return self._prober if self._prober.compatible(node) else None
 
     # -- flight lifecycle ----------------------------------------------------
 
@@ -589,7 +436,7 @@ class TransferScheduler:
                     "leg_idx": int(flight.leg_idx),
                     "next_fire": flight.next_fire,
                     "armed_at": float(flight.armed_at),
-                    "outcome": _outcome_state(flight.outcome),
+                    "outcome": asdict(flight.outcome),
                     "legs": [
                         {
                             "sender": int(leg.sender),

@@ -67,13 +67,17 @@ def command_loss_entropy(per_sample_losses: np.ndarray, commands: np.ndarray) ->
 
 
 def penalized_loss(
-    model,
+    params,
     per_sample_losses: np.ndarray,
     commands: np.ndarray,
     weights: np.ndarray,
     config: PenaltyConfig,
 ) -> float:
-    """Eq. 6: weighted empirical loss plus L2 and command-entropy terms."""
+    """Eq. 6: weighted empirical loss plus L2 and command-entropy terms.
+
+    ``params`` is the model, or its flat parameter vector when the
+    caller already holds one (a bank row view), saving the concatenation.
+    """
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0:
@@ -81,7 +85,7 @@ def penalized_loss(
     empirical = float(np.asarray(per_sample_losses) @ (weights / total))
     value = empirical
     if config.lambda_l2 > 0:
-        flat = get_flat_params(model)
+        flat = params if isinstance(params, np.ndarray) else get_flat_params(params)
         value += config.lambda_l2 * float(np.linalg.norm(flat))
     if config.lambda_entropy > 0:
         value += config.lambda_entropy * command_loss_entropy(per_sample_losses, commands)

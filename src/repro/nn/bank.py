@@ -415,7 +415,16 @@ class FleetWaypointNet:
         for cmd, head in enumerate(self.heads):
             mask = commands == cmd
             if mask.ndim == 1:
-                mask = np.broadcast_to(mask, (n, batch))
+                # One batch for every node: run the head on its own
+                # command's rows only — the per-node model's exact GEMM
+                # shape (a one-row group takes BLAS's GEMV path, which
+                # rounds differently from a row of a larger GEMM).
+                if mask.any():
+                    out[:, mask] = (
+                        np.matmul(features[:, mask], head.weight) + head.bias[:, None, :]
+                    )
+                masks.append(np.broadcast_to(mask, (n, batch)))
+                continue
             masks.append(mask)
             if mask.any():
                 vals, _ = head.forward(features, False)

@@ -59,7 +59,7 @@ def get_flat_params(model: "Module") -> np.ndarray:
     parts = [p.data.ravel() for p in model.parameters()]
     if not parts:
         return np.zeros(0, dtype=np.float32)
-    return np.concatenate(parts).astype(np.float32, copy=True)
+    return np.concatenate(parts).astype(np.float32, copy=False)
 
 
 def set_flat_params(model: "Module", flat: np.ndarray) -> None:
@@ -80,7 +80,7 @@ def get_flat_grads(model: "Module") -> np.ndarray:
     parts = [p.grad.ravel() for p in model.parameters()]
     if not parts:
         return np.zeros(0, dtype=np.float32)
-    return np.concatenate(parts).astype(np.float32, copy=True)
+    return np.concatenate(parts).astype(np.float32, copy=False)
 
 
 def clone_model(model: "Module") -> "Module":

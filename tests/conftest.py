@@ -7,8 +7,12 @@ frozen frames.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+from repro.blas import blas_threads, pin_blas_threads
+
+pin_blas_threads()  # recorded goldens are single-thread GEMM results
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
@@ -16,6 +20,11 @@ from repro.nn import make_driving_model
 from repro.sim import BevSpec, TownMap, World, WorldConfig, collect_fleet_datasets
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces, simulate_traces
+
+
+def pytest_report_header(config):
+    return f"BLAS threads: {blas_threads()}"
+
 
 BEV_SPEC = BevSpec(grid=12, cell=2.5)
 N_WAYPOINTS = 4

@@ -1,0 +1,213 @@
+"""The dense psi prober against its oracle, and its fallbacks run on purpose.
+
+``DensePsiProber.build`` is the production way to fit the Eq. 7 map
+phi(psi) -> loss; the per-level clone/compress/decompress/evaluate loop
+behind ``VehicleNode.build_psi_map`` is the oracle it must match to the
+bit, and the fallback for nodes the probe bank cannot serve.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.chat import pairwise_chat
+from repro.core.fleet import FleetEngine
+from repro.core.lbchat import LbChatConfig, LbChatTrainer
+from repro.core.node import NodeConfig, VehicleNode
+from repro.core.overlap import DensePsiProber
+from repro.coreset import PenaltyConfig
+from repro.engine.random import spawn_rng
+from repro.net import ChannelConfig, WirelessModel
+from repro.nn import make_driving_model
+from repro.nn.layers import Module
+from repro.sim.dataset import DrivingDataset, Frame
+
+from tests.conftest import make_node
+
+#: (bev shape, hidden) of the paper's and the city scale's models.
+MODEL_SIZES = {"paper": ((4, 20, 20), 96), "city": ((4, 12, 12), 48)}
+N_WAYPOINTS = 5
+NO_PENALTY = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
+
+
+def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDataset:
+    rng = np.random.default_rng(seed)
+    return DrivingDataset(
+        [
+            Frame(
+                f"s{seed}-{i}",
+                rng.normal(size=bev_shape).astype(np.float32),
+                int(rng.integers(0, 4)),
+                rng.normal(size=2 * N_WAYPOINTS).astype(np.float32),
+                float(rng.uniform(0.5, 2.0)),
+            )
+            for i in range(n_frames)
+        ]
+    )
+
+
+def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, node_id="n0"):
+    """A node a few SGD steps away from the shared initialization."""
+    bev_shape, hidden = MODEL_SIZES[size]
+    model = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
+    config = NodeConfig(coreset_size=12, batch_size=16, learning_rate=1e-2, penalty=penalty)
+    node = VehicleNode(
+        node_id, model, synthetic_dataset(seed, bev_shape), config, spawn_rng(seed, node_id)
+    )
+    for _ in range(2):
+        node.train_step()
+    return node
+
+
+def assert_same_payload(got, want):
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.values, want.values)
+    assert (got.n_total, got.psi, got.nominal_bytes) == (
+        want.n_total, want.psi, want.nominal_bytes,
+    )
+
+
+@pytest.mark.parametrize("size", sorted(MODEL_SIZES))
+@pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
+@pytest.mark.parametrize("penalty", [PenaltyConfig(), NO_PENALTY], ids=["penalty", "plain"])
+class TestProberMatchesOracle:
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16), psi=st.sampled_from([0.05, 0.3, 0.55, 0.95, 1.0]))
+    def test_detached_node(self, size, use_conv, penalty, seed, psi):
+        node = trained_node(seed, size, use_conv, penalty)
+        prober = DensePsiProber(node.model, node.config.psi_grid)
+        assert prober.compatible(node)
+        psi_map, plan = prober.build(node)
+        oracle = node.build_psi_map()
+        assert np.array_equal(psi_map.psis, oracle.psis)
+        assert np.array_equal(psi_map.losses, oracle.losses)
+        assert_same_payload(plan.compress(psi), node.compress_model(psi))
+
+    def test_bank_attached_nodes(self, size, use_conv, penalty):
+        """The trainer's case: ``flat_params`` is a zero-copy bank row."""
+        nodes = [trained_node(7 + k, size, use_conv, penalty, f"n{k}") for k in range(2)]
+        engine = FleetEngine.try_build(nodes)
+        assert engine is not None
+        engine.train_step_all()
+        prober = DensePsiProber(nodes[0].model, nodes[0].config.psi_grid)
+        for node in nodes:
+            psi_map, plan = prober.build(node)
+            oracle = node.build_psi_map()
+            assert np.array_equal(psi_map.losses, oracle.losses)
+            assert_same_payload(plan.compress(0.2), node.compress_model(0.2))
+
+
+# -- fallbacks, run on purpose ----------------------------------------------------
+
+
+@pytest.fixture()
+def validation(fleet_datasets):
+    val = DrivingDataset()
+    for dataset in fleet_datasets.values():
+        val.extend([dataset.frame(i) for i in range(0, len(dataset), 8)])
+    return val
+
+
+def chat(pair, prober, time_budget=15.0):
+    return pairwise_chat(
+        *pair,
+        distance_fn=lambda t: 50.0,
+        start_time=0.0,
+        contact_deadline=60.0,
+        wireless=WirelessModel(enabled=False),
+        channel=ChannelConfig(),
+        time_budget=time_budget,
+        prober=prober,
+    )
+
+
+def make_pair(fleet_datasets, **config_overrides):
+    pair = (
+        make_node("v0", fleet_datasets["v0"], **config_overrides),
+        make_node("v1", fleet_datasets["v1"], seed=6, **config_overrides),
+    )
+    for _ in range(30):
+        pair[1].train_step()
+    return pair
+
+
+def assert_same_chat(got, want, pair, oracle_pair):
+    assert (got.psi, got.duration, got.i_received_model, got.j_received_model) == (
+        want.psi, want.duration, want.i_received_model, want.j_received_model,
+    )
+    assert got.psi is not None and got.i_received_model
+    for node, oracle in zip(pair, oracle_pair):
+        assert np.array_equal(node.flat_params, oracle.flat_params)
+
+
+class TestFallbacks:
+    def test_default_nodes_take_the_probe_bank(self, fleet_datasets):
+        pair, oracle_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
+        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
+        outcome = chat(pair, prober)
+        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (2, 0)
+        assert_same_chat(outcome, chat(oracle_pair, None), pair, oracle_pair)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(compressor="quantize"), dict(psi_grid=(0.1, 0.4, 0.7, 1.0))],
+        ids=["quantize", "psi_grid"],
+    )
+    def test_unserved_config_takes_the_per_level_loop(self, fleet_datasets, overrides):
+        pair = make_pair(fleet_datasets, **overrides)
+        oracle_pair = make_pair(fleet_datasets, **overrides)
+        prober = DensePsiProber(pair[0].model, NodeConfig().psi_grid)
+        assert not prober.compatible(pair[0])
+        outcome = chat(pair, prober)
+        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (0, 2)
+        assert_same_chat(outcome, chat(oracle_pair, None), pair, oracle_pair)
+
+    def test_mixed_pair_falls_back_per_node(self, fleet_datasets):
+        """A peer with other parameter shapes does not drag its partner off the bank."""
+        pair = make_pair(fleet_datasets)
+        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
+        pair[1].model = make_driving_model(
+            pair[1].model.bev_shape, pair[1].model.n_waypoints, hidden=16, seed=0
+        )
+        assert prober.compatible(pair[0]) and not prober.compatible(pair[1])
+        # No time to ship a model: the chat stops at the Eq. 7 decision.
+        outcome = chat(pair, prober, time_budget=1e-9)
+        assert (outcome.psi.psi_i, outcome.psi.psi_j) == (0.0, 0.0)
+        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (1, 1)
+
+    def test_trainer_counts_a_bank_incompatible_fleet(self, fleet_datasets, traces, validation):
+        """A trunk the probe bank cannot mirror: every map falls back, counted."""
+
+        class Identity(Module):
+            def forward(self, x):
+                return x
+
+            def backward(self, grad_out):
+                return grad_out
+
+        def build(odd_trunk: bool):
+            nodes = [
+                make_node(vid, fleet_datasets[vid], seed=9) for vid in sorted(fleet_datasets)
+            ]
+            if odd_trunk:
+                for node in nodes:
+                    node.model.trunk.modules.append(Identity())
+            config = LbChatConfig(
+                duration=60.0, train_interval=2.0, record_interval=30.0,
+                wireless_loss=False, seed=1, fleet_batching=False,
+            )
+            trainer = LbChatTrainer(nodes, traces, validation, config)
+            trainer.run()
+            return trainer
+
+        odd, plain = build(True), build(False)
+        assert odd.prober_for(odd.nodes[0]) is None
+        assert odd.counters.get("psi_probe_builds") == 0
+        assert odd.counters.get("psi_probe_fallbacks") > 0
+        assert plain.counters.get("psi_probe_fallbacks") == 0
+        assert plain.counters.get("psi_probe_builds") == odd.counters.get("psi_probe_fallbacks")
+        for node, oracle in zip(odd.nodes, plain.nodes):
+            assert np.array_equal(node.flat_params, oracle.flat_params)
