@@ -16,15 +16,6 @@ executes after context building) on the hotpath-smoke world and on the
 paper world (32 vehicles, 1 km map) with a shortened training horizon
 so a single timing run stays tractable.
 
-``--suite checkpoint`` measures the barrier-checkpointing subsystem
-(ISSUE 6) on the hotpath-smoke world: an identical run with and without
-checkpointing, the per-barrier snapshot/save cost, resume latency, and
-bytes on disk per checkpoint — the artifact behind
-``BENCH_checkpoint.json``:
-
-    PYTHONPATH=src python scripts/bench_hotpath.py --suite checkpoint \
-        --out BENCH_checkpoint.json
-
 ``--suite fleet`` measures the fleet-batched training engine (ISSUE 7):
 batched-vs-per-node train-step and evaluate throughput at 8/32/128
 nodes, the paper-scale training-step segment, and the end-to-end
@@ -636,60 +627,6 @@ def bench_overlap() -> dict[str, float]:
     return out
 
 
-def bench_checkpoint() -> dict[str, float]:
-    """Barrier-checkpointing overhead on the hotpath-smoke world."""
-    import tempfile
-    from dataclasses import replace
-
-    sys.path.insert(0, str(Path(__file__).parent))
-    from hotpath_smoke import build_scale
-
-    from repro.checkpoint import RunStore
-    from repro.experiments.runner import RunSpec, build_context, run_method
-
-    out: dict[str, float] = {}
-    context = build_context(build_scale())
-    root = Path(tempfile.mkdtemp(prefix="bench-checkpoint-"))
-
-    plain = RunSpec.for_context(context, "LbChat", wireless=True, seed=3)
-    t0 = time.perf_counter()
-    run_method(context, plain)
-    out["run_plain_s"] = time.perf_counter() - t0
-
-    # Same spec with three barriers on the 40 s training horizon.
-    ckpt = replace(plain, checkpoint_every=10.0, checkpoint_dir=str(root))
-    t0 = time.perf_counter()
-    result = run_method(context, ckpt)
-    out["run_checkpointed_s"] = time.perf_counter() - t0
-    out["checkpoint_overhead_s"] = out["run_checkpointed_s"] - out["run_plain_s"]
-
-    store = RunStore(root)
-    barriers = store.barriers(ckpt)
-    out["n_checkpoints"] = float(len(barriers))
-    ckpt_bytes = sum(
-        p.stat().st_size for p in store.run_dir(ckpt).glob("ckpt-*")
-    )
-    out["checkpoint_bytes_per_barrier"] = ckpt_bytes / max(1, len(barriers))
-
-    # Per-barrier costs, isolated: snapshotting the live state tree vs
-    # compressing + committing it to disk (scratch store, overwritten).
-    trainer = result.trainer
-    scratch = RunStore(root / "scratch")
-    state = trainer.checkpoint_barrier(9)
-    out["snapshot_state_s"] = _time(trainer.snapshot, repeat=10)
-    out["save_checkpoint_s"] = _time(
-        lambda: scratch.save_checkpoint(ckpt, dict(state)), repeat=10
-    )
-
-    # Crash recovery: rewind to barrier 2 and run the remaining 20
-    # virtual seconds (restore cost + half the training horizon).
-    store.drop_after(ckpt, 2)
-    t0 = time.perf_counter()
-    run_method(context, ckpt)
-    out["resume_from_barrier2_s"] = time.perf_counter() - t0
-    return out
-
-
 _SUITE_DESCRIPTIONS = {
     "components": (
         "Data-layer/evaluation hot-path timings before and after the "
@@ -769,18 +706,6 @@ _SUITE_DESCRIPTIONS = {
         "are plan-time snapshots absorbed at the commit barrier "
         "(delayed averaging), so outputs differ from sync runs."
     ),
-    "checkpoint": (
-        "Barrier-checkpointing overhead (ISSUE 6) on the hotpath-smoke "
-        "world (3 vehicles, 40 s training horizon, barriers every 10 "
-        "virtual seconds). run_plain_s vs run_checkpointed_s is the "
-        "end-to-end cost of opting in; snapshot_state_s and "
-        "save_checkpoint_s split one barrier into capture vs "
-        "compress-and-commit; resume_from_barrier2_s is restore plus "
-        "the remaining half of the horizon. Checkpointed runs reseed "
-        "RNG streams at each barrier, so the plain and checkpointed "
-        "runs are different (equally valid) runs — the comparison is "
-        "about wall-clock cost, not outputs."
-    ),
 }
 
 
@@ -812,12 +737,11 @@ def main() -> int:
         "--suite",
         default="components",
         choices=(
-            "components", "worldsim", "checkpoint", "fleet", "cityscale",
-            "stepshard", "overlap",
+            "components", "worldsim", "fleet", "cityscale", "stepshard",
+            "overlap",
         ),
         help="components: ISSUE 4 data-layer suite; worldsim: ISSUE 5 "
         "paper-scale world-simulation suite (includes paper_context_build); "
-        "checkpoint: ISSUE 6 barrier-checkpointing overhead suite; "
         "fleet: ISSUE 7 fleet-batched training suite (see --fleet-mode); "
         "cityscale: ISSUE 8 constant-density contact + sharded-stepping "
         "suite at 32/128/512 vehicles; stepshard: ISSUE 9 within-run "
@@ -871,8 +795,6 @@ def main() -> int:
 
     if args.suite == "worldsim":
         timings = bench_worldsim()
-    elif args.suite == "checkpoint":
-        timings = bench_checkpoint()
     elif args.suite == "fleet":
         timings = bench_fleet(batched=args.fleet_mode == "batched")
     elif args.suite == "cityscale":

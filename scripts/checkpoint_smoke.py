@@ -148,6 +148,17 @@ def main() -> int:
     print(f"  [{'ok' if history_ok else 'FAIL'}] event log records a resume")
     if not history_ok:
         failures.append(f"event log {events} lacks the crash-shaped history")
+    for event in store.events(spec):
+        if event["event"] == "saved":
+            print(
+                f"       barrier {event['barrier']}: {event['npz_bytes']} B on disk of "
+                f"{event['raw_bytes']} B raw, {event['stored']} members stored, "
+                f"{event['deflated']} deflated"
+            )
+    leftovers = sorted(path.name for path in run_dir.glob("*.tmp"))
+    print(f"  [{'FAIL' if leftovers else 'ok'}] no temp file survives the kill/resume cycle")
+    if leftovers:
+        failures.append(f"temp files left in {run_dir}: {leftovers}")
     done_ok = (run_dir / "done.json").exists()
     print(f"  [{'ok' if done_ok else 'FAIL'}] resumed run marked done")
     if not done_ok:

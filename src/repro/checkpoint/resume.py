@@ -28,12 +28,13 @@ from repro.checkpoint.store import DEFAULT_CHECKPOINT_ROOT, RunStore
 __all__ = ["run_with_checkpoints", "resume_run_dir", "load_spec"]
 
 
-def run_with_checkpoints(context, spec, store: RunStore | None = None):
+def run_with_checkpoints(context, spec, store: RunStore | None = None, fallback=None):
     """Run ``spec`` with barrier checkpointing, resuming when possible.
 
     Returns the same ``RunResult`` the uninterrupted ``run_method`` call
     would have produced, bit-identically — whether the run started
-    fresh, resumed once, or resumed many times.
+    fresh, resumed once, or resumed many times.  ``fallback`` is the
+    state to start from when the spec's own lineage has no checkpoint.
     """
     from repro.experiments.runner import RunResult, prepare_trainer
 
@@ -45,11 +46,11 @@ def run_with_checkpoints(context, spec, store: RunStore | None = None):
     policy = CheckpointPolicy(every=float(spec.checkpoint_every))
     nodes, trainer = prepare_trainer(context, spec)
     state = store.latest_checkpoint(spec)
+    if state is None:
+        state = fallback
     if state is not None:
         trainer.restore(state)
-        store.log_event(
-            spec, "resumed", barrier=int(state["barrier"]), time=trainer.sim.now
-        )
+        store.log_resumed(spec, int(state["barrier"]), trainer.sim.now)
     trainer.run(checkpointer=Checkpointer(spec, store, policy))
     store.mark_done(spec, trainer.sim.now)
     return RunResult.from_trainer(spec, trainer, nodes)
@@ -127,17 +128,5 @@ def _continue_as(recorded, spec, store_root: Path):
             trainer.restore(state)
         trainer.run()
         return RunResult.from_trainer(spec, trainer, nodes)
-    store.ensure_run(spec)
-    policy = CheckpointPolicy(every=float(spec.checkpoint_every))
-    nodes, trainer = prepare_trainer(context, spec)
-    own_state = store.latest_checkpoint(spec)
-    if own_state is not None:
-        state = own_state  # the new lineage already progressed further
-    if state is not None:
-        trainer.restore(state)
-        store.log_event(
-            spec, "resumed", barrier=int(state["barrier"]), time=trainer.sim.now
-        )
-    trainer.run(checkpointer=Checkpointer(spec, store, policy))
-    store.mark_done(spec, trainer.sim.now)
-    return RunResult.from_trainer(spec, trainer, nodes)
+    # The new lineage's own checkpoints win: it already progressed further.
+    return run_with_checkpoints(context, spec, store=store, fallback=state)

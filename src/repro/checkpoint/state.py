@@ -51,11 +51,10 @@ class Snapshottable(Protocol):
 
 def _flatten(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
     if isinstance(value, np.ndarray):
-        # Detach views: with fleet-batched training, state trees can
-        # contain zero-copy views into live parameter banks (or dataset
-        # storage) that keep mutating after the snapshot — serializing
-        # later must see the values as of snapshot time.
-        arrays[path] = value.copy() if value.base is not None else value
+        # Not copied: state trees hold zero-copy views into live
+        # parameter banks and dataset storage, and the store serializes
+        # them before control returns to the simulator.
+        arrays[path] = value
         return {ARRAY_MARKER: path}
     if isinstance(value, Mapping):
         out = {}
@@ -79,7 +78,8 @@ def flatten_state(state: Mapping) -> tuple[dict, dict[str, np.ndarray]]:
     """Split a state tree into a JSON-able meta tree plus an array table.
 
     Arrays become ``{"__array__": "<path>"}`` markers in the meta tree,
-    with the actual data keyed by the slash-joined path into ``arrays``.
+    with the actual data keyed by the slash-joined path into ``arrays``
+    (the tree's own arrays, not copies: serialize before they mutate).
     Numpy scalars are converted to Python scalars; anything that is not
     JSON-representable raises :class:`TypeError` with the failing path.
     """

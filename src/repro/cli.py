@@ -22,11 +22,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.configs import get_scale, iter_scales, scale_names
-from repro.experiments.render import render_curves
+from repro.blas import pin_blas_threads
+
+# Nothing at module level may import numpy: ``main`` pins BLAS threading
+# through the environment, which only a BLAS that has yet to load reads.
 
 
 def _add_scale_arg(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.configs import scale_names
+
     parser.add_argument(
         "--scale", default="ci", choices=scale_names(), help="experiment scale preset"
     )
@@ -102,6 +106,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_scales(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import iter_scales
+
     for scale in iter_scales():
         world = scale.world
         print(
@@ -113,6 +119,7 @@ def _cmd_scales(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import get_scale
     from repro.experiments.runner import RunSpec
     from repro.parallel import run_specs
 
@@ -137,6 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _render_result(args: argparse.Namespace, result) -> None:
     """Shared tail of the run/resume commands: curve, rate, artifacts."""
     from repro.experiments.io import save_run
+    from repro.experiments.render import render_curves
 
     grid, curve = result.loss_curve(11)
     print(render_curves(f"{result.method}: fleet validation loss", grid, {result.method: curve}))
@@ -217,6 +225,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import get_scale
     from repro.experiments.io import cached_context
     from repro.nn.serialize import load_model
     from repro.sim.comfort import comfort_score, compute_comfort
@@ -258,6 +267,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import get_scale
     from repro.experiments.runner import RunSpec
     from repro.parallel import run_specs
     from repro.telemetry import TelemetrySession, export_jsonl, report_session
@@ -312,6 +322,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import get_scale
     from repro.nn.serialize import load_model
     from repro.experiments.io import cached_context
     from repro.sim.evaluate import DrivingCondition, EvalConfig, success_rate
@@ -416,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    pin_blas_threads()  # the digest gates and bit-identical resume assume one GEMM thread
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -23,7 +23,7 @@ from repro.checkpoint import (
     spec_payload,
     unflatten_state,
 )
-from repro.checkpoint.format import CheckpointError
+from repro.checkpoint.format import CheckpointCorruptError, CheckpointError
 from repro.engine.events import Simulator
 from repro.engine.metrics import CounterSet, ReceiveRateRecorder, TimeSeriesRecorder
 from repro.experiments.configs import CI
@@ -249,6 +249,29 @@ class TestRunStore:
         assert store.barriers(spec) == [1]
         assert store.latest_checkpoint(spec)["barrier"] == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: [payload],
+            lambda payload: "ckpt",
+            lambda payload: {k: v for k, v in payload.items() if k != "npz_sha256"},
+            lambda payload: {k: v for k, v in payload.items() if k != "state"},
+            lambda payload: {k: v for k, v in payload.items() if k != "barrier"},
+        ],
+    )
+    def test_malformed_sidecar_falls_back_to_older(self, tmp_path, damage):
+        """A sidecar that parses but is not a checkpoint record is corrupt."""
+        store = RunStore(tmp_path)
+        spec = _spec()
+        store.save_checkpoint(spec, _state(1, 10.0))
+        store.save_checkpoint(spec, _state(2, 20.0))
+        sidecar = store.run_dir(spec) / "ckpt-000002.json"
+        sidecar.write_text(json.dumps(damage(json.loads(sidecar.read_text()))))
+        with pytest.raises(CheckpointCorruptError, match="malformed sidecar"):
+            store.load_checkpoint(spec, 2)
+        assert store.latest_checkpoint(spec)["barrier"] == 1
+        assert [e["barrier"] for e in store.events(spec) if e["event"] == "corrupt"] == [2]
+
     def test_version_mismatch_is_skipped(self, tmp_path):
         store = RunStore(tmp_path)
         spec = _spec()
@@ -333,3 +356,15 @@ class TestAtomicRunArchive:
         experiments_io.save_run(result, out)
         assert json.loads(out.read_text())["method"] == "LbChat"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_checkpoint_write_leaves_no_temp_file(self, tmp_path):
+        store = RunStore(tmp_path)
+        spec = _spec()
+        store.save_checkpoint(spec, _state(1, 10.0))
+        state = _state(2, 20.0)
+        state["bad"] = np.array([object()], dtype=object)  # allow_pickle=False refuses it
+        with pytest.raises(ValueError, match="Object arrays"):
+            store.save_checkpoint(spec, state)
+        assert not list(store.run_dir(spec).glob("*.tmp"))
+        assert not (store.run_dir(spec) / "ckpt-000002.npz").exists()
+        assert store.latest_checkpoint(spec)["barrier"] == 1
