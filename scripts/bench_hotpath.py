@@ -553,7 +553,6 @@ def bench_stepshard() -> dict[str, float]:
     # the cached result) plus its probe evidence.
     tuned = autotune(force=True)
     out["autotune_step_workers"] = float(tuned.step_workers)
-    out["autotune_adam_chunk"] = float(tuned.adam_chunk)
     for workers, rate in tuned.get("throughput", {}).items():
         out[f"autotune_probe_{workers}w_node_steps_per_s"] = round(rate, 1)
     return out

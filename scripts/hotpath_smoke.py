@@ -195,10 +195,15 @@ def digest_registry(session) -> str:
 
 def run_and_digest() -> dict:
     from repro.experiments.runner import RunSpec, build_context, run_method
+    from repro.nn._fused import kernel_status
     from repro.telemetry import TelemetrySession
 
     scale = build_scale()
-    print(f"building mini world... (BLAS threads: {blas_threads()})")
+    adam = kernel_status()
+    print(
+        f"building mini world... (BLAS threads: {blas_threads()}; "
+        f"FleetAdam: {adam['path']}, {adam['so'] or adam['reason']})"
+    )
     context = build_context(scale)
     digests: dict = {}
     session = TelemetrySession(label="hotpath smoke")

@@ -41,6 +41,7 @@ from repro.checkpoint.format import (
     spec_payload,
 )
 from repro.checkpoint.state import flatten_state, unflatten_state
+from repro.nn._fused import kernel_status
 
 __all__ = ["DEFAULT_CHECKPOINT_ROOT", "RunStore"]
 
@@ -135,6 +136,7 @@ class RunStore:
                 "fingerprint": spec_fingerprint(spec),
                 "spec": spec_payload(spec),
                 "blas_threads": blas_threads(),  # not identity; see log_resumed
+                "adam_kernel": kernel_status(),  # not identity: both paths agree to the bit
             }
             _atomic_write_bytes(run_json, json.dumps(payload, indent=2).encode())
         return run_dir

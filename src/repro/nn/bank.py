@@ -527,86 +527,60 @@ class FleetAdam:
         other._scratch = None
         return other
 
-    #: Width of one update block — sized so the live slices of g/m/v/p
-    #: plus three scratch rows stay cache-resident, which is what makes
-    #: the batched update as fast per element as the per-node one
-    #: (full-width passes stream every array through DRAM ~10 times).
-    #: ``_CHUNK`` counts flat elements in the lock-step path and
-    #: per-node columns in the staggered path.
-    _CHUNK = 131072
-    _CHUNK_COLS = 4096
-
     def step(self) -> None:
-        """One Adam update for every node from the gradient bank.
-
-        Chunked but elementwise-identical to :meth:`step_row`: each block
-        applies the exact per-node formula sequence.  In lock-step (every
-        node at the same step count — the steady state) the corrections
-        are plain Python scalars over flat contiguous chunks; after a
-        staggered restore they become per-node float32 columns, and a
-        float32 array divided by a float32 column stays float32 (NEP
-        50), matching the per-node scalar arithmetic bit-for-bit.
-        """
+        """One Adam update for every node from the gradient bank."""
         self.steps += 1
-        kernel = fused_adam_step()
-        if kernel is not None:
-            if np.all(self.steps == self.steps[0]):
-                self._step_kernel(kernel, slice(None), int(self.steps[0]))
-            else:
-                for row in range(self.bank.n_nodes):
-                    self._step_kernel(kernel, row, int(self.steps[row]))
-        elif np.all(self.steps == self.steps[0]):
-            t = int(self.steps[0])
-            self._step_chunked(
-                self.bank.grad_flat.reshape(-1),
-                self.m.reshape(-1),
-                self.v.reshape(-1),
-                self.bank.flat.reshape(-1),
-                1.0 - self.beta1**t,
-                1.0 - self.beta2**t,
-            )
-        else:
-            self._step_chunked(
-                self.bank.grad_flat,
-                self.m,
-                self.v,
-                self.bank.flat,
-                (1.0 - self.beta1**self.steps).astype(np.float32)[:, None],
-                (1.0 - self.beta2**self.steps).astype(np.float32)[:, None],
-            )
+        self._update(slice(None))
 
-    def _step_kernel(self, kernel, rows, t: int) -> None:
-        """Single-pass fused update of the selected rows at step ``t``."""
-        p = self.bank.flat[rows].reshape(-1)
-        g = self.bank.grad_flat[rows].reshape(-1)
-        m = self.m[rows].reshape(-1)
-        v = self.v[rows].reshape(-1)
+    def step_row(self, row: int) -> None:
+        """One Adam update for a single node (detached-pace training)."""
+        self.steps[row] += 1
+        self._update(slice(row, row + 1))
+
+    def _update(self, rows: slice) -> None:
+        """Apply the update to a contiguous block of rows.
+
+        Every row is bias-corrected by its own step count (rows diverge
+        after a staggered restore), through float32 casts of the same
+        Python-float expressions :class:`~repro.nn.optim.Adam` uses, so
+        lock-step, staggered and single-row updates are one code path
+        and each matches the per-node optimizer bit-for-bit.  The fused
+        kernel does it in one pass; without a compiler the chunked numpy
+        statement of the same formula runs instead.
+        """
+        steps = self.steps[rows].tolist()
+        bc1 = np.array([1.0 - self.beta1**t for t in steps], dtype=np.float32)
+        bc2 = np.array([1.0 - self.beta2**t for t in steps], dtype=np.float32)
+        p, g = self.bank.flat[rows], self.bank.grad_flat[rows]
+        m, v = self.m[rows], self.v[rows]
+        kernel = fused_adam_step()
+        if kernel is None:
+            self._step_chunked(g, m, v, p, bc1[:, None], bc2[:, None])
+            return
         kernel(
-            p, g, m, v, p.size,
+            p, g, m, v, *p.shape, bc1, bc2,
             self.beta1, 1.0 - self.beta1,
             self.beta2, 1.0 - self.beta2,
-            1.0 - self.beta1**t, 1.0 - self.beta2**t,
             self.lr, self.eps, self.lr * self.weight_decay,
         )
 
-    def _step_chunked(self, g_all, m_all, v_all, p_all, bc1, bc2) -> None:
-        """The update itself, over trailing-axis blocks of the arrays.
+    #: Elements per block of the numpy fallback — sized so the live
+    #: slices of g/m/v/p plus three scratch rows stay cache-resident
+    #: (full-width passes stream every array through DRAM ~10 times).
+    _CHUNK = 131072
 
-        Works on flat ``(n * n_params,)`` views in the lock-step case or
-        ``(n, n_params)`` matrices with per-row corrections after a
-        staggered restore; either way each block's g/m/v/p slices plus
-        the scratch rows stay cache-resident.
+    def _step_chunked(self, g_all, m_all, v_all, p_all, bc1, bc2) -> None:
+        """The no-compiler fallback: the update over column blocks.
+
+        The arrays are ``(n, n_params)`` matrices and the corrections
+        float32 ``(n, 1)`` columns; a float32 array divided by a float32
+        column stays float32 (NEP 50), matching the per-node scalar
+        arithmetic bit-for-bit.
         """
-        total = g_all.shape[-1]
-        lead = g_all.shape[:-1]
-        chunk = self._CHUNK if not lead else self._CHUNK_COLS
-        if self._scratch is None or self._scratch.shape[1:] != (
-            *lead,
-            min(chunk, total),
-        ):
-            self._scratch = np.empty(
-                (3, *lead, min(chunk, total)), dtype=np.float32
-            )
+        n, total = g_all.shape
+        chunk = min(max(1, self._CHUNK // n), total)
+        if self._scratch is None or self._scratch.shape[1:] != (n, chunk):
+            self._scratch = np.empty((3, n, chunk), dtype=np.float32)
         one_m_b1 = 1.0 - self.beta1
         one_m_b2 = 1.0 - self.beta2
         decay = self.lr * self.weight_decay
@@ -637,25 +611,6 @@ class FleetAdam:
                 p -= t0
             t1 /= t2
             p -= t1
-
-    def step_row(self, row: int) -> None:
-        """One Adam update for a single node (detached-pace training)."""
-        self.steps[row] += 1
-        t = int(self.steps[row])
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        g = self.bank.grad_flat[row]
-        m, v = self.m[row], self.v[row]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g**2)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p = self.bank.flat[row]
-        if self.weight_decay:
-            p -= self.lr * self.weight_decay * p
-        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         """Clear every node's accumulated gradients."""

@@ -7,9 +7,7 @@ model.  So this module measures instead of predicting, borrowing the
 power-of-two-scaling + binary-search shape of Lightning's
 ``batch_size_finder`` (per ROADMAP): double the worker count while
 measured throughput keeps improving, then binary-search the gap between
-the last two candidates.  The same harness scans the fused-Adam chunk
-width (:attr:`~repro.nn.bank.FleetAdam._CHUNK`) over a power-of-two
-ladder.
+the last two candidates.
 
 Every measurement drives a real :class:`~repro.core.fleet.FleetEngine`
 over a synthetic paper-shaped fleet, so the tuned numbers reflect the
@@ -50,8 +48,6 @@ _DEFAULT_CACHE = Path(".repro_cache") / "autotune.json"
 #: the full probe stays in the low seconds.
 _PROBE = dict(n_nodes=32, hidden=32, batch_size=16, bev_shape=(3, 10, 10))
 
-_CHUNK_LADDER = (16384, 32768, 65536, 131072, 262144, 524288)
-
 
 def host_fingerprint() -> str:
     """Stable identity of the execution environment for cache keying."""
@@ -73,15 +69,14 @@ def _cache_path() -> Path:
 
 
 class AutotuneResult(dict):
-    """Tuned configuration: ``step_workers``, ``adam_chunk``, evidence."""
+    """Tuned configuration: ``step_workers`` and its evidence.
+
+    A cached entry may carry keys nothing reads any more (``adam_chunk``).
+    """
 
     @property
     def step_workers(self) -> int:
         return int(self["step_workers"])
-
-    @property
-    def adam_chunk(self) -> int:
-        return int(self["adam_chunk"])
 
 
 def _build_probe_engine(step_workers: int, seed: int = 0):
@@ -182,27 +177,8 @@ def _tune_step_workers(measure) -> tuple[int, dict[str, float]]:
     return best, evidence
 
 
-def _tune_adam_chunk(step_workers: int) -> tuple[int, dict[str, float]]:
-    """Pick the fused-Adam chunk width by measuring the ladder in place."""
-    from repro.nn.bank import FleetAdam
-
-    original = FleetAdam._CHUNK
-    evidence: dict[str, float] = {}
-    best, best_rate = original, 0.0
-    try:
-        for chunk in _CHUNK_LADDER:
-            FleetAdam._CHUNK = chunk
-            rate = measure_step_throughput(step_workers, steps=6, warmup=2)
-            evidence[str(chunk)] = rate
-            if rate > best_rate:
-                best, best_rate = chunk, rate
-    finally:
-        FleetAdam._CHUNK = original
-    return best, evidence
-
-
 def autotune(force: bool = False) -> AutotuneResult:
-    """Tuned ``(step_workers, adam_chunk)`` for this host, cached on disk."""
+    """Tuned ``step_workers`` for this host, cached on disk."""
     cache_path = _cache_path()
     key = host_fingerprint()
     if not force and cache_path.exists():
@@ -213,13 +189,10 @@ def autotune(force: bool = False) -> AutotuneResult:
         if key in cached:
             return AutotuneResult(cached[key])
     workers, worker_evidence = _tune_step_workers(measure_step_throughput)
-    chunk, chunk_evidence = _tune_adam_chunk(workers)
     result = AutotuneResult(
         step_workers=workers,
-        adam_chunk=chunk,
         host_cores=os.cpu_count() or 1,
         throughput=worker_evidence,
-        chunk_throughput=chunk_evidence,
     )
     try:
         cached = {}
@@ -235,28 +208,13 @@ def autotune(force: bool = False) -> AutotuneResult:
     return result
 
 
-def apply_tuned_chunk(result: AutotuneResult) -> None:
-    """Install the tuned fused-Adam chunk width process-wide.
-
-    Chunking is elementwise (:meth:`FleetAdam._step_chunked` applies the
-    identical op sequence per element regardless of block boundaries),
-    so this cannot change any result.
-    """
-    from repro.nn.bank import FleetAdam
-
-    FleetAdam._CHUNK = result.adam_chunk
-
-
 def resolve_step_workers(value) -> int:
     """Normalize a ``--step-workers`` value: int-like, or ``"auto"``.
 
-    ``auto`` runs (or reads) the host autotune and also installs the
-    tuned fused-Adam chunk width as a side effect.
+    ``auto`` runs (or reads) the host autotune.
     """
     if isinstance(value, str) and value.strip().lower() == "auto":
-        result = autotune()
-        apply_tuned_chunk(result)
-        return result.step_workers
+        return autotune().step_workers
     workers = int(value)
     if workers < 1:
         raise ValueError(f"step workers must be >= 1 (or 'auto'): {value}")

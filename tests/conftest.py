@@ -17,13 +17,18 @@ import pytest  # noqa: E402
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
 from repro.nn import make_driving_model
+from repro.nn._fused import kernel_status
 from repro.sim import BevSpec, TownMap, World, WorldConfig, collect_fleet_datasets
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces, simulate_traces
 
 
 def pytest_report_header(config):
-    return f"BLAS threads: {blas_threads()}"
+    adam = kernel_status()
+    return [
+        f"BLAS threads: {blas_threads()}",
+        f"FleetAdam: {adam['path']} ({adam['so'] or adam['reason']})",
+    ]
 
 
 BEV_SPEC = BevSpec(grid=12, cell=2.5)

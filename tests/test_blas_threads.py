@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from repro.blas import blas_threads
+from repro.nn._fused import kernel_status
 
 
 def test_suite_runs_single_threaded():
@@ -54,6 +55,8 @@ def test_run_json_records_the_thread_count_and_resume_reports_a_change(tmp_path)
     run_json = store.ensure_run(spec) / "run.json"
     recorded = json.loads(run_json.read_text())
     assert recorded["blas_threads"] == blas_threads()
+    assert recorded["adam_kernel"] == kernel_status()
+    assert recorded["adam_kernel"]["path"] in ("kernel", "numpy")
     assert recorded["fingerprint"] == spec_fingerprint(spec)  # not part of the identity
 
     store.log_resumed(spec, 1, 10.0)

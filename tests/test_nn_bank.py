@@ -9,20 +9,35 @@ The load-bearing guarantees tested here:
 * a fleet trained through :class:`FleetEngine` is *bit-identical* to the
   same nodes trained per-node in lock-step (MLP trunk), including after
   a staggered snapshot/restore that desynchronizes step counters;
-* the fused C Adam kernel and the chunked numpy fallback produce
-  byte-identical parameters.
+* the fused C Adam kernel, the chunked numpy fallback and per-node
+  ``Adam.step`` produce byte-identical parameters and moments, on
+  adversarial values and through every entry (lock-step, staggered,
+  single row); the kernel's loop really is vectorised; and a kernel
+  that cannot be built says so once and changes no result.
 """
+
+import os
+import re
+import shutil
+import subprocess
+import tempfile
+import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.fleet import FleetEngine
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
 from repro.nn import Adam, FleetAdam, FleetWaypointNet, ParamBank, make_driving_model
 from repro.nn import _fused
-from repro.nn.bank import FleetLinear
-from repro.nn.params import get_flat_params
+from repro.nn.bank import FleetLinear, RowAdam
+from repro.nn.params import Parameter, get_flat_params
 from repro.sim.dataset import DrivingDataset, Frame
 
 BEV_SHAPE = (2, 4, 4)
@@ -328,13 +343,13 @@ class TestFleetAdam:
         )
 
     def test_kernel_and_numpy_paths_byte_identical(self, monkeypatch):
-        if _fused.fused_adam_step() is None:
-            pytest.skip("no C compiler available for the fused kernel")
+        # State carried across steps on a real model's bank; single
+        # updates on adversarial values are TestAdamStatementsAgree's.
+        _require_kernel()
 
         def run(disabled: bool):
             if disabled:
                 monkeypatch.setenv(_fused._DISABLE_ENV, "1")
-                monkeypatch.setattr(_fused, "_kernel", None)
             else:
                 monkeypatch.delenv(_fused._DISABLE_ENV, raising=False)
             bank = self.make_bank()
@@ -352,11 +367,244 @@ class TestFleetAdam:
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(_fused._DISABLE_ENV, "1")
-        monkeypatch.setattr(_fused, "_kernel", None)
         assert _fused.fused_adam_step() is None
+        status = _fused.kernel_status()
+        assert status["path"] == "numpy" and status["so"] is None
+        assert _fused._DISABLE_ENV in status["reason"]
 
     def test_node_restore_rejects_wrong_size(self):
         bank = self.make_bank()
         opt = FleetAdam(bank)
         with pytest.raises(ValueError):
             opt.node_restore(0, {"step": 1, "m": np.zeros(3), "v": np.zeros(3)})
+
+
+# -- one Adam, three statements of it -----------------------------------------
+
+#: float32 values the update must treat exactly like numpy does: signed
+#: zeros, denormals, the normal/denormal boundary, gradients whose square
+#: overflows (3e19**2 > float32 max) or underflows, infinities and NaN.
+#: NaN comes in its canonical form only: which payload survives
+#: ``nan_a + nan_b`` depends on operand order, which neither C nor numpy
+#: pins, and with one payload in there is no such pair.
+_SPECIALS = [
+    0.0, -0.0, 1e-45, -1e-45, 1e-39, 1.1754944e-38, 1e-20, 3e19, -3e19,
+    3.4e38, float("inf"), float("-inf"), float("nan"), 1.0, -1.0, 1e-4,
+]  # fmt: skip
+_ELEMENTS = st.one_of(
+    st.sampled_from(_SPECIALS), st.floats(width=32, allow_nan=False)
+)
+
+ENTRIES = ("lockstep", "staggered", "row")
+
+
+def _require_kernel():
+    if _fused.fused_adam_step() is None:
+        pytest.skip(f"no fused kernel: {_fused.kernel_status()['reason']}")
+
+
+def _flat_bank(n_rows: int, n_cols: int) -> ParamBank:
+    """A bank whose rows are one flat parameter of ``n_cols`` elements."""
+    template = types.SimpleNamespace(
+        parameters=lambda: [Parameter(np.zeros(n_cols, dtype=np.float32), "w")]
+    )
+    return ParamBank(template, n_rows)
+
+
+@np.errstate(all="ignore")  # the values are adversarial on purpose
+def _adam_update(path, entry, p, g, m, v, weight_decay):
+    """(p, m, v) bytes after one update of ``(n_rows, n_cols)`` state.
+
+    ``path`` picks the statement of the formula: the fused ``kernel``,
+    the chunked ``numpy`` fallback, or the per-node ``oracle``
+    (:class:`Adam`, one instance per updated row).  ``entry`` picks how
+    the rows are stepped: all at one step count, all at staggered
+    counts, or row 0 alone through its :class:`RowAdam` facade.
+    """
+    n_rows, n_cols = p.shape
+    steps = [4] * n_rows if entry == "lockstep" else [2 + 3 * r for r in range(n_rows)]
+    hyper = dict(lr=1e-3, weight_decay=weight_decay)
+    if path == "oracle":
+        p, m, v = p.copy(), m.copy(), v.copy()
+        for row in range(1 if entry == "row" else n_rows):
+            param = Parameter(p[row].copy(), "w")
+            param.grad[...] = g[row]
+            adam = Adam([param], **hyper)
+            adam.restore({"step": steps[row], "m": m[row], "v": v[row]})
+            adam.step()
+            state = adam.snapshot()
+            p[row], m[row], v[row] = param.data, state["m"], state["v"]
+        return p.tobytes(), m.tobytes(), v.tobytes()
+    bank = _flat_bank(n_rows, n_cols)
+    bank.flat[...], bank.grad_flat[...] = p, g
+    opt = FleetAdam(bank, **hyper)
+    opt.m[...], opt.v[...], opt.steps[...] = m, v, steps
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "numpy":
+            patch.setenv(_fused._DISABLE_ENV, "1")
+        else:
+            patch.delenv(_fused._DISABLE_ENV, raising=False)
+        if entry == "row":
+            RowAdam(opt, 0, []).step()
+        else:
+            opt.step()
+    assert opt.steps.tolist() == [
+        t + (entry != "row" or row == 0) for row, t in enumerate(steps)
+    ]
+    return bank.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes()
+
+
+class TestAdamStatementsAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        state=st.tuples(st.integers(1, 3), st.integers(1, 70)).flatmap(
+            lambda shape: hnp.arrays(np.float32, (4, *shape), elements=_ELEMENTS)
+        ),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+        entry=st.sampled_from(ENTRIES),
+    )
+    def test_byte_identical_on_adversarial_values(self, state, weight_decay, entry):
+        # Lengths 1-70 cover the scalar epilogue alone, the 4-wide body
+        # with every remainder, and (odd lengths, rows >= 1) rows that
+        # start 4- but not 16-byte aligned.
+        _require_kernel()
+        results = {
+            path: _adam_update(path, entry, *state, weight_decay)
+            for path in ("kernel", "numpy", "oracle")
+        }
+        assert results["kernel"] == results["numpy"] == results["oracle"]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_byte_identical_over_a_million_elements(self, entry, weight_decay):
+        _require_kernel()
+        rng = np.random.default_rng(17)
+        shape = (4, 3, 350_001)  # odd width: rows 1 and 2 are misaligned
+        state = rng.normal(size=shape).astype(np.float32)
+        state[3] = np.abs(state[3]) * np.float32(1e-3)  # v as training leaves it
+        special = rng.random(shape) < 0.01
+        state[special] = rng.choice(np.float32(_SPECIALS), size=int(special.sum()))
+        results = [
+            _adam_update(path, entry, *state, weight_decay)
+            for path in ("kernel", "numpy", "oracle")
+        ]
+        assert results[0] == results[1] == results[2]
+
+    def test_row_entry_leaves_other_rows_alone(self):
+        rng = np.random.default_rng(3)
+        state = rng.normal(size=(4, 3, 33)).astype(np.float32)
+        state[3] = np.abs(state[3])
+        p, m, v = (
+            np.frombuffer(b, dtype=np.float32).reshape(3, 33)
+            for b in _adam_update("kernel", "row", *state, 0.01)
+        )
+        for after, before in ((p, state[0]), (m, state[2]), (v, state[3])):
+            assert not np.array_equal(after[0], before[0])
+            assert after[1:].tobytes() == before[1:].tobytes()
+
+
+# -- the kernel build: flags, cache key, failure ------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def _vectorised_remarks(extra_flags: list[str]) -> list[str]:
+    """The compiler's "vectorised" remarks for the ``adam_row`` loop."""
+    version = subprocess.run(
+        ["cc", "--version"], capture_output=True, text=True
+    ).stdout.lower()
+    if "clang" in version:
+        remark_flag, said = "-Rpass=loop-vectorize", "vectorized loop"
+    elif "gcc" in version or "free software foundation" in version:
+        remark_flag, said = "-fopt-info-vec-optimized", "loop vectorized"
+    else:
+        pytest.skip(f"no vectorisation remark flag known for: {version[:60]!r}")
+    lines = _fused._SOURCE.splitlines()
+    (loop_line,) = [
+        k + 1 for k, line in enumerate(lines) if "for (i = 0; i < n; ++i)" in line
+    ]
+    with tempfile.TemporaryDirectory() as build:
+        (src := Path(build) / "adam.c").write_text(_fused._SOURCE)
+        done = subprocess.run(
+            ["cc", *_fused._CFLAGS, *extra_flags, remark_flag, str(src),
+             "-o", str(src.with_suffix(".so")), "-lm"],
+            capture_output=True, text=True, check=True,
+        )  # fmt: skip
+    return [
+        line
+        for line in (done.stdout + done.stderr).splitlines()
+        if re.search(rf"adam\.c:{loop_line}:\d+:", line) and said in line
+    ]
+
+
+@needs_cc
+def test_production_flags_vectorise_the_update_loop():
+    # Twice over: the loop is inlined once with and once without decay.
+    assert len(_vectorised_remarks([])) >= 2
+    # The check can fail: the same source, vectoriser off, reports nothing.
+    assert _vectorised_remarks(["-fno-tree-vectorize"]) == []
+
+
+def test_cache_key_follows_the_flags(monkeypatch):
+    key = _fused._source_key()
+    monkeypatch.setattr(
+        _fused, "_CFLAGS", ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+    )
+    assert _fused._source_key() != key  # a stale -O2 artifact is another file
+
+
+@needs_cc
+def test_loaded_artifact_is_the_one_keyed_by_source_and_flags(tmp_path, monkeypatch):
+    stale = tmp_path / "adam-0123456789abcdef.so"
+    stale.write_bytes(b"not this one")
+    monkeypatch.setenv(_fused._CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.delenv(_fused._DISABLE_ENV, raising=False)
+    monkeypatch.setattr(_fused, "_resolved", None)
+    status = _fused.kernel_status()
+    assert status["path"] == "kernel"
+    assert status["so"] == f"adam-{_fused._source_key()}.so" != stale.name
+    assert status["flags"] == " ".join(_fused._CFLAGS)
+    assert "-O3" in status["flags"] and "-ffp-contract=off" in status["flags"]
+
+
+@needs_cc
+def test_unwritable_cache_builds_once_and_leaves_no_directory(tmp_path, monkeypatch):
+    (blocker := tmp_path / "blocker").write_text("a file where the cache dir goes")
+    (scratch := tmp_path / "tmp").mkdir()
+    monkeypatch.setenv(_fused._CACHE_DIR_ENV, str(blocker / "kernels"))
+    monkeypatch.delenv(_fused._DISABLE_ENV, raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(_fused, "_resolved", None)
+    status = _fused.kernel_status()
+    assert status["path"] == "kernel" and "uncached" in status["so"]
+    assert list(scratch.iterdir()) == []
+    state = np.random.default_rng(5).normal(size=(4, 2, 9)).astype(np.float32)
+    assert _adam_update("kernel", "staggered", *state, 0.01) == _adam_update(
+        "oracle", "staggered", *state, 0.01
+    )
+
+
+def test_failing_compiler_warns_once_and_falls_back(tmp_path, monkeypatch):
+    (bin_dir := tmp_path / "bin").mkdir()
+    (cache := tmp_path / "cache").mkdir()
+    fake_cc = bin_dir / "cc"
+    fake_cc.write_text("#!/bin/sh\necho 'adam.c:1: error: boom from cc' >&2\nexit 1\n")
+    fake_cc.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
+    monkeypatch.setenv(_fused._CACHE_DIR_ENV, str(cache))
+    monkeypatch.delenv(_fused._DISABLE_ENV, raising=False)
+    monkeypatch.setattr(_fused, "_resolved", None)
+    state = np.random.default_rng(6).normal(size=(4, 3, 21)).astype(np.float32)
+
+    with pytest.warns(RuntimeWarning, match="boom from cc") as caught:
+        first = _adam_update("kernel", "lockstep", *state, 0.01)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the failure is cached: no second warning
+        second = _adam_update("kernel", "staggered", *state, 0.01)
+        status = _fused.kernel_status()
+    assert status["path"] == "numpy" and status["so"] is None
+    assert "cc exited 1" in status["reason"] and "boom from cc" in status["reason"]
+    assert first == _adam_update("oracle", "lockstep", *state, 0.01)
+    assert second == _adam_update("oracle", "staggered", *state, 0.01)
+    assert [p.name for p in cache.iterdir()] == []  # no .so, .c or .lock left

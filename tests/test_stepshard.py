@@ -29,6 +29,7 @@ from repro.core.fleet import FleetEngine
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.experiments.runner import RunSpec, build_context, run_method
 from repro.parallel import clamp_step_workers
+from repro.parallel import autotune as autotune_module
 from repro.parallel.autotune import host_fingerprint, resolve_step_workers
 from repro.parallel.stepshard import (
     ShmArena,
@@ -338,19 +339,30 @@ class TestAutotune:
             resolve_step_workers("0")
 
     def test_auto_reads_host_cache(self, tmp_path, monkeypatch):
+        # An entry cached before the Adam chunk scan was deleted still
+        # carries its key; it must load, and nothing reads it.
         cache = tmp_path / "autotune.json"
         cache.write_text(
             json.dumps({host_fingerprint(): {"step_workers": 3, "adam_chunk": 65536}})
         )
         monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(cache))
-        from repro.nn.bank import FleetAdam
+        assert resolve_step_workers("auto") == 3
 
-        original = FleetAdam._CHUNK
-        try:
-            assert resolve_step_workers("auto") == 3
-            assert FleetAdam._CHUNK == 65536
-        finally:
-            FleetAdam._CHUNK = original
+    def test_autotune_measures_worker_counts_only(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "autotune.json"))
+        probed = []
+
+        def measure(workers, **kwargs):
+            probed.append((workers, kwargs))
+            return 100.0 / workers  # serial wins: one doubling probe, then stop
+
+        monkeypatch.setattr(autotune_module, "measure_step_throughput", measure)
+        result = autotune_module.autotune(force=True)
+        assert result.step_workers == 1
+        assert probed == [(1, {}), (2, {})]  # no chunk-width ladder behind it
+        assert sorted(result) == ["host_cores", "step_workers", "throughput"]
+        cached = json.loads((tmp_path / "autotune.json").read_text())
+        assert cached[host_fingerprint()] == dict(result)
 
 
 # -- kernel cache -------------------------------------------------------------
@@ -365,7 +377,9 @@ p = np.zeros(8, dtype=np.float32)
 g = np.ones(8, dtype=np.float32)
 m = np.zeros(8, dtype=np.float32)
 v = np.zeros(8, dtype=np.float32)
-kernel(p, g, m, v, 8, 0.9, 0.1, 0.999, 0.001, 0.1, 0.001, 0.001, 1e-8, 0.0)
+bc1 = np.full(2, 0.1, dtype=np.float32)
+bc2 = np.full(2, 0.001, dtype=np.float32)
+kernel(p, g, m, v, 2, 4, bc1, bc2, 0.9, 0.1, 0.999, 0.001, 0.001, 1e-8, 0.0)
 assert p.any()
 print("ok")
 """
