@@ -3,7 +3,7 @@
 Multi-threaded OpenBLAS splits a GEMM's reduction differently per thread
 count, which moves float32 results by an ulp — enough to break every
 bit-identity gate recorded on a one-core host.  The test suite and the
-golden-pinned smoke scripts call :func:`pin_blas_threads` first thing.
+CLI (``repro selfcheck`` included) call :func:`pin_blas_threads` first thing.
 This module imports nothing heavy, so the environment route still works
 when numpy has not loaded yet.
 """

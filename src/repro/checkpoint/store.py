@@ -282,7 +282,7 @@ class RunStore:
 
         Rewinds a run directory to how it would look had the process
         died right after saving ``barrier`` — the store-side face of a
-        crash, used by tests and the smoke gate.
+        crash, used by tests.
         """
         for existing in self.barriers(spec):
             if existing > barrier:

@@ -15,6 +15,7 @@ Examples
     python -m repro trace --method LbChat --out trace.jsonl
     python -m repro report --trace trace.jsonl
     python -m repro eval --model sco.npz --trials 4
+    python -m repro selfcheck
 """
 
 from __future__ import annotations
@@ -345,6 +346,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    from repro.selfcheck import selfcheck
+
+    return selfcheck(args.rows, record=args.record)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -421,6 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
+
+    p = sub.add_parser("selfcheck", help="run the bit-identity gates and print the digest table")
+    p.add_argument("rows", nargs="*", metavar="ROW", help="rows to run (default: all)")
+    p.add_argument(
+        "--record", action="store_true",
+        help="re-baseline the golden digests of the rows named (all when none are)",
+    )
+    p.set_defaults(fn=_cmd_selfcheck)
 
     return parser
 

@@ -14,7 +14,8 @@ the same per-job code and return bit-identical results in job order::
     specs = [RunSpec.for_context(context, "LbChat", seed=s) for s in (1, 2, 3)]
     results = run_specs(specs, jobs=3)
 
-``scripts/parallel_smoke.py`` gates exactly this determinism claim.
+The ``parallel.jobs4`` row of ``repro selfcheck`` gates exactly this
+determinism claim.
 """
 
 from repro.parallel.autotune import resolve_step_workers

@@ -30,8 +30,8 @@ as the serial engine does), and every batched tensor op in
 :mod:`repro.nn.bank` reduces along non-row axes only.  Row ``r`` sees
 the same float ops on the same operands whether it is computed by the
 serial engine, by worker 0 of 2, or by worker 3 of 4 — so run results
-are **bit-identical for every worker count**, which the stepshard smoke
-gate and :mod:`tests.test_stepshard` enforce.
+are **bit-identical for every worker count**, which the ``stepshard.*``
+rows of ``repro selfcheck`` and :mod:`tests.test_stepshard` enforce.
 
 Requires the ``fork`` start method (workers inherit the mapped segment
 and the live slice objects); on platforms without it the engine falls

@@ -1,0 +1,651 @@
+"""``repro selfcheck``: every bit-identity gate of the repo, as one table.
+
+Each row of :data:`CHECKS` runs one variant of a seeded miniature
+experiment, digests what it computed, and is read against a reference:
+
+* ``golden`` — the *recorded* tier: the digests in
+  ``selfcheck_golden.json``, which are single-thread GEMM results
+  (``repro.cli.main`` and ``tests/conftest.py`` pin BLAS for that);
+* another row's name — the *exact* tier: same process, same world, so
+  the same bits on any host (step workers vs serial, resumed vs
+  uninterrupted, ``jobs=4`` vs ``jobs=1``);
+* ``None`` — a baseline that exact-tier rows are read against.
+
+A row's invariant hooks say what must be true beyond "nothing changed",
+above all that the variant really executed (the pool stepped, a flight
+launched, a barrier held a flight): an equality that holds because both
+sides took the serial path is a failure, not a pass.
+
+    PYTHONPATH=src python -m repro selfcheck [ROW ...]      # all rows by default
+    PYTHONPATH=src python -m repro selfcheck ROW --record   # re-baseline ROW
+
+The same table is one parametrised tier-1 test (``tests/test_selfcheck.py``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass, field, replace
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Iterable, Mapping
+
+import numpy as np
+
+from repro.blas import blas_threads, pin_blas_threads
+from repro.checkpoint.policy import KILL_BARRIER_ENV, Checkpointer, CheckpointPolicy
+
+__all__ = [
+    "CHECKS", "GOLDEN_PATH", "Check", "Run", "Runner", "build_scale", "digest_result", "selfcheck",
+]
+
+GOLDEN_PATH = Path(__file__).with_name("selfcheck_golden.json")
+
+SEED = 3
+CURVE_POINTS = 9
+RADIO_RADIUS = 500.0  # TrainerConfig.max_range, the contact scan radius
+KILL_AT = 2  # of the kill row's barriers at t=10/20/30
+#: Barrier cadence of the overlap resume rows: 35/70/.../175 s, of which
+#: t=70 falls inside a model flight.  Every barrier is resumed from, so a
+#: finer cadence only re-runs more of the horizon.
+OVERLAP_BARRIER_EVERY = 35.0
+
+
+# -- worlds -------------------------------------------------------------------
+
+
+def build_scale(world: str = "hotpath"):
+    """The miniature :class:`ExperimentScale` a row's ``world`` names."""
+    from repro.experiments.configs import CI, CITY
+    from repro.sim.world import WorldConfig
+
+    # Three vehicles, 40 s: LbChat, SCO and DP together cover coresets,
+    # psi maps, Eq. 8 and the subset-evaluation path.
+    hotpath = replace(
+        CI,
+        name="selfcheck-hotpath",
+        world=WorldConfig(
+            map_size=400.0, grid_n=3, n_vehicles=3, n_background_cars=2,
+            n_pedestrians=5, seed=13, min_route_length=120.0,
+        ),
+        collect_duration=30.0,
+        trace_duration=120.0,
+        train_duration=40.0,
+        train_interval=2.0,
+        record_interval=10.0,
+        coreset_size=6,
+    )
+    if world == "hotpath":
+        return hotpath
+    if world == "stepshard":
+        # The step pool only takes full batches; hotpath's batch of 64
+        # exceeds what a 30 s collection yields, which would leave every
+        # step on the serial path.
+        return replace(hotpath, name="selfcheck-stepshard", batch_size=16)
+    if world == "overlap":
+        # Four vehicles trained past the 60 s pair cooldown twice: first
+        # chats agree (psi = 0); later rounds diverge enough that Eq. 7
+        # ships models, which overlap launches as background flights.
+        return replace(
+            hotpath,
+            name="selfcheck-overlap",
+            world=WorldConfig(
+                map_size=400.0, grid_n=3, n_vehicles=4, n_background_cars=4,
+                n_pedestrians=10, seed=11, min_route_length=120.0,
+            ),
+            collect_duration=60.0,
+            trace_duration=240.0,
+            train_duration=180.0,
+            record_interval=20.0,
+            coreset_size=10,
+        )
+    if world == "city":
+        # 2x2 blocks and exactly SWEPT_MIN_VEHICLES vehicles, so neighbor
+        # queries use the swept contact index; bounded caches switched on.
+        return CITY.derived(
+            "selfcheck-city",
+            world=dict(
+                map_size=900.0, grid_n=3, n_vehicles=48, n_background_cars=6,
+                n_pedestrians=12, seed=13, min_route_length=100.0,
+                n_districts=4, city_blocks=2, shard_stepping=True,
+            ),
+            collect_duration=20.0,
+            trace_duration=100.0,
+            train_duration=30.0,
+            train_interval=5.0,
+            record_interval=10.0,
+            coreset_size=8,
+            batch_size=16,
+            eval_normal_cars=6,
+            eval_normal_pedestrians=10,
+            loss_cache_budget=64,
+            chat_log_budget=16,
+        )
+    raise KeyError(f"unknown selfcheck world {world!r}")
+
+
+def _context(world: str):
+    """The world's :class:`ExperimentContext`, built once per process."""
+    from repro.experiments.runner import build_context, register_context
+
+    scale = build_scale(world)
+    if world == "stepshard":
+        # Differs from hotpath in node batch size only: same datasets and
+        # traces, so adopt them instead of simulating the world twice.
+        context = replace(_context("hotpath"), scale=scale)
+        register_context(context)
+        return context
+    return build_context(scale)  # memoised by scale name
+
+
+# -- digests ------------------------------------------------------------------
+
+
+def _sha(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _result_counters(counters: dict, prefix: str = "") -> dict:
+    """``counters`` minus the psi-probe tallies: those say *how* a run
+    executed and are asserted on (:func:`dense_probes`), not digested."""
+    from repro.core.lbchat import PROBE_COUNTERS
+
+    skipped = {prefix + name for name in PROBE_COUNTERS}
+    return {name: value for name, value in counters.items() if name not in skipped}
+
+
+def digest_result(result) -> dict[str, str]:
+    """Componentwise digests of one RunResult (localizes any mismatch)."""
+    _, curve = result.loss_curve(CURVE_POINTS)
+    counters = json.dumps(sorted(_result_counters(result.counters).items()), sort_keys=True)
+    params = b"".join(
+        np.ascontiguousarray(node.flat_params, dtype=np.float32).tobytes()
+        for node in result.nodes
+    )
+    dataset_state = json.dumps(
+        [[node.dataset.ids, node.dataset.weights.tolist()] for node in result.nodes]
+    )
+    coreset_state = json.dumps(
+        [[node.coreset.data.ids, node.coreset.data.weights.tolist()] for node in result.nodes]
+    )
+    return {
+        "loss_curve": _sha(np.ascontiguousarray(curve, dtype=np.float64).tobytes()),
+        "receive": f"{result.receive_completed}/{result.receive_attempted}",
+        "counters": _sha(counters.encode()),
+        "params": _sha(params),
+        "datasets": _sha(dataset_state.encode()),
+        "coresets": _sha(coreset_state.encode()),
+    }
+
+
+def _digest_registry(session) -> str:
+    state = session.registry.state()
+    state["counters"] = _result_counters(state["counters"], prefix="trainer.")
+    payload = json.dumps(
+        {kind: state[kind] for kind in ("counters", "gauges", "histograms")},
+        sort_keys=True,
+        default=repr,
+    )
+    return _sha(payload.encode())
+
+
+# -- rows ---------------------------------------------------------------------
+
+
+@dataclass
+class Run:
+    """What one row produced: its digests plus what its invariants read."""
+
+    digests: dict[str, str]
+    context: Any = None
+    result: Any = None  # the RunResult (a list of them for a batch row)
+    session: Any = None  # the TelemetrySession the run executed in
+    scratch: Path | None = None  # the row's temporary directory
+    facts: dict = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row: a run variant on a world, read against a reference."""
+
+    name: str
+    reference: str | None  # "golden", another row, or None for a baseline
+    world: str | None = None
+    method: str = "LbChat"
+    spec: Mapping[str, Any] = field(default_factory=dict)  # RunSpec fields beyond seed
+    produce: Callable[["Runner", "Check", Path], Run] | None = None  # default: run the spec
+    invariants: tuple[Callable[[Run], Iterable[str]], ...] = ()
+
+    def run_spec(self, context, **extra):
+        from repro.experiments.runner import RunSpec
+
+        return RunSpec.for_context(context, self.method, seed=SEED, **{**self.spec, **extra})
+
+
+def _run_spec(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """The default producer: ``run_method`` inside a telemetry session."""
+    from repro.experiments.runner import run_method
+    from repro.telemetry import TelemetrySession
+
+    context = _context(check.world)
+    spec = check.run_spec(context, checkpoint_dir=str(scratch))
+    with TelemetrySession(label=check.name) as session:
+        result = run_method(context, spec)
+    return Run(digest_result(result), context, result, session, scratch)
+
+
+def _registry_of_three_runs(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """One session spanning LbChat, SCO and DP, run afresh in that order:
+    recorder adoption is max-semantics within a session, so the digest
+    cannot be merged from the three rows' own sessions."""
+    from repro.experiments.runner import run_method
+    from repro.telemetry import TelemetrySession
+
+    context = _context(check.world)
+    with TelemetrySession(label=check.name) as session:
+        for method in ("LbChat", "SCO", "DP"):
+            run_method(context, replace(check, method=method).run_spec(context))
+    return Run({"telemetry": _digest_registry(session)}, context, session=session)
+
+
+def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """Four synthetic nodes take three lock-step batched steps and one
+    batched validation pass: pins the fleet forward/backward/Adam path
+    and the slot-based loss cache without needing a world."""
+    from repro.core.fleet import FleetEngine
+    from repro.core.node import NodeConfig, VehicleNode
+    from repro.engine.random import spawn_rng
+    from repro.nn import make_driving_model
+    from repro.sim.dataset import DrivingDataset, Frame
+
+    bev_shape, n_waypoints = (4, 8, 8), 3
+
+    def make_dataset(seed: int, n_frames: int) -> DrivingDataset:
+        rng = np.random.default_rng(seed)
+        return DrivingDataset(
+            [
+                Frame(
+                    f"s{seed}-{i}",
+                    rng.normal(size=bev_shape).astype(np.float32),
+                    int(rng.integers(0, 4)),
+                    rng.normal(size=2 * n_waypoints).astype(np.float32),
+                    float(rng.uniform(0.5, 2.0)),
+                )
+                for i in range(n_frames)
+            ]
+        )
+
+    config = NodeConfig(coreset_size=20, learning_rate=1e-3, batch_size=16)
+    nodes = [
+        VehicleNode(
+            f"smoke{i}",
+            make_driving_model(bev_shape, n_waypoints, hidden=16, seed=i),
+            make_dataset(100 + i, 40),
+            config,
+            spawn_rng(5, f"fleet-smoke-{i}"),
+        )
+        for i in range(4)
+    ]
+    engine = FleetEngine.try_build(nodes)
+    if engine is None:
+        return Run({}, failures=["the four-node fleet is not batchable"])
+    losses = [engine.train_step_all() for _ in range(3)]
+    values = engine.evaluate_fleet(make_dataset(99, 25))
+    params = b"".join(
+        np.ascontiguousarray(node.flat_params, dtype=np.float32).tobytes() for node in nodes
+    )
+    return Run(
+        {
+            "losses": _sha(np.asarray(losses, dtype=np.float64).tobytes()),
+            "evaluate": _sha(np.ascontiguousarray(values, dtype=np.float64).tobytes()),
+            "params": _sha(params),
+        }
+    )
+
+
+def _contact_windows(runner: "Runner", check: Check, scratch: Path) -> Run:
+    context = _context(check.world)
+    windows = context.traces.contact_index(RADIO_RADIUS).windows
+    packed = np.concatenate([windows.pair_i, windows.pair_j, windows.start, windows.end])
+    digests = {
+        "n_windows": str(len(windows)),
+        "windows": _sha(np.ascontiguousarray(packed, dtype=np.int64).tobytes()),
+    }
+    return Run(digests, context)
+
+
+class _MemoryCheckpointer(Checkpointer):
+    """Barrier snapshots kept in memory, every one of them."""
+
+    def __init__(self):
+        super().__init__(None, None, CheckpointPolicy(every=OVERLAP_BARRIER_EVERY))
+        self.states: dict[int, dict] = {}
+
+    def _on_barrier(self, trainer, index: int) -> None:
+        self.states[index] = trainer.checkpoint_barrier(index)
+
+
+def _run_trainer(context, spec, state=None):
+    """Run ``spec`` (from ``state`` if given) snapshotting every barrier."""
+    from repro.experiments.runner import RunResult, prepare_trainer
+
+    nodes, trainer = prepare_trainer(context, spec)
+    if state is not None:
+        trainer.restore(state)
+    saver = _MemoryCheckpointer()
+    trainer.run(checkpointer=saver)
+    return RunResult.from_trainer(spec, trainer, nodes), saver.states
+
+
+def _run_with_barriers(runner: "Runner", check: Check, scratch: Path) -> Run:
+    context = _context(check.world)
+    result, states = _run_trainer(context, check.run_spec(context))
+    return Run(digest_result(result), context, result, facts={"states": states})
+
+
+def _resume_every_barrier(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """Interrupt the reference run at each of its barriers and finish it."""
+    base = runner.check(check.reference)
+    run = Run({}, base.context)
+    for barrier, state in sorted(base.facts["states"].items()):
+        run.result, _ = _run_trainer(base.context, base.result.spec, state)
+        run.digests = digest_result(run.result)
+        run.failures += [
+            f"resumed from barrier {barrier}: {key} diverged"
+            for key, value in run.digests.items()
+            if value != base.digests[key]
+        ]
+    return run
+
+
+def _kill_and_resume(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """Across a real process boundary: a child runs the reference row's
+    spec and ``os._exit(3)``s as its barrier-``KILL_AT`` snapshot commits;
+    this process resumes the orphaned run directory (what ``repro
+    resume`` does)."""
+    from repro.checkpoint import RunStore, resume_run_dir
+
+    base = runner.check(check.reference)  # also memoises the context here
+    spec = replace(base.result.spec, checkpoint_dir=str(scratch))
+    child = subprocess.run(
+        [sys.executable, "-m", "repro.selfcheck", check.reference, str(scratch)],
+        env={**os.environ, KILL_BARRIER_ENV: str(KILL_AT)},
+    )
+    if child.returncode != 3:
+        return Run({}, failures=[f"child exited {child.returncode}, not 3: no kill at a barrier"])
+    store = RunStore(scratch)
+    run_dir = store.run_dir(spec)
+    facts = {"run_dir": run_dir, "done_at_death": (run_dir / "done.json").exists()}
+    resumed = resume_run_dir(run_dir)
+    facts["events"] = store.events(spec)
+    return Run(digest_result(resumed), base.context, resumed, scratch=scratch, facts=facts)
+
+
+def _run_batch(runner: "Runner", check: Check, scratch: Path, jobs: int) -> Run:
+    """Four independent runs through ``run_specs`` under one session."""
+    from repro.core.lbchat import PROBE_COUNTERS
+    from repro.parallel import run_specs
+    from repro.telemetry import TelemetrySession
+
+    context = _context(check.world)
+    specs = [
+        replace(check.run_spec(context), method=method, seed=seed)
+        for method in ("LbChat", "DP")
+        for seed in (1, 2)
+    ]
+    with TelemetrySession(label=check.name) as session:
+        results = run_specs(specs, jobs=jobs)
+    digests = {"registry": _digest_registry(session)}
+    for spec, result in zip(specs, results):
+        tag = f"{spec.method}/{spec.seed}"
+        digests[f"{tag}.arrived"] = f"{result.method}/{result.seed}"
+        digests[f"{tag}.probes"] = "/".join(
+            f"{result.counters.get(name, 0):.0f}" for name in PROBE_COUNTERS
+        )
+        digests.update({f"{tag}.{key}": v for key, v in digest_result(result).items()})
+    return Run(digests, context, results, session)
+
+
+# -- invariants (each yields one message per violation) -----------------------
+
+
+def dense_probes(run: Run):
+    """Every LbChat psi map was fitted on the dense probe bank."""
+    builds = run.result.counters.get("psi_probe_builds", 0)
+    fallbacks = run.result.counters.get("psi_probe_fallbacks", 0)
+    if builds <= 0 or fallbacks != 0:
+        yield f"psi maps left the dense probe bank: {builds:.0f} built, {fallbacks:.0f} fell back"
+
+
+def swept_equals_pairwise(run: Run):
+    """The swept contact index equals the all-pairs reference on this world."""
+    from repro.net.sweep import pairwise_encounters
+    from repro.sim.traces import SWEPT_MIN_VEHICLES
+
+    traces = run.context.traces
+    if traces.positions.shape[1] < SWEPT_MIN_VEHICLES:
+        yield f"{traces.positions.shape[1]} vehicles: neighbor queries never use the swept index"
+    swept = traces.contact_index(RADIO_RADIUS).windows
+    if swept.to_tuples() != pairwise_encounters(traces.positions, RADIO_RADIUS).to_tuples():
+        yield "swept encounter windows diverge from the all-pairs reference"
+
+
+def budgets_held(run: Run):
+    """No loss cache nor the chat log ends the run over its budget."""
+    scale = run.context.scale
+    for node in run.result.nodes:
+        if node.loss_cache_size > scale.loss_cache_budget:
+            yield f"{node.node_id}: loss cache {node.loss_cache_size} > {scale.loss_cache_budget}"
+    if len(run.result.trainer.chat_log) > scale.chat_log_budget:
+        yield f"chat log {len(run.result.trainer.chat_log)} > {scale.chat_log_budget}"
+
+
+def pool_stepped(run: Run):
+    """The step-worker pool really stepped (no silent serial fallback)."""
+    if not run.session.registry.state()["counters"].get("stepshard.steps", 0) > 0:
+        yield "the worker pool never stepped: equality with serial is vacuous"
+
+
+def flights_launched(run: Run):
+    """Overlapped chats resolved and models shipped (they only land on commit)."""
+    counters = run.session.registry.state()["counters"]
+    resolved = counters.get("overlap.commits", 0) + counters.get("overlap.aborts", 0)
+    if not resolved > 0 or run.result.receive_attempted == 0:
+        yield (
+            f"overlap never engaged: {resolved:.0f} overlapped chats resolved, "
+            f"{run.result.receive_attempted} model transfers attempted"
+        )
+
+
+def a_barrier_held_a_flight(run: Run):
+    states = run.facts["states"]
+    held = [b for b, s in sorted(states.items()) if s.get("overlap", {}).get("flights")]
+    if not held:
+        yield f"none of {len(states)} barriers held an in-flight transfer"
+
+
+def one_span_per_chat(run: Run):
+    counts = run.session.tracer.span_counts()
+    n_chats = len(run.result.trainer.chat_log)
+    if n_chats == 0 or counts.get("chat", 0) != n_chats:
+        yield f"{counts.get('chat', 0)} chat spans for {n_chats} ChatLog records"
+    if counts.get("trainer_run") != 1:
+        yield f"{counts.get('trainer_run')} trainer_run spans, expected 1"
+
+
+def registry_matches_trainer(run: Run):
+    counters = run.session.registry.snapshot()["counters"]
+    trainer = run.result.trainer
+    if counters.get("chat.count") != len(trainer.chat_log):
+        yield f"registry chat.count {counters.get('chat.count')} != ChatLog {len(trainer.chat_log)}"
+    if counters.get("model_rx.attempted") != float(trainer.receive_rate.attempted):
+        yield "registry model_rx.attempted disagrees with the trainer's recorder"
+
+
+def export_round_trips(run: Run):
+    from repro.telemetry import export_jsonl, load_jsonl
+
+    reloaded = load_jsonl(export_jsonl(run.session, run.scratch / "trace.jsonl"))
+    if reloaded.span_counts() != run.session.tracer.span_counts():
+        yield "JSONL export does not round-trip span counts"
+    if reloaded.metrics != run.session.registry.snapshot():
+        yield "JSONL export does not round-trip metrics"
+
+
+def crash_shaped_history(run: Run):
+    """The child saved barriers 1-2 and died; the resume continued from 2,
+    saved 3, marked the run done and left no temp file."""
+    history = [
+        (event["event"], event["barrier"])
+        for event in run.facts["events"]
+        if event["event"] in ("saved", "resumed")
+    ]
+    want = [*(("saved", b) for b in range(1, KILL_AT + 1)), ("resumed", KILL_AT), ("saved", 3)]
+    if history != want:
+        yield f"event log reads {history}, want {want}"
+    run_dir = run.facts["run_dir"]
+    if run.facts["done_at_death"] or not (run_dir / "done.json").exists():
+        yield "done marker present at the kill or missing after the resume"
+    if leftovers := sorted(path.name for path in run_dir.glob("*.tmp")):
+        yield f"temp files survived the kill/resume cycle: {leftovers}"
+
+
+def in_submission_order(run: Run):
+    for key, value in run.digests.items():
+        if key.endswith(".arrived") and key != f"{value}.arrived":
+            yield f"slot {key.removesuffix('.arrived')} holds the result of {value}"
+
+
+def crossed_a_process_boundary(run: Run):
+    """Pool results are pickled, which drops the live trainer."""
+    if any(result.trainer is not None for result in run.result):
+        yield "a result never left this process: the pool fell back to serial"
+
+
+_ON = {"overrides": {"overlap_chat": True}}
+
+#: The table.  Row order is print order; rows run on demand, once.
+CHECKS: dict[str, Check] = {
+    check.name: check
+    for check in (
+        Check("hotpath.LbChat", "golden", "hotpath", invariants=(dense_probes,)),
+        Check("hotpath.SCO", "golden", "hotpath", "SCO"),
+        Check("hotpath.DP", "golden", "hotpath", "DP"),
+        Check("hotpath.telemetry", "golden", "hotpath", produce=_registry_of_three_runs),
+        Check("fleet.segment", "golden", produce=_fleet_segment),
+        Check("city.contacts", "golden", "city", produce=_contact_windows,
+              invariants=(swept_equals_pairwise,)),
+        Check("city.LbChat", "golden", "city", invariants=(budgets_held, dense_probes)),
+        Check("stepshard.serial", "golden", "stepshard"),
+        *(
+            Check(f"stepshard.workers{n}", "stepshard.serial", "stepshard",
+                  spec={"overrides": {"step_workers": n}}, invariants=(pool_stepped,))
+            for n in (2, 4)
+        ),
+        Check("overlap.off", "golden", "overlap",
+              invariants=(one_span_per_chat, registry_matches_trainer, export_round_trips)),
+        Check("overlap.on", "golden", "overlap", spec=_ON, invariants=(flights_launched,)),
+        Check("overlap.barriers", None, "overlap", spec=_ON, produce=_run_with_barriers,
+              invariants=(a_barrier_held_a_flight,)),
+        Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,
+              produce=_resume_every_barrier),
+        Check("checkpoint.uninterrupted", None, "hotpath",
+              spec={"checkpoint_every": 10.0}),
+        Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
+              produce=_kill_and_resume, invariants=(crash_shaped_history,)),
+        Check("parallel.jobs1", None, "hotpath", produce=partial(_run_batch, jobs=1),
+              invariants=(in_submission_order,)),
+        Check("parallel.jobs4", "parallel.jobs1", "hotpath", produce=partial(_run_batch, jobs=4),
+              invariants=(in_submission_order, crossed_a_process_boundary)),
+    )
+}
+
+
+# -- runner -------------------------------------------------------------------
+
+
+class Runner:
+    """Runs rows on demand, each once (references before their readers)."""
+
+    def __init__(self, golden: dict | None = None):
+        self.golden = json.loads(GOLDEN_PATH.read_text()) if golden is None else golden
+        self.done: dict[str, Run] = {}
+
+    def check(self, name: str, record: bool = False) -> Run:
+        """Row ``name``'s run, failures filled in; ``record`` re-baselines a golden row."""
+        if name in self.done:
+            return self.done[name]
+        check = CHECKS[name]
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix=f"selfcheck-{name}-") as tmp:
+            run = (check.produce or _run_spec)(self, check, Path(tmp))
+            if check.reference == "golden" and record:
+                self.golden[name] = run.digests
+            elif check.reference is not None:
+                want = (
+                    self.golden.get(name, {})
+                    if check.reference == "golden"
+                    else self.check(check.reference).digests
+                )
+                run.failures += [
+                    f"{key}: got {run.digests.get(key)!r}, want {want.get(key)!r}"
+                    for key in sorted({*want, *run.digests})
+                    if run.digests.get(key) != want.get(key)
+                ]
+            run.failures += [message for hook in check.invariants for message in hook(run)]
+            if run.failures and any(Path(tmp).iterdir()):
+                kept = tempfile.mkdtemp(prefix=f"selfcheck-{name}-kept-")
+                shutil.copytree(tmp, kept, dirs_exist_ok=True)
+                run.failures.append(f"scratch directory kept at {kept}")
+        run.seconds = time.perf_counter() - start
+        self.done[name] = run
+        return run
+
+
+def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
+    """Run the named rows (all by default), print the table, return an exit code."""
+    from repro.nn._fused import kernel_status
+
+    names = list(names) or list(CHECKS)
+    if unknown := [name for name in names if name not in CHECKS]:
+        print(f"unknown row(s) {unknown}; rows: {' '.join(CHECKS)}")
+        return 2
+    adam = kernel_status()
+    adam_path = f"{adam['path']}, {adam['so'] or adam['reason']}"
+    print(f"BLAS threads: {blas_threads()}; FleetAdam: {adam_path}")
+    runner = Runner()
+    failed = []
+    for name in names:
+        check = CHECKS[name]
+        run = runner.check(name, record=record)
+        recorded = record and check.reference == "golden"
+        verdict = "FAIL" if run.failures else "recorded" if recorded else "ok"
+        hooks = " ".join(hook.__name__ for hook in check.invariants)
+        reference = check.reference or "-"
+        print(f"{name:26s}· {reference:26s}· {verdict:8s} {run.seconds:5.1f}s  {hooks}")
+        failed += [f"{name}: {failure}" for failure in run.failures]
+    if record:
+        GOLDEN_PATH.write_text(json.dumps(runner.golden, indent=2, sort_keys=True) + "\n")
+        print(f"golden file rewritten: {GOLDEN_PATH}")
+    for failure in failed:
+        print(f"FAIL {failure}")
+    print(f"selfcheck {'FAILED' if failed else 'OK'}: {len(names)} rows, {len(failed)} failure(s)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":  # _kill_and_resume's child: runs a row into a store, dies at a barrier
+    pin_blas_threads()
+    _run_spec(None, CHECKS[sys.argv[1]], Path(sys.argv[2]))
+    sys.exit("the kill hook never fired")

@@ -1,12 +1,14 @@
 """Observability for reproduction runs (opt-in, no-op by default).
 
-The layer has three legs, one per question an experimenter asks:
+The layer has two legs, one per question an experimenter asks:
 
 * **tracer** — *what happened when* (virtual-time spans/events: chats,
   their protocol stages, transfers, trainer runs);
 * **registry** — *how much* (named counters, gauges, histograms; adopts
-  the trainers' :mod:`repro.engine.metrics` recorders at snapshot time);
-* **profile** — *how fast on the host* (wall-clock section timers).
+  the trainers' :mod:`repro.engine.metrics` recorders at snapshot time).
+
+*How fast on the host* is measured from outside, by the tracer of
+``benchmarks/perf`` (``run.py --trace 1``).
 
 Hot paths call into :mod:`repro.telemetry.hooks`, which no-ops unless a
 :class:`TelemetrySession` is active::
@@ -28,7 +30,6 @@ from repro.telemetry.export import (
     load_jsonl,
 )
 from repro.telemetry.hooks import TelemetrySession, activate, active, deactivate
-from repro.telemetry.profile import WallClockProfiler, time_call
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
 from repro.telemetry.report import render_report, report_session, report_trace
 from repro.telemetry.tracer import EventRecord, SpanRecord, Tracer
@@ -45,8 +46,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "WallClockProfiler",
-    "time_call",
     "export_jsonl",
     "export_metrics_csv",
     "load_jsonl",

@@ -1,8 +1,10 @@
 """Persist and reload telemetry as JSONL / CSV.
 
 The JSONL layout is one self-describing record per line — ``kind`` is
-``meta``, ``span``, ``event``, ``metrics``, or ``profile`` — so a trace
-streams to disk, greps cleanly, and round-trips without a schema file.
+``meta``, ``span``, ``event``, or ``metrics`` — so a trace streams to
+disk, greps cleanly, and round-trips without a schema file.  Records of
+any other kind are skipped on load (traces written before the wall-clock
+profiler was removed end in a ``profile`` record).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def _dump(record: dict) -> str:
 
 
 def export_jsonl(session, path: str | Path) -> Path:
-    """Write a session's spans, events, metrics, and profile to JSONL."""
+    """Write a session's spans, events, and metrics to JSONL."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
@@ -63,7 +65,6 @@ def export_jsonl(session, path: str | Path) -> Path:
                 + "\n"
             )
         fh.write(_dump({"kind": "metrics", "data": session.registry.snapshot()}) + "\n")
-        fh.write(_dump({"kind": "profile", "data": session.profiler.summary()}) + "\n")
     return path
 
 
@@ -75,7 +76,6 @@ class LoadedTrace:
     spans: list[dict] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    profile: dict = field(default_factory=dict)
 
     def span_counts(self) -> dict[str, int]:
         """Span count per name (mirrors ``Tracer.span_counts``)."""
@@ -103,8 +103,6 @@ def load_jsonl(path: str | Path) -> LoadedTrace:
                 trace.events.append(record)
             elif kind == "metrics":
                 trace.metrics = record["data"]
-            elif kind == "profile":
-                trace.profile = record["data"]
     return trace
 
 

@@ -6,7 +6,7 @@ moments.  When no :class:`TelemetrySession` is active every call is a
 global read plus a ``None`` check — the no-op fast path that keeps
 disabled-telemetry overhead well under 5%.  Activating a session (via
 ``with TelemetrySession(): ...`` or :func:`activate`) routes the same
-calls into its tracer/registry/profiler.
+calls into its tracer/registry.
 
 The telemetry package never imports ``repro.core``/``repro.net``;
 domain objects (a ``ChatOutcome``, a trainer) are duck-typed here so the
@@ -15,7 +15,6 @@ dependency arrow points strictly from the hot paths to telemetry.
 
 from __future__ import annotations
 
-from repro.telemetry.profile import WallClockProfiler
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.tracer import Tracer
 
@@ -42,7 +41,7 @@ __all__ = [
 
 
 class TelemetrySession:
-    """One run's worth of telemetry: tracer + metrics + profiler.
+    """One run's worth of telemetry: tracer + metrics.
 
     Usable as a context manager; entering activates it globally (saving
     any previously active session) and exiting restores the previous
@@ -53,7 +52,6 @@ class TelemetrySession:
         self.label = label
         self.tracer = Tracer()
         self.registry = MetricRegistry()
-        self.profiler = WallClockProfiler()
         self.clock = None  # callable -> current virtual time, set by trainers
         self._previous: "TelemetrySession | None" = None
 

@@ -3,9 +3,8 @@
 Renders what an experimenter asks right after a run: how many chats ran,
 where the aborted ones died, how many bytes actually moved, what the
 Eq. 7 psi distribution looked like, and the model receive rate — the
-quantities behind the paper's Tables 2–7 — plus the wall-clock profile
-when sections were timed.  Works from a live session or from a JSONL
-trace reloaded with :func:`repro.telemetry.export.load_jsonl`.
+quantities behind the paper's Tables 2–7.  Works from a live session
+or from a JSONL trace reloaded with :func:`repro.telemetry.export.load_jsonl`.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ def _fmt_bytes(n: float) -> str:
 def render_report(
     metrics: dict,
     span_counts: dict | None = None,
-    profile: dict | None = None,
     label: str = "run",
 ) -> str:
-    """Render a metrics snapshot (plus optional spans/profile) as text."""
+    """Render a metrics snapshot (plus optional span counts) as text."""
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
     histograms = metrics.get("histograms", {})
@@ -94,14 +92,6 @@ def render_report(
         spans = ", ".join(f"{name}={count}" for name, count in sorted(span_counts.items()))
         lines.append(f"spans: {spans}")
 
-    if profile:
-        lines.append("wall-clock profile:")
-        for name, stats in profile.items():
-            lines.append(
-                f"  {name}: {stats['count']}x, total {stats['total_s']:.3f}s, "
-                f"mean {1e3 * stats['mean_s']:.3f}ms"
-            )
-
     if len(lines) == 1:
         lines.append("(no telemetry recorded)")
     return "\n".join(lines)
@@ -112,7 +102,6 @@ def report_session(session) -> str:
     return render_report(
         session.registry.snapshot(),
         span_counts=session.tracer.span_counts(),
-        profile=session.profiler.summary(),
         label=session.label,
     )
 
@@ -122,6 +111,5 @@ def report_trace(trace) -> str:
     return render_report(
         trace.metrics,
         span_counts=trace.span_counts(),
-        profile=trace.profile,
         label=trace.meta.get("label", "trace"),
     )

@@ -4,8 +4,8 @@ A :class:`Tracer` records **spans** (named intervals with attributes —
 one chat, one trainer run) and **events** (named points — one transfer
 chunk completing, one coreset refresh).  Timestamps are *virtual*
 simulation seconds supplied by the caller, so traces are deterministic
-and independent of host speed; wall-clock profiling lives in
-:mod:`repro.telemetry.profile` instead.
+and independent of host speed; wall-clock time per layer is measured
+from outside by ``benchmarks/perf/run.py --trace 1`` instead.
 
 Spans nest: :meth:`Tracer.start_span` pushes onto an open-span stack and
 :meth:`Tracer.end_span` pops, so a transfer event emitted inside a chat

@@ -1,10 +1,8 @@
-"""Every example and CI script must at least parse and import cleanly.
+"""Every example and script must at least parse and import cleanly.
 
 Full example runs take minutes; these tests catch bit-rot (renamed
-APIs, bad imports) cheaply by compiling each script and resolving its
-imports without executing ``main()``.  The ``scripts/`` smoke gates
-(``trace_smoke.py``, ``parallel_smoke.py``, ``hotpath_smoke.py``) are
-covered too, so a refactor cannot silently break CI's gating scripts.
+APIs, bad imports) cheaply by compiling each file under ``examples/``
+and ``scripts/`` and resolving its imports without executing ``main()``.
 """
 
 import ast

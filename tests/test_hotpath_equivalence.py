@@ -1,8 +1,8 @@
 """Data-path equivalence gates for the array-native storage rewrite.
 
 The expectations in ``tests/data/hotpath_expectations.json`` and the
-digests in ``scripts/hotpath_golden.json`` were recorded on the
-pre-rewrite tree (Python-list storage, dict loss cache, per-psi
+``hotpath.*`` digests in ``src/repro/selfcheck_golden.json`` were recorded
+on the pre-rewrite tree (Python-list storage, dict loss cache, per-psi
 argpartition).  These tests assert the rewritten data layer reproduces
 them bit-for-bit: same sampled indices, same per-sample losses, same
 end-to-end ``run_method`` results.
@@ -10,14 +10,13 @@ end-to-end ``run_method`` results.
 To re-baseline after an *intentional* behaviour change:
 
     PYTHONPATH=src python -c "from tests.test_hotpath_equivalence import _record; _record()"
-    PYTHONPATH=src python scripts/hotpath_smoke.py --record
+    PYTHONPATH=src python -m repro selfcheck hotpath.LbChat hotpath.SCO hotpath.DP --record
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +28,9 @@ from repro.nn import make_driving_model
 from repro.sim.dataset import DrivingDataset, Frame
 
 EXPECTATIONS_PATH = Path(__file__).parent / "data" / "hotpath_expectations.json"
-GOLDEN_PATH = Path(__file__).parent.parent / "scripts" / "hotpath_golden.json"
 
 BEV_SHAPE = (5, 12, 12)
 N_WAYPOINTS = 5
-
-
-def _smoke_module():
-    scripts_dir = str(Path(__file__).parent.parent / "scripts")
-    if scripts_dir not in sys.path:
-        sys.path.insert(0, scripts_dir)
-    import hotpath_smoke
-
-    return hotpath_smoke
 
 
 def _sha(*chunks: bytes) -> str:
@@ -275,11 +264,10 @@ class TestRunMethodBitIdentity:
     """End-to-end: a seeded run reproduces the pre-rewrite golden."""
 
     def test_lbchat_matches_golden(self):
-        smoke = _smoke_module()
         from repro.experiments.runner import RunSpec, build_context, run_method
+        from repro.selfcheck import GOLDEN_PATH, SEED, build_scale, digest_result
 
         golden = json.loads(GOLDEN_PATH.read_text())
-        context = build_context(smoke.build_scale())
-        spec = RunSpec.for_context(context, "LbChat", wireless=True, seed=smoke.SEED)
-        digests = smoke.digest_result(run_method(context, spec))
-        assert digests == golden["LbChat"]
+        context = build_context(build_scale("hotpath"))
+        spec = RunSpec.for_context(context, "LbChat", wireless=True, seed=SEED)
+        assert digest_result(run_method(context, spec)) == golden["hotpath.LbChat"]

@@ -365,6 +365,24 @@ class TestFleetAdam:
 
         assert run(disabled=False) == run(disabled=True)
 
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_both_paths_finite_on_the_paper_fleet_bank(self, monkeypatch, path):
+        # The bench-paper fleet: 32 x 205 288 float32, wider than any
+        # chunk or cache the small banks above fit in.
+        if path == "numpy":
+            monkeypatch.setenv(_fused._DISABLE_ENV, "1")
+        else:
+            monkeypatch.delenv(_fused._DISABLE_ENV, raising=False)
+        status = _fused.kernel_status()
+        if status["path"] != path:
+            pytest.skip(f"no fused kernel: {status['reason']}")
+        bank = ParamBank(make_driving_model((5, 20, 20), 5, hidden=96, seed=0), 32)
+        assert bank.flat.shape == (32, 205288)
+        self.seeded_grads(bank, 0)
+        opt = FleetAdam(bank, lr=1e-4)
+        opt.step()
+        assert opt.steps.min() > 0 and np.isfinite(bank.flat).all()
+
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(_fused._DISABLE_ENV, "1")
         assert _fused.fused_adam_step() is None

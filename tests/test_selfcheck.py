@@ -1,0 +1,97 @@
+"""``repro selfcheck``: its table as tier-1 tests, and the checker checked.
+
+The parametrised test runs every row of ``repro.selfcheck.CHECKS``
+through one module-scoped runner, so each world is built and each
+reference row run once.  The rest pins the tool itself: the table and
+the golden file agree on their keys, a tampered golden is reported by
+row and key, and ``--record`` rewrites only what it was asked to.
+"""
+
+import json
+
+import pytest
+
+from repro import selfcheck
+from repro.cli import main
+
+CHEAP_ROW = "fleet.segment"  # needs no world: one batched training round
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return selfcheck.Runner()
+
+
+@pytest.mark.parametrize("name", list(selfcheck.CHECKS))
+def test_row(runner, name):
+    assert runner.check(name).failures == []
+
+
+def test_table_and_golden_file_agree():
+    golden = json.loads(selfcheck.GOLDEN_PATH.read_text())
+    recorded = {name for name, check in selfcheck.CHECKS.items() if check.reference == "golden"}
+    assert set(golden) == recorded
+    for name, check in selfcheck.CHECKS.items():
+        assert check.name == name
+        if check.reference not in ("golden", None):
+            assert check.reference in selfcheck.CHECKS, f"{name} is read against a missing row"
+            assert check.reference != name
+        if check.world is not None:
+            selfcheck.build_scale(check.world)
+
+
+def tampered_golden(tmp_path, monkeypatch, *rows):
+    """Point the selfcheck at a copy of the golden file with the first
+    byte of one value of each of ``rows`` flipped."""
+    golden = json.loads(selfcheck.GOLDEN_PATH.read_text())
+    for row in rows:
+        key = sorted(golden[row])[0]
+        value = golden[row][key]
+        golden[row][key] = ("0" if value[0] != "0" else "1") + value[1:]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    monkeypatch.setattr(selfcheck, "GOLDEN_PATH", path)
+    return path
+
+
+def test_flipped_golden_byte_fails_naming_row_and_key(tmp_path, monkeypatch, capsys):
+    tampered_golden(tmp_path, monkeypatch, CHEAP_ROW)
+    assert main(["selfcheck", CHEAP_ROW]) != 0
+    out = capsys.readouterr().out
+    key = sorted(json.loads(selfcheck.GOLDEN_PATH.read_text())[CHEAP_ROW])[0]
+    assert f"FAIL {CHEAP_ROW}: {key}: got" in out
+    assert "selfcheck FAILED" in out
+
+
+def test_unknown_row_is_rejected(capsys):
+    assert main(["selfcheck", "no.such.row"]) == 2
+    assert "no.such.row" in capsys.readouterr().out
+
+
+def test_record_rewrites_only_the_rows_named(tmp_path, monkeypatch, capsys):
+    true_golden = json.loads(selfcheck.GOLDEN_PATH.read_text())
+    path = tampered_golden(tmp_path, monkeypatch, CHEAP_ROW, "hotpath.SCO")
+    tampered = json.loads(path.read_text())
+    assert main(["selfcheck", CHEAP_ROW, "--record"]) == 0
+    rewritten = json.loads(path.read_text())
+    assert rewritten[CHEAP_ROW] == true_golden[CHEAP_ROW] != tampered[CHEAP_ROW]
+    del rewritten[CHEAP_ROW], tampered[CHEAP_ROW]
+    assert rewritten == tampered  # hotpath.SCO still carries its flipped byte
+    assert main(["selfcheck", CHEAP_ROW]) == 0
+
+
+def test_failed_row_keeps_its_scratch_directory(tmp_path, monkeypatch):
+    """A passing row's temporary directory is gone; a failing row's is
+    copied aside and named in the failure list."""
+
+    def leave_a_file(runner, check, scratch):
+        (scratch / "evidence.txt").write_text("x")
+        return selfcheck.Run({}, failures=["made to fail"])
+
+    row = selfcheck.Check("made.to.fail", None, produce=leave_a_file)
+    monkeypatch.setitem(selfcheck.CHECKS, row.name, row)
+    monkeypatch.setattr(selfcheck.tempfile, "tempdir", str(tmp_path))
+    run = selfcheck.Runner(golden={}).check(row.name)
+    (kept,) = tmp_path.iterdir()
+    assert [path.name for path in kept.iterdir()] == ["evidence.txt"]
+    assert run.failures == ["made to fail", f"scratch directory kept at {kept}"]

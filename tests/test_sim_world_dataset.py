@@ -76,6 +76,13 @@ class TestDrivingDataset:
         assert targets.shape == (3, 2 * N_WAYPOINTS)
         assert weights.shape == (3,)
 
+    def test_arrays_are_read_only_views(self):
+        ds = DrivingDataset([self._frame(i) for i in range(3)])
+        for view in ds.arrays():
+            assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            ds.arrays()[0][0, 0, 0, 0] = 1.0
+
     def test_empty_arrays_raises(self):
         with pytest.raises(ValueError):
             DrivingDataset().arrays()

@@ -1,6 +1,6 @@
 """Tests for the repro.telemetry observability layer.
 
-Covers the units (tracer, registry, profiler, export, report), the
+Covers the units (tracer, registry, export, report), the
 no-op fast path of the hooks, and the end-to-end contract: a traced
 fleet run produces spans that match the trainer's own ChatLog, and the
 JSONL export round-trips losslessly.
@@ -16,14 +16,12 @@ from repro.telemetry import (
     MetricRegistry,
     TelemetrySession,
     Tracer,
-    WallClockProfiler,
     export_jsonl,
     export_metrics_csv,
     load_jsonl,
     render_report,
     report_session,
     report_trace,
-    time_call,
 )
 from repro.telemetry import hooks
 from tests.conftest import make_node
@@ -117,21 +115,6 @@ class TestRegistry:
         assert reg.snapshot()["counters"]["trainer.chats"] == 5.0
 
 
-class TestProfiler:
-    def test_timeit_accumulates(self):
-        prof = WallClockProfiler()
-        for _ in range(3):
-            with prof.timeit("section"):
-                sum(range(100))
-        summary = prof.summary()
-        assert summary["section"]["count"] == 3
-        assert summary["section"]["total_s"] >= 0.0
-        assert "section" in prof.render()
-
-    def test_time_call_returns_positive(self):
-        assert time_call(lambda: sum(range(1000)), repeat=2) > 0.0
-
-
 class TestHooksNoOp:
     def test_all_hooks_are_safe_when_inactive(self):
         assert hooks.active() is None
@@ -174,8 +157,6 @@ class TestExportRoundTrip:
         session.tracer.end_span(1.0, status="aborted", aborted="coresets")
         session.registry.counter("chat.count").inc()
         session.registry.histogram("chat.psi").observe(0.3)
-        with session.profiler.timeit("build"):
-            pass
         return session
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -188,7 +169,18 @@ class TestExportRoundTrip:
         assert trace.metrics == session.registry.snapshot()
         assert trace.spans[0]["status"] == "aborted"
         assert trace.spans[0]["attrs"]["i"] == "v0"
-        assert "build" in trace.profile
+
+    def test_profile_record_of_an_older_trace_is_skipped(self, tmp_path):
+        """Traces exported while sessions still carried a wall-clock
+        profiler end in a ``profile`` record; they must keep loading."""
+        session = self._toy_session()
+        path = export_jsonl(session, tmp_path / "old.jsonl")
+        with path.open("a") as fh:
+            fh.write('{"kind": "profile", "data": {"build": {"count": 1, "total_s": 0.5, "mean_s": 0.5}}}\n')
+        trace = load_jsonl(path)
+        assert trace.metrics == session.registry.snapshot()
+        assert trace.span_counts() == session.tracer.span_counts()
+        assert "wall-clock" not in report_trace(trace)
 
     def test_metrics_csv(self, tmp_path):
         session = self._toy_session()
