@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,8 +65,12 @@ def cached_context(
     """Load the scale's context from disk, building and storing on miss.
 
     The cache key covers everything that influences the context, so a
-    changed world parameter never serves stale data.  Corrupt cache
-    files are rebuilt silently.
+    changed world parameter never serves stale data.  A cache file that
+    does not unpickle is discarded with a warning naming it and rebuilt.
+    Each process pickles into a temporary file of its own in the cache
+    directory and renames it over the final name, so processes resolving
+    the same cold cache at once (``jobs=N`` workers) each leave a whole
+    file, never an interleaving of several.
     """
     cache_dir = Path(cache_dir)
     path = cache_dir / f"context-{scale.name}-{scale_fingerprint(scale)}.pkl"
@@ -72,17 +78,27 @@ def cached_context(
         try:
             with open(path, "rb") as fh:
                 context = pickle.load(fh)
-            if isinstance(context, ExperimentContext):
-                register_context(context)
-                return context
-        except (pickle.UnpicklingError, EOFError, AttributeError):
+            if not isinstance(context, ExperimentContext):
+                raise pickle.UnpicklingError(f"it holds a {type(context).__name__}")
+            register_context(context)
+            return context
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError) as exc:
+            warnings.warn(
+                f"discarding the context cache file {path} and rebuilding the "
+                f"context: {exc!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             path.unlink(missing_ok=True)
     context = build_context(scale)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        pickle.dump(context, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(context, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return context
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.experiments.runner import ExperimentContext, RunSpec, register_context
 from repro.parallel import run_specs
@@ -125,6 +124,10 @@ def compare_methods(a: SeedSummary, b: SeedSummary) -> dict[str, float]:
     if len(a.seeds) < 2 or len(b.seeds) < 2:
         p_value = float("nan")
     else:
+        # Imported here: scipy.stats is 0.3 s of every ``repro`` start-up
+        # (this module is imported by ``repro.experiments``) for one test.
+        from scipy import stats
+
         t_stat, p_two_sided = stats.ttest_ind(
             a.final_losses, b.final_losses, equal_var=False
         )

@@ -7,8 +7,7 @@ scan instant fleet-wide, the dominant cost of city-scale fleets.
 
 :func:`sweep_encounters` replaces that with one sort-and-sweep pass
 over the whole trace: at each sample instant the positions are sorted
-into grid cells sized to the radio radius (the same bucketing
-:class:`~repro.sim.spatial.SpatialGrid` uses), candidate pairs are
+into grid cells sized to the radio radius, candidate pairs are
 drawn only from each cell and its forward half-neighborhood, then
 filtered with the **same exact distance test** the brute force scan
 uses (`sqrt((dx)² + (dy)²) <= radius` on the same float values), and

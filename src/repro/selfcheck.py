@@ -11,6 +11,10 @@ experiment, digests what it computed, and is read against a reference:
   uninterrupted, ``jobs=4`` vs ``jobs=1``);
 * ``None`` — a baseline that exact-tier rows are read against.
 
+The ``world.*`` rows need no experiment: they step small worlds through
+the driver bank and through a loop over the per-object controller it
+replaced, and require the two equal at every tick.
+
 A row's invariant hooks say what must be true beyond "nothing changed",
 above all that the variant really executed (the pool stepped, a flight
 launched, a barrier held a flight): an equality that holds because both
@@ -213,6 +217,7 @@ class Run:
     scratch: Path | None = None  # the row's temporary directory
     facts: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)  # printed under the row, pass or fail
     seconds: float = 0.0
 
 
@@ -418,6 +423,195 @@ def _run_batch(runner: "Runner", check: Check, scratch: Path, jobs: int) -> Run:
     return Run(digests, context, results, session)
 
 
+# -- the driver bank against the per-object controller ---------------------------
+
+#: Worlds the ``world.*`` rows step, sized to reach the driver's rare
+#: branches in a few hundred ticks: ``jam`` packs 14 + 10 cars and 30
+#: pedestrians onto a 3x3 town with short trips (standoffs, creep,
+#: edge-around, wide corridors, renewals onto longer routes; every third
+#: background car steers at 0.8x); ``trace`` is the background-free
+#: world ``simulate_traces`` runs; ``empty`` has no car at all, like a
+#: ``run_episode`` under ``Straight``.
+ORACLE_WORLDS = {
+    "jam": (dict(map_size=240.0, grid_n=3, n_vehicles=14, n_background_cars=10,
+                 n_pedestrians=30, seed=2, min_route_length=60.0, rural=False), 600),
+    "trace": (dict(map_size=400.0, grid_n=3, n_vehicles=5, n_background_cars=0,
+                   n_pedestrians=0, seed=7, min_route_length=80.0), 150),
+    "empty": (dict(map_size=240.0, grid_n=3, n_vehicles=0, n_background_cars=0,
+                   n_pedestrians=0, seed=2), 5),
+}
+
+#: What the worlds must have exercised for their equality to mean anything.
+ORACLE_BRANCHES = (
+    "creep engaged", "edged around a blocker", "wide corridor changed the limit",
+    "no obstacle in range", "renewed onto a longer table row", "speed_factor != 1",
+    "zero background cars", "zero cars at all",
+)
+
+
+def _oracle_world(name: str):
+    from repro.sim.world import World, WorldConfig
+
+    config, ticks = ORACLE_WORLDS[name]
+    world = World(WorldConfig(**config))
+    world.traffic.bank.speed_factor[::3] = 0.8
+    return world, ticks
+
+
+def _world_digests(name: str, cars: np.ndarray, peds: list) -> dict[str, str]:
+    """One digest per world and agent kind over every tick's state."""
+    return {
+        f"{name}.cars": _sha(np.ascontiguousarray(cars, dtype=np.float64).tobytes()),
+        f"{name}.peds": _sha(np.asarray(peds, dtype=np.float64).tobytes()),
+    }
+
+
+def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """Step the oracle worlds without their driver banks: a loop over
+    per-object drivers (``ExpertAutopilot.control`` on brute-force
+    ``road_obstacles``, then ``advance``) in the order ``World.step``
+    and ``TrafficManager.step`` visited them before the bank.  Route
+    renewal and pedestrians are the worlds' own: production keeps them
+    scalar too.  ``facts["trajectories"][world]`` is ``(ticks, cars, 5)``:
+    x, y, heading, speed, s; fleet first."""
+    from repro.sim.autopilot import ExpertAutopilot
+    from repro.sim.kinematics import VehicleState, advance
+    from repro.sim.traffic import road_obstacles
+
+    fired = dict.fromkeys(ORACLE_BRANCHES, 0)
+
+    class TallyingPilot(ExpertAutopilot):
+        def control(self, state, obstacles, dt=0.1):
+            out = super().control(state, obstacles, dt=dt)
+            fired["creep engaged"] += self._stopped_time > 6.0
+            fired["no obstacle in range"] += len(obstacles) == 0
+            return out
+
+        def _blocker_side(self, state, obstacles):
+            side = super()._blocker_side(state, obstacles)
+            fired["edged around a blocker"] += side != 0.0
+            return side
+
+        def _obstacle_speed_limit(self, state, obstacles, wide=False, narrow=False):
+            limit = super()._obstacle_speed_limit(state, obstacles, wide, narrow)
+            if wide and limit != super()._obstacle_speed_limit(state, obstacles):
+                fired["wide corridor changed the limit"] += 1
+            return limit
+
+    class Driver:
+        def __init__(self, plan, renew, speed_factor):
+            start = plan.point_at(0.0)
+            self.state = VehicleState(start[0], start[1], plan.heading_at(0.0), 0.0)
+            self.pilot = TallyingPilot(plan)
+            self.renew, self.speed_factor = renew, speed_factor
+
+        def step(self, town, agents, index, dt):
+            if self.pilot.done():
+                self.pilot = TallyingPilot(self.renew(self.state.position))
+            near = road_obstacles(town, agents, agents[index], exclude=index)
+            turn_rate, accel = self.pilot.control(self.state, near, dt=dt)
+            self.state = advance(self.state, turn_rate * self.speed_factor, accel, dt)
+
+        def row(self):
+            state = self.state
+            return [state.x, state.y, state.heading, state.speed, self.pilot.route_progress]
+
+    def positions(drivers):
+        return np.array([d.state.position for d in drivers]).reshape(-1, 2)
+
+    run = Run({"alone.cars": _sha(b"")}, facts={"fired": fired, "trajectories": {}})
+    for name in ORACLE_WORLDS:
+        world, ticks = _oracle_world(name)
+        town, traffic, dt = world.town, world.traffic, world.config.dt
+        fleet = [
+            Driver(v.plan, partial(world._new_route, i), 1.0)
+            for i, v in enumerate(world.vehicles)
+        ]
+        background = [
+            Driver(c.plan, partial(traffic._new_route, i), float(traffic.bank.speed_factor[i]))
+            for i, c in enumerate(traffic.cars)
+        ]
+        cars, peds = [], []
+        for _ in range(ticks):
+            fleet_pre, background_pre = positions(fleet), positions(background)
+            peds_pre = traffic.pedestrian_positions().copy()
+            everything = np.vstack([fleet_pre, background_pre, peds_pre])
+            for i, driver in enumerate(fleet):
+                driver.step(town, everything, i, dt)
+            everything = np.vstack([background_pre, peds_pre, fleet_pre])
+            for i, driver in enumerate(background):
+                driver.step(town, everything, i, dt)
+            traffic._step_pedestrians(
+                np.vstack([background_pre, fleet_pre]),
+                np.array([d.state.speed for d in background + fleet]),
+                dt,
+            )
+            cars.append([d.row() for d in fleet + background])
+            peds.append(traffic.pedestrian_positions().copy())
+        cars = np.asarray(cars, dtype=np.float64).reshape(ticks, len(fleet + background), 5)
+        run.facts["trajectories"][name] = cars
+        run.digests.update(_world_digests(name, cars, peds))
+    return run
+
+
+def _world_batched(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """Step the same worlds the production way, ``World.step``, after
+    checking that this numpy can reproduce the per-object controller."""
+    from repro.sim.traffic import TrafficManager
+
+    reference = runner.check(check.reference)
+    fired = dict(reference.facts["fired"])
+    run = Run(
+        {},
+        failures=list(_elementwise_ufuncs()),
+        facts={"fired": fired, "trajectories": {}, "reference": reference.facts["trajectories"]},
+    )
+    for name in ORACLE_WORLDS:
+        world, ticks = _oracle_world(name)
+        banks = (world.bank, world.traffic.bank)
+        cars, peds = [], []
+        for _ in range(ticks):
+            width = max(bank.routes.knot_capacity for bank in banks)
+            world.step()
+            fired["renewed onto a longer table row"] += any(
+                bank.routes.knot_capacity > width for bank in banks
+            )
+            cars.append(np.concatenate(
+                [np.column_stack([b.x, b.y, b.heading, b.speed, b.s]) for b in banks]
+            ))
+            peds.append(world.traffic.pedestrian_positions().copy())
+        run.facts["trajectories"][name] = np.asarray(cars)
+        run.digests.update(_world_digests(name, run.facts["trajectories"][name], peds))
+        fired["speed_factor != 1"] += int((world.traffic.bank.speed_factor != 1.0).sum())
+        fired["zero background cars"] += bool(world.vehicles) and not world.traffic.cars
+        fired["zero cars at all"] += not world.vehicles and not world.traffic.cars
+    # run_episode under Straight: an empty manager stepped around an ego
+    # (on the last world's town; any town will do).
+    alone = TrafficManager(world.town, 0, 0, np.random.default_rng(0))
+    alone.step(np.array([[20.0, 20.0]]), 0.1, extra_speeds=np.array([3.0]))
+    run.digests["alone.cars"] = _sha(alone.car_positions().tobytes())
+    run.notes.append("fired: " + ", ".join(f"{branch} x{n}" for branch, n in fired.items()))
+    return run
+
+
+def _elementwise_ufuncs():
+    """``np.sin``/``np.cos``/``np.arctan2`` over an array must equal the
+    same ufunc on each element: the bank is bit-identical to the scalar
+    controller only on a numpy whose SIMD loops keep that promise."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100, 333, 1000):
+        a = rng.uniform(-4.0, 4.0, size=n)
+        b = rng.normal(scale=30.0, size=n)
+        for ufunc, args in ((np.sin, (a,)), (np.cos, (a,)), (np.arctan2, (b, a))):
+            each = np.array([ufunc(*pair) for pair in zip(*args)])
+            if bad := int((ufunc(*args).view(np.int64) != each.view(np.int64)).sum()):
+                yield (
+                    f"np.{ufunc.__name__} over {n} float64 values differs from the "
+                    f"per-element call in {bad} of them: this numpy build cannot "
+                    "reproduce the per-object controller, every world digest will shift"
+                )
+
+
 # -- invariants (each yields one message per violation) -----------------------
 
 
@@ -534,6 +728,27 @@ def crossed_a_process_boundary(run: Run):
         yield "a result never left this process: the pool fell back to serial"
 
 
+def first_divergence(run: Run):
+    """Where the bank left the per-object controller, if it did."""
+    for name, got in run.facts["trajectories"].items():
+        want = run.facts["reference"][name]
+        differs = got.view(np.int64) != want.view(np.int64)
+        if differs.any():
+            tick, car, column = np.argwhere(differs)[0]
+            yield (
+                f"{name}: first differs at tick {tick}, car {car}, "
+                f"{('x', 'y', 'heading', 'speed', 's')[column]}: "
+                f"{got[tick, car, column]!r} vs {want[tick, car, column]!r}"
+            )
+
+
+def rare_branches_fired(run: Run):
+    """Every rare branch of the controller ran in the oracle worlds."""
+    for branch, count in run.facts["fired"].items():
+        if not count:
+            yield f"never reached: {branch} (equality says nothing about it)"
+
+
 _ON = {"overrides": {"overlap_chat": True}}
 
 #: The table.  Row order is print order; rows run on demand, once.
@@ -565,6 +780,9 @@ CHECKS: dict[str, Check] = {
               spec={"checkpoint_every": 10.0}),
         Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
               produce=_kill_and_resume, invariants=(crash_shaped_history,)),
+        Check("world.scalar", None, produce=_world_scalar),
+        Check("world.batched", "world.scalar", produce=_world_batched,
+              invariants=(first_divergence, rare_branches_fired)),
         Check("parallel.jobs1", None, "hotpath", produce=partial(_run_batch, jobs=1),
               invariants=(in_submission_order,)),
         Check("parallel.jobs4", "parallel.jobs1", "hotpath", produce=partial(_run_batch, jobs=4),
@@ -635,6 +853,8 @@ def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
         hooks = " ".join(hook.__name__ for hook in check.invariants)
         reference = check.reference or "-"
         print(f"{name:26s}· {reference:26s}· {verdict:8s} {run.seconds:5.1f}s  {hooks}")
+        for note in run.notes:
+            print(f"{'':26s}  {note}")
         failed += [f"{name}: {failure}" for failure in run.failures]
     if record:
         GOLDEN_PATH.write_text(json.dumps(runner.golden, indent=2, sort_keys=True) + "\n")

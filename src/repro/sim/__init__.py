@@ -20,7 +20,6 @@ simulator:
 from repro.sim.map import TownMap
 from repro.sim.router import RoutePlan, plan_route, random_route
 from repro.sim.kinematics import VehicleState, advance
-from repro.sim.spatial import SpatialGrid
 from repro.sim.bev import BevSpec, render_bev, render_fleet_bev
 from repro.sim.world import World, WorldConfig
 from repro.sim.dataset import DrivingDataset, Frame, collect_fleet_datasets
@@ -34,7 +33,6 @@ __all__ = [
     "random_route",
     "VehicleState",
     "advance",
-    "SpatialGrid",
     "BevSpec",
     "render_bev",
     "render_fleet_bev",

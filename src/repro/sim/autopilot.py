@@ -4,7 +4,10 @@ The expert mirrors CARLA's built-in autopilot: it uses privileged
 information (exact route geometry, exact positions of all other agents)
 to drive safely — pure-pursuit steering, speed limits through turns, and
 hard braking for obstacles in its path.  Its trajectories are the
-imitation targets.
+imitation targets.  A running world drives all its experts at once
+through :class:`DriverBank`, the same controller as one array program
+over struct-of-arrays state; :class:`ExpertAutopilot` is the per-object
+form and the reference the bank is tested against, bit for bit.
 
 The model pilot drives from the learned :class:`~repro.nn.model.WaypointNet`
 alone: every decision interval it renders a BEV, queries the network for
@@ -18,10 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.geometry import to_vehicle_frame
-from repro.sim.kinematics import MAX_TURN_RATE, VehicleState
-from repro.sim.router import CMD_FOLLOW, RoutePlan
+from repro.sim.kinematics import MAX_TURN_RATE, VehicleState, advance_fleet
+from repro.sim.router import CMD_FOLLOW, RouteBank, RoutePlan
+from repro.sim.spatial import strip_pairs
 
-__all__ = ["ExpertAutopilot", "ModelPilot", "CRUISE_SPEED", "TURN_SPEED"]
+__all__ = [
+    "ExpertAutopilot",
+    "DriverBank",
+    "BankDriver",
+    "ModelPilot",
+    "CRUISE_SPEED",
+    "TURN_SPEED",
+    "OBSTACLE_RADIUS",
+]
 
 CRUISE_SPEED = 12.0  # m/s on open road
 TURN_SPEED = 5.5  # m/s approaching/inside turns
@@ -30,6 +42,7 @@ _STEER_GAIN = 2.2
 _SPEED_GAIN = 1.8
 _OBSTACLE_LANE_HALF_WIDTH = 2.6
 _INTERSECTION_SLOW_DISTANCE = 14.0
+OBSTACLE_RADIUS = 45.0  # road_obstacles' default: how far a driver looks
 
 
 class ExpertAutopilot:
@@ -171,6 +184,183 @@ class ExpertAutopilot:
         if gap < stop_gap:
             return 0.0
         return CRUISE_SPEED * (gap - stop_gap) / max(horizon - stop_gap, 1e-6)
+
+
+class DriverBank:
+    """Every expert-driven car of one world as a single array program.
+
+    The struct-of-arrays twin of a list of :class:`ExpertAutopilot` +
+    :class:`~repro.sim.kinematics.VehicleState` pairs, and the only
+    owner of their state: kinematic state (``position``/``x``/``y``,
+    ``heading``, ``speed``), pilot state (``s``, ``stopped_time``,
+    ``creep_time_left``) and ``speed_factor`` are ``(n,)`` arrays
+    (``position`` is ``(n, 2)``, ``x`` and ``y`` its columns), the
+    routes are rows of a :class:`~repro.sim.router.RouteBank`.
+
+    :meth:`step` is one control tick for all cars: within a tick every
+    car reads the same pre-step positions and touches no other car's
+    state, so the per-car loop is data-parallel.  Each stage is the
+    scalar code's float64 expression applied elementwise in the scalar
+    code's order — :meth:`ExpertAutopilot.control`, brute-force
+    :func:`~repro.sim.traffic.road_obstacles` and
+    :func:`~repro.sim.kinematics.advance` remain as the reference the
+    ``world.batched`` selfcheck row compares against, bit for bit.
+    Only route renewal is per car: it draws from the car's own
+    generator (``renew(i, position) -> RoutePlan``), a few times per
+    car per simulated minute.
+    """
+
+    def __init__(self, plans, renew):
+        n = len(plans)
+        self.routes = RouteBank(plans)
+        self._renew = renew
+        self.position = np.zeros((n, 2))
+        self.x = self.position[:, 0]
+        self.y = self.position[:, 1]
+        start = np.zeros(n)
+        self.x[:], self.y[:] = self.routes.point_at(start)
+        self.heading = self.routes.heading_at(start)
+        self.speed = np.zeros(n)
+        self.s = np.zeros(n)
+        self.stopped_time = np.zeros(n)
+        self.creep_time_left = np.zeros(n)
+        #: Scales the steering rate (1 for every car a world spawns).
+        self.speed_factor = np.ones(n)
+
+    def __len__(self) -> int:
+        return len(self.routes)
+
+    def step(self, agents: np.ndarray, on_road: np.ndarray, dt: float) -> None:
+        """Advance every car one control tick.
+
+        ``agents`` is the ``(m, 2)`` pre-step position of every agent in
+        the world, this bank's cars first (rows ``0..n-1``, so a car
+        never sees itself); ``on_road`` is ``occupancy_at(agents)`` —
+        drivers do not brake for agents standing off the pavement.
+        """
+        n = len(self)
+        if n == 0:
+            return
+        routes = self.routes
+        for i in np.flatnonzero(routes.done(self.s)):
+            routes.set_route(i, self._renew(int(i), self.position[i].copy()))
+            self.s[i] = self.stopped_time[i] = self.creep_time_left[i] = 0.0
+        x, y, heading, speed = self.x, self.y, self.heading, self.speed
+
+        # ExpertAutopilot.control: progress, pure pursuit, target speed.
+        s = self.s[:] = routes.project(x, y, self.s)
+        stopped = self.stopped_time[:] = np.where(speed < 0.3, self.stopped_time + dt, 0.0)
+        lookahead = np.maximum(5.0, 0.9 * speed)
+        target_x, target_y = routes.lane_point_at(s + lookahead, LANE_OFFSET)
+        cos_h, sin_h = np.cos(heading), np.sin(heading)
+        sx = target_x - x
+        sy = target_y - y
+        local_x = sx * cos_h + sy * sin_h
+        local_y = -sx * sin_h + sy * cos_h
+        heading_error = np.arctan2(local_y, np.maximum(local_x, 1e-3))
+        turn_rate = np.minimum(
+            np.maximum(_STEER_GAIN * heading_error, -MAX_TURN_RATE), MAX_TURN_RATE
+        )
+        near_intersection = routes.distance_to_intersection(s) < _INTERSECTION_SLOW_DISTANCE
+        slow = near_intersection | (routes.command_at(s) != CMD_FOLLOW)
+        target_speed = np.where(slow, TURN_SPEED, CRUISE_SPEED)
+        target_speed = target_speed * np.maximum(0.35, 1.0 - np.abs(heading_error) * 1.2)
+        creep_left = np.where(stopped > 6.0, 5.0, self.creep_time_left)
+        creeping = creep_left > 0.0
+        self.creep_time_left[:] = np.where(creeping, creep_left - dt, creep_left)
+
+        # _obstacle_speed_limit over every (car, on-road agent in range,
+        # not itself) pair: the corridor gap is a minimum, so the order
+        # the candidates arrive in does not matter.
+        road = np.flatnonzero(on_road)
+        agent_x = agents[road, 0]
+        agent_y = agents[road, 1]
+        car, hit, starts = strip_pairs(x, agent_x, OBSTACLE_RADIUS + 1.0)
+        agent = road[hit]
+        dx = agent_x[hit] - x[car]
+        dy = agent_y[hit] - y[car]
+        seen = (np.sqrt(dx * dx + dy * dy) < OBSTACLE_RADIUS) & (agent != car)
+        cos_c = cos_h[car]
+        sin_c = sin_h[car]
+        ahead = dx * cos_c + dy * sin_c
+        lateral = -dx * sin_c + dy * cos_c
+        horizon = 6.0 + 1.6 * speed
+        wide = near_intersection & ~creeping
+        half_width = np.where(
+            creeping, 1.6, np.where(wide, _OBSTACLE_LANE_HALF_WIDTH + 2.0, _OBSTACLE_LANE_HALF_WIDTH)
+        )
+        stop_gap = np.where(creeping, 3.5, 6.0)
+        in_corridor = (
+            seen & (ahead > 0.5) & (ahead < horizon[car]) & (np.abs(lateral) < half_width[car])
+        )
+        gaps = np.append(np.where(in_corridor, ahead, np.inf), np.inf)
+        gap = np.where(starts[1:] > starts[:-1], np.minimum.reduceat(gaps, starts[:-1]), np.inf)
+        limit = np.where(
+            gap < stop_gap,
+            0.0,
+            CRUISE_SPEED * (gap - stop_gap) / np.maximum(horizon - stop_gap, 1e-6),
+        )
+
+        # Creep: edge around a hard blocker, or keep rolling at 2 m/s.
+        blocked = creeping & (limit <= 0.0)
+        if blocked.any():
+            facing = np.flatnonzero(seen & blocked[car] & (ahead > 0.0) & (ahead < 8.0))
+            side = np.zeros(n)
+            if len(facing):
+                # _blocker_side: the nearest obstacle ahead, the lowest
+                # agent index among equals (np.argmin's first minimum).
+                ranked = facing[np.lexsort((agent[facing], ahead[facing], car[facing]))]
+                first = np.concatenate([[True], car[ranked][1:] != car[ranked][:-1]])
+                nearest = ranked[first]
+                side[car[nearest]] = np.where(
+                    lateral[nearest] == 0.0, 1.0, np.sign(lateral[nearest])
+                )
+            edged = turn_rate - np.sign(side) * 0.5
+            turn_rate = np.where(
+                blocked, np.minimum(np.maximum(edged, -MAX_TURN_RATE), MAX_TURN_RATE), turn_rate
+            )
+        limit = np.where(creeping, np.where(blocked, 1.2, np.maximum(limit, 2.0)), limit)
+        accel = _SPEED_GAIN * (np.minimum(target_speed, limit) - speed)
+
+        advance_fleet(x, y, heading, speed, turn_rate * self.speed_factor, accel, dt)
+
+
+class BankDriver:
+    """One row of a :class:`DriverBank` behind the per-object driver API.
+
+    A view, not a copy: every attribute reads the bank's arrays when it
+    is asked, so it is current after every ``step()``.
+    """
+
+    def __init__(self, bank: DriverBank, index: int):
+        self._bank = bank
+        self._index = index
+
+    @property
+    def state(self) -> VehicleState:
+        """The car's current kinematic state (a fresh object)."""
+        bank, i = self._bank, self._index
+        return VehicleState(
+            float(bank.x[i]), float(bank.y[i]), float(bank.heading[i]), float(bank.speed[i])
+        )
+
+    @property
+    def plan(self) -> RoutePlan:
+        """The car's current route plan."""
+        return self._bank.routes.plans[self._index]
+
+    @property
+    def route_progress(self) -> float:
+        """Current arc-length position along the route."""
+        return float(self._bank.s[self._index])
+
+    def command(self) -> int:
+        """The high-level command active at the current route position."""
+        return self.plan.command_at(self.route_progress)
+
+    def done(self) -> bool:
+        """Whether the route end has been reached."""
+        return self.plan.done(self.route_progress)
 
 
 class ModelPilot:

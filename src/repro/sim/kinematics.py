@@ -13,7 +13,14 @@ import numpy as np
 
 from repro.sim.geometry import wrap_angle
 
-__all__ = ["VehicleState", "advance", "MAX_TURN_RATE", "MAX_ACCEL", "MAX_DECEL"]
+__all__ = [
+    "VehicleState",
+    "advance",
+    "advance_fleet",
+    "MAX_TURN_RATE",
+    "MAX_ACCEL",
+    "MAX_DECEL",
+]
 
 #: Physical limits (roughly a passenger car).
 MAX_TURN_RATE = 0.9  # rad/s at full steer
@@ -57,3 +64,29 @@ def advance(state: VehicleState, turn_rate: float, accel: float, dt: float) -> V
     x = state.x + mid_speed * np.cos(heading) * dt
     y = state.y + mid_speed * np.sin(heading) * dt
     return VehicleState(x, y, heading, speed)
+
+
+def advance_fleet(
+    x: np.ndarray,
+    y: np.ndarray,
+    heading: np.ndarray,
+    speed: np.ndarray,
+    turn_rate: np.ndarray,
+    accel: np.ndarray,
+    dt: float,
+) -> None:
+    """:func:`advance` for a whole fleet, in place.
+
+    All arguments but ``dt`` are ``(n,)`` float64 arrays; the four state
+    arrays are overwritten.  Each element goes through the expressions
+    of :func:`advance` in the same order, so row ``i`` ends up equal, bit
+    for bit, to ``advance(VehicleState(x[i], ...), turn_rate[i], ...)``.
+    """
+    turn_rate = np.minimum(np.maximum(turn_rate, -MAX_TURN_RATE), MAX_TURN_RATE)
+    accel = np.minimum(np.maximum(accel, -MAX_DECEL), MAX_ACCEL)
+    new_speed = np.maximum(speed + accel * dt, 0.0)
+    heading[:] = wrap_angle(heading + turn_rate * dt)
+    mid_speed = 0.5 * (speed + new_speed)
+    x += mid_speed * np.cos(heading) * dt
+    y += mid_speed * np.sin(heading) * dt
+    speed[:] = new_speed

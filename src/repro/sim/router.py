@@ -14,7 +14,7 @@ from repro.nn.model import COMMAND_NAMES
 from repro.sim.geometry import polyline_lengths, resample_polyline, wrap_angle
 from repro.sim.map import TownMap
 
-__all__ = ["RoutePlan", "plan_route", "random_route"]
+__all__ = ["RoutePlan", "RouteBank", "plan_route", "random_route"]
 
 CMD_FOLLOW = COMMAND_NAMES.index("follow")
 CMD_LEFT = COMMAND_NAMES.index("left")
@@ -216,3 +216,203 @@ def random_route(
         if plan.total_length >= min_length:
             return plan
     raise RuntimeError(f"no route of length >= {min_length} found in {max_tries} tries")
+
+
+def _widen(table: np.ndarray, width: int, fill) -> np.ndarray:
+    """``table`` with at least ``width`` columns, new ones set to ``fill``."""
+    if table.shape[1] >= width:
+        return table
+    wide = np.full((table.shape[0], width), fill, dtype=table.dtype)
+    wide[:, : table.shape[1]] = table
+    return wide
+
+
+def _searchsorted_rows(
+    table: np.ndarray, base: np.ndarray, values: np.ndarray, guess: np.ndarray, side: str
+) -> np.ndarray:
+    """``np.searchsorted(table[c], values[..., c], side)`` for every row at once.
+
+    ``table`` is ``(C, L)`` with ascending rows that end in at least one
+    ``+inf`` pad column; ``base`` is ``arange(C) * L``; ``values`` and
+    ``guess`` are ``(..., C)``.  Starting from ``guess`` the insertion
+    index climbs while the entry under it is below ``values`` and then
+    descends while the entry before it is not — the fixed point is
+    exactly ``searchsorted``'s answer whatever the guess, and a guess
+    that is off by one costs one extra pass over the cars, so a lookup
+    is O(cars), not O(cars x row length).
+    """
+    below = np.less if side == "left" else np.less_equal
+    flat = table.reshape(-1)
+    k = np.minimum(np.maximum(guess, 0), table.shape[1] - 1)
+    # (count_nonzero, not .any(): this runs four times per car bank per
+    # tick and ndarray.any() goes through a Python-level wrapper.)
+    while True:
+        up = below(flat.take(base + k), values)
+        if not np.count_nonzero(up):
+            break
+        k = k + up
+    while True:
+        down = (k > 0) & ~below(flat.take(base + np.maximum(k - 1, 0)), values)
+        if not np.count_nonzero(down):
+            break
+        k = k - down
+    return k
+
+
+class RouteBank:
+    """The current routes of a bank of cars as struct-of-arrays tables.
+
+    Row ``c`` of every table is car ``c``'s :class:`RoutePlan`, rewritten
+    by :meth:`set_route` when the car renews its route; rows are padded
+    to the longest route installed so far (``+inf`` in the arc-length
+    tables, so comparisons against padding always fail).  Every query is
+    the batched form of the :class:`RoutePlan` method of the same name:
+    ``s`` holds one arc position per car along its **last** axis, each
+    element goes through the same float64 expressions in the same order
+    as the scalar method, and the results are equal bit for bit
+    (``tests/test_property_sim.py``).  The point queries also take
+    stacked ``(k, C)`` positions; ``project`` and the two vertex queries
+    take ``(C,)``.
+    """
+
+    def __init__(self, plans):
+        n = len(plans)
+        self.plans: list[RoutePlan] = [None] * n  # type: ignore[list-item]
+        self.n_points = np.zeros(n, dtype=np.intp)
+        self.total_length = np.zeros(n)
+        self._spacing = np.ones(n)  # first knot spacing: the lookup guess
+        self._window = np.zeros(n, dtype=np.intp)
+        # Knot tables (C, L): arc length and coordinates of the polyline.
+        self._cum = np.full((n, 1), np.inf)
+        self._px = np.zeros((n, 1))
+        self._py = np.zeros((n, 1))
+        # Interior-vertex tables (C, V): arc position and turn command.
+        self._vertex_s = np.full((n, 1), np.inf)
+        self._turn_cmd = np.full((n, 1), CMD_FOLLOW, dtype=np.intp)
+        # Last tick's answers of the two vertex lookups: next tick's guess.
+        self._vertex_guess = np.zeros((2, n), dtype=np.intp)
+        self._reserve(
+            max((len(plan.polyline) for plan in plans), default=0),
+            max((len(plan.vertices) - 2 for plan in plans), default=0),
+        )
+        for i, plan in enumerate(plans):
+            self.set_route(i, plan)
+
+    def __len__(self) -> int:
+        return len(self.plans)
+
+    @property
+    def knot_capacity(self) -> int:
+        """Width of the knot tables (longest route so far, plus the pad)."""
+        return self._cum.shape[1]
+
+    def _reserve(self, knots: int, vertices: int) -> None:
+        """Make every row wide enough for a route of ``knots`` knots and
+        ``vertices`` interior vertices, plus the pad column."""
+        if knots >= self._cum.shape[1] or vertices >= self._vertex_s.shape[1]:
+            self._cum = _widen(self._cum, knots + 1, np.inf)
+            self._px = _widen(self._px, knots + 1, 0.0)
+            self._py = _widen(self._py, knots + 1, 0.0)
+            self._vertex_s = _widen(self._vertex_s, vertices + 1, np.inf)
+            self._turn_cmd = _widen(self._turn_cmd, vertices + 1, CMD_FOLLOW)
+        rows = np.arange(len(self.plans))
+        self._knot_base = rows * self._cum.shape[1]
+        self._vertex_base = rows * self._vertex_s.shape[1]
+
+    def set_route(self, i: int, plan: RoutePlan) -> None:
+        """Install ``plan`` as car ``i``'s route (widening the tables if
+        it is longer than every row so far)."""
+        m = len(plan.polyline)
+        interior = plan.vertex_s[1:-1]
+        v = len(interior)
+        self._reserve(m, v)
+        spacing = max(plan.cum_lengths[1], 1e-9)
+        self.plans[i] = plan
+        self.n_points[i] = m
+        self.total_length[i] = plan.total_length
+        self._spacing[i] = spacing
+        self._window[i] = max(int(60.0 / spacing), 5)  # RoutePlan.project's
+        self._cum[i, :m] = plan.cum_lengths
+        self._cum[i, m:] = np.inf
+        self._px[i, :m] = plan.polyline[:, 0]
+        self._py[i, :m] = plan.polyline[:, 1]
+        self._vertex_s[i, :v] = interior
+        self._vertex_s[i, v:] = np.inf
+        self._turn_cmd[i, :v] = [cmd for _, cmd in plan._turns]
+        self._vertex_guess[:, i] = 0
+
+    # -- queries (batched RoutePlan methods) -----------------------------------
+
+    def point_at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of each car's route at arc length ``s`` (clamped)."""
+        s = np.minimum(np.maximum(s, 0.0), self.total_length)
+        guess = (s / self._spacing).astype(np.intp) + 1
+        j = _searchsorted_rows(self._cum, self._knot_base, s, guess, "right") - 1
+        last = j >= self.n_points - 1
+        at = self._knot_base + np.minimum(j, self.n_points - 2)
+        cj = self._cum.take(at)
+        t = s - cj
+        dxp = self._cum.take(at + 1) - cj
+        on_knot = cj == s
+        out = []
+        for table in (self._px, self._py):
+            p0 = table.take(at)
+            p1 = table.take(at + 1)
+            out.append(np.where(last, p1, np.where(on_knot, p0, (p1 - p0) / dxp * t + p0)))
+        return out[0], out[1]
+
+    def _tangent_span(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        total = self.total_length
+        return np.minimum(s + 1.0, total), np.maximum(np.minimum(s, total) - 1.0, 0.0)
+
+    def heading_at(self, s: np.ndarray) -> np.ndarray:
+        """Tangent heading of each car's route at arc length ``s``."""
+        x, y = self.point_at(np.stack(self._tangent_span(s)))
+        return np.arctan2(y[0] - y[1], x[0] - x[1])
+
+    def lane_point_at(self, s: np.ndarray, lane_offset: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each car's route point shifted ``lane_offset`` m to the right."""
+        x, y = self.point_at(np.stack([s, *self._tangent_span(s)]))
+        heading = np.arctan2(y[1] - y[2], x[1] - x[2])
+        return x[0] + lane_offset * np.sin(heading), y[0] + lane_offset * -np.cos(heading)
+
+    def project(self, x: np.ndarray, y: np.ndarray, hint: np.ndarray) -> np.ndarray:
+        """Arc length of the route knot nearest ``(x, y)`` inside the
+        window around ``hint`` (``RoutePlan.project`` with a hint; ties
+        go to the lower knot, as ``np.argmin`` does)."""
+        guess = (hint / self._spacing).astype(np.intp)
+        idx = _searchsorted_rows(self._cum, self._knot_base, hint, guess, "left")
+        lo = np.maximum(idx - self._window, 0)
+        hi = np.minimum(idx + self._window, self.n_points)
+        # The widest window any car can have (a row holds no more knots).
+        width = min(2 * int(self._window.max()), int(self.n_points.max()))
+        cols = lo[:, None] + np.arange(width)
+        valid = cols < hi[:, None]
+        at = self._knot_base[:, None] + np.minimum(cols, self._cum.shape[1] - 1)
+        dx = self._px.take(at) - x[:, None]
+        dy = self._py.take(at) - y[:, None]
+        dists = np.where(valid, np.sqrt(dx * dx + dy * dy), np.inf)
+        return self._cum.take(self._knot_base + lo + dists.argmin(axis=1))
+
+    def _vertex_lookup(self, slot: int, value: np.ndarray) -> np.ndarray:
+        k = _searchsorted_rows(
+            self._vertex_s, self._vertex_base, value, self._vertex_guess[slot], "left"
+        )
+        self._vertex_guess[slot] = k
+        return self._vertex_base + k
+
+    def distance_to_intersection(self, s: np.ndarray) -> np.ndarray:
+        """Arc distance to each car's next route vertex (``inf`` past the last)."""
+        at = self._vertex_lookup(0, s - 5.0)
+        return np.maximum(self._vertex_s.take(at) - s, 0.0)
+
+    def command_at(self, s: np.ndarray) -> np.ndarray:
+        """High-level command active at each car's arc length ``s``."""
+        at = self._vertex_lookup(1, s)
+        in_horizon = self._vertex_s.take(at) <= s + COMMAND_HORIZON
+        return np.where(in_horizon, self._turn_cmd.take(at), CMD_FOLLOW)
+
+    def done(self, s: np.ndarray) -> np.ndarray:
+        """Which cars are within 5 m (``RoutePlan.done``'s tolerance) of
+        their route's end."""
+        return s >= self.total_length - 5.0

@@ -1,266 +1,57 @@
-"""Uniform spatial-hash grid for neighbor queries.
+"""Candidate neighbour pairs for the drivers' per-tick obstacle scan.
 
 The simulation's per-tick question is "which agents sit within radius
-``r`` of point ``p``?", asked once per agent per tick.  Brute force
-recomputes all ``n`` distances for each of the ``n`` agents — O(n^2)
-per tick, the dominant cost of paper-scale worlds (332 agents).
+``r`` of each car?".  Testing every (car, agent) pair is O(n^2) per
+tick — the dominant cost of paper-scale worlds (332 agents) — and one
+query per car is a Python loop over the fleet.
 
-:class:`SpatialGrid` buckets the agent positions into square cells once
-per tick (a single counting sort), after which each query gathers the
-buckets overlapping the query disk's bounding square — a *superset* of
-the true neighbors, returned as indices sorted in original order.
-Callers then apply the **same exact distance test** the brute-force
-scan used, on the same float values, in the same index order, so
-selected obstacle sets — and therefore entire simulation runs — stay
-bit-identical to the O(n^2) path (gated by the hotpath goldens).
+:func:`strip_pairs` answers for all cars at once from one sort per
+tick: the agents are ordered along x, each car's candidates are the
+contiguous run of that order within ``reach`` of the car's own x (two
+binary searches per car, vectorised), and the runs are expanded into
+flat ``(car, agent)`` index arrays.  The result is a *superset* of the
+true neighbour pairs; callers apply the **same exact distance test** a
+brute-force scan would, on the same float values, so what they select
+— and therefore entire simulation runs — stays bit-identical to the
+O(n^2) path (gated by the ``world.batched`` row of ``repro selfcheck``).
 
-The grid is rebuilt from scratch every tick: construction is a handful
-of vectorized passes over an ``(n, 2)`` array, far cheaper than even a
-single brute-force sweep, and rebuilding sidesteps incremental-update
-bookkeeping entirely.
+A strip keeps about ``2 * reach / map width`` of all pairs (9 % at
+paper scale, 3 % at city scale), which leaves the scan far below the
+rest of a tick; a metro-scale world would sort on packed 2-D cell keys
+instead (as :mod:`repro.net.sweep` does) and expand three runs per car
+with the same code.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["SpatialGrid", "ShardedSpatialGrid", "DEFAULT_CELL_SIZE"]
-
-#: Default bucket edge length in meters.  Matching the common query
-#: radius (``road_obstacles``' 45 m) keeps the gathered window at most
-#: 2-3 buckets per axis while buckets stay coarse enough that the
-#: per-query Python overhead does not dominate.
-DEFAULT_CELL_SIZE = 45.0
-
-#: Refuse to allocate absurdly large bucket tables (a stray agent flung
-#: to huge coordinates would otherwise blow up the flat cell index);
-#: past this the grid degrades to brute force, which stays correct.
-_MAX_CELLS = 1 << 22
-
-_EMPTY = np.zeros(0, dtype=np.intp)
+__all__ = ["strip_pairs"]
 
 
-class SpatialGrid:
-    """Bucket grid over ``(n, 2)`` points answering radius queries.
+def strip_pairs(
+    centers_x: np.ndarray, points_x: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All index pairs ``(c, p)`` with ``|points_x[p] - centers_x[c]| <= reach``.
 
-    Parameters
-    ----------
-    positions:
-        ``(n, 2)`` float array of point coordinates.  The grid keeps a
-        reference (no copy); callers must not mutate it while querying.
-    cell_size:
-        Bucket edge length.  Queries are cheapest when this is close to
-        the typical query radius.
+    Returns ``(center, point, starts)``: the pairs as two flat index
+    arrays grouped by ascending center, and ``starts[c]``, the offset of
+    center ``c``'s group (``starts`` has one trailing entry, the total,
+    so group ``c`` is ``starts[c]:starts[c + 1]``).  Within a group the
+    points come in ascending ``points_x`` order, not index order.
+
+    ``reach`` is compared against rounded coordinate differences; pass
+    the query radius plus a margin (a metre is plenty) so that rounding
+    can never drop a true neighbour.
     """
-
-    def __init__(self, positions: np.ndarray, cell_size: float = DEFAULT_CELL_SIZE):
-        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        if cell_size <= 0.0:
-            raise ValueError(f"cell_size must be positive: {cell_size}")
-        self.positions = positions
-        self.cell_size = float(cell_size)
-        n = len(positions)
-        self._n = n
-        self._brute = False
-        if n == 0:
-            return
-        ij = np.floor(positions / self.cell_size).astype(np.int64)
-        i0 = int(ij[:, 0].min())
-        j0 = int(ij[:, 1].min())
-        ni = int(ij[:, 0].max()) - i0 + 1
-        nj = int(ij[:, 1].max()) - j0 + 1
-        if ni * nj > _MAX_CELLS:
-            self._brute = True
-            return
-        flat = (ij[:, 0] - i0) * nj + (ij[:, 1] - j0)
-        self._order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=ni * nj)
-        self._starts = np.concatenate([[0], np.cumsum(counts)])
-        self._i0, self._j0 = i0, j0
-        self._ni, self._nj = ni, nj
-        # Memo of gathered windows: co-located agents issue the same
-        # bucket-window query, so one tick's n queries hit far fewer
-        # distinct windows.  Cached arrays are shared — hence read-only.
-        self._window_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-    def query(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of a superset of the points within ``radius`` of ``center``.
-
-        Returns every point whose bucket intersects the query disk's
-        bounding square, as an ascending index array.  Callers needing
-        the exact disk apply their own distance test (see
-        :meth:`query_radius`); the superset-then-exact-filter split is
-        what keeps grid-backed queries bit-identical to brute force.
-        """
-        if self._n == 0:
-            return _EMPTY
-        if self._brute:
-            return np.arange(self._n, dtype=np.intp)
-        inv = 1.0 / self.cell_size
-        cx = float(center[0])
-        cy = float(center[1])
-        ci0 = max(math.floor((cx - radius) * inv) - self._i0, 0)
-        ci1 = min(math.floor((cx + radius) * inv) - self._i0, self._ni - 1)
-        cj0 = max(math.floor((cy - radius) * inv) - self._j0, 0)
-        cj1 = min(math.floor((cy + radius) * inv) - self._j0, self._nj - 1)
-        if ci0 > ci1 or cj0 > cj1:
-            return _EMPTY
-        key = (ci0, ci1, cj0, cj1)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached
-        starts = self._starts
-        order = self._order
-        nj = self._nj
-        # Bucket ids along one i-row are contiguous in the flat index,
-        # so each row of the query window is a single slice.
-        chunks = []
-        for ci in range(ci0, ci1 + 1):
-            base = ci * nj
-            s = starts[base + cj0]
-            e = starts[base + cj1 + 1]
-            if e > s:
-                chunks.append(order[s:e])
-        if not chunks:
-            cand = _EMPTY
-        else:
-            cand = np.sort(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
-            cand.flags.writeable = False
-        self._window_cache[key] = cand
-        return cand
-
-    def query_radius(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of exactly the points with ``|p - center| < radius``.
-
-        Ascending order; distances are computed with the same
-        ``np.linalg.norm`` expression a brute-force scan would use, so
-        the selection matches it bit for bit.
-        """
-        idx = self.query(center, radius)
-        if len(idx) == 0:
-            return idx
-        d = self.positions[idx] - np.asarray(center, dtype=float)
-        dist = np.sqrt(np.add.reduce(d * d, axis=1))
-        return idx[dist < radius]
-
-
-#: Tile edge of the sharded grid, in fine cells.  Queries whose radius
-#: fits inside one tile touch at most a 3x3 tile ring.
-_TILE_CELLS = 8
-
-#: Sparse tile-key packing offsets (supports |tile index| < 2^20, i.e.
-#: maps out to ~380,000 km at the default cell size — effectively any).
-_KEY_OFF = 1 << 20
-_KEY_MUL = 1 << 21
-
-
-class ShardedSpatialGrid:
-    """Sparse sharded variant of :class:`SpatialGrid` for huge maps.
-
-    :class:`SpatialGrid` allocates its bucket table and window memo
-    over the *bounding box* of all points, which grows with the map
-    whether or not anyone is there.  This variant hashes points into
-    coarse sparse tiles (a dict keyed by tile coordinates, memory
-    proportional to *occupied* tiles) and lazily builds one dense
-    ``SpatialGrid`` per queried tile over the points of its 3x3 tile
-    neighbourhood — empty districts cost nothing, and per-tick work
-    stays near-linear in the agent count regardless of map size.
-
-    Queries return ascending global indices and are a superset of the
-    true disk, exactly like ``SpatialGrid.query``; after the caller's
-    exact distance filter the selected set is bit-identical to both the
-    dense grid and brute force.  Queries with ``radius > tile_size``
-    (rare) delegate to a lazily-built dense grid, preserving the same
-    guarantee.
-    """
-
-    def __init__(self, positions: np.ndarray, cell_size: float = DEFAULT_CELL_SIZE):
-        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        if cell_size <= 0.0:
-            raise ValueError(f"cell_size must be positive: {cell_size}")
-        self.positions = positions
-        self.cell_size = float(cell_size)
-        self.tile_size = float(cell_size * _TILE_CELLS)
-        self._n = len(positions)
-        self._tiles: dict[int, np.ndarray] = {}
-        #: tile key -> (members, sub-grid) for tiles that have been queried.
-        self._subgrids: dict[int, tuple[np.ndarray, SpatialGrid]] = {}
-        self._full: SpatialGrid | None = None
-        if self._n == 0:
-            return
-        tij = np.floor(positions / self.tile_size).astype(np.int64)
-        keys = (tij[:, 0] + _KEY_OFF) * _KEY_MUL + (tij[:, 1] + _KEY_OFF)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, self._n)
-        for k, s, e in zip(uniq, bounds[:-1], bounds[1:]):
-            # Stable sort by key keeps each tile's members ascending.
-            self._tiles[int(k)] = order[s:e]
-
-    def _tile_key(self, ti: int, tj: int) -> int:
-        return (ti + _KEY_OFF) * _KEY_MUL + (tj + _KEY_OFF)
-
-    def _subgrid(self, ti: int, tj: int) -> tuple[np.ndarray, SpatialGrid]:
-        """Members + dense sub-grid of the 3x3 tile ring around (ti, tj)."""
-        key = self._tile_key(ti, tj)
-        cached = self._subgrids.get(key)
-        if cached is not None:
-            return cached
-        chunks = [
-            members
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            if (members := self._tiles.get(self._tile_key(ti + di, tj + dj)))
-            is not None
-        ]
-        if not chunks:
-            members = _EMPTY
-        else:
-            members = np.sort(np.concatenate(chunks))
-        sub = SpatialGrid(self.positions[members], self.cell_size)
-        self._subgrids[key] = (members, sub)
-        return members, sub
-
-    def _full_grid(self) -> SpatialGrid:
-        if self._full is None:
-            self._full = SpatialGrid(self.positions, self.cell_size)
-        return self._full
-
-    def query(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Ascending superset of the points within ``radius`` of ``center``.
-
-        Same contract as :meth:`SpatialGrid.query`: callers apply their
-        own exact distance test over the candidates.
-        """
-        if self._n == 0:
-            return _EMPTY
-        if radius > self.tile_size:
-            # The 3x3 tile ring no longer covers the disk; fall back to
-            # one shared dense grid (still correct, rarely needed).
-            return self._full_grid().query(center, radius)
-        ti = math.floor(float(center[0]) / self.tile_size)
-        tj = math.floor(float(center[1]) / self.tile_size)
-        members, sub = self._subgrid(ti, tj)
-        if len(members) == 0:
-            return _EMPTY
-        local = sub.query(center, radius)
-        if len(local) == 0:
-            return _EMPTY
-        # members is ascending, so members[local] (local ascending) is too.
-        return members[local]
-
-    def query_radius(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of exactly the points with ``|p - center| < radius``.
-
-        Bit-identical to ``SpatialGrid.query_radius`` (same distance
-        expression over the same values, ascending order).
-        """
-        idx = self.query(center, radius)
-        if len(idx) == 0:
-            return idx
-        d = self.positions[idx] - np.asarray(center, dtype=float)
-        dist = np.sqrt(np.add.reduce(d * d, axis=1))
-        return idx[dist < radius]
+    order = np.argsort(points_x, kind="stable")
+    sorted_x = points_x[order]
+    lo = np.searchsorted(sorted_x, centers_x - reach, side="left")
+    hi = np.searchsorted(sorted_x, centers_x + reach, side="right")
+    counts = hi - lo
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    center = np.repeat(np.arange(len(centers_x)), counts)
+    # Position of each pair inside the sorted order: its group's ``lo``
+    # plus its rank within the group.
+    point = order[np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1])]
+    return center, point, starts

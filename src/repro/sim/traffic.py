@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.autopilot import ExpertAutopilot
+from repro.sim.autopilot import OBSTACLE_RADIUS, BankDriver, DriverBank, ExpertAutopilot
 from repro.sim.kinematics import VehicleState, advance
 from repro.sim.map import TownMap
-from repro.sim.router import random_route
-from repro.sim.spatial import SpatialGrid
+from repro.sim.router import RoutePlan, random_route
 
 __all__ = ["BackgroundCar", "Pedestrian", "TrafficManager"]
 
@@ -23,22 +22,35 @@ _PED_SPEED = 1.3  # m/s
 _PED_WANDER_RADIUS = 40.0
 
 
+def _roaming_route(
+    town: TownMap, rng: np.random.Generator, position: np.ndarray | None = None
+) -> RoutePlan:
+    """A background car's next trip: anywhere, or onward from ``position``."""
+    start = None if position is None else town.nearest_node(position)
+    return random_route(town, rng, min_length=150.0, start=start)
+
+
 class BackgroundCar:
-    """An autopilot car roaming random routes forever."""
+    """An autopilot car roaming random routes forever.
+
+    The per-object form of a background car: a
+    :class:`TrafficManager` drives its cars as rows of a
+    :class:`~repro.sim.autopilot.DriverBank` instead, and this class is
+    the scalar reference those rows are tested against.
+    """
 
     def __init__(self, town: TownMap, rng: np.random.Generator, speed_factor: float = 1.0):
         self._town = town
         self._rng = rng
         self.speed_factor = speed_factor
-        plan = random_route(town, rng, min_length=150.0)
+        plan = _roaming_route(town, rng)
         start = plan.point_at(0.0)
         self.state = VehicleState(start[0], start[1], plan.heading_at(0.0), 0.0)
         self.pilot = ExpertAutopilot(plan)
 
     def step(self, obstacles: np.ndarray, dt: float) -> None:
         if self.pilot.done():
-            node = self._town.nearest_node(self.state.position)
-            plan = random_route(self._town, self._rng, min_length=150.0, start=node)
+            plan = _roaming_route(self._town, self._rng, self.state.position)
             self.pilot = ExpertAutopilot(plan)
         turn_rate, accel = self.pilot.control(self.state, obstacles, dt=dt)
         self.state = advance(self.state, turn_rate * self.speed_factor, accel, dt)
@@ -139,12 +151,13 @@ def _readonly_view(array: np.ndarray) -> np.ndarray:
 class TrafficManager:
     """Owns and steps all background agents; exposes position arrays.
 
-    Agent positions and speeds are mirrored in preallocated
-    struct-of-arrays buffers updated in place as each agent steps, so
-    ``car_positions()``/``pedestrian_positions()`` serve read-only views
-    instead of rebuilding arrays from Python attribute loops.  Agents
-    are only ever advanced through :meth:`step`, which keeps the
-    mirrors fresh.
+    The cars are rows of one :class:`~repro.sim.autopilot.DriverBank`
+    (``bank``), which owns their state; ``cars`` are per-object views
+    of those rows.  Pedestrians stay objects, their positions mirrored
+    in a preallocated buffer updated in place as each one steps.
+    ``car_positions()``/``pedestrian_positions()`` serve read-only
+    views of the two.  Agents are only ever advanced through
+    :meth:`step`.
     """
 
     def __init__(
@@ -159,18 +172,24 @@ class TrafficManager:
         n_districts: int = 1,
     ):
         self._town = town
-        self.cars = []
+        self._car_rngs = []
+        plans = []
         for _ in range(n_cars):
-            car = BackgroundCar(town, np.random.default_rng(rng.integers(2**63)))
-            # Don't spawn on top of the ego (or whatever keep_clear marks).
-            for _ in range(16):
-                if keep_clear is None:
+            # Don't spawn on top of the ego (or whatever keep_clear
+            # marks): up to 16 re-draws, then take what comes.
+            for _ in range(17):
+                car_rng = np.random.default_rng(rng.integers(2**63))
+                plan = _roaming_route(town, car_rng)
+                if (
+                    keep_clear is None
+                    or np.linalg.norm(plan.point_at(0.0) - keep_clear) >= keep_clear_radius
+                ):
                     break
-                gap = float(np.linalg.norm(car.state.position - keep_clear))
-                if gap >= keep_clear_radius:
-                    break
-                car = BackgroundCar(town, np.random.default_rng(rng.integers(2**63)))
-            self.cars.append(car)
+            self._car_rngs.append(car_rng)
+            plans.append(plan)
+        #: The background cars' drivers: the single owner of their state.
+        self.bank = DriverBank(plans, renew=self._new_route)
+        self.cars = [BankDriver(self.bank, i) for i in range(n_cars)]
         self.pedestrians = []
         for _ in range(n_pedestrians):
             ped = Pedestrian(town, np.random.default_rng(rng.integers(2**63)))
@@ -183,15 +202,14 @@ class TrafficManager:
                         break
                     ped = Pedestrian(town, np.random.default_rng(rng.integers(2**63)))
             self.pedestrians.append(ped)
-        self._car_pos = np.array(
-            [c.state.position for c in self.cars], dtype=float
-        ).reshape(-1, 2)
-        self._car_speed = np.array([c.state.speed for c in self.cars], dtype=float)
         self._ped_pos = np.array(
             [p.position for p in self.pedestrians], dtype=float
         ).reshape(-1, 2)
-        self._car_pos_view = _readonly_view(self._car_pos)
+        self._car_pos_view = _readonly_view(self.bank.position)
         self._ped_pos_view = _readonly_view(self._ped_pos)
+
+    def _new_route(self, index: int, position: np.ndarray) -> RoutePlan:
+        return _roaming_route(self._town, self._car_rngs[index], position)
 
     def car_positions(self) -> np.ndarray:
         """(n, 2) positions of all background cars (read-only view)."""
@@ -219,38 +237,33 @@ class TrafficManager:
             extra_speeds = np.full(len(extra_obstacles), 1.0)
         n_cars = len(self.cars)
         n_peds = len(self.pedestrians)
-        # Pre-step positions: the vstack copies out of the live mirrors,
-        # so every agent this tick sees where the others *were*, exactly
-        # as the rebuilt-array implementation did.
-        all_pos = np.vstack([self._car_pos, self._ped_pos, extra_obstacles])
-        grid = SpatialGrid(all_pos)
-        on_road = self._town.occupancy_at(all_pos)
-        for i, car in enumerate(self.cars):
-            # Every agent except this car itself is an obstacle.
-            near = road_obstacles(
-                self._town,
-                all_pos,
-                car.state.position,
-                grid=grid,
-                exclude=i,
-                on_road=on_road,
-            )
-            car.step(near, dt)
-            self._car_pos[i, 0] = car.state.x
-            self._car_pos[i, 1] = car.state.y
-            self._car_speed[i] = car.state.speed
+        # Pre-step positions: the vstack copies out of the live state,
+        # so every agent this tick sees where the others *were*.
+        all_pos = np.vstack([self.bank.position, self._ped_pos, extra_obstacles])
+        if n_cars:
+            # Every agent except the car itself is an obstacle.
+            self.bank.step(all_pos, self._town.occupancy_at(all_pos), dt)
         # Pedestrians see pre-step car positions but post-step speeds
         # (a car that just braked to a stop is safe to cross in front of).
-        # Peds only care about cars within arm's-length radii, and the
-        # ped x car block is small and dense (250 x ~80 at paper scale),
-        # so one broadcast distance matrix beats per-ped grid queries;
-        # each row holds the same per-pair arithmetic a per-ped scan
-        # would produce, sliced in ascending car order.
-        all_cars = np.vstack([all_pos[:n_cars], all_pos[n_cars + n_peds :]])
-        car_speeds = np.concatenate([self._car_speed, extra_speeds])
-        ped_pre = all_pos[n_cars : n_cars + n_peds]
-        if n_peds and len(all_cars):
-            d3 = ped_pre[:, None, :] - all_cars[None, :, :]
+        self._step_pedestrians(
+            np.vstack([all_pos[:n_cars], all_pos[n_cars + n_peds :]]),
+            np.concatenate([self.bank.speed, extra_speeds]),
+            dt,
+        )
+
+    def _step_pedestrians(
+        self, all_cars: np.ndarray, car_speeds: np.ndarray, dt: float
+    ) -> None:
+        """Walk every pedestrian one step past ``all_cars``.
+
+        Peds only care about cars within arm's-length radii, and the
+        ped x car block is small and dense (250 x ~80 at paper scale),
+        so one broadcast distance matrix beats per-ped grid queries;
+        each row holds the same per-pair arithmetic a per-ped scan
+        would produce, sliced in ascending car order.
+        """
+        if len(self.pedestrians) and len(all_cars):
+            d3 = self._ped_pos[:, None, :] - all_cars[None, :, :]
             gap_matrix = np.sqrt(np.add.reduce(d3 * d3, axis=2))
             near_mask = gap_matrix < 16.0
             for j, ped in enumerate(self.pedestrians):
@@ -283,44 +296,23 @@ def road_obstacles(
     town: TownMap,
     positions: np.ndarray,
     center: np.ndarray,
-    radius: float = 45.0,
-    grid: SpatialGrid | None = None,
+    radius: float = OBSTACLE_RADIUS,
     exclude: int | None = None,
-    on_road: np.ndarray | None = None,
 ) -> np.ndarray:
     """Obstacles a driver actually reacts to.
 
     Keeps agents that are near ``center`` and on the pavement — drivers
     do not brake for people standing on the sidewalk, which would
-    deadlock traffic against curb-waiting pedestrians.
+    deadlock traffic against curb-waiting pedestrians.  ``exclude``
+    drops one row (an agent querying its own neighborhood) by index.
 
-    ``grid`` (a :class:`SpatialGrid` built over exactly ``positions``)
-    prunes the distance test to the buckets around ``center``; the
-    pruned path applies the same exact distance filter in ascending
-    index order, so it returns the identical array.  ``exclude`` drops
-    one row (an agent querying its own neighborhood) by index.
-
-    ``on_road`` is an optional precomputed ``occupancy_at(positions)``
-    boolean vector: the occupancy lookup is row-wise independent, so a
-    tick's many queries over the same ``positions`` can share one
-    batched lookup instead of re-testing their candidates each call.
+    This is the brute-force scan over every agent, in ascending index
+    order: the reference for the pair scan inside
+    :meth:`~repro.sim.autopilot.DriverBank.step`, which is what a
+    running world uses.
     """
     if len(positions) == 0:
         return positions
-    if grid is not None:
-        idx = grid.query(center, radius)
-        if exclude is not None:
-            idx = idx[idx != exclude]
-        # np.linalg.norm(..., axis=1) unwrapped to its own internals
-        # (sqrt of add.reduce of squares) — same bits, no dispatch.
-        d = positions[idx] - center
-        dist = np.sqrt(np.add.reduce(d * d, axis=1))
-        keep = idx[dist < radius]
-        candidates = positions[keep]
-        if len(candidates) == 0:
-            return candidates
-        mask = on_road[keep] if on_road is not None else town.occupancy_at(candidates)
-        return candidates[mask]
     d = positions - center
     dist = np.sqrt(np.add.reduce(d * d, axis=1))
     near = dist < radius
@@ -329,5 +321,4 @@ def road_obstacles(
     candidates = positions[near]
     if len(candidates) == 0:
         return candidates
-    mask = on_road[near] if on_road is not None else town.occupancy_at(candidates)
-    return candidates[mask]
+    return candidates[town.occupancy_at(candidates)]

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.random import spawn_rng
-from repro.sim.autopilot import ExpertAutopilot
-from repro.sim.kinematics import VehicleState, advance
+from repro.sim.autopilot import BankDriver, DriverBank
+from repro.sim.kinematics import VehicleState
 from repro.sim.map import TownMap
 from repro.sim.router import RoutePlan, random_route
-from repro.sim.spatial import ShardedSpatialGrid, SpatialGrid
-from repro.sim.traffic import TrafficManager, road_obstacles
+from repro.sim.traffic import TrafficManager
 
 __all__ = ["WorldConfig", "ExpertVehicle", "World", "CAR_RADIUS", "PED_RADIUS"]
 
@@ -48,22 +47,34 @@ class WorldConfig:
     #: builds an s x s city of district grids joined by arterial links
     #: (pairs naturally with n_districts = s²).
     city_blocks: int = 1
-    #: Step the world on a sharded spatial grid (sparse coarse tiles
-    #: with lazily-built dense sub-grids).  Query results are
-    #: bit-identical to the dense SpatialGrid; turn on for city-sized
-    #: maps where the dense cell table would be huge.
+    #: Selects nothing: it used to pick a sharded spatial grid for
+    #: ``World.step``, and the driver bank's one obstacle scan
+    #: (:func:`repro.sim.spatial.strip_pairs`) has no cell table to
+    #: shard.  Still accepted because the frozen
+    #: ``benchmarks/perf/workloads.py`` sets it and ``scale_fingerprint``
+    #: hashes it; ROADMAP item 1 lists its removal for the next
+    #: ``benchmark`` PR.
     shard_stepping: bool = False
 
 
 @dataclass
 class ExpertVehicle:
-    """One expert autopilot of the learning fleet."""
+    """One expert autopilot of the learning fleet.
+
+    ``pilot`` is the vehicle's row of the world's
+    :class:`~repro.sim.autopilot.DriverBank`; ``state`` and ``plan``
+    read through it, so they are current after every ``World.step``.
+    """
 
     vehicle_id: str
-    state: VehicleState
-    pilot: ExpertAutopilot
+    pilot: BankDriver
     rng: np.random.Generator
     district: int = 0
+
+    @property
+    def state(self) -> VehicleState:
+        """The vehicle's current kinematic state."""
+        return self.pilot.state
 
     @property
     def plan(self) -> RoutePlan:
@@ -122,26 +133,27 @@ class World:
         self.time = 0.0
         self._since_snapshot = 0.0
         self.snapshots: list[Snapshot] = []
-        self.vehicles: list[ExpertVehicle] = []
-        for i in range(config.n_vehicles):
-            rng = spawn_rng(config.seed, f"vehicle-{i}")
-            district = i % config.n_districts
-            plan = random_route(
-                self.town,
-                rng,
-                min_length=config.min_route_length,
-                nodes=self._route_endpoints(district, rng),
-            )
-            start = plan.point_at(0.0)
-            self.vehicles.append(
-                ExpertVehicle(
-                    vehicle_id=f"v{i}",
-                    state=VehicleState(start[0], start[1], plan.heading_at(0.0), 0.0),
-                    pilot=ExpertAutopilot(plan),
-                    rng=rng,
-                    district=district,
+        fleet = [
+            (spawn_rng(config.seed, f"vehicle-{i}"), i % config.n_districts)
+            for i in range(config.n_vehicles)
+        ]
+        #: The fleet's drivers: the single owner of every vehicle's state.
+        self.bank = DriverBank(
+            [
+                random_route(
+                    self.town,
+                    rng,
+                    min_length=config.min_route_length,
+                    nodes=self._route_endpoints(district, rng),
                 )
-            )
+                for rng, district in fleet
+            ],
+            renew=self._new_route,
+        )
+        self.vehicles: list[ExpertVehicle] = [
+            ExpertVehicle(f"v{i}", BankDriver(self.bank, i), rng, district)
+            for i, (rng, district) in enumerate(fleet)
+        ]
         self.traffic = TrafficManager(
             self.town,
             config.n_background_cars,
@@ -150,15 +162,7 @@ class World:
             ped_district_weights=self._ped_district_weights(),
             n_districts=config.n_districts,
         )
-        # Struct-of-arrays mirror of the fleet state, updated in place
-        # as each vehicle advances (vehicles only move inside step()).
-        self._fleet_pos = np.array(
-            [v.state.position for v in self.vehicles], dtype=float
-        ).reshape(-1, 2)
-        self._fleet_speed = np.array(
-            [v.state.speed for v in self.vehicles], dtype=float
-        )
-        self._fleet_pos_view = self._fleet_pos.view()
+        self._fleet_pos_view = self.bank.position.view()
         self._fleet_pos_view.flags.writeable = False
 
     def _district_nodes(self, district: int) -> list | None:
@@ -198,41 +202,18 @@ class World:
         """Advance the world by one control timestep."""
         dt = self.config.dt
         # Pre-step positions of every agent: the vstack copies out of
-        # the live mirrors, so all vehicles this tick react to where the
-        # others *were*, even after earlier vehicles have advanced.
+        # the live state, so the whole world this tick reacts to where
+        # everyone *was*, the background cars included.
         everything = np.vstack(
             [
-                self._fleet_pos,
+                self.bank.position,
                 self.traffic.car_positions(),
                 self.traffic.pedestrian_positions(),
             ]
         )
-        grid = (
-            ShardedSpatialGrid(everything)
-            if self.config.shard_stepping
-            else SpatialGrid(everything)
-        )
-        # One batched road-occupancy lookup shared by the whole tick
-        # (the per-row results equal each query's own candidate lookup).
-        on_road = self.town.occupancy_at(everything)
-        for i, vehicle in enumerate(self.vehicles):
-            if vehicle.pilot.done():
-                self._assign_new_route(vehicle)
-            near = road_obstacles(
-                self.town,
-                everything,
-                everything[i],
-                grid=grid,
-                exclude=i,
-                on_road=on_road,
-            )
-            turn_rate, accel = vehicle.pilot.control(vehicle.state, near, dt=dt)
-            vehicle.state = advance(vehicle.state, turn_rate, accel, dt)
-            self._fleet_pos[i, 0] = vehicle.state.x
-            self._fleet_pos[i, 1] = vehicle.state.y
-            self._fleet_speed[i] = vehicle.state.speed
+        self.bank.step(everything, self.town.occupancy_at(everything), dt)
         n = len(self.vehicles)
-        self.traffic.step(everything[:n], dt, extra_speeds=self._fleet_speed)
+        self.traffic.step(everything[:n], dt, extra_speeds=self.bank.speed)
         self.time += dt
         self._since_snapshot += dt
         if self._since_snapshot >= self.config.snapshot_interval - 1e-9:
@@ -245,24 +226,31 @@ class World:
         for _ in range(steps):
             self.step()
 
-    def _assign_new_route(self, vehicle: ExpertVehicle) -> None:
-        node = self.town.nearest_node(vehicle.state.position)
-        plan = random_route(
+    def _new_route(self, index: int, position: np.ndarray) -> RoutePlan:
+        """The next trip of vehicle ``index``, which stands at ``position``
+        (drawn from the vehicle's own generator)."""
+        vehicle = self.vehicles[index]
+        return random_route(
             self.town,
             vehicle.rng,
             min_length=self.config.min_route_length,
-            start=node,
+            start=self.town.nearest_node(position),
             nodes=self._route_endpoints(vehicle.district, vehicle.rng),
         )
-        vehicle.pilot = ExpertAutopilot(plan)
 
     def _take_snapshot(self) -> None:
+        ids = [v.vehicle_id for v in self.vehicles]
+        bank = self.bank
+        states = map(
+            VehicleState,
+            bank.x.tolist(), bank.y.tolist(), bank.heading.tolist(), bank.speed.tolist(),
+        )
         self.snapshots.append(
             Snapshot(
                 time=self.time,
-                vehicle_states={v.vehicle_id: v.state.copy() for v in self.vehicles},
-                vehicle_commands={v.vehicle_id: v.pilot.command() for v in self.vehicles},
-                vehicle_plans={v.vehicle_id: v.plan for v in self.vehicles},
+                vehicle_states=dict(zip(ids, states)),
+                vehicle_commands=dict(zip(ids, bank.routes.command_at(bank.s).tolist())),
+                vehicle_plans=dict(zip(ids, bank.routes.plans)),
                 # Snapshots outlive the tick; copy out of the live views.
                 bg_car_positions=self.traffic.car_positions().copy(),
                 pedestrian_positions=self.traffic.pedestrian_positions().copy(),

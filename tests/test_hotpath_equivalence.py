@@ -244,10 +244,10 @@ class TestLossCacheBounded:
 class TestWorldSegmentDeterminism:
     """World stepping reproduces the pre-rewrite (brute-force) golden.
 
-    The spatial-grid neighbor queries return a candidate superset that
-    is then filtered by the exact distance test in original index order,
-    and the struct-of-arrays agent state / batched BEV rendering compute
-    the same elementwise arithmetic — so stepping and collection must be
+    The driver bank's pair scan draws a candidate superset that is then
+    filtered by the exact distance test, and its batched control and
+    kinematics / the batched BEV rendering compute the same elementwise
+    arithmetic as the per-car loops — so stepping and collection must be
     bit-identical to the recorded O(n^2) baseline.
     """
 

@@ -99,16 +99,16 @@ class TestContextCache:
         changed = replace(CI, collect_duration=CI.collect_duration + 1)
         assert scale_fingerprint(changed) != scale_fingerprint(CI)
 
-    def test_cache_roundtrip(self, tmp_path):
+    @staticmethod
+    def micro(name):
         from dataclasses import replace
 
         from repro.experiments.configs import CI
-        from repro.experiments.io import cached_context
         from repro.sim.world import WorldConfig
 
-        micro = replace(
+        return replace(
             CI,
-            name="cache-test",
+            name=name,
             world=WorldConfig(
                 map_size=400.0,
                 grid_n=3,
@@ -121,6 +121,11 @@ class TestContextCache:
             collect_duration=20.0,
             trace_duration=40.0,
         )
+
+    def test_cache_roundtrip(self, tmp_path):
+        from repro.experiments.io import cached_context
+
+        micro = self.micro("cache-test")
         first = cached_context(micro, cache_dir=tmp_path)
         assert any(tmp_path.iterdir())
         second = cached_context(micro, cache_dir=tmp_path)
@@ -128,31 +133,76 @@ class TestContextCache:
         assert len(second.validation) == len(first.validation)
 
     def test_corrupt_cache_rebuilt(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.experiments.configs import CI
         from repro.experiments.io import cached_context, scale_fingerprint
-        from repro.sim.world import WorldConfig
 
-        micro = replace(
-            CI,
-            name="corrupt-test",
-            world=WorldConfig(
-                map_size=400.0,
-                grid_n=3,
-                n_vehicles=2,
-                n_background_cars=0,
-                n_pedestrians=0,
-                seed=2,
-                min_route_length=100.0,
-            ),
-            collect_duration=20.0,
-            trace_duration=40.0,
-        )
+        micro = self.micro("corrupt-test")
         path = tmp_path / f"context-{micro.name}-{scale_fingerprint(micro)}.pkl"
         path.write_bytes(b"garbage")
-        context = cached_context(micro, cache_dir=tmp_path)
+        with pytest.warns(RuntimeWarning, match="discarding the context cache"):
+            context = cached_context(micro, cache_dir=tmp_path)
         assert len(context.datasets) == 2
+
+    def test_truncated_cache_rebuilt_with_a_warning(self, tmp_path):
+        """What a writer killed mid-pickle (or two sharing one temp file)
+        leaves behind is discarded out loud, naming the file and why."""
+        import pickle
+        import warnings
+
+        from repro.experiments.io import cached_context, scale_fingerprint
+
+        micro = self.micro("truncated-test")
+        path = tmp_path / f"context-{micro.name}-{scale_fingerprint(micro)}.pkl"
+        whole = cached_context(micro, cache_dir=tmp_path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.warns(RuntimeWarning) as caught:
+            rebuilt = cached_context(micro, cache_dir=tmp_path)
+        (warning,) = caught
+        assert str(path) in str(warning.message)
+        assert "truncated" in str(warning.message) or "EOFError" in str(warning.message)
+        assert sorted(rebuilt.datasets) == sorted(whole.datasets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the rebuilt file loads quietly
+            cached_context(micro, cache_dir=tmp_path)
+        with open(path, "rb") as fh:
+            assert sorted(pickle.load(fh).datasets) == sorted(whole.datasets)
+
+    def test_interleaved_writers_leave_a_loadable_file(self, tmp_path, monkeypatch):
+        """Two processes resolve the same cold cache at once: the second
+        opens, writes and renames its file while the first is halfway
+        through its pickle.  With one shared temp name that interleaved
+        two pickles in one inode; now each writer has its own."""
+        import os
+        import pickle
+
+        from repro.experiments import io
+        from repro.experiments.runner import build_context
+
+        micro = self.micro("interleaved-test")
+        context = build_context(micro)
+        path = tmp_path / f"context-{micro.name}-{io.scale_fingerprint(micro)}.pkl"
+        real_dump, real_pid = pickle.dump, os.getpid()
+        writers = []
+
+        def interleaved_dump(obj, fh, protocol=None):
+            data = pickle.dumps(obj, protocol=protocol)
+            writers.append(os.getpid())
+            fh.write(data[: len(data) // 2])
+            fh.flush()
+            if len(writers) == 1:  # the other process runs start to finish now
+                monkeypatch.setattr(os, "getpid", lambda: real_pid + 1)
+                io.cached_context(micro, cache_dir=tmp_path)
+                monkeypatch.setattr(os, "getpid", lambda: real_pid)
+            fh.write(data[len(data) // 2 :])
+
+        monkeypatch.setattr(pickle, "dump", interleaved_dump)
+        assert io.cached_context(micro, cache_dir=tmp_path) is context
+        monkeypatch.setattr(pickle, "dump", real_dump)
+        assert writers == [real_pid, real_pid + 1]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+        with open(path, "rb") as fh:
+            loaded = pickle.load(fh)
+        assert sorted(loaded.datasets) == sorted(context.datasets)
+        assert len(loaded.validation) == len(context.validation)
 
 
 class TestCli:
