@@ -1,70 +1,9 @@
-"""Shared infrastructure for the per-table/figure benchmarks.
+"""Pin GEMM threading for the artifact suite.
 
-Training runs are expensive and shared across artifacts (Fig. 2, the
-receive-rate comparison, and Tables II/III all consume the same five
-method runs), so runs and online evaluations are memoized per session.
-
-Every benchmark prints its rendered artifact and also writes it under
-``benchmarks/out/`` so the reproduction results survive the run.
+The suite reaches ``run_method`` without passing through ``repro.cli``,
+so without this its numbers would depend on the host's core count.
 """
 
-from __future__ import annotations
+from repro.blas import pin_blas_threads
 
-import os
-from pathlib import Path
-
-import pytest
-
-from repro.experiments.configs import get_scale
-from repro.experiments.runner import (
-    RunSpec,
-    build_context,
-    online_evaluate,
-    run_method,
-)
-
-#: Scale used by the benchmark suite; override with REPRO_SCALE=paper.
-SCALE_NAME = os.environ.get("REPRO_SCALE", "ci")
-
-OUT_DIR = Path(__file__).parent / "out"
-
-_runs: dict = {}
-_evals: dict = {}
-
-
-@pytest.fixture(scope="session")
-def scale():
-    return get_scale(SCALE_NAME)
-
-
-@pytest.fixture(scope="session")
-def context(scale):
-    return build_context(scale)
-
-
-def get_run(context, method: str, wireless: bool, seed: int = 1, coreset_size=None):
-    """Memoized method run."""
-    key = (method, wireless, seed, coreset_size)
-    if key not in _runs:
-        spec = RunSpec.for_context(
-            context, method, wireless=wireless, seed=seed, coreset_size=coreset_size
-        )
-        _runs[key] = run_method(context, spec)
-    return _runs[key]
-
-
-def get_eval(context, method: str, wireless: bool, seed: int = 1, coreset_size=None):
-    """Memoized online evaluation of a memoized run."""
-    key = (method, wireless, seed, coreset_size)
-    if key not in _evals:
-        result = get_run(context, method, wireless, seed, coreset_size)
-        _evals[key] = online_evaluate(result, context, seed=seed)
-    return _evals[key]
-
-
-def emit(name: str, text: str) -> None:
-    """Print an artifact and persist it under benchmarks/out/."""
-    print()
-    print(text)
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
+pin_blas_threads()  # before numpy loads, as tests/conftest.py and repro.cli.main do

@@ -72,7 +72,7 @@ def _add_overlap_arg(parser: argparse.ArgumentParser, default: bool | None = Fal
 
 
 def _run_overrides(args: argparse.Namespace) -> dict:
-    """Config overrides shared by the run/trace commands."""
+    """Config overrides from the execution flags every training command shares."""
     workers = _step_workers(args)
     overrides: dict = {}
     if workers != 1:
@@ -172,56 +172,33 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.experiments import tables
+def _produce(args: argparse.Namespace, name: str):
+    """One artifact of ``repro.experiments.artifacts.ARTIFACTS``, made now."""
+    from repro.experiments.artifacts import produce
 
-    fn = {
-        "2": tables.table2,
-        "3": tables.table3,
-        "4": tables.table4,
-        "5": tables.table5,
-        "6": tables.table6,
-        "7": tables.table7,
-    }[args.number]
+    return produce(
+        [name], args.scale, seed=args.seed, jobs=args.jobs, overrides=_run_overrides(args)
+    )[name]
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
     print(f"Reproducing Table {args.number} at scale {args.scale} "
           "(trains every required method; this takes a while)...")
-    result = fn(args.scale, seed=args.seed, jobs=args.jobs,
-                step_workers=_step_workers(args), overlap_chat=args.overlap_chat)
+    result = _produce(args, f"table{args.number}")
     print(result.render())
-    if result.receive_rates:
-        print("\nreceive rates: " + ", ".join(
-            f"{k}={100 * v:.0f}%" for k, v in result.receive_rates.items()
-        ))
+    print("\nreceive rates: " + ", ".join(
+        f"{column}={100 * result.receive_rates[column]:.0f}%" for column in result.columns
+    ))
     return 0
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
-    from repro.experiments import figures
-
-    if args.which in ("2a", "2b"):
-        result = figures.fig2(
-            args.scale, wireless=args.which == "2b", seed=args.seed, jobs=args.jobs,
-            step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
-        )
-    else:
-        result = figures.fig3(
-            args.scale, seed=args.seed, jobs=args.jobs,
-            step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
-        )
-    print(result.render())
+    print(_produce(args, f"fig{args.which}").render())
     return 0
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import receive_rates
-
-    rates = receive_rates(
-        args.scale, seed=args.seed, jobs=args.jobs,
-        step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
-    )
-    print("Successful model receiving rate (w wireless loss)")
-    for method, rate in rates.items():
-        print(f"  {method:10s} {100 * rate:5.1f}%")
+    print(_produce(args, "rates").render())
     return 0
 
 

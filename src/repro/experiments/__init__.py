@@ -6,9 +6,13 @@ figures and tables (see DESIGN.md's per-experiment index).
 * :mod:`repro.experiments.runner` — builds the shared world/data/trace
   context, instantiates any method by name, runs it, and online-evaluates
   the resulting models.
-* :mod:`repro.experiments.tables` — Tables II-VII.
-* :mod:`repro.experiments.figures` — Fig. 2 and Fig. 3 loss curves, plus
-  the §IV-C receive-rate comparison.
+* :mod:`repro.experiments.artifacts` — the evaluation itself: the
+  registry ``ARTIFACTS`` (Fig. 2a/2b, the §IV-C receive rates, Tables
+  II-VII, Fig. 3 and three extra ablations, each with its runs, title
+  and claims) and ``produce``, the one function that trains, measures
+  and assembles them.
+* :mod:`repro.experiments.report` — the claim checklist over the numbers
+  a benchmark run saved.
 * :mod:`repro.experiments.render` — plain-text renderers shaped like the
   paper's tables.
 """
@@ -34,16 +38,13 @@ from repro.experiments.runner import (
     run_method,
 )
 from repro.experiments.render import render_curves, render_table
-from repro.experiments.tables import (
-    TableResult,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
+from repro.experiments.artifacts import (
+    ARTIFACTS,
+    Artifact,
+    ArtifactResult,
+    ClaimCheck,
+    produce,
 )
-from repro.experiments.figures import FigureResult, fig2, fig3, receive_rates
 from repro.experiments.analysis import (
     convergence_summary,
     relative_slowdown,
@@ -54,17 +55,11 @@ from repro.experiments.multiseed import SeedSummary, compare_methods, run_seeds
 from repro.experiments.report import build_report
 
 __all__ = [
-    "TableResult",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "FigureResult",
-    "fig2",
-    "fig3",
-    "receive_rates",
+    "ARTIFACTS",
+    "Artifact",
+    "ArtifactResult",
+    "ClaimCheck",
+    "produce",
     "time_to_threshold",
     "relative_slowdown",
     "convergence_summary",

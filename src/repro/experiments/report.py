@@ -1,121 +1,34 @@
 """Reproduction report generator.
 
-Collects the artifacts a benchmark run wrote to ``benchmarks/out/`` and
-assembles a single markdown report with a checklist of the paper's
-qualitative claims, each marked reproduced / not-reproduced from the
-measured numbers.  Runs offline over the text artifacts so it can be
-re-generated without re-training anything.
+Reads the numbers a benchmark run saved under ``benchmarks/out/``
+(``<stem>.json``, written by :meth:`ArtifactResult.save`) and assembles
+one markdown report: every claim of every artifact in
+:data:`~repro.experiments.artifacts.ARTIFACTS`, evaluated by the same
+predicates the benchmark suite asserts, then the rendered artifacts.
+Nothing is trained.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ClaimCheck", "parse_receive_rates", "parse_final_losses", "build_report"]
+from repro.experiments.artifacts import ARTIFACTS, ArtifactResult, ClaimCheck
 
-
-@dataclass
-class ClaimCheck:
-    """One paper claim and whether the measured artifacts support it."""
-
-    claim: str
-    verdict: bool | None  # None when the needed artifact is missing
-    detail: str
-
-    def render(self) -> str:
-        """One markdown checklist line for this claim."""
-        mark = "?" if self.verdict is None else ("x" if self.verdict else " ")
-        return f"- [{mark}] {self.claim} — {self.detail}"
-
-
-def parse_receive_rates(text: str) -> dict[str, float]:
-    """Parse the receive-rate artifact into {method: rate%}."""
-    rates = {}
-    for line in text.splitlines():
-        match = re.match(r"\s*([\w\-\. ()]+?)\s+([\d.]+)%\s*$", line)
-        if match:
-            rates[match.group(1).strip()] = float(match.group(2))
-    return rates
-
-
-def parse_final_losses(text: str) -> dict[str, float]:
-    """Parse a loss-curve artifact into {method: final loss}."""
-    finals = {}
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) >= 3 and parts[0] not in ("t(s)",) and not line.startswith(("=", "-", "Fig", "Table")):
-            try:
-                values = [float(p) for p in parts[1:]]
-            except ValueError:
-                continue
-            finals[parts[0]] = values[-1]
-    return finals
-
-
-def _load(out_dir: Path, name: str) -> str | None:
-    path = out_dir / name
-    return path.read_text() if path.exists() else None
+__all__ = ["build_report"]
 
 
 def build_report(out_dir: str | Path = "benchmarks/out") -> str:
-    """Assemble the markdown reproduction report from artifacts."""
+    """Assemble the markdown reproduction report from saved artifacts."""
     out_dir = Path(out_dir)
     checks: list[ClaimCheck] = []
-
-    fig2b = _load(out_dir, "fig2b_loss_with_wireless.txt")
-    if fig2b:
-        finals = parse_final_losses(fig2b)
-        if {"LbChat", "ProxSkip", "DFL-DDS", "DP"} <= set(finals):
-            competitive = finals["LbChat"] <= finals["ProxSkip"] * 1.5
-            ahead = finals["LbChat"] < finals["DFL-DDS"] and finals["LbChat"] < finals["DP"]
-            checks.append(
-                ClaimCheck(
-                    "Under wireless loss LbChat converges like the central server",
-                    competitive,
-                    f"final loss LbChat={finals['LbChat']:.3f} vs ProxSkip={finals['ProxSkip']:.3f}",
-                )
+    for artifact in ARTIFACTS.values():
+        path = out_dir / f"{artifact.stem}.json"
+        if path.exists():
+            checks.extend(ArtifactResult.load(path).claims())
+        else:
+            checks.extend(
+                ClaimCheck(claim.text, None, f"{path.name} missing") for claim in artifact.claims
             )
-            checks.append(
-                ClaimCheck(
-                    "LbChat beats the fully decentralized baselines (Fig. 2b)",
-                    ahead,
-                    f"LbChat={finals['LbChat']:.3f}, DFL-DDS={finals['DFL-DDS']:.3f}, DP={finals['DP']:.3f}",
-                )
-            )
-    else:
-        checks.append(ClaimCheck("Fig. 2(b) loss ordering", None, "artifact missing"))
-
-    rates_text = _load(out_dir, "receive_rates.txt")
-    if rates_text:
-        rates = parse_receive_rates(rates_text)
-        if {"LbChat", "DFL-DDS", "DP"} <= set(rates):
-            gap = rates["LbChat"] - max(rates["DFL-DDS"], rates["DP"])
-            checks.append(
-                ClaimCheck(
-                    "LbChat's receive rate is far above DFL-DDS/DP (87% vs ~51%)",
-                    gap > 10.0,
-                    f"gap of {gap:.0f} percentage points",
-                )
-            )
-    else:
-        checks.append(ClaimCheck("§IV-C receive rates", None, "artifact missing"))
-
-    fig3 = _load(out_dir, "fig3_lbchat_vs_sco.txt")
-    if fig3:
-        finals = parse_final_losses(fig3)
-        if {"LbChat", "SCO"} <= set(finals):
-            checks.append(
-                ClaimCheck(
-                    "LbChat converges at least as fast as coreset-only SCO (Fig. 3)",
-                    finals["LbChat"] <= finals["SCO"] + 0.02,
-                    f"final loss LbChat={finals['LbChat']:.3f} vs SCO={finals['SCO']:.3f}",
-                )
-            )
-    else:
-        checks.append(ClaimCheck("Fig. 3 LbChat vs SCO", None, "artifact missing"))
-
     lines = [
         "# Reproduction report",
         "",

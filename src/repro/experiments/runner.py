@@ -17,7 +17,6 @@ results can cross process boundaries (see :mod:`repro.parallel`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -370,35 +369,13 @@ def make_trainer(
     return factory(nodes, context.traces, context.validation, config)
 
 
-def run_method(context: ExperimentContext, spec, /, **legacy_kwargs) -> RunResult:
-    """Train one spec on the shared context and return its results.
-
-    The canonical form is ``run_method(context, spec)`` with a
-    :class:`RunSpec`.  Passing a method name plus keyword arguments
-    (``wireless``, ``seed``, ``coreset_size``, ``coreset_strategy``,
-    ``trainer_overrides``) still works but is deprecated — it is mapped
-    onto a spec internally.
-    """
+def run_method(context: ExperimentContext, spec: RunSpec, /) -> RunResult:
+    """Train one :class:`RunSpec` on the shared context and return its results."""
     if not isinstance(spec, RunSpec):
-        warnings.warn(
-            "run_method(context, method, **kwargs) is deprecated; build a "
-            "RunSpec and call run_method(context, spec)",
-            DeprecationWarning,
-            stacklevel=2,
+        raise TypeError(
+            f"run_method(context, spec) takes a RunSpec, not {type(spec).__name__}; "
+            "build one with RunSpec.for_context(context, method, ...)"
         )
-        spec = RunSpec.for_context(
-            context,
-            spec,
-            wireless=legacy_kwargs.pop("wireless", True),
-            seed=legacy_kwargs.pop("seed", 1),
-            coreset_size=legacy_kwargs.pop("coreset_size", None),
-            coreset_strategy=legacy_kwargs.pop("coreset_strategy", None),
-            overrides=legacy_kwargs.pop("trainer_overrides", None) or {},
-        )
-        if legacy_kwargs:
-            raise TypeError(f"unknown run_method arguments {sorted(legacy_kwargs)}")
-    elif legacy_kwargs:
-        raise TypeError("run_method(context, spec) takes no extra keyword arguments")
 
     if spec.checkpoint_every is not None:
         from repro.checkpoint.resume import run_with_checkpoints

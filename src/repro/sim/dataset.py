@@ -85,19 +85,6 @@ class DrivingDataset:
         return state
 
     def __setstate__(self, state):
-        if "_size" not in state:
-            # Pre-array-native pickle (per-frame list storage): rebuild
-            # through add() so old cached contexts keep loading.
-            self.__init__()
-            for frame_id, bev, command, target, weight in zip(
-                state["_ids"],
-                state["_bev"],
-                state["_commands"],
-                state["_targets"],
-                state["_weights"],
-            ):
-                self.add(Frame(frame_id, bev, int(command), target, float(weight)))
-            return
         self.__dict__.update(state)
         # A fresh uid in the receiving process: pickled uids could
         # collide with ids handed out locally, confusing caches keyed

@@ -71,55 +71,63 @@ def test_cmd_run_with_stubs(monkeypatch, capsys, tmp_path):
     assert "receive rate: 80.0%" in output
 
 
+def stub_produce(monkeypatch, name, **fields):
+    """Patch ``produce`` to hand back one canned result; returns what it was called with."""
+    from repro.experiments.artifacts import ARTIFACTS, ArtifactResult
+
+    fake = ArtifactResult(artifact=ARTIFACTS[name], scale="ci", seed=1, **fields)
+    seen = {}
+
+    def fake_produce(names, scale, seed, jobs, overrides):
+        seen.update(names=names, scale=scale, seed=seed, jobs=jobs, overrides=overrides)
+        return {name: fake}
+
+    monkeypatch.setattr("repro.experiments.artifacts.produce", fake_produce)
+    return seen
+
+
 def test_cmd_rates_with_stubs(monkeypatch, capsys):
-    monkeypatch.setattr(
-        "repro.experiments.figures.receive_rates",
-        lambda scale, seed, jobs, step_workers=1, overlap_chat=False: {
-            "LbChat": 0.77, "DP": 0.47,
-        },
+    rates = {"LbChat": 0.77, "DP": 0.47}
+    seen = stub_produce(
+        monkeypatch, "rates", columns=list(rates), numbers=rates, receive_rates=rates
     )
     assert cli.main(["rates"]) == 0
-    output = capsys.readouterr().out
-    assert "77.0%" in output and "47.0%" in output
+    assert seen["names"] == ["rates"]
+    assert capsys.readouterr().out == (
+        "Successful model receiving rate (w wireless loss)\n"
+        "  LbChat      77.0%\n"
+        "  DP          47.0%\n"
+    )
 
 
 def test_cmd_fig_with_stubs(monkeypatch, capsys):
-    from repro.experiments.figures import FigureResult
-
-    fake = FigureResult(
-        title="Fig. 2(b)",
-        grid=np.linspace(0, 100, 5),
-        curves={"LbChat": np.linspace(5, 1, 5)},
+    seen = stub_produce(
+        monkeypatch, "fig2b", columns=["LbChat"],
+        numbers={"LbChat": np.linspace(5, 1, 5).tolist()}, receive_rates={"LbChat": 0.8},
+        grid=np.linspace(0, 100, 5).tolist(),
     )
-    monkeypatch.setattr(
-        "repro.experiments.figures.fig2",
-        lambda scale, wireless, seed, jobs, step_workers=1, overlap_chat=False: fake,
-    )
-    assert cli.main(["fig", "2b"]) == 0
-    assert "Fig. 2(b)" in capsys.readouterr().out
+    assert cli.main(["fig", "2b", "--seed", "3"]) == 0
+    assert seen["names"] == ["fig2b"] and seen["seed"] == 3
+    assert "Fig. 2: training loss vs. time (w wireless loss)" in capsys.readouterr().out
 
 
 def test_cmd_table_with_stubs(monkeypatch, capsys):
-    from repro.experiments.tables import CONDITIONS, TableResult
+    from repro.experiments.artifacts import CONDITIONS
 
-    fake = TableResult(
-        title="Table III",
-        columns=["LbChat"],
-        values={cond: {"LbChat": 90.0} for cond in CONDITIONS},
-        receive_rates={"LbChat": 0.8},
+    seen = stub_produce(
+        monkeypatch, "table3", columns=["LbChat"],
+        numbers={
+            "LbChat": {cond: 90.0 for cond in CONDITIONS},
+            "reference": {cond: 50.0 for cond in CONDITIONS},
+        },
+        receive_rates={"LbChat": 0.8, "reference": 0.5},
     )
-    seen = {}
-
-    def fake_table3(scale, seed, jobs, step_workers=1, overlap_chat=False):
-        seen["jobs"] = jobs
-        return fake
-
-    monkeypatch.setattr("repro.experiments.tables.table3", fake_table3)
-    assert cli.main(["table", "3", "--jobs", "4"]) == 0
-    assert seen["jobs"] == 4
+    assert cli.main(["table", "3", "--jobs", "4", "--step-workers", "2", "--overlap-chat"]) == 0
+    assert seen["names"] == ["table3"] and seen["jobs"] == 4
+    assert seen["overrides"] == {"step_workers": 2, "overlap_chat": True}
     output = capsys.readouterr().out
     assert "Table III" in output
-    assert "LbChat=80%" in output
+    assert output.endswith("\nreceive rates: LbChat=80%\n")  # rendered columns only
 
 
 def test_cmd_trace_with_stubs(monkeypatch, capsys, tmp_path):

@@ -115,19 +115,9 @@ class TestRunner:
         assert result.spec is spec
         assert result.method == "LbChat" and result.wireless is False
 
-    def test_legacy_kwargs_deprecated_but_equivalent(self, context):
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = run_method(context, "LbChat", wireless=False, seed=1)
-        modern = run_method(
-            context, RunSpec.for_context(context, "LbChat", wireless=False, seed=1)
-        )
-        assert np.array_equal(legacy.loss_curve(5)[1], modern.loss_curve(5)[1])
-        assert legacy.receive_attempted == modern.receive_attempted
-
-    def test_legacy_unknown_kwarg_rejected(self, context):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                run_method(context, "LbChat", bogus_flag=True)
+    def test_method_name_is_not_a_spec(self, context):
+        with pytest.raises(TypeError, match="RunSpec"):
+            run_method(context, "LbChat")
 
     def test_spec_rejects_extra_kwargs(self, context):
         spec = RunSpec.for_context(context, "LbChat")

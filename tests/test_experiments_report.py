@@ -1,66 +1,60 @@
 """Tests for the reproduction-report generator."""
 
-from pathlib import Path
+from repro.experiments.artifacts import ARTIFACTS, ArtifactResult
+from repro.experiments.report import build_report
 
-from repro.experiments.report import (
-    build_report,
-    parse_final_losses,
-    parse_receive_rates,
-)
+RATES = {"ProxSkip": 0.69, "RSU-L": 0.61, "DFL-DDS": 0.471, "DP": 0.472, "LbChat": 0.75}
 
-RATES_TEXT = """Successful model receiving rate (w wireless loss)
-==================================================
-ProxSkip     69.0%
-DFL-DDS      47.1%
-DP           47.2%
-LbChat       75.0%
-"""
-
-CURVES_TEXT = """Fig. 2(b): training loss vs time (w wireless loss)
-==================================================
-t(s)            0       40       80
-------------------------------------
-ProxSkip    6.244    4.281    0.870
-DFL-DDS     6.244    5.456    3.598
-DP          6.302    6.158    1.540
-LbChat      6.339    4.708    0.905
-"""
+GRID = [0.0, 40.0, 80.0]
+CURVES = {
+    "ProxSkip": [6.244, 4.281, 0.870],
+    "RSU-L": [6.244, 4.9, 1.1],
+    "DFL-DDS": [6.244, 5.456, 3.598],
+    "DP": [6.302, 6.158, 1.540],
+    "LbChat": [6.339, 4.708, 0.905],
+}
 
 
-class TestParsers:
-    def test_parse_rates(self):
-        rates = parse_receive_rates(RATES_TEXT)
-        assert rates["LbChat"] == 75.0
-        assert rates["DFL-DDS"] == 47.1
-        assert len(rates) == 4
-
-    def test_parse_final_losses(self):
-        finals = parse_final_losses(CURVES_TEXT)
-        assert finals["ProxSkip"] == 0.870
-        assert finals["LbChat"] == 0.905
-        assert "t(s)" not in finals
+def saved(out_dir, name, numbers, grid=None):
+    ArtifactResult(
+        artifact=ARTIFACTS[name], scale="ci", seed=1, columns=list(numbers),
+        numbers=numbers, receive_rates={}, grid=grid,
+    ).save(out_dir)
 
 
 class TestBuildReport:
     def test_full_report_with_artifacts(self, tmp_path):
-        (tmp_path / "receive_rates.txt").write_text(RATES_TEXT)
-        (tmp_path / "fig2b_loss_with_wireless.txt").write_text(CURVES_TEXT)
-        (tmp_path / "fig3_lbchat_vs_sco.txt").write_text(
-            "Fig. 3\n====\nt(s)  0  10\nLbChat 6.0 0.9\nSCO 6.0 0.95\n"
-        )
+        saved(tmp_path, "rates", RATES)
+        saved(tmp_path, "fig2b", CURVES, GRID)
+        saved(tmp_path, "fig3", {"LbChat": [6.0, 2.0, 0.9], "SCO": [6.0, 3.0, 0.95]}, GRID)
         report = build_report(tmp_path)
         assert "# Reproduction report" in report
         assert "[x] Under wireless loss LbChat converges" in report
         assert "[x] LbChat's receive rate" in report
         assert "[x] LbChat converges at least as fast" in report
         assert "receive_rates.txt" in report
+        assert "[ ]" not in report
 
     def test_missing_artifacts_marked_unknown(self, tmp_path):
         report = build_report(tmp_path)
-        assert "[?]" in report
+        n_claims = sum(len(artifact.claims) for artifact in ARTIFACTS.values())
+        assert report.count("[?]") == n_claims
+        assert "[x]" not in report and "[ ]" not in report
 
     def test_failed_claim_marked(self, tmp_path):
-        bad = CURVES_TEXT.replace("0.905", "9.999")
-        (tmp_path / "fig2b_loss_with_wireless.txt").write_text(bad)
+        saved(tmp_path, "fig2b", {**CURVES, "LbChat": [6.339, 4.708, 9.999]}, GRID)
         report = build_report(tmp_path)
         assert "[ ] Under wireless loss LbChat converges" in report
+
+    def test_fig3_verdict_is_the_benchmark_suites_rule(self, tmp_path):
+        """``SCO <= 1.6 LbChat + 0.1`` and the 1.8x time bound gate, not
+        ``LbChat <= SCO + 0.02``; never converging is said, not clipped."""
+        saved(tmp_path, "fig3", {"LbChat": [6.0, 2.0, 0.98], "SCO": [6.0, 3.0, 0.95]}, GRID)
+        assert "[ ]" not in build_report(tmp_path)
+        saved(tmp_path, "fig3", {"LbChat": [6.0, 5.0, 0.9], "SCO": [6.0, 1.0, 0.9]}, GRID)
+        report = build_report(tmp_path)
+        assert "[ ] LbChat converges at least as fast" not in report  # 79 s <= 1.8 * 39 s + 30
+        saved(tmp_path, "fig3", {"LbChat": [6.0, 5.0, 4.0], "SCO": [0.9, 0.9, 0.9]}, GRID)
+        report = build_report(tmp_path)
+        assert "[ ] SCO ends in LbChat's league" not in report
+        assert "[ ] LbChat converges at least as fast" in report  # 80 s > 1.8 * 0 s + 30

@@ -1,24 +1,27 @@
-"""Unit tests for TableResult/FigureResult containers and helpers."""
+"""Unit tests for the ArtifactResult container and its helpers."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.figures import FigureResult
-from repro.experiments.tables import CONDITIONS, TableResult
+from repro.experiments.analysis import time_to_threshold
+from repro.experiments.artifacts import ARTIFACTS, CONDITIONS, ArtifactResult
 
 
 class TestTableResult:
     def _table(self):
-        values = {cond: {"A": 90.0, "B": 70.0} for cond in CONDITIONS}
-        values["Navi. (Dense)"] = {"A": 60.0, "B": 40.0}
-        return TableResult(
-            title="T", columns=["A", "B"], values=values, receive_rates={"A": 0.9}
+        numbers = {
+            column: {cond: rate for cond in CONDITIONS} for column, rate in (("A", 90.0), ("B", 70.0))
+        }
+        numbers["A"]["Navi. (Dense)"], numbers["B"]["Navi. (Dense)"] = 60.0, 40.0
+        return ArtifactResult(
+            artifact=ARTIFACTS["table3"], scale="ci", seed=1, columns=["A", "B"],
+            numbers=numbers, receive_rates={"A": 0.9, "B": 0.5},
         )
 
     def test_cell_lookup(self):
         table = self._table()
         assert table.cell("Navi. (Dense)", "A") == 60.0
         assert table.cell("Straight", "B") == 70.0
+        assert table.values["Navi. (Dense)"] == {"A": 60.0, "B": 40.0}
 
     def test_render_contains_all_conditions(self):
         text = self._table().render()
@@ -32,14 +35,15 @@ class TestTableResult:
 
 class TestFigureResult:
     def _figure(self):
-        grid = np.linspace(0.0, 100.0, 11)
-        return FigureResult(
-            title="F",
-            grid=grid,
-            curves={
-                "fast": np.linspace(5.0, 0.5, 11),
-                "slow": np.linspace(5.0, 2.0, 11),
+        grid = [10.0 * k for k in range(11)]
+        return ArtifactResult(
+            artifact=ARTIFACTS["fig3"], scale="ci", seed=1, columns=["fast", "slow"],
+            numbers={
+                "fast": [5.0 - 0.45 * k for k in range(11)],
+                "slow": [5.0 - 0.3 * k for k in range(11)],
             },
+            receive_rates={"fast": 0.9, "slow": 0.9},
+            grid=grid,
         )
 
     def test_final(self):
@@ -48,15 +52,20 @@ class TestFigureResult:
         assert figure.final("slow") == pytest.approx(2.0)
 
     def test_convergence_time_ordering(self):
+        """A result's grid and curves go straight into the one convergence time."""
         figure = self._figure()
-        assert figure.convergence_time("fast", 2.5) < figure.convergence_time(
-            "slow", 2.5
+        fast, slow = (
+            time_to_threshold(figure.grid, figure.numbers[name], 2.5) for name in ("fast", "slow")
         )
-
-    def test_convergence_time_unreached_returns_end(self):
-        figure = self._figure()
-        assert figure.convergence_time("slow", 0.1) == 100.0
+        assert fast < slow
 
     def test_render_mentions_methods(self):
         text = self._figure().render()
         assert "fast" in text and "slow" in text
+
+    def test_save_load_round_trip(self, tmp_path):
+        figure = self._figure()
+        figure.save(tmp_path)
+        stem = ARTIFACTS["fig3"].stem
+        assert (tmp_path / f"{stem}.txt").read_text() == figure.render() + "\n"
+        assert ArtifactResult.load(tmp_path / f"{stem}.json") == figure

@@ -167,24 +167,6 @@ class TestDrivingDataset:
         assert np.array_equal(clone.arrays()[0], ds.arrays()[0])
         assert clone.uid != ds.uid  # fresh identity in the receiving process
 
-    def test_unpickles_pre_array_native_state(self):
-        """Cached contexts written before the storage rewrite kept
-        per-frame Python lists; ``__setstate__`` must migrate them."""
-        ds = DrivingDataset.__new__(DrivingDataset)
-        ds.__setstate__(
-            {
-                "_ids": ["a", "b"],
-                "_id_set": {"a", "b"},
-                "_bev": [np.zeros(BEV_SPEC.shape, dtype=np.float32)] * 2,
-                "_commands": [0, 2],
-                "_targets": [np.arange(2 * N_WAYPOINTS, dtype=np.float32)] * 2,
-                "_weights": [1.0, 2.5],
-            }
-        )
-        assert ds.ids == ["a", "b"]
-        assert ds.weights.tolist() == [1.0, 2.5]
-        assert ds.arrays()[1].tolist() == [0, 2]
-
 
 class TestCollectFleetDatasets:
     def test_datasets_per_vehicle(self, fleet_datasets, world_config):
