@@ -33,8 +33,9 @@ __all__ = [
     "file_sha256",
 ]
 
-#: Bump when the on-disk checkpoint representation changes shape.
-FORMAT_VERSION = 1
+#: Bump when the on-disk checkpoint representation changes shape
+#: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree).
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

@@ -28,13 +28,12 @@ from repro.checkpoint.store import DEFAULT_CHECKPOINT_ROOT, RunStore
 __all__ = ["run_with_checkpoints", "resume_run_dir", "load_spec"]
 
 
-def run_with_checkpoints(context, spec, store: RunStore | None = None, fallback=None):
+def run_with_checkpoints(context, spec, store: RunStore | None = None):
     """Run ``spec`` with barrier checkpointing, resuming when possible.
 
     Returns the same ``RunResult`` the uninterrupted ``run_method`` call
     would have produced, bit-identically — whether the run started
-    fresh, resumed once, or resumed many times.  ``fallback`` is the
-    state to start from when the spec's own lineage has no checkpoint.
+    fresh, resumed once, or resumed many times.
     """
     from repro.experiments.runner import RunResult, prepare_trainer
 
@@ -46,8 +45,6 @@ def run_with_checkpoints(context, spec, store: RunStore | None = None, fallback=
     policy = CheckpointPolicy(every=float(spec.checkpoint_every))
     nodes, trainer = prepare_trainer(context, spec)
     state = store.latest_checkpoint(spec)
-    if state is None:
-        state = fallback
     if state is not None:
         trainer.restore(state)
         store.log_resumed(spec, int(state["barrier"]), trainer.sim.now)
@@ -69,64 +66,22 @@ def load_spec(run_dir: str | Path):
     )
 
 
-def resume_run_dir(
-    run_dir: str | Path,
-    step_workers: int | None = None,
-    overlap_chat: bool | None = None,
-):
+def resume_run_dir(run_dir: str | Path, step_workers: int | None = None):
     """Continue the run stored in ``run_dir`` (the ``repro resume`` verb).
 
-    ``step_workers`` overrides the recorded worker count for the
-    continuation — results are bit-identical for every value (and the
-    run-dir fingerprint excludes it), so a run checkpointed serially can
-    finish sharded and vice versa.  ``overlap_chat`` likewise overrides
-    the recorded overlap setting (None keeps it); note a checkpoint
-    holding in-flight transfers refuses to restore into a trainer built
-    with overlap off.
+    The run continues as what it recorded.  ``step_workers`` alone can
+    be overridden for the continuation — results are bit-identical for
+    every value (and the run-dir fingerprint excludes it), so a run
+    checkpointed serially can finish sharded and vice versa.
     """
     from repro.parallel.worker import resolve_context
 
-    recorded = load_spec(run_dir)
-    spec = recorded
+    spec = load_spec(run_dir)
     if step_workers is not None:
         overrides = dict(spec.overrides)
         overrides["step_workers"] = int(step_workers)
         spec = replace(spec, overrides=overrides)
-    if overlap_chat is not None and bool(overlap_chat) != bool(
-        spec.overrides.get("overlap_chat", False)
-    ):
-        overrides = dict(spec.overrides)
-        overrides["overlap_chat"] = bool(overlap_chat)
-        spec = replace(spec, overrides=overrides)
-        # The overlap flag changes results, so the continuation is a new
-        # run lineage (its own fingerprint/run dir) seeded from the
-        # recorded lineage's newest checkpoint.
-        return _continue_as(recorded, spec, Path(run_dir).resolve().parent)
     context = resolve_context(spec)
     return run_with_checkpoints(
         context, spec, store=RunStore(Path(run_dir).resolve().parent)
     )
-
-
-def _continue_as(recorded, spec, store_root: Path):
-    """Continue ``recorded``'s newest checkpoint under ``spec``'s config.
-
-    Used when a resume override (the overlap flag) changes the run's
-    identity: the state restores fine across protocols — unless the
-    checkpoint holds in-flight transfers and the new config has overlap
-    off, which the trainer rejects with instructions.
-    """
-    from repro.experiments.runner import RunResult, prepare_trainer
-    from repro.parallel.worker import resolve_context
-
-    store = RunStore(store_root)
-    state = store.latest_checkpoint(recorded)
-    context = resolve_context(spec)
-    if spec.checkpoint_every is None:
-        nodes, trainer = prepare_trainer(context, spec)
-        if state is not None:
-            trainer.restore(state)
-        trainer.run()
-        return RunResult.from_trainer(spec, trainer, nodes)
-    # The new lineage's own checkpoints win: it already progressed further.
-    return run_with_checkpoints(context, spec, store=store, fallback=state)

@@ -61,9 +61,9 @@ def _step_workers(args: argparse.Namespace) -> int:
     return resolve_step_workers(args.step_workers)
 
 
-def _add_overlap_arg(parser: argparse.ArgumentParser, default: bool | None = False) -> None:
+def _add_overlap_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--overlap-chat", action=argparse.BooleanOptionalAction, default=default,
+        "--overlap-chat", action=argparse.BooleanOptionalAction, default=False,
         help="overlap chat model transfers with training: chats plan "
         "synchronously, then ship models in the background and commit "
         "them atomically when the transfer resolves (default off; the "
@@ -165,9 +165,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
     print(f"Resuming run from {args.run_dir}...")
     workers = None if args.step_workers is None else _step_workers(args)
-    result = resume_run_dir(
-        args.run_dir, step_workers=workers, overlap_chat=args.overlap_chat
-    )
+    result = resume_run_dir(args.run_dir, step_workers=workers)
     _render_result(args, result)
     return 0
 
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resume", help="continue a checkpointed run from its run directory")
     p.add_argument("run_dir", help="checkpoint run directory (contains run.json)")
     _add_step_workers_arg(p, default=None)
-    _add_overlap_arg(p, default=None)
     p.add_argument("--out", default=None, help="archive run results to JSON")
     p.add_argument("--save-model", default=None, help="write a model checkpoint (.npz)")
     p.set_defaults(fn=_cmd_resume)

@@ -1,4 +1,4 @@
-"""The pairwise "chat" protocol (Algorithm 2, lines 8-16).
+"""The pairwise "chat" protocol (Algorithm 2, lines 8-16), stated once.
 
 One chat between vehicles i and j, simulated with real transfer timing:
 
@@ -10,8 +10,22 @@ One chat between vehicles i and j, simulated with real transfer timing:
    on arrival via Eq. 8 on the joint coreset C_i ∪ C_j,
 6. both sides absorb the peer's coreset into their local dataset.
 
-Stages 1-4 (:func:`_negotiate`) are shared with the overlapped protocol
-(:mod:`repro.core.overlap`), which ships stage 5 in the background.
+A chat is one :class:`Chat`.  :func:`negotiate` runs stages 1-4 and
+leaves stage 5 on it as a list of :class:`Leg` objects (none when the
+chat ended early); :meth:`Chat.capture`, :meth:`Chat.deliver` and
+:meth:`Chat.commit` are the only statements of compressing a payload,
+applying Eq. 8 and absorbing the coresets.  The two protocols run that
+same object and differ in *when* a payload is captured and *when* it is
+applied — two call times and nothing else:
+
+* synchronous (:func:`pairwise_chat`, the paper's): all at the scan
+  instant.  Each leg is captured as its turn comes, so the second sender
+  compresses *after* absorbing the first model, and is delivered the
+  moment its simulated transfer completes;
+* overlapped (:func:`repro.core.overlap.plan_chat`): every leg is
+  captured at plan time, the legs go on the air on the virtual clock
+  while both vehicles train on, and delivery waits for the commit
+  barrier (:class:`~repro.core.overlap.TransferScheduler`).
 
 A chat can be cut short at any stage by the vehicles moving out of
 range; whatever already arrived is still used (a received coreset is
@@ -20,18 +34,30 @@ absorbed even if the model transfer after it died).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro.compression import CompressedModel, TopkPlan
 from repro.core.node import VehicleNode
 from repro.core.psi import PsiDecision, optimize_compression
 from repro.core.value import assess_value
-from repro.net.channel import ChannelConfig, simulate_transfer
+from repro.coreset.construction import Coreset
+from repro.net.channel import ChannelConfig, TransferSession, simulate_transfer
 from repro.net.wireless import WirelessModel
+from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
-__all__ = ["ChatBytesMemo", "ChatOutcome", "estimated_chat_bytes", "pairwise_chat"]
+__all__ = [
+    "Chat",
+    "ChatBytesMemo",
+    "ChatOutcome",
+    "Leg",
+    "estimated_chat_bytes",
+    "negotiate",
+    "pairwise_chat",
+]
 
 #: Fixed overhead for computing/exchanging evaluation results and maps.
 _RESULTS_EXCHANGE_SECONDS = 0.1
@@ -58,89 +84,226 @@ class ChatOutcome:
 
 
 @dataclass
-class _Negotiation:
-    """Stages 1-4 of a chat: everything up to the Eq. 7 decision."""
+class Leg:
+    """One directional model transfer of stage 5."""
+
+    to_i: bool  # x_j to vehicle i; otherwise x_i to vehicle j
+    psi: float
+    #: The sender's psi-map ordering and the model version it sorted,
+    #: until :meth:`Chat.capture` spends it.
+    plan: tuple[TopkPlan, int] | None = None
+    payload: CompressedModel | None = None
+    #: Progress on the air (overlapped protocol; the synchronous one
+    #: resolves a leg in one :func:`simulate_transfer`).
+    session: TransferSession | None = None
+
+
+def _coreset_state(coreset: Coreset) -> dict:
+    from repro.checkpoint.state import dataset_state
+
+    return {"data": dataset_state(coreset.data), "weights": coreset.source_weights.copy()}
+
+
+def _coreset_from_state(state) -> Coreset:
+    from repro.checkpoint.state import dataset_from_state
+
+    return Coreset(
+        data=dataset_from_state(state["data"]),
+        source_weights=np.asarray(state["weights"], dtype=float),
+    )
+
+
+@dataclass
+class Chat:
+    """One chat: what it produced so far, its clock, what is left to ship."""
 
     outcome: ChatOutcome
-    now: float  # virtual time the negotiation ended
-    #: node_id -> (TopkPlan, model version it was sorted at), for the
-    #: nodes whose psi map came from the dense prober.
-    plans: dict[str, tuple[TopkPlan, int]] = field(default_factory=dict)
+    #: The pair's link, ``(distance_fn, wireless, channel)``.
+    radio: tuple[Callable[[float], float], WirelessModel, ChannelConfig]
+    start: float
+    now: float  # virtual time the inline part of the chat has reached
+    mean_aggregation: bool
+    model_deadline: float = 0.0  # set with the legs, after stage 4
+    #: The coresets as exchanged in stage 2: what Eq. 8 scores on and
+    #: what each side absorbs, whatever the nodes hold by then.
+    coreset_i: Coreset | None = None
+    coreset_j: Coreset | None = None
+    legs: list[Leg] = field(default_factory=list)
+    joint: DrivingDataset | None = None  # C_i ∪ C_j, built once a model actually arrives
 
-    @property
-    def settled(self) -> bool:
-        """The chat ended before Eq. 7 (stage abort or coreset-only):
-        coresets that got through are absorbed and ``outcome`` is final."""
-        return self.outcome.psi is None
+    def exchange(self, stage: str, n_bytes: float, deadline: float) -> bool:
+        """Ship ``n_bytes`` inline from ``now``; whether they got through."""
+        sent = simulate_transfer(n_bytes, *self.radio, self.now, deadline)
+        self.now += sent.elapsed
+        telemetry.on_chat_stage(stage, self.now, sent.completed)
+        return sent.completed
 
-    def payload(self, node: VehicleNode, psi: float) -> CompressedModel:
-        """``node``'s model compressed to ``psi``.
+    def capture(self, leg: Leg, sender: VehicleNode) -> bool:
+        """Compress ``sender``'s model as it is now; whether there is a payload.
 
         Reuses the psi map's magnitude ordering while the parameters it
-        sorted are still current (in the synchronous protocol the second
-        sender compresses *after* absorbing the first model).
+        sorted are still current.  The ordering is dropped either way
+        (~1.6 MB per node at paper size; a flight must not keep it alive).
         """
-        plan, version = self.plans.get(node.node_id, (None, -1))
-        if plan is not None and version == node.model_version:
-            return plan.compress(psi)
-        return node.compress_model(psi)
+        plan, leg.plan = leg.plan, None
+        if plan is not None and plan[1] == sender.model_version:
+            payload = plan[0].compress(leg.psi)
+        else:
+            payload = sender.compress_model(leg.psi)
+        # A positive psi can still round to an empty model (top-k keeps
+        # zero entries); a zero-byte "transfer" would complete instantly
+        # and inflate the receive rate, so it is never attempted.
+        if payload.nominal_bytes <= 0:
+            return False
+        leg.payload = payload
+        if leg.to_i:
+            self.outcome.i_attempted = True
+        else:
+            self.outcome.j_attempted = True
+        return True
+
+    def deliver(self, leg: Leg, receiver: VehicleNode) -> None:
+        """A leg arrived: Eq. 8 on the joint coreset, into ``receiver``."""
+        if self.joint is None:
+            self.joint = self.coreset_i.data.copy()
+            self.joint.absorb_from(self.coreset_j.data)
+        receiver.receive_and_aggregate(
+            leg.payload, self.joint, mean_weights=self.mean_aggregation
+        )
+        if leg.to_i:
+            self.outcome.i_received_model = True
+        else:
+            self.outcome.j_received_model = True
+
+    def commit(self, node_i: VehicleNode, node_j: VehicleNode, now: float) -> None:
+        """End the chat at ``now``: stage 6, if the coresets got through.
+
+        Each side absorbs what was actually sent in stage 2 (absorption
+        merge-reduces the owner's own coreset), whatever became of the
+        model legs after it.
+        """
+        if self.outcome.coresets_exchanged:
+            self.outcome.absorbed_by_i = node_i.absorb_coreset(self.coreset_j)
+            self.outcome.absorbed_by_j = node_j.absorb_coreset(self.coreset_i)
+        self.outcome.duration = now - self.start
+
+    # -- checkpointing (a chat between its plan and its commit) ---------------
+
+    def snapshot(self) -> dict:
+        """The chat as a checkpoint tree.  ``joint`` is not in it: the
+        deliveries that build it run in the same event as the commit,
+        never across a barrier."""
+        return {
+            "outcome": asdict(self.outcome),
+            "start": self.start,
+            "now": self.now,
+            "mean_aggregation": self.mean_aggregation,
+            "model_deadline": self.model_deadline,
+            "coreset_i": _coreset_state(self.coreset_i),
+            "coreset_j": _coreset_state(self.coreset_j),
+            "legs": [
+                {
+                    "to_i": leg.to_i,
+                    "psi": leg.psi,
+                    "payload": vars(leg.payload),
+                    "session": leg.session and leg.session.snapshot(),
+                }
+                for leg in self.legs
+            ],
+        }
+
+    @classmethod
+    def from_snapshot(cls, state, radio) -> "Chat":
+        """Inverse of :meth:`snapshot`, on the link ``radio``."""
+        outcome = {**state["outcome"], "psi": PsiDecision(**state["outcome"]["psi"])}
+        legs = [
+            Leg(
+                leg["to_i"],
+                leg["psi"],
+                payload=CompressedModel(**leg["payload"]),
+                session=leg["session"]
+                and TransferSession.from_snapshot(leg["session"], radio[2]),
+            )
+            for leg in state["legs"]
+        ]
+        restored = {
+            "outcome": ChatOutcome(**outcome),
+            "coreset_i": _coreset_from_state(state["coreset_i"]),
+            "coreset_j": _coreset_from_state(state["coreset_j"]),
+            "legs": legs,
+        }
+        return cls(radio=radio, **{**state, **restored})
 
 
-def _negotiate(
+def negotiate(
     node_i: VehicleNode,
     node_j: VehicleNode,
+    *,
     distance_fn: Callable[[float], float],
     start_time: float,
     contact_deadline: float,
     wireless: WirelessModel,
     channel: ChannelConfig,
     time_budget: float,
-    *,
-    lambda_c: float,
-    refresh_coresets: bool,
-    equal_compression: bool,
-    coreset_only: bool,
-    expected_goodput: float,
-    prober,
-) -> _Negotiation:
-    """Run stages 1-4; ``outcome.psi`` is set unless the chat settled."""
+    lambda_c: float = 0.02,
+    refresh_coresets: bool = True,
+    equal_compression: bool = False,
+    mean_aggregation: bool = False,
+    coreset_only: bool = False,
+    expected_goodput: float = 1.0,
+    prober=None,
+) -> Chat:
+    """Run stages 1-4 of a chat; stage 5 is left on it as ``legs``.
+
+    This signature is the chat's parameter list; both protocols forward
+    theirs here.  ``contact_deadline`` is the absolute time the estimator
+    predicts the pair drops out of range (transfers are additionally cut
+    by actual distance via ``distance_fn``).  ``time_budget`` is T_B.
+
+    The three flags implement the paper's ablations: ``equal_compression``
+    replaces Eq. 7 with a fixed ratio that evenly fills the contact
+    window (§IV-F); ``mean_aggregation`` replaces Eq. 8 with plain
+    averaging (§IV-F); ``coreset_only`` skips model exchange entirely —
+    the SCO variant of §IV-G.
+
+    ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`;
+    without one (or for a node it does not fit) the psi maps come from
+    the per-level loop of :func:`repro.core.psi.build_psi_map`.
+
+    A chat that ends here (stage abort, coreset-only, nothing worth
+    sending) has no legs; the caller commits it like any other, which
+    still absorbs coresets that got through.
+    """
     outcome = ChatOutcome(duration=0.0)
-    talks = _Negotiation(outcome, start_time)
+    chat = Chat(
+        outcome, (distance_fn, wireless, channel), start_time, start_time, mean_aggregation
+    )
 
-    def exchange(stage: str, n_bytes: float) -> bool:
-        transfer = simulate_transfer(
-            n_bytes, distance_fn, wireless, channel, talks.now, contact_deadline
-        )
-        talks.now += transfer.elapsed
-        telemetry.on_chat_stage(stage, talks.now, transfer.completed)
-        return transfer.completed
-
-    def settle(aborted: str = "", absorb: bool = True) -> _Negotiation:
-        outcome.aborted = aborted
-        if absorb:
-            # Coresets still got through: absorb them before bailing.
-            _absorb_both(node_i, node_j, outcome)
-        outcome.duration = talks.now - start_time
-        return talks
+    def cut(stage: str) -> Chat:
+        outcome.aborted = stage
+        return chat
 
     # 1. assistive info both ways.
-    if not exchange("assist", 2 * channel.assist_info_bytes):
-        return settle("assist", absorb=False)
+    if not chat.exchange("assist", 2 * channel.assist_info_bytes, contact_deadline):
+        return cut("assist")
 
     # 2. coresets (rebuild first so they reflect the current model/data).
     if refresh_coresets:
         node_i.maybe_refresh_coreset()
         node_j.maybe_refresh_coreset()
-    if not exchange(
-        "coresets", node_i.coreset.nominal_bytes + node_j.coreset.nominal_bytes
+    chat.coreset_i, chat.coreset_j = node_i.coreset, node_j.coreset
+    if not chat.exchange(
+        "coresets",
+        chat.coreset_i.nominal_bytes + chat.coreset_j.nominal_bytes,
+        contact_deadline,
     ):
-        return settle("coresets", absorb=False)
+        return cut("coresets")
     outcome.coresets_exchanged = True
 
     if coreset_only:
         # SCO (§IV-G): data sharing only; no model value assessment or
         # model exchange at all.
-        return settle()
+        return chat
 
     # 3. cross-evaluations and psi maps (compute treated as free, §IV-A).
     value = assess_value(
@@ -149,34 +312,35 @@ def _negotiate(
         loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
         loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
     )
-    maps = []
+    maps, plans = [], []
     for node in (node_i, node_j):
         if prober is not None and prober.compatible(node):
             psi_map, plan = prober.build(node)
-            talks.plans[node.node_id] = (plan, node.model_version)
+            plans.append((plan, node.model_version))
             outcome.psi_probe_builds += 1
         else:
             psi_map = node.build_psi_map()
+            plans.append(None)
             outcome.psi_probe_fallbacks += 1
         maps.append(psi_map)
-    if not exchange("results", 2 * 256):  # tiny payloads
-        return settle("results")
+    if not chat.exchange("results", 2 * 256, contact_deadline):  # tiny payloads
+        return cut("results")
     # The fixed compute/exchange overhead applies only when the results
     # actually made it across — and it can itself eat the rest of the
     # contact, in which case planning Eq. 7 and starting model transfers
     # against an already-dead pair would be wasted (and would distort
     # receive-rate accounting with doomed attempts).
-    talks.now += _RESULTS_EXCHANGE_SECONDS
-    if talks.now >= contact_deadline:
-        telemetry.on_chat_stage("results_overhead", talks.now, False)
-        return settle("results_overhead")
+    chat.now += _RESULTS_EXCHANGE_SECONDS
+    if chat.now >= contact_deadline:
+        telemetry.on_chat_stage("results_overhead", chat.now, False)
+        return cut("results_overhead")
 
     # 4. Eq. 7: optimize both compression ratios jointly.  Planning uses
     # the loss-discounted effective bandwidth the §III-A estimator
     # predicts; actual transfers are simulated against the real channel.
     bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
     planning_bandwidth = bandwidth * max(min(expected_goodput, 1.0), 1e-3)
-    remaining_contact = max(contact_deadline - talks.now, 0.0)
+    remaining_contact = max(contact_deadline - chat.now, 0.0)
     if equal_compression:
         outcome.psi = equal_compression_decision(
             node_i.config.nominal_model_bytes,
@@ -196,115 +360,46 @@ def _negotiate(
             contact_duration=remaining_contact,
             lambda_c=lambda_c,
         )
-    return talks
+    # 5 is left to the caller: x_i to j, then x_j to i, on the shared channel.
+    chat.model_deadline = min(contact_deadline, chat.now + time_budget)
+    chat.legs = [
+        Leg(to_i, psi, plan)
+        for to_i, psi, plan in (
+            (False, outcome.psi.psi_i, plans[0]),
+            (True, outcome.psi.psi_j, plans[1]),
+        )
+        if psi > 0
+    ]
+    return chat
 
 
-def pairwise_chat(
-    node_i: VehicleNode,
-    node_j: VehicleNode,
-    distance_fn: Callable[[float], float],
-    start_time: float,
-    contact_deadline: float,
-    wireless: WirelessModel,
-    channel: ChannelConfig,
-    time_budget: float,
-    lambda_c: float = 0.02,
-    refresh_coresets: bool = True,
-    equal_compression: bool = False,
-    mean_aggregation: bool = False,
-    coreset_only: bool = False,
-    expected_goodput: float = 1.0,
-    prober=None,
-) -> ChatOutcome:
-    """Run one full chat; mutates both nodes on success.
+def pairwise_chat(node_i: VehicleNode, node_j: VehicleNode, **protocol) -> ChatOutcome:
+    """Run one full chat the paper's way — all of it at the scan instant.
 
-    ``contact_deadline`` is the absolute time the estimator predicts the
-    pair drops out of range (transfers are additionally cut by actual
-    distance via ``distance_fn``).  ``time_budget`` is T_B.
-
-    The three flags implement the paper's ablations: ``equal_compression``
-    replaces Eq. 7 with a fixed ratio that evenly fills the contact
-    window (§IV-F); ``mean_aggregation`` replaces Eq. 8 with plain
-    averaging (§IV-F); ``coreset_only`` skips model exchange entirely —
-    the SCO variant of §IV-G.
-
-    ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`;
-    without one (or for a node it does not fit) the psi maps come from
-    the per-level loop of :func:`repro.core.psi.build_psi_map`.
+    Mutates both nodes on success.  ``protocol`` is :func:`negotiate`'s
+    keyword list.
     """
     session = telemetry.active()
     if session is not None:
         session.tracer.start_span(
-            "chat", start_time, i=node_i.node_id, j=node_j.node_id
+            "chat", protocol["start_time"], i=node_i.node_id, j=node_j.node_id
         )
-    talks = _negotiate(
-        node_i,
-        node_j,
-        distance_fn,
-        start_time,
-        contact_deadline,
-        wireless,
-        channel,
-        time_budget,
-        lambda_c=lambda_c,
-        refresh_coresets=refresh_coresets,
-        equal_compression=equal_compression,
-        coreset_only=coreset_only,
-        expected_goodput=expected_goodput,
-        prober=prober,
-    )
-    outcome = talks.outcome
-    model_deadline = min(contact_deadline, talks.now + time_budget)
-    joint = None  # C_i ∪ C_j, built once a model actually arrives
-
-    def ship(sender, receiver, psi: float, stage: str) -> tuple[bool, bool]:
-        """One model leg; ``(attempted, received)``."""
-        nonlocal joint
-        if psi <= 0:
-            return False, False
-        compressed = talks.payload(sender, psi)
-        # A positive psi can still round to an empty model (top-k keeps
-        # zero entries); a zero-byte "transfer" would complete instantly
-        # and inflate the receive rate, so skip it entirely.
-        if compressed.nominal_bytes <= 0:
-            return False, False
-        sent = simulate_transfer(
-            compressed.nominal_bytes, distance_fn, wireless, channel,
-            talks.now, model_deadline,
-        )
-        talks.now += sent.elapsed
-        telemetry.on_chat_stage(stage, talks.now, sent.completed)
-        if sent.completed:
-            if joint is None:
-                joint = node_i.coreset.data.copy()
-                joint.absorb_from(node_j.coreset.data)
-            receiver.receive_and_aggregate(
-                compressed, joint, mean_weights=mean_aggregation
-            )
-        return True, sent.completed
-
-    if not talks.settled:
-        # 5. model exchange: x_i to j, then x_j to i, on the shared channel.
-        outcome.j_attempted, outcome.j_received_model = ship(
-            node_i, node_j, outcome.psi.psi_i, "model_i"
-        )
-        outcome.i_attempted, outcome.i_received_model = ship(
-            node_j, node_i, outcome.psi.psi_j, "model_j"
-        )
-        # 6. absorb peer coresets, expanding local datasets.
-        _absorb_both(node_i, node_j, outcome)
-        outcome.duration = talks.now - start_time
+    chat = negotiate(node_i, node_j, **protocol)
+    # 5. model exchange, a leg at a time: the second sender compresses
+    # after the first model was aggregated into it.
+    for leg in chat.legs:
+        sender, receiver = (node_j, node_i) if leg.to_i else (node_i, node_j)
+        if chat.capture(leg, sender) and chat.exchange(
+            "model_j" if leg.to_i else "model_i",
+            leg.payload.nominal_bytes,
+            chat.model_deadline,
+        ):
+            chat.deliver(leg, receiver)
+    # 6. absorb peer coresets, expanding local datasets.
+    chat.commit(node_i, node_j, chat.now)
     if session is not None:
-        telemetry.on_chat_outcome(start_time, outcome)
-    return outcome
-
-
-def _absorb_both(node_i: VehicleNode, node_j: VehicleNode, outcome: ChatOutcome) -> None:
-    # Capture both coresets first: absorption merge-reduces the owner's
-    # coreset in place, and each side must absorb what was actually sent.
-    coreset_i, coreset_j = node_i.coreset, node_j.coreset
-    outcome.absorbed_by_i = node_i.absorb_coreset(coreset_j)
-    outcome.absorbed_by_j = node_j.absorb_coreset(coreset_i)
+        telemetry.on_chat_outcome(chat.start, chat.outcome)
+    return chat.outcome
 
 
 def equal_compression_decision(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chat import pairwise_chat
+from repro.core.overlap import DensePsiProber, TransferScheduler, plan_chat
 from repro.core.trainer_base import (
     TrainerBase,
     TrainerConfig,
@@ -82,8 +83,6 @@ class LbChatTrainer(TrainerBase):
         #: Lazily built DensePsiProber (False once construction failed).
         self._prober = None
         if self.config.overlap_chat:
-            from repro.core.overlap import TransferScheduler
-
             self.overlap = TransferScheduler(self)
 
     def on_scan(self, i: int) -> None:
@@ -147,8 +146,6 @@ class LbChatTrainer(TrainerBase):
         the chat, which tallies it in ``psi_probe_fallbacks``.
         """
         if self._prober is None:
-            from repro.core.overlap import DensePsiProber
-
             try:
                 self._prober = DensePsiProber(node.model, node.config.psi_grid)
             except (ValueError, AttributeError, TypeError):
@@ -185,15 +182,14 @@ class LbChatTrainer(TrainerBase):
             expected_goodput=estimate.mean_goodput_factor,
             prober=self.prober_for(self.nodes[i]),
         )
-        flight = None
+        flight = None  # the planned chat, when it has legs to ship
         if self.overlap is None:
             outcome = pairwise_chat(self.nodes[i], self.nodes[j], **protocol)
             busy = outcome.duration
         else:
-            from repro.core.overlap import plan_chat
-
-            plan = plan_chat(self.nodes[i], self.nodes[j], i=i, j=j, **protocol)
-            outcome, busy, flight = plan.outcome, plan.elapsed, plan.flight
+            chat = plan_chat(self.nodes[i], self.nodes[j], **protocol)
+            outcome, busy = chat.outcome, chat.now - now
+            flight = chat if chat.legs else None
         self.occupy(i, busy)
         self.occupy(j, busy)
         self.note_chat(i, j)
@@ -202,26 +198,22 @@ class LbChatTrainer(TrainerBase):
             self.counters.add(name, getattr(outcome, name))
         if flight is not None:
             self.note_transfer_window(i, j, flight.model_deadline - now)
-            self.overlap.launch(flight)
-            return
-        self.note_transfer_window(i, j, outcome.duration)
-        if self.overlap is not None:
-            # The chat resolved in planning (abort, SCO, psi = 0):
-            # finalize immediately, as the synchronous path does.
-            telemetry.on_overlap_outcome(
-                now, now + outcome.duration, outcome, committed=not outcome.aborted
-            )
-        self._account_chat(now, i, j, outcome)
+            self.overlap.launch(flight, i, j)  # accounted at its commit barrier
+        else:
+            self.note_transfer_window(i, j, outcome.duration)
+            self.account_chat(now, i, j, outcome)
 
-    def _account_chat(self, started_at: float, i: int, j: int, outcome) -> None:
-        """Log/counter bookkeeping for a resolved chat outcome.
+    def account_chat(self, started_at: float, i: int, j: int, outcome) -> None:
+        """Log/counter bookkeeping for a resolved chat, whichever protocol ran it.
 
-        The synchronous path calls this right after the chat returns; the
-        overlapped path defers it to the commit barrier (or the plan end
-        for chats that never launched a transfer).
+        Called right after a synchronous chat, or a plan that left
+        nothing to ship, returns; for a launched chat, by the scheduler
+        at the commit barrier.
         """
         from repro.core.chatlog import ChatRecord
 
+        if self.overlap is not None:
+            telemetry.on_overlap_outcome(started_at, outcome)
         self.chat_log.append(
             ChatRecord.from_outcome(
                 started_at, self.nodes[i].node_id, self.nodes[j].node_id, outcome
@@ -237,10 +229,6 @@ class LbChatTrainer(TrainerBase):
             self.counters.add(
                 "frames_absorbed", outcome.absorbed_by_i + outcome.absorbed_by_j
             )
-
-    def on_overlap_commit(self, flight) -> None:
-        """Scheduler callback: a flight committed (or aborted) — account it."""
-        self._account_chat(flight.plan_start, flight.i, flight.j, flight.outcome)
 
     # -- checkpointing ------------------------------------------------------------
 

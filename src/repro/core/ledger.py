@@ -60,13 +60,3 @@ class TransferLedger:
         if self.in_flight[i] <= 0:
             raise ValueError(f"node {i} has no in-flight transfer to end")
         self.in_flight[i] -= 1
-
-    def snapshot(self) -> dict:
-        return {
-            "busy_until": self.busy_until.copy(),
-            "in_flight": self.in_flight.copy(),
-        }
-
-    def restore(self, state) -> None:
-        self.busy_until = np.asarray(state["busy_until"], dtype=float).copy()
-        self.in_flight = np.asarray(state["in_flight"], dtype=np.int64).copy()

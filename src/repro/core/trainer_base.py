@@ -13,7 +13,8 @@ Timing conventions:
 * each local training iteration occupies ``train_interval`` simulated
   seconds (a scaling knob standing in for GPU minibatch time — the paper
   trains far larger models on an RTX 2060);
-* a vehicle is *busy* while chatting and trains no iterations then;
+* a vehicle is *busy* while chatting: it starts and accepts no other
+  chat, and keeps training (busy state gates communication only);
 * validation loss of every vehicle is recorded every
   ``record_interval`` simulated seconds.
 """
@@ -80,10 +81,6 @@ class TrainerConfig:
     max_range: float = 500.0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     seed: int = 0
-    #: Train the whole fleet through one batched parameter bank
-    #: (:mod:`repro.core.fleet`).  Falls back to per-node training
-    #: automatically when the nodes are heterogeneous.
-    fleet_batching: bool = True
     #: Ring-buffer budget for per-chat logs (0 = unbounded).  City-scale
     #: fleets chat often enough that an append-only log would dominate
     #: resident memory; the budget keeps the newest records and counts
@@ -92,7 +89,7 @@ class TrainerConfig:
     #: Shard each batched fleet step across this many forked worker
     #: processes over shared-memory banks (:mod:`repro.parallel.stepshard`).
     #: Purely an execution strategy: results are bit-identical for every
-    #: value.  1 = serial; ignored without :attr:`fleet_batching`.
+    #: value.  1 = serial; ignored by a fleet that trains per node.
     step_workers: int = 1
     #: Overlap chat model transfers with training (:mod:`repro.core.overlap`):
     #: the plan phase (handshake, selection, psi planning) stays synchronous
@@ -151,13 +148,11 @@ class TrainerBase:
             from repro.net.mac import ContentionTracker
 
             self.contention = ContentionTracker(sense_range=config.max_range)
-        self.fleet = None
-        if config.fleet_batching:
-            from repro.core.fleet import FleetEngine
+        from repro.core.fleet import FleetEngine
 
-            self.fleet = FleetEngine.try_build(
-                nodes, step_workers=config.step_workers
-            )
+        #: The whole fleet trained through one batched parameter bank;
+        #: ``None`` (per-node training) for a fleet the bank cannot hold.
+        self.fleet = FleetEngine.try_build(nodes, step_workers=config.step_workers)
 
     def note_transfer_window(self, i: int, j: int, duration: float) -> None:
         """Register a chat's airtime with the contention tracker (if on)."""
@@ -447,7 +442,7 @@ class TrainerBase:
         elif overlap_state is not None and overlap_state.get("flights"):
             raise ValueError(
                 "checkpoint holds in-flight overlap transfers but this trainer "
-                "was built with overlap_chat off; resume with --overlap-chat"
+                "has no transfer scheduler to re-arm them on"
             )
         session = telemetry.active()
         if session is not None and state.get("telemetry") is not None:

@@ -623,6 +623,31 @@ def dense_probes(run: Run):
         yield f"psi maps left the dense probe bank: {builds:.0f} built, {fallbacks:.0f} fell back"
 
 
+def transfers_conserved(run: Run):
+    """No transfer delivered more bytes than it was asked to move, and no
+    model arrived that was never attempted."""
+    counters = run.session.registry.state()["counters"]
+    delivered = counters.get("transfer.bytes_delivered", 0)
+    requested = counters.get("transfer.bytes_requested", 0)
+    if delivered > requested:
+        yield f"transfers delivered {delivered:.0f} bytes of {requested:.0f} requested"
+    if run.result.receive_completed > run.result.receive_attempted:
+        yield f"received {run.result.receive_completed} of {run.result.receive_attempted} models"
+
+
+def every_chat_accounted_once(run: Run):
+    """A chat is in the log, dropped from it, or still on the air at T —
+    exactly one of the three — and only a chat on the air holds the ledger."""
+    trainer = run.result.trainer
+    log = trainer.chat_log
+    on_air = len(trainer.overlap.flights) if trainer.overlap is not None else 0
+    chats = run.result.counters.get("chats", 0)
+    if chats != len(log) + log.dropped + on_air:
+        yield f"{chats:.0f} chats: {len(log)} logged, {log.dropped} dropped, {on_air} on the air"
+    if (marks := int(trainer.ledger.in_flight.sum())) != 2 * on_air:
+        yield f"{marks} in-flight marks for {on_air} chats on the air"
+
+
 def swept_equals_pairwise(run: Run):
     """The swept contact index equals the all-pairs reference on this world."""
     from repro.net.sweep import pairwise_encounters
@@ -755,7 +780,8 @@ _ON = {"overrides": {"overlap_chat": True}}
 CHECKS: dict[str, Check] = {
     check.name: check
     for check in (
-        Check("hotpath.LbChat", "golden", "hotpath", invariants=(dense_probes,)),
+        Check("hotpath.LbChat", "golden", "hotpath",
+              invariants=(dense_probes, transfers_conserved, every_chat_accounted_once)),
         Check("hotpath.SCO", "golden", "hotpath", "SCO"),
         Check("hotpath.DP", "golden", "hotpath", "DP"),
         Check("hotpath.telemetry", "golden", "hotpath", produce=_registry_of_three_runs),
@@ -770,8 +796,10 @@ CHECKS: dict[str, Check] = {
             for n in (2, 4)
         ),
         Check("overlap.off", "golden", "overlap",
-              invariants=(one_span_per_chat, registry_matches_trainer, export_round_trips)),
-        Check("overlap.on", "golden", "overlap", spec=_ON, invariants=(flights_launched,)),
+              invariants=(one_span_per_chat, registry_matches_trainer, export_round_trips,
+                          transfers_conserved, every_chat_accounted_once)),
+        Check("overlap.on", "golden", "overlap", spec=_ON,
+              invariants=(flights_launched, transfers_conserved, every_chat_accounted_once)),
         Check("overlap.barriers", None, "overlap", spec=_ON, produce=_run_with_barriers,
               invariants=(a_barrier_held_a_flight,)),
         Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,

@@ -153,34 +153,19 @@ def on_chat_stage(stage: str, time: float, ok: bool) -> None:
         s.tracer.event("chat.stage", time, stage=stage, ok=bool(ok))
 
 
-def on_chat_outcome(start_time: float, outcome) -> None:
-    """Close the current chat span and account its ChatOutcome."""
-    s = _ACTIVE
-    if s is None:
-        return
-    status = "aborted" if outcome.aborted else "ok"
+def _account_chat(s: TelemetrySession, outcome) -> dict:
+    """Registry accounting of one resolved chat, the same under either
+    protocol; returns the attributes both protocols' tracer records carry."""
     psi_i = outcome.psi.psi_i if outcome.psi is not None else None
     psi_j = outcome.psi.psi_j if outcome.psi is not None else None
-    s.tracer.end_span(
-        start_time + outcome.duration,
-        status=status,
-        aborted=outcome.aborted,
-        coresets_exchanged=outcome.coresets_exchanged,
-        psi_i=psi_i,
-        psi_j=psi_j,
-        i_received_model=outcome.i_received_model,
-        j_received_model=outcome.j_received_model,
-        absorbed=outcome.absorbed_by_i + outcome.absorbed_by_j,
-    )
+    absorbed = outcome.absorbed_by_i + outcome.absorbed_by_j
     s.registry.counter("chat.count").inc()
     if outcome.aborted:
         s.registry.counter(f"chat.aborted.{outcome.aborted}").inc()
     else:
         s.registry.counter("chat.completed").inc()
     s.registry.histogram("chat.duration_s").observe(outcome.duration)
-    s.registry.counter("chat.frames_absorbed").inc(
-        outcome.absorbed_by_i + outcome.absorbed_by_j
-    )
+    s.registry.counter("chat.frames_absorbed").inc(absorbed)
     for psi in (psi_i, psi_j):
         if psi is not None:
             s.registry.histogram("chat.psi").observe(psi)
@@ -190,55 +175,50 @@ def on_chat_outcome(start_time: float, outcome) -> None:
     ):
         if attempted:
             on_model_reception(received)
+    return dict(
+        status="aborted" if outcome.aborted else "ok",
+        aborted=outcome.aborted,
+        coresets_exchanged=outcome.coresets_exchanged,
+        psi_i=psi_i,
+        psi_j=psi_j,
+        i_received_model=outcome.i_received_model,
+        j_received_model=outcome.j_received_model,
+        absorbed=absorbed,
+    )
 
 
-def on_overlap_outcome(start_time: float, end_time: float, outcome, committed: bool) -> None:
+def on_chat_outcome(start_time: float, outcome) -> None:
+    """Close the current chat span and account its ChatOutcome."""
+    s = _ACTIVE
+    if s is not None:
+        s.tracer.end_span(start_time + outcome.duration, **_account_chat(s, outcome))
+
+
+def on_overlap_outcome(start_time: float, outcome) -> None:
     """An overlapped chat resolved (plan-phase end or transfer commit).
 
     Overlapped chats cannot use the tracer's span stack — several can be
     in flight at once — so the chat is recorded as one event carrying
-    explicit start/end times, with the same counter accounting as
-    :func:`on_chat_outcome` plus the overlap commit/abort tallies.
+    explicit start/end times, with the same accounting as
+    :func:`on_chat_outcome` plus the overlap commit/abort tallies: a
+    commit is a chat cut at no stage whose every attempted leg arrived.
     """
     s = _ACTIVE
     if s is None:
         return
-    status = "aborted" if outcome.aborted else "ok"
-    psi_i = outcome.psi.psi_i if outcome.psi is not None else None
-    psi_j = outcome.psi.psi_j if outcome.psi is not None else None
+    committed = (
+        not outcome.aborted
+        and outcome.i_attempted == outcome.i_received_model
+        and outcome.j_attempted == outcome.j_received_model
+    )
     s.tracer.event(
         "overlap.chat",
-        end_time,
+        start_time + outcome.duration,
         start=start_time,
-        status=status,
-        aborted=outcome.aborted,
-        committed=bool(committed),
-        coresets_exchanged=outcome.coresets_exchanged,
-        psi_i=psi_i,
-        psi_j=psi_j,
-        i_received_model=outcome.i_received_model,
-        j_received_model=outcome.j_received_model,
-        absorbed=outcome.absorbed_by_i + outcome.absorbed_by_j,
+        committed=committed,
+        **_account_chat(s, outcome),
     )
     s.registry.counter("overlap.commits" if committed else "overlap.aborts").inc()
-    s.registry.counter("chat.count").inc()
-    if outcome.aborted:
-        s.registry.counter(f"chat.aborted.{outcome.aborted}").inc()
-    else:
-        s.registry.counter("chat.completed").inc()
-    s.registry.histogram("chat.duration_s").observe(outcome.duration)
-    s.registry.counter("chat.frames_absorbed").inc(
-        outcome.absorbed_by_i + outcome.absorbed_by_j
-    )
-    for psi in (psi_i, psi_j):
-        if psi is not None:
-            s.registry.histogram("chat.psi").observe(psi)
-    for attempted, received in (
-        (outcome.i_attempted, outcome.i_received_model),
-        (outcome.j_attempted, outcome.j_received_model),
-    ):
-        if attempted:
-            on_model_reception(received)
 
 
 def on_model_reception(success: bool) -> None:

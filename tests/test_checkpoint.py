@@ -23,7 +23,7 @@ from repro.checkpoint import (
     spec_payload,
     unflatten_state,
 )
-from repro.checkpoint.format import CheckpointCorruptError, CheckpointError
+from repro.checkpoint.format import FORMAT_VERSION, CheckpointCorruptError, CheckpointError
 from repro.engine.events import Simulator
 from repro.engine.metrics import CounterSet, ReceiveRateRecorder, TimeSeriesRecorder
 from repro.experiments.configs import CI
@@ -278,7 +278,7 @@ class TestRunStore:
         store.save_checkpoint(spec, _state(1, 10.0))
         sidecar = store.run_dir(spec) / "ckpt-000001.json"
         payload = json.loads(sidecar.read_text())
-        payload["format"] = 999
+        payload["format"] = FORMAT_VERSION - 1  # no loader for an older tree shape
         sidecar.write_text(json.dumps(payload))
         with pytest.raises(CheckpointVersionError):
             store.load_checkpoint(spec, 1)

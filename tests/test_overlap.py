@@ -63,16 +63,6 @@ class TestTransferLedger:
         with pytest.raises(ValueError):
             ledger.end_flight(0)
 
-    def test_snapshot_roundtrip(self):
-        ledger = TransferLedger(3)
-        ledger.occupy(1, now=2.0, duration=7.0)
-        ledger.begin_flight(2)
-        state = ledger.snapshot()
-        fresh = TransferLedger(3)
-        fresh.restore(state)
-        assert fresh.busy_until[1] == 9.0
-        assert not fresh.is_idle(2, 50.0)
-
 
 # -- ChatBytesMemo (satellite: memoized estimates) ----------------------------
 
@@ -254,41 +244,36 @@ class TestOverlapFlights:
         def distance_fn(t: float) -> float:
             return 10.0 if t < cutoff["t"] else 1e9
 
-        plan = plan_chat(
-            node_i, node_j, 0, 1, distance_fn,
+        chat = plan_chat(
+            node_i, node_j, distance_fn=distance_fn,
             start_time=0.0, contact_deadline=300.0,
             wireless=wireless, channel=channel, time_budget=300.0,
         )
-        assert plan.flight is not None and len(plan.flight.legs) > 0
+        assert len(chat.legs) > 0
         # Cut the link shortly after the transfer phase begins: the
         # first chunk delivers, then the pair drops out of range.
-        cutoff["t"] = plan.flight.transfer_start + channel.chunk_seconds + 1e-6
+        cutoff["t"] = chat.now + channel.chunk_seconds + 1e-6
 
         class StubTrainer:
             def __init__(self):
                 self.sim = Simulator()
                 self.nodes = [node_i, node_j]
                 self.ledger = TransferLedger(2)
-                self.wireless = wireless
-                self.config = type("C", (), {"channel": channel})()
                 self.commits = []
 
-            def pair_distance_fn(self, i, j):
-                return distance_fn
-
-            def on_overlap_commit(self, flight):
-                self.commits.append(flight)
+            def account_chat(self, started_at, i, j, outcome):
+                self.commits.append((started_at, i, j, outcome))
 
         trainer = StubTrainer()
         scheduler = TransferScheduler(trainer)
         params_before = [node.flat_params.copy() for node in (node_i, node_j)]
         sizes_before = [len(node.dataset) for node in (node_i, node_j)]
-        scheduler.launch(plan.flight)
+        scheduler.launch(chat, 0, 1)
         assert not trainer.ledger.is_idle(0, 1e9)
         trainer.sim.run(until=1000.0)
-        outcome = plan.flight.outcome
+        outcome = chat.outcome
         assert len(scheduler.flights) == 0
-        assert len(trainer.commits) == 1
+        assert trainer.commits == [(0.0, 0, 1, outcome)]
         assert np.all(trainer.ledger.in_flight == 0)
         # Models were cut, so at least one direction failed...
         assert not (outcome.i_received_model and outcome.j_received_model)
@@ -330,6 +315,41 @@ class TestOverlapFlights:
             resumed.restore(saver.states[barrier])
             resumed.run(checkpointer=MemoryCheckpointer())
             assert digest(resumed) == digest(reference), f"barrier {barrier}"
+
+    def test_resume_of_a_flight_read_back_from_the_store(
+        self, fleet_datasets, traces, validation, tmp_path
+    ):
+        """The same through npz + JSON on disk, not the live state tree."""
+        from repro.checkpoint import RunStore
+        from repro.checkpoint.policy import Checkpointer
+        from repro.experiments.configs import CI
+        from repro.experiments.runner import RunSpec
+
+        # The spec only names the run directory; the trainers are ours.
+        spec = RunSpec(method="LbChat", scale=CI, seed=1, checkpoint_every=EVERY)
+        store = RunStore(tmp_path)
+        policy = CheckpointPolicy(every=EVERY, keep=100)
+        reference = build_trainer(
+            fleet_datasets, traces, validation, overlap_chat=True
+        )
+        reference.run(checkpointer=Checkpointer(spec, store, policy))
+        held = [
+            barrier
+            for barrier in store.barriers(spec)
+            if store.load_checkpoint(spec, barrier)["overlap"]["flights"]
+        ]
+        assert held, "no barrier on disk holds a transfer in flight"
+        store.drop_after(spec, held[0])
+        state = store.latest_checkpoint(spec)
+        assert state["barrier"] == held[0]
+        (flight, *_) = state["overlap"]["flights"]
+        assert flight["chat"]["legs"][0]["payload"]["values"].dtype == np.float32
+        resumed = build_trainer(
+            fleet_datasets, traces, validation, overlap_chat=True
+        )
+        resumed.restore(state)
+        resumed.run(checkpointer=Checkpointer(spec, store, policy))
+        assert digest(resumed) == digest(reference)
 
     def test_in_flight_checkpoint_refuses_flag_off_trainer(
         self, fleet_datasets, traces, validation

@@ -178,7 +178,9 @@ class TestFallbacks:
         assert (outcome.psi.psi_i, outcome.psi.psi_j) == (0.0, 0.0)
         assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (1, 1)
 
-    def test_trainer_counts_a_bank_incompatible_fleet(self, fleet_datasets, traces, validation):
+    def test_trainer_counts_a_bank_incompatible_fleet(
+        self, fleet_datasets, traces, validation, monkeypatch
+    ):
         """A trunk the probe bank cannot mirror: every map falls back, counted."""
 
         class Identity(Module):
@@ -197,13 +199,19 @@ class TestFallbacks:
                     node.model.trunk.modules.append(Identity())
             config = LbChatConfig(
                 duration=60.0, train_interval=2.0, record_interval=30.0,
-                wireless_loss=False, seed=1, fleet_batching=False,
+                wireless_loss=False, seed=1,
             )
             trainer = LbChatTrainer(nodes, traces, validation, config)
             trainer.run()
             return trainer
 
-        odd, plain = build(True), build(False)
+        odd = build(True)
+        assert odd.fleet is None  # per-node training, chosen from the nodes
+        # The reference trains per node too, or its parameters would only
+        # match within float tolerance (head gradients batch differently).
+        monkeypatch.setattr(FleetEngine, "try_build", classmethod(lambda cls, nodes, **kw: None))
+        plain = build(False)
+        assert plain.fleet is None
         assert odd.prober_for(odd.nodes[0]) is None
         assert odd.counters.get("psi_probe_builds") == 0
         assert odd.counters.get("psi_probe_fallbacks") > 0

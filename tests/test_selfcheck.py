@@ -95,3 +95,22 @@ def test_failed_row_keeps_its_scratch_directory(tmp_path, monkeypatch):
     (kept,) = tmp_path.iterdir()
     assert [path.name for path in kept.iterdir()] == ["evidence.txt"]
     assert run.failures == ["made to fail", f"scratch directory kept at {kept}"]
+
+
+def test_the_accounting_hooks_bite(runner, monkeypatch):
+    """They pass on the real rows (``test_row``); a chat that reached
+    neither the log nor the air, a leaked ledger mark and a model that
+    arrived unattempted each fail them."""
+    run = runner.check("overlap.on")
+    trainer = run.result.trainer
+    assert list(selfcheck.every_chat_accounted_once(run)) == []
+    assert list(selfcheck.transfers_conserved(run)) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer.chat_log, "dropped", trainer.chat_log.dropped + 1)
+        assert len(list(selfcheck.every_chat_accounted_once(run))) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer.ledger, "in_flight", trainer.ledger.in_flight + 1)
+        assert len(list(selfcheck.every_chat_accounted_once(run))) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(run.result, "receive_completed", run.result.receive_attempted + 1)
+        assert len(list(selfcheck.transfers_conserved(run))) == 1

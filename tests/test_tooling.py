@@ -225,6 +225,60 @@ class TestCli:
             main(["frobnicate"])
 
 
+class TestBenchmarkTracer:
+    """``testpaths`` never runs ``benchmarks/perf/tests``: what the frozen
+    benchmark's tracer needs of ``src/`` is held here, in tier-1."""
+
+    def test_every_span_target_is_a_plain_function_and_is_put_back(self):
+        import importlib
+        import inspect
+
+        from benchmarks.perf.tracer import SPANS, Tracer
+
+        def resolve(target):
+            module, _, path = target.partition(":")
+            *holders, attr = path.split(".")
+            owner = importlib.import_module(module)
+            for holder in holders:
+                owner = getattr(owner, holder)
+            return inspect.getattr_static(owner, attr)
+
+        originals = {span: resolve(target) for span, target in SPANS.items()}
+        assert all(inspect.isfunction(fn) for fn in originals.values())
+        with Tracer():
+            wrapped = {span: resolve(target) for span, target in SPANS.items()}
+            assert all(wrapped[span] is not originals[span] for span in SPANS)
+        assert {span: resolve(target) for span, target in SPANS.items()} == originals
+
+    @pytest.mark.parametrize("overlap_chat", [False, True], ids=["synchronous", "overlapped"])
+    def test_each_protocol_fires_its_own_chat_span(self, fleet_datasets, traces, overlap_chat):
+        """``core.pairwise_chat`` times synchronous chats only and
+        ``core.plan_chat`` fires once per overlapped chat: the table in
+        ``benchmarks/perf/README.md``."""
+        from benchmarks.perf.tracer import Tracer, span_stats
+        from repro.core.lbchat import LbChatConfig, LbChatTrainer
+        from repro.sim.dataset import DrivingDataset
+        from tests.conftest import make_node
+
+        nodes = [
+            make_node(vid, ds, coreset_size=8, seed=9)
+            for vid, ds in sorted(fleet_datasets.items())
+        ]
+        config = LbChatConfig(
+            duration=30.0, train_interval=3.0, record_interval=30.0, seed=1,
+            overlap_chat=overlap_chat,
+        )
+        validation = DrivingDataset([fleet_datasets["v0"].frame(i) for i in range(0, 40, 4)])
+        trainer = LbChatTrainer(nodes, traces, validation, config)
+        with Tracer() as tracer:
+            trainer.run()
+        calls = {span: stats["calls"] for span, stats in span_stats(tracer).items()}
+        chats = trainer.counters.get("chats")
+        assert chats > 0
+        assert calls["core.plan_chat"] == (chats if overlap_chat else 0)
+        assert calls["core.pairwise_chat"] == (0 if overlap_chat else chats)
+
+
 class TestAsciiRender:
     def test_town_renders_roads(self, town):
         art = render_town(town, width=40)
