@@ -6,6 +6,17 @@ magnitude parameters.  For sparse sends each kept parameter costs an
 when ``psi == 1`` the dense vector is sent and no index overhead is
 paid.  This matches the paper's remark that small-``k`` models are
 represented by index-value pairs to further reduce size.
+
+Which ``k`` is a threshold, not an ordering: with the magnitudes sorted
+(values only), the ``k`` largest are the entries at or above
+``ranked[n - k]``, and equal magnitudes go to the lowest index.
+Magnitudes compare by the uint32 bit pattern of ``|x|``, which orders
+finite < inf < NaN totally with no special case.  That is the whole
+rule, so a payload's bits depend neither on the sort algorithm nor on
+the SIMD sort numpy dispatches for the CPU.  :func:`compress_topk`,
+:meth:`TopkPlan.compress` and the Eq. 7 probe rows of
+:class:`~repro.core.overlap.DensePsiProber` all select through
+:meth:`TopkPlan.keep`.
 """
 
 from __future__ import annotations
@@ -81,88 +92,75 @@ def compress_topk(flat: np.ndarray, psi: float, nominal_size_bytes: int) -> Comp
         Uncompressed size of the model at paper scale (e.g. 52 MB); the
         result's :attr:`CompressedModel.nominal_bytes` is derived from it.
     """
-    flat = np.asarray(flat, dtype=np.float32)
-    n = flat.size
-    if psi >= 1.0:
-        return CompressedModel(
-            indices=np.arange(n, dtype=np.int64),
-            values=flat.copy(),
-            n_total=n,
-            psi=1.0,
-            nominal_bytes=nominal_size_bytes,
-        )
-    k = topk_for_psi(n, psi)
-    if k == 0:
-        return CompressedModel(
-            indices=np.zeros(0, dtype=np.int64),
-            values=np.zeros(0, dtype=np.float32),
-            n_total=n,
-            psi=0.0,
-            nominal_bytes=0,
-        )
-    # argpartition gives the k largest magnitudes in O(n).
-    idx = np.argpartition(np.abs(flat), n - k)[n - k :]
-    idx.sort()
-    achieved_psi = k * _BYTES_PER_PAIR / (n * _BYTES_PER_VALUE)
-    return CompressedModel(
-        indices=idx.astype(np.int64),
-        values=flat[idx].copy(),
-        n_total=n,
-        psi=float(achieved_psi),
-        nominal_bytes=int(round(achieved_psi * nominal_size_bytes)),
-    )
+    return _compress(_plan(flat, nominal_size_bytes), psi)
 
 
 @dataclass(frozen=True)
 class TopkPlan:
-    """A reusable magnitude ordering for compressing one parameter vector.
+    """One parameter vector's magnitudes, sorted once for every level.
 
-    Sampling several compression levels of the *same* parameters (the
-    Eq. 7 psi-map fit evaluates ~7 levels per chat) only needs one full
-    magnitude sort; each level is then an O(k) slice instead of a fresh
-    O(n) argpartition of the whole vector.
+    The Eq. 7 psi-map fit samples ~7 compression levels of the *same*
+    parameters and the payload is one more; each is a compare of
+    ``magnitude`` against one entry of ``ranked``.
     """
 
     flat: np.ndarray  # float32 parameter snapshot
-    order: np.ndarray  # argsort of |flat|, ascending magnitude
+    magnitude: np.ndarray  # |flat|
+    ranked: np.ndarray  # |flat| ascending: values only, no index order is kept
     nominal_size_bytes: int
+
+    def keep(self, ks) -> np.ndarray:
+        """Row ``r``: mask of the ``ks[r]`` largest magnitudes, equal ones lowest index first."""
+        magnitude, ranked = self.magnitude.view(np.uint32), self.ranked.view(np.uint32)
+        n, ks = ranked.size, np.asarray(ks)
+        cuts = ranked[np.minimum(n - ks, n - 1)]
+        masks = magnitude >= cuts[:, None]
+        # A cut can repeat below rank n - k; that many of the entries
+        # equal to it, the highest-indexed, are not among the k.  (k = 0
+        # reads the top magnitude as its cut and finds all of it surplus.)
+        surplus = n - ks - np.searchsorted(ranked, cuts)
+        for row in np.flatnonzero(surplus):
+            masks[row, np.flatnonzero(magnitude == cuts[row])[-surplus[row] :]] = False
+        return masks
 
     def compress(self, psi: float) -> CompressedModel:
         """The plan's parameters sparsified to relative size ``psi``."""
-        n = self.flat.size
-        if psi >= 1.0:
-            return CompressedModel(
-                indices=np.arange(n, dtype=np.int64),
-                values=self.flat.copy(),
-                n_total=n,
-                psi=1.0,
-                nominal_bytes=self.nominal_size_bytes,
-            )
-        k = topk_for_psi(n, psi)
-        if k == 0:
-            return CompressedModel(
-                indices=np.zeros(0, dtype=np.int64),
-                values=np.zeros(0, dtype=np.float32),
-                n_total=n,
-                psi=0.0,
-                nominal_bytes=0,
-            )
-        idx = np.sort(self.order[n - k :])
-        achieved_psi = k * _BYTES_PER_PAIR / (n * _BYTES_PER_VALUE)
-        return CompressedModel(
-            indices=idx.astype(np.int64),
-            values=self.flat[idx].copy(),
-            n_total=n,
-            psi=float(achieved_psi),
-            nominal_bytes=int(round(achieved_psi * self.nominal_size_bytes)),
-        )
+        return _compress(self, psi)
 
 
 def topk_plan(flat: np.ndarray, nominal_size_bytes: int) -> TopkPlan:
-    """Sort ``flat`` by magnitude once, for repeated :meth:`TopkPlan.compress`."""
+    """Sort ``flat``'s magnitudes once, for repeated :meth:`TopkPlan.compress`."""
+    return _plan(flat, nominal_size_bytes)
+
+
+# The two steps behind the public names.  :func:`compress_topk` takes
+# both without passing through :func:`topk_plan` or
+# :meth:`TopkPlan.compress`, so a profiler that wraps those two counts
+# plans built for reuse and payloads cut from one, not one-shot sends.
+
+
+def _plan(flat: np.ndarray, nominal_size_bytes: int) -> TopkPlan:
     flat = np.asarray(flat, dtype=np.float32)
-    order = np.argsort(np.abs(flat))  # introsort: ~2x faster than 7 argpartitions
-    return TopkPlan(flat=flat, order=order, nominal_size_bytes=nominal_size_bytes)
+    magnitude = np.abs(flat)
+    ranked = np.sort(magnitude.view(np.uint32)).view(np.float32)
+    return TopkPlan(flat, magnitude, ranked, nominal_size_bytes)
+
+
+def _compress(plan: TopkPlan, psi: float) -> CompressedModel:
+    n = plan.flat.size
+    k = topk_for_psi(n, psi)
+    indices = np.flatnonzero(plan.keep([k])[0])  # ascending
+    if psi >= 1.0:
+        achieved = 1.0  # dense send: values only, no index overhead
+    else:
+        achieved = k * _BYTES_PER_PAIR / (n * _BYTES_PER_VALUE)
+    return CompressedModel(
+        indices=indices,
+        values=plan.flat[indices],
+        n_total=n,
+        psi=achieved,
+        nominal_bytes=int(round(achieved * plan.nominal_size_bytes)),
+    )
 
 
 def decompress(compressed: CompressedModel, fill: np.ndarray | None = None) -> np.ndarray:

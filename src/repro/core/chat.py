@@ -89,8 +89,8 @@ class Leg:
 
     to_i: bool  # x_j to vehicle i; otherwise x_i to vehicle j
     psi: float
-    #: The sender's psi-map ordering and the model version it sorted,
-    #: until :meth:`Chat.capture` spends it.
+    #: The sender's psi-map plan (its sorted magnitudes) and the model
+    #: version it ranked, until :meth:`Chat.capture` spends it.
     plan: tuple[TopkPlan, int] | None = None
     payload: CompressedModel | None = None
     #: Progress on the air (overlapped protocol; the synchronous one
@@ -141,9 +141,11 @@ class Chat:
     def capture(self, leg: Leg, sender: VehicleNode) -> bool:
         """Compress ``sender``'s model as it is now; whether there is a payload.
 
-        Reuses the psi map's magnitude ordering while the parameters it
-        sorted are still current.  The ordering is dropped either way
-        (~1.6 MB per node at paper size; a flight must not keep it alive).
+        Reuses the psi map's sorted magnitudes while the parameters they
+        rank are still current; ``sender.compress_model`` is the same
+        selection from scratch.  The plan is dropped either way (two
+        float32 vectors, ~1.6 MB per node at paper size; a flight must
+        not keep it alive).
         """
         plan, leg.plan = leg.plan, None
         if plan is not None and plan[1] == sender.model_version:
@@ -268,7 +270,8 @@ def negotiate(
 
     ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`;
     without one (or for a node it does not fit) the psi maps come from
-    the per-level loop of :func:`repro.core.psi.build_psi_map`.
+    the per-level loop of :func:`repro.core.psi.build_psi_map`.  Only
+    Eq. 7 reads the maps, so ``equal_compression`` fits none.
 
     A chat that ends here (stage abort, coreset-only, nothing worth
     sending) has no legs; the caller commits it like any other, which
@@ -312,17 +315,17 @@ def negotiate(
         loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
         loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
     )
-    maps, plans = [], []
-    for node in (node_i, node_j):
-        if prober is not None and prober.compatible(node):
-            psi_map, plan = prober.build(node)
-            plans.append((plan, node.model_version))
-            outcome.psi_probe_builds += 1
-        else:
-            psi_map = node.build_psi_map()
-            plans.append(None)
-            outcome.psi_probe_fallbacks += 1
-        maps.append(psi_map)
+    maps, plans = [], [None, None]
+    if not equal_compression:
+        for side, node in enumerate((node_i, node_j)):
+            if prober is not None and prober.compatible(node):
+                psi_map, plan = prober.build(node)
+                plans[side] = (plan, node.model_version)
+                outcome.psi_probe_builds += 1
+            else:
+                psi_map = node.build_psi_map()
+                outcome.psi_probe_fallbacks += 1
+            maps.append(psi_map)
     if not chat.exchange("results", 2 * 256, contact_deadline):  # tiny payloads
         return cut("results")
     # The fixed compute/exchange overhead applies only when the results

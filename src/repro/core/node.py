@@ -372,8 +372,8 @@ class VehicleNode:
         (:class:`~repro.core.overlap.DensePsiProber`); this loop — clone,
         compress, decompress and evaluate per level — is its test oracle
         and the fallback for nodes the bank cannot serve.  Top-k levels
-        share one magnitude ordering (``compress_fn=None``); quantization
-        has no such reusable precomputation.
+        share one sort of the magnitudes (``compress_fn=None``);
+        quantization has no such reusable precomputation.
         """
         compress_fn = None
         if self.config.compressor != "topk":

@@ -30,8 +30,8 @@ compressed variants are stacked into a small
 :class:`~repro.nn.bank.ParamBank` and scored with a single
 :class:`~repro.nn.bank.FleetWaypointNet` forward over the coreset
 instead of seven sequential per-model forwards, and payload compression
-reuses the psi map's :class:`~repro.compression.TopkPlan` ordering,
-avoiding fresh argpartitions.
+reuses the psi map's :class:`~repro.compression.TopkPlan` (the sorted
+magnitudes), so a payload costs one compare instead of a fresh sort.
 
 Flights participate in checkpointing: the scheduler snapshots every
 chat on the air (session arithmetic state, payloads, stage-2 coresets,
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import topk_plan
+from repro.compression import topk_for_psi, topk_plan
 from repro.core.chat import Chat, negotiate
 from repro.core.psi import PsiLossMap
 from repro.coreset.penalty import penalized_loss
@@ -89,33 +89,14 @@ class DensePsiProber:
 
     def build(self, node):
         """``(PsiLossMap, TopkPlan)`` for ``node`` in one batched forward."""
-        from repro.compression.topk import topk_for_psi
-
         flat = np.asarray(node.flat_params, dtype=np.float32)
         plan = topk_plan(flat, node.config.nominal_model_bytes)
-        n = flat.size
-        # Fill rows densest-first: each sparser level copies its denser
-        # neighbor and zeroes the next magnitude-order slice, so the
-        # whole grid costs one pass over ``plan.order`` instead of a
-        # compress + dense decompress per level.  Rows are bit-identical
-        # to ``decompress(plan.compress(psi))``.
-        prev_row: np.ndarray | None = None
-        prev_k = n
-        for row in reversed(range(len(self.psis))):
-            dst = self.bank.flat[row]
-            if self.psis[row] >= 1.0:
-                dst[:] = flat
-                prev_row, prev_k = dst, n
-                continue
-            k = topk_for_psi(n, self.psis[row])
-            if prev_row is None:
-                dst[:] = 0.0
-                kept = plan.order[n - k :]
-                dst[kept] = flat[kept]
-            else:
-                dst[:] = prev_row
-                dst[plan.order[n - prev_k : n - k]] = 0.0
-            prev_row, prev_k = dst, k
+        keep = plan.keep([topk_for_psi(flat.size, psi) for psi in self.psis])
+        # Row = the parameters' bit patterns times its level's mask: a
+        # kept entry keeps every bit and an unsent one is +0.0 (a float
+        # multiply would leave -0.0 and turn inf into NaN), so rows are
+        # bit-identical to ``decompress(plan.compress(psi))``.
+        np.multiply(flat.view(np.uint32), keep, out=self.bank.flat.view(np.uint32))
         bev, commands, targets, weights = node.coreset.data.arrays()
         pred = self.net.forward(bev, commands)  # (levels, batch, 2w)
         per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)

@@ -82,8 +82,8 @@ def build_psi_map(
     compress_fn:
         Optional ``(flat, psi) -> CompressedModel`` matching the
         compressor the vehicle will actually use; defaults to top-k
-        sharing one magnitude ordering (:func:`repro.compression.topk_plan`)
-        across the whole grid instead of re-partitioning per psi.
+        sharing one sort of the magnitudes (:func:`repro.compression.topk_plan`)
+        across the whole grid instead of re-sorting per psi.
     """
     from repro.nn.params import clone_model, set_flat_params
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chat import pairwise_chat
+from repro.compression import decompress, topk_for_psi
+from repro.core.chat import negotiate, pairwise_chat
 from repro.core.fleet import FleetEngine
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.node import NodeConfig, VehicleNode
@@ -26,6 +27,7 @@ from repro.nn.layers import Module
 from repro.sim.dataset import DrivingDataset, Frame
 
 from tests.conftest import make_node
+from tests.test_compression import EQ7_LATTICE, assert_same_payload, bits, brute_force_order
 
 #: (bev shape, hidden) of the paper's and the city scale's models.
 MODEL_SIZES = {"paper": ((4, 20, 20), 96), "city": ((4, 12, 12), 48)}
@@ -49,8 +51,15 @@ def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDatase
     )
 
 
-def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, node_id="n0"):
-    """A node a few SGD steps away from the shared initialization."""
+def trained_node(
+    seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, node_id="n0", tie_step=0.0
+):
+    """A node a few SGD steps away from the shared initialization.
+
+    A positive ``tie_step`` rounds its parameters to that grid afterwards:
+    a few dozen distinct magnitudes, many exact zeros of both signs, and
+    every level's cut inside a long run of equal ones.
+    """
     bev_shape, hidden = MODEL_SIZES[size]
     model = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
     config = NodeConfig(coreset_size=12, batch_size=16, learning_rate=1e-2, penalty=penalty)
@@ -59,15 +68,9 @@ def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, n
     )
     for _ in range(2):
         node.train_step()
+    if tie_step:
+        node.replace_model_params(np.round(node.flat_params / tie_step) * np.float32(tie_step))
     return node
-
-
-def assert_same_payload(got, want):
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.values, want.values)
-    assert (got.n_total, got.psi, got.nominal_bytes) == (
-        want.n_total, want.psi, want.nominal_bytes,
-    )
 
 
 @pytest.mark.parametrize("size", sorted(MODEL_SIZES))
@@ -75,12 +78,19 @@ def assert_same_payload(got, want):
 @pytest.mark.parametrize("penalty", [PenaltyConfig(), NO_PENALTY], ids=["penalty", "plain"])
 class TestProberMatchesOracle:
     @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 2**16), psi=st.sampled_from([0.05, 0.3, 0.55, 0.95, 1.0]))
-    def test_detached_node(self, size, use_conv, penalty, seed, psi):
-        node = trained_node(seed, size, use_conv, penalty)
+    @given(
+        seed=st.integers(0, 2**16),
+        psi=st.sampled_from([0.05, 0.3, 0.55, 0.95, 1.0]),
+        tie_step=st.sampled_from([0.0, 0.02]),
+    )
+    def test_detached_node(self, size, use_conv, penalty, seed, psi, tie_step):
+        node = trained_node(seed, size, use_conv, penalty, tie_step=tie_step)
         prober = DensePsiProber(node.model, node.config.psi_grid)
         assert prober.compatible(node)
         psi_map, plan = prober.build(node)
+        # The probe rows, to the bit: +0.0 in every unsent position.
+        for row, level in zip(prober.bank.flat, prober.psis):
+            assert np.array_equal(bits(row), bits(decompress(plan.compress(level))))
         oracle = node.build_psi_map()
         assert np.array_equal(psi_map.psis, oracle.psis)
         assert np.array_equal(psi_map.losses, oracle.losses)
@@ -100,6 +110,25 @@ class TestProberMatchesOracle:
             assert_same_payload(plan.compress(0.2), node.compress_model(0.2))
 
 
+def test_probe_rows_hold_the_brute_force_top_k():
+    """The bank rows against the rule itself, on parameters built to tie."""
+    node = trained_node(11, "city", False, NO_PENALTY, tie_step=0.02)
+    flat = node.flat_params
+    assert np.unique(np.abs(flat)).size < 100 and np.signbit(flat[flat == 0]).any()
+    prober = DensePsiProber(node.model, node.config.psi_grid)
+    _, plan = prober.build(node)
+    order = brute_force_order(flat)
+    for row, level in zip(prober.bank.flat, prober.psis):
+        kept = order[: topk_for_psi(flat.size, level)]
+        want = np.zeros_like(flat)
+        want[kept] = flat[kept]
+        assert np.array_equal(bits(row), bits(want))
+    for psi in EQ7_LATTICE:
+        kept = sorted(order[: topk_for_psi(flat.size, psi)])
+        assert plan.compress(psi).indices.tolist() == kept
+        assert node.compress_model(psi).indices.tolist() == kept
+
+
 # -- fallbacks, run on purpose ----------------------------------------------------
 
 
@@ -111,8 +140,8 @@ def validation(fleet_datasets):
     return val
 
 
-def chat(pair, prober, time_budget=15.0):
-    return pairwise_chat(
+def chat(pair, prober, time_budget=15.0, entry=pairwise_chat, **protocol):
+    return entry(
         *pair,
         distance_fn=lambda t: 50.0,
         start_time=0.0,
@@ -121,6 +150,7 @@ def chat(pair, prober, time_budget=15.0):
         channel=ChannelConfig(),
         time_budget=time_budget,
         prober=prober,
+        **protocol,
     )
 
 
@@ -177,6 +207,33 @@ class TestFallbacks:
         outcome = chat(pair, prober, time_budget=1e-9)
         assert (outcome.psi.psi_i, outcome.psi.psi_j) == (0.0, 0.0)
         assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (1, 1)
+
+    @pytest.mark.parametrize("with_prober", [True, False], ids=["bank", "per_level"])
+    def test_equal_compression_fits_no_map(self, fleet_datasets, monkeypatch, with_prober):
+        """§IV-F replaces Eq. 7, the maps' only reader: nothing is fitted,
+        and the chat is the one that fitted both maps and sent from them."""
+        pair, fitted_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
+        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
+        # The chat that fits them: the same decision, each leg captured
+        # from its sender's probe plan as an Eq. 7 chat's is.
+        fitted = chat(fitted_pair, prober, entry=negotiate, equal_compression=True)
+        assert [leg.to_i for leg in fitted.legs] == [False, True]
+        for leg, sender, receiver in zip(fitted.legs, fitted_pair, fitted_pair[::-1]):
+            leg.plan = (prober.build(sender)[1], sender.model_version)
+            assert fitted.capture(leg, sender)
+            assert fitted.exchange("model", leg.payload.nominal_bytes, fitted.model_deadline)
+            fitted.deliver(leg, receiver)
+        fitted.commit(*fitted_pair, fitted.now)
+
+        def fitted_a_map(*args, **kwargs):
+            raise AssertionError("the ablation fitted a psi map")
+
+        monkeypatch.setattr(DensePsiProber, "build", fitted_a_map)
+        monkeypatch.setattr(VehicleNode, "build_psi_map", fitted_a_map)
+        outcome = chat(pair, prober if with_prober else None, equal_compression=True)
+        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (0, 0)
+        assert_same_chat(outcome, fitted.outcome, pair, fitted_pair)
+        assert outcome.j_received_model
 
     def test_trainer_counts_a_bank_incompatible_fleet(
         self, fleet_datasets, traces, validation, monkeypatch
