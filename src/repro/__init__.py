@@ -14,7 +14,7 @@ Public API layout:
 * :mod:`repro.net` — V2V wireless loss, packet-level transfers, §III-A
   contact estimation.
 * :mod:`repro.nn` — the from-scratch numpy neural network substrate.
-* :mod:`repro.compression` — top-k sparsification and quantization.
+* :mod:`repro.compression` — top-k sparsification.
 * :mod:`repro.engine` — the deterministic discrete-event simulator.
 * :mod:`repro.experiments` — per-table/figure reproduction harness.
 """

@@ -34,7 +34,10 @@ __all__ = [
 ]
 
 #: Bump when the on-disk checkpoint representation changes shape
-#: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree).
+#: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree).  Still 2
+#: now that LbChat's ``extra`` has no multicast memory: every spec that
+#: can still be built wrote that key empty, and ``restore_extra`` no
+#: longer reads it.
 FORMAT_VERSION = 2
 
 

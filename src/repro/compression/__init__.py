@@ -1,8 +1,7 @@
 """Model compression for constrained V2V exchange.
 
 The paper uses top-k sparsification (Albasyoni et al.) with index–value
-pair encoding; uniform quantization is provided as the alternative the
-paper mentions can be dropped in.
+pair encoding.
 
 The central quantity is :math:`\\psi = 1/\\varphi = S_c / S`: the size
 of the compressed model relative to the original.  ``psi = 0`` means
@@ -17,13 +16,11 @@ from repro.compression.topk import (
     topk_for_psi,
     topk_plan,
 )
-from repro.compression.quantize import compress_quantize
 
 __all__ = [
     "CompressedModel",
     "TopkPlan",
     "compress_topk",
-    "compress_quantize",
     "decompress",
     "topk_for_psi",
     "topk_plan",

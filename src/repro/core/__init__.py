@@ -15,20 +15,11 @@ from repro.core.aggregate import aggregate_models
 from repro.core.node import NodeConfig, VehicleNode
 from repro.core.chat import ChatOutcome, pairwise_chat
 from repro.core.chatlog import ChatLog, ChatRecord
-from repro.core.handshake import HandshakeMediator, ProposalOutcome
-from repro.core.incentives import IncentiveConfig, IncentiveLedger
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
-from repro.core.selection import SELECTION_POLICIES, get_selection_policy
 
 __all__ = [
     "ChatLog",
     "ChatRecord",
-    "HandshakeMediator",
-    "ProposalOutcome",
-    "IncentiveConfig",
-    "IncentiveLedger",
-    "SELECTION_POLICIES",
-    "get_selection_policy",
     "ModelValue",
     "assess_value",
     "PsiLossMap",

@@ -17,16 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.chat import pairwise_chat
 from repro.core.overlap import DensePsiProber, TransferScheduler, plan_chat
-from repro.core.trainer_base import (
-    TrainerBase,
-    TrainerConfig,
-    pair_times_from_state,
-    pair_times_state,
-)
+from repro.core.selection import select_priority, select_random
+from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.telemetry import hooks as telemetry
 
 __all__ = ["PROBE_COUNTERS", "LbChatConfig", "LbChatTrainer"]
@@ -52,20 +46,6 @@ class LbChatConfig(TrainerConfig):
     #: Disable Eq. 5 route-based prioritization (extra ablation): pick a
     #: random idle neighbor instead of the best-scoring one.
     prioritize_neighbors: bool = True
-    #: Partner-selection policy ("priority" = Eq. 5; also "random",
-    #: "nearest", "longest_contact" — see repro.core.selection).
-    selection_policy: str = "priority"
-    #: Dynamic T_B (§III-C suggests it): divide the time budget by the
-    #: number of available neighbors so crowded moments leave room to
-    #: chat with several peers, subject to a floor.
-    dynamic_time_budget: bool = False
-    min_time_budget: float = 5.0
-    #: §V extension: with a multicast-capable radio (e.g. the
-    #: data-centric pub/sub radio) a vehicle broadcasts its coreset to
-    #: every idle neighbor in one transmission before pairwise chats.
-    multicast_coresets: bool = False
-    #: Re-broadcast to the same neighbor at most this often.
-    multicast_cooldown: float = 120.0
 
 
 class LbChatTrainer(TrainerBase):
@@ -76,7 +56,6 @@ class LbChatTrainer(TrainerBase):
     def __init__(self, nodes, traces, validation, config: LbChatConfig | None = None):
         super().__init__(nodes, traces, validation, config or LbChatConfig())
         self.config: LbChatConfig
-        self._last_multicast: dict[tuple[int, int], float] = {}
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)
@@ -87,53 +66,20 @@ class LbChatTrainer(TrainerBase):
 
     def on_scan(self, i: int) -> None:
         """Pick the best idle neighbor (Eq. 5) and run a chat."""
-        if self.config.multicast_coresets:
-            self._multicast_coreset(i)
         j = self._pick_partner(i)
         if j is None:
             return
         self._chat(i, j)
 
-    def _multicast_coreset(self, i: int) -> None:
-        """One broadcast delivers the coreset to every idle neighbor.
-
-        Transmission time is a single coreset at the *worst* receiver's
-        goodput (multicast runs at the rate the farthest subscriber can
-        sustain); receivers absorb passively.
-        """
-        now = self.sim.now
-        node = self.nodes[i]
-        targets = [
-            j
-            for j in self.idle_neighbors(i)
-            if now - self._last_multicast.get((i, j), -np.inf)
-            >= self.config.multicast_cooldown
-        ]
-        if not targets:
-            return
-        worst = max(self.traces.distance(i, j, now) for j in targets)
-        goodput = self.wireless.goodput_factor(worst)
-        if goodput <= 0:
-            return
-        rate = self.config.channel.bytes_per_second * goodput
-        duration = node.coreset.nominal_bytes / rate
-        for j in targets:
-            self.nodes[j].absorb_coreset(node.coreset)
-            self._last_multicast[(i, j)] = now
-        self.occupy(i, duration)
-        self.counters.add("multicasts")
-        self.counters.add("multicast_receivers", len(targets))
-
     # -- partner selection (Eq. 5) ------------------------------------------------
 
     def _pick_partner(self, i: int) -> int | None:
-        from repro.core.selection import get_selection_policy
-
         candidates = self.idle_neighbors(i)
         if not candidates:
             return None
-        name = self.config.selection_policy if self.config.prioritize_neighbors else "random"
-        return get_selection_policy(name)(self, i, candidates)
+        if self.config.prioritize_neighbors:
+            return select_priority(self, i, candidates)
+        return select_random(self, i, candidates)
 
     # -- the chat itself ------------------------------------------------------------
 
@@ -141,9 +87,9 @@ class LbChatTrainer(TrainerBase):
         """The fleet's dense psi prober, built lazily with ``node`` as template.
 
         None when the probe bank cannot hold the architecture.  A node
-        the prober does not fit (``quantize`` compressor, another psi
-        grid, other parameter shapes) takes the per-level loop inside
-        the chat, which tallies it in ``psi_probe_fallbacks``.
+        the prober does not fit (another psi grid, other parameter
+        shapes) takes the per-level loop inside the chat, which tallies
+        it in ``psi_probe_fallbacks``.
         """
         if self._prober is None:
             try:
@@ -162,19 +108,13 @@ class LbChatTrainer(TrainerBase):
         """
         now = self.sim.now
         estimate = self.contact_estimate(i, j, self.estimate_chat_bytes(i, j, 1.0))
-        time_budget = self.config.time_budget
-        if self.config.dynamic_time_budget:
-            n_available = max(len(self.idle_neighbors(i)), 1)
-            time_budget = max(
-                self.config.time_budget / n_available, self.config.min_time_budget
-            )
         protocol = dict(
             distance_fn=self.pair_distance_fn(i, j),
             start_time=now,
             contact_deadline=now + max(estimate.contact_duration, 1.0),
             wireless=self.wireless,
             channel=self.config.channel,
-            time_budget=time_budget,
+            time_budget=self.config.time_budget,
             lambda_c=self.config.lambda_c,
             equal_compression=self.config.equal_compression,
             mean_aggregation=self.config.mean_aggregation,
@@ -197,10 +137,8 @@ class LbChatTrainer(TrainerBase):
         for name in PROBE_COUNTERS:
             self.counters.add(name, getattr(outcome, name))
         if flight is not None:
-            self.note_transfer_window(i, j, flight.model_deadline - now)
             self.overlap.launch(flight, i, j)  # accounted at its commit barrier
         else:
-            self.note_transfer_window(i, j, outcome.duration)
             self.account_chat(now, i, j, outcome)
 
     def account_chat(self, started_at: float, i: int, j: int, outcome) -> None:
@@ -236,7 +174,6 @@ class LbChatTrainer(TrainerBase):
         from dataclasses import asdict
 
         return {
-            "last_multicast": pair_times_state(self._last_multicast),
             "chat_log": [asdict(record) for record in self.chat_log.records],
             "chat_log_dropped": self.chat_log.dropped,
         }
@@ -244,7 +181,6 @@ class LbChatTrainer(TrainerBase):
     def restore_extra(self, state) -> None:
         from repro.core.chatlog import ChatLog, ChatRecord
 
-        self._last_multicast = pair_times_from_state(state["last_multicast"])
         log = ChatLog(max_records=self.config.chat_log_budget)
         for record in state["chat_log"]:
             log.append(ChatRecord(**record))

@@ -55,15 +55,9 @@ class NodeConfig:
     psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID
     #: Rebuild the coreset after this many absorbed coresets/train steps.
     coreset_refresh_steps: int = 25
-    #: Merge-and-reduce instead of full rebuilds while the dataset is
-    #: growing quickly (§III-D improvement).
-    use_merge_reduce: bool = True
     #: Coreset construction strategy: "layered" (Algorithm 1),
     #: "uniform" or "kmeans" (§V alternatives).
     coreset_strategy: str = "layered"
-    #: Model compressor: "topk" (§III-C) or "quantize" (the alternative
-    #: the paper notes can be dropped in).
-    compressor: str = "topk"
     #: Stratify minibatches uniformly over commands — the standard
     #: branched-imitation trick (rare turn branches starve otherwise).
     balance_commands: bool = True
@@ -350,11 +344,11 @@ class VehicleNode:
 
         Original sample weights are reset to the local convention (all
         equal, per the paper).  Returns the number of new frames.
-        Afterwards the own coreset is updated — by merge-and-reduce when
-        configured, else it will be rebuilt on the next refresh.
+        Afterwards the own coreset is updated by merge-and-reduce
+        instead of a full rebuild (§III-D improvement).
         """
         added = self.dataset.absorb_from(received.data, weight=1.0)
-        if added and self.config.use_merge_reduce:
+        if added:
             merged = merge_coresets(self.coreset, received)
             losses = self.per_sample_losses(merged.data)
             self.coreset = reduce_coreset(
@@ -371,34 +365,19 @@ class VehicleNode:
         Chats fit the map on the dense probe bank
         (:class:`~repro.core.overlap.DensePsiProber`); this loop — clone,
         compress, decompress and evaluate per level — is its test oracle
-        and the fallback for nodes the bank cannot serve.  Top-k levels
-        share one sort of the magnitudes (``compress_fn=None``);
-        quantization has no such reusable precomputation.
+        and the fallback for nodes the bank cannot serve (another psi
+        grid, other parameter shapes).
         """
-        compress_fn = None
-        if self.config.compressor != "topk":
-            compress_fn = lambda flat, psi: self.compress_model(psi)  # noqa: E731
         return build_psi_map(
             self.model,
             lambda probe: self.evaluate_model_on(probe, self.coreset.data),
             self.config.nominal_model_bytes,
             psi_grid=self.config.psi_grid,
-            compress_fn=compress_fn,
         )
 
     def compress_model(self, psi: float) -> CompressedModel:
-        """Compress the current parameters to relative size ~psi.
-
-        Top-k sparsification by default; "quantize" maps psi to the
-        nearest bit width (quantization offers discrete size levels).
-        """
-        flat = self.flat_params
-        if self.config.compressor == "quantize":
-            from repro.compression import compress_quantize
-
-            bits = int(np.clip(round(psi * 32), 1, 32))
-            return compress_quantize(flat, bits, self.config.nominal_model_bytes)
-        return compress_topk(flat, psi, self.config.nominal_model_bytes)
+        """Top-k sparsify the current parameters to relative size ~psi (§III-C)."""
+        return compress_topk(self.flat_params, psi, self.config.nominal_model_bytes)
 
     def receive_and_aggregate(
         self,

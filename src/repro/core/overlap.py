@@ -77,8 +77,6 @@ class DensePsiProber:
 
     def compatible(self, node) -> bool:
         """Whether ``node``'s model/config fits this probe bank."""
-        if node.config.compressor != "topk":
-            return False
         if [float(p) for p in sorted(node.config.psi_grid)] != self.psis:
             return False
         try:

@@ -66,9 +66,11 @@ def build_psi_map(
     evaluate_on_coreset,
     nominal_size_bytes: int,
     psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID,
-    compress_fn=None,
 ) -> PsiLossMap:
     """Sample compression levels and fit the phi mapping.
+
+    The levels share one sort of the magnitudes
+    (:func:`repro.compression.topk_plan`) instead of re-sorting per psi.
 
     Parameters
     ----------
@@ -79,26 +81,18 @@ def build_psi_map(
         vehicle's own coreset.
     nominal_size_bytes:
         Paper-scale uncompressed model size (for size accounting only).
-    compress_fn:
-        Optional ``(flat, psi) -> CompressedModel`` matching the
-        compressor the vehicle will actually use; defaults to top-k
-        sharing one sort of the magnitudes (:func:`repro.compression.topk_plan`)
-        across the whole grid instead of re-sorting per psi.
     """
     from repro.nn.params import clone_model, set_flat_params
 
     flat = get_flat_params(model)
-    if compress_fn is None:
-        plan = topk_plan(flat, nominal_size_bytes)
-        compress_fn = lambda _flat, psi: plan.compress(psi)  # noqa: E731
+    plan = topk_plan(flat, nominal_size_bytes)
     probe = clone_model(model)
     psis, losses = [], []
     for psi in sorted(psi_grid):
         if psi >= 1.0:
             set_flat_params(probe, flat)
         else:
-            compressed = compress_fn(flat, psi)
-            set_flat_params(probe, decompress(compressed))
+            set_flat_params(probe, decompress(plan.compress(psi)))
         psis.append(float(psi))
         losses.append(float(evaluate_on_coreset(probe)))
     return PsiLossMap(np.asarray(psis), np.asarray(losses))

@@ -1,33 +1,19 @@
-"""Partner-selection policies.
+"""LbChat's partner selection.
 
-LbChat ranks neighbors with the Eq. 5 priority score; the baselines use
-simpler rules (DP picks a random neighbor, DFL-DDS the nearest).  This
-module names those policies explicitly so selection can be studied in
-isolation — the trainers keep their historical defaults, and the
-selection ablation bench swaps policies on otherwise-identical LbChat.
+:func:`select_priority` ranks idle neighbors with the Eq. 5 priority
+score and falls back to :func:`select_longest_contact` when every score
+is zero; :func:`select_random` is what the ``ablation_no_priority``
+artifact (``prioritize_neighbors=False``) runs in its place.
 
-A policy is a callable ``(trainer, i, candidates) -> j | None`` over the
+Each is a callable ``(trainer, i, candidates) -> j | None`` over the
 trainer's public helpers (contact estimates, traces, node configs).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
 from repro.net.contact import priority_score
 
-__all__ = [
-    "select_random",
-    "select_nearest",
-    "select_longest_contact",
-    "select_priority",
-    "SELECTION_POLICIES",
-    "get_selection_policy",
-]
-
-SelectionPolicy = Callable[[object, int, list], Optional[int]]
+__all__ = ["select_random", "select_longest_contact", "select_priority"]
 
 
 def select_random(trainer, i: int, candidates: list) -> int | None:
@@ -36,14 +22,6 @@ def select_random(trainer, i: int, candidates: list) -> int | None:
         return None
     rng = trainer.nodes[i].rng
     return int(candidates[rng.integers(len(candidates))])
-
-
-def select_nearest(trainer, i: int, candidates: list) -> int | None:
-    """Closest idle neighbor (DFL-DDS's rule)."""
-    if not candidates:
-        return None
-    now = trainer.sim.now
-    return int(min(candidates, key=lambda j: trainer.traces.distance(i, j, now)))
 
 
 def select_longest_contact(trainer, i: int, candidates: list) -> int | None:
@@ -95,21 +73,3 @@ def select_priority(trainer, i: int, candidates: list) -> int | None:
         if reachable:
             return select_longest_contact(trainer, i, reachable)
     return best
-
-
-SELECTION_POLICIES: dict[str, SelectionPolicy] = {
-    "random": select_random,
-    "nearest": select_nearest,
-    "longest_contact": select_longest_contact,
-    "priority": select_priority,
-}
-
-
-def get_selection_policy(name: str) -> SelectionPolicy:
-    """Look up a selection policy by name."""
-    try:
-        return SELECTION_POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown selection policy {name!r}; choose from {sorted(SELECTION_POLICIES)}"
-        ) from None

@@ -74,9 +74,6 @@ class TrainerConfig:
     #: Minimum time before the same pair exchanges again — repeat chats
     #: with a peer whose model/data was just absorbed add nothing.
     pair_cooldown: float = 60.0
-    #: Record chat windows in a MAC contention tracker (sensitivity
-    #: studies; the paper's channel model is contention-free).
-    track_contention: bool = False
     wireless_loss: bool = True
     max_range: float = 500.0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -143,25 +140,11 @@ class TrainerBase:
         self._next_train = np.zeros(len(nodes))
         self._next_record = 0.0
         self._restored_at: float | None = None
-        self.contention = None
-        if config.track_contention:
-            from repro.net.mac import ContentionTracker
-
-            self.contention = ContentionTracker(sense_range=config.max_range)
         from repro.core.fleet import FleetEngine
 
         #: The whole fleet trained through one batched parameter bank;
         #: ``None`` (per-node training) for a fleet the bank cannot hold.
         self.fleet = FleetEngine.try_build(nodes, step_workers=config.step_workers)
-
-    def note_transfer_window(self, i: int, j: int, duration: float) -> None:
-        """Register a chat's airtime with the contention tracker (if on)."""
-        if self.contention is None or duration <= 0:
-            return
-        midpoint = 0.5 * (
-            self.traces.position(i, self.sim.now) + self.traces.position(j, self.sim.now)
-        )
-        self.contention.register(self.sim.now, self.sim.now + duration, midpoint)
 
     # -- helpers subclasses use ------------------------------------------------
 

@@ -17,11 +17,8 @@ from repro.engine.metrics import (
     TimeSeriesRecorder,
 )
 from repro.engine.random import spawn_rng, spawn_seed
-from repro.engine.resources import Grant, Resource
 
 __all__ = [
-    "Resource",
-    "Grant",
     "Event",
     "Interrupt",
     "Simulator",

@@ -18,8 +18,6 @@ from repro.net.contact import (
     estimate_contact,
     priority_score,
 )
-from repro.net.mac import ContentionTracker
-from repro.net.profiles import RADIO_PROFILES, RadioProfile, get_radio_profile
 from repro.net.sweep import (
     ContactIndex,
     EncounterWindows,
@@ -28,10 +26,6 @@ from repro.net.sweep import (
 )
 
 __all__ = [
-    "ContentionTracker",
-    "RadioProfile",
-    "RADIO_PROFILES",
-    "get_radio_profile",
     "DEFAULT_LOSS_TABLE",
     "WirelessModel",
     "ChannelConfig",

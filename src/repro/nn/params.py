@@ -20,7 +20,6 @@ __all__ = [
     "Parameter",
     "get_flat_params",
     "set_flat_params",
-    "get_flat_grads",
     "clone_model",
     "num_params",
 ]
@@ -73,14 +72,6 @@ def set_flat_params(model: "Module", flat: np.ndarray) -> None:
         chunk = flat[offset : offset + p.size]
         p.data[...] = chunk.reshape(p.data.shape)
         offset += p.size
-
-
-def get_flat_grads(model: "Module") -> np.ndarray:
-    """Concatenate all parameter gradients into one float32 vector."""
-    parts = [p.grad.ravel() for p in model.parameters()]
-    if not parts:
-        return np.zeros(0, dtype=np.float32)
-    return np.concatenate(parts).astype(np.float32, copy=False)
 
 
 def clone_model(model: "Module") -> "Module":

@@ -52,8 +52,8 @@ class WorldConfig:
     #: (:func:`repro.sim.spatial.strip_pairs`) has no cell table to
     #: shard.  Still accepted because the frozen
     #: ``benchmarks/perf/workloads.py`` sets it and ``scale_fingerprint``
-    #: hashes it; ROADMAP item 1 lists its removal for the next
-    #: ``benchmark`` PR.
+    #: hashes it; ROADMAP items 1 and 6: item 6 deletes it, with the
+    #: ``_CACHE_FORMAT`` bump that takes.
     shard_stepping: bool = False
 
 

@@ -1,4 +1,4 @@
-"""Tests for curve analysis helpers and LR schedulers / grad clipping."""
+"""Tests for curve analysis helpers."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from repro.experiments.analysis import (
     relative_slowdown,
     time_to_threshold,
 )
-from repro.nn import SGD, Adam
-from repro.nn.params import Parameter
-from repro.nn.schedulers import CosineLR, StepLR, clip_grad_norm
 
 
 GRID = np.linspace(0.0, 100.0, 11)
@@ -64,56 +61,3 @@ class TestCurveStats:
         assert set(summary) == {"a", "b"}
         assert set(summary["a"]) == {"final", "time_to_threshold", "auc", "rate"}
         assert summary["a"]["time_to_threshold"] <= summary["b"]["time_to_threshold"]
-
-
-class TestSchedulers:
-    def test_step_lr_decays(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepLR(opt, step_size=10, gamma=0.5)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_step_lr_validation(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=5, gamma=0.0)
-
-    def test_cosine_lr_endpoints(self):
-        opt = Adam([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineLR(opt, total_steps=100, min_lr=0.1)
-        sched.step()
-        assert opt.lr < 1.0
-        for _ in range(200):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_cosine_halfway(self):
-        opt = Adam([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineLR(opt, total_steps=2, min_lr=0.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-
-class TestClipGradNorm:
-    def test_large_gradient_scaled(self):
-        p = Parameter(np.zeros(4))
-        p.grad += 3.0  # norm = 6
-        norm = clip_grad_norm([p], max_norm=1.0)
-        assert norm == pytest.approx(6.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-    def test_small_gradient_untouched(self):
-        p = Parameter(np.zeros(4))
-        p.grad += 0.1
-        clip_grad_norm([p], max_norm=10.0)
-        assert np.allclose(p.grad, 0.1)
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([Parameter(np.zeros(1))], 0.0)

@@ -184,3 +184,30 @@ def test_cmd_report_from_trace(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "saved run" in output
     assert "coresets=1" in output
+
+
+class TestCliParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scales"],
+            ["run", "--method", "DP", "--seed", "3"],
+            ["table", "6"],
+            ["fig", "3"],
+            ["rates", "--scale", "ci"],
+            ["report", "--artifacts", "x"],
+            ["eval", "--model", "m.npz", "--trials", "2"],
+            ["scenario", "--model", "m.npz", "--comfort"],
+        ],
+    )
+    def test_all_subcommands_parse(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert callable(args.fn)
+
+    def test_scenario_requires_model(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["scenario"])
+
+    def test_invalid_table_number(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["table", "9"])

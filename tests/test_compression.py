@@ -1,4 +1,4 @@
-"""Unit tests for top-k sparsification and quantization."""
+"""Unit tests for top-k sparsification."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import (
-    compress_quantize,
     compress_topk,
     decompress,
     topk_for_psi,
@@ -190,34 +189,3 @@ class TestTopkAgainstBruteForce:
         plan = topk_plan(flat, NOMINAL)
         for psi in EQ7_LATTICE:
             assert_same_payload(compress_topk(flat, psi, NOMINAL), plan.compress(psi))
-
-
-class TestQuantize:
-    def test_32_bits_lossless(self):
-        flat = np.random.default_rng(0).normal(size=100).astype(np.float32)
-        compressed = compress_quantize(flat, 32, NOMINAL)
-        assert np.array_equal(compressed.values, flat)
-        assert compressed.psi == 1.0
-
-    def test_8_bits_quarter_size(self):
-        flat = np.random.default_rng(0).normal(size=100).astype(np.float32)
-        compressed = compress_quantize(flat, 8, NOMINAL)
-        assert compressed.psi == 0.25
-        assert compressed.nominal_bytes == NOMINAL // 4
-
-    def test_quantization_error_bounded(self):
-        flat = np.random.default_rng(0).uniform(-1, 1, 1000).astype(np.float32)
-        compressed = compress_quantize(flat, 8, NOMINAL)
-        step = 2.0 / 255
-        assert np.max(np.abs(compressed.values - flat)) <= step / 2 + 1e-6
-
-    def test_constant_vector_unchanged(self):
-        flat = np.full(10, 3.0, dtype=np.float32)
-        compressed = compress_quantize(flat, 4, NOMINAL)
-        assert np.array_equal(compressed.values, flat)
-
-    def test_invalid_bits_rejected(self):
-        with pytest.raises(ValueError):
-            compress_quantize(np.ones(4, dtype=np.float32), 0, NOMINAL)
-        with pytest.raises(ValueError):
-            compress_quantize(np.ones(4, dtype=np.float32), 33, NOMINAL)

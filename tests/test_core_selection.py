@@ -1,30 +1,21 @@
-"""Tests for partner-selection policies."""
+"""Tests for LbChat's partner selection (Eq. 5, its fallback, the random ablation)."""
 
 import numpy as np
 import pytest
 
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
-from repro.core.selection import (
-    SELECTION_POLICIES,
-    get_selection_policy,
-    select_longest_contact,
-    select_nearest,
-    select_priority,
-    select_random,
-)
+from repro.core.selection import select_longest_contact, select_priority, select_random
 from repro.sim.dataset import DrivingDataset
-from repro.sim.synthetic_traces import crossing_flows_traces
 from repro.sim.traces import MobilityTraces
 from tests.conftest import make_node
 
 
 @pytest.fixture()
-def trainer(fleet_datasets):
+def trainer(fleet_datasets, traces):
     nodes = [
         make_node(vid, ds, coreset_size=8, seed=15)
         for vid, ds in sorted(fleet_datasets.items())
     ]
-    traces = crossing_flows_traces(len(nodes), duration=300.0, seed=7)
     validation = DrivingDataset(
         [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
     )
@@ -36,49 +27,29 @@ def trainer(fleet_datasets):
     )
 
 
-class TestRegistry:
-    def test_all_policies_present(self):
-        assert set(SELECTION_POLICIES) == {
-            "random",
-            "nearest",
-            "longest_contact",
-            "priority",
-        }
-
-    def test_lookup_unknown(self):
-        with pytest.raises(ValueError):
-            get_selection_policy("psychic")
+POLICIES = (select_priority, select_longest_contact, select_random)
 
 
 class TestPolicies:
     def test_all_return_none_for_no_candidates(self, trainer):
-        for policy in SELECTION_POLICIES.values():
+        for policy in POLICIES:
             assert policy(trainer, 0, []) is None
 
     def test_all_return_member_of_candidates(self, trainer):
         candidates = [1, 2, 3]
-        for name, policy in SELECTION_POLICIES.items():
+        for policy in POLICIES:
             choice = policy(trainer, 0, candidates)
-            if name == "priority" and choice is None:
+            if policy is select_priority and choice is None:
                 continue  # Eq. 5 may reject all (everyone unreachable)
-            assert choice in candidates, name
-
-    def test_nearest_picks_closest(self, trainer):
-        now = trainer.sim.now
-        candidates = [1, 2, 3]
-        choice = select_nearest(trainer, 0, candidates)
-        dists = {j: trainer.traces.distance(0, j, now) for j in candidates}
-        assert dists[choice] == min(dists.values())
+            assert choice in candidates, policy.__name__
 
     def test_longest_contact_picks_same_direction(self, trainer):
-        # In crossing flows, even-indexed vehicles travel together ->
-        # their mutual contact outlasts any cross-flow contact.
+        # A peer travelling the same way stays in range longest: the
+        # choice is whichever candidate's predicted contact is longer.
         candidates = [1, 2]
         choice = select_longest_contact(trainer, 0, candidates)
-        est_same = trainer.contact_estimate(0, 2, 1.0).contact_duration
-        est_cross = trainer.contact_estimate(0, 1, 1.0).contact_duration
-        if est_same > est_cross:
-            assert choice == 2
+        durations = {j: trainer.contact_estimate(0, j, 1.0).contact_duration for j in candidates}
+        assert durations[choice] == max(durations.values())
 
     def test_random_uses_node_rng(self, trainer):
         choices = {select_random(trainer, 0, [1, 2, 3, 4, 5]) for _ in range(30)}
@@ -138,31 +109,37 @@ class TestPolicies:
         assert choice in reachable
         assert choice == select_longest_contact(trainer, 0, reachable)
 
+    @pytest.mark.parametrize("prioritize", [True, False], ids=["eq5", "random"])
+    def test_prioritize_neighbors_is_the_only_switch(self, trainer, monkeypatch, prioritize):
+        """Every scan that finds candidates goes to Eq. 5 by default and to
+        the random rule under ``ablation_no_priority``'s setting — never
+        to the other one."""
+        from repro.core import lbchat
 
-class TestTrainerConfig:
-    def test_selection_policy_respected(self, fleet_datasets, traces):
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=16)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
-        validation = DrivingDataset(
-            [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
-        )
-        config = LbChatConfig(duration=80.0, train_interval=4.0, seed=1)
-        config.selection_policy = "nearest"
-        trainer = LbChatTrainer(nodes, traces, validation, config)
-        trainer.run()  # exercises the nearest policy end to end
+        calls = {"select_priority": 0, "select_random": 0, "scans": 0}
 
-    def test_unknown_policy_raises_at_scan(self, fleet_datasets, traces):
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=17)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
-        validation = DrivingDataset(
-            [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
-        )
-        config = LbChatConfig(duration=80.0, train_interval=4.0, seed=1)
-        config.selection_policy = "bogus"
-        trainer = LbChatTrainer(nodes, traces, validation, config)
-        with pytest.raises(ValueError):
-            trainer.run()
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        idle_neighbors = trainer.idle_neighbors
+
+        def scan(i):
+            found = idle_neighbors(i)
+            calls["scans"] += bool(found)
+            return found
+
+        monkeypatch.setattr(lbchat, "select_priority", counted(select_priority))
+        monkeypatch.setattr(lbchat, "select_random", counted(select_random))
+        monkeypatch.setattr(trainer, "idle_neighbors", scan)
+        trainer.config.prioritize_neighbors = prioritize
+        trainer.config.duration = 60.0
+        trainer.run()
+        used, unused = "select_priority", "select_random"
+        if not prioritize:
+            used, unused = unused, used
+        assert calls[used] == calls["scans"] > 0
+        assert calls[unused] == 0

@@ -100,34 +100,3 @@ class TestRegistry:
                 "v0", fleet_datasets["v0"], coreset_strategy=strategy
             )
             assert len(node.coreset) > 0
-
-
-class TestQuantizeCompressor:
-    def test_node_quantize_compressor(self, fleet_datasets):
-        from tests.conftest import make_node
-
-        node = make_node("v0", fleet_datasets["v0"], compressor="quantize")
-        compressed = node.compress_model(0.25)
-        assert compressed.psi == pytest.approx(0.25, abs=0.01)
-        assert compressed.is_dense  # quantization keeps every coordinate
-
-    def test_quantized_chat_roundtrip(self, fleet_datasets):
-        from tests.conftest import make_node
-        from repro.core.chat import pairwise_chat
-        from repro.net import ChannelConfig, WirelessModel
-
-        node_a = make_node("v0", fleet_datasets["v0"], compressor="quantize")
-        node_b = make_node("v1", fleet_datasets["v1"], seed=6, compressor="quantize")
-        for _ in range(40):
-            node_b.train_step()
-        outcome = pairwise_chat(
-            node_a,
-            node_b,
-            distance_fn=lambda t: 50.0,
-            start_time=0.0,
-            contact_deadline=60.0,
-            wireless=WirelessModel(enabled=False),
-            channel=ChannelConfig(),
-            time_budget=15.0,
-        )
-        assert outcome.coresets_exchanged

@@ -1,8 +1,8 @@
-"""Every example and script must at least parse and import cleanly.
+"""Every example must at least parse and import cleanly.
 
 Full example runs take minutes; these tests catch bit-rot (renamed
 APIs, bad imports) cheaply by compiling each file under ``examples/``
-and ``scripts/`` and resolving its imports without executing ``main()``.
+and resolving its imports without executing ``main()``.
 """
 
 import ast
@@ -14,15 +14,14 @@ import pytest
 
 REPO = Path(__file__).parent.parent
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
-SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", EXAMPLES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_compiles(path):
     py_compile.compile(str(path), doraise=True)
 
 
-@pytest.mark.parametrize("path", EXAMPLES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_imports_resolve(path):
     """Every module an example imports must exist with the used names."""
     tree = ast.parse(path.read_text())

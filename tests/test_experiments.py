@@ -160,6 +160,34 @@ class TestRunner:
         with pytest.raises(AttributeError):
             run_method(context, spec)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("track_contention", True),
+            ("multicast_coresets", True),
+            ("multicast_cooldown", 60.0),
+            ("dynamic_time_budget", True),
+            ("min_time_budget", 3.0),
+            ("selection_policy", "nearest"),
+            ("compressor", "quantize"),
+            ("use_merge_reduce", False),
+        ],
+    )
+    def test_removed_knob_is_refused_by_name(self, context, field, value):
+        """A saved ``run.json`` or a snippet that still sets a deleted
+        field must not run as something else."""
+        from repro.core.node import NodeConfig
+        from repro.experiments.runner import prepare_trainer
+
+        if field in ("compressor", "use_merge_reduce"):  # were NodeConfig's
+            with pytest.raises(TypeError, match=field):
+                NodeConfig(**{field: value})
+        with pytest.raises(AttributeError, match=field):
+            make_config("LbChat", **{field: value})
+        spec = RunSpec.for_context(context, "LbChat", overrides={field: value})
+        with pytest.raises(AttributeError, match=field):
+            prepare_trainer(context, spec)  # before any training step
+
     def test_coreset_strategy_override(self, context):
         spec = RunSpec.for_context(
             context, "SCO", wireless=False, coreset_strategy="uniform"

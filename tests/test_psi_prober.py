@@ -183,8 +183,8 @@ class TestFallbacks:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(compressor="quantize"), dict(psi_grid=(0.1, 0.4, 0.7, 1.0))],
-        ids=["quantize", "psi_grid"],
+        [dict(psi_grid=(0.1, 0.4, 0.7, 1.0))],
+        ids=["psi_grid"],
     )
     def test_unserved_config_takes_the_per_level_loop(self, fleet_datasets, overrides):
         pair = make_pair(fleet_datasets, **overrides)

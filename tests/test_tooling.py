@@ -1,6 +1,8 @@
-"""Tests for tooling: checkpoints, run archives, context cache, CLI, ASCII."""
+"""Tests for tooling: checkpoints, run archives, context cache, CLI, the orphan gate."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,6 @@ from repro.cli import build_parser, main
 from repro.nn import make_driving_model
 from repro.nn.params import get_flat_params
 from repro.nn.serialize import load_model, save_model
-from repro.sim import World
-from repro.sim.render_ascii import render_town, render_world
 
 
 class TestModelCheckpoints:
@@ -279,22 +279,70 @@ class TestBenchmarkTracer:
         assert calls["core.pairwise_chat"] == (0 if overlap_chat else chats)
 
 
-class TestAsciiRender:
-    def test_town_renders_roads(self, town):
-        art = render_town(town, width=40)
-        assert "+" in art and "-" in art
-        assert len(art.splitlines()) == 20
+class TestEveryModuleHasARunningCaller:
+    """ROADMAP item 1's rule as a gate: a ``src/repro`` module is reached
+    from something that runs — the CLI, ``repro selfcheck``, an example,
+    the benchmarks — or it is named in :attr:`ORPHANS` with the ROADMAP
+    item that gives it a caller.  A test importing it does not count,
+    and neither does a package ``__init__`` re-exporting it."""
 
-    def test_world_renders_agents(self, world_config):
-        world = World(world_config)
-        world.run(5.0)
-        art = render_world(world, width=40)
-        assert art.startswith("t=")
-        assert "A" in art  # first fleet vehicle
+    #: The only allowlist: module -> who is about to call it.  An entry
+    #: whose module is reached (or gone) fails the gate like a new orphan.
+    ORPHANS = {
+        "repro.coreset.theory": "ROADMAP item 3: coreset_fidelity reads coreset_size_bound",
+    }
 
-    def test_route_overlay(self, town):
-        from repro.sim.router import random_route
+    REPO = Path(__file__).parent.parent
+    SRC = REPO / "src"
 
-        plan = random_route(town, np.random.default_rng(0), min_length=100.0)
-        art = render_town(town, width=40, plan=plan)
-        assert "*" in art
+    @classmethod
+    def source_of(cls, module: str) -> Path | None:
+        base = cls.SRC.joinpath(*module.split("."))
+        for path in (base.with_suffix(".py"), base / "__init__.py"):
+            if path.exists():
+                return path
+        return None
+
+    @staticmethod
+    def imports_of(path: Path):
+        """``(module, name | None)`` per static import, function-local ones included."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield from ((node.module, alias.name) for alias in node.names)
+
+    @classmethod
+    def defining_module(cls, module: str, name: str | None) -> str:
+        """The module ``from module import name`` reads ``name`` from: a
+        package ``__init__`` that only re-exports it is looked through."""
+        if name is not None and cls.source_of(f"{module}.{name}"):
+            return f"{module}.{name}"
+        path = cls.source_of(module)
+        if name is not None and path is not None and path.name == "__init__.py":
+            for source, exported in cls.imports_of(path):
+                if exported == name:
+                    return cls.defining_module(source, name)
+        return module
+
+    def test_unreached_modules_are_exactly_the_named_ones(self):
+        modules = {
+            ".".join(path.relative_to(self.SRC).with_suffix("").parts): path
+            for path in (self.SRC / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        roots = ["repro.cli", "repro.__main__", "repro.selfcheck"]
+        frontier = [modules[root] for root in roots] + [
+            path
+            for folder in ("examples", "benchmarks")
+            for path in (self.REPO / folder).rglob("*.py")
+            if not path.name.startswith(("test_", "conftest"))
+        ]
+        reached = set(roots)
+        while frontier:
+            for module, name in self.imports_of(frontier.pop()):
+                target = self.defining_module(module, name)
+                if target in modules and target not in reached:
+                    reached.add(target)
+                    frontier.append(modules[target])
+        assert sorted(set(modules) - reached) == sorted(self.ORPHANS)
