@@ -34,11 +34,11 @@ __all__ = [
 ]
 
 #: Bump when the on-disk checkpoint representation changes shape
-#: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree).  Still 2
-#: now that LbChat's ``extra`` has no multicast memory: every spec that
-#: can still be built wrote that key empty, and ``restore_extra`` no
-#: longer reads it.
-FORMAT_VERSION = 2
+#: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree; 3: its
+#: ``ChatOutcome`` tallies psi-map fits in one counter, and
+#: ``Chat.from_snapshot`` would refuse format 2's second one as an
+#: unknown field).  An older format is refused, not loaded.
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

@@ -51,7 +51,6 @@ from repro.telemetry import hooks as telemetry
 
 __all__ = [
     "Chat",
-    "ChatBytesMemo",
     "ChatOutcome",
     "Leg",
     "estimated_chat_bytes",
@@ -77,10 +76,9 @@ class ChatOutcome:
     absorbed_by_i: int = 0
     absorbed_by_j: int = 0
     aborted: str = ""  # stage at which contact was lost, if any
-    #: Psi maps this chat fitted with the dense probe bank / with the
-    #: per-level fallback loop (trainers tally them; never silent).
+    #: Psi maps this chat fitted on the dense probe bank (trainers tally
+    #: them; ``equal_compression`` and a chat cut before stage 3 fit none).
     psi_probe_builds: int = 0
-    psi_probe_fallbacks: int = 0
 
 
 @dataclass
@@ -268,10 +266,10 @@ def negotiate(
     averaging (§IV-F); ``coreset_only`` skips model exchange entirely —
     the SCO variant of §IV-G.
 
-    ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`;
-    without one (or for a node it does not fit) the psi maps come from
-    the per-level loop of :func:`repro.core.psi.build_psi_map`.  Only
-    Eq. 7 reads the maps, so ``equal_compression`` fits none.
+    ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`,
+    which fits every psi map; a chat outside a trainer passes none and
+    gets one built here around ``node_i``'s model.  Only Eq. 7 reads the
+    maps, so ``equal_compression`` fits none.
 
     A chat that ends here (stage abort, coreset-only, nothing worth
     sending) has no legs; the caller commits it like any other, which
@@ -317,14 +315,14 @@ def negotiate(
     )
     maps, plans = [], [None, None]
     if not equal_compression:
+        if prober is None:
+            from repro.core.overlap import DensePsiProber
+
+            prober = DensePsiProber(node_i.model)
         for side, node in enumerate((node_i, node_j)):
-            if prober is not None and prober.compatible(node):
-                psi_map, plan = prober.build(node)
-                plans[side] = (plan, node.model_version)
-                outcome.psi_probe_builds += 1
-            else:
-                psi_map = node.build_psi_map()
-                outcome.psi_probe_fallbacks += 1
+            psi_map, plan = prober.build(node)
+            plans[side] = (plan, node.model_version)
+            outcome.psi_probe_builds += 1
             maps.append(psi_map)
     if not chat.exchange("results", 2 * 256, contact_deadline):  # tiny payloads
         return cut("results")
@@ -436,48 +434,3 @@ def estimated_chat_bytes(node_i: VehicleNode, node_j: VehicleNode, psi_total: fl
         + psi_total * node_i.config.nominal_model_bytes
     )
 
-
-class ChatBytesMemo:
-    """Memoized :func:`estimated_chat_bytes` keyed on coreset identity.
-
-    Selection policies estimate the same pairs over and over within a
-    scan tick (every candidate neighbor of every scanning vehicle).  The
-    estimate only changes when a coreset changes, so the memo keys on
-    each node's ``(dataset uid, generation)`` — a coreset refresh swaps
-    the dataset object (fresh uid) and absorption bumps the generation,
-    so stale entries can never be served; they just age out of the
-    bounded table.
-    """
-
-    #: Entries kept before the table is cleared wholesale (keys are
-    #: per-(pair, coreset-identity), so city-scale fleets would otherwise
-    #: grow it without bound).
-    max_entries = 8192
-
-    def __init__(self):
-        self._table: dict[tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def estimate(self, node_i, node_j, psi_total: float = 1.0) -> float:
-        data_i = node_i.coreset.data
-        data_j = node_j.coreset.data
-        key = (
-            node_i.node_id,
-            node_j.node_id,
-            data_i.uid,
-            data_i.generation,
-            data_j.uid,
-            data_j.generation,
-            psi_total,
-        )
-        cached = self._table.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = estimated_chat_bytes(node_i, node_j, psi_total)
-        if len(self._table) >= self.max_entries:
-            self._table.clear()
-        self._table[key] = value
-        return value

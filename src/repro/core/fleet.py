@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.node import _EVAL_CHUNK, VehicleNode
 from repro.nn._fused import fused_adam_step
 from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank, RowAdam
-from repro.nn.losses import fleet_waypoint_l1, waypoint_l1
+from repro.nn.losses import fleet_waypoint_l1
 from repro.nn.model import WaypointNet
 from repro.nn.optim import Adam
 from repro.parallel.stepshard import (
@@ -52,15 +52,14 @@ class FleetEngine:
     Construction adopts every node into a shared :class:`ParamBank`
     (rebinding its ``Parameter`` storage to bank views), imports each
     node's optimizer state into one :class:`FleetAdam`, and swaps the
-    node's optimizer for a :class:`RowAdam` facade.  Raises
-    :class:`FleetIncompatible` when the nodes differ in model structure
-    or optimizer hyperparameters — use :meth:`try_build` to fall back to
-    per-node training gracefully.
+    node's optimizer for a :class:`RowAdam` facade.  Any homogeneous
+    fleet of one node or more fits; one that differs in model structure,
+    optimizer hyperparameters or batch size raises
+    :class:`FleetIncompatible` naming the difference — there is no
+    per-node training to degrade to.
     """
 
     def __init__(self, nodes: list[VehicleNode], step_workers: int = 1):
-        if len(nodes) < 2:
-            raise FleetIncompatible("fleet batching needs at least two nodes")
         first = nodes[0]
         if not isinstance(first.model, WaypointNet):
             raise FleetIncompatible(f"cannot batch {type(first.model).__name__}")
@@ -72,11 +71,19 @@ class FleetEngine:
                     f"cannot batch optimizer {type(node.optimizer).__name__}"
                 )
         opt = first.optimizer
-        key = (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay)
         for node in nodes:
-            o = node.optimizer
-            if (o.lr, o.beta1, o.beta2, o.eps, o.weight_decay) != key:
-                raise FleetIncompatible("nodes disagree on Adam hyperparameters")
+            differing = [
+                f"Adam {name}"
+                for name in ("lr", "beta1", "beta2", "eps", "weight_decay")
+                if getattr(node.optimizer, name) != getattr(opt, name)
+            ]
+            if node.config.batch_size != first.config.batch_size:
+                differing.append("batch_size")  # its minibatch would not stack
+            if differing:
+                raise FleetIncompatible(
+                    f"nodes {first.node_id} and {node.node_id} disagree on "
+                    + ", ".join(differing)
+                )
         # When step sharding is requested (and the platform can fork),
         # the parameter/gradient banks and Adam state go into one shared
         # memory arena so forked workers can update their rows in place.
@@ -139,14 +146,13 @@ class FleetEngine:
         self._consumed = np.ones(len(nodes), dtype=bool)
         # Plain-Python step accounting (cheap enough for the hot loop):
         # how many per-row training events ran, and at what batched
-        # width each ran.  ``mean_step_width`` == n_nodes when every
-        # step went through the dense bank, 1.0 when everything fell
-        # back to detached per-node stepping.
+        # width each ran.  Every step is the dense bank's, so
+        # ``mean_step_width`` == n_nodes once any step ran.
         self.step_events = 0
         self.step_width_sum = 0
         self._batch_bufs: tuple[np.ndarray, ...] | None = None
-        # The worker pool spawns lazily at the first full-size batched
-        # step (the stacked batch shapes are only known then).
+        # The worker pool spawns lazily at the first batched step (the
+        # stacked batch shapes are only known then).
         self._pool: StepWorkerPool | None = None
         self._pool_failed = requested <= 1
         self._batch_arena: ShmArena | None = None
@@ -159,16 +165,6 @@ class FleetEngine:
         if self.step_events == 0:
             return 0.0
         return self.step_width_sum / self.step_events
-
-    @classmethod
-    def try_build(
-        cls, nodes: list[VehicleNode], step_workers: int = 1
-    ) -> "FleetEngine | None":
-        """A :class:`FleetEngine`, or ``None`` if the fleet can't batch."""
-        try:
-            return cls(nodes, step_workers=step_workers)
-        except FleetIncompatible:
-            return None
 
     # -- training ------------------------------------------------------------
 
@@ -192,7 +188,9 @@ class FleetEngine:
 
         Minibatches are sampled from each node's own RNG in row order —
         the same draws, in the same order, as per-node lock-step
-        training.
+        training — and every one has ``batch_size`` rows
+        (:meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), so
+        they always stack.
         """
         nodes = self.nodes
         samples = [
@@ -203,20 +201,10 @@ class FleetEngine:
             )
             for node in nodes
         ]
-        sizes = {sample[0].shape[0] for sample in samples}
-        if len(sizes) > 1:
-            # Ragged batches (a dataset still smaller than its batch
-            # size) cannot stack; train those rows individually.
-            self.step_events += len(nodes)
-            self.step_width_sum += len(nodes)  # width 1 each
-            return np.array(
-                [self._train_detached(node, s) for node, s in zip(nodes, samples)]
-            )
         self.step_events += len(nodes)
         self.step_width_sum += len(nodes) * len(nodes)
-        b = samples[0][0].shape[0]
-        if not self._pool_failed and b == nodes[0].config.batch_size:
-            losses = self._pool_step(samples, b)
+        if not self._pool_failed:
+            losses = self._pool_step(samples)
             if losses is not None:
                 return losses
         bev, commands, targets = self._stack_batches(samples)
@@ -252,24 +240,10 @@ class FleetEngine:
             bufs[2][row] = sample[2]
         return bufs
 
-    @staticmethod
-    def _train_detached(node: VehicleNode, sample) -> float:
-        """Per-node step on an already-sampled batch (ragged fallback)."""
-        bev, commands, targets, _ = sample
-        pred = node.model.forward(bev, commands)
-        scalar, _, grad = waypoint_l1(pred, targets)
-        node.model.zero_grad()
-        node.model.backward(grad)
-        node.optimizer.step()
-        node.model_version += 1
-        node.train_steps += 1
-        node._steps_since_refresh += 1
-        return scalar
-
     # -- step-worker pool ----------------------------------------------------
 
     def _spawn_pool(self, samples: list) -> None:
-        """Fork the step-worker pool around the first full-size batch.
+        """Fork the step-worker pool around the first batch.
 
         Allocates the shared batch/loss buffers (shapes are known now),
         slices the bank and optimizer into contiguous row shards, warms
@@ -315,8 +289,9 @@ class FleetEngine:
         hooks.count("stepshard.pools_spawned")
         hooks.set_gauge("stepshard.workers", pool.n_workers)
 
-    def _pool_step(self, samples: list, b: int) -> np.ndarray | None:
-        """One sharded batched step; None routes to the serial path.
+    def _pool_step(self, samples: list) -> np.ndarray | None:
+        """One sharded batched step; None (the pool could not spawn)
+        routes to the serial path.
 
         The parent has already drawn every node's minibatch (keeping all
         RNG consumption in one process, in row order); here it stages the
@@ -330,15 +305,11 @@ class FleetEngine:
             if self._pool is None:
                 return None
         bev, commands, targets = self._shm_batch
-        if samples[0][0].shape != bev.shape[1:]:
-            # Batch geometry changed mid-run (never in the event loop);
-            # the pre-sized shared buffers can't take it — step serially.
-            return None
         for row, sample in enumerate(samples):
             bev[row] = sample[0]
             commands[row] = sample[1]
             targets[row] = sample[2]
-        self._pool.step(b)
+        self._pool.step(bev.shape[1])
         hooks.count("stepshard.steps")
         for node in self.nodes:
             node.model_version += 1

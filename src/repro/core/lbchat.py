@@ -6,7 +6,7 @@ shared routes, then runs the full pairwise chat protocol with the best
 one.  Both participants are busy for the chat's simulated duration.
 
 Training itself runs through :class:`~repro.core.trainer_base.
-TrainerBase`'s fleet engine when enabled: all vehicles' train timers
+TrainerBase`'s fleet engine: all vehicles' train timers
 fire at the same instants (busy state gates chats, never training), so
 the fleet takes one batched step per instant, and every chat-side
 operation here — compression, Eq. 8 aggregation, coreset absorption —
@@ -16,6 +16,7 @@ works on zero-copy views into the shared parameter bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.chat import pairwise_chat
 from repro.core.overlap import DensePsiProber, TransferScheduler, plan_chat
@@ -23,11 +24,7 @@ from repro.core.selection import select_priority, select_random
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.telemetry import hooks as telemetry
 
-__all__ = ["PROBE_COUNTERS", "LbChatConfig", "LbChatTrainer"]
-
-#: Counters of how psi maps were fitted (dense probe bank vs the
-#: per-level fallback) — execution facts, kept out of result digests.
-PROBE_COUNTERS = ("psi_probe_builds", "psi_probe_fallbacks")
+__all__ = ["LbChatConfig", "LbChatTrainer"]
 
 
 @dataclass
@@ -59,8 +56,6 @@ class LbChatTrainer(TrainerBase):
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)
-        #: Lazily built DensePsiProber (False once construction failed).
-        self._prober = None
         if self.config.overlap_chat:
             self.overlap = TransferScheduler(self)
 
@@ -83,20 +78,11 @@ class LbChatTrainer(TrainerBase):
 
     # -- the chat itself ------------------------------------------------------------
 
-    def prober_for(self, node):
-        """The fleet's dense psi prober, built lazily with ``node`` as template.
-
-        None when the probe bank cannot hold the architecture.  A node
-        the prober does not fit (another psi grid, other parameter
-        shapes) takes the per-level loop inside the chat, which tallies
-        it in ``psi_probe_fallbacks``.
-        """
-        if self._prober is None:
-            try:
-                self._prober = DensePsiProber(node.model, node.config.psi_grid)
-            except (ValueError, AttributeError, TypeError):
-                self._prober = False  # bank-incompatible architecture
-        return self._prober or None
+    @cached_property
+    def prober(self) -> DensePsiProber:
+        """The fleet's dense psi prober, built at the first chat (the
+        chat-free baselines never pay for its bank)."""
+        return DensePsiProber(self.nodes[0].model)
 
     def _chat(self, i: int, j: int) -> None:
         """Run one chat: inline, or planned now and shipped in the background.
@@ -120,7 +106,7 @@ class LbChatTrainer(TrainerBase):
             mean_aggregation=self.config.mean_aggregation,
             coreset_only=self.config.coreset_only,
             expected_goodput=estimate.mean_goodput_factor,
-            prober=self.prober_for(self.nodes[i]),
+            prober=self.prober,
         )
         flight = None  # the planned chat, when it has legs to ship
         if self.overlap is None:
@@ -134,8 +120,7 @@ class LbChatTrainer(TrainerBase):
         self.occupy(j, busy)
         self.note_chat(i, j)
         self.counters.add("chats")
-        for name in PROBE_COUNTERS:
-            self.counters.add(name, getattr(outcome, name))
+        self.counters.add("psi_probe_builds", outcome.psi_probe_builds)
         if flight is not None:
             self.overlap.launch(flight, i, j)  # accounted at its commit barrier
         else:

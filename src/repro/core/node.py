@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.compression import CompressedModel, compress_topk, decompress
 from repro.core.aggregate import aggregate_models, aggregation_weights
-from repro.core.psi import DEFAULT_PSI_GRID, PsiLossMap, build_psi_map
+from repro.core.psi import PsiLossMap, build_psi_map
 from repro.coreset import (
     Coreset,
     PenaltyConfig,
@@ -52,7 +52,6 @@ class NodeConfig:
     nominal_model_bytes: int = 52 * 1024 * 1024
     bandwidth_bps: float = 31e6
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID
     #: Rebuild the coreset after this many absorbed coresets/train steps.
     coreset_refresh_steps: int = 25
     #: Coreset construction strategy: "layered" (Algorithm 1),
@@ -133,7 +132,14 @@ class VehicleNode:
     # -- training ------------------------------------------------------------
 
     def train_step(self) -> float:
-        """One weighted minibatch SGD step; returns the batch loss."""
+        """One weighted minibatch SGD step; returns the batch loss.
+
+        The single-vehicle reference step (with :class:`~repro.nn.optim.
+        Adam` and ``WaypointNet.backward``): ``tests/test_nn_bank.py``
+        holds the bank to it and the examples call it, but no trainer
+        does — a fleet steps through :meth:`~repro.core.fleet.
+        FleetEngine.train_step_all`.
+        """
         bev, commands, targets, _ = self.dataset.sample_batch(
             self.config.batch_size,
             self.rng,
@@ -362,17 +368,15 @@ class VehicleNode:
     def build_psi_map(self) -> PsiLossMap:
         """Fit phi: compression level -> loss on the own coreset, level by level.
 
-        Chats fit the map on the dense probe bank
+        Every chat fits the map on the dense probe bank
         (:class:`~repro.core.overlap.DensePsiProber`); this loop — clone,
-        compress, decompress and evaluate per level — is its test oracle
-        and the fallback for nodes the bank cannot serve (another psi
-        grid, other parameter shapes).
+        compress, decompress and evaluate per level — is kept as that
+        prober's test oracle only, and no chat calls it.
         """
         return build_psi_map(
             self.model,
             lambda probe: self.evaluate_model_on(probe, self.coreset.data),
             self.config.nominal_model_bytes,
-            psi_grid=self.config.psi_grid,
         )
 
     def compress_model(self, psi: float) -> CompressedModel:

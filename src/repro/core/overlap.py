@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.compression import topk_for_psi, topk_plan
 from repro.core.chat import Chat, negotiate
-from repro.core.psi import PsiLossMap
+from repro.core.psi import DEFAULT_PSI_GRID, PsiLossMap
 from repro.coreset.penalty import penalized_loss
 from repro.net.channel import TransferSession
 from repro.telemetry import hooks as telemetry
@@ -59,31 +59,21 @@ __all__ = ["DensePsiProber", "TransferScheduler", "plan_chat"]
 class DensePsiProber:
     """Psi-grid probes of one model, evaluated as a fleet batch.
 
-    One probe bank row per grid level: row ``k`` holds the model
-    compressed to ``psi_grid[k]`` (dense at ``psi >= 1``).  A single
-    shared-batch forward over the coreset then scores every level at
-    once — the same per-layer GEMMs the fleet engine uses for training,
-    instead of one full forward per level.
+    One probe bank row per level of :data:`~repro.core.psi.
+    DEFAULT_PSI_GRID`: row ``k`` holds the model compressed to level
+    ``k`` (dense at ``psi >= 1``).  A single shared-batch forward over
+    the coreset then scores every level at once — the same per-layer
+    GEMMs the fleet engine uses for training, instead of one full forward
+    per level.  Every node it is asked about shares ``template``'s
+    parameter layout, as every node of a fleet does.
     """
 
-    def __init__(self, template, psi_grid):
+    def __init__(self, template):
         from repro.nn.bank import FleetWaypointNet, ParamBank
 
-        self.psis = [float(p) for p in sorted(psi_grid)]
-        if len(self.psis) < 2:
-            raise ValueError("psi grid needs at least two levels")
+        self.psis = [float(p) for p in DEFAULT_PSI_GRID]
         self.bank = ParamBank(template, len(self.psis))
         self.net = FleetWaypointNet(self.bank, template)
-
-    def compatible(self, node) -> bool:
-        """Whether ``node``'s model/config fits this probe bank."""
-        if [float(p) for p in sorted(node.config.psi_grid)] != self.psis:
-            return False
-        try:
-            self.bank._check_compatible(node.model)
-        except ValueError:
-            return False
-        return True
 
     def build(self, node):
         """``(PsiLossMap, TopkPlan)`` for ``node`` in one batched forward."""

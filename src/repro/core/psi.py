@@ -24,7 +24,8 @@ from repro.nn.params import get_flat_params
 
 __all__ = ["PsiLossMap", "build_psi_map", "optimize_compression", "PsiDecision"]
 
-#: Default compression levels sampled when building a map.
+#: The compression levels every psi map samples, ascending (Akima's
+#: abscissae); the dense prober sizes its bank from it.
 DEFAULT_PSI_GRID = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
 
@@ -61,16 +62,14 @@ class PsiLossMap:
         return list(zip(self.psis.tolist(), self.losses.tolist()))
 
 
-def build_psi_map(
-    model,
-    evaluate_on_coreset,
-    nominal_size_bytes: int,
-    psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID,
-) -> PsiLossMap:
-    """Sample compression levels and fit the phi mapping.
+def build_psi_map(model, evaluate_on_coreset, nominal_size_bytes: int) -> PsiLossMap:
+    """Sample :data:`DEFAULT_PSI_GRID` and fit the phi mapping, level by level.
 
     The levels share one sort of the magnitudes
     (:func:`repro.compression.topk_plan`) instead of re-sorting per psi.
+    Kept as the test oracle of :class:`~repro.core.overlap.DensePsiProber`,
+    which fits every chat's map in one batched forward; no chat runs
+    this loop.
 
     Parameters
     ----------
@@ -88,7 +87,7 @@ def build_psi_map(
     plan = topk_plan(flat, nominal_size_bytes)
     probe = clone_model(model)
     psis, losses = [], []
-    for psi in sorted(psi_grid):
+    for psi in DEFAULT_PSI_GRID:
         if psi >= 1.0:
             set_flat_params(probe, flat)
         else:

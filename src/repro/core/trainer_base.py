@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.chat import estimated_chat_bytes
 from repro.core.ledger import TransferLedger
 from repro.core.node import VehicleNode
 from repro.engine import (
@@ -86,7 +87,7 @@ class TrainerConfig:
     #: Shard each batched fleet step across this many forked worker
     #: processes over shared-memory banks (:mod:`repro.parallel.stepshard`).
     #: Purely an execution strategy: results are bit-identical for every
-    #: value.  1 = serial; ignored by a fleet that trains per node.
+    #: value.  1 = serial.
     step_workers: int = 1
     #: Overlap chat model transfers with training (:mod:`repro.core.overlap`):
     #: the plan phase (handshake, selection, psi planning) stays synchronous
@@ -129,9 +130,6 @@ class TrainerBase:
         #: ``config.overlap_chat`` is on); ``None`` keeps every chat
         #: synchronous.
         self.overlap = None
-        from repro.core.chat import ChatBytesMemo
-
-        self._chat_bytes_memo = ChatBytesMemo()
         self._last_chat: dict[tuple[int, int], float] = {}
         # Externalized per-process timer state, so a checkpoint can
         # re-arm every pending loop from absolute times (generators
@@ -142,9 +140,10 @@ class TrainerBase:
         self._restored_at: float | None = None
         from repro.core.fleet import FleetEngine
 
-        #: The whole fleet trained through one batched parameter bank;
-        #: ``None`` (per-node training) for a fleet the bank cannot hold.
-        self.fleet = FleetEngine.try_build(nodes, step_workers=config.step_workers)
+        #: The whole fleet as one batched parameter bank, the only way a
+        #: trainer takes a gradient step: a fleet the bank cannot hold
+        #: raises :class:`~repro.core.fleet.FleetIncompatible` here.
+        self.fleet = FleetEngine(nodes, step_workers=config.step_workers)
 
     # -- helpers subclasses use ------------------------------------------------
 
@@ -166,13 +165,8 @@ class TrainerBase:
         self.ledger.occupy(i, self.sim.now, duration)
 
     def estimate_chat_bytes(self, i: int, j: int, psi_total: float) -> float:
-        """Memoized :func:`~repro.core.chat.estimated_chat_bytes` for a pair.
-
-        Selection scans re-estimate the same pair many times per tick;
-        the memo keys on each node's coreset identity (dataset uid +
-        generation), so a coreset refresh invalidates it naturally.
-        """
-        return self._chat_bytes_memo.estimate(self.nodes[i], self.nodes[j], psi_total)
+        """:func:`~repro.core.chat.estimated_chat_bytes` for the pair ``(i, j)``."""
+        return estimated_chat_bytes(self.nodes[i], self.nodes[j], psi_total)
 
     def idle_neighbors(self, i: int) -> list[int]:
         """Idle, cooldown-clear vehicles within radio range of ``i``.
@@ -218,18 +212,12 @@ class TrainerBase:
     def record_losses(self) -> None:
         """Record every vehicle's validation loss at the current time.
 
-        With a fleet engine, all nodes evaluate in one batched forward
-        (the shared validation batch broadcasts against the parameter
-        bank); otherwise each node evaluates on its own.
+        All nodes evaluate in one batched forward (the shared validation
+        batch broadcasts against the parameter bank).
         """
-        if self.fleet is not None and len(self.validation):
-            losses = self.fleet.evaluate_fleet(self.validation)
-            for node, loss in zip(self.nodes, losses):
-                self.loss_curve.record(node.node_id, self.sim.now, float(loss))
-        else:
-            for node in self.nodes:
-                loss = node.evaluate(self.validation, with_penalty=False)
-                self.loss_curve.record(node.node_id, self.sim.now, loss)
+        losses = self.fleet.evaluate_fleet(self.validation)
+        for node, loss in zip(self.nodes, losses):
+            self.loss_curve.record(node.node_id, self.sim.now, float(loss))
         telemetry.on_record_tick(self.sim.now, len(self.nodes))
 
     # -- processes ------------------------------------------------------------
@@ -248,18 +236,13 @@ class TrainerBase:
         proceeds exactly as if it had never been torn down.
         """
         cfg = self.config
-        node = self.nodes[i]
         if resume:
             yield self.sim.wait_until(self._next_train[i])
         while self.sim.now < cfg.duration:
-            if self.fleet is not None:
-                # All vehicles fire at the same instants (training is
-                # never gated by busy state), so the fleet engine runs
-                # one batched step per instant; this event just claims
-                # vehicle i's share of it.
-                self.fleet.train_tick(i)
-            else:
-                node.train_step()
+            # All vehicles fire at the same instants (training is never
+            # gated by busy state), so the fleet engine runs one batched
+            # step per instant; this event just claims vehicle i's share.
+            self.fleet.train_tick(i)
             self.counters.add("train_steps")
             if self.sim.now >= self.next_scan[i] and self.is_idle(i):
                 self.next_scan[i] = self.sim.now + cfg.scan_interval
@@ -352,8 +335,7 @@ class TrainerBase:
             # Final snapshot so curves end exactly at T.
             self.record_losses()
         finally:
-            if self.fleet is not None:
-                self.fleet.close()
+            self.fleet.close()
         telemetry.on_run_finished(self)
 
     # -- checkpointing ------------------------------------------------------------

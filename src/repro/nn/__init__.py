@@ -24,17 +24,10 @@ from repro.nn.layers import (
     Module,
     ReLU,
     Sequential,
-    Tanh,
 )
-from repro.nn.losses import (
-    fleet_waypoint_l1,
-    l1_loss,
-    mse_loss,
-    softmax_cross_entropy,
-    waypoint_l1,
-)
+from repro.nn.losses import fleet_waypoint_l1, waypoint_l1
 from repro.nn.model import WaypointNet, make_driving_model
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.params import (
     Parameter,
     clone_model,
@@ -48,17 +41,12 @@ __all__ = [
     "Linear",
     "Conv2d",
     "ReLU",
-    "Tanh",
     "Flatten",
     "Sequential",
     "WaypointNet",
     "make_driving_model",
-    "l1_loss",
-    "mse_loss",
     "waypoint_l1",
     "fleet_waypoint_l1",
-    "softmax_cross_entropy",
-    "SGD",
     "Adam",
     "ParamBank",
     "FleetWaypointNet",

@@ -1,10 +1,10 @@
 """Per-layer parameter banks for fleet-batched training.
 
-A paper-scale run trains N identical :class:`~repro.nn.model.WaypointNet`
-models in lock-step — one per vehicle — and the per-node numpy
-forward/backward is the dominant cost.  This module stacks all vehicles'
-parameters into per-layer ``(n_nodes, ...)`` banks so one batched tensor
-op per layer trains the whole fleet:
+Every run trains N identical :class:`~repro.nn.model.WaypointNet`
+models in lock-step — one per vehicle (N = 1 included).  This module
+stacks all vehicles' parameters into per-layer ``(n_nodes, ...)`` banks
+so one batched tensor op per layer trains the whole fleet; it is the
+only training path a trainer has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
   float32 matrix (plus a twin for gradients).  Each node's
@@ -25,12 +25,13 @@ op per layer trains the whole fleet:
   :class:`RowAdam` is the per-node facade that stands in for
   :class:`~repro.nn.optim.Adam` on bank-attached nodes.
 
-Bit-identity notes: stacked ``matmul`` runs the *same-shaped* GEMM per
-node as the per-node code, so MLP-trunk forward/backward/Adam match the
-detached path bit-for-bit.  Head and conv gradients batch over a
-different matrix extent (all rows instead of the command-selected
-subset), which changes BLAS accumulation order — those match within
-float tolerance only, and goldens covering them are re-recorded.
+Bit-identity notes, against the single-vehicle reference step
+(``VehicleNode.train_step``, which ``tests/test_nn_bank.py`` holds the
+bank to): stacked ``matmul`` runs the *same-shaped* GEMM per node, so
+MLP-trunk forward/backward/Adam match it bit-for-bit.  Head and conv
+gradients batch over a different matrix extent (all rows instead of the
+command-selected subset), which changes BLAS accumulation order — those
+match within float tolerance only.
 """
 
 from __future__ import annotations
@@ -460,14 +461,6 @@ class FleetWaypointNet:
                 break
         return grad
 
-    def zero_grad(self) -> None:
-        """Clear the whole gradient bank in one memset.
-
-        Not needed between batched steps (``backward`` assigns), but kept
-        for the per-node protocol and for partially-driven tests.
-        """
-        self.bank.grad_flat.fill(0.0)
-
 
 # -- batched Adam ------------------------------------------------------------
 
@@ -533,7 +526,7 @@ class FleetAdam:
         self._update(slice(None))
 
     def step_row(self, row: int) -> None:
-        """One Adam update for a single node (detached-pace training)."""
+        """One Adam update for a single node (:meth:`RowAdam.step`; no trainer)."""
         self.steps[row] += 1
         self._update(slice(row, row + 1))
 
@@ -643,9 +636,9 @@ class FleetAdam:
 class RowAdam:
     """Per-node Adam facade over one :class:`FleetAdam` row.
 
-    Swapped in for a bank-attached node's optimizer so all per-node call
-    sites (``train_step``, failure-injection tests, snapshot/restore)
-    keep their exact API while the state lives in the fleet bank.
+    Swapped in for a bank-attached node's optimizer so the per-node call
+    sites (snapshot/restore, the reference ``train_step``) keep their
+    exact API while the state lives in the fleet bank.
     """
 
     def __init__(self, fleet: FleetAdam, row: int, params: list[Parameter]):

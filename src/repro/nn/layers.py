@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.params import Parameter
 
-__all__ = ["Module", "Linear", "Conv2d", "ReLU", "Tanh", "Flatten", "Sequential"]
+__all__ = ["Module", "Linear", "Conv2d", "ReLU", "Flatten", "Sequential"]
 
 
 class Module:
@@ -166,22 +166,6 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward before forward")
         return grad_out * self._mask
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self):
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward before forward")
-        return grad_out * (1.0 - self._out**2)
 
 
 class Flatten(Module):

@@ -9,33 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "mse_loss",
-    "l1_loss",
-    "waypoint_l1",
-    "fleet_waypoint_l1",
-    "softmax_cross_entropy",
-]
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error per sample.
-
-    Returns ``(loss_per_sample, grad_wrt_pred)`` where the gradient is of
-    the *mean over the batch* so it feeds straight into ``backward``.
-    """
-    diff = pred - target
-    per_sample = (diff**2).reshape(diff.shape[0], -1).mean(axis=1)
-    grad = 2.0 * diff / (diff[0].size * diff.shape[0])
-    return per_sample, grad
-
-
-def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean absolute error per sample, with batch-mean gradient."""
-    diff = pred - target
-    per_sample = np.abs(diff).reshape(diff.shape[0], -1).mean(axis=1)
-    grad = np.sign(diff) / (diff[0].size * diff.shape[0])
-    return per_sample, grad
+__all__ = ["waypoint_l1", "fleet_waypoint_l1"]
 
 
 def waypoint_l1(
@@ -107,17 +81,3 @@ def fleet_waypoint_l1(
     scalars = (per_sample * norm).sum(axis=1)
     grad = np.sign(diff) * (norm[:, :, None] / diff.shape[2])
     return scalars, per_sample, grad
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy per sample with integer labels, batch-mean gradient."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    batch = logits.shape[0]
-    per_sample = -np.log(np.clip(probs[np.arange(batch), labels], 1e-12, None))
-    grad = probs.copy()
-    grad[np.arange(batch), labels] -= 1.0
-    return per_sample, grad / batch

@@ -110,7 +110,13 @@ class WaypointNet(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:  # type: ignore[override]
-        """Route head gradients per command, then back through the trunk."""
+        """Route head gradients per command, then back through the trunk.
+
+        Part of the single-vehicle reference step (``VehicleNode.
+        train_step``): the oracle ``tests/test_nn_bank.py`` holds
+        ``FleetWaypointNet.backward`` to, and what the examples train
+        with.  No trainer calls it.
+        """
         if self._features is None or self._commands is None:
             raise RuntimeError("backward before forward")
         grad_features = np.zeros_like(self._features)

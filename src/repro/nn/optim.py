@@ -1,4 +1,4 @@
-"""Optimizers over :class:`~repro.nn.params.Parameter` lists."""
+"""The optimizer over a :class:`~repro.nn.params.Parameter` list."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.params import Parameter
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
 def _flatten_buffers(buffers: list[np.ndarray]) -> np.ndarray:
@@ -31,45 +31,15 @@ def _restore_buffers(buffers: list[np.ndarray], flat: np.ndarray) -> None:
         offset += buf.size
 
 
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive: {lr}")
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        """Apply one (momentum) SGD update from accumulated grads."""
-        for p, vel in zip(self.params, self._velocity):
-            if self.momentum:
-                vel *= self.momentum
-                vel += p.grad
-                p.data -= self.lr * vel
-            else:
-                p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        """Clear accumulated gradients on all managed parameters."""
-        for p in self.params:
-            p.zero_grad()
-
-    def snapshot(self) -> dict:
-        """Internal state as plain arrays (checkpoint state)."""
-        return {"velocity": _flatten_buffers(self._velocity)}
-
-    def restore(self, state: dict) -> None:
-        """Replace internal state with a :meth:`snapshot`'s."""
-        _restore_buffers(self._velocity, state["velocity"])
-
-
 class Adam:
     """Adam (Kingma & Ba) with bias correction.
 
     The paper trains the driving model with lr 1e-4, the default here.
+
+    The statement of the update that :class:`~repro.nn.bank.FleetAdam`
+    (kernel and numpy fallback) is held to bit-for-bit, and the examples'
+    optimizer.  A trainer's fleet imports its *state* into the bank at
+    construction and never calls :meth:`step`.
     """
 
     def __init__(

@@ -88,11 +88,6 @@ def build_scale(world: str = "hotpath"):
     )
     if world == "hotpath":
         return hotpath
-    if world == "stepshard":
-        # The step pool only takes full batches; hotpath's batch of 64
-        # exceeds what a 30 s collection yields, which would leave every
-        # step on the serial path.
-        return replace(hotpath, name="selfcheck-stepshard", batch_size=16)
     if world == "overlap":
         # Four vehicles trained past the 60 s pair cooldown twice: first
         # chats agree (psi = 0); later rounds diverge enough that Eq. 7
@@ -137,16 +132,9 @@ def build_scale(world: str = "hotpath"):
 
 def _context(world: str):
     """The world's :class:`ExperimentContext`, built once per process."""
-    from repro.experiments.runner import build_context, register_context
+    from repro.experiments.runner import build_context
 
-    scale = build_scale(world)
-    if world == "stepshard":
-        # Differs from hotpath in node batch size only: same datasets and
-        # traces, so adopt them instead of simulating the world twice.
-        context = replace(_context("hotpath"), scale=scale)
-        register_context(context)
-        return context
-    return build_context(scale)  # memoised by scale name
+    return build_context(build_scale(world))  # memoised by scale name
 
 
 # -- digests ------------------------------------------------------------------
@@ -160,12 +148,10 @@ def _sha(*chunks: bytes) -> str:
 
 
 def _result_counters(counters: dict, prefix: str = "") -> dict:
-    """``counters`` minus the psi-probe tallies: those say *how* a run
-    executed and are asserted on (:func:`dense_probes`), not digested."""
-    from repro.core.lbchat import PROBE_COUNTERS
-
-    skipped = {prefix + name for name in PROBE_COUNTERS}
-    return {name: value for name, value in counters.items() if name not in skipped}
+    """``counters`` minus the psi-probe tally: it says *how* a run
+    executed and is asserted on (:func:`dense_probes`), not digested."""
+    skipped = prefix + "psi_probe_builds"
+    return {name: value for name, value in counters.items() if name != skipped}
 
 
 def digest_result(result) -> dict[str, str]:
@@ -303,9 +289,7 @@ def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
         )
         for i in range(4)
     ]
-    engine = FleetEngine.try_build(nodes)
-    if engine is None:
-        return Run({}, failures=["the four-node fleet is not batchable"])
+    engine = FleetEngine(nodes)
     losses = [engine.train_step_all() for _ in range(3)]
     values = engine.evaluate_fleet(make_dataset(99, 25))
     params = b"".join(
@@ -400,7 +384,6 @@ def _kill_and_resume(runner: "Runner", check: Check, scratch: Path) -> Run:
 
 def _run_batch(runner: "Runner", check: Check, scratch: Path, jobs: int) -> Run:
     """Four independent runs through ``run_specs`` under one session."""
-    from repro.core.lbchat import PROBE_COUNTERS
     from repro.parallel import run_specs
     from repro.telemetry import TelemetrySession
 
@@ -416,9 +399,7 @@ def _run_batch(runner: "Runner", check: Check, scratch: Path, jobs: int) -> Run:
     for spec, result in zip(specs, results):
         tag = f"{spec.method}/{spec.seed}"
         digests[f"{tag}.arrived"] = f"{result.method}/{result.seed}"
-        digests[f"{tag}.probes"] = "/".join(
-            f"{result.counters.get(name, 0):.0f}" for name in PROBE_COUNTERS
-        )
+        digests[f"{tag}.probes"] = f"{result.counters.get('psi_probe_builds', 0):.0f}"
         digests.update({f"{tag}.{key}": v for key, v in digest_result(result).items()})
     return Run(digests, context, results, session)
 
@@ -616,11 +597,20 @@ def _elementwise_ufuncs():
 
 
 def dense_probes(run: Run):
-    """Every LbChat psi map was fitted on the dense probe bank."""
-    builds = run.result.counters.get("psi_probe_builds", 0)
-    fallbacks = run.result.counters.get("psi_probe_fallbacks", 0)
-    if builds <= 0 or fallbacks != 0:
-        yield f"psi maps left the dense probe bank: {builds:.0f} built, {fallbacks:.0f} fell back"
+    """The run reached stage 3 of a chat: psi maps were fitted (on the
+    dense probe bank, the only place a chat fits one)."""
+    if not run.result.counters.get("psi_probe_builds", 0) > 0:
+        yield "no psi map was fitted: the run never got to Eq. 7"
+
+
+def dense_steps(run: Run):
+    """Every train event was a row of a full-width bank step."""
+    fleet, n = run.result.trainer.fleet, len(run.result.nodes)
+    if fleet.mean_step_width != n:
+        yield f"mean step width {fleet.mean_step_width:.2f} on a fleet of {n}"
+    steps = run.result.counters.get("train_steps", 0)
+    if fleet.step_events != steps:
+        yield f"{fleet.step_events} bank step events for {steps:.0f} train steps"
 
 
 def transfers_conserved(run: Run):
@@ -672,9 +662,12 @@ def budgets_held(run: Run):
 
 
 def pool_stepped(run: Run):
-    """The step-worker pool really stepped (no silent serial fallback)."""
-    if not run.session.registry.state()["counters"].get("stepshard.steps", 0) > 0:
-        yield "the worker pool never stepped: equality with serial is vacuous"
+    """The step-worker pool took every train instant (no batch can be
+    refused, so anything less is a silent serial fallback)."""
+    pooled = run.session.registry.state()["counters"].get("stepshard.steps", 0)
+    instants = run.result.counters.get("train_steps", 0) / len(run.result.nodes)
+    if not (0 < pooled == instants):
+        yield f"the worker pool stepped {pooled:.0f} of {instants:.0f} train instants"
 
 
 def flights_launched(run: Run):
@@ -781,31 +774,33 @@ CHECKS: dict[str, Check] = {
     check.name: check
     for check in (
         Check("hotpath.LbChat", "golden", "hotpath",
-              invariants=(dense_probes, transfers_conserved, every_chat_accounted_once)),
-        Check("hotpath.SCO", "golden", "hotpath", "SCO"),
-        Check("hotpath.DP", "golden", "hotpath", "DP"),
+              invariants=(dense_steps, dense_probes, transfers_conserved,
+                          every_chat_accounted_once)),
+        Check("hotpath.SCO", "golden", "hotpath", "SCO", invariants=(dense_steps,)),
+        Check("hotpath.DP", "golden", "hotpath", "DP", invariants=(dense_steps,)),
         Check("hotpath.telemetry", "golden", "hotpath", produce=_registry_of_three_runs),
         Check("fleet.segment", "golden", produce=_fleet_segment),
         Check("city.contacts", "golden", "city", produce=_contact_windows,
               invariants=(swept_equals_pairwise,)),
-        Check("city.LbChat", "golden", "city", invariants=(budgets_held, dense_probes)),
-        Check("stepshard.serial", "golden", "stepshard"),
+        Check("city.LbChat", "golden", "city",
+              invariants=(dense_steps, budgets_held, dense_probes)),
         *(
-            Check(f"stepshard.workers{n}", "stepshard.serial", "stepshard",
+            Check(f"stepshard.workers{n}", "hotpath.LbChat", "hotpath",
                   spec={"overrides": {"step_workers": n}}, invariants=(pool_stepped,))
             for n in (2, 4)
         ),
         Check("overlap.off", "golden", "overlap",
-              invariants=(one_span_per_chat, registry_matches_trainer, export_round_trips,
-                          transfers_conserved, every_chat_accounted_once)),
+              invariants=(dense_steps, one_span_per_chat, registry_matches_trainer,
+                          export_round_trips, transfers_conserved, every_chat_accounted_once)),
         Check("overlap.on", "golden", "overlap", spec=_ON,
-              invariants=(flights_launched, transfers_conserved, every_chat_accounted_once)),
+              invariants=(dense_steps, flights_launched, transfers_conserved,
+                          every_chat_accounted_once)),
         Check("overlap.barriers", None, "overlap", spec=_ON, produce=_run_with_barriers,
               invariants=(a_barrier_held_a_flight,)),
         Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,
               produce=_resume_every_barrier),
         Check("checkpoint.uninterrupted", None, "hotpath",
-              spec={"checkpoint_every": 10.0}),
+              spec={"checkpoint_every": 10.0}, invariants=(dense_steps,)),
         Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
               produce=_kill_and_resume, invariants=(crash_shaped_history,)),
         Check("world.scalar", None, produce=_world_scalar),

@@ -370,6 +370,10 @@ class DrivingDataset:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Weighted random minibatch: (bev, commands, targets, indices).
 
+        Always ``batch_size`` rows, drawn with replacement when the
+        dataset holds fewer frames than that, so every node's batch
+        stacks into the fleet's one dense step whatever it has collected.
+
         With ``balance_commands`` the batch is stratified uniformly over
         the commands present in the dataset (the standard trick for
         command-branched imitation models — rare branches like 'turn
@@ -379,13 +383,13 @@ class DrivingDataset:
         if self._size == 0:
             raise ValueError("cannot sample from an empty dataset")
         bev, commands_arr, targets, weights = self.arrays()
-        n = min(batch_size, len(self))
         if balance_commands:
             present = np.unique(commands_arr)
             picks: list[int] = []
+            share, extra = divmod(batch_size, len(present))
             for k, cmd in enumerate(present):
                 members = np.where(commands_arr == cmd)[0]
-                quota = n // len(present) + (1 if k < n % len(present) else 0)
+                quota = share + (1 if k < extra else 0)
                 probs = weights[members] / weights[members].sum()
                 picks.extend(
                     rng.choice(members, size=quota, replace=True, p=probs).tolist()
@@ -393,7 +397,9 @@ class DrivingDataset:
             idx = np.asarray(picks)
         else:
             probs = weights / weights.sum()
-            idx = rng.choice(len(self), size=n, replace=len(self) < batch_size, p=probs)
+            idx = rng.choice(
+                len(self), size=batch_size, replace=len(self) < batch_size, p=probs
+            )
         return bev[idx], commands_arr[idx], targets[idx], idx
 
 

@@ -28,7 +28,7 @@ from repro.engine.events import Simulator
 from repro.engine.metrics import CounterSet, ReceiveRateRecorder, TimeSeriesRecorder
 from repro.experiments.configs import CI
 from repro.experiments.runner import RunSpec
-from repro.nn.optim import Adam, SGD
+from repro.nn.optim import Adam
 from repro.nn.params import Parameter
 
 
@@ -160,9 +160,8 @@ class TestOptimizerSnapshots:
             p.grad = np.full_like(p.data, value)
         opt.step()
 
-    @pytest.mark.parametrize("make", [lambda p: Adam(p, lr=0.01), lambda p: SGD(p, lr=0.01, momentum=0.9)])
-    def test_round_trip_preserves_trajectory(self, make):
-        a, b = make(self._params()), make(self._params())
+    def test_round_trip_preserves_trajectory(self):
+        a, b = Adam(self._params(), lr=0.01), Adam(self._params(), lr=0.01)
         for opt in (a, b):
             self._grad_step(opt, 0.5)
         b.restore(a.snapshot())  # states equal, restore must be lossless
@@ -278,7 +277,8 @@ class TestRunStore:
         store.save_checkpoint(spec, _state(1, 10.0))
         sidecar = store.run_dir(spec) / "ckpt-000001.json"
         payload = json.loads(sidecar.read_text())
-        payload["format"] = FORMAT_VERSION - 1  # no loader for an older tree shape
+        assert FORMAT_VERSION == 3
+        payload["format"] = 2  # its ChatOutcome had a second probe counter: no loader
         sidecar.write_text(json.dumps(payload))
         with pytest.raises(CheckpointVersionError):
             store.load_checkpoint(spec, 1)

@@ -1,6 +1,7 @@
 """Tests for balanced batch sampling and trace persistence."""
 
 import numpy as np
+import pytest
 
 from repro.nn.model import N_COMMANDS
 from repro.sim.dataset import DrivingDataset, Frame
@@ -47,6 +48,15 @@ class TestBalancedSampling:
         rng = np.random.default_rng(0)
         bev, commands, targets, idx = ds.sample_batch(16, rng, balance_commands=True)
         assert len(commands) == 16
+
+    @pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "plain"])
+    def test_small_dataset_still_fills_the_batch(self, balanced):
+        """Ten frames against a batch of 64: drawn with replacement, never
+        capped — a short batch is a ragged row the fleet bank cannot stack."""
+        ds = make_dataset([4, 3, 2, 1])
+        batch = ds.sample_batch(64, np.random.default_rng(0), balance_commands=balanced)
+        assert [len(part) for part in batch] == [64] * 4
+        assert set(np.asarray(batch[3]).tolist()) <= set(range(10))
 
     def test_single_command_dataset(self):
         ds = make_dataset([20])

@@ -171,6 +171,7 @@ class TestRunner:
             ("selection_policy", "nearest"),
             ("compressor", "quantize"),
             ("use_merge_reduce", False),
+            ("psi_grid", (0.1, 0.4, 0.7, 1.0)),
         ],
     )
     def test_removed_knob_is_refused_by_name(self, context, field, value):
@@ -179,7 +180,7 @@ class TestRunner:
         from repro.core.node import NodeConfig
         from repro.experiments.runner import prepare_trainer
 
-        if field in ("compressor", "use_merge_reduce"):  # were NodeConfig's
+        if field in ("compressor", "use_merge_reduce", "psi_grid"):  # were NodeConfig's
             with pytest.raises(TypeError, match=field):
                 NodeConfig(**{field: value})
         with pytest.raises(AttributeError, match=field):

@@ -94,6 +94,9 @@ class TestLonelyFleet:
         trainer.run()
         assert trainer.counters.get("chats") == 0
         assert trainer.counters.get("train_steps") > 0
+        # On a one-row bank: the fleet engine holds any fleet of >= 1.
+        assert trainer.fleet.mean_step_width == 1.0
+        assert trainer.fleet.step_events == trainer.counters.get("train_steps")
 
     def test_zero_range_disables_encounters(self, fleet_datasets, traces, validation):
         nodes = make_fleet(fleet_datasets)

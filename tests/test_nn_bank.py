@@ -228,8 +228,7 @@ class TestFleetEngineEquivalence:
     def test_lockstep_bit_identical_to_per_node(self):
         batched = build_nodes()
         detached = build_nodes()
-        engine = FleetEngine.try_build(batched)
-        assert engine is not None
+        engine = FleetEngine(batched)
         for _ in range(5):
             engine.train_step_all()
         for _ in range(5):
@@ -242,8 +241,7 @@ class TestFleetEngineEquivalence:
         # BLAS accumulation order: equal within float tolerance only.
         batched = build_nodes(n_nodes=3, use_conv=True)
         detached = build_nodes(n_nodes=3, use_conv=True)
-        engine = FleetEngine.try_build(batched)
-        assert engine is not None
+        engine = FleetEngine(batched)
         losses = [engine.train_step_all() for _ in range(3)]
         expected = [[node.train_step() for node in detached] for _ in range(3)]
         np.testing.assert_allclose(np.asarray(losses), np.asarray(expected), atol=1e-5)
@@ -254,7 +252,7 @@ class TestFleetEngineEquivalence:
     def test_losses_match_per_node(self):
         batched = build_nodes()
         detached = build_nodes()
-        engine = FleetEngine.try_build(batched)
+        engine = FleetEngine(batched)
         losses = engine.train_step_all()
         expected = [node.train_step() for node in detached]
         # The scalar reduces as (per_sample * norm).sum() batched vs a
@@ -267,7 +265,7 @@ class TestFleetEngineEquivalence:
         # counters diverge and FleetAdam must bias-correct row-wise.
         batched = build_nodes()
         detached = build_nodes()
-        engine = FleetEngine.try_build(batched)
+        engine = FleetEngine(batched)
 
         def run(nodes, step_all, snap_of, restore_to):
             for _ in range(3):
@@ -297,7 +295,7 @@ class TestFleetEngineEquivalence:
     def test_evaluate_fleet_matches_per_node(self):
         batched = build_nodes()
         detached = build_nodes()
-        engine = FleetEngine.try_build(batched)
+        engine = FleetEngine(batched)
         engine.train_step_all()
         for node in detached:
             node.train_step()

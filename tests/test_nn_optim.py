@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam
+from repro.nn import Adam
 from repro.nn.params import Parameter
 
 
@@ -12,42 +12,6 @@ def quadratic_step(opt, param, target=0.0):
     param.zero_grad()
     param.grad += param.data - target
     opt.step()
-
-
-class TestSGD:
-    def test_step_moves_against_gradient(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        quadratic_step(opt, p)
-        assert p.data[0] == pytest.approx(0.9)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0]))
-        opt = SGD([p], lr=0.3)
-        for _ in range(50):
-            quadratic_step(opt, p)
-        assert abs(p.data[0]) < 1e-4
-
-    def test_momentum_accelerates(self):
-        plain = Parameter(np.array([5.0]))
-        heavy = Parameter(np.array([5.0]))
-        opt_plain = SGD([plain], lr=0.05)
-        opt_heavy = SGD([heavy], lr=0.05, momentum=0.9)
-        for _ in range(10):
-            quadratic_step(opt_plain, plain)
-            quadratic_step(opt_heavy, heavy)
-        assert abs(heavy.data[0]) < abs(plain.data[0])
-
-    def test_invalid_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_zero_grad_clears(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        p.grad += 3.0
-        opt.zero_grad()
-        assert p.grad[0] == 0.0
 
 
 class TestAdam:

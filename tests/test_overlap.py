@@ -1,11 +1,11 @@
 """Overlapped chat transfers (repro.core.overlap) and their satellites.
 
-Covers the :class:`TransferLedger` occupancy semantics, the memoized
-chat-byte estimator, commit-at-barrier behavior of background flights,
-range-cut aborts, checkpoint/resume with a transfer in the air, and
-step-shard bit-identity with overlap on.  A hypothesis property pins the
-flag-off path: with ``overlap_chat`` off, runs through the new
-ledger/memo plumbing are bit-identical to runs that bypass the memo.
+Covers the :class:`TransferLedger` occupancy semantics,
+commit-at-barrier behavior of background flights, range-cut aborts,
+checkpoint/resume with a transfer in the air, and step-shard
+bit-identity with overlap on.  A hypothesis property pins the flag-off
+path: with ``overlap_chat`` off a trainer owns no scheduler and two runs
+of one seed through the ledger plumbing are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint.policy import CheckpointPolicy
-from repro.core.chat import ChatBytesMemo, estimated_chat_bytes
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.ledger import TransferLedger
 from repro.net.channel import ChannelConfig
-from repro.sim.dataset import DrivingDataset, Frame
+from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_node
 
 #: Long enough for a second chat round: pairs chat at t ~ 0-8 (psi = 0,
@@ -62,51 +61,6 @@ class TestTransferLedger:
         ledger = TransferLedger(1)
         with pytest.raises(ValueError):
             ledger.end_flight(0)
-
-
-# -- ChatBytesMemo (satellite: memoized estimates) ----------------------------
-
-
-class TestChatBytesMemo:
-    def test_hit_and_value(self, node_pair):
-        node_i, node_j = node_pair
-        memo = ChatBytesMemo()
-        value = memo.estimate(node_i, node_j, 0.6)
-        assert value == estimated_chat_bytes(node_i, node_j, 0.6)
-        assert (memo.hits, memo.misses) == (0, 1)
-        assert memo.estimate(node_i, node_j, 0.6) == value
-        assert memo.hits == 1
-
-    def test_invalidated_by_coreset_change(self, node_pair):
-        node_i, node_j = node_pair
-        memo = ChatBytesMemo()
-        before = memo.estimate(node_i, node_j, 1.0)
-        # Absorption grows the coreset dataset -> generation bump.
-        frame = node_j.dataset.frame(0)
-        node_i.coreset.data.add(
-            Frame("memo-test-frame", frame.bev, frame.command, frame.waypoints)
-        )
-        after = memo.estimate(node_i, node_j, 1.0)
-        assert memo.misses == 2
-        assert after == estimated_chat_bytes(node_i, node_j, 1.0)
-        assert after != before
-
-    def test_refresh_swaps_identity(self, node_pair):
-        node_i, node_j = node_pair
-        memo = ChatBytesMemo()
-        memo.estimate(node_i, node_j, 1.0)
-        node_i.refresh_coreset()  # new dataset object -> new uid
-        memo.estimate(node_i, node_j, 1.0)
-        assert memo.misses == 2
-
-    def test_capacity_clears_wholesale(self, node_pair):
-        node_i, node_j = node_pair
-        memo = ChatBytesMemo()
-        memo.max_entries = 2
-        memo.estimate(node_i, node_j, 0.1)
-        memo.estimate(node_i, node_j, 0.2)
-        memo.estimate(node_i, node_j, 0.3)  # evicts everything first
-        assert len(memo._table) == 1
 
 
 # -- trainer harness ----------------------------------------------------------
@@ -185,23 +139,13 @@ class TestFlagOffIdentity:
     def test_memo_and_ledger_are_invisible_when_flag_off(
         self, fleet_datasets, traces, validation, seed
     ):
-        """Flag-off runs must not be perturbed by the memo or ledger.
-
-        The reference trainer bypasses the memo entirely (every estimate
-        recomputed); the candidate uses the memoized path.  Digests must
-        match bit-for-bit for every seed.
-        """
+        """Flag-off runs own no scheduler and are not perturbed by the
+        ledger: digests match bit-for-bit for every seed."""
         reference = build_trainer(fleet_datasets, traces, validation, seed=seed)
-        reference.estimate_chat_bytes = (
-            lambda i, j, psi_total: estimated_chat_bytes(
-                reference.nodes[i], reference.nodes[j], psi_total
-            )
-        )
         candidate = build_trainer(fleet_datasets, traces, validation, seed=seed)
         assert candidate.overlap is None
         reference.run()
         candidate.run()
-        assert candidate._chat_bytes_memo.misses > 0  # the memo path engaged
         assert digest(candidate) == digest(reference)
 
 

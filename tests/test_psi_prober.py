@@ -1,9 +1,9 @@
-"""The dense psi prober against its oracle, and its fallbacks run on purpose.
+"""The dense psi prober against its oracle, in a bank and in a chat.
 
-``DensePsiProber.build`` is the production way to fit the Eq. 7 map
+``DensePsiProber.build`` is the one way a chat fits the Eq. 7 map
 phi(psi) -> loss; the per-level clone/compress/decompress/evaluate loop
 behind ``VehicleNode.build_psi_map`` is the oracle it must match to the
-bit, and the fallback for nodes the probe bank cannot serve.
+bit, and nothing else.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import decompress, topk_for_psi
+from repro.compression import decompress, topk_for_psi, topk_plan
 from repro.core.chat import negotiate, pairwise_chat
 from repro.core.fleet import FleetEngine
-from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.node import NodeConfig, VehicleNode
 from repro.core.overlap import DensePsiProber
 from repro.coreset import PenaltyConfig
 from repro.engine.random import spawn_rng
 from repro.net import ChannelConfig, WirelessModel
 from repro.nn import make_driving_model
-from repro.nn.layers import Module
 from repro.sim.dataset import DrivingDataset, Frame
 
 from tests.conftest import make_node
@@ -85,8 +83,7 @@ class TestProberMatchesOracle:
     )
     def test_detached_node(self, size, use_conv, penalty, seed, psi, tie_step):
         node = trained_node(seed, size, use_conv, penalty, tie_step=tie_step)
-        prober = DensePsiProber(node.model, node.config.psi_grid)
-        assert prober.compatible(node)
+        prober = DensePsiProber(node.model)
         psi_map, plan = prober.build(node)
         # The probe rows, to the bit: +0.0 in every unsent position.
         for row, level in zip(prober.bank.flat, prober.psis):
@@ -99,10 +96,8 @@ class TestProberMatchesOracle:
     def test_bank_attached_nodes(self, size, use_conv, penalty):
         """The trainer's case: ``flat_params`` is a zero-copy bank row."""
         nodes = [trained_node(7 + k, size, use_conv, penalty, f"n{k}") for k in range(2)]
-        engine = FleetEngine.try_build(nodes)
-        assert engine is not None
-        engine.train_step_all()
-        prober = DensePsiProber(nodes[0].model, nodes[0].config.psi_grid)
+        FleetEngine(nodes).train_step_all()
+        prober = DensePsiProber(nodes[0].model)
         for node in nodes:
             psi_map, plan = prober.build(node)
             oracle = node.build_psi_map()
@@ -115,7 +110,7 @@ def test_probe_rows_hold_the_brute_force_top_k():
     node = trained_node(11, "city", False, NO_PENALTY, tie_step=0.02)
     flat = node.flat_params
     assert np.unique(np.abs(flat)).size < 100 and np.signbit(flat[flat == 0]).any()
-    prober = DensePsiProber(node.model, node.config.psi_grid)
+    prober = DensePsiProber(node.model)
     _, plan = prober.build(node)
     order = brute_force_order(flat)
     for row, level in zip(prober.bank.flat, prober.psis):
@@ -129,15 +124,15 @@ def test_probe_rows_hold_the_brute_force_top_k():
         assert node.compress_model(psi).indices.tolist() == kept
 
 
-# -- fallbacks, run on purpose ----------------------------------------------------
+# -- the prober inside a chat ------------------------------------------------------
 
 
-@pytest.fixture()
-def validation(fleet_datasets):
-    val = DrivingDataset()
-    for dataset in fleet_datasets.values():
-        val.extend([dataset.frame(i) for i in range(0, len(dataset), 8)])
-    return val
+class LoopProber:
+    """The oracle in the prober's place: the per-level loop's map, and a
+    plan ranked from scratch for the payload to reuse."""
+
+    def build(self, node):
+        return node.build_psi_map(), topk_plan(node.flat_params, node.config.nominal_model_bytes)
 
 
 def chat(pair, prober, time_budget=15.0, entry=pairwise_chat, **protocol):
@@ -174,46 +169,28 @@ def assert_same_chat(got, want, pair, oracle_pair):
 
 
 class TestFallbacks:
-    def test_default_nodes_take_the_probe_bank(self, fleet_datasets):
+    """There is none left to take: a chat fits its maps on a probe bank —
+    the trainer's or its own — or, under the §IV-F ablation, fits none."""
+
+    @staticmethod
+    def assert_decides_as_the_oracle(fleet_datasets, make_prober):
         pair, oracle_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
-        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
-        outcome = chat(pair, prober)
-        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (2, 0)
-        assert_same_chat(outcome, chat(oracle_pair, None), pair, oracle_pair)
+        outcome = chat(pair, make_prober(pair[0].model))
+        assert outcome.psi_probe_builds == 2
+        assert_same_chat(outcome, chat(oracle_pair, LoopProber()), pair, oracle_pair)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [dict(psi_grid=(0.1, 0.4, 0.7, 1.0))],
-        ids=["psi_grid"],
-    )
-    def test_unserved_config_takes_the_per_level_loop(self, fleet_datasets, overrides):
-        pair = make_pair(fleet_datasets, **overrides)
-        oracle_pair = make_pair(fleet_datasets, **overrides)
-        prober = DensePsiProber(pair[0].model, NodeConfig().psi_grid)
-        assert not prober.compatible(pair[0])
-        outcome = chat(pair, prober)
-        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (0, 2)
-        assert_same_chat(outcome, chat(oracle_pair, None), pair, oracle_pair)
+    def test_default_nodes_take_the_probe_bank(self, fleet_datasets):
+        self.assert_decides_as_the_oracle(fleet_datasets, DensePsiProber)
 
-    def test_mixed_pair_falls_back_per_node(self, fleet_datasets):
-        """A peer with other parameter shapes does not drag its partner off the bank."""
-        pair = make_pair(fleet_datasets)
-        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
-        pair[1].model = make_driving_model(
-            pair[1].model.bev_shape, pair[1].model.n_waypoints, hidden=16, seed=0
-        )
-        assert prober.compatible(pair[0]) and not prober.compatible(pair[1])
-        # No time to ship a model: the chat stops at the Eq. 7 decision.
-        outcome = chat(pair, prober, time_budget=1e-9)
-        assert (outcome.psi.psi_i, outcome.psi.psi_j) == (0.0, 0.0)
-        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (1, 1)
+    def test_a_chat_handed_no_prober_builds_its_own(self, fleet_datasets):
+        """Outside a trainer (``examples/quickstart.py``, most chat tests)."""
+        self.assert_decides_as_the_oracle(fleet_datasets, lambda model: None)
 
-    @pytest.mark.parametrize("with_prober", [True, False], ids=["bank", "per_level"])
-    def test_equal_compression_fits_no_map(self, fleet_datasets, monkeypatch, with_prober):
+    def test_equal_compression_fits_no_map(self, fleet_datasets, monkeypatch):
         """§IV-F replaces Eq. 7, the maps' only reader: nothing is fitted,
         and the chat is the one that fitted both maps and sent from them."""
         pair, fitted_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
-        prober = DensePsiProber(pair[0].model, pair[0].config.psi_grid)
+        prober = DensePsiProber(pair[0].model)
         # The chat that fits them: the same decision, each leg captured
         # from its sender's probe plan as an Eq. 7 chat's is.
         fitted = chat(fitted_pair, prober, entry=negotiate, equal_compression=True)
@@ -230,49 +207,7 @@ class TestFallbacks:
 
         monkeypatch.setattr(DensePsiProber, "build", fitted_a_map)
         monkeypatch.setattr(VehicleNode, "build_psi_map", fitted_a_map)
-        outcome = chat(pair, prober if with_prober else None, equal_compression=True)
-        assert (outcome.psi_probe_builds, outcome.psi_probe_fallbacks) == (0, 0)
+        outcome = chat(pair, prober, equal_compression=True)
+        assert outcome.psi_probe_builds == 0
         assert_same_chat(outcome, fitted.outcome, pair, fitted_pair)
         assert outcome.j_received_model
-
-    def test_trainer_counts_a_bank_incompatible_fleet(
-        self, fleet_datasets, traces, validation, monkeypatch
-    ):
-        """A trunk the probe bank cannot mirror: every map falls back, counted."""
-
-        class Identity(Module):
-            def forward(self, x):
-                return x
-
-            def backward(self, grad_out):
-                return grad_out
-
-        def build(odd_trunk: bool):
-            nodes = [
-                make_node(vid, fleet_datasets[vid], seed=9) for vid in sorted(fleet_datasets)
-            ]
-            if odd_trunk:
-                for node in nodes:
-                    node.model.trunk.modules.append(Identity())
-            config = LbChatConfig(
-                duration=60.0, train_interval=2.0, record_interval=30.0,
-                wireless_loss=False, seed=1,
-            )
-            trainer = LbChatTrainer(nodes, traces, validation, config)
-            trainer.run()
-            return trainer
-
-        odd = build(True)
-        assert odd.fleet is None  # per-node training, chosen from the nodes
-        # The reference trains per node too, or its parameters would only
-        # match within float tolerance (head gradients batch differently).
-        monkeypatch.setattr(FleetEngine, "try_build", classmethod(lambda cls, nodes, **kw: None))
-        plain = build(False)
-        assert plain.fleet is None
-        assert odd.prober_for(odd.nodes[0]) is None
-        assert odd.counters.get("psi_probe_builds") == 0
-        assert odd.counters.get("psi_probe_fallbacks") > 0
-        assert plain.counters.get("psi_probe_fallbacks") == 0
-        assert plain.counters.get("psi_probe_builds") == odd.counters.get("psi_probe_fallbacks")
-        for node, oracle in zip(odd.nodes, plain.nodes):
-            assert np.array_equal(node.flat_params, oracle.flat_params)

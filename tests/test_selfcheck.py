@@ -97,6 +97,21 @@ def test_failed_row_keeps_its_scratch_directory(tmp_path, monkeypatch):
     assert run.failures == ["made to fail", f"scratch directory kept at {kept}"]
 
 
+def test_dense_steps_bites(runner, monkeypatch):
+    """It passes on the real rows (``test_row``); one instant stepped a
+    node at a time — what the hotpath world did before every minibatch
+    was full — and a train event no bank step covered each fail it."""
+    run = runner.check("hotpath.SCO")
+    fleet, n = run.result.trainer.fleet, len(run.result.nodes)
+    assert list(selfcheck.dense_steps(run)) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(fleet, "step_width_sum", fleet.step_width_sum - n * (n - 1))
+        assert len(list(selfcheck.dense_steps(run))) == 1
+    with monkeypatch.context() as patch:
+        patch.setitem(run.result.counters, "train_steps", fleet.step_events + 1)
+        assert len(list(selfcheck.dense_steps(run))) == 1
+
+
 def test_the_accounting_hooks_bite(runner, monkeypatch):
     """They pass on the real rows (``test_row``); a chat that reached
     neither the log nor the air, a leaked ledger mark and a model that

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import METHOD_NAMES
 from repro.nn import make_driving_model
 from repro.nn.params import get_flat_params
 from repro.nn.serialize import load_model, save_model
@@ -277,6 +278,85 @@ class TestBenchmarkTracer:
         assert chats > 0
         assert calls["core.plan_chat"] == (chats if overlap_chat else 0)
         assert calls["core.pairwise_chat"] == (0 if overlap_chat else chats)
+
+
+class TestOneWayToTakeAGradientStep:
+    """ROADMAP item 9's training and psi-probe halves as a gate: a trainer
+    steps through ``FleetEngine.train_step_all`` and fits psi maps with
+    ``DensePsiProber.build``, whatever the fleet has collected.  The
+    single-vehicle reference step and the per-level psi loop are oracles
+    (``tests/test_nn_bank.py``, ``tests/test_psi_prober.py``) that no
+    method reaches, and a fleet the bank cannot hold is refused, never
+    trained some slower way."""
+
+    @staticmethod
+    def reference_only():
+        from repro.core.node import VehicleNode
+        from repro.nn.bank import FleetAdam
+        from repro.nn.model import WaypointNet
+        from repro.nn.optim import Adam
+
+        return (
+            (WaypointNet, "backward"), (VehicleNode, "train_step"),
+            (VehicleNode, "build_psi_map"), (Adam, "step"), (FleetAdam, "step_row"),
+        )
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_no_method_reaches_the_reference_step(self, method, monkeypatch):
+        """On the hotpath world — 54 frames a vehicle against batches of
+        64, where half the methods used to step per node."""
+        from collections import Counter
+
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, run_method
+
+        calls = Counter()
+        for owner, name in self.reference_only():
+            def counting(*args, _real=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kw):
+                calls[_key] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counting)
+        context = selfcheck._context("hotpath")
+        result = run_method(context, RunSpec.for_context(context, method, seed=selfcheck.SEED))
+        assert result.counters["train_steps"] == 60  # 20 instants x 3 vehicles
+        assert dict(calls) == {}
+        assert result.trainer.fleet.mean_step_width == 3.0
+
+    @pytest.mark.parametrize(
+        "reason",
+        ["parameter shapes", "Adam lr", "batch_size", "trunk module Identity"],
+        ids=["two_hidden_widths", "two_learning_rates", "two_batch_sizes", "unstackable_trunk"],
+    )
+    def test_a_fleet_the_bank_cannot_hold_is_refused_at_construction(
+        self, fleet_datasets, traces, reason
+    ):
+        from dataclasses import replace
+
+        from repro.core.fleet import FleetIncompatible
+        from repro.core.lbchat import LbChatConfig, LbChatTrainer
+        from repro.nn.layers import Module
+        from tests.conftest import MODEL_SHAPE, N_WAYPOINTS, make_node
+
+        class Identity(Module):
+            def forward(self, x):
+                return x
+
+        nodes = [make_node(vid, data, coreset_size=8) for vid, data in sorted(fleet_datasets.items())]
+        odd = nodes[-1]
+        if reason == "parameter shapes":
+            odd.model = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=16, seed=0)
+        elif reason == "Adam lr":
+            odd.optimizer.lr = 5e-4
+        elif reason == "batch_size":
+            odd.config = replace(odd.config, batch_size=odd.config.batch_size // 2)
+        else:  # every node alike, and none the bank can stack
+            for node in nodes:
+                node.model.trunk.modules.append(Identity())
+        with pytest.raises(FleetIncompatible, match=reason):
+            LbChatTrainer(nodes, traces, fleet_datasets["v0"], LbChatConfig(duration=30.0, seed=1))
+        assert [n.train_steps for n in nodes] == [0] * len(nodes)  # before any step
+        assert all(n._bank_flat is None for n in nodes)  # and no node half-adopted
 
 
 class TestEveryModuleHasARunningCaller:
