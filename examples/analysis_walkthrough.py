@@ -26,7 +26,9 @@ SCALE = replace(
     name="walkthrough",
     world=WorldConfig(
         map_size=400.0,
-        grid_n=3,
+        # 5 x 5: a district (a quarter of the map) must hold a route of
+        # min_route_length, and a 3 x 3 grid's 200 m blocks leave it none.
+        grid_n=5,
         n_vehicles=4,
         n_background_cars=4,
         n_pedestrians=10,

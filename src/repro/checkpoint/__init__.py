@@ -2,7 +2,9 @@
 
 A *checkpoint* is a full snapshot of a live training run taken at a
 virtual-time barrier: every vehicle node (model parameters, optimizer
-moments, dataset, coreset, loss cache), every metric recorder, the
+moments, dataset, coreset, loss cache — datasets as rows and weights,
+their frames once for the fleet in a
+:class:`~repro.checkpoint.state.FrameTable`), every metric recorder, the
 trainers' externalized timer state, and the active telemetry registry.
 Restoring a checkpoint into a freshly built trainer and continuing
 produces results **bit-identical** to the uninterrupted run.
@@ -45,9 +47,8 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.policy import CheckpointPolicy, Checkpointer
 from repro.checkpoint.state import (
+    FrameTable,
     Snapshottable,
-    dataset_from_state,
-    dataset_state,
     flatten_state,
     unflatten_state,
 )
@@ -63,8 +64,7 @@ __all__ = [
     "DEFAULT_CHECKPOINT_ROOT",
     "RunStore",
     "Snapshottable",
-    "dataset_state",
-    "dataset_from_state",
+    "FrameTable",
     "flatten_state",
     "unflatten_state",
     "spec_payload",

@@ -37,8 +37,11 @@ __all__ = [
 #: (2: a transfer in flight is a ``repro.core.chat.Chat`` tree; 3: its
 #: ``ChatOutcome`` tallies psi-map fits in one counter, and
 #: ``Chat.from_snapshot`` would refuse format 2's second one as an
-#: unknown field).  An older format is refused, not loaded.
-FORMAT_VERSION = 3
+#: unknown field; 4: a dataset is rows and weights, and the frames of
+#: every dataset and in-flight coreset are written once, under
+#: ``frame_table`` — see :class:`repro.checkpoint.state.FrameTable`).  An
+#: older format is refused, not loaded.
+FORMAT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

@@ -11,6 +11,11 @@ splits a tree into (a) a JSON-able meta tree in which every array is
 replaced by a ``{"__array__": path}`` marker, and (b) a flat
 ``path -> ndarray`` mapping destined for one ``.npz`` member per array.
 :func:`unflatten_state` is the exact inverse.
+
+Datasets do not snapshot themselves: a tree's datasets go in as rows and
+weights through one :class:`FrameTable` per snapshot, which writes the
+frames they name once (the components that hold datasets — nodes, chats
+on the air — take the table as their ``snapshot``/``restore`` argument).
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.checkpoint.format import CheckpointError
 from repro.sim.dataset import DrivingDataset
 
 __all__ = [
     "Snapshottable",
     "flatten_state",
     "unflatten_state",
-    "dataset_state",
-    "dataset_from_state",
+    "FrameTable",
 ]
 
 #: Reserved meta-tree key marking a leaf that lives in the array table.
@@ -52,8 +57,8 @@ class Snapshottable(Protocol):
 def _flatten(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
     if isinstance(value, np.ndarray):
         # Not copied: state trees hold zero-copy views into live
-        # parameter banks and dataset storage, and the store serializes
-        # them before control returns to the simulator.
+        # parameter banks and datasets' row and weight arrays, and the
+        # store serializes them before control returns to the simulator.
         arrays[path] = value
         return {ARRAY_MARKER: path}
     if isinstance(value, Mapping):
@@ -103,28 +108,81 @@ def unflatten_state(meta: dict, arrays: Mapping[str, np.ndarray]) -> dict:
     return _unflatten(meta, arrays)
 
 
-# -- dataset state -----------------------------------------------------------
+# -- frames and the datasets over them ---------------------------------------
 
 
-def dataset_state(dataset: DrivingDataset) -> dict:
-    """A :class:`DrivingDataset`'s contents as a checkpointable tree."""
-    if len(dataset) == 0:
-        return {"ids": []}
-    bev, commands, targets, weights = dataset.arrays()
-    return {
-        "ids": dataset.ids,
-        "bev": bev,
-        "commands": commands,
-        "targets": targets,
-        "weights": weights,
-    }
+class FrameTable:
+    """The frames of one snapshot, written once however many datasets hold them.
 
+    Writing: every dataset of the tree goes through :meth:`ref`, which
+    returns its state — the number of its pool in this table, its pool
+    rows and its weights — and notes which rows of which pool it names;
+    :meth:`state` is then each pool's referenced rows with their ids and
+    columns, once.  Reading: ``FrameTable(state)``, then
+    :meth:`dataset` rebuilds a dataset over a live pool, finding each
+    frame there by id and interning from the table the ones it lacks.
+    """
 
-def dataset_from_state(state: Mapping) -> DrivingDataset:
-    """Rebuild a dataset saved by :func:`dataset_state` (same row order)."""
-    ids = list(state["ids"])
-    if not ids:
-        return DrivingDataset()
-    return DrivingDataset.from_arrays(
-        ids, state["bev"], state["commands"], state["targets"], state["weights"]
-    )
+    def __init__(self, state: Mapping | None = None):
+        #: id of a live pool -> (its number here, the pool, row arrays naming it).
+        self._refs: dict[int, tuple[int, Any, list[np.ndarray]]] = {}
+        self._state = state
+        #: (saved pool number, id of live pool) -> saved row -> live row.
+        self._resolved: dict[tuple[int, int], dict[int, int]] = {}
+
+    def ref(self, dataset: DrivingDataset) -> dict:
+        """``dataset`` as rows of one of this table's pools, plus weights."""
+        pool = dataset.pool
+        number, _, used = self._refs.setdefault(id(pool), (len(self._refs), pool, []))
+        used.append(dataset.rows)
+        return {"pool": number, "rows": dataset.rows, "weights": dataset.weights}
+
+    def state(self) -> dict:
+        """Every referenced frame once, per pool; and how often they were named."""
+        pools = []
+        for _, pool, used in self._refs.values():
+            rows = np.unique(np.concatenate(used))
+            bev, commands, targets = pool.take(rows)
+            pools.append(
+                {
+                    "rows": rows,
+                    "ids": [pool.ids[row] for row in rows.tolist()],
+                    "bev": bev,
+                    "commands": commands,
+                    "targets": targets,
+                }
+            )
+        refs = sum(rows.size for _, _, used in self._refs.values() for rows in used)
+        return {"pools": pools, "frame_refs": int(refs)}
+
+    def _resolve(self, number: int, pool) -> dict[int, int]:
+        key = (number, id(pool))
+        if key not in self._resolved:
+            saved = self._state["pools"][number]
+            ids = [str(frame_id) for frame_id in saved["ids"]]
+            carried = len(saved["bev"])  # the columns may stop short of the ids
+            live = pool.intern(
+                ids[:carried], saved["bev"], saved["commands"], saved["targets"]
+            ).tolist()
+            for frame_id in ids[carried:]:
+                row = pool.row(frame_id)
+                if row is None:
+                    raise CheckpointError(
+                        f"frame {frame_id!r} is neither in the run's frame pool "
+                        "nor carried by the checkpoint"
+                    )
+                live.append(row)
+            self._resolved[key] = dict(zip(np.asarray(saved["rows"]).tolist(), live))
+        return self._resolved[key]
+
+    def dataset(self, state: Mapping, pool) -> DrivingDataset:
+        """Rebuild a dataset saved by :meth:`ref` over ``pool`` (same order)."""
+        live = self._resolve(int(state["pool"]), pool)
+        try:
+            rows = [live[row] for row in np.asarray(state["rows"]).tolist()]
+        except KeyError as exc:
+            raise CheckpointError(
+                f"a dataset names row {exc.args[0]} of pool {state['pool']}, "
+                "which the checkpoint's frame table does not list"
+            ) from None
+        return pool.dataset(rows, state["weights"])

@@ -5,7 +5,8 @@ Layout, one directory per run under the store root::
     <root>/<method-slug>-seed<seed>-<spec_fingerprint>/
         run.json          # the spec payload (enables `repro resume`)
         ckpt-000003.npz   # array table (one member per state array,
-                          # stored or deflated by what it holds)
+                          # stored or deflated by what it holds; the
+                          # fleet's frames once, under /frame_table)
         ckpt-000003.json  # meta tree + format version + npz SHA-256
         events.jsonl      # advisory log: saved / resumed / corrupt
         done.json         # present once the run finished
@@ -186,7 +187,12 @@ class RunStore:
 
         ``state`` must carry ``barrier`` and ``time`` entries (see
         ``TrainerBase.checkpoint_barrier``).  With ``keep``, older
-        checkpoints beyond the ``keep`` most recent are pruned.
+        checkpoints beyond the ``keep`` most recent are pruned.  The
+        ``saved`` event says what was written: the npz's size and codec
+        counts, and — for a state with a ``frame_table`` entry, a
+        :class:`~repro.checkpoint.state.FrameTable`'s — ``frames`` /
+        ``frame_refs``: the frames written and how many times the
+        state's datasets name them.
         """
         barrier = int(state["barrier"])
         run_dir = self.ensure_run(spec)
@@ -194,6 +200,10 @@ class RunStore:
         npz_path = run_dir / f"ckpt-{barrier:06d}.npz"
         with _atomic_open(npz_path) as fh:
             facts = _write_npz(fh, arrays)
+        table = state.get("frame_table")
+        if table is not None:
+            facts["frames"] = sum(len(pool["ids"]) for pool in table["pools"])
+            facts["frame_refs"] = table["frame_refs"]
         payload = {
             "format": FORMAT_VERSION,
             "barrier": barrier,

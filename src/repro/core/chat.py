@@ -96,17 +96,13 @@ class Leg:
     session: TransferSession | None = None
 
 
-def _coreset_state(coreset: Coreset) -> dict:
-    from repro.checkpoint.state import dataset_state
-
-    return {"data": dataset_state(coreset.data), "weights": coreset.source_weights.copy()}
+def _coreset_state(coreset: Coreset, frames) -> dict:
+    return {"data": frames.ref(coreset.data), "weights": coreset.source_weights.copy()}
 
 
-def _coreset_from_state(state) -> Coreset:
-    from repro.checkpoint.state import dataset_from_state
-
+def _coreset_from_state(state, frames, pool) -> Coreset:
     return Coreset(
-        data=dataset_from_state(state["data"]),
+        data=frames.dataset(state["data"], pool),
         source_weights=np.asarray(state["weights"], dtype=float),
     )
 
@@ -189,18 +185,19 @@ class Chat:
 
     # -- checkpointing (a chat between its plan and its commit) ---------------
 
-    def snapshot(self) -> dict:
-        """The chat as a checkpoint tree.  ``joint`` is not in it: the
-        deliveries that build it run in the same event as the commit,
-        never across a barrier."""
+    def snapshot(self, frames) -> dict:
+        """The chat as a checkpoint tree, its coresets' frames in ``frames``
+        (the snapshot's :class:`~repro.checkpoint.state.FrameTable`).
+        ``joint`` is not in it: the deliveries that build it run in the
+        same event as the commit, never across a barrier."""
         return {
             "outcome": asdict(self.outcome),
             "start": self.start,
             "now": self.now,
             "mean_aggregation": self.mean_aggregation,
             "model_deadline": self.model_deadline,
-            "coreset_i": _coreset_state(self.coreset_i),
-            "coreset_j": _coreset_state(self.coreset_j),
+            "coreset_i": _coreset_state(self.coreset_i, frames),
+            "coreset_j": _coreset_state(self.coreset_j, frames),
             "legs": [
                 {
                     "to_i": leg.to_i,
@@ -213,8 +210,9 @@ class Chat:
         }
 
     @classmethod
-    def from_snapshot(cls, state, radio) -> "Chat":
-        """Inverse of :meth:`snapshot`, on the link ``radio``."""
+    def from_snapshot(cls, state, radio, frames, pool) -> "Chat":
+        """Inverse of :meth:`snapshot`, on the link ``radio``, its coresets
+        rebuilt from ``frames`` over ``pool``."""
         outcome = {**state["outcome"], "psi": PsiDecision(**state["outcome"]["psi"])}
         legs = [
             Leg(
@@ -228,8 +226,8 @@ class Chat:
         ]
         restored = {
             "outcome": ChatOutcome(**outcome),
-            "coreset_i": _coreset_from_state(state["coreset_i"]),
-            "coreset_j": _coreset_from_state(state["coreset_j"]),
+            "coreset_i": _coreset_from_state(state["coreset_i"], frames, pool),
+            "coreset_j": _coreset_from_state(state["coreset_j"], frames, pool),
             "legs": legs,
         }
         return cls(radio=radio, **{**state, **restored})

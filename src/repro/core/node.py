@@ -266,11 +266,13 @@ class VehicleNode:
             losses[hit] = self._cache_values[slots[hit]]
         miss = np.flatnonzero(~hit)
         if miss.size:
-            bev, commands, targets, _ = dataset.arrays()
             for start in range(0, miss.size, _EVAL_CHUNK):
                 chunk = miss[start : start + _EVAL_CHUNK]
-                pred = self.model.forward(bev[chunk], commands[chunk])
-                _, per_sample, _ = waypoint_l1(pred, targets[chunk])
+                # Only the misses are gathered, straight from the pool:
+                # ``dataset`` may be a vehicle's whole local dataset.
+                bev, commands, targets = dataset.take(chunk)
+                pred = self.model.forward(bev, commands)
+                _, per_sample, _ = waypoint_l1(pred, targets)
                 losses[chunk] = per_sample
                 chunk_slots = slots[chunk]
                 self._cache_values[chunk_slots] = losses[chunk]
@@ -300,7 +302,7 @@ class VehicleNode:
     def evaluate(self, dataset: DrivingDataset, with_penalty: bool = True) -> float:
         """Weighted loss of the current model on ``dataset`` (Eq. 6)."""
         losses = self.per_sample_losses(dataset)
-        _, commands, _, weights = dataset.arrays()  # cached views, no re-stack
+        commands, weights = dataset.commands, dataset.weights
         if with_penalty and self.config.penalty.enabled:
             return penalized_loss(
                 self.flat_params, losses, commands, weights, self.config.penalty
@@ -437,8 +439,12 @@ class VehicleNode:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def snapshot(self) -> dict:
+    def snapshot(self, frames) -> dict:
         """Full node state as a checkpointable tree.
+
+        The dataset and the coreset go in as rows and weights; their
+        frames go into ``frames``, the snapshot's
+        :class:`~repro.checkpoint.state.FrameTable`, once for the fleet.
 
         The RNG is deliberately absent: trainers re-derive every stream
         at checkpoint barriers (``spawn_rng(seed, f"node-{{id}}@ckpt{{k}}")``),
@@ -447,8 +453,6 @@ class VehicleNode:
         batch composition of the next evaluation, and BLAS accumulation
         order (hence bit-identity) depends on it.
         """
-        from repro.checkpoint.state import dataset_state
-
         used = len(self._cache_slots)
         cache_ids = sorted(self._cache_slots, key=self._cache_slots.__getitem__)
         return {
@@ -457,32 +461,35 @@ class VehicleNode:
             "model_version": self.model_version,
             "train_steps": self.train_steps,
             "steps_since_refresh": self._steps_since_refresh,
-            "dataset": dataset_state(self.dataset),
-            "coreset_data": dataset_state(self.coreset.data),
+            "dataset": frames.ref(self.dataset),
+            "coreset_data": frames.ref(self.coreset.data),
             "coreset_source_weights": self.coreset.source_weights.copy(),
             "cache_ids": cache_ids,
             "cache_versions": self._cache_versions[:used].copy(),
             "cache_values": self._cache_values[:used].copy(),
         }
 
-    def restore(self, state) -> None:
+    def restore(self, state, frames) -> None:
         """Overwrite all node state with a snapshot's contents.
+
+        The datasets come back over the pool this node's dataset is on
+        (the run's, rebuilt with its context), their frames found there
+        by id or interned from ``frames``, the snapshot's table.
 
         The slot memo is *not* restored: it is a pure recomputation
         cache keyed by dataset generation, and generation counters start
         over in a resumed process — bumping the cache epoch invalidates
         every stale memo instead.
         """
-        from repro.checkpoint.state import dataset_from_state
-
+        pool = self.dataset.pool
         set_flat_params(self.model, np.asarray(state["params"]))
         self.optimizer.restore(state["optimizer"])
         self.model_version = int(state["model_version"])
         self.train_steps = int(state["train_steps"])
         self._steps_since_refresh = int(state["steps_since_refresh"])
-        self.dataset = dataset_from_state(state["dataset"])
+        self.dataset = frames.dataset(state["dataset"], pool)
         self.coreset = Coreset(
-            data=dataset_from_state(state["coreset_data"]),
+            data=frames.dataset(state["coreset_data"], pool),
             source_weights=np.asarray(state["coreset_source_weights"], dtype=float),
         )
         cache_ids = [str(frame_id) for frame_id in state["cache_ids"]]

@@ -224,14 +224,15 @@ class TransferScheduler:
         """``(armed_at, generator)`` pairs re-arming every live flight."""
         return [(flight.armed_at, self._flight_process(flight)) for flight in self.flights]
 
-    def snapshot(self) -> dict:
+    def snapshot(self, frames) -> dict:
         return {
             "flights": [
-                {**vars(flight), "chat": flight.chat.snapshot()} for flight in self.flights
+                {**vars(flight), "chat": flight.chat.snapshot(frames)}
+                for flight in self.flights
             ]
         }
 
-    def restore(self, state) -> None:
+    def restore(self, state, frames) -> None:
         trainer = self.trainer
         self.flights = []
         for flight in (state or {}).get("flights", []):
@@ -240,4 +241,6 @@ class TransferScheduler:
                 trainer.wireless,
                 trainer.config.channel,
             )
-            self._hold(_Flight(**{**flight, "chat": Chat.from_snapshot(flight["chat"], radio)}))
+            pool = trainer.nodes[flight["i"]].dataset.pool
+            chat = Chat.from_snapshot(flight["chat"], radio, frames, pool)
+            self._hold(_Flight(**{**flight, "chat": chat}))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint.state import FrameTable
 from repro.core.chat import estimated_chat_bytes
 from repro.core.ledger import TransferLedger
 from repro.core.node import VehicleNode
@@ -361,9 +362,10 @@ class TrainerBase:
 
     def snapshot(self) -> dict:
         """Full trainer state as a checkpointable tree (a pure read)."""
+        frames = FrameTable()
         state = {
             "time": self.sim.now,
-            "nodes": [node.snapshot() for node in self.nodes],
+            "nodes": [node.snapshot(frames) for node in self.nodes],
             "busy_until": self.busy_until.copy(),
             "next_train": self._next_train.copy(),
             "next_scan": self.next_scan.copy(),
@@ -375,7 +377,9 @@ class TrainerBase:
             "extra": self.extra_state(),
         }
         if self.overlap is not None:
-            state["overlap"] = self.overlap.snapshot()
+            state["overlap"] = self.overlap.snapshot(frames)
+        # Last: every dataset of the tree has named its rows by now.
+        state["frame_table"] = frames.state()
         session = telemetry.active()
         state["telemetry"] = session.registry.state() if session is not None else None
         return state
@@ -388,9 +392,10 @@ class TrainerBase:
         before the interruption are not lost.
         """
         barrier = int(state["barrier"])
+        frames = FrameTable(state["frame_table"])
         self.sim.advance_to(float(state["time"]))
         for node, node_state in zip(self.nodes, state["nodes"], strict=True):
-            node.restore(node_state)
+            node.restore(node_state, frames)
         self.busy_until = np.asarray(state["busy_until"], dtype=float).copy()
         self._next_train = np.asarray(state["next_train"], dtype=float).copy()
         self.next_scan = np.asarray(state["next_scan"], dtype=float).copy()
@@ -403,7 +408,7 @@ class TrainerBase:
         self.restore_extra(state["extra"])
         overlap_state = state.get("overlap")
         if self.overlap is not None:
-            self.overlap.restore(overlap_state)
+            self.overlap.restore(overlap_state, frames)
         elif overlap_state is not None and overlap_state.get("flights"):
             raise ValueError(
                 "checkpoint holds in-flight overlap transfers but this trainer "

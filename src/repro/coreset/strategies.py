@@ -83,7 +83,7 @@ def kmeans_coreset(
     losses = np.asarray(losses, dtype=float)
     if losses.size != n:
         raise ValueError(f"{losses.size} losses for {n} samples")
-    _, commands, _, weights = dataset.arrays()
+    commands, weights = dataset.commands, dataset.weights
 
     # Feature space: normalized loss + scaled command one-hot.
     loss_feat = (losses - losses.min()) / max(np.ptp(losses), 1e-9)

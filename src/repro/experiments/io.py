@@ -40,8 +40,9 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 #: struct-of-arrays agent mirrors; format 4: multi-district city maps —
 #: TownMap grew ``districts_per_side``, WorldConfig grew
 #: ``city_blocks``/``shard_stepping``, MobilityTraces memoize contact
-#: indexes).
-_CACHE_FORMAT = 4
+#: indexes; format 5: the fleet's frames are one ``FramePool`` and every
+#: dataset is rows and weights over it).
+_CACHE_FORMAT = 5
 
 
 def scale_fingerprint(scale: ExperimentScale) -> str:

@@ -226,7 +226,9 @@ def build_context(scale: ExperimentScale) -> ExperimentContext:
     raw = collect_fleet_datasets(
         world, scale.collect_duration, scale.bev, n_waypoints=scale.n_waypoints
     )
-    validation = DrivingDataset()
+    # The split stays on the fleet's one frame pool: the validation set
+    # and every local dataset are row numbers over it.
+    validation = DrivingDataset(pool=next(iter(raw.values())).pool)
     datasets: dict[str, DrivingDataset] = {}
     stride = scale.validation_stride
     for vid, dataset in sorted(raw.items()):
@@ -278,6 +280,8 @@ def make_nodes(context: ExperimentContext, seed: int = 1) -> list[VehicleNode]:
         else:
             model = clone_model(template)
         # Each node gets a *copy* of its dataset: trainers mutate them.
+        # The copy is row numbers over the context's frame pool, which a
+        # run reads and never adds to.
         local = dataset.copy()
         nodes.append(
             VehicleNode(vid, model, local, node_config, spawn_rng(seed, f"node-{vid}"))

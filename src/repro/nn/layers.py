@@ -160,7 +160,11 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return x * self._mask
+        out = x * self._mask
+        # A fresh array nobody else holds: frozen, so that the Linear it
+        # feeds aliases it instead of taking its defensive copy.
+        out.flags.writeable = False
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -101,7 +101,9 @@ class WaypointNet(Module):
         for cmd in range(N_COMMANDS):
             mask = commands == cmd
             if mask.any():
-                out[mask] = self.heads[cmd].forward(features[mask])
+                picked = features[mask]
+                picked.flags.writeable = False  # ours alone: the head may alias it
+                out[mask] = self.heads[cmd].forward(picked)
         self._features = features
         # Backward re-reads the command vector after control returned to
         # the caller; copy writeable inputs so buffer reuse cannot

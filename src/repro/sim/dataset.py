@@ -2,26 +2,31 @@
 
 A *frame* is one training sample: the BEV observation, the active
 high-level command, and the expert's future waypoints in the vehicle
-frame.  A :class:`DrivingDataset` is an array-backed weighted collection
-of frames supporting everything LbChat needs: weighted minibatch
-sampling, per-sample loss evaluation hooks, absorption of received
-coresets, and per-command statistics (for the Eq. 6 entropy penalty).
+frame.  Frames live once, as rows of an append-only :class:`FramePool`
+(one for a whole fleet, made by :func:`collect_fleet_datasets`); a
+:class:`DrivingDataset` is row numbers and weights over a pool and
+supports everything LbChat needs: weighted minibatch sampling,
+per-sample loss evaluation hooks, absorption of received coresets, and
+per-command statistics (for the Eq. 6 entropy penalty).
 
-Storage is array-native: frames live in contiguous preallocated numpy
-buffers (amortized-doubling growth) with an id → row dict for O(1)
-dedup, so :meth:`DrivingDataset.arrays` returns cached read-only views
-instead of re-stacking Python lists, :meth:`DrivingDataset.sample_batch`
-fancy-indexes rows directly, and bulk operations (:meth:`subset`,
-:meth:`with_weights`, :meth:`absorb_from`) copy whole array slices
-without materializing per-frame objects.  The :attr:`generation`
-counter (bumped on every mutation) lets callers — the view cache here,
-and :class:`repro.core.node.VehicleNode`'s loss cache — invalidate
-derived state exactly when the dataset changes.
+Because every coreset is a subset of somebody's dataset and every chat
+ends with ``D_i <- D_i U C_j``, a chatting fleet's datasets converge on
+the same frames.  Over one pool that costs row numbers: :meth:`subset`,
+:meth:`with_weights`, :meth:`copy` and :meth:`absorb_from` move no frame
+bytes, :meth:`DrivingDataset.sample_batch` and :meth:`take` gather the
+rows they need straight from the pool, and :meth:`arrays` is a read-only
+gather cached per :attr:`generation` — for the small datasets that are
+read whole (a coreset, the validation set), never for a vehicle's
+growing local dataset.  The :attr:`generation` counter (bumped on every
+mutation) lets callers — the gather cache here, and
+:class:`repro.core.node.VehicleNode`'s loss cache — invalidate derived
+state exactly when the dataset changes.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +36,21 @@ from repro.sim.bev import BevSpec, render_fleet_bev
 from repro.sim.geometry import to_vehicle_frame_fleet
 from repro.sim.world import World
 
-__all__ = ["Frame", "DrivingDataset", "collect_fleet_datasets"]
+__all__ = ["Frame", "FramePool", "DrivingDataset", "collect_fleet_datasets"]
 
 #: Process-wide unique ids so caches can key datasets without holding
 #: references (``id()`` values get recycled; these never do).
 _DATASET_UIDS = itertools.count()
 
 _MIN_CAPACITY = 8
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -51,19 +64,152 @@ class Frame:
     weight: float = 1.0
 
 
-class DrivingDataset:
-    """Weighted, array-backed collection of frames."""
+class FramePool:
+    """Append-only store of frames, one row each, keyed by frame id.
 
-    def __init__(self, frames: list[Frame] | None = None):
-        self._ids: list[str] = []
+    Rows never move or change once written, so a row number stays a
+    valid name for its frame for the life of the pool; datasets hold
+    row numbers.  The columns live in preallocated buffers that double
+    when full (``capacity`` sizes the first allocation for a caller that
+    knows how many frames are coming).
+    """
+
+    def __init__(self, capacity: int = 0):
+        self.ids: list[str] = []
         self._index: dict[str, int] = {}
-        self._size = 0
-        # Buffers are allocated on first append (the first frame fixes
-        # the BEV shape and waypoint length).
+        self._capacity = capacity
+        # Allocated by the first frame (it fixes the BEV shape and the
+        # waypoint length).
         self._bev: np.ndarray | None = None  # (cap, C, H, W) float32
         self._commands: np.ndarray | None = None  # (cap,) int64
         self._targets: np.ndarray | None = None  # (cap, 2n) float32
-        self._weights: np.ndarray | None = None  # (cap,) float64
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_index"]  # rebuilt from ids
+        for name in ("_bev", "_commands", "_targets"):
+            if state[name] is not None:
+                state[name] = state[name][: len(self)]  # drop spare capacity
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._index = {frame_id: row for row, frame_id in enumerate(self.ids)}
+
+    @property
+    def bev(self) -> np.ndarray:
+        """``(len, C, H, W)`` float32 observations, one row per frame."""
+        return self._bev[: len(self)]
+
+    @property
+    def commands(self) -> np.ndarray:
+        """``(len,)`` int64 high-level commands."""
+        return self._commands[: len(self)]
+
+    @property
+    def targets(self) -> np.ndarray:
+        """``(len, 2 * n_waypoints)`` float32 expert waypoints."""
+        return self._targets[: len(self)]
+
+    def row(self, frame_id: str) -> int | None:
+        """The row holding ``frame_id``, or ``None``."""
+        return self._index.get(frame_id)
+
+    def _reserve(self, extra: int, bev_shape, target_len: int) -> None:
+        needed = len(self) + extra
+        if self._bev is None:
+            cap = max(_MIN_CAPACITY, self._capacity, needed)
+            self._bev = np.empty((cap, *bev_shape), dtype=np.float32)
+            self._commands = np.empty(cap, dtype=np.int64)
+            self._targets = np.empty((cap, target_len), dtype=np.float32)
+            return
+        cap = self._bev.shape[0]
+        if needed <= cap:
+            return
+        new_cap = max(2 * cap, needed)
+        for name in ("_bev", "_commands", "_targets"):
+            old = getattr(self, name)
+            grown = np.empty((new_cap, *old.shape[1:]), dtype=old.dtype)
+            grown[: len(self)] = old[: len(self)]
+            setattr(self, name, grown)
+
+    def intern(self, ids, bev, commands, targets) -> np.ndarray:
+        """The row of each id, appending the frames the pool lacks.
+
+        ``bev`` / ``commands`` / ``targets`` are aligned with ``ids``; a
+        frame whose id the pool already holds keeps the pool's copy (a
+        frame id names its content).
+        """
+        index = self._index
+        start = len(self)
+        rows = np.empty(len(ids), dtype=np.intp)
+        new_rows: dict[str, int] = {}  # id -> row, in row order
+        picks: list[int] = []  # where in ``ids`` each new row's frame is
+        for k, frame_id in enumerate(ids):
+            row = index.get(frame_id, new_rows.get(frame_id))
+            if row is None:
+                row = new_rows[frame_id] = start + len(new_rows)
+                picks.append(k)
+            rows[k] = row
+        if picks:
+            bev, targets = np.asarray(bev), np.asarray(targets)
+            self._reserve(len(picks), bev.shape[1:], targets.shape[1])
+            stop = start + len(picks)
+            self._bev[start:stop] = bev[picks]
+            self._commands[start:stop] = np.asarray(commands)[picks]
+            self._targets[start:stop] = targets[picks]
+            # Committed last: a frame of another shape raises above and
+            # leaves the pool as it was.
+            index.update(new_rows)
+            self.ids.extend(new_rows)
+        return rows
+
+    def take(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bev, commands, targets)`` of ``rows``, gathered read-only.
+
+        Read-only because nobody else holds the gather: a forward-only
+        evaluation can alias it without the defensive copy a layer takes
+        of a buffer its caller might refill.
+        """
+        return (
+            _frozen(self._bev[rows]),
+            _frozen(self._commands[rows]),
+            _frozen(self._targets[rows]),
+        )
+
+    def dataset(self, rows, weights=None) -> "DrivingDataset":
+        """A dataset of ``rows`` (distinct) of this pool, unit weights by default."""
+        rows = np.array(rows, dtype=np.intp)
+        if weights is None:
+            weights = np.ones(rows.size)
+        out = DrivingDataset(pool=self)
+        out._append(rows, np.array(weights, dtype=np.float64))
+        absent = rows.size and not 0 <= rows.min() <= rows.max() < len(self)
+        if absent or len(out._members) != rows.size:
+            raise ValueError("a dataset holds rows of its pool, each at most once")
+        return out
+
+
+class DrivingDataset:
+    """Weighted collection of frames: rows of a :class:`FramePool` and weights.
+
+    Built on its own (``DrivingDataset()``, ``DrivingDataset(frames)``,
+    :meth:`from_arrays`) a dataset gets a private pool; datasets derived
+    from it share that pool, and absorbing from a dataset of another
+    pool interns the frames it brings.
+    """
+
+    def __init__(self, frames: list[Frame] | None = None, *, pool: FramePool | None = None):
+        self._pool = pool if pool is not None else FramePool()
+        # Replaced, never written in place, so a view handed out by
+        # :meth:`arrays` stays frozen at its snapshot and copies can
+        # share them.
+        self._rows = _NO_ROWS  # (n,) intp, pool row of each frame
+        self._weights = _frozen(np.zeros(0))  # (n,) float64
+        self._members: set[int] = set()
         self._generation = 0
         self._uid = next(_DATASET_UIDS)
         self._views: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -72,20 +218,23 @@ class DrivingDataset:
             self.add(frame)
 
     def __len__(self) -> int:
-        return self._size
+        return self._rows.size
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_views"] = None  # views would pickle duplicated buffer data
+        state["_views"] = None  # a gather would pickle the frames a second time
         state["_views_generation"] = -1
-        for name in ("_bev", "_commands", "_targets", "_weights"):
-            buffer = state[name]
-            if buffer is not None and buffer.shape[0] != self._size:
-                state[name] = buffer[: self._size].copy()  # drop spare capacity
+        del state["_members"]  # rebuilt from the rows
         return state
 
     def __setstate__(self, state):
+        if "_pool" not in state:
+            raise pickle.UnpicklingError(
+                "a DrivingDataset pickled before frames moved into a FramePool"
+            )
         self.__dict__.update(state)
+        _frozen(self._rows), _frozen(self._weights)  # pickling drops the flag
+        self._members = set(self._rows.tolist())
         # A fresh uid in the receiving process: pickled uids could
         # collide with ids handed out locally, confusing caches keyed
         # on (uid, generation).
@@ -100,25 +249,27 @@ class DrivingDataset:
         targets: np.ndarray,
         weights: np.ndarray,
     ) -> "DrivingDataset":
-        """Build a dataset directly from column arrays (checkpoint restore).
+        """Build a dataset (on a pool of its own) directly from column arrays.
 
         ``ids`` must be unique; rows are adopted in order with no dedup
         pass, so a dataset rebuilt from its own :meth:`arrays` output is
         identical to the original (same ids, same row order).
         """
-        out = cls()
         ids = [str(frame_id) for frame_id in ids]
         if len(set(ids)) != len(ids):
             raise ValueError("from_arrays requires unique frame ids")
-        if ids:
-            out._bulk_append(
-                ids,
-                np.asarray(bev, dtype=np.float32),
-                np.asarray(commands, dtype=np.int64),
-                np.asarray(targets, dtype=np.float32),
-                np.asarray(weights, dtype=np.float64),
-            )
-        return out
+        pool = FramePool(capacity=len(ids))
+        return pool.dataset(pool.intern(ids, bev, commands, targets), weights)
+
+    @property
+    def pool(self) -> FramePool:
+        """The pool this dataset's frames are rows of."""
+        return self._pool
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Pool row of each frame, in insertion order (read-only)."""
+        return self._rows
 
     @property
     def uid(self) -> int:
@@ -132,24 +283,14 @@ class DrivingDataset:
 
     # -- growth ---------------------------------------------------------------
 
-    def _ensure_capacity(self, extra: int, bev_shape, target_len: int) -> None:
-        needed = self._size + extra
-        if self._bev is None:
-            cap = max(_MIN_CAPACITY, needed)
-            self._bev = np.empty((cap, *bev_shape), dtype=np.float32)
-            self._commands = np.empty(cap, dtype=np.int64)
-            self._targets = np.empty((cap, target_len), dtype=np.float32)
-            self._weights = np.empty(cap, dtype=np.float64)
+    def _append(self, rows: np.ndarray, weights: np.ndarray) -> None:
+        """Append pool rows known to be absent from this dataset."""
+        if rows.size == 0:
             return
-        cap = self._bev.shape[0]
-        if needed <= cap:
-            return
-        new_cap = max(2 * cap, needed)
-        for name in ("_bev", "_commands", "_targets", "_weights"):
-            old = getattr(self, name)
-            grown = np.empty((new_cap, *old.shape[1:]), dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
+        self._rows = _frozen(np.concatenate([self._rows, rows]))
+        self._weights = _frozen(np.concatenate([self._weights, weights]))
+        self._members.update(rows.tolist())
+        self._generation += 1
 
     def add(self, frame: Frame) -> None:
         """Append a frame; duplicate ids are silently skipped.
@@ -157,119 +298,89 @@ class DrivingDataset:
         Duplicate skipping makes coreset absorption idempotent — a
         vehicle may receive overlapping coresets from repeat encounters.
         """
-        if frame.frame_id in self._index:
-            return
-        bev = np.asarray(frame.bev, dtype=np.float32)
-        target = np.asarray(frame.waypoints, dtype=np.float32).ravel()
-        self._ensure_capacity(1, bev.shape, target.size)
-        row = self._size
-        self._bev[row] = bev
-        self._commands[row] = int(frame.command)
-        self._targets[row] = target
-        self._weights[row] = float(frame.weight)
-        self._index[frame.frame_id] = row
-        self._ids.append(frame.frame_id)
-        self._size += 1
-        self._generation += 1
+        row = self._pool.intern(
+            [frame.frame_id],
+            np.asarray(frame.bev, dtype=np.float32)[None],
+            [int(frame.command)],
+            np.asarray(frame.waypoints, dtype=np.float32).reshape(1, -1),
+        )
+        if int(row[0]) not in self._members:
+            self._append(row, np.array([float(frame.weight)]))
 
     def extend(self, frames: list[Frame]) -> None:
         """Append several frames (duplicates skipped by id)."""
         for frame in frames:
             self.add(frame)
 
-    def _bulk_append(
-        self,
-        ids: list[str],
-        bev: np.ndarray,
-        commands: np.ndarray,
-        targets: np.ndarray,
-        weights: np.ndarray,
-    ) -> None:
-        """Append rows known to be absent from the id index."""
-        m = len(ids)
-        if m == 0:
-            return
-        self._ensure_capacity(m, bev.shape[1:], targets.shape[1])
-        start = self._size
-        self._bev[start : start + m] = bev
-        self._commands[start : start + m] = commands
-        self._targets[start : start + m] = targets
-        self._weights[start : start + m] = weights
-        for offset, frame_id in enumerate(ids):
-            self._index[frame_id] = start + offset
-        self._ids.extend(ids)
-        self._size += m
-        self._generation += 1
-
     def absorb_from(self, other: "DrivingDataset", weight: float | None = None) -> int:
-        """Bulk-append another dataset's frames, skipping duplicate ids.
+        """Append another dataset's frames, skipping duplicate ids.
 
-        ``weight`` overrides every appended frame's weight (coreset
-        absorption resets received samples to the local convention);
-        ``None`` keeps the source weights.  Returns the number of frames
-        actually added, preserving the source's insertion order.
+        Between datasets of one pool this merges row numbers and moves
+        no frame; from another pool the frames this pool lacks are
+        interned first.  ``weight`` overrides every appended frame's
+        weight (coreset absorption resets received samples to the local
+        convention); ``None`` keeps the source weights.  Returns the
+        number of frames actually added, preserving the source's
+        insertion order.
         """
         if len(other) == 0:
             return 0
-        index = self._index
-        keep = [i for i, fid in enumerate(other._ids) if fid not in index]
+        rows = other._rows
+        if other._pool is not self._pool:
+            rows = self._pool.intern(other.ids, *other._pool.take(rows))
+        members = self._members
+        keep = [k for k, row in enumerate(rows.tolist()) if row not in members]
         if not keep:
             return 0
-        rows = np.asarray(keep, dtype=np.intp)
-        bev, commands, targets, weights = other.arrays()
         if weight is not None:
             new_weights = np.full(len(keep), float(weight), dtype=np.float64)
         else:
-            new_weights = weights[rows]
-        self._bulk_append(
-            [other._ids[i] for i in keep],
-            bev[rows],
-            commands[rows],
-            targets[rows],
-            new_weights,
-        )
+            new_weights = other._weights[keep]
+        self._append(rows[keep], new_weights)
         return len(keep)
 
-    # -- array views ---------------------------------------------------------
+    # -- reading ------------------------------------------------------------------
 
     @property
     def ids(self) -> list[str]:
         """Frame ids in insertion order (a copy)."""
-        return list(self._ids)
+        pool_ids = self._pool.ids
+        return [pool_ids[row] for row in self._rows.tolist()]
+
+    def take(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bev, commands, targets)`` of the frames at ``indices``.
+
+        A read-only gather straight from the pool: how to read part of a
+        dataset (a minibatch, the frames that miss a loss cache) without
+        materialising all of it.
+        """
+        return self._pool.take(self._rows[indices])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(bev, commands, targets, weights) as read-only array views.
+        """(bev, commands, targets, weights) of the whole dataset, read-only.
 
-        Views are cached and only rebuilt after a mutation; they stay
-        valid (and frozen at their snapshot) even if the dataset grows
-        afterwards, because growth reallocates the buffers.
+        A gather from the pool, cached until the next mutation and frozen
+        at its snapshot if the dataset grows afterwards.  It costs the
+        dataset's frames a second time in memory, so it is for datasets
+        read whole and left alone (a coreset, a joint coreset, the
+        validation set); nothing in a run calls it on a vehicle's local
+        dataset (``tests/test_tooling.py::TestFramesAreStoredOnce``).
         """
-        if self._size == 0:
+        if len(self) == 0:
             raise ValueError("dataset is empty")
         if self._views is None or self._views_generation != self._generation:
-            views = []
-            for buffer in (self._bev, self._commands, self._targets, self._weights):
-                view = buffer[: self._size]
-                view.flags.writeable = False
-                views.append(view)
-            self._views = tuple(views)
+            self._views = (*self._pool.take(self._rows), self._weights)
             self._views_generation = self._generation
         return self._views
 
     def frame(self, index: int) -> Frame:
         """Materialize the i-th frame as a Frame object (zero-copy views)."""
-        frame_id = self._ids[index]  # list indexing handles negatives/bounds
-        if index < 0:
-            index += self._size
-        bev = self._bev[index]
-        bev.flags.writeable = False
-        waypoints = self._targets[index]
-        waypoints.flags.writeable = False
+        row = int(self._rows[index])
         return Frame(
-            frame_id=frame_id,
-            bev=bev,
-            command=int(self._commands[index]),
-            waypoints=waypoints,
+            frame_id=self._pool.ids[row],
+            bev=_frozen(self._pool.bev[row]),
+            command=int(self._pool.commands[row]),
+            waypoints=_frozen(self._pool.targets[row]),
             weight=float(self._weights[index]),
         )
 
@@ -278,87 +389,60 @@ class DrivingDataset:
         return [self.frame(i) for i in range(len(self))]
 
     def copy(self) -> "DrivingDataset":
-        """An independent copy (same frames, fresh buffers)."""
-        out = DrivingDataset()
+        """An independent dataset of the same frames (row numbers, no frame bytes)."""
+        out = DrivingDataset(pool=self._pool)
         out.absorb_from(self)
         return out
 
     def subset(
         self, indices, weights: np.ndarray | None = None
     ) -> "DrivingDataset":
-        """A new dataset holding only the given indices.
+        """A new dataset, on the same pool, holding only the given indices.
 
         Duplicate indices are dropped (keeping the first occurrence),
         matching the id-dedup the frame-by-frame path applied.  The
         optional ``weights`` (aligned with ``indices``) replace the
-        copied frames' weights — coreset construction selects rows and
+        selected frames' weights — coreset construction selects rows and
         assigns their coreset weights in one pass this way.
         """
-        rows = [int(i) for i in indices]
-        if len(rows) != len(set(rows)):
-            keep_weights: dict[int, float] = {}
+        picks = [int(i) for i in indices]
+        if len(picks) != len(set(picks)):
             if weights is not None:
-                for row, w in zip(rows, weights):
-                    keep_weights.setdefault(row, float(w))
-                rows = list(keep_weights)
-                weights = np.asarray([keep_weights[row] for row in rows])
+                first: dict[int, float] = {}
+                for pick, w in zip(picks, weights):
+                    first.setdefault(pick, float(w))
+                picks = list(first)
+                weights = np.asarray([first[pick] for pick in picks])
             else:
-                rows = list(dict.fromkeys(rows))
-        out = DrivingDataset()
-        if not rows:
-            return out
-        bev, commands, targets, own_weights = self.arrays()
-        idx = np.asarray(rows, dtype=np.intp)
-        new_weights = (
-            own_weights[idx]
-            if weights is None
-            else np.asarray(weights, dtype=np.float64)
+                picks = list(dict.fromkeys(picks))
+        idx = np.asarray(picks, dtype=np.intp)
+        return self._pool.dataset(
+            self._rows[idx], self._weights[idx] if weights is None else weights
         )
-        out._bulk_append(
-            [self._ids[row] for row in rows],
-            bev[idx],
-            commands[idx],
-            targets[idx],
-            new_weights,
-        )
-        return out
 
     def with_weights(self, weights: np.ndarray) -> "DrivingDataset":
-        """Copy with replaced per-frame weights."""
+        """The same frames with replaced per-frame weights (a new dataset)."""
         if len(weights) != len(self):
             raise ValueError(f"{len(weights)} weights for {len(self)} frames")
-        out = DrivingDataset()
-        if self._size:
-            bev, commands, targets, _ = self.arrays()
-            out._bulk_append(
-                list(self._ids),
-                bev,
-                commands,
-                targets,
-                np.asarray(weights, dtype=np.float64),
-            )
-        return out
+        return self._pool.dataset(self._rows, weights)
 
     @property
     def weights(self) -> np.ndarray:
         """Per-frame weights as an array (a fresh, writable copy)."""
-        if self._size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._weights[: self._size].copy()
+        return self._weights.copy()
+
+    @property
+    def commands(self) -> np.ndarray:
+        """Per-frame high-level commands (a fresh gather)."""
+        return self._pool.commands[self._rows] if len(self) else np.zeros(0, dtype=np.int64)
 
     def total_weight(self) -> float:
         """Sum of all frame weights."""
-        if self._size == 0:
-            return 0.0
-        return float(self._weights[: self._size].sum())
+        return float(self._weights.sum())
 
     def command_counts(self) -> np.ndarray:
         """Frame counts per high-level command, shape ``(N_COMMANDS,)``."""
-        if self._size == 0:
-            return np.zeros(N_COMMANDS, dtype=np.int64)
-        return np.bincount(
-            self._commands[: self._size], minlength=N_COMMANDS
-        ).astype(np.int64)
+        return np.bincount(self.commands, minlength=N_COMMANDS).astype(np.int64)
 
     # -- sampling --------------------------------------------------------------
 
@@ -373,6 +457,7 @@ class DrivingDataset:
         Always ``batch_size`` rows, drawn with replacement when the
         dataset holds fewer frames than that, so every node's batch
         stacks into the fleet's one dense step whatever it has collected.
+        The rows are gathered from the pool (read-only).
 
         With ``balance_commands`` the batch is stratified uniformly over
         the commands present in the dataset (the standard trick for
@@ -380,10 +465,11 @@ class DrivingDataset:
         left' would otherwise starve), sampling by weight within each
         command.
         """
-        if self._size == 0:
+        if len(self) == 0:
             raise ValueError("cannot sample from an empty dataset")
-        bev, commands_arr, targets, weights = self.arrays()
+        weights = self._weights
         if balance_commands:
+            commands_arr = self.commands
             present = np.unique(commands_arr)
             picks: list[int] = []
             share, extra = divmod(batch_size, len(present))
@@ -400,7 +486,7 @@ class DrivingDataset:
             idx = rng.choice(
                 len(self), size=batch_size, replace=len(self) < batch_size, p=probs
             )
-        return bev[idx], commands_arr[idx], targets[idx], idx
+        return (*self.take(idx), idx)
 
 
 def collect_fleet_datasets(
@@ -410,30 +496,33 @@ def collect_fleet_datasets(
     n_waypoints: int = 5,
     waypoint_interval: float = 0.5,
 ) -> dict[str, DrivingDataset]:
-    """Run the world and build each vehicle's local dataset.
+    """Run the world and build each vehicle's local dataset, on one pool.
 
     The world is stepped for ``duration`` plus the waypoint horizon (the
     last frames need future positions for their targets), then frames
     are assembled offline from the recorded snapshots, mirroring how a
-    real vehicle would label frames once the future is known.
+    real vehicle would label frames once the future is known.  Every
+    frame of the fleet is a row of one :class:`FramePool` (reachable as
+    any returned dataset's ``pool``), which whatever is later derived
+    from these datasets shares.
     """
     snap_dt = world.config.snapshot_interval
     stride = max(int(round(waypoint_interval / snap_dt)), 1)
     horizon = n_waypoints * stride
     world.run(duration + horizon * snap_dt + snap_dt)
     snapshots = world.snapshots
-    datasets: dict[str, DrivingDataset] = {
-        v.vehicle_id: DrivingDataset() for v in world.vehicles
-    }
+    vehicle_ids = [v.vehicle_id for v in world.vehicles]
     n_usable = len(snapshots) - horizon
-    if n_usable <= 0 or not datasets:
-        return datasets
+    if n_usable <= 0 or not vehicle_ids:
+        return {vehicle_id: DrivingDataset() for vehicle_id in vehicle_ids}
     # Fleet positions across all snapshots, (n_snapshots, V, 2); slices
     # of this provide both BEV origins and future waypoint labels.
     ids = list(snapshots[0].vehicle_states)
     all_pos = np.array(
         [[snap.vehicle_states[vid].position for vid in ids] for snap in snapshots]
     )
+    pool = FramePool(capacity=n_usable * len(ids))
+    rows = np.empty((n_usable, len(ids)), dtype=np.intp)
     for k in range(n_usable):
         snap = snapshots[k]
         states = [snap.vehicle_states[vid] for vid in ids]
@@ -453,13 +542,11 @@ def collect_fleet_datasets(
             all_pos[k + stride : k + n_waypoints * stride + 1 : stride], 0, 1
         )
         waypoints = to_vehicle_frame_fleet(future, all_pos[k], headings)
-        for v, vehicle_id in enumerate(ids):
-            datasets[vehicle_id].add(
-                Frame(
-                    frame_id=f"{vehicle_id}:{k}",
-                    bev=bevs[v],
-                    command=snap.vehicle_commands[vehicle_id],
-                    waypoints=waypoints[v].ravel().astype(np.float32),
-                )
-            )
-    return datasets
+        rows[k] = pool.intern(
+            [f"{vehicle_id}:{k}" for vehicle_id in ids],
+            bevs,
+            [snap.vehicle_commands[vehicle_id] for vehicle_id in ids],
+            waypoints.reshape(len(ids), -1),
+        )
+    column = {vehicle_id: v for v, vehicle_id in enumerate(ids)}
+    return {vehicle_id: pool.dataset(rows[:, column[vehicle_id]]) for vehicle_id in vehicle_ids}

@@ -277,8 +277,8 @@ class TestRunStore:
         store.save_checkpoint(spec, _state(1, 10.0))
         sidecar = store.run_dir(spec) / "ckpt-000001.json"
         payload = json.loads(sidecar.read_text())
-        assert FORMAT_VERSION == 3
-        payload["format"] = 2  # its ChatOutcome had a second probe counter: no loader
+        assert FORMAT_VERSION == 4
+        payload["format"] = 3  # every dataset carried its own frames: no loader
         sidecar.write_text(json.dumps(payload))
         with pytest.raises(CheckpointVersionError):
             store.load_checkpoint(spec, 1)

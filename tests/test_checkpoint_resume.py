@@ -157,3 +157,85 @@ class TestPoolCrashResume:
             event["event"] for spec in pool_specs for event in store.events(spec)
         ]
         assert "resumed" in events
+
+
+def _on_private_pools(context):
+    """The same context with every dataset on a frame pool of its own."""
+    from repro.sim.dataset import DrivingDataset
+
+    def alone(dataset):
+        return DrivingDataset.from_arrays(dataset.ids, *dataset.arrays())
+
+    return replace(
+        context,
+        datasets={vid: alone(dataset) for vid, dataset in context.datasets.items()},
+        validation=alone(context.validation),
+    )
+
+
+class TestFramesOnDisk:
+    """Format 4: a barrier writes the frames its datasets name once per
+    pool, and a dataset as rows and weights."""
+
+    def spec(self, context, root):
+        return RunSpec.for_context(
+            context, "LbChat", seed=1, checkpoint_every=EVERY, checkpoint_dir=str(root)
+        )
+
+    @staticmethod
+    def bev_members(store, spec, barrier):
+        import zipfile
+
+        with zipfile.ZipFile(store.run_dir(spec) / f"ckpt-{barrier:06d}.npz") as archive:
+            return [name for name in archive.namelist() if name.endswith("/bev.npy")]
+
+    def test_one_bev_member_per_pool_and_the_saved_event_counts_it(self, context, tmp_path):
+        import numpy as np
+
+        spec = self.spec(context, tmp_path)
+        result = run_method(context, spec)
+        store = RunStore(tmp_path)
+        assert self.bev_members(store, spec, 3) == ["/frame_table/pools/0/bev.npy"]
+        state = store.load_checkpoint(spec, 3)
+        (table,) = state["frame_table"]["pools"]
+        saved = [e for e in store.events(spec) if e["event"] == "saved"][-1]
+        assert saved["frames"] == len(table["ids"]) == len(table["bev"]) == len(set(table["ids"]))
+        held = sum(len(n["dataset"]["rows"]) + len(n["coreset_data"]["rows"]) for n in state["nodes"])
+        assert saved["frame_refs"] == held > saved["frames"]
+        # Every training frame, and none of the validation set's.
+        assert set(table["ids"]) == {fid for node in result.nodes for fid in node.dataset.ids}
+        assert saved["raw_bytes"] < 2 * np.asarray(table["bev"]).nbytes + sum(
+            4 * node.flat_params.nbytes for node in result.nodes
+        )
+
+    def test_a_fleet_on_private_pools_writes_each_and_resumes(self, context, tmp_path):
+        private = _on_private_pools(context)
+        spec = self.spec(private, tmp_path / "private")
+        reference = run_method(private, spec)
+        assert digest(reference) == digest(run_method(context, self.spec(context, tmp_path / "shared")))
+        store = RunStore(tmp_path / "private")
+        assert len(self.bev_members(store, spec, 2)) == len(private.datasets)
+        # The fresh nodes' pools hold only their own frames: what they had
+        # absorbed by barrier 2 is interned from the file.
+        store.drop_after(spec, 2)
+        assert digest(run_method(private, spec)) == digest(reference)
+
+    def test_restore_names_the_first_frame_nobody_has(self, context, tmp_path):
+        from repro.checkpoint import CheckpointError
+        from repro.experiments.runner import prepare_trainer
+
+        spec = self.spec(context, tmp_path)
+        run_method(context, spec)
+        state = RunStore(tmp_path).load_checkpoint(spec, 2)
+        (table,) = state["frame_table"]["pools"]
+        carried = len(table["ids"]) // 2
+        for column in ("bev", "commands", "targets"):
+            table[column] = table[column][:carried]  # the file lost the rest
+        # The run's own pool has every frame: nothing is needed from the file.
+        prepare_trainer(context, spec)[1].restore(state)
+        # Pools that never saw a peer's frames cannot supply them.
+        private = _on_private_pools(context)
+        nodes, trainer = prepare_trainer(private, spec)
+        absent = [fid for fid in table["ids"][carried:] if nodes[0].dataset.pool.row(fid) is None]
+        with pytest.raises(CheckpointError, match=f"frame '{absent[0]}' is neither"):
+            trainer.restore(state)

@@ -1,0 +1,260 @@
+"""The pooled ``DrivingDataset`` against a list-of-frames reference.
+
+A dataset is row numbers and weights over a ``FramePool``; what callers
+see — ids in insertion order, the gathered arrays, minibatches drawn
+from an RNG, the counts ``absorb_from`` returns — must be what a plain
+list of ``Frame`` objects would give.  ``RefDataset`` is that list; the
+model-based test drives both through seeded random operation sequences.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.sim.dataset import DrivingDataset, Frame, FramePool
+
+BEV_SHAPE, N_TARGETS = (2, 4, 4), 6
+
+
+class RefDataset:
+    """The semantics, with no storage tricks: a list of frames."""
+
+    def __init__(self, frames=()):
+        self.frames = []
+        self.extend(frames)
+
+    def add(self, frame):
+        if all(frame.frame_id != held.frame_id for held in self.frames):
+            self.frames.append(frame)
+
+    def extend(self, frames):
+        for frame in frames:
+            self.add(frame)
+
+    def absorb_from(self, other, weight=None):
+        before = len(self.frames)
+        for f in other.frames:
+            w = f.weight if weight is None else float(weight)
+            self.add(Frame(f.frame_id, f.bev, f.command, f.waypoints, w))
+        return len(self.frames) - before
+
+    def subset(self, indices, weights=None):
+        out, seen = RefDataset(), set()
+        for k, i in enumerate(int(i) for i in indices):
+            if i not in seen:
+                seen.add(i)
+                f = self.frames[i]
+                w = f.weight if weights is None else float(weights[k])
+                out.add(Frame(f.frame_id, f.bev, f.command, f.waypoints, w))
+        return out
+
+    def with_weights(self, weights):
+        return self.subset(range(len(self.frames)), weights)
+
+    def arrays(self):
+        return (
+            np.stack([f.bev for f in self.frames]),
+            np.array([f.command for f in self.frames], dtype=np.int64),
+            np.stack([f.waypoints for f in self.frames]),
+            np.array([f.weight for f in self.frames], dtype=np.float64),
+        )
+
+    def sample_batch(self, batch_size, rng, balance_commands=False):
+        bev, commands, targets, weights = self.arrays()
+        if balance_commands:
+            present, picks = np.unique(commands), []
+            share, extra = divmod(batch_size, len(present))
+            for k, cmd in enumerate(present):
+                members = np.where(commands == cmd)[0]
+                probs = weights[members] / weights[members].sum()
+                quota = share + (1 if k < extra else 0)
+                picks.extend(rng.choice(members, size=quota, replace=True, p=probs).tolist())
+            idx = np.asarray(picks)
+        else:
+            n = len(self.frames)
+            idx = rng.choice(n, size=batch_size, replace=n < batch_size, p=weights / weights.sum())
+        return bev[idx], commands[idx], targets[idx], idx
+
+
+def make_frame(rng, frame_id):
+    return Frame(
+        frame_id,
+        rng.normal(size=BEV_SHAPE).astype(np.float32),
+        int(rng.integers(0, 4)),
+        rng.normal(size=N_TARGETS).astype(np.float32),
+        float(rng.uniform(0.25, 4.0)),
+    )
+
+
+def assert_same(pooled: DrivingDataset, ref: RefDataset):
+    assert pooled.ids == [f.frame_id for f in ref.frames]
+    assert len(pooled) == len(ref.frames)
+    if not ref.frames:
+        return
+    for got, want in zip(pooled.arrays(), ref.arrays()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert np.array_equal(pooled.weights, ref.arrays()[3])
+    assert np.array_equal(pooled.commands, ref.arrays()[1])
+    assert [f.frame_id for f in pooled.frames()] == pooled.ids
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_operation_sequences_match_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    # The frames any dataset may ever see; an id always names the same content.
+    universe = [make_frame(rng, f"f{i}") for i in range(40)]
+    first = universe[:6]
+    pairs = [(DrivingDataset(first), RefDataset(first))]
+
+    def pick():
+        return pairs[int(rng.integers(len(pairs)))]
+
+    for _ in range(120):
+        op = rng.choice(
+            ["add", "extend", "absorb", "absorb_w", "subset", "subset_w", "with_weights",
+             "copy", "from_arrays", "pickle", "sample", "sample_balanced"]
+        )
+        pooled, ref = pick()
+        if op == "add":
+            frame = universe[int(rng.integers(len(universe)))]
+            pooled.add(frame), ref.add(frame)
+        elif op == "extend":
+            frames = [universe[i] for i in rng.integers(len(universe), size=4)]
+            pooled.extend(frames), ref.extend(frames)
+        elif op in ("absorb", "absorb_w"):
+            other_pooled, other_ref = pick()  # same pool, another pool, or itself
+            weight = None if op == "absorb" else float(rng.uniform(0.5, 2.0))
+            assert pooled.absorb_from(other_pooled, weight) == ref.absorb_from(other_ref, weight)
+        elif op in ("subset", "subset_w") and ref.frames:
+            indices = rng.integers(len(ref.frames), size=int(rng.integers(0, 8)))
+            weights = rng.uniform(0.5, 2.0, size=indices.size) if op == "subset_w" else None
+            pairs.append((pooled.subset(indices, weights), ref.subset(indices, weights)))
+            assert pairs[-1][0].pool is pooled.pool  # rows, not frames
+        elif op == "with_weights":
+            weights = rng.uniform(0.5, 2.0, size=len(ref.frames))
+            pairs.append((pooled.with_weights(weights), ref.with_weights(weights)))
+        elif op == "copy":
+            pairs.append((pooled.copy(), RefDataset(ref.frames)))
+            assert pairs[-1][0].pool is pooled.pool and pairs[-1][0].uid != pooled.uid
+        elif op == "from_arrays" and ref.frames:
+            rebuilt = DrivingDataset.from_arrays(pooled.ids, *pooled.arrays())
+            assert rebuilt.pool is not pooled.pool
+            pairs.append((rebuilt, RefDataset(ref.frames)))
+        elif op == "pickle":
+            pairs.append((pickle.loads(pickle.dumps(pooled)), RefDataset(ref.frames)))
+        elif op in ("sample", "sample_balanced") and ref.frames:
+            balanced = op == "sample_balanced"
+            batch_size = int(rng.choice([1, 5, 16]))
+            draw = int(rng.integers(1 << 30))
+            rng_a, rng_b = np.random.default_rng(draw), np.random.default_rng(draw)
+            got = pooled.sample_batch(batch_size, rng_a, balance_commands=balanced)
+            want = ref.sample_batch(batch_size, rng_b, balance_commands=balanced)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert len(got[3]) == batch_size
+            assert rng_a.random() == rng_b.random()  # and consumed the same draws
+        for pooled, ref in pairs:
+            assert_same(pooled, ref)
+        pairs = pairs[-6:]
+
+
+def frames(prefix, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [make_frame(rng, f"{prefix}{i}") for i in range(n)]
+
+
+class TestPools:
+    def test_derived_datasets_add_no_frame_to_the_pool(self):
+        data = DrivingDataset(frames("a", 10))
+        pool = data.pool
+        derived = [data.copy(), data.subset([1, 3, 3]), data.with_weights(np.arange(1.0, 11.0))]
+        derived[0].absorb_from(derived[1])
+        assert len(pool) == 10 and all(d.pool is pool for d in derived)
+
+    def test_cross_pool_absorb_interns_only_what_is_missing(self):
+        ours, theirs = DrivingDataset(frames("a", 5)), DrivingDataset(frames("b", 4))
+        theirs.extend(ours.frames()[:2])  # two frames both pools hold
+        assert ours.absorb_from(theirs, weight=1.0) == 4
+        assert len(ours.pool) == 9 and len(theirs.pool) == 6  # theirs is untouched
+        assert ours.ids == [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(4)]
+        assert np.array_equal(ours.arrays()[0][5:], theirs.arrays()[0][:4])
+        assert ours.absorb_from(theirs) == 0  # idempotent
+
+    def test_a_frame_of_another_shape_is_refused_and_leaves_the_pool_whole(self):
+        data = DrivingDataset(frames("a", 3))
+        odd = Frame("odd", np.zeros((1, 2, 2), np.float32), 0, np.zeros(N_TARGETS, np.float32))
+        with pytest.raises(ValueError):
+            data.add(odd)
+        assert len(data.pool) == 3 and data.pool.row("odd") is None
+        data.add(frames("b", 1)[0])
+        assert data.ids == ["a0", "a1", "a2", "b0"]
+
+    def test_pool_dataset_refuses_a_row_twice(self):
+        pool = DrivingDataset(frames("a", 3)).pool
+        with pytest.raises(ValueError, match="at most once"):
+            pool.dataset([0, 1, 1])
+        with pytest.raises(ValueError, match="rows of its pool"):
+            pool.dataset([0, 3])
+
+    def test_growth_keeps_earlier_rows(self):
+        data = DrivingDataset(pool=FramePool())
+        for frame in frames("g", 40):  # past several doublings of the buffers
+            data.add(frame)
+        assert np.array_equal(data.arrays()[0], np.stack([f.bev for f in frames("g", 40)]))
+
+
+class TestArraysViews:
+    def test_views_are_read_only_and_frozen_at_their_snapshot(self):
+        data = DrivingDataset(frames("a", 4))
+        before = data.arrays()
+        assert data.arrays() is before  # cached per generation
+        kept = [view.copy() for view in before]
+        data.absorb_from(DrivingDataset(frames("b", 30)))  # the pool's buffers reallocate
+        for view, copy in zip(before, kept):
+            assert not view.flags.writeable and np.array_equal(view, copy)
+        assert data.arrays() is not before and len(data.arrays()[0]) == 34
+
+    def test_take_gathers_read_only_rows_without_materialising(self):
+        data = DrivingDataset(frames("a", 6))
+        bev, commands, targets = data.take(np.array([4, 1]))
+        assert np.array_equal(bev, np.stack([data.frame(4).bev, data.frame(1).bev]))
+        assert not (bev.flags.writeable or commands.flags.writeable or targets.flags.writeable)
+        assert data._views is None
+
+
+class TestPickling:
+    def test_fresh_uid_and_frozen_arrays_after_unpickling(self):
+        data = DrivingDataset(frames("a", 3))
+        clone = pickle.loads(pickle.dumps(data))
+        assert clone.uid != data.uid and clone.ids == data.ids
+        assert not clone.arrays()[3].flags.writeable
+        assert clone.absorb_from(data) == 0  # membership survived the trip
+
+    def test_datasets_of_one_pool_pickle_it_once(self):
+        data = DrivingDataset(frames("a", 50))
+        family = [data, data.copy(), data.subset(range(0, 50, 2)), data.with_weights(np.ones(50))]
+        blob = pickle.dumps(family)
+        assert len(blob) < 1.5 * data.pool.bev.nbytes + 4 * len(pickle.dumps(data.pool.ids)) + 8192
+        clones = pickle.loads(blob)
+        assert len({id(clone.pool) for clone in clones}) == 1
+        assert [clone.ids for clone in clones] == [member.ids for member in family]
+
+    def test_a_run_result_carries_its_pool_once(self):
+        """What a ``jobs=N`` worker sends back: every node's dataset and
+        coreset, over one copy of the frames."""
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, run_method
+
+        context = selfcheck._context("hotpath")
+        result = run_method(context, RunSpec.for_context(context, "SCO", seed=selfcheck.SEED))
+        pool = context.validation.pool
+        gather = result.nodes[0].coreset.data.arrays()[0]  # cached on the coreset
+        blob = pickle.dumps(result)
+        assert blob.count(pool.bev.tobytes()) == 1
+        assert blob.count(gather.tobytes()) == 0  # a cached gather does not travel
+        received = pickle.loads(blob)
+        held = [d for node in received.nodes for d in (node.dataset, node.coreset.data)]
+        assert len({id(d.pool) for d in held}) == 1 and held[0].pool is not pool
+        assert [n.dataset.ids for n in received.nodes] == [n.dataset.ids for n in result.nodes]

@@ -1,8 +1,9 @@
-"""Every example must at least parse and import cleanly.
+"""Every example must at least parse, import cleanly and build its world.
 
 Full example runs take minutes; these tests catch bit-rot (renamed
-APIs, bad imports) cheaply by compiling each file under ``examples/``
-and resolving its imports without executing ``main()``.
+APIs, bad imports, a world whose routes cannot be drawn) cheaply by
+compiling each file under ``examples/``, resolving its imports and
+constructing every ``World`` it configures, without executing ``main()``.
 """
 
 import ast
@@ -38,6 +39,35 @@ def test_example_imports_resolve(path):
             for alias in node.names:
                 if alias.name.startswith("repro"):
                     importlib.import_module(alias.name)
+
+
+def _world_configs(path):
+    """Keyword arguments of every ``WorldConfig(...)`` call an example makes."""
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WorldConfig"
+    ]
+    return [{kw.arg: ast.literal_eval(kw.value) for kw in call.keywords} for call in calls]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in EXAMPLES if _world_configs(p)], ids=lambda p: p.name
+)
+def test_example_worlds_construct(path):
+    """Compile-only let ``analysis_walkthrough.py`` die in ``build_context``
+    for several PRs: its world had no route of ``min_route_length``."""
+    from repro.sim.world import World, WorldConfig
+
+    for kwargs in _world_configs(path):
+        World(WorldConfig(**kwargs))
+
+
+def test_every_example_world_is_checked():
+    """An example takes its world from a ``WorldConfig`` literal (checked
+    above) or from the registered ``CI`` scale (built by the suite)."""
+    unchecked = {p.name for p in EXAMPLES if not _world_configs(p)}
+    assert unchecked == {"fleet_training.py"}
 
 
 def test_examples_have_docstrings_and_main():

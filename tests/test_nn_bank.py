@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.checkpoint.state import FrameTable
 from repro.core.fleet import FleetEngine
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
@@ -270,10 +271,11 @@ class TestFleetEngineEquivalence:
         def run(nodes, step_all, snap_of, restore_to):
             for _ in range(3):
                 step_all()
-            snap = snap_of()
+            frames = FrameTable()
+            snap = snap_of(frames)
             for _ in range(2):
                 step_all()
-            restore_to(snap)
+            restore_to(snap, FrameTable(frames.state()))
             for _ in range(3):
                 step_all()
 

@@ -167,6 +167,38 @@ class TestContextCache:
         with open(path, "rb") as fh:
             assert sorted(pickle.load(fh).datasets) == sorted(whole.datasets)
 
+    def test_a_cache_from_before_the_frame_pool_is_discarded(self, tmp_path, monkeypatch):
+        """Cache format 4 pickled every dataset with frame buffers of its
+        own.  Such a file under today's name is not adopted half-way: it
+        goes through the same warning, and the context is rebuilt."""
+        import pickle
+
+        from repro.experiments.io import cached_context, scale_fingerprint
+        from repro.sim.dataset import DrivingDataset
+
+        micro = self.micro("format4-test")
+        path = tmp_path / f"context-{micro.name}-{scale_fingerprint(micro)}.pkl"
+        fresh = cached_context(micro, cache_dir=tmp_path)
+
+        def format_4_state(dataset):
+            bev, commands, targets, weights = dataset.arrays()
+            return {
+                "_ids": dataset.ids, "_index": {fid: i for i, fid in enumerate(dataset.ids)},
+                "_size": len(dataset), "_bev": bev, "_commands": commands, "_targets": targets,
+                "_weights": weights, "_generation": 1, "_uid": 0, "_views": None,
+                "_views_generation": -1,
+            }
+
+        with monkeypatch.context() as patched:
+            patched.setattr(DrivingDataset, "__getstate__", format_4_state)
+            path.write_bytes(pickle.dumps(fresh))
+        with pytest.warns(RuntimeWarning, match="discarding the context cache") as caught:
+            rebuilt = cached_context(micro, cache_dir=tmp_path)
+        assert "before frames moved into a FramePool" in str(caught[0].message)
+        assert rebuilt.validation.pool is rebuilt.datasets["v0"].pool
+        with open(path, "rb") as fh:  # and the file was replaced by a format-5 one
+            assert pickle.load(fh).validation.ids == fresh.validation.ids
+
     def test_interleaved_writers_leave_a_loadable_file(self, tmp_path, monkeypatch):
         """Two processes resolve the same cold cache at once: the second
         opens, writes and renames its file while the first is halfway
@@ -357,6 +389,110 @@ class TestOneWayToTakeAGradientStep:
             LbChatTrainer(nodes, traces, fleet_datasets["v0"], LbChatConfig(duration=30.0, seed=1))
         assert [n.train_steps for n in nodes] == [0] * len(nodes)  # before any step
         assert all(n._bank_flat is None for n in nodes)  # and no node half-adopted
+
+
+class TestFramesAreStoredOnce:
+    """ROADMAP item 7 as a gate: the fleet's frames are rows of the
+    context's one :class:`~repro.sim.dataset.FramePool`, a dataset is row
+    numbers over it, and a run — chats, absorbs, merge-reduce, barriers —
+    reads the pool and never adds to it, copies a frame into a dataset,
+    or gathers a vehicle's whole local dataset."""
+
+    @staticmethod
+    def datasets_of(trainer):
+        """Every dataset a trainer can reach, labelled."""
+        found = [("validation", trainer.validation)]
+        for node in trainer.nodes:
+            found.append((f"{node.node_id}.dataset", node.dataset))
+            found.append((f"{node.node_id}.coreset", node.coreset.data))
+        for flight in trainer.overlap.flights if trainer.overlap is not None else ():
+            found.append((f"flight {flight.i}-{flight.j} C_i", flight.chat.coreset_i.data))
+            found.append((f"flight {flight.i}-{flight.j} C_j", flight.chat.coreset_j.data))
+        return found
+
+    @staticmethod
+    def frame_bytes(holder) -> int:
+        """Bytes of BEV-shaped arrays ``holder`` keeps in its attributes."""
+        held = 0
+        for value in vars(holder).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray) and array.ndim == 4:
+                    held += array.nbytes
+        return held
+
+    @pytest.mark.parametrize(
+        "world, overrides, flights_expected",
+        [("hotpath", {}, False), ("overlap", {"overlap_chat": True}, True)],
+        ids=["hotpath", "overlap_in_flight"],
+    )
+    def test_a_run_with_barriers_reads_one_pool(self, world, overrides, flights_expected):
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, prepare_trainer
+
+        context = selfcheck._context(world)
+        pool = context.validation.pool
+        frames_before = len(pool)
+        spec = RunSpec.for_context(context, "LbChat", seed=selfcheck.SEED, overrides=overrides)
+        nodes, trainer = prepare_trainer(context, spec)
+        gate, flights_seen = self, []
+
+        class AtBarriers(selfcheck._MemoryCheckpointer):
+            def _on_barrier(self, trainer, index):
+                super()._on_barrier(trainer, index)
+                gate.check(trainer, pool, frames_before)
+                flights_seen.append(len(trainer.overlap.flights) if trainer.overlap else 0)
+
+        saver = AtBarriers()
+        trainer.run(checkpointer=saver)
+        assert saver.states and trainer.counters.get("frames_absorbed") > 0
+        assert any(flights_seen) == flights_expected  # a chat's coresets were on the air
+        self.check(trainer, pool, frames_before)
+        # A barrier wrote each frame once, however many datasets name it.
+        table = saver.states[max(saver.states)]["frame_table"]
+        assert len(table["pools"]) == 1
+        assert len(table["pools"][0]["ids"]) == len(set(table["pools"][0]["ids"])) <= len(pool)
+        assert table["frame_refs"] > len(table["pools"][0]["ids"])
+
+    def check(self, trainer, pool, frames_before):
+        datasets = self.datasets_of(trainer)
+        assert [label for label, data in datasets if data.pool is not pool] == []
+        assert len(pool) == frames_before  # a run never creates a frame
+        local = {id(node.dataset) for node in trainer.nodes}
+        assert [label for label, data in datasets if id(data) in local and data._views] == []
+        # What the trainer can reach is the pool plus the whole-dataset
+        # gathers of coresets and the validation set, and nothing else.
+        distinct = {id(data): data for _, data in datasets}.values()
+        views = sum(data._views[0].nbytes for data in distinct if data._views)
+        held = self.frame_bytes(pool) + sum(self.frame_bytes(data) for data in distinct)
+        assert self.frame_bytes(pool) == pool.bev.nbytes  # no spare capacity either
+        assert held == pool.bev.nbytes + views
+        assert views <= sum(len(data) for data in distinct if id(data) not in local) * pool.bev[0].nbytes
+
+
+class TestEvaluationInputsAreNotCopied:
+    """``Linear.forward`` copies a writeable input it must keep for a
+    backward.  No trainer runs that backward (the bank steps), so every
+    copy it takes in a run is waste: a gather from the frame pool is
+    handed over read-only, and so is an activation the network made
+    itself."""
+
+    def test_a_run_takes_no_defensive_copy(self, monkeypatch):
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, run_method
+        from repro.nn.layers import Linear
+
+        forwards, copied = [0], [0]
+
+        def counting(self, x, _real=Linear.forward):
+            forwards[0] += 1
+            copied[0] += bool(x.flags.writeable)
+            return _real(self, x)
+
+        monkeypatch.setattr(Linear, "forward", counting)
+        context = selfcheck._context("hotpath")
+        run_method(context, RunSpec.for_context(context, "LbChat", seed=selfcheck.SEED))
+        assert forwards[0] > 0  # cache-miss evaluation, cross-eval, receive
+        assert copied[0] == 0
 
 
 class TestEveryModuleHasARunningCaller:
