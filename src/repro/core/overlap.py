@@ -49,7 +49,7 @@ import numpy as np
 from repro.compression import topk_for_psi, topk_plan
 from repro.core.chat import Chat, negotiate
 from repro.core.psi import DEFAULT_PSI_GRID, PsiLossMap
-from repro.coreset.penalty import penalized_loss
+from repro.coreset.penalty import penalized_losses
 from repro.net.channel import TransferSession
 from repro.telemetry import hooks as telemetry
 
@@ -88,18 +88,10 @@ class DensePsiProber:
         bev, commands, targets, weights = node.coreset.data.arrays()
         pred = self.net.forward(bev, commands)  # (levels, batch, 2w)
         per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
-        penalty = node.config.penalty
-        losses = []
-        for row, row_losses in enumerate(per_sample):
-            if penalty.enabled:
-                value = penalized_loss(
-                    self.bank.flat[row], row_losses, commands, weights, penalty
-                )
-            else:
-                norm = np.asarray(weights, dtype=row_losses.dtype)
-                value = float(row_losses @ (norm / norm.sum()))
-            losses.append(value)
-        return PsiLossMap(np.asarray(self.psis), np.asarray(losses)), plan
+        losses = penalized_losses(
+            self.bank.flat, per_sample, commands, weights, node.config.penalty
+        )
+        return PsiLossMap(np.asarray(self.psis), losses), plan
 
 
 def plan_chat(node_i, node_j, **protocol) -> Chat:

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import Akima1DInterpolator
 
 from repro.compression import decompress, topk_plan
-from repro.core.value import truncated_gain
 from repro.nn.params import get_flat_params
 
 __all__ = ["PsiLossMap", "build_psi_map", "optimize_compression", "PsiDecision"]
@@ -31,35 +29,89 @@ DEFAULT_PSI_GRID = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class PsiLossMap:
-    """The mapping ``phi``: relative model size -> loss on own coreset."""
+    """The mapping ``phi``: relative model size -> loss on own coreset.
+
+    Akima's piecewise cubic through the samples, fitted here once, with
+    the arithmetic of ``scipy.interpolate.Akima1DInterpolator`` (scipy
+    1.17: ``CubicHermiteSpline`` coefficients, ``PPoly`` evaluation)
+    statement for statement, so a map's bits — and with them an
+    ``argmax`` over the Eq. 7 lattice — do not depend on which scipy is
+    installed.  ``tests/test_core_value_psi_aggregate.py`` holds it to
+    scipy with ``==``.  Two samples give the line through them.
+    """
 
     psis: np.ndarray
     losses: np.ndarray
 
     def __post_init__(self):
-        if len(self.psis) != len(self.losses):
+        x = np.asarray(self.psis, dtype=float)
+        y = np.asarray(self.losses, dtype=float)
+        if len(x) != len(y):
             raise ValueError("psis and losses must align")
-        if len(self.psis) < 2:
+        if len(x) < 2:
             raise ValueError("need at least two sample points")
-        # Akima needs >= 3 points; fall back to linear for 2.
-        if len(self.psis) >= 3:
-            interp = Akima1DInterpolator(self.psis, self.losses)
-        else:
-            interp = lambda x: np.interp(x, self.psis, self.losses)  # noqa: E731
-        object.__setattr__(self, "_interp", interp)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("psis and losses must be finite")
+        dx = np.diff(x)
+        if (dx <= 0).any():
+            raise ValueError("psis must be strictly increasing")
+        # Akima needs >= 3 points; two are np.interp's line.
+        object.__setattr__(self, "_coefficients", _akima(dx, y) if len(x) >= 3 else None)
 
-    def loss_at(self, psi: float) -> float:
-        """Interpolated loss of the model compressed to relative size psi.
+    def losses_at(self, psi) -> np.ndarray:
+        """Interpolated losses of the model compressed to each size in ``psi``.
 
         Akima interpolation inside the sampled range; clamped at the
         ends (extrapolation of loss curves is untrustworthy).
         """
-        psi = float(np.clip(psi, self.psis[0], self.psis[-1]))
-        return float(self._interp(psi))
+        x = self.psis
+        psi = np.clip(psi, x[0], x[-1])
+        if self._coefficients is None:
+            return np.interp(psi, x, self.losses)
+        # The interval [x_i, x_i+1) holding each psi (the last one
+        # closed), then the cubic in s = psi - x_i summed from its
+        # constant term up, powers of s by repeated multiplication.
+        i = np.clip(np.searchsorted(x, psi, side="right") - 1, 0, len(x) - 2)
+        cubic, square, linear, constant = self._coefficients[:, i]
+        s = psi - x[i]
+        power = s * s
+        return constant + linear * s + square * power + cubic * (power * s)
+
+    def loss_at(self, psi: float) -> float:
+        """:meth:`losses_at` for one psi."""
+        return float(self.losses_at(psi))
 
     def payload(self) -> list[tuple[float, float]]:
         """The (psi, loss) pairs a vehicle sends to its peer."""
         return list(zip(self.psis.tolist(), self.losses.tolist()))
+
+
+def _akima(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Akima's cubic through ``y`` at knots ``dx`` apart: ``(4, n - 1)``
+    coefficients, highest power first, of each interval's polynomial in
+    the offset from its left knot."""
+    n = len(y)
+    slope = np.diff(y) / dx
+    # Interval slopes, continued by two on each side.
+    m = np.empty(n + 3)
+    m[2:-2] = slope
+    m[1] = 2.0 * m[2] - m[3]
+    m[0] = 2.0 * m[1] - m[2]
+    m[-2] = 2.0 * m[-3] - m[-4]
+    m[-1] = 2.0 * m[-2] - m[-3]
+    # Knot slopes: where m1 == m2 != m3 == m4 leaves Akima's weights
+    # undefined (their sum at most 1e-9 of the largest), the mean of the
+    # two neighbouring interval slopes; elsewhere m2 and m3 weighted by
+    # |m4 - m3| and |m2 - m1|.
+    t = 0.5 * (m[3:] + m[:-3])
+    dm = np.abs(np.diff(m))
+    f1, f2 = dm[2:], dm[:-2]
+    f12 = f1 + f2
+    ind = np.nonzero(f12 > 1e-9 * f12.max())[0]
+    t[ind] = m[ind + 1] + (f2[ind] / f12[ind]) * (m[ind + 2] - m[ind + 1])
+    # The Hermite cubic of each interval from its end values and slopes.
+    curve = (t[:-1] + t[1:] - 2 * slope) / dx
+    return np.stack((curve / dx, (slope - t[:-1]) / dx - curve, t[:-1], y[:-1]))
 
 
 def build_psi_map(model, evaluate_on_coreset, nominal_size_bytes: int) -> PsiLossMap:
@@ -132,14 +184,12 @@ def optimize_compression(
     window = min(time_budget, contact_duration)
     bytes_per_second = bandwidth_bps / 8.0
     grid = np.linspace(0.0, 1.0, grid_points)
-    # Precompute each side's gain along its own psi axis (the objective
-    # is separable apart from the shared time constraint).
-    gains_i_axis = np.array(
-        [truncated_gain(loss_j_on_ci, map_i.loss_at(p)) if p > 0 else 0.0 for p in grid]
-    )
-    gains_j_axis = np.array(
-        [truncated_gain(loss_i_on_cj, map_j.loss_at(p)) if p > 0 else 0.0 for p in grid]
-    )
+    # Each side's gain along its own psi axis — truncated_gain at every
+    # lattice point, nothing at psi = 0 (the objective is separable apart
+    # from the shared time constraint).
+    sends = grid > 0
+    gains_i_axis = np.where(sends, np.maximum(loss_j_on_ci - map_i.losses_at(grid), 0.0), 0.0)
+    gains_j_axis = np.where(sends, np.maximum(loss_i_on_cj - map_j.losses_at(grid), 0.0), 0.0)
     t_c = model_size_bytes * (grid[:, None] + grid[None, :]) / bytes_per_second
     objective = (
         gains_i_axis[:, None]

@@ -24,6 +24,15 @@ def select_random(trainer, i: int, candidates: list) -> int | None:
     return int(candidates[rng.integers(len(candidates))])
 
 
+def _longest_contact(candidates: list, estimates: list, above: float = -1.0) -> int | None:
+    """The first candidate with the longest predicted contact longer than ``above``."""
+    best, best_duration = None, above
+    for j, estimate in zip(candidates, estimates):
+        if estimate.contact_duration > best_duration:
+            best, best_duration = j, estimate.contact_duration
+    return best
+
+
 def select_longest_contact(trainer, i: int, candidates: list) -> int | None:
     """The neighbor whose predicted contact lasts longest.
 
@@ -32,12 +41,9 @@ def select_longest_contact(trainer, i: int, candidates: list) -> int | None:
     """
     if not candidates:
         return None
-    best, best_duration = None, -1.0
-    for j in candidates:
-        estimate = trainer.contact_estimate(i, j, exchange_bytes=1.0)
-        if estimate.contact_duration > best_duration:
-            best, best_duration = j, estimate.contact_duration
-    return best
+    # A duration does not depend on the bytes to move.
+    estimates = trainer.contact_estimates(i, candidates, [1.0] * len(candidates))
+    return _longest_contact(candidates, estimates)
 
 
 def select_priority(trainer, i: int, candidates: list) -> int | None:
@@ -53,23 +59,17 @@ def select_priority(trainer, i: int, candidates: list) -> int | None:
     """
     if not candidates:
         return None
+    psi_total = getattr(trainer.config, "anticipated_psi_total", 0.6)
+    estimates = trainer.contact_estimates(
+        i, candidates, [trainer.estimate_chat_bytes(i, j, psi_total) for j in candidates]
+    )
+    bandwidth_i = trainer.nodes[i].config.bandwidth_bps
     best, best_score = None, 0.0
-    estimates = {}
-    for j in candidates:
-        exchange_bytes = trainer.estimate_chat_bytes(
-            i, j, getattr(trainer.config, "anticipated_psi_total", 0.6)
-        )
-        estimate = trainer.contact_estimate(i, j, exchange_bytes)
-        estimates[j] = estimate
-        score = priority_score(
-            estimate,
-            trainer.nodes[i].config.bandwidth_bps,
-            trainer.nodes[j].config.bandwidth_bps,
-        )
+    for j, estimate in zip(candidates, estimates):
+        score = priority_score(estimate, bandwidth_i, trainer.nodes[j].config.bandwidth_bps)
         if score > best_score:
             best, best_score = j, score
     if best is None:
-        reachable = [j for j in candidates if estimates[j].contact_duration > 0.0]
-        if reachable:
-            return select_longest_contact(trainer, i, reachable)
+        # Among the reachable: the durations are already in the batch.
+        return _longest_contact(candidates, estimates, above=0.0)
     return best

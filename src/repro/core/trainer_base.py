@@ -37,7 +37,7 @@ from repro.engine import (
     spawn_rng,
 )
 from repro.net.channel import ChannelConfig
-from repro.net.contact import ContactEstimate, estimate_contact
+from repro.net.contact import ContactEstimate, estimate_contact, estimate_contacts
 from repro.net.wireless import WirelessModel
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
@@ -204,6 +204,23 @@ class TrainerBase:
             bandwidth_bps=min(
                 self.nodes[i].config.bandwidth_bps, self.nodes[j].config.bandwidth_bps
             ),
+        )
+
+    def contact_estimates(
+        self, i: int, candidates: list[int], exchange_bytes: list[float]
+    ) -> list[ContactEstimate]:
+        """:meth:`contact_estimate` of ``i`` with every candidate, from one
+        slice of the traces."""
+        now, horizon = self.sim.now, self.config.route_horizon
+        bandwidth_i = self.nodes[i].config.bandwidth_bps
+        return estimate_contacts(
+            self.traces.future_positions(i, now, horizon),
+            self.traces.future_positions(candidates, now, horizon),
+            self.traces.interval,
+            self.wireless,
+            self.config.channel,
+            exchange_bytes,
+            [min(bandwidth_i, self.nodes[j].config.bandwidth_bps) for j in candidates],
         )
 
     def pair_distance_fn(self, i: int, j: int):

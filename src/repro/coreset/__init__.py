@@ -14,7 +14,12 @@ from repro.coreset.construction import (
     layer_assignments,
 )
 from repro.coreset.merge import merge_coresets, reduce_coreset
-from repro.coreset.penalty import PenaltyConfig, command_loss_entropy, penalized_loss
+from repro.coreset.penalty import (
+    PenaltyConfig,
+    command_loss_entropy,
+    penalized_loss,
+    penalized_losses,
+)
 from repro.coreset.verify import relative_coreset_error
 from repro.coreset.strategies import build_coreset_with, kmeans_coreset, uniform_coreset
 from repro.coreset.theory import coreset_size_bound, epsilon_for_size
@@ -32,6 +37,7 @@ __all__ = [
     "reduce_coreset",
     "PenaltyConfig",
     "penalized_loss",
+    "penalized_losses",
     "command_loss_entropy",
     "relative_coreset_error",
 ]

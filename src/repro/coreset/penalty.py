@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn.model import N_COMMANDS
 from repro.nn.params import get_flat_params
 
-__all__ = ["PenaltyConfig", "command_loss_entropy", "penalized_loss"]
+__all__ = ["PenaltyConfig", "command_loss_entropy", "penalized_loss", "penalized_losses"]
 
 
 @dataclass(frozen=True)
@@ -40,30 +40,75 @@ class PenaltyConfig:
         return self.lambda_l2 > 0 or self.lambda_entropy > 0
 
 
-def command_loss_entropy(per_sample_losses: np.ndarray, commands: np.ndarray) -> float:
+#: Where each command's group starts in a sorted command array (and the last ends).
+_COMMAND_CUTS = np.arange(N_COMMANDS + 1)
+
+
+def command_loss_entropy(
+    per_sample_losses: np.ndarray, commands: np.ndarray
+) -> float | np.ndarray:
     """Imbalance of mean losses across commands: ``log K - H(q)``.
 
     ``q`` is the normalized vector of per-command mean losses over the
     commands present; the value is 0 when losses are perfectly balanced
     and grows as loss concentrates on few commands.  Commands absent
     from the batch are excluded (their loss is unobserved, not zero).
+
+    ``per_sample_losses`` is one model's ``(n,)`` losses, or ``(rows, n)``
+    for several models over the same samples (one value per row then).
     """
-    per_sample_losses = np.asarray(per_sample_losses, dtype=float)
+    losses = np.asarray(per_sample_losses, dtype=float)
     commands = np.asarray(commands)
-    means = []
-    for cmd in range(N_COMMANDS):
-        mask = commands == cmd
-        if mask.any():
-            means.append(per_sample_losses[mask].mean())
+    # Samples grouped by command, each group contiguous and in sample
+    # order, so every row's mean is summed pairwise the way a lone row's is.
+    order = np.argsort(commands, kind="stable")
+    cuts = np.searchsorted(commands[order], _COMMAND_CUTS).tolist()
+    grouped = losses.take(order, axis=-1)
+    means = [
+        np.add.reduce(grouped[..., lo:hi], axis=-1) / (hi - lo)
+        for lo, hi in zip(cuts, cuts[1:])
+        if hi > lo
+    ]
+    # ``[()]`` below: one model's value is a scalar, not a 0-d array.
     if len(means) <= 1:
-        return 0.0
-    q = np.asarray(means)
-    total = q.sum()
+        return np.zeros(losses.shape[:-1])[()]
+    q = np.ascontiguousarray(np.array(means).T)  # (..., commands present)
+    total = q.sum(axis=-1)
+    lossless = total <= 0  # nothing to normalize: balanced
+    q = q / np.where(lossless, 1.0, total)[..., None]
+    entropy = -(q * np.log(np.maximum(q, 1e-12))).sum(axis=-1)
+    return np.where(lossless, 0.0, np.log(len(means)) - entropy)[()]
+
+
+def penalized_losses(
+    params: np.ndarray,
+    per_sample_losses: np.ndarray,
+    commands: np.ndarray,
+    weights: np.ndarray,
+    config: PenaltyConfig,
+) -> np.ndarray:
+    """Eq. 6 for each of several models over the same weighted samples.
+
+    ``params`` is ``(rows, n_params)`` flat parameter vectors (read for
+    the L2 term only) and ``per_sample_losses`` ``(rows, n)``.  The normalised weights and the
+    command groups are derived once; each row's empirical term is its own
+    dot product and each L2 term its own norm (a matrix product would
+    sum in another order).  With no penalty term active the value is the
+    plain weighted loss, the weights in the losses' dtype as
+    :func:`~repro.nn.losses.waypoint_l1` states it.
+    """
+    losses = np.asarray(per_sample_losses)
+    weights = np.asarray(weights, dtype=float if config.enabled else losses.dtype)
+    total = weights.sum()
     if total <= 0:
-        return 0.0
-    q = q / total
-    entropy = float(-(q * np.log(np.clip(q, 1e-12, None))).sum())
-    return float(np.log(len(means)) - entropy)
+        raise ValueError("weights must have positive sum")
+    norm = weights / total
+    values = np.array([float(row @ norm) for row in losses.astype(norm.dtype, copy=False)])
+    if config.lambda_l2 > 0:
+        values += config.lambda_l2 * np.array([float(np.linalg.norm(row)) for row in params])
+    if config.lambda_entropy > 0:
+        values += config.lambda_entropy * command_loss_entropy(losses, commands)
+    return values
 
 
 def penalized_loss(
@@ -75,18 +120,11 @@ def penalized_loss(
 ) -> float:
     """Eq. 6: weighted empirical loss plus L2 and command-entropy terms.
 
-    ``params`` is the model, or its flat parameter vector when the
-    caller already holds one (a bank row view), saving the concatenation.
+    The one-row case of :func:`penalized_losses`.  ``params`` is the
+    model, or its flat parameter vector when the caller already holds
+    one (a bank row view), saving the concatenation.
     """
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    empirical = float(np.asarray(per_sample_losses) @ (weights / total))
-    value = empirical
-    if config.lambda_l2 > 0:
-        flat = params if isinstance(params, np.ndarray) else get_flat_params(params)
-        value += config.lambda_l2 * float(np.linalg.norm(flat))
-    if config.lambda_entropy > 0:
-        value += config.lambda_entropy * command_loss_entropy(per_sample_losses, commands)
-    return value
+    if config.lambda_l2 > 0 and not isinstance(params, np.ndarray):
+        params = get_flat_params(params)
+    losses = np.asarray(per_sample_losses)
+    return float(penalized_losses([params], losses[None], commands, weights, config)[0])

@@ -16,6 +16,7 @@ from repro.net.channel import ChannelConfig, TransferResult, simulate_transfer
 from repro.net.contact import (
     ContactEstimate,
     estimate_contact,
+    estimate_contacts,
     priority_score,
 )
 from repro.net.sweep import (
@@ -33,6 +34,7 @@ __all__ = [
     "simulate_transfer",
     "ContactEstimate",
     "estimate_contact",
+    "estimate_contacts",
     "priority_score",
     "ContactIndex",
     "EncounterWindows",

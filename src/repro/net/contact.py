@@ -25,7 +25,7 @@ import numpy as np
 from repro.net.channel import ChannelConfig
 from repro.net.wireless import WirelessModel
 
-__all__ = ["ContactEstimate", "estimate_contact", "priority_score"]
+__all__ = ["ContactEstimate", "estimate_contact", "estimate_contacts", "priority_score"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,69 @@ class ContactEstimate:
     mean_goodput_factor: float  # average (1 - loss) over the window
 
 
+def estimate_contacts(
+    route: np.ndarray,
+    routes: np.ndarray,
+    sample_interval: float,
+    wireless: WirelessModel,
+    config: ChannelConfig,
+    exchange_bytes,
+    bandwidth_bps=None,
+) -> list[ContactEstimate]:
+    """Estimate one vehicle's contact with each of ``c`` candidates.
+
+    Parameters
+    ----------
+    route:
+        ``(k, 2)`` future position samples at ``sample_interval`` spacing
+        (the "route in the next few minutes" from navigation).
+    routes:
+        ``(k, c, 2)`` samples of the candidates over the same instants.
+    exchange_bytes:
+        Per candidate, the total bytes the planned exchange must move
+        (both coresets plus both models at the anticipated compression).
+    bandwidth_bps:
+        Per candidate, the pairwise bandwidth ``min(B_i, B_j)``; ``None``
+        or a zero entry means the channel's.
+    """
+    k, c = routes.shape[:2]
+    nothing = ContactEstimate(0.0, 0.0, 0.0, 0.0)
+    if k == 0:
+        return [nothing] * c
+    # One row per candidate, contiguous, so a window's mean below is
+    # summed pairwise the way a lone pair's is.
+    distances = np.ascontiguousarray(np.linalg.norm(route[:, None] - routes, axis=2).T)
+    in_range = distances <= wireless.max_range
+    # Contact lasts until the first predicted sample out of range.
+    ends = np.where(in_range.all(axis=1), k, np.argmin(in_range, axis=1)).tolist()
+    factors = wireless.goodput_factors(distances)
+    if bandwidth_bps is None:
+        bandwidth_bps = [None] * c
+    estimates = []
+    for row, end, needed_bytes, bandwidth in zip(factors, ends, exchange_bytes, bandwidth_bps):
+        if end == 0:
+            estimates.append(nothing)
+            continue
+        contact_duration = end * sample_interval
+        goodput = float(row[:end].mean())
+
+        # Deliverable bytes over the predicted window vs. what's needed.
+        bytes_per_second = (bandwidth or config.bandwidth_bps) / 8.0 * goodput
+        needed_time = needed_bytes / max(bytes_per_second, 1e-9)
+        if needed_time <= 0:
+            z = 1.0
+        elif contact_duration >= needed_time:
+            # Sufficient: shorter contact -> larger z (truncated ratio).
+            z = needed_time / contact_duration
+        else:
+            z = 0.0
+
+        deliverable = bytes_per_second * contact_duration
+        p = min(max(deliverable / max(needed_bytes, 1e-9), 0.0), 1.0)
+        estimates.append(ContactEstimate(contact_duration, float(z), float(p), goodput))
+    return estimates
+
+
 def estimate_contact(
     route_a: np.ndarray,
     route_b: np.ndarray,
@@ -47,48 +110,17 @@ def estimate_contact(
     exchange_bytes: float,
     bandwidth_bps: float | None = None,
 ) -> ContactEstimate:
-    """Estimate contact properties from two shared future routes.
-
-    Parameters
-    ----------
-    route_a, route_b:
-        ``(k, 2)`` future position samples at ``sample_interval`` spacing
-        (the "route in the next few minutes" from navigation).
-    exchange_bytes:
-        Total bytes the planned exchange must move (both coresets plus
-        both models at the anticipated compression).
-    bandwidth_bps:
-        Pairwise bandwidth ``min(B_i, B_j)``; defaults to the channel's.
-    """
-    bandwidth_bps = bandwidth_bps or config.bandwidth_bps
+    """:func:`estimate_contacts` for one pair's two ``(k, 2)`` routes."""
     k = min(len(route_a), len(route_b))
-    if k == 0:
-        return ContactEstimate(0.0, 0.0, 0.0, 0.0)
-    distances = np.linalg.norm(route_a[:k] - route_b[:k], axis=1)
-    in_range = distances <= wireless.max_range
-    if not in_range[0]:
-        return ContactEstimate(0.0, 0.0, 0.0, 0.0)
-    # Contact lasts until the first predicted sample out of range.
-    out = np.where(~in_range)[0]
-    end = int(out[0]) if len(out) else k
-    contact_duration = end * sample_interval
-    window = distances[:end]
-    goodput = wireless.expected_goodput_factor(window)
-
-    # Deliverable bytes over the predicted window vs. what's needed.
-    bytes_per_second = bandwidth_bps / 8.0 * goodput
-    needed_time = exchange_bytes / max(bytes_per_second, 1e-9)
-    if needed_time <= 0:
-        z = 1.0
-    elif contact_duration >= needed_time:
-        # Sufficient: shorter contact -> larger z (truncated ratio).
-        z = needed_time / contact_duration
-    else:
-        z = 0.0
-
-    deliverable = bytes_per_second * contact_duration
-    p = float(np.clip(deliverable / max(exchange_bytes, 1e-9), 0.0, 1.0))
-    return ContactEstimate(contact_duration, float(z), p, float(goodput))
+    return estimate_contacts(
+        route_a[:k],
+        route_b[:k, None],
+        sample_interval,
+        wireless,
+        config,
+        [exchange_bytes],
+        [bandwidth_bps],
+    )[0]
 
 
 def priority_score(

@@ -62,6 +62,10 @@ class WirelessModel:
         self.table = table
         self.max_range = float(max_range)
         self.enabled = enabled
+        # The table as arrays for :meth:`goodput_factors`; the entry past
+        # the last bound is the loss beyond the table.
+        self._bounds = np.array(distances, dtype=float)
+        self._losses = np.array([row[1] for row in table] + [1.0])
 
     @classmethod
     def fixed(cls, loss: float, max_range: float = 500.0) -> "WirelessModel":
@@ -94,6 +98,19 @@ class WirelessModel:
         """Fraction of raw bandwidth delivered as goodput at ``distance``."""
         return 1.0 - self.loss_at(distance)
 
+    def goodput_factors(self, distances: np.ndarray) -> np.ndarray:
+        """:meth:`goodput_factor` of every distance of an array.
+
+        One table lookup: a distance belongs to the first row whose
+        (inclusive) bound reaches it, and past the last row, or past
+        ``max_range``, everything is lost.
+        """
+        distances = np.asarray(distances, dtype=float)
+        loss = 0.0
+        if self.enabled:
+            loss = self._losses[np.searchsorted(self._bounds, distances, side="left")]
+        return 1.0 - np.where(distances > self.max_range, 1.0, loss)
+
     def expected_goodput_factor(self, distances: np.ndarray) -> float:
         """Mean goodput factor over a predicted distance profile.
 
@@ -101,8 +118,7 @@ class WirelessModel:
         vehicles' shared routes imply, this is the average fraction of
         bandwidth the link will deliver.
         """
-        distances = np.asarray(distances, dtype=float)
-        if distances.size == 0:
+        factors = self.goodput_factors(distances)
+        if factors.size == 0:
             return 0.0
-        factors = np.array([self.goodput_factor(d) for d in distances])
         return float(factors.mean())

@@ -126,8 +126,9 @@ class MobilityTraces:
                 positions=data["positions"],
             )
 
-    def future_positions(self, vehicle: int, time: float, horizon: float) -> np.ndarray:
-        """Trace samples of ``vehicle`` in ``[time, time + horizon]``.
+    def future_positions(self, vehicle: int | list[int], time: float, horizon: float) -> np.ndarray:
+        """Trace samples of ``vehicle`` in ``[time, time + horizon]``:
+        ``(k, 2)``, or ``(k, c, 2)`` for a list of ``c`` vehicles.
 
         This is the "route for the next few minutes" vehicles share in
         §III-A; in the simulation we read it off the trace, exactly as a

@@ -109,6 +109,39 @@ class TestPolicies:
         assert choice in reachable
         assert choice == select_longest_contact(trainer, 0, reachable)
 
+    def test_fallback_reads_the_durations_it_already_has(self):
+        """Every Eq. 5 score zero: the pick is the first-longest reachable
+        candidate, from the one batch of estimates ``select_priority``
+        already took — it used to estimate every reachable one again."""
+        from types import SimpleNamespace
+
+        from repro.net.contact import ContactEstimate
+
+        durations = {1: 0.0, 2: 12.5, 3: 30.0, 4: 30.0, 5: 7.0}
+
+        class CountingTrainer:
+            config = SimpleNamespace(anticipated_psi_total=0.6)
+            nodes = [SimpleNamespace(config=SimpleNamespace(bandwidth_bps=31e6))] * 6
+            batches, singles = [], 0
+
+            def estimate_chat_bytes(self, i, j, psi_total):
+                return 1e9
+
+            def contact_estimates(self, i, candidates, exchange_bytes):
+                self.batches.append(list(candidates))
+                return [ContactEstimate(durations[j], 0.0, 0.5, 0.5) for j in candidates]
+
+            def contact_estimate(self, i, j, exchange_bytes):
+                self.singles += 1
+                return ContactEstimate(durations[j], 0.0, 0.5, 0.5)
+
+        trainer = CountingTrainer()
+        assert select_priority(trainer, 0, [1, 2, 3, 4, 5]) == 3  # first of the tie
+        assert trainer.batches == [[1, 2, 3, 4, 5]] and trainer.singles == 0
+        assert select_longest_contact(trainer, 0, [2, 3, 4, 5]) == 3
+        assert select_priority(trainer, 0, [1]) is None  # nobody reachable
+        assert select_longest_contact(trainer, 0, [1]) == 1
+
     @pytest.mark.parametrize("prioritize", [True, False], ids=["eq5", "random"])
     def test_prioritize_neighbors_is_the_only_switch(self, trainer, monkeypatch, prioritize):
         """Every scan that finds candidates goes to Eq. 5 by default and to

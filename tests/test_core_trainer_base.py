@@ -81,6 +81,18 @@ class TestContactEstimate:
         assert 0.0 <= estimate.p <= 1.0
         assert 0.0 <= estimate.z <= 1.0
 
+    def test_candidate_set_is_the_pairs(self, base):
+        """One slice of the traces for all candidates, at several instants,
+        the trace's last sample (a one-sample route) included."""
+        candidates = [j for j in range(len(base.nodes)) if j != 0]
+        exchange_bytes = [1e5 * (n + 1) for n in range(len(candidates))]
+        for now in (0.0, 33.0, float(base.traces.times[-1])):
+            base.sim._now = now
+            assert base.contact_estimates(0, candidates, exchange_bytes) == [
+                base.contact_estimate(0, j, b) for j, b in zip(candidates, exchange_bytes)
+            ]
+        assert base.contact_estimates(0, [], []) == []
+
     def test_pair_distance_fn_matches_traces(self, base):
         fn = base.pair_distance_fn(0, 1)
         assert fn(10.0) == base.traces.distance(0, 1, 10.0)

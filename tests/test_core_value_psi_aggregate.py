@@ -176,6 +176,148 @@ class TestOptimizeCompression:
         assert frugal.psi_i + frugal.psi_j <= greedy.psi_i + greedy.psi_j
 
 
+def seeded_maps(n_maps: int, seed: int = 20240):
+    """``(psis, losses)`` pairs of 3 to 7 knots in four shapes: random,
+    monotone, a flat run (Akima's weights vanish: the ``f12`` cutoff) and
+    values rounded to 0.1 (interval slopes tie)."""
+    from repro.core.psi import DEFAULT_PSI_GRID
+
+    rng = np.random.default_rng(seed)
+    grid = np.asarray(DEFAULT_PSI_GRID)
+    for k in range(n_maps):
+        n = int(rng.integers(3, 8))
+        if k % 2:
+            psis = np.sort(rng.choice(grid, n, replace=False))
+        else:
+            psis = np.cumsum(rng.uniform(0.02, 0.3, n))
+        shape = k % 4
+        if shape == 0:
+            losses = rng.normal(2.0, 1.0, n)
+        elif shape == 1:
+            losses = np.sort(rng.uniform(0.0, 5.0, n))[::-1].copy()
+        elif shape == 2:
+            losses = rng.uniform(0.0, 5.0, n)
+            start = int(rng.integers(0, n - 1))
+            losses[start : start + int(rng.integers(2, n + 1))] = losses[start]
+        else:
+            losses = np.round(rng.uniform(0.0, 2.0, n), 1)
+        yield psis, losses
+
+
+class TestAkimaAgainstScipy:
+    """The in-repo fit against ``scipy.interpolate.Akima1DInterpolator``.
+
+    ``PsiLossMap`` follows scipy 1.17's arithmetic statement for
+    statement, so on that scipy every value is equal to the bit; scipy
+    has rewritten the knot-slope expression between releases, so on
+    another one the comparison falls back to ``rtol=1e-12`` and warns.
+    """
+
+    FOLLOWED = (1, 17)
+    #: Where Eq. 7 reads a map (``linspace`` gives 0.35000000000000003,
+    #: not the knot 0.35), and two points outside any knot range.
+    LATTICE = np.concatenate([np.linspace(0.0, 1.0, 21), [-1.0, 7.0]])
+
+    def test_equal_to_scipy_on_seeded_maps(self):
+        import warnings
+
+        import scipy
+        from scipy.interpolate import Akima1DInterpolator
+
+        followed = tuple(int(p) for p in scipy.__version__.split(".")[:2]) == self.FOLLOWED
+        mismatched = 0
+        for psis, losses in seeded_maps(2400):
+            psi_map = PsiLossMap(psis, losses)
+            points = np.concatenate([self.LATTICE, psis])
+            got = psi_map.losses_at(points)
+            want = Akima1DInterpolator(psis, losses)(np.clip(points, psis[0], psis[-1]))
+            # Through every knot an interval starts at (the last one is the
+            # end of its cubic: scipy's value, not the sample's bits), and
+            # clamped outside the knot range.
+            assert np.array_equal(got[-len(psis) : -1], losses[:-1])
+            assert got[21] == losses[0] and got[22] == got[-1]
+            if followed:
+                assert np.array_equal(got, want), (psis, losses)
+            else:
+                mismatched += not np.array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        if mismatched:
+            warnings.warn(
+                f"scipy {scipy.__version__}'s Akima differs from the in-repo fit (which "
+                f"follows scipy {'.'.join(map(str, self.FOLLOWED))}) in the last bits of "
+                f"{mismatched} of 2400 maps; compared at rtol=1e-12",
+                stacklevel=1,
+            )
+
+    def test_one_psi_is_the_array_statement(self):
+        for psis, losses in seeded_maps(50, seed=7):
+            psi_map = PsiLossMap(psis, losses)
+            many = psi_map.losses_at(self.LATTICE)
+            assert [psi_map.loss_at(p) for p in self.LATTICE] == many.tolist()
+            assert all(type(psi_map.loss_at(p)) is float for p in self.LATTICE[:3])
+
+    def test_two_knots_are_np_interp(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            psis = np.cumsum(rng.uniform(0.05, 0.6, 2))
+            losses = rng.normal(2.0, 1.0, 2)
+            got = PsiLossMap(psis, losses).losses_at(self.LATTICE)
+            want = np.interp(np.clip(self.LATTICE, psis[0], psis[1]), psis, losses)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "psis, losses",
+        [
+            ([0.1, 0.5, np.nan], [1.0, 2.0, 3.0]),
+            ([0.1, 0.5, 1.0], [1.0, np.inf, 3.0]),
+            ([0.1, 0.5, 0.5], [1.0, 2.0, 3.0]),
+            ([0.5, 0.1], [1.0, 2.0]),
+        ],
+        ids=["nan-psi", "inf-loss", "repeated-psi", "descending"],
+    )
+    def test_refuses_what_scipy_refused(self, psis, losses):
+        with pytest.raises(ValueError):
+            PsiLossMap(np.array(psis), np.array(losses))
+
+
+class TestEq7Lattice:
+    """``optimize_compression`` against the objective evaluated point by
+    point: the scalar map, the scalar gain, a double loop."""
+
+    def test_decision_is_the_brute_force_argmax(self):
+        rng = np.random.default_rng(11)
+        maps = [PsiLossMap(psis, losses) for psis, losses in seeded_maps(120, seed=5)]
+        size, lambda_c = 52 * 1024 * 1024, 0.02
+        sent = 0
+        for map_i, map_j in zip(maps[::2], maps[1::2]):
+            loss_i_on_cj, loss_j_on_ci = rng.uniform(0.0, 6.0, 2)
+            bandwidth = rng.uniform(5e6, 200e6)
+            budget, contact = rng.uniform(1.0, 30.0, 2)
+            decision = optimize_compression(
+                map_i, map_j, loss_i_on_cj, loss_j_on_ci, size, bandwidth, budget, contact,
+                lambda_c=lambda_c,
+            )
+            window, grid = min(budget, contact), np.linspace(0.0, 1.0, 21)
+            best = (-np.inf, 0.0, 0.0, 0.0)
+            for psi_i in grid:
+                for psi_j in grid:
+                    t_c = size * (psi_i + psi_j) / (bandwidth / 8.0)
+                    if t_c > window:
+                        continue
+                    gain_i = gain_j = 0.0
+                    if psi_i > 0:
+                        gain_i = truncated_gain(loss_j_on_ci, map_i.loss_at(psi_i))
+                    if psi_j > 0:
+                        gain_j = truncated_gain(loss_i_on_cj, map_j.loss_at(psi_j))
+                    objective = gain_i + gain_j + lambda_c * (window - t_c)
+                    if objective > best[0]:
+                        best = (objective, psi_i, psi_j, t_c)
+            got = (decision.objective, decision.psi_i, decision.psi_j, decision.exchange_time)
+            assert got == best
+            sent += decision.psi_i > 0 or decision.psi_j > 0
+        assert sent > 10  # the lattice was not all "send nothing"
+
+
 class TestAggregation:
     def test_lower_loss_gets_larger_weight(self):
         w_local, w_received = aggregation_weights(2.0, 1.0)

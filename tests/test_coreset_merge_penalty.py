@@ -9,6 +9,7 @@ from repro.coreset import (
     command_loss_entropy,
     merge_coresets,
     penalized_loss,
+    penalized_losses,
     reduce_coreset,
 )
 
@@ -122,3 +123,92 @@ class TestPenalizedLoss:
     def test_enabled_flag(self):
         assert PenaltyConfig().enabled
         assert not PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0).enabled
+
+
+def eq6_one_model(flat, per_sample_losses, commands, weights, config):
+    """Eq. 6 for one model, a command mask at a time: the statement
+    :func:`penalized_losses` must equal on every row (with no penalty
+    active, ``waypoint_l1``'s weighted mean in the losses' dtype)."""
+    if not config.enabled:
+        norm = np.asarray(weights, dtype=per_sample_losses.dtype)
+        return float(per_sample_losses @ (norm / norm.sum()))
+    weights = np.asarray(weights, dtype=float)
+    value = float(per_sample_losses @ (weights / weights.sum()))
+    if config.lambda_l2 > 0:
+        value += config.lambda_l2 * float(np.linalg.norm(flat))
+    if config.lambda_entropy > 0:
+        losses = np.asarray(per_sample_losses, dtype=float)
+        means = [losses[commands == cmd].mean() for cmd in range(4) if (commands == cmd).any()]
+        q = np.asarray(means)
+        if len(means) > 1 and q.sum() > 0:
+            q = q / q.sum()
+            entropy = float(-(q * np.log(np.clip(q, 1e-12, None))).sum())
+            value += config.lambda_entropy * float(np.log(len(means)) - entropy)
+    return value
+
+
+PENALTIES = {
+    "both": PenaltyConfig(),
+    "l2": PenaltyConfig(lambda_l2=1e-4, lambda_entropy=0.0),
+    "entropy": PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.05),
+    "none": PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0),
+}
+
+
+class TestEq6OverRows:
+    """Seven probe rows through one statement against Eq. 6 per row."""
+
+    @staticmethod
+    def rows(seed, n, dtype, commands=None, zero_rows=()):
+        rng = np.random.default_rng(seed)
+        losses = rng.uniform(0.0, 3.0, (7, n)).astype(dtype)
+        losses[list(zero_rows)] = 0.0
+        if commands is None:
+            commands = rng.integers(0, 4, n)
+        weights = rng.uniform(0.5, 2.0, n)
+        params = rng.normal(size=(7, 500)).astype(np.float32)
+        return params, losses, np.asarray(commands), weights
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("penalty", sorted(PENALTIES))
+    @pytest.mark.parametrize("n", [1, 5, 12, 150, 1000])
+    def test_rows_equal_eq6_per_row(self, penalty, dtype, n):
+        config = PENALTIES[penalty]
+        for seed in range(6):
+            params, losses, commands, weights = self.rows(seed, n, dtype)
+            got = penalized_losses(params, losses, commands, weights, config)
+            assert got.dtype == np.float64 and got.shape == (7,)
+            for row in range(7):
+                args = (params[row], losses[row], commands, weights, config)
+                assert got[row] == eq6_one_model(*args) == penalized_loss(*args)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "commands, zero_rows",
+        [
+            (np.arange(40) % 3, ()),  # command 3 absent
+            (np.where(np.arange(40) % 2, 1, 3), ()),  # commands 0 and 2 absent
+            (np.full(40, 2), ()),  # one command: entropy term 0
+            (np.arange(40) % 4, (0, 3, 6)),  # all-zero losses: total <= 0
+        ],
+        ids=["one-absent", "two-absent", "single-command", "zero-loss-rows"],
+    )
+    def test_degenerate_command_sets(self, commands, zero_rows, dtype):
+        params, losses, commands, weights = self.rows(9, 40, dtype, commands, zero_rows)
+        for config in PENALTIES.values():
+            got = penalized_losses(params, losses, commands, weights, config)
+            for row in range(7):
+                args = (params[row], losses[row], commands, weights, config)
+                assert got[row] == eq6_one_model(*args) == penalized_loss(*args)
+        entropies = command_loss_entropy(losses, commands)
+        assert entropies.shape == (7,)
+        assert all(entropies[row] == 0.0 for row in zero_rows)
+        if len(set(commands.tolist())) == 1:
+            assert not entropies.any()
+
+    @pytest.mark.parametrize("penalty", sorted(PENALTIES))
+    def test_non_positive_weight_sum_still_raises(self, penalty):
+        params, losses, commands, _ = self.rows(1, 10, np.float32)
+        for weights in (np.zeros(10), -np.ones(10)):
+            with pytest.raises(ValueError, match="positive sum"):
+                penalized_losses(params, losses, commands, weights, PENALTIES[penalty])

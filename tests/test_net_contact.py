@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net import ChannelConfig, WirelessModel, estimate_contact, priority_score
+from repro.net import (
+    DEFAULT_LOSS_TABLE,
+    ChannelConfig,
+    ContactEstimate,
+    WirelessModel,
+    estimate_contact,
+    estimate_contacts,
+    priority_score,
+)
 
 CONFIG = ChannelConfig()
 WIRELESS = WirelessModel()
@@ -87,3 +97,102 @@ class TestPriorityScore:
         a, b = parallel_routes(600.0)
         est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, 4e6)
         assert priority_score(est, 31e6, 31e6) == 0.0
+
+
+def scalar_estimate(route_a, route_b, wireless, exchange_bytes, bandwidth_bps):
+    """§III-A for one pair, a sample at a time: the reference
+    :func:`estimate_contacts` must equal for every candidate."""
+    bandwidth_bps = bandwidth_bps or CONFIG.bandwidth_bps
+    k = min(len(route_a), len(route_b))
+    distances = np.linalg.norm(route_a[:k] - route_b[:k], axis=1)
+    in_range = distances <= wireless.max_range
+    if k == 0 or not in_range[0]:
+        return ContactEstimate(0.0, 0.0, 0.0, 0.0)
+    out = np.where(~in_range)[0]
+    end = int(out[0]) if len(out) else k
+    contact_duration = end * INTERVAL
+    goodput = float(np.array([1.0 - wireless.loss_at(d) for d in distances[:end]]).mean())
+    bytes_per_second = bandwidth_bps / 8.0 * goodput
+    needed_time = exchange_bytes / max(bytes_per_second, 1e-9)
+    if needed_time <= 0:
+        z = 1.0
+    else:
+        z = needed_time / contact_duration if contact_duration >= needed_time else 0.0
+    p = float(np.clip(bytes_per_second * contact_duration / max(exchange_bytes, 1e-9), 0.0, 1.0))
+    return ContactEstimate(contact_duration, float(z), p, goodput)
+
+
+WIRELESS_MODELS = {
+    "table": WIRELESS,
+    "disabled": WirelessModel(enabled=False),
+    "fixed": WirelessModel.fixed(0.3),
+}
+TABLE_BOUNDS = [row[0] for row in DEFAULT_LOSS_TABLE]
+
+
+def candidate_routes(rng, route, c):
+    """``(k, c, 2)`` routes around ``route``.  Routes sit on integer
+    coordinates and the first three candidates are displaced along x by
+    whole metres, so their separations are exact: one out of range at
+    sample 0, one never out of range and on the table's bounds at every
+    sample, one at exactly ``max_range`` throughout.  The rest wander."""
+    k = len(route)
+    radius = rng.choice(
+        np.concatenate([TABLE_BOUNDS, rng.uniform(0.0, 650.0, 12)]), size=(k, c)
+    )
+    angle = rng.uniform(0.0, 2 * np.pi, (k, c))
+    offsets = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    if k:
+        offsets[:, 0] = 0.0
+        offsets[:, 0, 0] = rng.choice(TABLE_BOUNDS, k)
+        offsets[0, 0, 0] = 501.0
+        if c > 1:
+            offsets[:, 1] = 0.0
+            offsets[:, 1, 1] = -rng.choice(TABLE_BOUNDS, k)
+        if c > 2:
+            offsets[:, 2] = [500.0, 0.0]
+    return route[:, None] + offsets
+
+
+class TestCandidateSetAgainstTheScalarLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 80),
+        c=st.integers(1, 20),
+        model=st.sampled_from(sorted(WIRELESS_MODELS)),
+    )
+    def test_every_field_of_every_estimate(self, seed, k, c, model):
+        rng = np.random.default_rng(seed)
+        wireless = WIRELESS_MODELS[model]
+        route = np.cumsum(rng.integers(-12, 13, (k, 2)), axis=0).astype(float)
+        routes = candidate_routes(rng, route, c)
+        exchange_bytes = rng.choice([0.0, 1.0, 3e5, 4e6, 6e8], c).tolist()
+        bandwidths = [None if b == 0 else b for b in rng.choice([0.0, 5e6, 31e6], c).tolist()]
+        got = estimate_contacts(
+            route, routes, INTERVAL, wireless, CONFIG, exchange_bytes, bandwidths
+        )
+        want = [
+            scalar_estimate(route, routes[:, n], wireless, exchange_bytes[n], bandwidths[n])
+            for n in range(c)
+        ]
+        assert got == want
+        assert all(type(v) is float for estimate in got for v in vars(estimate).values())
+        if k:
+            assert got[0] == ContactEstimate(0.0, 0.0, 0.0, 0.0)
+            assert c < 2 or got[1].contact_duration == k * INTERVAL
+            assert c < 3 or got[2].contact_duration == k * INTERVAL  # max_range is inclusive
+        # One pair is the one-candidate case, whichever route is longer.
+        for n in range(min(c, 4)):
+            longer = np.concatenate([routes[:, n], routes[-1:, n]])
+            assert (
+                estimate_contact(
+                    route, longer, INTERVAL, wireless, CONFIG, exchange_bytes[n], bandwidths[n]
+                )
+                == want[n]
+            )
+
+    def test_default_bandwidth_is_the_channels(self):
+        a, b = parallel_routes(120.0)
+        got = estimate_contacts(a, b[:, None], INTERVAL, WIRELESS, CONFIG, [4e6])
+        assert got == [scalar_estimate(a, b, WIRELESS, 4e6, None)]

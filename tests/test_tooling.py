@@ -495,6 +495,58 @@ class TestEvaluationInputsAreNotCopied:
         assert copied[0] == 0
 
 
+class TestNoRunImportsScipy:
+    """Eq. 7's Akima fit is in-repo (``repro.core.psi``), so no run loads
+    scipy: it is ~0.45 s of a cold start and ~40 MB resident, paid by
+    every ``repro`` process and every ``jobs=N`` pool worker.  What is
+    left of it is ``multiseed``'s function-local ``scipy.stats`` and the
+    Akima test oracle."""
+
+    REPO = Path(__file__).parent.parent
+
+    def test_an_lbchat_run_leaves_scipy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.experiments.runner\n"
+            "from repro import selfcheck\n"
+            "from repro.experiments.runner import RunSpec, run_method\n"
+            "context = selfcheck._context('hotpath')\n"
+            "spec = RunSpec.for_context(context, 'LbChat', seed=selfcheck.SEED)\n"
+            "result = run_method(context, spec)\n"
+            "assert result.counters['psi_probe_builds'] > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(self.REPO / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_the_only_scipy_import_under_src_is_multiseeds(self):
+        found = []
+        for path in sorted((self.REPO / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    where = "module level" if node in tree.body else "function-local"
+                    found.append((str(path.relative_to(self.REPO)), where))
+        assert found == [("src/repro/experiments/multiseed.py", "function-local")]
+
+
 class TestEveryModuleHasARunningCaller:
     """ROADMAP item 1's rule as a gate: a ``src/repro`` module is reached
     from something that runs — the CLI, ``repro selfcheck``, an example,
