@@ -13,7 +13,9 @@ The engine is strictly an execution strategy.  Nodes keep their own
 :class:`~repro.core.node.VehicleNode` API — chats, compression,
 psi-probes, checkpoints all operate on per-node views into the bank
 (see :mod:`repro.nn.bank`), so attaching the engine changes *where*
-tensors live, not what any protocol sees.
+tensors live, not what any protocol sees.  The one thing a node hands
+over is its optimizer state: the engine's :class:`FleetAdam` owns every
+row's, and a trainer's checkpoints read and write it there.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import numpy as np
 
 from repro.core.node import _EVAL_CHUNK, VehicleNode
 from repro.nn._fused import fused_adam_step
-from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank, RowAdam
+from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
 from repro.nn.losses import fleet_waypoint_l1
 from repro.nn.model import WaypointNet
-from repro.nn.optim import Adam
 from repro.parallel.stepshard import (
     ShmArena,
     StepShard,
@@ -49,36 +50,26 @@ class FleetIncompatible(ValueError):
 class FleetEngine:
     """Batched forward/backward/update for a homogeneous vehicle fleet.
 
-    Construction adopts every node into a shared :class:`ParamBank`
-    (rebinding its ``Parameter`` storage to bank views), imports each
-    node's optimizer state into one :class:`FleetAdam`, and swaps the
-    node's optimizer for a :class:`RowAdam` facade.  Any homogeneous
-    fleet of one node or more fits; one that differs in model structure,
-    optimizer hyperparameters or batch size raises
+    Construction re-homes every node into a shared :class:`ParamBank`
+    (:meth:`VehicleNode.bind_bank`: the node's one-row bank and net of
+    construction time are dropped) and imports each node's standalone
+    Adam state into one :class:`FleetAdam`, after which the fleet alone
+    steps the node.  Any homogeneous fleet of one node or more fits; one
+    that differs in model structure, learning rate or batch size raises
     :class:`FleetIncompatible` naming the difference — there is no
     per-node training to degrade to.
     """
 
     def __init__(self, nodes: list[VehicleNode], step_workers: int = 1):
         first = nodes[0]
-        if not isinstance(first.model, WaypointNet):
-            raise FleetIncompatible(f"cannot batch {type(first.model).__name__}")
         for node in nodes:
             if not isinstance(node.model, WaypointNet):
                 raise FleetIncompatible(f"cannot batch {type(node.model).__name__}")
-            if type(node.optimizer) is not Adam:
-                raise FleetIncompatible(
-                    f"cannot batch optimizer {type(node.optimizer).__name__}"
-                )
-        opt = first.optimizer
-        for node in nodes:
             differing = [
-                f"Adam {name}"
-                for name in ("lr", "beta1", "beta2", "eps", "weight_decay")
-                if getattr(node.optimizer, name) != getattr(opt, name)
+                name
+                for name in ("learning_rate", "batch_size")  # one Adam; stacked minibatches
+                if getattr(node.config, name) != getattr(first.config, name)
             ]
-            if node.config.batch_size != first.config.batch_size:
-                differing.append("batch_size")  # its minibatch would not stack
             if differing:
                 raise FleetIncompatible(
                     f"nodes {first.node_id} and {node.node_id} disagree on "
@@ -127,21 +118,11 @@ class FleetEngine:
         self.nodes = nodes
         self.bank = bank
         self.model = model
-        self.optim = FleetAdam(
-            bank,
-            lr=opt.lr,
-            betas=(opt.beta1, opt.beta2),
-            eps=opt.eps,
-            weight_decay=opt.weight_decay,
-            allocator=allocator,
-        )
+        self.optim = FleetAdam(bank, lr=first.config.learning_rate, allocator=allocator)
         for row, node in enumerate(nodes):
             self.optim.node_restore(row, node.optimizer.snapshot())
-            bank.adopt(row, node.model)
-            node.bind_bank(
-                bank.row_view(row),
-                RowAdam(self.optim, row, node.model.parameters()),
-            )
+            node.optimizer = None  # the fleet steps this row from now on
+            node.bind_bank(bank, row)
         self._pending: np.ndarray | None = None
         self._consumed = np.ones(len(nodes), dtype=bool)
         # Plain-Python step accounting (cheap enough for the hot loop):
@@ -309,7 +290,7 @@ class FleetEngine:
             bev[row] = sample[0]
             commands[row] = sample[1]
             targets[row] = sample[2]
-        self._pool.step(bev.shape[1])
+        self._pool.step()
         hooks.count("stepshard.steps")
         for node in self.nodes:
             node.model_version += 1

@@ -22,8 +22,8 @@ from repro.coreset import (
     penalized_loss,
     reduce_coreset,
 )
-from repro.nn import Adam, waypoint_l1
-from repro.nn.params import get_flat_params, set_flat_params
+from repro.nn import Adam, FleetWaypointNet, ParamBank, waypoint_l1
+from repro.nn.params import set_flat_params
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
@@ -60,9 +60,6 @@ class NodeConfig:
     #: Stratify minibatches uniformly over commands — the standard
     #: branched-imitation trick (rare turn branches starve otherwise).
     balance_commands: bool = True
-    #: Apply Eq. 6's L2 term during *training* as decoupled weight decay
-    #: (evaluations always include it via the penalty config).
-    train_with_weight_decay: bool = False
     #: Hard cap on live loss-cache entries (0 = unbounded, the paper
     #: scales).  City-scale fleets set this so per-node resident state
     #: stays O(coreset + validation) instead of growing with every
@@ -74,7 +71,14 @@ class NodeConfig:
 
 
 class VehicleNode:
-    """One vehicle's learning state and LbChat operations."""
+    """One vehicle's learning state and LbChat operations.
+
+    The vehicle's parameters are always a row of a
+    :class:`~repro.nn.bank.ParamBank` — a one-row bank of its own from
+    construction, the fleet's once a :class:`~repro.core.fleet.
+    FleetEngine` re-homes it — and every forward it runs is one
+    :class:`~repro.nn.bank.FleetWaypointNet` forward over that row.
+    """
 
     def __init__(
         self,
@@ -91,17 +95,12 @@ class VehicleNode:
         self.dataset = dataset
         self.config = config
         self.rng = rng
-        weight_decay = (
-            config.penalty.lambda_l2 if config.train_with_weight_decay else 0.0
-        )
-        self.optimizer = Adam(
-            model.parameters(), lr=config.learning_rate, weight_decay=weight_decay
-        )
+        #: The standalone reference step's optimizer; ``None`` once a
+        #: :class:`~repro.core.fleet.FleetEngine` owns this row's state.
+        self.optimizer: Adam | None = Adam(model.parameters(), lr=config.learning_rate)
         self.model_version = 0
         self.train_steps = 0
-        #: Read-only flat view of this node's bank row once a
-        #: :class:`~repro.core.fleet.FleetEngine` adopts the node.
-        self._bank_flat: np.ndarray | None = None
+        self.bind_bank(ParamBank(model, 1), 0)
         # Loss cache, vectorized: frame ids map to slots in flat
         # version/value arrays, so lookups over a whole dataset are two
         # fancy-indexing operations instead of a per-frame dict walk.
@@ -113,21 +112,28 @@ class VehicleNode:
         self._slot_memo: dict[int, tuple[int, int, np.ndarray]] = {}
         self._steps_since_refresh = 0
         self.coreset: Coreset = self.refresh_coreset()
+        # A net keeps its last forward's activations alive — here the
+        # whole local dataset's: the construction-time evaluation's net is
+        # a throwaway, or a fleet of vehicles would hold them all at once.
+        self._net = FleetWaypointNet(self._net.bank, model)
 
     # -- fleet attachment ----------------------------------------------------
 
-    def bind_bank(self, flat_row: np.ndarray, optimizer) -> None:
-        """Adopt bank-backed storage (called by ``FleetEngine``).
+    def bind_bank(self, bank: ParamBank, row: int) -> None:
+        """Make row ``row`` of ``bank`` this vehicle's parameters.
 
-        ``flat_row`` is a read-only flat view of this node's bank row;
-        ``optimizer`` is the per-row facade replacing the standalone
-        Adam.  The model's ``Parameter`` objects were already rebound to
-        bank views by :meth:`~repro.nn.bank.ParamBank.adopt`, so every
-        per-node operation keeps working — this just records the
-        zero-copy handles.
+        Copies the current parameters in and rebinds the model's
+        ``Parameter`` objects to views of the row
+        (:meth:`~repro.nn.bank.ParamBank.adopt`), so ``set_flat_params``
+        on the model, the reference step and checkpoints all work on the
+        bank.  The node's one-row net is built here, once per home: the
+        previous home's net, with the activations it held, is dropped.
         """
-        self._bank_flat = flat_row
-        self.optimizer = optimizer
+        bank.adopt(row, self.model)
+        #: This vehicle's parameters: a read-only, zero-copy, always
+        #: current view of its bank row.
+        self.flat_params = bank.row_view(row)
+        self._net = FleetWaypointNet(bank.slice_rows(row, row + 1), self.model)
 
     # -- training ------------------------------------------------------------
 
@@ -138,8 +144,12 @@ class VehicleNode:
         Adam` and ``WaypointNet.backward``): ``tests/test_nn_bank.py``
         holds the bank to it and the examples call it, but no trainer
         does — a fleet steps through :meth:`~repro.core.fleet.
-        FleetEngine.train_step_all`.
+        FleetEngine.train_step_all`, and a node in one refuses.
         """
+        if self.optimizer is None:
+            raise RuntimeError(
+                f"node {self.node_id} is a row of a FleetEngine's bank: the fleet steps it"
+            )
         bev, commands, targets, _ = self.dataset.sample_batch(
             self.config.batch_size,
             self.rng,
@@ -270,10 +280,7 @@ class VehicleNode:
                 chunk = miss[start : start + _EVAL_CHUNK]
                 # Only the misses are gathered, straight from the pool:
                 # ``dataset`` may be a vehicle's whole local dataset.
-                bev, commands, targets = dataset.take(chunk)
-                pred = self.model.forward(bev, commands)
-                _, per_sample, _ = waypoint_l1(pred, targets)
-                losses[chunk] = per_sample
+                losses[chunk] = self._forward_losses(*dataset.take(chunk))
                 chunk_slots = slots[chunk]
                 self._cache_values[chunk_slots] = losses[chunk]
                 self._cache_versions[chunk_slots] = self.model_version
@@ -299,19 +306,46 @@ class VehicleNode:
         self._cache_versions[slots] = self.model_version
         self._enforce_cache_budget()
 
+    def _forward_losses(self, bev, commands, targets) -> np.ndarray:
+        """Per-sample L1 losses of this node's parameters: one one-row
+        bank forward."""
+        pred = self._net.forward(bev, commands)[0]
+        return np.abs(pred - targets).mean(axis=1)
+
+    def _weighted_loss(self, flat, losses, commands, weights, with_penalty: bool) -> float:
+        """Eq. 6 of ``flat`` from its per-sample ``losses`` (or, without
+        the penalty, their weighted mean)."""
+        if with_penalty and self.config.penalty.enabled:
+            return penalized_loss(flat, losses, commands, weights, self.config.penalty)
+        return float(losses @ (weights / weights.sum()))
+
     def evaluate(self, dataset: DrivingDataset, with_penalty: bool = True) -> float:
         """Weighted loss of the current model on ``dataset`` (Eq. 6)."""
         losses = self.per_sample_losses(dataset)
-        commands, weights = dataset.commands, dataset.weights
-        if with_penalty and self.config.penalty.enabled:
-            return penalized_loss(
-                self.flat_params, losses, commands, weights, self.config.penalty
-            )
-        total = weights.sum()
-        return float(losses @ (weights / total))
+        return self._weighted_loss(
+            self.flat_params, losses, dataset.commands, dataset.weights, with_penalty
+        )
+
+    def evaluate_params(
+        self, flat: np.ndarray, dataset: DrivingDataset, with_penalty: bool = True
+    ) -> float:
+        """:meth:`evaluate` of the parameter vector ``flat`` (a received
+        model) — uncached.
+
+        ``flat`` is scored in this node's own bank row, the one-row
+        scratch space that costs nothing, so the row holds ``flat``
+        afterwards: every caller merges next and overwrites it.
+        """
+        set_flat_params(self.model, flat)
+        bev, commands, targets, weights = dataset.arrays()
+        losses = self._forward_losses(bev, commands, targets)
+        return self._weighted_loss(flat, losses, commands, weights, with_penalty)
 
     def evaluate_model_on(self, model, dataset: DrivingDataset) -> float:
-        """Weighted loss of an *arbitrary* model (e.g. a peer's) — uncached."""
+        """Weighted loss of an *arbitrary* model through ``WaypointNet.
+        forward`` — uncached.  The per-level psi loop's scorer
+        (:meth:`build_psi_map`), kept with it as a test oracle; no run
+        calls it."""
         bev, commands, targets, weights = dataset.arrays()
         pred = model.forward(bev, commands)
         scalar, per_sample, _ = waypoint_l1(pred, targets, weights=weights)
@@ -401,18 +435,14 @@ class VehicleNode:
 
         Returns the (w_local, w_received) weights used.
         """
-        local = self.flat_params
+        local = self.flat_params.copy()  # the row is scratch space below
         received = decompress(compressed, fill=local)
         if mean_weights:
             weights = (0.5, 0.5)
             merged = aggregate_models(local, received, 1.0, 1.0)
         else:
-            from repro.nn.params import clone_model
-
-            probe = clone_model(self.model)
-            set_flat_params(probe, received)
             loss_local = self.evaluate(eval_set)
-            loss_received = self.evaluate_model_on(probe, eval_set)
+            loss_received = self.evaluate_params(received, eval_set)
             merged = aggregate_models(local, received, loss_local, loss_received)
             weights = aggregation_weights(loss_local, loss_received)
         set_flat_params(self.model, merged)
@@ -424,23 +454,14 @@ class VehicleNode:
         set_flat_params(self.model, flat)
         self.model_version += 1
 
-    @property
-    def flat_params(self) -> np.ndarray:
-        """The model's parameters as one flat float32 vector.
-
-        Bank-attached nodes return a *read-only view* of their bank row
-        — zero-copy, always current, safe to hand to compression and
-        aggregation (both read before any write-back).  Detached nodes
-        concatenate a fresh copy as before.
-        """
-        if self._bank_flat is not None:
-            return self._bank_flat
-        return get_flat_params(self.model)
-
     # -- checkpointing ------------------------------------------------------------
 
     def snapshot(self, frames) -> dict:
-        """Full node state as a checkpointable tree.
+        """The node's state as a checkpointable tree.
+
+        All of it but the optimizer's, which belongs to whoever steps the
+        node: :meth:`~repro.core.trainer_base.TrainerBase.snapshot` adds
+        the fleet's row of it under ``"optimizer"``.
 
         The dataset and the coreset go in as rows and weights; their
         frames go into ``frames``, the snapshot's
@@ -456,8 +477,7 @@ class VehicleNode:
         used = len(self._cache_slots)
         cache_ids = sorted(self._cache_slots, key=self._cache_slots.__getitem__)
         return {
-            "params": get_flat_params(self.model),
-            "optimizer": self.optimizer.snapshot(),
+            "params": self.flat_params.copy(),
             "model_version": self.model_version,
             "train_steps": self.train_steps,
             "steps_since_refresh": self._steps_since_refresh,
@@ -483,7 +503,6 @@ class VehicleNode:
         """
         pool = self.dataset.pool
         set_flat_params(self.model, np.asarray(state["params"]))
-        self.optimizer.restore(state["optimizer"])
         self.model_version = int(state["model_version"])
         self.train_steps = int(state["train_steps"])
         self._steps_since_refresh = int(state["steps_since_refresh"])

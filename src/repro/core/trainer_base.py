@@ -380,9 +380,12 @@ class TrainerBase:
     def snapshot(self) -> dict:
         """Full trainer state as a checkpointable tree (a pure read)."""
         frames = FrameTable()
+        nodes = [node.snapshot(frames) for node in self.nodes]
+        for row, node_state in enumerate(nodes):
+            node_state["optimizer"] = self.fleet.optim.node_snapshot(row)
         state = {
             "time": self.sim.now,
-            "nodes": [node.snapshot(frames) for node in self.nodes],
+            "nodes": nodes,
             "busy_until": self.busy_until.copy(),
             "next_train": self._next_train.copy(),
             "next_scan": self.next_scan.copy(),
@@ -411,8 +414,9 @@ class TrainerBase:
         barrier = int(state["barrier"])
         frames = FrameTable(state["frame_table"])
         self.sim.advance_to(float(state["time"]))
-        for node, node_state in zip(self.nodes, state["nodes"], strict=True):
+        for row, (node, node_state) in enumerate(zip(self.nodes, state["nodes"], strict=True)):
             node.restore(node_state, frames)
+            self.fleet.optim.node_restore(row, node_state["optimizer"])
         self.busy_until = np.asarray(state["busy_until"], dtype=float).copy()
         self._next_train = np.asarray(state["next_train"], dtype=float).copy()
         self.next_scan = np.asarray(state["next_scan"], dtype=float).copy()

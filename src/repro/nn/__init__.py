@@ -11,12 +11,7 @@ command-branched :class:`~repro.nn.model.WaypointNet` used for the
 BEV-based driving decision task.
 """
 
-from repro.nn.bank import (
-    FleetAdam,
-    FleetWaypointNet,
-    ParamBank,
-    RowAdam,
-)
+from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
 from repro.nn.layers import (
     Conv2d,
     Flatten,
@@ -51,7 +46,6 @@ __all__ = [
     "ParamBank",
     "FleetWaypointNet",
     "FleetAdam",
-    "RowAdam",
     "Parameter",
     "get_flat_params",
     "set_flat_params",

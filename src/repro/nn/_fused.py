@@ -77,16 +77,15 @@ _SOURCE = r"""
  * mirroring repro.nn.optim.Adam.step op for op:
  *   m    = m*b1 + (1-b1)*g
  *   v    = v*b2 + (1-b2)*(g*g)
- *   p   -= decay*p                      (decoupled pre-step decay)
  *   p   -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
  * Every intermediate is a float; each op rounds once.  The arrays never
- * overlap (restrict) and with_decay is a constant at both call sites,
- * so the loop body is branch-free and the compiler vectorises it. */
+ * overlap (restrict) and the loop body is branch-free, so the compiler
+ * vectorises it. */
 static inline void adam_row(float *restrict p, const float *restrict g,
                             float *restrict m, float *restrict v,
                             long long n, float b1, float omb1, float b2,
                             float omb2, float bc1, float bc2, float lr,
-                            float eps, float decay, const int with_decay)
+                            float eps)
 {
     long long i;
     for (i = 0; i < n; ++i) {
@@ -99,33 +98,25 @@ static inline void adam_row(float *restrict p, const float *restrict g,
         v[i] = vi;
         float num = lr * (mi / bc1);
         float den = sqrtf(vi / bc2) + eps;
-        float pi = p[i];
-        if (with_decay) {
-            pi = pi - decay * pi;
-        }
-        p[i] = pi - num / den;
+        p[i] = p[i] - num / den;
     }
 }
 
 /* n_rows consecutive rows of n_cols elements each; row r is corrected
- * by bc1[r], bc2[r] (its own step count).  Lock-step fleets, staggered
- * restores and single-row updates are all this one call. */
+ * by bc1[r], bc2[r] (its own step count).  Lock-step fleets and
+ * staggered restores are both this one call. */
 void adam_step(float *restrict p, const float *restrict g,
                float *restrict m, float *restrict v,
                long long n_rows, long long n_cols,
                const float *restrict bc1, const float *restrict bc2,
                float b1, float omb1, float b2, float omb2,
-               float lr, float eps, float decay)
+               float lr, float eps)
 {
     long long r;
     for (r = 0; r < n_rows; ++r) {
         long long o = r * n_cols;
-        if (decay != 0.0f)
-            adam_row(p + o, g + o, m + o, v + o, n_cols, b1, omb1, b2, omb2,
-                     bc1[r], bc2[r], lr, eps, decay, 1);
-        else
-            adam_row(p + o, g + o, m + o, v + o, n_cols, b1, omb1, b2, omb2,
-                     bc1[r], bc2[r], lr, eps, decay, 0);
+        adam_row(p + o, g + o, m + o, v + o, n_cols, b1, omb1, b2, omb2,
+                 bc1[r], bc2[r], lr, eps);
     }
 }
 """
@@ -250,7 +241,7 @@ def _load() -> tuple[ctypes._CFuncPtr, str]:
         ctypes.c_longlong,  # n_cols
         _F32P,  # bc1, one per row
         _F32P,  # bc2, one per row
-        *[ctypes.c_float] * 7,  # b1, 1-b1, b2, 1-b2, lr, eps, decay
+        *[ctypes.c_float] * 6,  # b1, 1-b1, b2, 1-b2, lr, eps
     ]
     lib.adam_step.restype = None
     return lib.adam_step, so_name

@@ -1,37 +1,40 @@
-"""Per-layer parameter banks for fleet-batched training.
+"""Per-layer parameter banks: the network every run executes.
 
 Every run trains N identical :class:`~repro.nn.model.WaypointNet`
 models in lock-step — one per vehicle (N = 1 included).  This module
 stacks all vehicles' parameters into per-layer ``(n_nodes, ...)`` banks
-so one batched tensor op per layer trains the whole fleet; it is the
-only training path a trainer has:
+so one batched tensor op per layer trains or evaluates the whole fleet;
+it is the only forward and the only gradient step a run has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
-  float32 matrix (plus a twin for gradients).  Each node's
-  :class:`~repro.nn.params.Parameter` objects are *rebound* to views into
-  their bank row, so all existing per-node code — ``get_flat_params``,
-  ``set_flat_params``, chat aggregation, compression, checkpointing —
-  keeps working unchanged and sees bank updates instantly.  That view
-  binding is the scatter/gather bridge: attaching and detaching at
-  chat/compression/checkpoint boundaries costs nothing because there is
-  nothing to copy.
+  float32 matrix (plus a twin for gradients).  A vehicle's parameters
+  are a bank row from birth: :class:`~repro.core.node.VehicleNode` puts
+  its model into a one-row bank of its own, and the fleet engine
+  re-homes it into the fleet's.  :meth:`ParamBank.adopt` rebinds the
+  model's :class:`~repro.nn.params.Parameter` objects to views into the
+  row, so ``set_flat_params``, chat aggregation, compression and
+  checkpoints read and write the bank itself — there is nothing to copy.
 * :class:`FleetWaypointNet` mirrors the per-node network with batched
   layers: stacked GEMMs (``np.matmul`` over a leading node axis) for
   :class:`FleetLinear`, im2col plus one batched GEMM for
-  :class:`FleetConv2d`, and command-masked head dispatch.
+  :class:`FleetConv2d`, and command-masked head dispatch.  One vehicle
+  evaluating alone (its cache misses, the score of a received model) is
+  a one-row net over ``bank.slice_rows(r, r + 1)``.
 * :class:`FleetAdam` keeps ``(n_nodes, n_params)`` moment matrices with a
   per-node step counter, so staggered restores (one vehicle resuming
-  from an older snapshot) bias-correct each row independently.
-  :class:`RowAdam` is the per-node facade that stands in for
-  :class:`~repro.nn.optim.Adam` on bank-attached nodes.
+  from an older snapshot) bias-correct each row independently.  It owns
+  every row's optimizer state; a checkpoint reaches one row through
+  :meth:`FleetAdam.node_snapshot` / :meth:`FleetAdam.node_restore`.
 
-Bit-identity notes, against the single-vehicle reference step
-(``VehicleNode.train_step``, which ``tests/test_nn_bank.py`` holds the
-bank to): stacked ``matmul`` runs the *same-shaped* GEMM per node, so
-MLP-trunk forward/backward/Adam match it bit-for-bit.  Head and conv
-gradients batch over a different matrix extent (all rows instead of the
-command-selected subset), which changes BLAS accumulation order — those
-match within float tolerance only.
+Bit-identity notes, against the single-vehicle reference
+(``WaypointNet.forward`` and ``VehicleNode.train_step``, which
+``tests/test_nn_bank.py`` holds the bank to): a one-row forward equals
+``WaypointNet.forward`` to the bit, MLP or conv, at any batch size.
+Stacked ``matmul`` runs the *same-shaped* GEMM per node, so MLP-trunk
+forward/backward/Adam match the reference step bit-for-bit.  Head and
+conv gradients batch over a different matrix extent (all rows instead of
+the command-selected subset), which changes BLAS accumulation order —
+those match within float tolerance only.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "FleetFlatten",
     "FleetWaypointNet",
     "FleetAdam",
-    "RowAdam",
 ]
 
 
@@ -156,13 +158,6 @@ class ParamBank:
             p.data = view[row]
             p.grad = grad_view[row]
 
-    def detach(self, row: int, model) -> None:
-        """Give a model back owned copies of its row (the gather side)."""
-        params = self._check_compatible(model)
-        for p, view, grad_view in zip(params, self.views, self.grad_views):
-            p.data = view[row].copy()
-            p.grad = grad_view[row].copy()
-
     def row_view(self, row: int) -> np.ndarray:
         """Read-only flat view of one node's parameters (zero-copy)."""
         view = self.flat[row].view()
@@ -214,7 +209,7 @@ class FleetLinear:
             self._out = np.empty(shape, dtype=np.float32)
         # A shared (b, i) input broadcasts against the (n, i, o) stack;
         # either way each node runs the same-shaped GEMM as the per-node
-        # path, keeping the MLP trunk bit-identical to detached nodes.
+        # layer, keeping the MLP trunk bit-identical to it.
         out = np.matmul(x, self.weight, out=self._out)
         out += self.bias[:, None, :]
         return out, False
@@ -424,14 +419,15 @@ class FleetWaypointNet:
                     out[:, mask] = (
                         np.matmul(features[:, mask], head.weight) + head.bias[:, None, :]
                     )
-                masks.append(np.broadcast_to(mask, (n, batch)))
                 continue
             masks.append(mask)
             if mask.any():
                 vals, _ = head.forward(features, False)
                 out = np.where(mask[:, :, None], vals, out)
         self._features = features
-        self._masks = masks
+        # A shared batch has no backward (the trunk refuses one), so no
+        # command masks are kept for it.
+        self._masks = masks if commands.ndim == 2 else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
@@ -443,7 +439,7 @@ class FleetWaypointNet:
         or None because the first parameterized trunk layer skips it.
         """
         if self._features is None or self._masks is None:
-            raise RuntimeError("backward before forward")
+            raise RuntimeError("backward needs a per-node forward before it")
         features = self._features
         grad_features: np.ndarray | None = None
         for head, mask in zip(self.heads, self._masks):
@@ -469,9 +465,9 @@ class FleetAdam:
     """Vectorized Adam over a :class:`ParamBank` with per-node steps.
 
     The update applies the exact formula sequence of
-    :class:`~repro.nn.optim.Adam` row-wise — including the decoupled
-    pre-step weight decay — with per-node bias corrections cast to
-    float32 columns, so a node trained through the bank is bitwise
+    :class:`~repro.nn.optim.Adam` row-wise, with per-node bias
+    corrections cast to float32 columns, so a node trained through the
+    bank is bitwise
     indistinguishable from one trained by its own Adam instance.
     """
 
@@ -481,20 +477,16 @@ class FleetAdam:
         lr: float = 1e-4,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
         *,
         allocator=None,
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive: {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative: {weight_decay}")
         alloc = allocator if allocator is not None else _zeros
         self.bank = bank
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.steps = alloc((bank.n_nodes,), np.int64)
         self.m = alloc((bank.n_nodes, bank.n_params), np.float32)
         self.v = alloc((bank.n_nodes, bank.n_params), np.float32)
@@ -513,7 +505,6 @@ class FleetAdam:
         other.lr = self.lr
         other.beta1, other.beta2 = self.beta1, self.beta2
         other.eps = self.eps
-        other.weight_decay = self.weight_decay
         other.steps = self.steps[lo:hi]
         other.m = self.m[lo:hi]
         other.v = self.v[lo:hi]
@@ -521,40 +512,30 @@ class FleetAdam:
         return other
 
     def step(self) -> None:
-        """One Adam update for every node from the gradient bank."""
-        self.steps += 1
-        self._update(slice(None))
-
-    def step_row(self, row: int) -> None:
-        """One Adam update for a single node (:meth:`RowAdam.step`; no trainer)."""
-        self.steps[row] += 1
-        self._update(slice(row, row + 1))
-
-    def _update(self, rows: slice) -> None:
-        """Apply the update to a contiguous block of rows.
+        """One Adam update for every row from the gradient bank.
 
         Every row is bias-corrected by its own step count (rows diverge
         after a staggered restore), through float32 casts of the same
         Python-float expressions :class:`~repro.nn.optim.Adam` uses, so
-        lock-step, staggered and single-row updates are one code path
-        and each matches the per-node optimizer bit-for-bit.  The fused
-        kernel does it in one pass; without a compiler the chunked numpy
+        lock-step and staggered updates are one code path and each row
+        matches the per-node optimizer bit-for-bit.  The fused kernel
+        does it in one pass; without a compiler the chunked numpy
         statement of the same formula runs instead.
         """
-        steps = self.steps[rows].tolist()
+        self.steps += 1
+        steps = self.steps.tolist()
         bc1 = np.array([1.0 - self.beta1**t for t in steps], dtype=np.float32)
         bc2 = np.array([1.0 - self.beta2**t for t in steps], dtype=np.float32)
-        p, g = self.bank.flat[rows], self.bank.grad_flat[rows]
-        m, v = self.m[rows], self.v[rows]
         kernel = fused_adam_step()
         if kernel is None:
-            self._step_chunked(g, m, v, p, bc1[:, None], bc2[:, None])
+            self._step_chunked(bc1[:, None], bc2[:, None])
             return
+        p = self.bank.flat
         kernel(
-            p, g, m, v, *p.shape, bc1, bc2,
+            p, self.bank.grad_flat, self.m, self.v, *p.shape, bc1, bc2,
             self.beta1, 1.0 - self.beta1,
             self.beta2, 1.0 - self.beta2,
-            self.lr, self.eps, self.lr * self.weight_decay,
+            self.lr, self.eps,
         )
 
     #: Elements per block of the numpy fallback — sized so the live
@@ -562,31 +543,30 @@ class FleetAdam:
     #: (full-width passes stream every array through DRAM ~10 times).
     _CHUNK = 131072
 
-    def _step_chunked(self, g_all, m_all, v_all, p_all, bc1, bc2) -> None:
+    def _step_chunked(self, bc1, bc2) -> None:
         """The no-compiler fallback: the update over column blocks.
 
-        The arrays are ``(n, n_params)`` matrices and the corrections
+        The state is ``(n, n_params)`` matrices and the corrections
         float32 ``(n, 1)`` columns; a float32 array divided by a float32
         column stays float32 (NEP 50), matching the per-node scalar
         arithmetic bit-for-bit.
         """
-        n, total = g_all.shape
+        n, total = self.bank.grad_flat.shape
         chunk = min(max(1, self._CHUNK // n), total)
         if self._scratch is None or self._scratch.shape[1:] != (n, chunk):
             self._scratch = np.empty((3, n, chunk), dtype=np.float32)
         one_m_b1 = 1.0 - self.beta1
         one_m_b2 = 1.0 - self.beta2
-        decay = self.lr * self.weight_decay
         for a in range(0, total, chunk):
             b = min(a + chunk, total)
             width = b - a
             t0 = self._scratch[0, ..., :width]
             t1 = self._scratch[1, ..., :width]
             t2 = self._scratch[2, ..., :width]
-            g = g_all[..., a:b]
-            m = m_all[..., a:b]
-            v = v_all[..., a:b]
-            p = p_all[..., a:b]
+            g = self.bank.grad_flat[..., a:b]
+            m = self.m[..., a:b]
+            v = self.v[..., a:b]
+            p = self.bank.flat[..., a:b]
             m *= self.beta1
             np.multiply(g, one_m_b1, out=t0)
             m += t0
@@ -599,15 +579,8 @@ class FleetAdam:
             np.divide(v, bc2, out=t2)  # v_hat
             np.sqrt(t2, out=t2)
             t2 += self.eps
-            if decay:
-                np.multiply(p, decay, out=t0)
-                p -= t0
             t1 /= t2
             p -= t1
-
-    def zero_grad(self) -> None:
-        """Clear every node's accumulated gradients."""
-        self.bank.grad_flat.fill(0.0)
 
     # -- per-node checkpoint bridge ------------------------------------------
 
@@ -632,41 +605,3 @@ class FleetAdam:
         self.m[row] = m
         self.v[row] = v
 
-
-class RowAdam:
-    """Per-node Adam facade over one :class:`FleetAdam` row.
-
-    Swapped in for a bank-attached node's optimizer so the per-node call
-    sites (snapshot/restore, the reference ``train_step``) keep their
-    exact API while the state lives in the fleet bank.
-    """
-
-    def __init__(self, fleet: FleetAdam, row: int, params: list[Parameter]):
-        self.params = params
-        self._fleet = fleet
-        self._row = row
-
-    @property
-    def lr(self) -> float:
-        return self._fleet.lr
-
-    @property
-    def weight_decay(self) -> float:
-        return self._fleet.weight_decay
-
-    def step(self) -> None:
-        """Apply one bias-corrected Adam update to this node's row."""
-        self._fleet.step_row(self._row)
-
-    def zero_grad(self) -> None:
-        """Clear this node's gradients (views into the gradient bank)."""
-        for p in self.params:
-            p.zero_grad()
-
-    def snapshot(self) -> dict:
-        """Internal state as plain arrays (checkpoint state)."""
-        return self._fleet.node_snapshot(self._row)
-
-    def restore(self, state: dict) -> None:
-        """Replace internal state with a :meth:`snapshot`'s."""
-        self._fleet.node_restore(self._row, state)

@@ -48,23 +48,19 @@ class Adam:
         lr: float = 1e-4,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive: {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative: {weight_decay}")
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        """Apply one bias-corrected Adam update (plus optional decay)."""
+        """Apply one bias-corrected Adam update."""
         self._step += 1
         bc1 = 1.0 - self.beta1**self._step
         bc2 = 1.0 - self.beta2**self._step
@@ -75,13 +71,6 @@ class Adam:
             v += (1.0 - self.beta2) * (p.grad**2)
             m_hat = m / bc1
             v_hat = v / bc2
-            if self.weight_decay:
-                # Decoupled (AdamW-style) decay — the training-time face
-                # of Eq. 6's structural-risk term.  Per Loshchilov &
-                # Hutter, the decay shrinks the *pre-step* parameters;
-                # decaying after the update would compound the decay
-                # with the step just taken.
-                p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:

@@ -19,9 +19,9 @@ processes in place:
 * :class:`StepWorkerPool` forks one persistent worker per row shard.
   Each worker owns a :class:`~repro.nn.bank.FleetWaypointNet` and a
   :class:`~repro.nn.bank.FleetAdam` built over *views* of its rows
-  (:meth:`ParamBank.slice_rows`).  A step command carries only the
-  batch length: inputs are read from, and parameters/moments/losses are
-  written to, the shared segment — the merge is the memory itself,
+  (:meth:`ParamBank.slice_rows`).  A step command carries nothing:
+  inputs are read from, and parameters/moments/losses are written to,
+  the shared segment — the merge is the memory itself,
   zero-copy, no pickling of parameters.
 
 Determinism is structural, not numerical luck: the parent draws every
@@ -154,18 +154,18 @@ class StepShard:
         self.hi = hi
         self.model = model  # FleetWaypointNet over bank rows [lo, hi)
         self.optim = optim  # FleetAdam over the same rows
-        self.bev = bev  # (n, b_cap, C, H, W) shared input buffer
-        self.commands = commands  # (n, b_cap)
-        self.targets = targets  # (n, b_cap, D)
+        self.bev = bev  # (n, batch, C, H, W) shared input buffer
+        self.commands = commands  # (n, batch)
+        self.targets = targets  # (n, batch, D)
         self.losses = losses  # (n,) float64 shared output vector
 
-    def run_step(self, batch_len: int) -> None:
+    def run_step(self) -> None:
         """One batched step over this shard's rows (worker-side)."""
         from repro.nn.losses import fleet_waypoint_l1
 
-        lo, hi, b = self.lo, self.hi, batch_len
-        pred = self.model.forward(self.bev[lo:hi, :b], self.commands[lo:hi, :b])
-        scalars, _, grad = fleet_waypoint_l1(pred, self.targets[lo:hi, :b])
+        lo, hi = self.lo, self.hi
+        pred = self.model.forward(self.bev[lo:hi], self.commands[lo:hi])
+        scalars, _, grad = fleet_waypoint_l1(pred, self.targets[lo:hi])
         # Backward *assigns* gradients into the shared bank rows; the
         # optimizer updates parameters and moments in place.  Writing
         # the loss vector completes the shard — there is no merge step.
@@ -190,8 +190,7 @@ def _worker_main(conn, shard: StepShard) -> None:
                 conn.send(("bye", counters))
                 conn.close()
                 break
-            batch_len = msg[1]
-            shard.run_step(batch_len)
+            shard.run_step()
             counters["steps"] += 1
             counters["rows_stepped"] += shard.hi - shard.lo
             conn.send(("ok",))
@@ -213,7 +212,7 @@ class StepWorkerPool:
 
     ``shards`` carry live slice objects (views into shared memory);
     forking inherits them, so nothing is pickled — not at spawn, not
-    per step.  One ``step(batch_len)`` call fans a command out to every
+    per step.  One :meth:`step` call fans a command out to every
     worker over its pipe and blocks until all shards acknowledge; the
     updated parameters, moments, step counters, and losses are already
     in the shared segment when it returns.
@@ -241,13 +240,13 @@ class StepWorkerPool:
             self._procs.append(proc)
         self._closed = False
 
-    def step(self, batch_len: int) -> None:
+    def step(self) -> None:
         """Run one batched step on every shard; returns when all finish."""
         if self._closed:
             raise StepWorkerError("step worker pool is closed")
         for proc, conn in zip(self._procs, self._conns):
             try:
-                conn.send(("step", int(batch_len)))
+                conn.send(("step",))
             except OSError as exc:
                 self._abandon()
                 raise StepWorkerError(

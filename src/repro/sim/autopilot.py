@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.bank import FleetWaypointNet, ParamBank
+from repro.nn.model import WaypointNet
+from repro.nn.params import get_flat_params
 from repro.sim.geometry import to_vehicle_frame
 from repro.sim.kinematics import MAX_TURN_RATE, VehicleState, advance_fleet
 from repro.sim.router import CMD_FOLLOW, RouteBank, RoutePlan
@@ -369,7 +372,12 @@ class ModelPilot:
     Parameters
     ----------
     model:
-        A trained :class:`~repro.nn.model.WaypointNet`.
+        A trained :class:`~repro.nn.model.WaypointNet`.  The pilot drives
+        a copy of its parameters, taken here, in a one-row
+        :class:`~repro.nn.bank.ParamBank` of its own: the model (a
+        vehicle's, a row of its fleet's bank) is never re-homed.  Any
+        other object with a ``forward(bev, commands)`` (a scripted
+        stand-in in the scenario tests) is queried as it is.
     plan:
         The navigation route (supplies the high-level command and the
         BEV route channel — exactly what a navigation service provides).
@@ -391,7 +399,11 @@ class ModelPilot:
         waypoint_interval: float = 0.5,
         decision_interval: float = 0.5,
     ):
-        self.model = model
+        if isinstance(model, WaypointNet):
+            bank = ParamBank(model, 1)
+            bank.flat[0] = get_flat_params(model)
+            model = FleetWaypointNet(bank, model)
+        self._net = model
         self.plan = plan
         self._bev_fn = bev_fn
         self.waypoint_interval = waypoint_interval
@@ -452,6 +464,6 @@ class ModelPilot:
     def _decide(self, state: VehicleState) -> None:
         bev = self._bev_fn(state, self.plan)
         command = self.plan.command_at(self._s)
-        pred = self.model.forward(bev[None, ...], np.array([command]))
-        self._waypoints = pred[0].reshape(-1, 2).astype(float)
+        pred = self._net.forward(bev[None, ...], np.array([command]))
+        self._waypoints = pred.reshape(-1, 2).astype(float)  # one decision
         self._decision_state = state.copy()

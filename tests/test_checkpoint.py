@@ -177,6 +177,37 @@ class TestOptimizerSnapshots:
         with pytest.raises(ValueError, match="optimizer state"):
             opt.restore(state)
 
+    def test_a_staggered_trainer_restore_brings_back_every_row(self, fleet_datasets, traces):
+        """The fleet owns every row's Adam state; a trainer's barrier
+        writes each row under its node's ``"optimizer"`` key and a
+        restore puts it back — one vehicle from an older snapshot
+        included, its own step count and moments."""
+        from repro.baselines.local_only import LocalOnlyTrainer
+        from repro.core.trainer_base import TrainerConfig
+        from tests.conftest import make_node
+
+        def trainer():
+            nodes = [make_node(vid, data) for vid, data in sorted(fleet_datasets.items())]
+            return LocalOnlyTrainer(nodes, traces, fleet_datasets["v0"], TrainerConfig(duration=30.0))
+
+        first = trainer()
+        for _ in range(3):
+            first.fleet.train_step_all()
+        older = first.snapshot()["nodes"][1]["optimizer"]
+        for _ in range(2):
+            first.fleet.train_step_all()
+        state = {**first.snapshot(), "barrier": 1}
+        state["nodes"][1]["optimizer"] = older
+        second = trainer()
+        second.restore(state)
+        assert second.fleet.optim.steps.tolist() == [5, 3, 5, 5]
+        for node_state, again in zip(state["nodes"], second.snapshot()["nodes"], strict=True):
+            want, got = node_state["optimizer"], again["optimizer"]
+            assert got["step"] == want["step"]
+            assert got["m"].tobytes() == want["m"].tobytes()
+            assert got["v"].tobytes() == want["v"].tobytes()
+        assert not np.array_equal(older["m"], first.fleet.optim.m[1])  # row 1 went back
+
 
 class TestPolicy:
     def test_barriers_are_strictly_inside_duration(self):

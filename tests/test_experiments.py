@@ -172,6 +172,7 @@ class TestRunner:
             ("compressor", "quantize"),
             ("use_merge_reduce", False),
             ("psi_grid", (0.1, 0.4, 0.7, 1.0)),
+            ("train_with_weight_decay", True),
         ],
     )
     def test_removed_knob_is_refused_by_name(self, context, field, value):
@@ -180,7 +181,9 @@ class TestRunner:
         from repro.core.node import NodeConfig
         from repro.experiments.runner import prepare_trainer
 
-        if field in ("compressor", "use_merge_reduce", "psi_grid"):  # were NodeConfig's
+        if field in (  # were NodeConfig's
+            "compressor", "use_merge_reduce", "psi_grid", "train_with_weight_decay"
+        ):
             with pytest.raises(TypeError, match=field):
                 NodeConfig(**{field: value})
         with pytest.raises(AttributeError, match=field):

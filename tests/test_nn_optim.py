@@ -46,31 +46,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=-1.0)
 
-    def test_weight_decay_shrinks_params(self):
-        p = Parameter(np.array([10.0]))
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
-        p.grad += 0.0  # no gradient signal at all
-        opt.step()
-        assert p.data[0] < 10.0  # decay still pulls toward zero
-
     def test_zero_weight_decay_no_drift(self):
+        # There is no decay term: a zero gradient moves nothing.
         p = Parameter(np.array([10.0]))
-        opt = Adam([p], lr=0.1, weight_decay=0.0)
-        opt.step()  # zero grad, zero decay
-        assert p.data[0] == pytest.approx(10.0)
+        opt = Adam([p], lr=0.1)
+        opt.step()
+        assert p.data[0] == 10.0
 
     def test_negative_weight_decay_rejected(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], lr=0.1, weight_decay=-0.1)
+        # Training-time weight decay is gone; asking for any is refused.
+        for weight_decay in (-0.1, 0.0, 0.5):
+            with pytest.raises(TypeError, match="weight_decay"):
+                Adam([Parameter(np.zeros(1))], lr=0.1, weight_decay=weight_decay)
 
-    def test_two_step_weight_decay_trace(self):
-        # Hand-computed AdamW trace: the decoupled decay must shrink the
-        # *pre-step* parameters (Loshchilov & Hutter), not the freshly
-        # updated ones — decaying post-step would compound the decay
-        # with the step just taken.
-        lr, wd, b1, b2, eps = 0.1, 0.4, 0.9, 0.999, 1e-8
+    def test_two_step_trace(self):
+        # Hand-computed two-step Adam trace with bias correction.
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p = Parameter(np.array([1.0]))
-        opt = Adam([p], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = Adam([p], lr=lr, betas=(b1, b2), eps=eps)
         w, m, v = 1.0, 0.0, 0.0
         for t, g in ((1, 0.5), (2, -0.25)):
             p.zero_grad()
@@ -80,30 +73,7 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g**2
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
-            w = w - lr * wd * w  # decay the pre-step parameters
             w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
             # Parameter storage is float32; the float64 hand trace
             # matches to single precision.
             assert p.data[0] == pytest.approx(w, abs=1e-6)
-
-    def test_decay_applies_before_update(self):
-        # With a huge gradient the post-step (buggy) order would decay
-        # the update itself; the two orders differ by lr*wd*step_size.
-        lr, wd = 0.1, 0.5
-        p = Parameter(np.array([2.0]))
-        opt = Adam([p], lr=lr, weight_decay=wd)
-        p.grad += 10.0
-        opt.step()
-        step_size = lr  # bias-corrected first Adam step is ~lr
-        pre_step = 2.0 * (1 - lr * wd) - step_size
-        post_step = (2.0 - step_size) * (1 - lr * wd)
-        assert p.data[0] == pytest.approx(pre_step, abs=1e-6)
-        assert abs(p.data[0] - post_step) > 1e-3
-
-    def test_node_weight_decay_wiring(self, fleet_datasets):
-        from tests.conftest import make_node
-
-        node = make_node("v0", fleet_datasets["v0"], train_with_weight_decay=True)
-        assert node.optimizer.weight_decay == node.config.penalty.lambda_l2
-        node_off = make_node("v0", fleet_datasets["v0"])
-        assert node_off.optimizer.weight_decay == 0.0

@@ -84,6 +84,17 @@ class TestExpertAutopilot:
         assert state.x > 2.0
 
 
+def predicting(waypoints: np.ndarray):
+    """A model that predicts ``waypoints`` whatever it sees: every weight
+    zero, every command head's bias the waypoints."""
+    model = make_driving_model((3, 8, 8), 4, 16, seed=0)
+    for p in model.parameters():
+        p.data[...] = 0.0
+    for head in model.heads:
+        head.bias.data[...] = waypoints.ravel()
+    return model
+
+
 class TestModelPilot:
     def _pilot(self, plan):
         model = make_driving_model((3, 8, 8), 4, 16, seed=0)
@@ -108,10 +119,9 @@ class TestModelPilot:
 
     def test_speed_follows_predicted_spacing(self):
         plan = straight_plan()
-        model = make_driving_model((3, 8, 8), 4, 16, seed=0)
         # Force known forward waypoints: 2 m apart at 0.5 s -> 4 m/s.
         wp = np.array([[2.0, 0.0], [4.0, 0.0], [6.0, 0.0], [8.0, 0.0]], dtype=np.float32)
-        model.forward = lambda bev, cmd: wp.reshape(1, -1)
+        model = predicting(wp)
         pilot = ModelPilot(model, plan, lambda s, p: np.zeros((3, 8, 8), np.float32))
         state = VehicleState(0.0, 0.0, 0.0, 0.0)
         for _ in range(100):
@@ -121,9 +131,7 @@ class TestModelPilot:
 
     def test_near_zero_waypoints_stop_vehicle(self):
         plan = straight_plan()
-        model = make_driving_model((3, 8, 8), 4, 16, seed=0)
-        wp = np.full((4, 2), 0.01, dtype=np.float32)
-        model.forward = lambda bev, cmd: wp.reshape(1, -1)
+        model = predicting(np.full((4, 2), 0.01, dtype=np.float32))
         pilot = ModelPilot(model, plan, lambda s, p: np.zeros((3, 8, 8), np.float32))
         state = VehicleState(0.0, 0.0, 0.0, 6.0)
         for _ in range(50):
@@ -131,11 +139,27 @@ class TestModelPilot:
             state = advance(state, turn_rate, accel, 0.1)
         assert state.speed < 0.5
 
+    def test_drives_a_copy_and_leaves_the_model_in_its_bank(self):
+        """A fleet node's model stays a row of the fleet's bank; the pilot
+        decides on the parameters it had when the pilot was made."""
+        from repro.nn import ParamBank
+
+        model = make_driving_model((3, 8, 8), 4, 16, seed=0)
+        fleet = ParamBank.from_models([make_driving_model((3, 8, 8), 4, 16, seed=1), model])
+        bev = np.random.default_rng(0).normal(size=(3, 8, 8)).astype(np.float32)
+        plan = straight_plan()
+        expected = model.forward(bev[None], np.array([plan.command_at(0.0)]))
+        pilot = ModelPilot(model, plan, lambda s, p: bev)
+        fleet.flat[1] = 0.0  # the fleet trains on; the pilot's copy does not move
+        pilot.control(VehicleState(0.0, 0.0, 0.0, 0.0), 0.1)
+        assert all(p.data.base is fleet.flat for p in model.parameters())
+        assert np.array_equal(pilot._waypoints, expected.reshape(-1, 2).astype(float))
+
     def test_done_tracks_route_progress(self):
         plan = straight_plan(60.0)
-        model = make_driving_model((3, 8, 8), 4, 16, seed=0)
-        wp = np.array([[3.0, 0.0], [6.0, 0.0], [9.0, 0.0], [12.0, 0.0]], dtype=np.float32)
-        model.forward = lambda bev, cmd: wp.reshape(1, -1)
+        model = predicting(
+            np.array([[3.0, 0.0], [6.0, 0.0], [9.0, 0.0], [12.0, 0.0]], dtype=np.float32)
+        )
         pilot = ModelPilot(model, plan, lambda s, p: np.zeros((3, 8, 8), np.float32))
         state = VehicleState(0.0, 0.0, 0.0, 0.0)
         for _ in range(400):

@@ -199,14 +199,14 @@ class TestEngineBitIdentity:
             engine.close()
 
     def test_checkpoint_bridge_sees_sharded_updates(self):
-        """Node snapshot/restore and chat views read the shared banks."""
+        """Chat views and the checkpoint's optimizer rows read the shared banks."""
         nodes = build_nodes(n_nodes=4)
         engine = FleetEngine(nodes, step_workers=2)
         try:
             engine.train_step_all()
             for row, node in enumerate(nodes):
                 assert node.flat_params.tobytes() == engine.bank.flat[row].tobytes()
-                snap = node.optimizer.snapshot()
+                snap = engine.optim.node_snapshot(row)
                 assert snap["step"] == 1
                 assert snap["m"].tobytes() == engine.optim.m[row].tobytes()
         finally:
@@ -379,7 +379,7 @@ m = np.zeros(8, dtype=np.float32)
 v = np.zeros(8, dtype=np.float32)
 bc1 = np.full(2, 0.1, dtype=np.float32)
 bc2 = np.full(2, 0.001, dtype=np.float32)
-kernel(p, g, m, v, 2, 4, bc1, bc2, 0.9, 0.1, 0.999, 0.001, 0.001, 1e-8, 0.0)
+kernel(p, g, m, v, 2, 4, bc1, bc2, 0.9, 0.1, 0.999, 0.001, 0.001, 1e-8)
 assert p.any()
 print("ok")
 """
