@@ -246,6 +246,24 @@ class TestDp:
         assert trainer.counters.get("gossips") > 0
         assert_learned(trainer, nodes)
 
+    def test_equal_models_merge_half_and_half(self, nodes, traces, validation, monkeypatch):
+        """Both sides of a DP merge are scored alike (unpenalised — Eq. 6's
+        terms are LbChat's), so a received copy of the node's own model
+        weighs exactly as much as the model."""
+        from repro.baselines import dp
+
+        trainer = DpTrainer(nodes, traces, validation, DpConfig(**config_kwargs()))
+        trainer.fleet.train_step_all()  # stale loss cache: both sides are fresh forwards
+        node = nodes[0]
+        before = node.flat_params.copy()
+        weights, powerloss_weights = [], dp.powerloss_weights
+        monkeypatch.setattr(
+            dp, "powerloss_weights", lambda *losses: weights.append(powerloss_weights(*losses)) or weights[-1]
+        )
+        trainer._merge(node, before.copy())
+        assert weights == [(0.5, 0.5)]
+        assert np.array_equal(node.flat_params, before)
+
     def test_powerloss_weights(self):
         from repro.baselines.dp import powerloss_weights
 
