@@ -39,9 +39,12 @@ __all__ = [
 #: ``Chat.from_snapshot`` would refuse format 2's second one as an
 #: unknown field; 4: a dataset is rows and weights, and the frames of
 #: every dataset and in-flight coreset are written once, under
-#: ``frame_table`` — see :class:`repro.checkpoint.state.FrameTable`).  An
+#: ``frame_table`` — see :class:`repro.checkpoint.state.FrameTable`; 5: a
+#: frame table names the frames the run's pool holds by id alone, and an
+#: array may be two members, its nonzero mask and values, joined by the
+#: sidecar's ``split`` shapes — see :mod:`repro.checkpoint.store`).  An
 #: older format is refused, not loaded.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):
@@ -57,11 +60,12 @@ class CheckpointVersionError(CheckpointError):
 
 
 def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes (streamed)."""
+    """Hex SHA-256 of a file's bytes (streamed through one reused buffer)."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(1 << 18))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 

@@ -12,15 +12,23 @@ replaced by a ``{"__array__": path}`` marker, and (b) a flat
 ``path -> ndarray`` mapping destined for one ``.npz`` member per array.
 :func:`unflatten_state` is the exact inverse.
 
+A snapshot holds the live state, not a copy of it: the fleet's
+parameters and optimizer moments go in as row views of their banks, so
+a state tree is valid only until the simulator runs on.  The store
+writes it before that; a caller that keeps a state past the barrier
+(an in-memory checkpointer, a test) copies it.
+
 Datasets do not snapshot themselves: a tree's datasets go in as rows and
 weights through one :class:`FrameTable` per snapshot, which writes the
 frames they name once (the components that hold datasets — nodes, chats
 on the air — take the table as their ``snapshot``/``restore`` argument).
+A frame that any resume's pool already holds is written by id alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Protocol, runtime_checkable
+from collections.abc import Mapping
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -37,10 +45,19 @@ __all__ = [
 #: Reserved meta-tree key marking a leaf that lives in the array table.
 ARRAY_MARKER = "__array__"
 
+#: Leaf types the meta tree keeps as they are (exact types: a numpy
+#: scalar subclassing ``float`` is converted by ``_flatten``).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 @runtime_checkable
 class Snapshottable(Protocol):
-    """A component whose full state can round-trip through a checkpoint."""
+    """A component whose full state can round-trip through a checkpoint.
+
+    A snapshot may share memory with the component (a parameter row, an
+    optimizer row): it is read before the component changes again, and
+    a caller that keeps one longer copies it (``copy.deepcopy``).
+    """
 
     def snapshot(self) -> dict:
         """The component's state as a plain tree (dicts/lists/arrays)."""
@@ -57,8 +74,9 @@ class Snapshottable(Protocol):
 def _flatten(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
     if isinstance(value, np.ndarray):
         # Not copied: state trees hold zero-copy views into live
-        # parameter banks and datasets' row and weight arrays, and the
-        # store serializes them before control returns to the simulator.
+        # parameter and optimizer banks and datasets' row and weight
+        # arrays, and the store serializes them before control returns
+        # to the simulator.
         arrays[path] = value
         return {ARRAY_MARKER: path}
     if isinstance(value, Mapping):
@@ -71,6 +89,9 @@ def _flatten(value: Any, path: str, arrays: dict[str, np.ndarray]) -> Any:
             out[key] = _flatten(child, f"{path}/{key}", arrays)
         return out
     if isinstance(value, (list, tuple)):
+        # Frame-id and cache-id lists are most of a barrier's values.
+        if all(type(child) in _PLAIN for child in value):
+            return list(value)
         return [_flatten(child, f"{path}/{i}", arrays) for i, child in enumerate(value)]
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
@@ -117,16 +138,20 @@ class FrameTable:
     Writing: every dataset of the tree goes through :meth:`ref`, which
     returns its state — the number of its pool in this table, its pool
     rows and its weights — and notes which rows of which pool it names;
-    :meth:`state` is then each pool's referenced rows with their ids and
-    columns, once.  Reading: ``FrameTable(state)``, then
+    :meth:`state` is then each pool's referenced rows with their ids,
+    once, and the columns of the ones a resume cannot find by id.
+    ``known`` is ``(pool, n)`` when any pool a resume restores onto holds
+    ``pool``'s first ``n`` frames (the run's one pool, as it was built):
+    those are written by id alone.  Reading: ``FrameTable(state)``, then
     :meth:`dataset` rebuilds a dataset over a live pool, finding each
     frame there by id and interning from the table the ones it lacks.
     """
 
-    def __init__(self, state: Mapping | None = None):
+    def __init__(self, state: Mapping | None = None, known: tuple[Any, int] | None = None):
         #: id of a live pool -> (its number here, the pool, row arrays naming it).
         self._refs: dict[int, tuple[int, Any, list[np.ndarray]]] = {}
         self._state = state
+        self._known = known
         #: (saved pool number, id of live pool) -> saved row -> live row.
         self._resolved: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -138,11 +163,18 @@ class FrameTable:
         return {"pool": number, "rows": dataset.rows, "weights": dataset.weights}
 
     def state(self) -> dict:
-        """Every referenced frame once, per pool; and how often they were named."""
+        """Every referenced frame once, per pool; and how often they were named.
+
+        A pool's carried rows (with columns) come first, then the rows
+        named by id alone — the order :meth:`_resolve` reads them in.
+        """
         pools = []
+        known_pool, known = self._known or (None, 0)
         for _, pool, used in self._refs.values():
             rows = np.unique(np.concatenate(used))
-            bev, commands, targets = pool.take(rows)
+            carried = rows >= (known if pool is known_pool else 0)
+            rows = np.concatenate([rows[carried], rows[~carried]])
+            bev, commands, targets = pool.take(rows[: np.count_nonzero(carried)])
             pools.append(
                 {
                     "rows": rows,

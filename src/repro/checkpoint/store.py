@@ -4,10 +4,12 @@ Layout, one directory per run under the store root::
 
     <root>/<method-slug>-seed<seed>-<spec_fingerprint>/
         run.json          # the spec payload (enables `repro resume`)
-        ckpt-000003.npz   # array table (one member per state array,
-                          # stored or deflated by what it holds; the
-                          # fleet's frames once, under /frame_table)
+        ckpt-000003.npz   # array table: one member per state array, or
+                          # two for an array written as its nonzero
+                          # mask and values; the frames the run's pool
+                          # lacks once, under /frame_table
         ckpt-000003.json  # meta tree + format version + npz SHA-256
+                          # + the split arrays' shapes
         events.jsonl      # advisory log: saved / resumed / corrupt
         done.json         # present once the run finished
 
@@ -18,15 +20,24 @@ under a checkpoint's name.  The ``.json`` sidecar is written after its
 against the npz bytes and raises :class:`CheckpointCorruptError` on any
 mismatch, which :meth:`RunStore.latest_checkpoint` treats as "fall back
 to the next older checkpoint".
+
+No member is deflated.  A barrier is written while the simulator waits,
+and deflate spends the same seconds per byte whether or not the bytes
+shrink: on the fleet's parameters (float noise) they do not, on Adam's
+moments (mostly exact zeros early on) the zeros are the whole gain.  So
+an array is written as a packed mask of its nonzero elements plus those
+elements when that is smaller than the array, and stored as it is
+otherwise — one rule, decided on the whole array.  "Nonzero" is nonzero
+*bits*: ``-0.0`` and every NaN payload are values and round-trip.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +59,8 @@ __all__ = ["DEFAULT_CHECKPOINT_ROOT", "RunStore"]
 
 DEFAULT_CHECKPOINT_ROOT = Path(".repro_cache") / "checkpoints"
 
-#: Codec probe: a member is deflated when ``_PROBE_WINDOWS`` evenly spaced
-#: ``_PROBE_BYTES`` windows of it compress below ``_DEFLATE_BELOW`` of their size.
-_PROBE_BYTES = 4096
-_PROBE_WINDOWS = 3
-_DEFLATE_BELOW = 0.9
+#: Unsigned integer of each itemsize: an element's bits, compared with zero.
+_BITS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _slug(text: str) -> str:
@@ -76,37 +84,66 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         fh.write(data)
 
 
-def _deflates(array: np.ndarray) -> bool:
-    """Whether a bounded sample of ``array``'s own bytes shrinks under deflate."""
-    per = max(1, _PROBE_BYTES // array.itemsize)  # elements per window
-    if array.size <= _PROBE_WINDOWS * per:
-        sample = array.tobytes()
-    else:
-        last = array.size - per
-        starts = (last * k // (_PROBE_WINDOWS - 1) for k in range(_PROBE_WINDOWS))
-        sample = b"".join(array.flat[s : s + per].tobytes() for s in starts)
-    return len(zlib.compress(sample, 1)) < _DEFLATE_BELOW * len(sample)
+def _split(array: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``array`` as (packed nonzero mask, nonzero values), when that is smaller.
 
-
-def _write_npz(fh, arrays: dict[str, np.ndarray]) -> dict[str, int]:
-    """Stream ``arrays`` into ``fh`` as a plain ``.npz``, one codec per member.
-
-    Deflate costs the same time whether or not bytes shrink, and half a
-    checkpoint (parameters: float noise) does not, so a member is stored
-    unless a sample of it deflates — then at level 1 (level 6 doubles
-    the time for ~1 % of the size).  Returns the ``saved`` event's facts.
+    ``None`` when the two would not be smaller than the array, or its
+    dtype has no bits to compare (the array is then stored whole).
     """
-    facts = {"raw_bytes": 0, "stored": 0, "deflated": 0}
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
-        for name, array in arrays.items():
-            deflate = _deflates(array)
-            # A plain name inherits the archive's codec; a bare ZipInfo is ZIP_STORED.
-            member = name + ".npy" if deflate else zipfile.ZipInfo(name + ".npy")
-            with archive.open(member, "w", force_zip64=True) as out:
+    if array.dtype.kind not in "biuf" or array.itemsize not in _BITS:
+        return None
+    nonzero = array.view(_BITS[array.itemsize]) != 0
+    kept = np.count_nonzero(nonzero)
+    if (array.size + 7) // 8 + kept * array.itemsize >= array.nbytes:
+        return None
+    return np.packbits(nonzero, axis=None), array[nonzero]
+
+
+def _join(path: str, mask: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
+    """Inverse of :func:`_split`; halves that disagree are corrupt."""
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise CheckpointCorruptError(f"split array {path}: bad shape {shape!r}")
+    size = math.prod(shape)
+    if mask.dtype != np.uint8 or mask.shape != ((size + 7) // 8,) or values.ndim != 1:
+        raise CheckpointCorruptError(f"split array {path}: malformed mask or values")
+    nonzero = np.unpackbits(mask, count=size).view(bool)
+    named = np.count_nonzero(nonzero)
+    if named != values.size:
+        raise CheckpointCorruptError(
+            f"split array {path}: the mask names {named} values, {values.size} written"
+        )
+    out = np.zeros(size, dtype=values.dtype)
+    out[nonzero] = values
+    return out.reshape(shape)
+
+
+def _write_npz(fh, arrays: dict[str, np.ndarray]) -> tuple[dict[str, list[int]], dict]:
+    """Stream ``arrays`` into ``fh`` as a plain ``.npz`` of stored members.
+
+    An array :func:`_split` shrinks becomes two members, ``<path>/mask``
+    and ``<path>/values`` (no state path extends an array's: it is a
+    leaf).  Returns the split arrays' shapes by path, and the ``saved``
+    event's facts.
+    """
+    split: dict[str, list[int]] = {}
+    facts = {"raw_bytes": 0, "stored": 0, "split": 0}
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+
+        def member(name: str, array: np.ndarray) -> None:
+            with archive.open(name + ".npy", "w", force_zip64=True) as out:
                 np.lib.format.write_array(out, array, allow_pickle=False)
+
+        for name, array in arrays.items():
+            halves = _split(array)
+            if halves is None:
+                member(name, array)
+            else:
+                member(name + "/mask", halves[0])
+                member(name + "/values", halves[1])
+                split[name] = list(array.shape)
             facts["raw_bytes"] += array.nbytes
-            facts["deflated" if deflate else "stored"] += 1
-    return {"npz_bytes": fh.tell(), **facts}
+            facts["stored" if halves is None else "split"] += 1
+    return split, {"npz_bytes": fh.tell(), **facts}
 
 
 class RunStore:
@@ -186,12 +223,15 @@ class RunStore:
         """Persist one barrier snapshot atomically; returns the sidecar path.
 
         ``state`` must carry ``barrier`` and ``time`` entries (see
-        ``TrainerBase.checkpoint_barrier``).  With ``keep``, older
-        checkpoints beyond the ``keep`` most recent are pruned.  The
-        ``saved`` event says what was written: the npz's size and codec
-        counts, and — for a state with a ``frame_table`` entry, a
+        ``TrainerBase.checkpoint_barrier``); its arrays are read here and
+        not after, so they may be views of live banks.  With ``keep``,
+        older checkpoints beyond the ``keep`` most recent are pruned.
+        The ``saved`` event says what was written: the npz's size, the
+        raw bytes of its arrays and how many were ``stored`` whole or
+        ``split``, and — for a state with a ``frame_table`` entry, a
         :class:`~repro.checkpoint.state.FrameTable`'s — ``frames`` /
-        ``frame_refs``: the frames written and how many times the
+        ``frames_named`` / ``frame_refs``: the frames written with their
+        columns, those written by id alone, and how many times the
         state's datasets name them.
         """
         barrier = int(state["barrier"])
@@ -199,10 +239,13 @@ class RunStore:
         meta, arrays = flatten_state(state)
         npz_path = run_dir / f"ckpt-{barrier:06d}.npz"
         with _atomic_open(npz_path) as fh:
-            facts = _write_npz(fh, arrays)
+            split, facts = _write_npz(fh, arrays)
         table = state.get("frame_table")
         if table is not None:
-            facts["frames"] = sum(len(pool["ids"]) for pool in table["pools"])
+            facts["frames"] = sum(len(pool["bev"]) for pool in table["pools"])
+            facts["frames_named"] = sum(
+                len(pool["ids"]) - len(pool["bev"]) for pool in table["pools"]
+            )
             facts["frame_refs"] = table["frame_refs"]
         payload = {
             "format": FORMAT_VERSION,
@@ -210,6 +253,7 @@ class RunStore:
             "time": float(state["time"]),
             "fingerprint": spec_fingerprint(spec),
             "npz_sha256": file_sha256(npz_path),
+            "split": split,
             "state": meta,
         }
         json_path = self._ckpt_json(spec, barrier)
@@ -235,7 +279,8 @@ class RunStore:
             raise CheckpointVersionError(
                 f"checkpoint format {version} (supported: {FORMAT_VERSION})"
             )
-        if not {"npz_sha256", "state", "barrier"} <= payload.keys():
+        split = payload.get("split", {})
+        if not ({"npz_sha256", "state", "barrier"} <= payload.keys() and isinstance(split, dict)):
             raise CheckpointCorruptError(f"malformed sidecar {json_path}")
         npz_path = json_path.with_suffix(".npz")
         if not npz_path.exists():
@@ -247,6 +292,12 @@ class RunStore:
             )
         with np.load(npz_path) as data:
             arrays = {name: data[name] for name in data.files}
+        for path, shape in split.items():
+            try:
+                halves = arrays.pop(path + "/mask"), arrays.pop(path + "/values")
+            except KeyError:
+                raise CheckpointCorruptError(f"split array {path}: a member is missing") from None
+            arrays[path] = _join(path, *halves, shape)
         state = unflatten_state(payload["state"], arrays)
         state["barrier"] = payload["barrier"]
         return state

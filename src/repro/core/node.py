@@ -466,6 +466,8 @@ class VehicleNode:
         The dataset and the coreset go in as rows and weights; their
         frames go into ``frames``, the snapshot's
         :class:`~repro.checkpoint.state.FrameTable`, once for the fleet.
+        ``params`` is the node's bank row itself, not a copy (see
+        :class:`~repro.checkpoint.state.Snapshottable`).
 
         The RNG is deliberately absent: trainers re-derive every stream
         at checkpoint barriers (``spawn_rng(seed, f"node-{{id}}@ckpt{{k}}")``),
@@ -477,7 +479,7 @@ class VehicleNode:
         used = len(self._cache_slots)
         cache_ids = sorted(self._cache_slots, key=self._cache_slots.__getitem__)
         return {
-            "params": self.flat_params.copy(),
+            "params": self.flat_params,
             "model_version": self.model_version,
             "train_steps": self.train_steps,
             "steps_since_refresh": self._steps_since_refresh,

@@ -139,6 +139,15 @@ class TrainerBase:
         self._next_train = np.zeros(len(nodes))
         self._next_record = 0.0
         self._restored_at: float | None = None
+        pools = {node.dataset.pool for node in nodes}
+        #: The fleet's one frame pool and its length now, when there is
+        #: one: any trainer a resume builds the same way holds those
+        #: frames, so a barrier names them by id (private pools are each
+        #: restored onto the restoring node's own, so they name none).
+        self._known_frames = None
+        if len(pools) == 1:
+            pool = pools.pop()
+            self._known_frames = (pool, len(pool))
         from repro.core.fleet import FleetEngine
 
         #: The whole fleet as one batched parameter bank, the only way a
@@ -365,6 +374,10 @@ class TrainerBase:
         barrier, interrupted or not — a resumed run re-derives the same
         streams from ``(seed, name, barrier)`` alone, so no generator
         state needs to be serialized mid-stream.
+
+        The state holds views of the live parameter and optimizer banks
+        (:meth:`snapshot`): write it before the simulator runs on, or
+        copy it (``copy.deepcopy``) to keep it past the barrier.
         """
         self.reseed_streams(barrier)
         state = self.snapshot()
@@ -378,8 +391,12 @@ class TrainerBase:
         self._reseed_extra_streams(barrier)
 
     def snapshot(self) -> dict:
-        """Full trainer state as a checkpointable tree (a pure read)."""
-        frames = FrameTable()
+        """Full trainer state as a checkpointable tree (a pure read).
+
+        Not a copy: each node's parameters and optimizer moments are
+        rows of the fleet's banks (see :meth:`checkpoint_barrier`).
+        """
+        frames = FrameTable(known=self._known_frames)
         nodes = [node.snapshot(frames) for node in self.nodes]
         for row, node_state in enumerate(nodes):
             node_state["optimizer"] = self.fleet.optim.node_snapshot(row)

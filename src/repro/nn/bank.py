@@ -585,12 +585,11 @@ class FleetAdam:
     # -- per-node checkpoint bridge ------------------------------------------
 
     def node_snapshot(self, row: int) -> dict:
-        """One node's optimizer state, in :class:`Adam`'s snapshot format."""
-        return {
-            "step": int(self.steps[row]),
-            "m": self.m[row].copy(),
-            "v": self.v[row].copy(),
-        }
+        """One node's optimizer state, in :class:`Adam`'s snapshot format.
+
+        ``m`` and ``v`` are views of the row, valid until the next step.
+        """
+        return {"step": int(self.steps[row]), "m": self.m[row], "v": self.v[row]}
 
     def node_restore(self, row: int, state: dict) -> None:
         """Load one node's state; other rows keep their own step counts."""

@@ -28,6 +28,7 @@ The same table is one parametrised tier-1 test (``tests/test_selfcheck.py``).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -323,7 +324,8 @@ class _MemoryCheckpointer(Checkpointer):
         self.states: dict[int, dict] = {}
 
     def _on_barrier(self, trainer, index: int) -> None:
-        self.states[index] = trainer.checkpoint_barrier(index)
+        # Kept past the barrier, so copied off the live banks.
+        self.states[index] = copy.deepcopy(trainer.checkpoint_barrier(index))
 
 
 def _run_trainer(context, spec, state=None):

@@ -8,6 +8,7 @@ resume equivalence lives in test_checkpoint_resume.py.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -193,7 +194,8 @@ class TestOptimizerSnapshots:
         first = trainer()
         for _ in range(3):
             first.fleet.train_step_all()
-        older = first.snapshot()["nodes"][1]["optimizer"]
+        # A snapshot is a view of the banks: one kept past a step is copied.
+        older = copy.deepcopy(first.snapshot()["nodes"][1]["optimizer"])
         for _ in range(2):
             first.fleet.train_step_all()
         state = {**first.snapshot(), "barrier": 1}
@@ -308,12 +310,15 @@ class TestRunStore:
         store.save_checkpoint(spec, _state(1, 10.0))
         sidecar = store.run_dir(spec) / "ckpt-000001.json"
         payload = json.loads(sidecar.read_text())
-        assert FORMAT_VERSION == 4
-        payload["format"] = 3  # every dataset carried its own frames: no loader
-        sidecar.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointVersionError):
-            store.load_checkpoint(spec, 1)
-        assert store.latest_checkpoint(spec) is None
+        assert FORMAT_VERSION == 5
+        # 4 wrote every frame's columns and no split arrays, 3 every
+        # dataset's own frames: neither has a loader.
+        for refused in (4, 3):
+            payload["format"] = refused
+            sidecar.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointVersionError, match=f"format {refused}"):
+                store.load_checkpoint(spec, 1)
+            assert store.latest_checkpoint(spec) is None
 
     def test_drop_after_rewinds(self, tmp_path):
         store = RunStore(tmp_path)

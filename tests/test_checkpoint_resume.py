@@ -174,8 +174,9 @@ def _on_private_pools(context):
 
 
 class TestFramesOnDisk:
-    """Format 4: a barrier writes the frames its datasets name once per
-    pool, and a dataset as rows and weights."""
+    """Format 5: a barrier writes the frames its datasets name once per
+    pool — by id alone the ones the run's pool held when the trainer was
+    built — and a dataset as rows and weights."""
 
     def spec(self, context, root):
         return RunSpec.for_context(
@@ -184,29 +185,35 @@ class TestFramesOnDisk:
 
     @staticmethod
     def bev_members(store, spec, barrier):
+        """The ``bev`` arrays of a barrier's npz, stored whole or split."""
         import zipfile
 
         with zipfile.ZipFile(store.run_dir(spec) / f"ckpt-{barrier:06d}.npz") as archive:
-            return [name for name in archive.namelist() if name.endswith("/bev.npy")]
+            names = archive.namelist()
+        return [
+            name.removesuffix(".npy").removesuffix("/values")
+            for name in names
+            if name.endswith(("/bev.npy", "/bev/values.npy"))
+        ]
 
     def test_one_bev_member_per_pool_and_the_saved_event_counts_it(self, context, tmp_path):
-        import numpy as np
-
         spec = self.spec(context, tmp_path)
         result = run_method(context, spec)
         store = RunStore(tmp_path)
-        assert self.bev_members(store, spec, 3) == ["/frame_table/pools/0/bev.npy"]
+        assert self.bev_members(store, spec, 3) == ["/frame_table/pools/0/bev"]
         state = store.load_checkpoint(spec, 3)
         (table,) = state["frame_table"]["pools"]
+        # The run's one pool holds every frame a dataset names: ids, no columns.
+        assert len(table["bev"]) == len(table["commands"]) == len(table["targets"]) == 0
         saved = [e for e in store.events(spec) if e["event"] == "saved"][-1]
-        assert saved["frames"] == len(table["ids"]) == len(table["bev"]) == len(set(table["ids"]))
+        assert saved["frames"] == 0
+        assert saved["frames_named"] == len(table["ids"]) == len(set(table["ids"]))
         held = sum(len(n["dataset"]["rows"]) + len(n["coreset_data"]["rows"]) for n in state["nodes"])
-        assert saved["frame_refs"] == held > saved["frames"]
+        assert saved["frame_refs"] == held > saved["frames_named"]
         # Every training frame, and none of the validation set's.
         assert set(table["ids"]) == {fid for node in result.nodes for fid in node.dataset.ids}
-        assert saved["raw_bytes"] < 2 * np.asarray(table["bev"]).nbytes + sum(
-            4 * node.flat_params.nbytes for node in result.nodes
-        )
+        # Parameters and both Adam moments, and next to nothing else.
+        assert saved["raw_bytes"] < 4 * sum(node.flat_params.nbytes for node in result.nodes)
 
     def test_a_fleet_on_private_pools_writes_each_and_resumes(self, context, tmp_path):
         private = _on_private_pools(context)
@@ -228,9 +235,7 @@ class TestFramesOnDisk:
         run_method(context, spec)
         state = RunStore(tmp_path).load_checkpoint(spec, 2)
         (table,) = state["frame_table"]["pools"]
-        carried = len(table["ids"]) // 2
-        for column in ("bev", "commands", "targets"):
-            table[column] = table[column][:carried]  # the file lost the rest
+        carried = len(table["bev"])  # the ids past these are named, not carried
         # The run's own pool has every frame: nothing is needed from the file.
         prepare_trainer(context, spec)[1].restore(state)
         # Pools that never saw a peer's frames cannot supply them.
@@ -239,3 +244,36 @@ class TestFramesOnDisk:
         absent = [fid for fid in table["ids"][carried:] if nodes[0].dataset.pool.row(fid) is None]
         with pytest.raises(CheckpointError, match=f"frame '{absent[0]}' is neither"):
             trainer.restore(state)
+
+
+class TestBarrierMemory:
+    def test_a_barrier_allocates_less_than_the_fleets_parameters(self, tmp_path):
+        """A barrier writes the banks' rows where they are: its peak
+        allocation stays below one copy of the fleet's parameters (a
+        barrier that copied them, and Adam's two moments, took 3x)."""
+        import tracemalloc
+
+        from repro import selfcheck
+        from repro.checkpoint.policy import CheckpointPolicy, Checkpointer
+        from repro.experiments.runner import prepare_trainer
+
+        context = selfcheck._context("hotpath")
+        spec = RunSpec.for_context(
+            context, "LbChat", seed=selfcheck.SEED, checkpoint_every=EVERY,
+            checkpoint_dir=str(tmp_path),
+        )
+        _, trainer = prepare_trainer(context, spec)
+        peaks = []
+
+        class Measured(Checkpointer):
+            def _on_barrier(self, trainer, index):
+                tracemalloc.start()
+                try:
+                    super()._on_barrier(trainer, index)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        trainer.run(checkpointer=Measured(spec, RunStore(tmp_path), CheckpointPolicy(EVERY)))
+        assert len(peaks) == len(BARRIERS)
+        assert max(peaks) < trainer.fleet.bank.flat.nbytes, (peaks, trainer.fleet.bank.flat.nbytes)

@@ -1,11 +1,13 @@
 """The checkpoint store's ``.npz`` member writer.
 
-``RunStore.save_checkpoint`` writes a plain ``.npz`` whose members are
-each stored or deflated depending on a sample of their own bytes, from
-arrays that are not copied first.  These tests pin the codec choice, the
-bit-exact round trip over dtypes and memory layouts, compatibility with
-checkpoints written by ``np.savez_compressed``, and that the SHA-256 —
-not a deflate stream's checksum — is what catches a flipped byte.
+``RunStore.save_checkpoint`` writes a plain ``.npz`` of stored members,
+from arrays that are not copied first: an array whose nonzero mask and
+nonzero values are smaller than it is written as those two members, any
+other whole.  These tests pin that rule, the bit-exact round trip over
+dtypes, special values and memory layouts, compatibility with
+checkpoints written by ``np.savez_compressed``, and that a damaged file
+— a flipped byte, a truncated member, a mask that disagrees with its
+values — falls back to the previous barrier.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 import zipfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import RunStore, flatten_state, spec_fingerprint
-from repro.checkpoint.format import FORMAT_VERSION, file_sha256
+from repro.checkpoint.format import FORMAT_VERSION, CheckpointCorruptError, file_sha256
 from repro.experiments.configs import CI
 from repro.experiments.runner import RunSpec
 
@@ -39,27 +42,48 @@ def _members(store: RunStore, barrier: int = 1) -> dict[str, zipfile.ZipInfo]:
         return {info.filename: info for info in archive.infolist()}
 
 
+def _sidecar(store: RunStore, barrier: int = 1) -> dict:
+    return json.loads((store.run_dir(SPEC) / f"ckpt-{barrier:06d}.json").read_text())
+
+
 class TestMemberCodec:
-    def test_noise_is_stored_and_zero_heavy_is_deflated(self, tmp_path):
+    def test_noise_is_stored_and_zero_heavy_is_split(self, tmp_path):
         store = RunStore(tmp_path)
         frames = np.zeros((64, 20, 20), dtype=np.float32)
         frames[:, 3, 4] = 1.0
         store.save_checkpoint(SPEC, _state(params=_noise(), frames=frames))
         members = _members(store)
-        assert members["/params.npy"].compress_type == zipfile.ZIP_STORED
-        assert members["/params.npy"].compress_size == members["/params.npy"].file_size
-        assert members["/frames.npy"].compress_type == zipfile.ZIP_DEFLATED
-        assert members["/frames.npy"].compress_size < members["/frames.npy"].file_size // 20
+        assert sorted(members) == ["/frames/mask.npy", "/frames/values.npy", "/params.npy"]
+        assert {info.compress_type for info in members.values()} == {zipfile.ZIP_STORED}
+        assert members["/params.npy"].file_size > _noise().nbytes
+        split = members["/frames/mask.npy"].file_size + members["/frames/values.npy"].file_size
+        assert split < frames.nbytes // 20
+        assert _sidecar(store)["split"] == {"/frames": [64, 20, 20]}
         loaded = store.load_checkpoint(SPEC, 1)
         assert np.array_equal(loaded["params"], _noise())
-        assert np.array_equal(loaded["frames"], frames)
+        assert loaded["frames"].tobytes() == frames.tobytes()
 
     def test_compressible_tail_of_a_large_member_is_seen(self, tmp_path):
-        # The probe samples the start, middle and end, not only the head.
+        # The rule counts the whole array's zeros, not a sample's.
         array = np.concatenate([_noise(4096), np.zeros(200_000, dtype=np.float32)])
         store = RunStore(tmp_path)
         store.save_checkpoint(SPEC, _state(array=array))
-        assert _members(store)["/array.npy"].compress_type == zipfile.ZIP_DEFLATED
+        assert "/array/values.npy" in _members(store)
+        assert np.array_equal(store.load_checkpoint(SPEC, 1)["array"], array)
+
+    def test_an_array_is_split_exactly_when_that_is_smaller(self, tmp_path):
+        # 64 float32 are 256 bytes; the mask is 8.  With z zeros the split
+        # is 8 + 4 (64 - z) bytes: not smaller at z = 2, smaller at z = 3.
+        store = RunStore(tmp_path)
+        arrays = {}
+        for zeros in (2, 3):
+            array = np.arange(1, 65, dtype=np.float32)
+            array[:zeros] = 0.0
+            arrays[f"zeros{zeros}"] = array
+        store.save_checkpoint(SPEC, _state(**arrays))
+        assert sorted(_members(store)) == [
+            "/zeros2.npy", "/zeros3/mask.npy", "/zeros3/values.npy",
+        ]
 
     def test_saved_event_explains_the_barrier(self, tmp_path):
         store = RunStore(tmp_path)
@@ -74,27 +98,59 @@ class TestMemberCodec:
             "npz_bytes": npz.stat().st_size,
             "raw_bytes": 50_000 * 4 + 50_000 * 8,
             "stored": 1,
-            "deflated": 1,
+            "split": 1,
         }
 
 
 DTYPES = (np.bool_, np.int64, np.float32, np.float64)
 
+#: Element bit patterns that a value-level copy could change: -0.0, +-inf,
+#: quiet and signalling NaNs with and without payloads (of either sign),
+#: the smallest and the largest subnormal, and +0.0.
+SPECIAL_BITS = {
+    np.float32: [
+        0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7FC00123, 0xFFC00007,
+        0x7F800001, 0xFFA00005, 0x00000001, 0x807FFFFF, 0x00000000,
+    ],
+    np.float64: [
+        0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x7FF8000000000000, 0x7FF8000000000123, 0xFFF8000000000007,
+        0x7FF0000000000001, 0xFFF4000000000005, 0x0000000000000001,
+        0x800FFFFFFFFFFFFF, 0x0000000000000000,
+    ],
+    np.int64: [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0],
+    np.bool_: [0, 1],
+}
+#: The dtype each ``SPECIAL_BITS`` list is written in.
+PATTERN_DTYPE = {np.float32: np.uint32, np.float64: np.uint64, np.int64: np.int64, np.bool_: np.uint8}
+
+
+def _content(rng, dtype, shape, kind: str) -> np.ndarray:
+    """A C-ordered array of ``shape`` whose elements ``kind`` describes."""
+    if kind == "specials":
+        bits = np.array(SPECIAL_BITS[dtype], dtype=PATTERN_DTYPE[dtype])
+        return rng.choice(bits, size=shape).view(dtype)
+    if kind == "zeros":
+        return np.zeros(shape, dtype=dtype)
+    if kind == "no_zero":
+        return (np.abs(rng.standard_normal(shape)) + 1).astype(dtype)
+    if kind == "zero_heavy":
+        keep = rng.random(shape) < 0.1
+        return np.where(keep, rng.standard_normal(shape) + 2, 0).astype(dtype)
+    return np.asarray(rng.integers(0, 2, size=shape) * 3).astype(dtype)
+
 
 @st.composite
 def _layouts(draw) -> np.ndarray:
-    """An array of a drawn dtype and shape in a drawn memory layout."""
+    """An array of a drawn dtype, shape and content in a drawn memory layout."""
     dtype = draw(st.sampled_from(DTYPES))
     shape = tuple(draw(st.lists(st.integers(0, 6), min_size=0, max_size=3)))
     seed = draw(st.integers(0, 2**16))
     layout = draw(st.sampled_from(["c", "fortran", "strided", "transposed", "readonly"]))
+    kind = draw(st.sampled_from(["half_zero", "zero_heavy", "specials", "zeros", "no_zero"]))
     # Oversize every axis so a strided view can be cut out of it.
     base_shape = tuple(2 * n + 1 for n in shape)
-    rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
-        base = np.asarray(rng.integers(0, 2, size=base_shape) * 3).astype(dtype)
-    else:
-        base = np.asarray(rng.standard_normal(base_shape)).astype(dtype)
+    base = _content(np.random.default_rng(seed), dtype, base_shape, kind)
     if layout == "strided":
         return base[tuple(slice(1, 1 + 2 * n, 2) for n in shape) or ...]
     array = base[tuple(slice(0, n) for n in shape) or ...]
@@ -110,7 +166,7 @@ def _layouts(draw) -> np.ndarray:
 
 
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(arrays=st.lists(_layouts(), min_size=1, max_size=4))
     def test_bits_dtype_and_shape_survive(self, tmp_path_factory, arrays):
         store = RunStore(tmp_path_factory.mktemp("store"))
@@ -125,27 +181,45 @@ class TestRoundTrip:
     def test_large_members_round_trip_under_both_codecs(self, tmp_path):
         zero_heavy = np.zeros((300, 1000))
         zero_heavy[::7, ::11] = np.pi
+        specials = np.zeros(30_000, dtype=np.float32)
+        specials[::3] = np.array(SPECIAL_BITS[np.float32], dtype=np.uint32).view(np.float32)[
+            np.arange(10_000) % 11
+        ]
         arrays = {
             "noise": _noise(400_000).reshape(400, 1000),
             "noise_t": _noise(400_000).reshape(400, 1000).T,
             "zero_heavy": zero_heavy,
             "zero_heavy_strided": zero_heavy[::2, ::3],
+            "specials": specials,
         }
         store = RunStore(tmp_path)
         store.save_checkpoint(SPEC, _state(**arrays))
-        members = _members(store)
-        assert members["/noise_t.npy"].compress_type == zipfile.ZIP_STORED
-        assert members["/zero_heavy_strided.npy"].compress_type == zipfile.ZIP_DEFLATED
+        assert _sidecar(store)["split"] == {
+            "/zero_heavy": [300, 1000],
+            "/zero_heavy_strided": [150, 334],
+            "/specials": [30_000],
+        }
+        assert "/noise_t.npy" in _members(store)
         loaded = store.load_checkpoint(SPEC, 1)
         for name, array in arrays.items():
-            assert np.array_equal(loaded[name], array)
+            assert loaded[name].tobytes() == array.tobytes()
 
     def test_plain_np_load_opens_it(self, tmp_path):
+        """A split array is two members, ``<path>/mask`` (its nonzero
+        elements' positions, ``np.packbits``-ed in C order) and
+        ``<path>/values``."""
         store = RunStore(tmp_path)
-        store.save_checkpoint(SPEC, _state(params=_noise(), zeros=np.zeros(9000)))
+        sparse = np.zeros((90, 100))
+        sparse[::10, ::25] = 2.5
+        store.save_checkpoint(SPEC, _state(params=_noise(), sparse=sparse))
         with np.load(store.run_dir(SPEC) / "ckpt-000001.npz") as data:
-            assert sorted(data.files) == ["/params", "/zeros"]
+            assert sorted(data.files) == ["/params", "/sparse/mask", "/sparse/values"]
             assert np.array_equal(data["/params"], _noise())
+            rebuilt = np.zeros(sparse.size)
+            rebuilt[np.unpackbits(data["/sparse/mask"], count=sparse.size).view(bool)] = data[
+                "/sparse/values"
+            ]
+            assert np.array_equal(rebuilt.reshape(sparse.shape), sparse)
 
 
 class TestCompatibility:
@@ -191,6 +265,41 @@ class TestIntegrity:
         assert store.latest_checkpoint(SPEC)["barrier"] == 1
         (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
         assert corrupt["barrier"] == 2 and "fingerprint mismatch" in corrupt["error"]
+
+    def test_an_npz_truncated_mid_member_falls_back(self, tmp_path):
+        """A torn write under a committed sidecar: the hash, left as
+        written, no longer matches."""
+        store = RunStore(tmp_path)
+        for barrier in (1, 2):
+            store.save_checkpoint(SPEC, _state(barrier, params=_noise(), zeros=np.zeros(9000)))
+        info = _members(store, 2)["/params.npy"]
+        npz = store.run_dir(SPEC) / "ckpt-000002.npz"
+        npz.write_bytes(npz.read_bytes()[: info.header_offset + info.file_size // 2])
+        assert store.latest_checkpoint(SPEC)["barrier"] == 1
+        (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
+        assert corrupt["barrier"] == 2 and "fingerprint mismatch" in corrupt["error"]
+
+    def test_a_split_member_that_disagrees_with_its_mask_falls_back(self, tmp_path):
+        """The hash matches (re-taken after the damage), so only joining
+        the mask and the values can notice."""
+        store = RunStore(tmp_path)
+        sparse = np.zeros(9000)
+        sparse[::100] = 1.5
+        for barrier in (1, 2):
+            store.save_checkpoint(SPEC, _state(barrier, sparse=sparse))
+        npz = store.run_dir(SPEC) / "ckpt-000002.npz"
+        with np.load(npz) as data:
+            members = {name: data[name] for name in data.files}
+        members["/sparse/values"] = members["/sparse/values"][:-1]
+        np.savez(npz, **members)
+        sidecar = _sidecar(store, 2)
+        sidecar["npz_sha256"] = file_sha256(npz)
+        (store.run_dir(SPEC) / "ckpt-000002.json").write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointCorruptError, match="mask names 90 values, 89 written"):
+            store.load_checkpoint(SPEC, 2)
+        assert store.latest_checkpoint(SPEC)["barrier"] == 1
+        (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
+        assert corrupt["barrier"] == 2 and "/sparse" in corrupt["error"]
 
 
 class TestZeroCopyFlatten:

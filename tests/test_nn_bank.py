@@ -16,6 +16,7 @@ The load-bearing guarantees tested here:
   that cannot be built says so once and changes no result.
 """
 
+import copy
 import os
 import re
 import shutil
@@ -304,7 +305,7 @@ class TestFleetEngineEquivalence:
             for _ in range(3):
                 step_all()
             frames = FrameTable()
-            snap = snap_of(frames)
+            snap = copy.deepcopy(snap_of(frames))  # kept past two steps
             for _ in range(2):
                 step_all()
             restore_to(snap, FrameTable(frames.state()))

@@ -10,6 +10,7 @@ of one seed through the ledger plumbing are bit-identical.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -120,7 +121,8 @@ class MemoryCheckpointer:
             )
 
     def _save(self, trainer, index: int) -> None:
-        self.states[index] = trainer.checkpoint_barrier(index)
+        # Kept past the barrier, so copied off the live banks.
+        self.states[index] = copy.deepcopy(trainer.checkpoint_barrier(index))
 
 
 # -- flag-off bit-identity (satellite: hypothesis property) -------------------
