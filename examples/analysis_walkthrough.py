@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.blas import pin_blas_threads
 from repro.experiments.analysis import convergence_summary
 from repro.experiments.configs import CI
 from repro.experiments.multiseed import compare_methods, run_seeds
@@ -46,6 +47,7 @@ SCALE = replace(
 
 
 def main() -> None:
+    pin_blas_threads()  # one GEMM thread: the digests any host reproduces
     print("Building the shared context...")
     context = build_context(SCALE)
 

@@ -21,7 +21,8 @@ from repro.coreset import (
     reduce_coreset,
     relative_coreset_error,
 )
-from repro.core.node import NodeConfig, VehicleNode
+from repro.core.fleet import FleetEngine
+from repro.core.node import NodeConfig
 from repro.engine.random import spawn_rng
 from repro.nn import make_driving_model
 from repro.sim import BevSpec, World, WorldConfig, collect_fleet_datasets
@@ -42,18 +43,16 @@ def make_nodes():
     bev_spec = BevSpec(grid=16, cell=2.0)
     datasets = collect_fleet_datasets(world, duration=120.0, bev_spec=bev_spec)
     config = NodeConfig(coreset_size=30, learning_rate=1e-3)
-    nodes = []
-    for vid, dataset in sorted(datasets.items()):
-        model = make_driving_model(bev_spec.shape, 5, 64, seed=0)
-        node = VehicleNode(vid, model, dataset, config, spawn_rng(2, vid))
-        for _ in range(80):  # some training so losses are structured
-            node.train_step()
-        nodes.append(node)
-    return nodes
+    members = [(vid, dataset, spawn_rng(2, vid)) for vid, dataset in sorted(datasets.items())]
+    fleet = FleetEngine(make_driving_model(bev_spec.shape, 5, 64, seed=0), members, config)
+    for _ in range(80):  # some training so losses are structured
+        fleet.train_step_all()
+    return fleet.nodes
 
 
 def main() -> None:
     node_a, node_b = make_nodes()
+    model_a = node_a.detached_model()  # a standalone copy for the ε probes
     losses = node_a.per_sample_losses(node_a.dataset)
 
     print("== Layered partition (Algorithm 1, lines 1-6) ==")
@@ -70,7 +69,7 @@ def main() -> None:
     for size in (5, 15, 50, 150):
         errors = [
             relative_coreset_error(
-                node_a.model,
+                model_a,
                 node_a.dataset,
                 build_coreset(node_a.dataset, losses, size, rng),
             )
@@ -90,7 +89,7 @@ def main() -> None:
     merged_losses = node_a.per_sample_losses(merged.data)
     reduced = reduce_coreset(merged, merged_losses, 30, rng)
     print(f"  reduced back to: {len(reduced)}")
-    err = relative_coreset_error(node_a.model, merged.data, reduced)
+    err = relative_coreset_error(model_a, merged.data, reduced)
     print(f"  reduced coreset's error vs the merged set: {err:.3f}")
 
 

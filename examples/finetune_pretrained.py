@@ -12,11 +12,11 @@ Run:  python examples/finetune_pretrained.py
 
 import numpy as np
 
+from repro.core.fleet import FleetEngine
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
-from repro.core.node import NodeConfig, VehicleNode
+from repro.core.node import NodeConfig
 from repro.engine.random import spawn_rng
 from repro.nn import Adam, make_driving_model, waypoint_l1
-from repro.nn.params import get_flat_params, set_flat_params
 from repro.sim import BevSpec, World, WorldConfig, collect_fleet_datasets, simulate_traces
 from repro.sim.dataset import DrivingDataset
 
@@ -57,15 +57,12 @@ def main() -> None:
         model.zero_grad()
         model.backward(grad)
         optimizer.step()
-    pretrained = get_flat_params(model)
 
     print("Distributing the pre-trained weights to the whole fleet...")
+    # The fleet is born with the pre-trained model in every row.
     node_config = NodeConfig(coreset_size=12, learning_rate=1e-3)
-    nodes = []
-    for vid, dataset in sorted(local.items()):
-        m = make_driving_model(bev_spec.shape, 5, 64, seed=0)
-        set_flat_params(m, pretrained)
-        nodes.append(VehicleNode(vid, m, dataset, node_config, spawn_rng(4, vid)))
+    members = [(vid, dataset, spawn_rng(4, vid)) for vid, dataset in sorted(local.items())]
+    nodes = list(FleetEngine(model, members, node_config).nodes)
 
     initial = np.mean([n.evaluate(validation, with_penalty=False) for n in nodes])
     print(f"  pre-trained model's fleet validation loss: {initial:.3f}")

@@ -11,6 +11,7 @@ Run:  python examples/fleet_training.py
 
 import numpy as np
 
+from repro.blas import pin_blas_threads
 from repro.experiments.configs import CI
 from repro.experiments.render import render_curves
 from repro.experiments.runner import RunSpec, build_context, run_method
@@ -19,6 +20,7 @@ METHODS = ("ProxSkip", "DFL-DDS", "DP", "LbChat")
 
 
 def main() -> None:
+    pin_blas_threads()  # one GEMM thread: the digests any host reproduces
     print("Building the shared world (datasets + mobility traces)...")
     context = build_context(CI)
     total = sum(len(d) for d in context.datasets.values())

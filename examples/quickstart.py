@@ -8,10 +8,9 @@ optimization, model transfer, Eq. 8 aggregation, and dataset expansion.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.core.chat import pairwise_chat
-from repro.core.node import NodeConfig, VehicleNode
+from repro.core.fleet import FleetEngine
+from repro.core.node import NodeConfig
 from repro.engine.random import spawn_rng
 from repro.net import ChannelConfig, WirelessModel
 from repro.nn import make_driving_model
@@ -37,11 +36,11 @@ def main() -> None:
 
     print("\n== 2. Wrap the vehicles as LbChat learner nodes ==")
     config = NodeConfig(coreset_size=20, learning_rate=1e-3)
-    nodes = []
-    for vid, dataset in sorted(datasets.items()):
-        model = make_driving_model(bev_spec.shape, n_waypoints=5, hidden=64, seed=0)
-        nodes.append(VehicleNode(vid, model, dataset, config, spawn_rng(1, vid)))
-    node_a, node_b = nodes
+    # Both vehicles start from one initialisation: the fleet is born with
+    # it in every row of its parameter bank, one row per vehicle.
+    template = make_driving_model(bev_spec.shape, n_waypoints=5, hidden=64, seed=0)
+    members = [(vid, dataset, spawn_rng(1, vid)) for vid, dataset in sorted(datasets.items())]
+    node_a, node_b = FleetEngine(template, members, config).nodes
     print(f"  coreset sizes: {len(node_a.coreset)} and {len(node_b.coreset)} frames")
     print(f"  coreset wire size: {node_a.coreset.nominal_bytes / 1e6:.2f} MB "
           f"(model: {config.nominal_model_bytes / 1e6:.0f} MB)")

@@ -156,7 +156,7 @@ def _render_result(args: argparse.Namespace, result) -> None:
     if args.save_model:
         from repro.nn.serialize import save_model
 
-        save_model(result.nodes[0].model, args.save_model)
+        save_model(result.nodes[0].detached_model(), args.save_model)
         print(f"model checkpoint written to {args.save_model}")
 
 

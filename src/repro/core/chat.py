@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.compression import CompressedModel, TopkPlan
 from repro.core.node import VehicleNode
 from repro.core.psi import PsiDecision, optimize_compression
@@ -97,14 +95,11 @@ class Leg:
 
 
 def _coreset_state(coreset: Coreset, frames) -> dict:
-    return {"data": frames.ref(coreset.data), "weights": coreset.source_weights.copy()}
+    return {"data": frames.ref(coreset.data)}
 
 
 def _coreset_from_state(state, frames, pool) -> Coreset:
-    return Coreset(
-        data=frames.dataset(state["data"], pool),
-        source_weights=np.asarray(state["weights"], dtype=float),
-    )
+    return Coreset(frames.dataset(state["data"], pool))
 
 
 @dataclass
@@ -266,7 +261,7 @@ def negotiate(
 
     ``prober`` is the trainer's :class:`~repro.core.overlap.DensePsiProber`,
     which fits every psi map; a chat outside a trainer passes none and
-    gets one built here around ``node_i``'s model.  Only Eq. 7 reads the
+    gets one built here on ``node_i``'s fleet template.  Only Eq. 7 reads the
     maps, so ``equal_compression`` fits none.
 
     A chat that ends here (stage abort, coreset-only, nothing worth
@@ -316,7 +311,7 @@ def negotiate(
         if prober is None:
             from repro.core.overlap import DensePsiProber
 
-            prober = DensePsiProber(node_i.model)
+            prober = DensePsiProber(node_i.fleet.template)
         for side, node in enumerate((node_i, node_j)):
             psi_map, plan = prober.build(node)
             plans[side] = (plan, node.model_version)

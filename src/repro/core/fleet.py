@@ -1,21 +1,20 @@
-"""Fleet-batched training engine over a shared parameter bank.
+"""The fleet: one parameter bank its vehicles are born in, and its training engine.
+
+A fleet is born once, from one template model (every vehicle starts from
+the same initialisation, §II-A): :class:`FleetEngine` allocates the
+:class:`~repro.nn.bank.ParamBank` and the :class:`~repro.nn.bank.
+FleetAdam`, writes the template into every row, and hands each
+:class:`~repro.core.node.VehicleNode` its row.  A vehicle has no other
+home — chats, compression, psi probes and checkpoints read and write
+its row, and the fleet's Adam owns its optimizer state.
 
 Every trainer runs all vehicles' local iterations in lock-step — the
 discrete-event loop fires each vehicle's train timer at the same
 instants, and busy state gates communication only, never training.  The
-:class:`FleetEngine` exploits that: when the first vehicle of an instant
-fires, it samples every node's minibatch, runs one batched
-forward/backward over a :class:`~repro.nn.bank.ParamBank`, and applies a
-vectorized Adam step for the whole fleet; the remaining vehicles of the
-instant just pick up their precomputed loss.
-
-The engine is strictly an execution strategy.  Nodes keep their own
-:class:`~repro.core.node.VehicleNode` API — chats, compression,
-psi-probes, checkpoints all operate on per-node views into the bank
-(see :mod:`repro.nn.bank`), so attaching the engine changes *where*
-tensors live, not what any protocol sees.  The one thing a node hands
-over is its optimizer state: the engine's :class:`FleetAdam` owns every
-row's, and a trainer's checkpoints read and write it there.
+engine exploits that: when the first vehicle of an instant fires, it
+samples every node's minibatch, runs one batched forward/backward over
+the bank, and applies a vectorized Adam step for the whole fleet; the
+remaining vehicles of the instant just pick up their precomputed loss.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ import warnings
 
 import numpy as np
 
-from repro.core.node import _EVAL_CHUNK, VehicleNode
+from repro.core.node import _EVAL_CHUNK, NodeConfig, VehicleNode
 from repro.nn._fused import fused_adam_step
 from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
 from repro.nn.losses import fleet_waypoint_l1
-from repro.nn.model import WaypointNet
+from repro.nn.params import get_flat_params, num_params
 from repro.parallel.stepshard import (
     ShmArena,
     StepShard,
@@ -44,41 +43,33 @@ __all__ = ["FleetEngine", "FleetIncompatible"]
 
 
 class FleetIncompatible(ValueError):
-    """The node set cannot share one parameter bank."""
+    """The nodes cannot be trained as one parameter bank."""
 
 
 class FleetEngine:
-    """Batched forward/backward/update for a homogeneous vehicle fleet.
+    """A vehicle fleet born in one :class:`ParamBank`, and its batched
+    forward/backward/update.
 
-    Construction re-homes every node into a shared :class:`ParamBank`
-    (:meth:`VehicleNode.bind_bank`: the node's one-row bank and net of
-    construction time are dropped) and imports each node's standalone
-    Adam state into one :class:`FleetAdam`, after which the fleet alone
-    steps the node.  Any homogeneous fleet of one node or more fits; one
-    that differs in model structure, learning rate or batch size raises
-    :class:`FleetIncompatible` naming the difference — there is no
-    per-node training to degrade to.
+    ``members`` are ``(node_id, dataset, rng)`` in row order.  Birth
+    allocates the bank and :class:`FleetAdam` (in a shared-memory arena
+    when ``step_workers > 1`` and the platform can fork, so forked step
+    workers update their rows in place), writes ``template``'s
+    parameters into every row with one broadcast, and constructs each
+    :class:`VehicleNode` on ``(fleet, row)``; a node builds its first
+    coreset from its own RNG.  A template the bank cannot stack raises
+    :class:`FleetIncompatible` — there is no per-node training to
+    degrade to.
     """
 
-    def __init__(self, nodes: list[VehicleNode], step_workers: int = 1):
-        first = nodes[0]
-        for node in nodes:
-            if not isinstance(node.model, WaypointNet):
-                raise FleetIncompatible(f"cannot batch {type(node.model).__name__}")
-            differing = [
-                name
-                for name in ("learning_rate", "batch_size")  # one Adam; stacked minibatches
-                if getattr(node.config, name) != getattr(first.config, name)
-            ]
-            if differing:
-                raise FleetIncompatible(
-                    f"nodes {first.node_id} and {node.node_id} disagree on "
-                    + ", ".join(differing)
-                )
-        # When step sharding is requested (and the platform can fork),
-        # the parameter/gradient banks and Adam state go into one shared
-        # memory arena so forked workers can update their rows in place.
-        n = len(nodes)
+    def __init__(
+        self,
+        template,
+        members: list[tuple[str, DrivingDataset, np.random.Generator]],
+        config: NodeConfig,
+        *,
+        step_workers: int = 1,
+    ):
+        n = len(members)
         requested = max(1, int(step_workers))
         if requested > 1 and not fork_available():
             warnings.warn(
@@ -92,10 +83,7 @@ class FleetEngine:
         allocator = None
         self._bank_arena: ShmArena | None = None
         if requested > 1:
-            n_params = sum(
-                int(np.prod(p.data.shape)) if p.data.shape else 1
-                for p in first.model.parameters()
-            )
+            n_params = num_params(template)
             self._bank_arena = ShmArena(
                 ShmArena.bytes_for(
                     ((n, n_params), np.float32),  # bank.flat
@@ -106,25 +94,26 @@ class FleetEngine:
                 )
             )
             allocator = self._bank_arena.alloc
-        # Validate everything (structure, batchable layer types) before
-        # mutating any node, so a failed build leaves the fleet intact.
-        bank = ParamBank(first.model, len(nodes), allocator=allocator)
+        #: The shared initialisation; it stays as born (the rows train).
+        self.template = template
+        #: The config the fleet was born with: its Adam's learning rate
+        #: and its stacked minibatches' size.
+        self.config = config
+        self.bank = ParamBank(template, n, allocator=allocator)
         try:
-            model = FleetWaypointNet(bank, first.model)
-            for node in nodes:
-                bank._check_compatible(node.model)
+            self.model = FleetWaypointNet(self.bank, template)
         except ValueError as exc:
             raise FleetIncompatible(str(exc)) from exc
-        self.nodes = nodes
-        self.bank = bank
-        self.model = model
-        self.optim = FleetAdam(bank, lr=first.config.learning_rate, allocator=allocator)
-        for row, node in enumerate(nodes):
-            self.optim.node_restore(row, node.optimizer.snapshot())
-            node.optimizer = None  # the fleet steps this row from now on
-            node.bind_bank(bank, row)
+        self.bank.flat[:] = get_flat_params(template)
+        self.optim = FleetAdam(self.bank, lr=config.learning_rate, allocator=allocator)
+        #: One-row banks over each row, sliced once (:meth:`row_net`).
+        self._row_banks: dict[int, ParamBank] = {}
+        self.nodes = tuple(
+            VehicleNode(self, row, node_id, dataset, config, rng)
+            for row, (node_id, dataset, rng) in enumerate(members)
+        )
         self._pending: np.ndarray | None = None
-        self._consumed = np.ones(len(nodes), dtype=bool)
+        self._consumed = np.ones(n, dtype=bool)
         # Plain-Python step accounting (cheap enough for the hot loop):
         # how many per-row training events ran, and at what batched
         # width each ran.  Every step is the dense bank's, so
@@ -139,6 +128,58 @@ class FleetEngine:
         self._batch_arena: ShmArena | None = None
         self._shm_batch: tuple[np.ndarray, ...] | None = None
         self._shm_losses: np.ndarray | None = None
+
+    @staticmethod
+    def of(nodes: list[VehicleNode]) -> "FleetEngine":
+        """The fleet ``nodes`` were born in, if a trainer can step them.
+
+        Raises :class:`FleetIncompatible` unless ``nodes`` are exactly
+        that fleet's rows, in order, and every one still has the
+        learning rate and batch size the fleet was born with (one Adam;
+        stacked minibatches).
+        """
+        fleet = nodes[0].fleet
+        if len(nodes) != len(fleet.nodes) or any(
+            node is not born for node, born in zip(nodes, fleet.nodes)
+        ):
+            raise FleetIncompatible("nodes must be the rows of one fleet, in row order")
+        for node in nodes:
+            differing = [
+                name
+                for name in ("learning_rate", "batch_size")
+                if getattr(node.config, name) != getattr(fleet.config, name)
+            ]
+            if differing:
+                raise FleetIncompatible(
+                    f"node {node.node_id} disagrees with its fleet on " + ", ".join(differing)
+                )
+        return fleet
+
+    def row_net(self, row: int) -> FleetWaypointNet:
+        """A one-row net over bank row ``row``, for one forward.
+
+        A net keeps its last forward's activations; built per forward,
+        none outlives it, so no vehicle holds a dataset's worth of them.
+        """
+        bank = self._row_banks.get(row)
+        if bank is None:
+            bank = self._row_banks[row] = self.bank.slice_rows(row, row + 1)
+        return FleetWaypointNet(bank, self.template)
+
+    def __getstate__(self):
+        """A fleet crossing processes (a run's result) takes its banks and
+        nodes, not the step workers, their shared memory or scratch."""
+        state = self.__dict__.copy()
+        state.update(
+            model=None, _row_banks={}, _pending=None, _batch_bufs=None, _pool=None,
+            _pool_failed=True, _bank_arena=None, _batch_arena=None, _shm_batch=None,
+            _shm_losses=None,
+        )  # fmt: skip
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.model = FleetWaypointNet(self.bank, self.template)
 
     @property
     def mean_step_width(self) -> float:
@@ -239,7 +280,6 @@ class FleetEngine:
             bufs = tuple(arena.alloc(shape, dtype) for shape, dtype in specs)
             losses = arena.alloc((n,), np.float64)
             fused_adam_step()
-            template = self.nodes[0].model
             shards = []
             for i, (lo, hi) in enumerate(partition_rows(n, self.step_workers)):
                 bank_slice = self.bank.slice_rows(lo, hi)
@@ -248,7 +288,7 @@ class FleetEngine:
                         i,
                         lo,
                         hi,
-                        FleetWaypointNet(bank_slice, template),
+                        FleetWaypointNet(bank_slice, self.template),
                         self.optim.slice_rows(lo, hi, bank_slice),
                         *bufs,
                         losses,

@@ -82,7 +82,7 @@ class LbChatTrainer(TrainerBase):
     def prober(self) -> DensePsiProber:
         """The fleet's dense psi prober, built at the first chat (the
         chat-free baselines never pay for its bank)."""
-        return DensePsiProber(self.nodes[0].model)
+        return DensePsiProber(self.fleet.template)
 
     def _chat(self, i: int, j: int) -> None:
         """Run one chat: inline, or planned now and shipped in the background.

@@ -22,8 +22,8 @@ from repro.coreset import (
     penalized_loss,
     reduce_coreset,
 )
-from repro.nn import Adam, FleetWaypointNet, ParamBank, waypoint_l1
-from repro.nn.params import set_flat_params
+from repro.nn import Adam, waypoint_l1
+from repro.nn.params import clone_model, get_flat_params, set_flat_params
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
@@ -73,34 +73,34 @@ class NodeConfig:
 class VehicleNode:
     """One vehicle's learning state and LbChat operations.
 
-    The vehicle's parameters are always a row of a
-    :class:`~repro.nn.bank.ParamBank` — a one-row bank of its own from
-    construction, the fleet's once a :class:`~repro.core.fleet.
-    FleetEngine` re-homes it — and every forward it runs is one
-    :class:`~repro.nn.bank.FleetWaypointNet` forward over that row.
+    A vehicle is born a row of its fleet's :class:`~repro.nn.bank.
+    ParamBank` — :class:`~repro.core.fleet.FleetEngine` constructs it on
+    ``(fleet, row)`` — and has no other home: its parameters are that
+    row, every forward it runs is a one-row :class:`~repro.nn.bank.
+    FleetWaypointNet` forward over it, and the fleet's
+    :class:`~repro.nn.bank.FleetAdam` holds its optimizer state.  What
+    needs a standalone model asks for :meth:`detached_model`.
     """
 
     def __init__(
         self,
+        fleet,
+        row: int,
         node_id: str,
-        model,
         dataset: DrivingDataset,
         config: NodeConfig,
         rng: np.random.Generator,
     ):
         if len(dataset) == 0:
             raise ValueError(f"node {node_id} needs a non-empty local dataset")
+        self.fleet = fleet
+        self.row = row
         self.node_id = node_id
-        self.model = model
         self.dataset = dataset
         self.config = config
         self.rng = rng
-        #: The standalone reference step's optimizer; ``None`` once a
-        #: :class:`~repro.core.fleet.FleetEngine` owns this row's state.
-        self.optimizer: Adam | None = Adam(model.parameters(), lr=config.learning_rate)
         self.model_version = 0
         self.train_steps = 0
-        self.bind_bank(ParamBank(model, 1), 0)
         # Loss cache, vectorized: frame ids map to slots in flat
         # version/value arrays, so lookups over a whole dataset are two
         # fancy-indexing operations instead of a per-frame dict walk.
@@ -112,28 +112,22 @@ class VehicleNode:
         self._slot_memo: dict[int, tuple[int, int, np.ndarray]] = {}
         self._steps_since_refresh = 0
         self.coreset: Coreset = self.refresh_coreset()
-        # A net keeps its last forward's activations alive — here the
-        # whole local dataset's: the construction-time evaluation's net is
-        # a throwaway, or a fleet of vehicles would hold them all at once.
-        self._net = FleetWaypointNet(self._net.bank, model)
 
-    # -- fleet attachment ----------------------------------------------------
+    @property
+    def flat_params(self) -> np.ndarray:
+        """This vehicle's parameters: a read-only, zero-copy, always
+        current view of its bank row."""
+        return self.fleet.bank.row_view(self.row)
 
-    def bind_bank(self, bank: ParamBank, row: int) -> None:
-        """Make row ``row`` of ``bank`` this vehicle's parameters.
+    def _set_params(self, flat: np.ndarray) -> None:
+        self.fleet.bank.flat[self.row] = flat
 
-        Copies the current parameters in and rebinds the model's
-        ``Parameter`` objects to views of the row
-        (:meth:`~repro.nn.bank.ParamBank.adopt`), so ``set_flat_params``
-        on the model, the reference step and checkpoints all work on the
-        bank.  The node's one-row net is built here, once per home: the
-        previous home's net, with the activations it held, is dropped.
-        """
-        bank.adopt(row, self.model)
-        #: This vehicle's parameters: a read-only, zero-copy, always
-        #: current view of its bank row.
-        self.flat_params = bank.row_view(row)
-        self._net = FleetWaypointNet(bank.slice_rows(row, row + 1), self.model)
+    def detached_model(self):
+        """A standalone copy of this vehicle's model: the fleet's template
+        cloned, then the row written in (float32 to float32, exact)."""
+        model = clone_model(self.fleet.template)
+        set_flat_params(model, self.flat_params)
+        return model
 
     # -- training ------------------------------------------------------------
 
@@ -141,25 +135,27 @@ class VehicleNode:
         """One weighted minibatch SGD step; returns the batch loss.
 
         The single-vehicle reference step (with :class:`~repro.nn.optim.
-        Adam` and ``WaypointNet.backward``): ``tests/test_nn_bank.py``
-        holds the bank to it and the examples call it, but no trainer
-        does — a fleet steps through :meth:`~repro.core.fleet.
-        FleetEngine.train_step_all`, and a node in one refuses.
+        Adam` and ``WaypointNet.backward``) on a :meth:`detached_model`,
+        the row's Adam state copied in from the fleet's and both copied
+        back out: ``tests/test_nn_bank.py`` holds the bank to it and the
+        examples call it, but no trainer does — a fleet steps through
+        :meth:`~repro.core.fleet.FleetEngine.train_step_all`.
         """
-        if self.optimizer is None:
-            raise RuntimeError(
-                f"node {self.node_id} is a row of a FleetEngine's bank: the fleet steps it"
-            )
         bev, commands, targets, _ = self.dataset.sample_batch(
             self.config.batch_size,
             self.rng,
             balance_commands=self.config.balance_commands,
         )
-        pred = self.model.forward(bev, commands)
+        model = self.detached_model()
+        optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        optimizer.restore(self.fleet.optim.node_snapshot(self.row))
+        pred = model.forward(bev, commands)
         scalar, _, grad = waypoint_l1(pred, targets)
-        self.model.zero_grad()
-        self.model.backward(grad)
-        self.optimizer.step()
+        model.zero_grad()
+        model.backward(grad)
+        optimizer.step()
+        self._set_params(get_flat_params(model))
+        self.fleet.optim.node_restore(self.row, optimizer.snapshot())
         self.model_version += 1
         self.train_steps += 1
         self._steps_since_refresh += 1
@@ -309,7 +305,7 @@ class VehicleNode:
     def _forward_losses(self, bev, commands, targets) -> np.ndarray:
         """Per-sample L1 losses of this node's parameters: one one-row
         bank forward."""
-        pred = self._net.forward(bev, commands)[0]
+        pred = self.fleet.row_net(self.row).forward(bev, commands)[0]
         return np.abs(pred - targets).mean(axis=1)
 
     def _weighted_loss(self, flat, losses, commands, weights, with_penalty: bool) -> float:
@@ -336,7 +332,7 @@ class VehicleNode:
         scratch space that costs nothing, so the row holds ``flat``
         afterwards: every caller merges next and overwrites it.
         """
-        set_flat_params(self.model, flat)
+        self._set_params(flat)
         bev, commands, targets, weights = dataset.arrays()
         losses = self._forward_losses(bev, commands, targets)
         return self._weighted_loss(flat, losses, commands, weights, with_penalty)
@@ -410,7 +406,7 @@ class VehicleNode:
         prober's test oracle only, and no chat calls it.
         """
         return build_psi_map(
-            self.model,
+            self.detached_model(),
             lambda probe: self.evaluate_model_on(probe, self.coreset.data),
             self.config.nominal_model_bytes,
         )
@@ -445,13 +441,13 @@ class VehicleNode:
             loss_received = self.evaluate_params(received, eval_set)
             merged = aggregate_models(local, received, loss_local, loss_received)
             weights = aggregation_weights(loss_local, loss_received)
-        set_flat_params(self.model, merged)
+        self._set_params(merged)
         self.model_version += 1
         return weights
 
     def replace_model_params(self, flat: np.ndarray) -> None:
         """Overwrite parameters (used by server-based baselines)."""
-        set_flat_params(self.model, flat)
+        self._set_params(flat)
         self.model_version += 1
 
     # -- checkpointing ------------------------------------------------------------
@@ -485,7 +481,6 @@ class VehicleNode:
             "steps_since_refresh": self._steps_since_refresh,
             "dataset": frames.ref(self.dataset),
             "coreset_data": frames.ref(self.coreset.data),
-            "coreset_source_weights": self.coreset.source_weights.copy(),
             "cache_ids": cache_ids,
             "cache_versions": self._cache_versions[:used].copy(),
             "cache_values": self._cache_values[:used].copy(),
@@ -504,15 +499,12 @@ class VehicleNode:
         every stale memo instead.
         """
         pool = self.dataset.pool
-        set_flat_params(self.model, np.asarray(state["params"]))
+        self._set_params(np.asarray(state["params"]))
         self.model_version = int(state["model_version"])
         self.train_steps = int(state["train_steps"])
         self._steps_since_refresh = int(state["steps_since_refresh"])
         self.dataset = frames.dataset(state["dataset"], pool)
-        self.coreset = Coreset(
-            data=frames.dataset(state["coreset_data"], pool),
-            source_weights=np.asarray(state["coreset_source_weights"], dtype=float),
-        )
+        self.coreset = Coreset(frames.dataset(state["coreset_data"], pool))
         cache_ids = [str(frame_id) for frame_id in state["cache_ids"]]
         self._cache_slots = {frame_id: i for i, frame_id in enumerate(cache_ids)}
         used = len(cache_ids)

@@ -85,11 +85,6 @@ class TrainerConfig:
     #: resident memory; the budget keeps the newest records and counts
     #: the evicted ones.
     chat_log_budget: int = 0
-    #: Shard each batched fleet step across this many forked worker
-    #: processes over shared-memory banks (:mod:`repro.parallel.stepshard`).
-    #: Purely an execution strategy: results are bit-identical for every
-    #: value.  1 = serial.
-    step_workers: int = 1
     #: Overlap chat model transfers with training (:mod:`repro.core.overlap`):
     #: the plan phase (handshake, selection, psi planning) stays synchronous
     #: at contact start, the model byte-transfer becomes a background
@@ -150,10 +145,10 @@ class TrainerBase:
             self._known_frames = (pool, len(pool))
         from repro.core.fleet import FleetEngine
 
-        #: The whole fleet as one batched parameter bank, the only way a
-        #: trainer takes a gradient step: a fleet the bank cannot hold
-        #: raises :class:`~repro.core.fleet.FleetIncompatible` here.
-        self.fleet = FleetEngine(nodes, step_workers=config.step_workers)
+        #: The fleet the nodes were born in, the only way a trainer takes
+        #: a gradient step: nodes it cannot step together raise
+        #: :class:`~repro.core.fleet.FleetIncompatible` here.
+        self.fleet = FleetEngine.of(nodes)
 
     # -- helpers subclasses use ------------------------------------------------
 

@@ -17,11 +17,11 @@ data-independent in size and linear-time, per Wang et al. (NeurIPS'21).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.dataset import DrivingDataset, Frame
+from repro.sim.dataset import DrivingDataset
 
 __all__ = ["Coreset", "layer_assignments", "allocate_layer_quotas", "build_coreset"]
 
@@ -34,13 +34,12 @@ class Coreset:
     """A weighted mini-dataset plus wire-size accounting.
 
     ``data`` is a :class:`DrivingDataset` whose per-frame weights are the
-    coreset weights ``w_C(d)``; ``source_weights`` preserves the original
-    ``w(d)`` of each selected sample (needed when a receiver absorbs the
-    coreset into its local dataset, where original weights apply).
+    coreset weights ``w_C(d)``.  A receiver absorbs the frames at the
+    local convention's weight 1 (§III-D), so the originals ``w(d)`` are
+    not carried.
     """
 
     data: DrivingDataset
-    source_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.data)
@@ -49,21 +48,6 @@ class Coreset:
     def nominal_bytes(self) -> int:
         """Transfer size at paper scale (~0.6 MB for 150 frames)."""
         return len(self.data) * FRAME_NOMINAL_BYTES
-
-    def frames_with_original_weights(self) -> list[Frame]:
-        """Frames carrying their original ``w(d)`` — for absorption.
-
-        The paper keeps original weights uniform across the expanded
-        dataset (§III-D), so receivers re-weight these to match their
-        local convention; exposing the originals keeps that explicit.
-        """
-        frames = self.data.frames()
-        if len(self.source_weights) != len(frames):
-            return frames
-        return [
-            Frame(f.frame_id, f.bev, f.command, f.waypoints, float(w))
-            for f, w in zip(frames, self.source_weights)
-        ]
 
 
 def layer_assignments(losses: np.ndarray) -> np.ndarray:
@@ -146,10 +130,7 @@ def build_coreset(
         raise ValueError(f"{losses.size} losses for {len(dataset)} samples")
     if target_size >= len(dataset):
         # Degenerate case: the dataset is already small enough.
-        return Coreset(
-            data=dataset.with_weights(dataset.weights),
-            source_weights=dataset.weights.copy(),
-        )
+        return Coreset(dataset.with_weights(dataset.weights))
 
     weights = dataset.weights
     layers = layer_assignments(losses)
@@ -181,7 +162,4 @@ def build_coreset(
     else:
         idx = np.zeros(0, dtype=np.int64)
         w_c_all = np.zeros(0)
-    return Coreset(
-        data=dataset.subset(idx, weights=w_c_all),
-        source_weights=weights[idx].astype(float),
-    )
+    return Coreset(dataset.subset(idx, weights=w_c_all))

@@ -21,24 +21,11 @@ def merge_coresets(a: Coreset, b: Coreset) -> Coreset:
     """Union of two coresets, keeping each sample's coreset weight.
 
     Duplicate frame ids (possible after repeat encounters) are kept
-    once — :class:`DrivingDataset` deduplicates on id.
+    once, with ``a``'s weight — :class:`DrivingDataset` deduplicates on id.
     """
     data = a.data.copy()
-    before = len(data)
-    kept_from_b = data.absorb_from(b.data)
-    source = np.concatenate(
-        [
-            a.source_weights
-            if len(a.source_weights) == before
-            else np.ones(before),
-            (b.source_weights if len(b.source_weights) == len(b.data) else np.ones(len(b.data)))[
-                :kept_from_b
-            ]
-            if kept_from_b
-            else np.zeros(0),
-        ]
-    )
-    return Coreset(data=data, source_weights=source)
+    data.absorb_from(b.data)
+    return Coreset(data)
 
 
 def reduce_coreset(

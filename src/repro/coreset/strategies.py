@@ -30,10 +30,7 @@ def _select(
     dataset: DrivingDataset, indices: np.ndarray, coreset_weights: np.ndarray
 ) -> Coreset:
     idx = np.asarray(indices, dtype=np.int64)
-    return Coreset(
-        data=dataset.subset(idx, weights=np.asarray(coreset_weights, dtype=float)),
-        source_weights=dataset.weights[idx],
-    )
+    return Coreset(dataset.subset(idx, weights=np.asarray(coreset_weights, dtype=float)))
 
 
 def uniform_coreset(
@@ -53,7 +50,7 @@ def uniform_coreset(
     if n == 0:
         raise ValueError("cannot build a coreset from an empty dataset")
     if target_size >= n:
-        return Coreset(dataset.with_weights(dataset.weights), dataset.weights.copy())
+        return Coreset(dataset.with_weights(dataset.weights))
     weights = dataset.weights
     probs = weights / weights.sum()
     indices = rng.choice(n, size=target_size, replace=False, p=probs)
@@ -79,7 +76,7 @@ def kmeans_coreset(
     if n == 0:
         raise ValueError("cannot build a coreset from an empty dataset")
     if target_size >= n:
-        return Coreset(dataset.with_weights(dataset.weights), dataset.weights.copy())
+        return Coreset(dataset.with_weights(dataset.weights))
     losses = np.asarray(losses, dtype=float)
     if losses.size != n:
         raise ValueError(f"{losses.size} losses for {n} samples")

@@ -37,13 +37,14 @@ from repro.baselines.dfl_dds import DflDdsConfig
 from repro.baselines.dp import DpConfig
 from repro.baselines.proxskip import ProxSkipConfig
 from repro.baselines.rsul import RsuLConfig
+from repro.core.fleet import FleetEngine
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.node import NodeConfig, VehicleNode
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.engine.metrics import TimeSeriesRecorder
 from repro.engine.random import spawn_rng
 from repro.experiments.configs import ExperimentScale
-from repro.nn import clone_model, make_driving_model
+from repro.nn import make_driving_model
 from repro.sim.dataset import DrivingDataset, collect_fleet_datasets
 from repro.sim.evaluate import DrivingCondition, EvalConfig, success_rate
 from repro.sim.map import TownMap
@@ -253,8 +254,14 @@ def register_context(context: ExperimentContext) -> None:
     _context_cache[context.scale.name] = context
 
 
-def make_nodes(context: ExperimentContext, seed: int = 1) -> list[VehicleNode]:
-    """Fresh nodes with identical model initializations (§II-A)."""
+def make_nodes(
+    context: ExperimentContext, seed: int = 1, *, step_workers: int = 1
+) -> list[VehicleNode]:
+    """Fresh nodes, born rows of one fleet from one initialisation (§II-A).
+
+    ``step_workers`` is where the fleet's bank lives (:class:`~repro.core.
+    fleet.FleetEngine`); results are bit-identical for every value.
+    """
     scale = context.scale
     node_config = NodeConfig(
         coreset_size=scale.coreset_size,
@@ -263,30 +270,17 @@ def make_nodes(context: ExperimentContext, seed: int = 1) -> list[VehicleNode]:
         penalty=scale.penalty,
         loss_cache_budget=scale.loss_cache_budget,
     )
-    nodes = []
-    # All vehicles share one deterministic initialization (fixed model
-    # seed), so draw the weights once and clone bit-identical copies —
-    # the trainer's fleet engine then re-homes them into one bank.
-    template = None
-    for vid, dataset in sorted(context.datasets.items()):
-        if template is None:
-            template = make_driving_model(
-                context.scale.bev.shape,
-                scale.n_waypoints,
-                scale.hidden,
-                seed=scale.model_seed,
-            )
-            model = template
-        else:
-            model = clone_model(template)
-        # Each node gets a *copy* of its dataset: trainers mutate them.
-        # The copy is row numbers over the context's frame pool, which a
-        # run reads and never adds to.
-        local = dataset.copy()
-        nodes.append(
-            VehicleNode(vid, model, local, node_config, spawn_rng(seed, f"node-{vid}"))
-        )
-    return nodes
+    template = make_driving_model(
+        scale.bev.shape, scale.n_waypoints, scale.hidden, seed=scale.model_seed
+    )
+    # Each node gets a *copy* of its dataset: trainers mutate them.  The
+    # copy is row numbers over the context's frame pool, which a run
+    # reads and never adds to.
+    members = [
+        (vid, dataset.copy(), spawn_rng(seed, f"node-{vid}"))
+        for vid, dataset in sorted(context.datasets.items())
+    ]
+    return list(FleetEngine(template, members, node_config, step_workers=step_workers).nodes)
 
 
 #: Trainer-config class per method name (ablations share LbChatConfig).
@@ -398,9 +392,12 @@ def prepare_trainer(
 
     Split out of :func:`run_method` so the checkpoint subsystem can
     build the identical trainer and then restore a snapshot into it
-    before running.
+    before running.  The spec's ``step_workers`` override goes to the
+    fleet's birth, every other one to the trainer's config.
     """
-    nodes = make_nodes(context, seed=spec.seed)
+    overrides = dict(spec.overrides)
+    step_workers = overrides.pop("step_workers", 1)
+    nodes = make_nodes(context, seed=spec.seed, step_workers=step_workers)
     node_overrides = {}
     if spec.coreset_size is not None:
         node_overrides["coreset_size"] = spec.coreset_size
@@ -416,7 +413,7 @@ def prepare_trainer(
         context,
         wireless=spec.wireless,
         seed=spec.seed,
-        overrides=spec.overrides,
+        overrides=overrides,
     )
     return nodes, trainer
 
@@ -460,9 +457,10 @@ def online_evaluate(
     )
     out: dict[str, list[float]] = {cond.value: [] for cond in conditions}
     for node in select_eval_nodes(result, context):
+        model = node.detached_model()
         for cond in conditions:
             rate = success_rate(
-                node.model, context.town, cond, scale.eval_trials, config, seed=seed
+                model, context.town, cond, scale.eval_trials, config, seed=seed
             )
             out[cond.value].append(100.0 * rate)
     return {key: float(np.mean(values)) for key, values in out.items()}

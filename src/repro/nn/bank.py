@@ -7,13 +7,12 @@ so one batched tensor op per layer trains or evaluates the whole fleet;
 it is the only forward and the only gradient step a run has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
-  float32 matrix (plus a twin for gradients).  A vehicle's parameters
-  are a bank row from birth: :class:`~repro.core.node.VehicleNode` puts
-  its model into a one-row bank of its own, and the fleet engine
-  re-homes it into the fleet's.  :meth:`ParamBank.adopt` rebinds the
-  model's :class:`~repro.nn.params.Parameter` objects to views into the
-  row, so ``set_flat_params``, chat aggregation, compression and
-  checkpoints read and write the bank itself — there is nothing to copy.
+  float32 matrix (plus a twin for gradients), laid out after a template
+  model.  A vehicle's parameters are a bank row from birth and nowhere
+  else: :class:`~repro.core.fleet.FleetEngine` writes the template into
+  every row and hands each :class:`~repro.core.node.VehicleNode` its
+  row, so chat aggregation, compression and checkpoints read and write
+  the bank itself — there is nothing to copy.
 * :class:`FleetWaypointNet` mirrors the per-node network with batched
   layers: stacked GEMMs (``np.matmul`` over a leading node axis) for
   :class:`FleetLinear`, im2col plus one batched GEMM for
@@ -27,8 +26,9 @@ it is the only forward and the only gradient step a run has:
   :meth:`FleetAdam.node_snapshot` / :meth:`FleetAdam.node_restore`.
 
 Bit-identity notes, against the single-vehicle reference
-(``WaypointNet.forward`` and ``VehicleNode.train_step``, which
-``tests/test_nn_bank.py`` holds the bank to): a one-row forward equals
+(``WaypointNet.forward`` and ``VehicleNode.train_step``, which runs on a
+detached copy of the row; ``tests/test_nn_bank.py`` holds the bank to
+both): a one-row forward equals
 ``WaypointNet.forward`` to the bit, MLP or conv, at any batch size.
 Stacked ``matmul`` runs the *same-shaped* GEMM per node, so MLP-trunk
 forward/backward/Adam match the reference step bit-for-bit.  Head and
@@ -43,8 +43,7 @@ import numpy as np
 
 from repro.nn._fused import fused_adam_step
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
-from repro.nn.model import N_COMMANDS, WaypointNet
-from repro.nn.params import Parameter
+from repro.nn.model import WaypointNet
 
 def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     """Default bank allocator: ordinary zeroed process memory."""
@@ -65,10 +64,12 @@ __all__ = [
 class ParamBank:
     """All nodes' parameters as one ``(n_nodes, n_params)`` float32 bank.
 
-    The layout matches :func:`~repro.nn.params.get_flat_params`: within a
-    row, parameters appear in ``model.parameters()`` order, each raveled
-    C-style.  ``views[k]``/``grad_views[k]`` expose parameter ``k`` of
-    every node as a ``(n_nodes, *shape)`` view into the bank.
+    The layout is ``template``'s and matches :func:`~repro.nn.params.
+    get_flat_params`: within a row, parameters appear in
+    ``template.parameters()`` order, each raveled C-style, so a row
+    written from (or into) a model of that layout is the model.  The
+    bank starts zeroed; ``views[k]``/``grad_views[k]`` expose parameter
+    ``k`` of every node as a ``(n_nodes, *shape)`` view into the bank.
 
     ``allocator`` controls where the backing matrices live: the default
     is ordinary process-private memory; the step-worker pool passes a
@@ -105,6 +106,16 @@ class ParamBank:
             )
             offset += size
 
+    def __getstate__(self):
+        # Pickled, a view is a copy: the views are taken again on arrival.
+        state = self.__dict__.copy()
+        del state["views"], state["grad_views"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._build_views()
+
     def slice_rows(self, lo: int, hi: int) -> "ParamBank":
         """A zero-copy bank over rows ``[lo, hi)`` of this bank.
 
@@ -124,39 +135,6 @@ class ParamBank:
         bank.grad_flat = self.grad_flat[lo:hi]
         bank._build_views()
         return bank
-
-    @classmethod
-    def from_models(cls, models: list) -> "ParamBank":
-        """Build a bank sized for ``models`` and adopt each one as a row."""
-        bank = cls(models[0], len(models))
-        for row, model in enumerate(models):
-            bank.adopt(row, model)
-        return bank
-
-    def _check_compatible(self, model) -> list[Parameter]:
-        params = model.parameters()
-        shapes = [p.data.shape for p in params]
-        expected = [shape for _, shape in self.specs]
-        if shapes != expected:
-            raise ValueError(
-                f"model parameter shapes {shapes} do not match bank layout {expected}"
-            )
-        return params
-
-    def adopt(self, row: int, model) -> None:
-        """Copy a model's parameters into row ``row`` and rebind its
-        :class:`Parameter` objects to bank views.
-
-        After adoption, ``p.data``/``p.grad`` are contiguous views into
-        the bank, so in-place per-node code (``set_flat_params``, chat
-        merges, ``zero_grad``) and the batched engine share storage.
-        """
-        params = self._check_compatible(model)
-        for p, view, grad_view in zip(params, self.views, self.grad_views):
-            view[row] = p.data
-            grad_view[row] = p.grad
-            p.data = view[row]
-            p.grad = grad_view[row]
 
     def row_view(self, row: int) -> np.ndarray:
         """Read-only flat view of one node's parameters (zero-copy)."""

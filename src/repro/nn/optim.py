@@ -37,9 +37,9 @@ class Adam:
     The paper trains the driving model with lr 1e-4, the default here.
 
     The statement of the update that :class:`~repro.nn.bank.FleetAdam`
-    (kernel and numpy fallback) is held to bit-for-bit, and the examples'
-    optimizer.  A trainer's fleet imports its *state* into the bank at
-    construction and never calls :meth:`step`.
+    (kernel and numpy fallback) is held to bit-for-bit: the optimizer of
+    the reference step ``VehicleNode.train_step`` and of the examples.
+    No run constructs one.
     """
 
     def __init__(

@@ -83,7 +83,7 @@ def _build_probe_engine(step_workers: int, seed: int = 0):
     """A FleetEngine over a synthetic homogeneous fleet (probe workload)."""
     # Imported lazily: repro.core.fleet imports this package.
     from repro.core.fleet import FleetEngine
-    from repro.core.node import NodeConfig, VehicleNode
+    from repro.core.node import NodeConfig
     from repro.engine.random import spawn_rng
     from repro.nn import make_driving_model
     from repro.sim.dataset import DrivingDataset, Frame
@@ -94,7 +94,7 @@ def _build_probe_engine(step_workers: int, seed: int = 0):
     config = NodeConfig(
         coreset_size=2 * batch_size, learning_rate=1e-3, batch_size=batch_size
     )
-    nodes = []
+    members = []
     for i in range(_PROBE["n_nodes"]):
         rng = np.random.default_rng(seed * 1000 + i)
         frames = [
@@ -107,18 +107,9 @@ def _build_probe_engine(step_workers: int, seed: int = 0):
             )
             for k in range(2 * batch_size)
         ]
-        nodes.append(
-            VehicleNode(
-                f"probe-{i}",
-                make_driving_model(
-                    bev_shape, n_waypoints, hidden=_PROBE["hidden"], seed=i
-                ),
-                DrivingDataset(frames),
-                config,
-                spawn_rng(seed, f"autotune-{i}"),
-            )
-        )
-    return FleetEngine(nodes, step_workers=step_workers)
+        members.append((f"probe-{i}", DrivingDataset(frames), spawn_rng(seed, f"autotune-{i}")))
+    template = make_driving_model(bev_shape, n_waypoints, hidden=_PROBE["hidden"], seed=0)
+    return FleetEngine(template, members, config, step_workers=step_workers)
 
 
 def measure_step_throughput(

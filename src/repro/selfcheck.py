@@ -255,11 +255,15 @@ def _registry_of_three_runs(runner: "Runner", check: Check, scratch: Path) -> Ru
 def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
     """Four synthetic nodes take three lock-step batched steps and one
     batched validation pass: pins the fleet forward/backward/Adam path
-    and the slot-based loss cache without needing a world."""
+    and the slot-based loss cache without needing a world.
+
+    The row was recorded with a distinct initialisation per node, so
+    each row is re-initialised after birth and builds its first coreset
+    again from a fresh RNG."""
     from repro.core.fleet import FleetEngine
-    from repro.core.node import NodeConfig, VehicleNode
+    from repro.core.node import NodeConfig
     from repro.engine.random import spawn_rng
-    from repro.nn import make_driving_model
+    from repro.nn import get_flat_params, make_driving_model
     from repro.sim.dataset import DrivingDataset, Frame
 
     bev_shape, n_waypoints = (4, 8, 8), 3
@@ -279,18 +283,20 @@ def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
             ]
         )
 
+    def model(seed: int):
+        return make_driving_model(bev_shape, n_waypoints, hidden=16, seed=seed)
+
+    def rng(i: int):
+        return spawn_rng(5, f"fleet-smoke-{i}")
+
     config = NodeConfig(coreset_size=20, learning_rate=1e-3, batch_size=16)
-    nodes = [
-        VehicleNode(
-            f"smoke{i}",
-            make_driving_model(bev_shape, n_waypoints, hidden=16, seed=i),
-            make_dataset(100 + i, 40),
-            config,
-            spawn_rng(5, f"fleet-smoke-{i}"),
-        )
-        for i in range(4)
-    ]
-    engine = FleetEngine(nodes)
+    members = [(f"smoke{i}", make_dataset(100 + i, 40), rng(i)) for i in range(4)]
+    engine = FleetEngine(model(0), members, config)
+    nodes = engine.nodes
+    for i, node in enumerate(nodes):
+        node.replace_model_params(get_flat_params(model(i)))
+        node.rng = rng(i)
+        node.refresh_coreset()
     losses = [engine.train_step_all() for _ in range(3)]
     values = engine.evaluate_fleet(make_dataset(99, 25))
     params = b"".join(

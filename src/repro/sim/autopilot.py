@@ -374,9 +374,8 @@ class ModelPilot:
     model:
         A trained :class:`~repro.nn.model.WaypointNet`.  The pilot drives
         a copy of its parameters, taken here, in a one-row
-        :class:`~repro.nn.bank.ParamBank` of its own: the model (a
-        vehicle's, a row of its fleet's bank) is never re-homed.  Any
-        other object with a ``forward(bev, commands)`` (a scripted
+        :class:`~repro.nn.bank.ParamBank` of its own, so the model (a
+        vehicle's detached copy) may change afterwards.  Any other object with a ``forward(bev, commands)`` (a scripted
         stand-in in the scenario tests) is queried as it is.
     plan:
         The navigation route (supplies the high-level command and the

@@ -14,6 +14,7 @@ pin_blas_threads()  # recorded goldens are single-thread GEMM results
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from repro.core.fleet import FleetEngine
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
 from repro.nn import make_driving_model
@@ -81,21 +82,29 @@ def model():
     return make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=32, seed=0)
 
 
-def make_node(
-    node_id: str,
-    dataset: DrivingDataset,
+def make_fleet(
+    datasets: dict[str, DrivingDataset],
     coreset_size: int = 12,
     seed: int = 5,
+    step_workers: int = 1,
     **config_overrides,
-) -> VehicleNode:
-    """Build a node with a small model over a copy of ``dataset``."""
+) -> list[VehicleNode]:
+    """Nodes born in one fleet of a small model, one per ``datasets``
+    entry in id order, each over a copy of its dataset."""
     config = NodeConfig(
         coreset_size=coreset_size, learning_rate=1e-3, **config_overrides
     )
-    model = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=32, seed=0)
-    return VehicleNode(
-        node_id, model, DrivingDataset(dataset.frames()), config, spawn_rng(seed, node_id)
-    )
+    template = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=32, seed=0)
+    members = [
+        (node_id, DrivingDataset(dataset.frames()), spawn_rng(seed, node_id))
+        for node_id, dataset in sorted(datasets.items())
+    ]
+    return list(FleetEngine(template, members, config, step_workers=step_workers).nodes)
+
+
+def make_node(node_id: str, dataset: DrivingDataset, **kwargs) -> VehicleNode:
+    """A one-row fleet's node (:func:`make_fleet`'s arguments)."""
+    return make_fleet({node_id: dataset}, **kwargs)[0]
 
 
 @pytest.fixture()

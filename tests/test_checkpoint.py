@@ -185,10 +185,10 @@ class TestOptimizerSnapshots:
         included, its own step count and moments."""
         from repro.baselines.local_only import LocalOnlyTrainer
         from repro.core.trainer_base import TrainerConfig
-        from tests.conftest import make_node
+        from tests.conftest import make_fleet
 
         def trainer():
-            nodes = [make_node(vid, data) for vid, data in sorted(fleet_datasets.items())]
+            nodes = make_fleet(fleet_datasets)
             return LocalOnlyTrainer(nodes, traces, fleet_datasets["v0"], TrainerConfig(duration=30.0))
 
         first = trainer()

@@ -69,7 +69,7 @@ def digest(result):
         tuple(sorted(result.counters.items())),
         tuple(node.flat_params.tobytes() for node in result.nodes),
         tuple(tuple(node.dataset.ids) for node in result.nodes),
-        tuple(node.coreset.source_weights.tobytes() for node in result.nodes),
+        tuple(node.coreset.data.weights.tobytes() for node in result.nodes),
     )
 
 

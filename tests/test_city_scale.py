@@ -187,7 +187,8 @@ class TestShardedSpatialGrid:
 
 class TestBoundedBudgets:
     def _node(self, budget, n_frames=40):
-        from repro.core.node import NodeConfig, VehicleNode
+        from repro.core.fleet import FleetEngine
+        from repro.core.node import NodeConfig
         from repro.engine.random import spawn_rng
         from repro.nn import make_driving_model
         from repro.sim.dataset import DrivingDataset, Frame
@@ -206,9 +207,8 @@ class TestBoundedBudgets:
         ]
         config = NodeConfig(coreset_size=8, loss_cache_budget=budget)
         model = make_driving_model(bev_shape, n_waypoints, hidden=16, seed=0)
-        return VehicleNode(
-            "budget", model, DrivingDataset(frames), config, spawn_rng(7, "budget")
-        )
+        member = ("budget", DrivingDataset(frames), spawn_rng(7, "budget"))
+        return FleetEngine(model, [member], config).nodes[0]
 
     def test_loss_cache_never_exceeds_budget_over_long_run(self):
         node = self._node(budget=16, n_frames=48)

@@ -29,7 +29,8 @@ class FakeResult:
         from repro.nn import make_driving_model
 
         class Node:
-            model = make_driving_model((3, 8, 8), 4, 16, seed=0)
+            def detached_model(self):
+                return make_driving_model((3, 8, 8), 4, 16, seed=0)
 
         self.nodes = [Node()]
 

@@ -173,7 +173,6 @@ def node_state(node):
         node.model_version,
         (node.dataset.ids, node.dataset.weights.tolist()),
         (node.coreset.data.ids, node.coreset.data.weights.tolist()),
-        node.coreset.source_weights.tolist(),
         node.rng.random(),
     )
 

@@ -76,12 +76,9 @@ class TestTrainerIntegration:
     def test_lbchat_populates_log(self, fleet_datasets, traces):
         from repro.core.lbchat import LbChatConfig, LbChatTrainer
         from repro.sim.dataset import DrivingDataset
-        from tests.conftest import make_node
+        from tests.conftest import make_fleet
 
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=13)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=13)
         validation = DrivingDataset(
             [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
         )

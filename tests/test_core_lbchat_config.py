@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.sim.dataset import DrivingDataset
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 
 @pytest.fixture()
@@ -13,10 +13,7 @@ def setup(fleet_datasets, traces):
     validation = DrivingDataset()
     for dataset in fleet_datasets.values():
         validation.extend([dataset.frame(i) for i in range(0, len(dataset), 10)])
-    nodes = [
-        make_node(vid, ds, coreset_size=8, seed=4)
-        for vid, ds in sorted(fleet_datasets.items())
-    ]
+    nodes = make_fleet(fleet_datasets, coreset_size=8, seed=4)
     return nodes, traces, validation
 
 

@@ -48,7 +48,7 @@ class TestLossCache:
         full = node.per_sample_losses(node.dataset)
         direct = []
         bev, cmds, tgts, _ = node.dataset.arrays()
-        pred = node.model.forward(bev, cmds)
+        pred = node.detached_model().forward(bev, cmds)
         from repro.nn import waypoint_l1
 
         _, per, _ = waypoint_l1(pred, tgts)
@@ -63,7 +63,7 @@ class TestEvaluate:
 
     def test_evaluate_model_on_matches_self(self, node):
         a = node.evaluate(node.coreset.data, with_penalty=True)
-        b = node.evaluate_model_on(node.model, node.coreset.data)
+        b = node.evaluate_model_on(node.detached_model(), node.coreset.data)
         assert a == pytest.approx(b, rel=1e-5)
 
 

@@ -7,15 +7,12 @@ from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.selection import select_longest_contact, select_priority, select_random
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 
 @pytest.fixture()
 def trainer(fleet_datasets, traces):
-    nodes = [
-        make_node(vid, ds, coreset_size=8, seed=15)
-        for vid, ds in sorted(fleet_datasets.items())
-    ]
+    nodes = make_fleet(fleet_datasets, coreset_size=8, seed=15)
     validation = DrivingDataset(
         [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
     )
@@ -75,10 +72,7 @@ class TestPolicies:
         falls back to the longest reachable contact."""
         # An absurdly large nominal model makes every exchange infeasible
         # within any contact window -> z = 0 -> score = 0 for everyone.
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=15, nominal_model_bytes=10**14)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=15, nominal_model_bytes=10**14)
         # A convoy: all four vehicles drive together 100 m apart, so every
         # pair stays in radio range for the whole trace.
         times = np.arange(0.0, 300.0, 5.0)

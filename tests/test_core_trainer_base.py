@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.sim.dataset import DrivingDataset
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 
 @pytest.fixture()
@@ -13,10 +13,7 @@ def base(fleet_datasets, traces):
     validation = DrivingDataset(
         [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
     )
-    nodes = [
-        make_node(vid, ds, coreset_size=8, seed=7)
-        for vid, ds in sorted(fleet_datasets.items())
-    ]
+    nodes = make_fleet(fleet_datasets, coreset_size=8, seed=7)
     config = TrainerConfig(duration=50.0, train_interval=5.0, seed=1)
     return TrainerBase(nodes, traces, validation, config)
 

@@ -56,7 +56,7 @@ class TestPsiLossMap:
 
     def test_build_map_decreasing_overall(self, node):
         psi_map = build_psi_map(
-            node.model,
+            node.detached_model(),
             lambda probe: node.evaluate_model_on(probe, node.coreset.data),
             node.config.nominal_model_bytes,
         )
@@ -66,13 +66,14 @@ class TestPsiLossMap:
     def test_build_map_restores_model(self, node):
         from repro.nn.params import get_flat_params
 
-        before = get_flat_params(node.model).copy()
+        model = node.detached_model()
+        before = get_flat_params(model).copy()
         build_psi_map(
-            node.model,
+            model,
             lambda probe: node.evaluate_model_on(probe, node.coreset.data),
             node.config.nominal_model_bytes,
         )
-        assert np.array_equal(get_flat_params(node.model), before)
+        assert np.array_equal(get_flat_params(model), before)
 
 
 def flat_maps(loss_at_one=1.0, loss_at_min=3.0):

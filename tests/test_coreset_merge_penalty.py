@@ -41,10 +41,23 @@ class TestMerge:
         merged = merge_coresets(a, a)
         assert len(merged) == len(a)
 
-    def test_source_weights_length(self, two_coresets):
-        a, b = two_coresets
-        merged = merge_coresets(a, b)
-        assert len(merged.source_weights) == len(merged)
+    def test_a_duplicate_mid_b_leaves_every_weight_on_its_frame(self):
+        """``b``'s frames after a duplicate keep their own weights, and
+        the duplicate keeps ``a``'s."""
+        from repro.coreset import Coreset
+        from repro.sim.dataset import DrivingDataset, Frame
+
+        def coreset(weights: dict[str, float]) -> Coreset:
+            bev, waypoints = np.zeros((2, 3, 3), np.float32), np.zeros(4, np.float32)
+            return Coreset(
+                DrivingDataset([Frame(fid, bev, 0, waypoints, w) for fid, w in weights.items()])
+            )
+
+        merged = merge_coresets(
+            coreset({"f0": 10.0, "f1": 11.0}), coreset({"f1": 21.0, "f2": 22.0, "f3": 23.0})
+        )
+        assert merged.data.ids == ["f0", "f1", "f2", "f3"]
+        assert merged.data.weights.tolist() == [10.0, 11.0, 22.0, 23.0]
 
 
 class TestReduce:

@@ -42,7 +42,7 @@ class TestUniform:
     def test_approximates_loss(self, node, losses):
         errs = [
             relative_coreset_error(
-                node.model,
+                node.detached_model(),
                 node.dataset,
                 uniform_coreset(node.dataset, losses, 30, np.random.default_rng(s)),
             )
@@ -63,7 +63,7 @@ class TestKmeans:
     def test_approximates_loss(self, node, losses):
         errs = [
             relative_coreset_error(
-                node.model,
+                node.detached_model(),
                 node.dataset,
                 kmeans_coreset(node.dataset, losses, 30, np.random.default_rng(s)),
             )
@@ -84,8 +84,8 @@ class TestRegistry:
             )
             assert len(coreset) > 0
             # Every strategy produces a usable loss estimate.
-            full = weighted_dataset_loss(node.model, node.dataset)
-            approx = weighted_dataset_loss(node.model, coreset.data)
+            full = weighted_dataset_loss(node.detached_model(), node.dataset)
+            approx = weighted_dataset_loss(node.detached_model(), coreset.data)
             assert abs(approx - full) / full < 1.0
 
     def test_unknown_strategy(self, node, losses):

@@ -72,14 +72,15 @@ class TestEmpiricalEstimates:
     def test_lipschitz_positive_and_restores(self, node):
         from repro.nn.params import get_flat_params
 
-        before = get_flat_params(node.model).copy()
+        model = node.detached_model()
+        before = get_flat_params(model).copy()
         alpha = estimate_lipschitz(
-            node.model,
+            model,
             lambda m: node.evaluate_model_on(m, node.coreset.data),
             n_probes=4,
         )
         assert alpha > 0
-        assert np.array_equal(get_flat_params(node.model), before)
+        assert np.array_equal(get_flat_params(model), before)
 
     def test_loss_infimum_mean(self):
         assert loss_infimum_term(np.array([1.0, 3.0])) == 2.0

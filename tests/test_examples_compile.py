@@ -1,20 +1,51 @@
 """Every example must at least parse, import cleanly and build its world.
 
-Full example runs take minutes; these tests catch bit-rot (renamed
-APIs, bad imports, a world whose routes cannot be drawn) cheaply by
-compiling each file under ``examples/``, resolving its imports and
-constructing every ``World`` it configures, without executing ``main()``.
+The examples that build nodes themselves (a few seconds each) run to
+completion.  The rest take minutes; these tests catch their bit-rot
+(renamed APIs, bad imports, a world whose routes cannot be drawn)
+cheaply by compiling each file under ``examples/``, resolving its
+imports and constructing every ``World`` it configures, without
+executing ``main()``.
 """
 
 import ast
 import importlib
 import py_compile
+import runpy
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).parent.parent
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+#: The examples that build a fleet of nodes by hand, run end to end.
+RUN_TO_COMPLETION = ("coreset_playground.py", "finetune_pretrained.py", "quickstart.py")
+
+
+@pytest.mark.parametrize("name", RUN_TO_COMPLETION)
+def test_example_runs(name, capsys):
+    runpy.run_path(str(REPO / "examples" / name), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def _calls(tree, names):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names
+    ]
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_a_library_run_pins_blas_first(path):
+    """``python -m repro`` pins GEMM threads itself; a script calling
+    ``run_method`` or ``produce`` must, or its digests follow the host."""
+    tree = ast.parse(path.read_text())
+    if not _calls(tree, {"run_method", "produce"}):
+        return
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    first = main.body[0]
+    assert _calls(first, {"pin_blas_threads"}), f"{path.name}: main() must pin BLAS first"
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
@@ -43,11 +74,7 @@ def test_example_imports_resolve(path):
 
 def _world_configs(path):
     """Keyword arguments of every ``WorldConfig(...)`` call an example makes."""
-    calls = [
-        node
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WorldConfig"
-    ]
+    calls = _calls(ast.parse(path.read_text()), {"WorldConfig"})
     return [{kw.arg: ast.literal_eval(kw.value) for kw in call.keywords} for call in calls]
 
 

@@ -13,19 +13,12 @@ from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.net import ChannelConfig, WirelessModel
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
-from tests.conftest import make_node
+from tests.conftest import make_fleet, make_node
 
 
 @pytest.fixture()
 def validation(fleet_datasets):
     return DrivingDataset([fleet_datasets["v0"].frame(i) for i in range(0, 40, 8)])
-
-
-def make_fleet(fleet_datasets, **overrides):
-    return [
-        make_node(vid, ds, coreset_size=8, seed=2, **overrides)
-        for vid, ds in sorted(fleet_datasets.items())
-    ]
 
 
 class TestDeadChannel:
@@ -45,7 +38,7 @@ class TestDeadChannel:
 
     def test_total_loss_channel_trainer_survives(self, fleet_datasets, traces, validation):
         """Every link at 100% loss: pure local training, no crash."""
-        nodes = make_fleet(fleet_datasets)
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=2)
         config = LbChatConfig(
             duration=60.0, train_interval=3.0, record_interval=30.0, seed=1
         )
@@ -99,7 +92,7 @@ class TestLonelyFleet:
         assert trainer.fleet.step_events == trainer.counters.get("train_steps")
 
     def test_zero_range_disables_encounters(self, fleet_datasets, traces, validation):
-        nodes = make_fleet(fleet_datasets)
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=2)
         config = LbChatConfig(
             duration=60.0, train_interval=3.0, record_interval=30.0, seed=1, max_range=0.0
         )
@@ -148,7 +141,7 @@ class TestTraceEdgeCases:
 
     def test_trainer_duration_beyond_traces(self, fleet_datasets, traces, validation):
         """Traces shorter than the training horizon: clamped, no crash."""
-        nodes = make_fleet(fleet_datasets)
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=2)
         config = LbChatConfig(
             duration=traces.duration + 50.0,
             train_interval=5.0,

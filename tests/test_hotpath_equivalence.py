@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.fleet import FleetEngine
 from repro.core.node import NodeConfig, VehicleNode
 from repro.engine.random import spawn_rng
 from repro.nn import make_driving_model
@@ -57,11 +58,11 @@ def make_synthetic_dataset(n: int = 500) -> DrivingDataset:
 
 
 def make_synthetic_node(dataset: DrivingDataset) -> VehicleNode:
+    """A one-row fleet's node."""
     model = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=48, seed=0)
     config = NodeConfig(coreset_size=50, learning_rate=1e-3)
-    return VehicleNode(
-        "bench", model, DrivingDataset(dataset.frames()), config, spawn_rng(7, "bench")
-    )
+    member = ("bench", DrivingDataset(dataset.frames()), spawn_rng(7, "bench"))
+    return FleetEngine(model, [member], config).nodes[0]
 
 
 def _sample_batch_record(dataset: DrivingDataset) -> dict:
@@ -233,7 +234,7 @@ class TestLossCacheBounded:
             node.per_sample_losses(node.dataset.subset(range(0, len(node.dataset), 3)))
             # ...and an absorbed peer coreset grows the dataset itself.
             peer = self._foreign(f"peer{round_idx}", rng, n=20)
-            node.absorb_coreset(Coreset(data=peer, source_weights=peer.weights))
+            node.absorb_coreset(Coreset(peer))
             node.train_step()
             node.refresh_coreset()
             assert node.loss_cache_size <= len(node.dataset)

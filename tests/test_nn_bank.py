@@ -2,13 +2,15 @@
 
 The load-bearing guarantees tested here:
 
-* adopting a model into a :class:`ParamBank` rebinds its parameters to
-  bank views (zero-copy scatter/gather bridge);
+* a fleet is born in one :class:`ParamBank`: the template in every row,
+  each node a row and nothing else (a standalone model is a detached
+  copy);
 * the batched forward/backward matches per-node layers numerically,
   with finite-difference checks on the analytic gradients;
 * a fleet trained through :class:`FleetEngine` is *bit-identical* to the
-  same nodes trained per-node in lock-step (MLP trunk), including after
-  a staggered snapshot/restore that desynchronizes step counters;
+  same fleet's nodes each taking the per-node reference step in
+  lock-step (MLP trunk), including after a staggered snapshot/restore
+  that desynchronizes step counters;
 * the fused C Adam kernel, the chunked numpy fallback and per-node
   ``Adam.step`` produce byte-identical parameters and moments, on
   adversarial values and through every entry (lock-step, staggered,
@@ -33,12 +35,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.checkpoint.state import FrameTable
-from repro.core.fleet import FleetEngine
-from repro.core.node import NodeConfig, VehicleNode
+from repro.core.fleet import FleetEngine, FleetIncompatible
+from repro.core.node import NodeConfig
 from repro.engine.random import spawn_rng
 from repro.nn import Adam, FleetAdam, FleetWaypointNet, ParamBank, make_driving_model
 from repro.nn import _fused
 from repro.nn.bank import FleetLinear
+from repro.nn.layers import Module
 from repro.nn.params import Parameter, get_flat_params
 from repro.sim.dataset import DrivingDataset, Frame
 
@@ -62,53 +65,56 @@ def make_dataset(seed: int, n_frames: int) -> DrivingDataset:
     )
 
 
-def build_nodes(n_nodes: int = 4, use_conv: bool = False) -> list[VehicleNode]:
-    config = NodeConfig(coreset_size=10, learning_rate=1e-3, batch_size=8)
-    return [
-        VehicleNode(
-            f"v{i}",
-            make_driving_model(
-                BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=i, use_conv=use_conv
-            ),
-            make_dataset(100 + i, 30),
-            config,
-            spawn_rng(5, f"bank-{i}"),
-        )
-        for i in range(n_nodes)
+CONFIG = NodeConfig(coreset_size=10, learning_rate=1e-3, batch_size=8)
+
+
+def build_fleet(n_nodes: int = 4, use_conv: bool = False, step_workers: int = 1) -> FleetEngine:
+    template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=0, use_conv=use_conv)
+    members = [
+        (f"v{i}", make_dataset(100 + i, 30), spawn_rng(5, f"bank-{i}")) for i in range(n_nodes)
     ]
+    return FleetEngine(template, members, CONFIG, step_workers=step_workers)
 
 
-def fleet_params(nodes: list[VehicleNode]) -> np.ndarray:
-    return np.concatenate([node.flat_params for node in nodes])
+def bank_of(models: list) -> ParamBank:
+    """A bank whose row ``k`` holds ``models[k]``'s parameters."""
+    bank = ParamBank(models[0], len(models))
+    for row, model in enumerate(models):
+        bank.flat[row] = get_flat_params(model)
+    return bank
+
+
+def fleet_params(fleet: FleetEngine) -> np.ndarray:
+    return np.concatenate([node.flat_params for node in fleet.nodes])
 
 
 class TestParamBank:
-    def test_adopt_rebinds_to_views(self):
-        models = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=s) for s in (0, 1)]
-        originals = [get_flat_params(m).copy() for m in models]
-        bank = ParamBank.from_models(models)
-        for row, (model, flat) in enumerate(zip(models, originals)):
-            assert np.array_equal(bank.flat[row], flat.astype(np.float32))
-            for p in model.parameters():
-                assert p.data.base is bank.flat
-        # Mutating through the node-side view is visible in the bank.
-        models[0].parameters()[0].data[...] = 7.0
-        assert np.all(bank.views[0][0] == 7.0)
+    def test_birth_writes_the_template_into_every_row(self):
+        fleet = build_fleet(n_nodes=3)
+        template = get_flat_params(fleet.template)
+        for row, node in enumerate(fleet.nodes):
+            assert (node.fleet, node.row) == (fleet, row)
+            assert np.array_equal(fleet.bank.flat[row], template)
+        # The per-layer views are the bank itself.
+        fleet.bank.flat[0, 0] = 7.0
+        assert fleet.bank.views[0][0].flat[0] == 7.0
 
     def test_a_vehicle_is_a_bank_row_from_birth(self):
-        nodes = build_nodes(n_nodes=2)
-        first_param = nodes[0].model.parameters()[0].data
-        assert np.shares_memory(nodes[0].flat_params, first_param)  # its own one-row bank
-        before = nodes[0].flat_params.copy()
-        engine = FleetEngine(nodes)
-        for row, node in enumerate(nodes):  # re-homed, net and all
-            fleet_row = engine.bank.flat[row]
-            assert np.shares_memory(node.flat_params, fleet_row)
-            assert all(np.shares_memory(p.data, fleet_row) for p in node.model.parameters())
-            assert np.shares_memory(node._net.bank.flat, fleet_row)
-        assert np.array_equal(nodes[0].flat_params, before)
-        with pytest.raises(RuntimeError, match="the fleet steps it"):
-            nodes[0].train_step()
+        fleet = build_fleet(n_nodes=2)
+        for row, node in enumerate(fleet.nodes):
+            assert np.shares_memory(node.flat_params, fleet.bank.flat[row])
+            assert not any(hasattr(node, name) for name in ("model", "optimizer", "bind_bank"))
+        node, other = fleet.nodes
+        detached = node.detached_model()
+        assert np.array_equal(get_flat_params(detached), node.flat_params)
+        assert not any(np.shares_memory(p.data, fleet.bank.flat) for p in detached.parameters())
+        # The reference step moves its own row and Adam row, nothing else.
+        before, template = other.flat_params.copy(), get_flat_params(fleet.template)
+        node.train_step()
+        assert fleet.optim.steps.tolist() == [1, 0]
+        assert not np.array_equal(node.flat_params, before)
+        assert np.array_equal(other.flat_params, before)
+        assert np.array_equal(get_flat_params(fleet.template), template)
 
     def test_row_view_read_only(self):
         bank = ParamBank(make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=0), 2)
@@ -116,11 +122,35 @@ class TestParamBank:
         with pytest.raises(ValueError):
             view[0] = 1.0
 
-    def test_incompatible_model_rejected(self):
-        bank = ParamBank(make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=0), 2)
-        other = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=16, seed=0)
-        with pytest.raises(ValueError):
-            bank.adopt(0, other)
+    def test_a_module_the_bank_cannot_stack_is_refused_at_birth(self):
+        class Identity(Module):
+            def forward(self, x):
+                return x
+
+        template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=0)
+        template.trunk.modules.append(Identity())
+        with pytest.raises(FleetIncompatible, match="trunk module Identity"):
+            FleetEngine(template, [("v0", make_dataset(100, 30), spawn_rng(5, "v0"))], CONFIG)
+
+    def test_a_pickled_fleet_is_its_banks_and_nodes(self):
+        """A run's result crosses processes with its nodes' fleet: the
+        views are taken again on arrival, and no step worker travels."""
+        import pickle
+
+        fleet = build_fleet(n_nodes=3, step_workers=2)
+        try:
+            fleet.train_step_all()
+            copied = pickle.loads(pickle.dumps(fleet))
+        finally:
+            fleet.close()
+        assert copied._pool is None and copied._bank_arena is None
+        assert np.array_equal(copied.bank.flat, fleet.bank.flat)
+        for node in copied.nodes:
+            assert node.fleet is copied
+            assert np.shares_memory(node.flat_params, copied.bank.flat)
+            assert all(np.shares_memory(view, copied.bank.flat) for view in copied.bank.views)
+        validation = make_dataset(99, 20)
+        assert np.array_equal(copied.evaluate_fleet(validation), fleet.evaluate_fleet(validation))
 
 
 class TestFleetForward:
@@ -136,7 +166,7 @@ class TestFleetForward:
         expected = np.stack(
             [m.forward(bev[i], commands[i]) for i, m in enumerate(models)]
         )
-        bank = ParamBank.from_models(models)
+        bank = bank_of(models)
         fleet = FleetWaypointNet(bank, models[0])
         out = fleet.forward(bev, commands)
         assert out.dtype == np.float32
@@ -148,7 +178,7 @@ class TestFleetForward:
         bev = rng.normal(size=(6, *BEV_SHAPE)).astype(np.float32)
         commands = rng.integers(0, 4, size=6)
         expected = np.stack([m.forward(bev, commands) for m in models])
-        bank = ParamBank.from_models(models)
+        bank = bank_of(models)
         fleet = FleetWaypointNet(bank, models[0])
         out = fleet.forward(bev, commands)
         np.testing.assert_allclose(out, expected, atol=1e-6)
@@ -167,7 +197,7 @@ class TestFleetForward:
         models = [
             make_driving_model(bev_shape, 5, hidden, seed=s, use_conv=use_conv) for s in (0, 1, 2)
         ]
-        bank = ParamBank.from_models(models)
+        bank = bank_of(models)
         net = FleetWaypointNet(bank.slice_rows(1, 2), models[1])
         rng = np.random.default_rng(batch)
         bev = rng.normal(size=(batch, *bev_shape)).astype(np.float32)
@@ -223,7 +253,7 @@ class TestFleetGradients:
             make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s, use_conv=use_conv)
             for s in (0, 1)
         ]
-        bank = ParamBank.from_models(models)
+        bank = bank_of(models)
         fleet = FleetWaypointNet(bank, models[0])
         rng = np.random.default_rng(3)
         bev = rng.normal(size=(2, 4, *BEV_SHAPE)).astype(np.float32)
@@ -244,7 +274,7 @@ class TestFleetGradients:
 
     def test_backward_assigns_not_accumulates(self):
         models = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s) for s in (0, 1)]
-        bank = ParamBank.from_models(models)
+        bank = bank_of(models)
         fleet = FleetWaypointNet(bank, models[0])
         rng = np.random.default_rng(4)
         bev = rng.normal(size=(2, 4, *BEV_SHAPE)).astype(np.float32)
@@ -259,36 +289,34 @@ class TestFleetGradients:
 
 
 class TestFleetEngineEquivalence:
+    """``batched`` steps through the engine; ``detached``, a second fleet
+    born alike, has each node take the per-node reference step."""
+
     def test_lockstep_bit_identical_to_per_node(self):
-        batched = build_nodes()
-        detached = build_nodes()
-        engine = FleetEngine(batched)
+        batched, detached = build_fleet(), build_fleet()
         for _ in range(5):
-            engine.train_step_all()
+            batched.train_step_all()
         for _ in range(5):
-            for node in detached:
+            for node in detached.nodes:
                 node.train_step()
         assert np.array_equal(fleet_params(batched), fleet_params(detached))
 
     def test_conv_fleet_matches_within_tolerance(self):
         # Conv gradients batch over a different matrix extent, changing
         # BLAS accumulation order: equal within float tolerance only.
-        batched = build_nodes(n_nodes=3, use_conv=True)
-        detached = build_nodes(n_nodes=3, use_conv=True)
-        engine = FleetEngine(batched)
-        losses = [engine.train_step_all() for _ in range(3)]
-        expected = [[node.train_step() for node in detached] for _ in range(3)]
+        batched = build_fleet(n_nodes=3, use_conv=True)
+        detached = build_fleet(n_nodes=3, use_conv=True)
+        losses = [batched.train_step_all() for _ in range(3)]
+        expected = [[node.train_step() for node in detached.nodes] for _ in range(3)]
         np.testing.assert_allclose(np.asarray(losses), np.asarray(expected), atol=1e-5)
         np.testing.assert_allclose(
             fleet_params(batched), fleet_params(detached), atol=1e-5
         )
 
     def test_losses_match_per_node(self):
-        batched = build_nodes()
-        detached = build_nodes()
-        engine = FleetEngine(batched)
-        losses = engine.train_step_all()
-        expected = [node.train_step() for node in detached]
+        batched, detached = build_fleet(), build_fleet()
+        losses = batched.train_step_all()
+        expected = [node.train_step() for node in detached.nodes]
         # The scalar reduces as (per_sample * norm).sum() batched vs a
         # dot product per node: same value up to summation order.  The
         # scalar never feeds gradients, so parameters stay bit-equal.
@@ -297,63 +325,39 @@ class TestFleetEngineEquivalence:
     def test_staggered_restore_bit_identical(self):
         # One vehicle resumes from an older snapshot; per-node step
         # counters diverge and FleetAdam must bias-correct row-wise.
-        batched = build_nodes()
-        detached = build_nodes()
-        engine = FleetEngine(batched)
+        batched, detached = build_fleet(), build_fleet()
 
-        def run(nodes, step_all, snap_of, restore_to):
+        def run(fleet, step_all):
+            node = fleet.nodes[1]
             for _ in range(3):
                 step_all()
             frames = FrameTable()
-            snap = copy.deepcopy(snap_of(frames))  # kept past two steps
+            # Kept past two steps, so copied off the live banks.
+            snap = copy.deepcopy(
+                {**node.snapshot(frames), "optimizer": fleet.optim.node_snapshot(1)}
+            )
             for _ in range(2):
                 step_all()
-            restore_to(snap, FrameTable(frames.state()))
+            node.restore(snap, FrameTable(frames.state()))
+            fleet.optim.node_restore(1, snap["optimizer"])
             for _ in range(3):
                 step_all()
 
-        def with_optimizer(node, snapshot, restore):
-            """``node``'s snapshot/restore, carrying its optimizer row."""
-
-            def snap_of(frames):
-                return {**node.snapshot(frames), "optimizer": snapshot()}
-
-            def restore_to(state, frames):
-                node.restore(state, frames)
-                restore(state["optimizer"])
-
-            return snap_of, restore_to
-
-        run(
-            batched,
-            engine.train_step_all,
-            *with_optimizer(
-                batched[1],
-                lambda: engine.optim.node_snapshot(1),
-                lambda state: engine.optim.node_restore(1, state),
-            ),
-        )
-        run(
-            detached,
-            lambda: [node.train_step() for node in detached],
-            *with_optimizer(
-                detached[1], detached[1].optimizer.snapshot, detached[1].optimizer.restore
-            ),
-        )
-        assert engine.optim.steps.tolist() == [8, 6, 8, 8]
+        run(batched, batched.train_step_all)
+        run(detached, lambda: [node.train_step() for node in detached.nodes])
+        assert batched.optim.steps.tolist() == [8, 6, 8, 8]
+        assert detached.optim.steps.tolist() == [8, 6, 8, 8]
         assert np.array_equal(fleet_params(batched), fleet_params(detached))
 
     def test_evaluate_fleet_matches_per_node(self):
-        batched = build_nodes()
-        detached = build_nodes()
-        engine = FleetEngine(batched)
-        engine.train_step_all()
-        for node in detached:
+        batched, detached = build_fleet(), build_fleet()
+        batched.train_step_all()
+        for node in detached.nodes:
             node.train_step()
         validation = make_dataset(99, 20)
-        values = engine.evaluate_fleet(validation)
+        values = batched.evaluate_fleet(validation)
         expected = [
-            node.evaluate(validation, with_penalty=False) for node in detached
+            node.evaluate(validation, with_penalty=False) for node in detached.nodes
         ]
         np.testing.assert_allclose(values, expected, atol=1e-7)
 
@@ -361,7 +365,7 @@ class TestFleetEngineEquivalence:
 class TestFleetAdam:
     def make_bank(self, n_nodes=2):
         models = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s) for s in range(n_nodes)]
-        return ParamBank.from_models(models)
+        return bank_of(models)
 
     def seeded_grads(self, bank, seed):
         rng = np.random.default_rng(seed)
@@ -370,7 +374,7 @@ class TestFleetAdam:
     def test_lockstep_matches_per_node_adam(self):
         model = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=0)
         reference = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=0)
-        bank = ParamBank.from_models([model, make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=1)])
+        bank = bank_of([model, make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=1)])
         fleet_opt = FleetAdam(bank, lr=1e-3)
         ref_opt = Adam(reference.parameters(), lr=1e-3)
         for step in range(3):

@@ -23,7 +23,7 @@ from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.ledger import TransferLedger
 from repro.net.channel import ChannelConfig
 from repro.sim.dataset import DrivingDataset
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 #: Long enough for a second chat round: pairs chat at t ~ 0-8 (psi = 0,
 #: models still agree), then again after the 60 s cooldown with divergent
@@ -75,11 +75,8 @@ def validation(fleet_datasets):
     return val
 
 
-def build_trainer(fleet_datasets, traces, validation, **overrides):
-    nodes = [
-        make_node(vid, dataset, coreset_size=10, seed=3)
-        for vid, dataset in sorted(fleet_datasets.items())
-    ]
+def build_trainer(fleet_datasets, traces, validation, step_workers=1, **overrides):
+    nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3, step_workers=step_workers)
     kwargs = dict(
         duration=DURATION,
         train_interval=2.0,

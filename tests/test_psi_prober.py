@@ -49,21 +49,27 @@ def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDatase
     )
 
 
-def trained_node(
-    seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, node_id="n0", tie_step=0.0
-):
-    """A node a few SGD steps away from the shared initialization.
+def fleet(seeds, size: str, use_conv: bool, penalty: PenaltyConfig) -> FleetEngine:
+    """A fleet of node ``n{k}`` on ``synthetic_dataset(seeds[k])`` each."""
+    bev_shape, hidden = MODEL_SIZES[size]
+    template = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
+    config = NodeConfig(coreset_size=12, batch_size=16, learning_rate=1e-2, penalty=penalty)
+    members = [
+        (f"n{k}", synthetic_dataset(seed, bev_shape), spawn_rng(seed, f"n{k}"))
+        for k, seed in enumerate(seeds)
+    ]
+    return FleetEngine(template, members, config)
+
+
+def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, tie_step=0.0):
+    """A one-row fleet's node a few reference steps away from the shared
+    initialization.
 
     A positive ``tie_step`` rounds its parameters to that grid afterwards:
     a few dozen distinct magnitudes, many exact zeros of both signs, and
     every level's cut inside a long run of equal ones.
     """
-    bev_shape, hidden = MODEL_SIZES[size]
-    model = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
-    config = NodeConfig(coreset_size=12, batch_size=16, learning_rate=1e-2, penalty=penalty)
-    node = VehicleNode(
-        node_id, model, synthetic_dataset(seed, bev_shape), config, spawn_rng(seed, node_id)
-    )
+    (node,) = fleet([seed], size, use_conv, penalty).nodes
     for _ in range(2):
         node.train_step()
     if tie_step:
@@ -83,7 +89,7 @@ class TestProberMatchesOracle:
     )
     def test_detached_node(self, size, use_conv, penalty, seed, psi, tie_step):
         node = trained_node(seed, size, use_conv, penalty, tie_step=tie_step)
-        prober = DensePsiProber(node.model)
+        prober = DensePsiProber(node.fleet.template)
         psi_map, plan = prober.build(node)
         # The probe rows, to the bit: +0.0 in every unsent position.
         for row, level in zip(prober.bank.flat, prober.psis):
@@ -94,11 +100,12 @@ class TestProberMatchesOracle:
         assert_same_payload(plan.compress(psi), node.compress_model(psi))
 
     def test_bank_attached_nodes(self, size, use_conv, penalty):
-        """The trainer's case: ``flat_params`` is a zero-copy bank row."""
-        nodes = [trained_node(7 + k, size, use_conv, penalty, f"n{k}") for k in range(2)]
-        FleetEngine(nodes).train_step_all()
-        prober = DensePsiProber(nodes[0].model)
-        for node in nodes:
+        """The trainer's case: rows of a fleet the engine stepped."""
+        engine = fleet([7, 8], size, use_conv, penalty)
+        for _ in range(2):
+            engine.train_step_all()
+        prober = DensePsiProber(engine.template)
+        for node in engine.nodes:
             psi_map, plan = prober.build(node)
             oracle = node.build_psi_map()
             assert np.array_equal(psi_map.losses, oracle.losses)
@@ -110,7 +117,7 @@ def test_probe_rows_hold_the_brute_force_top_k():
     node = trained_node(11, "city", False, NO_PENALTY, tie_step=0.02)
     flat = node.flat_params
     assert np.unique(np.abs(flat)).size < 100 and np.signbit(flat[flat == 0]).any()
-    prober = DensePsiProber(node.model)
+    prober = DensePsiProber(node.fleet.template)
     _, plan = prober.build(node)
     order = brute_force_order(flat)
     for row, level in zip(prober.bank.flat, prober.psis):
@@ -175,7 +182,7 @@ class TestFallbacks:
     @staticmethod
     def assert_decides_as_the_oracle(fleet_datasets, make_prober):
         pair, oracle_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
-        outcome = chat(pair, make_prober(pair[0].model))
+        outcome = chat(pair, make_prober(pair[0].fleet.template))
         assert outcome.psi_probe_builds == 2
         assert_same_chat(outcome, chat(oracle_pair, LoopProber()), pair, oracle_pair)
 
@@ -184,13 +191,13 @@ class TestFallbacks:
 
     def test_a_chat_handed_no_prober_builds_its_own(self, fleet_datasets):
         """Outside a trainer (``examples/quickstart.py``, most chat tests)."""
-        self.assert_decides_as_the_oracle(fleet_datasets, lambda model: None)
+        self.assert_decides_as_the_oracle(fleet_datasets, lambda template: None)
 
     def test_equal_compression_fits_no_map(self, fleet_datasets, monkeypatch):
         """§IV-F replaces Eq. 7, the maps' only reader: nothing is fitted,
         and the chat is the one that fitted both maps and sent from them."""
         pair, fitted_pair = make_pair(fleet_datasets), make_pair(fleet_datasets)
-        prober = DensePsiProber(pair[0].model)
+        prober = DensePsiProber(pair[0].fleet.template)
         # The chat that fits them: the same decision, each leg captured
         # from its sender's probe plan as an Eq. 7 chat's is.
         fitted = chat(fitted_pair, prober, entry=negotiate, equal_compression=True)

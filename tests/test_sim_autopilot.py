@@ -139,20 +139,20 @@ class TestModelPilot:
             state = advance(state, turn_rate, accel, 0.1)
         assert state.speed < 0.5
 
-    def test_drives_a_copy_and_leaves_the_model_in_its_bank(self):
-        """A fleet node's model stays a row of the fleet's bank; the pilot
-        decides on the parameters it had when the pilot was made."""
-        from repro.nn import ParamBank
+    def test_drives_a_copy_and_leaves_the_model_in_its_bank(self, node):
+        """A vehicle's model stays its fleet's bank row; the pilot decides
+        on the parameters its detached copy had when the pilot was made."""
+        from repro.nn.params import set_flat_params
 
-        model = make_driving_model((3, 8, 8), 4, 16, seed=0)
-        fleet = ParamBank.from_models([make_driving_model((3, 8, 8), 4, 16, seed=1), model])
-        bev = np.random.default_rng(0).normal(size=(3, 8, 8)).astype(np.float32)
+        model = node.detached_model()
+        bev = np.random.default_rng(0).normal(size=model.bev_shape).astype(np.float32)
         plan = straight_plan()
         expected = model.forward(bev[None], np.array([plan.command_at(0.0)]))
         pilot = ModelPilot(model, plan, lambda s, p: bev)
-        fleet.flat[1] = 0.0  # the fleet trains on; the pilot's copy does not move
+        set_flat_params(model, np.zeros_like(node.flat_params))  # the copy is the caller's
+        node.replace_model_params(np.zeros_like(node.flat_params))  # the fleet trains on
         pilot.control(VehicleState(0.0, 0.0, 0.0, 0.0), 0.1)
-        assert all(p.data.base is fleet.flat for p in model.parameters())
+        assert np.shares_memory(node.flat_params, node.fleet.bank.flat)
         assert np.array_equal(pilot._waypoints, expected.reshape(-1, 2).astype(float))
 
     def test_done_tracks_route_progress(self):

@@ -25,7 +25,6 @@ import pytest
 from repro.checkpoint import RunStore
 from repro.checkpoint.format import spec_fingerprint
 from repro.checkpoint.resume import resume_run_dir
-from repro.core.fleet import FleetEngine
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.experiments.runner import RunSpec, build_context, run_method
 from repro.parallel import clamp_step_workers
@@ -39,9 +38,9 @@ from repro.parallel.stepshard import (
 )
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry.hooks import TelemetrySession
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 from tests.test_checkpoint_resume import TINY, digest
-from tests.test_nn_bank import build_nodes
+from tests.test_nn_bank import build_fleet
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="step sharding requires the fork start method"
@@ -112,8 +111,7 @@ class TestShmArena:
 
 
 def _run_engine(step_workers: int, *, use_conv: bool, steps: int = 6):
-    nodes = build_nodes(n_nodes=5, use_conv=use_conv)
-    engine = FleetEngine(nodes, step_workers=step_workers)
+    engine = build_fleet(n_nodes=5, use_conv=use_conv, step_workers=step_workers)
     try:
         losses = np.array([engine.train_step_all() for _ in range(steps)])
         return (
@@ -137,10 +135,8 @@ class TestEngineBitIdentity:
             assert ref.tobytes() == got.tobytes()
 
     def test_train_tick_path_bit_identical(self):
-        serial_nodes = build_nodes(n_nodes=4)
-        sharded_nodes = build_nodes(n_nodes=4)
-        serial = FleetEngine(serial_nodes, step_workers=1)
-        sharded = FleetEngine(sharded_nodes, step_workers=2)
+        serial = build_fleet(n_nodes=4, step_workers=1)
+        sharded = build_fleet(n_nodes=4, step_workers=2)
         try:
             for _ in range(4):
                 for row in range(4):
@@ -152,8 +148,7 @@ class TestEngineBitIdentity:
 
     def test_pool_actually_engages_and_reports_telemetry(self):
         with TelemetrySession() as session:
-            nodes = build_nodes(n_nodes=4)
-            engine = FleetEngine(nodes, step_workers=2)
+            engine = build_fleet(n_nodes=4, step_workers=2)
             for _ in range(3):
                 engine.train_step_all()
             engine.close()
@@ -170,23 +165,20 @@ class TestEngineBitIdentity:
         )
 
     def test_close_is_idempotent_and_engine_stays_usable(self):
-        nodes = build_nodes(n_nodes=4)
-        engine = FleetEngine(nodes, step_workers=2)
+        engine = build_fleet(n_nodes=4, step_workers=2)
         before = engine.train_step_all()
         engine.close()
         engine.close()
         after = engine.train_step_all()  # serial path now
         assert before.shape == after.shape
         # The serial continuation must match an uninterrupted serial run.
-        ref_nodes = build_nodes(n_nodes=4)
-        ref = FleetEngine(ref_nodes, step_workers=1)
+        ref = build_fleet(n_nodes=4, step_workers=1)
         ref.train_step_all()
         ref.train_step_all()
         assert engine.bank.flat.tobytes() == ref.bank.flat.tobytes()
 
     def test_worker_death_raises_step_worker_error(self):
-        nodes = build_nodes(n_nodes=4)
-        engine = FleetEngine(nodes, step_workers=2)
+        engine = build_fleet(n_nodes=4, step_workers=2)
         try:
             engine.train_step_all()
             assert engine._pool is not None
@@ -200,11 +192,10 @@ class TestEngineBitIdentity:
 
     def test_checkpoint_bridge_sees_sharded_updates(self):
         """Chat views and the checkpoint's optimizer rows read the shared banks."""
-        nodes = build_nodes(n_nodes=4)
-        engine = FleetEngine(nodes, step_workers=2)
+        engine = build_fleet(n_nodes=4, step_workers=2)
         try:
             engine.train_step_all()
-            for row, node in enumerate(nodes):
+            for row, node in enumerate(engine.nodes):
                 assert node.flat_params.tobytes() == engine.bank.flat[row].tobytes()
                 snap = engine.optim.node_snapshot(row)
                 assert snap["step"] == 1
@@ -221,17 +212,13 @@ class TestTrainerRunInvariance:
         validation = DrivingDataset()
         for dataset in fleet_datasets.values():
             validation.extend([dataset.frame(i) for i in range(0, len(dataset), 8)])
-        nodes = [
-            make_node(vid, dataset, coreset_size=10, seed=3)
-            for vid, dataset in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3, step_workers=step_workers)
         config = LbChatConfig(
             duration=80.0,
             train_interval=2.0,
             record_interval=20.0,
             wireless_loss=False,
             seed=1,
-            step_workers=step_workers,
         )
         trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()

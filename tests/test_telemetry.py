@@ -24,7 +24,7 @@ from repro.telemetry import (
     report_trace,
 )
 from repro.telemetry import hooks
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 
 class TestTracer:
@@ -228,10 +228,7 @@ class TestTracedFleetRun:
 
     @pytest.fixture()
     def traced_run(self, fleet_datasets, traces):
-        nodes = [
-            make_node(vid, ds, coreset_size=10, seed=3)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3)
         validation = DrivingDataset(
             [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
         )
@@ -293,10 +290,7 @@ class TestTracedFleetRun:
         assert all(e.span_id in chat_ids for e in transfer_events)
 
     def test_untraced_run_records_nothing(self, fleet_datasets, traces):
-        nodes = [
-            make_node(vid, ds, coreset_size=10, seed=3)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3)
         validation = DrivingDataset(
             [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
         )

@@ -62,15 +62,12 @@ class TestRunArchives:
         from repro.experiments.io import load_run, save_run
         from repro.experiments.runner import RunResult, RunSpec
         from repro.sim.dataset import DrivingDataset
-        from tests.conftest import make_node
+        from tests.conftest import make_fleet
 
         validation = DrivingDataset(
             [fleet_datasets["v0"].frame(i) for i in range(0, 40, 4)]
         )
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=9)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=9)
         trainer = LbChatTrainer(
             nodes,
             traces,
@@ -291,12 +288,9 @@ class TestBenchmarkTracer:
         from benchmarks.perf.tracer import Tracer, span_stats
         from repro.core.lbchat import LbChatConfig, LbChatTrainer
         from repro.sim.dataset import DrivingDataset
-        from tests.conftest import make_node
+        from tests.conftest import make_fleet
 
-        nodes = [
-            make_node(vid, ds, coreset_size=8, seed=9)
-            for vid, ds in sorted(fleet_datasets.items())
-        ]
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=9)
         config = LbChatConfig(
             duration=30.0, train_interval=3.0, record_interval=30.0, seed=1,
             overlap_chat=overlap_chat,
@@ -313,17 +307,18 @@ class TestBenchmarkTracer:
 
 
 class TestOneWayToTakeAGradientStep:
-    """ROADMAP item 9 as a gate — the bank is the network: a trainer
-    steps through ``FleetEngine.train_step_all``, fits psi maps with
+    """ROADMAP items 9 and 15(a) as a gate — the bank is the network, and
+    a fleet is born in it: a run builds one fleet ``ParamBank`` and no
+    per-vehicle model, ``Adam`` or second home for a row; a trainer steps
+    through ``FleetEngine.train_step_all``, fits psi maps with
     ``DensePsiProber.build``, and runs every other forward (cache misses,
     a received model's score) as a one-row ``FleetWaypointNet`` forward
     over the vehicle's bank row, whatever the fleet has collected.  The
     per-node stack — the reference step, ``WaypointNet.forward`` and its
-    layers, the per-level psi loop and its scorer — is the oracle
-    (``tests/test_nn_bank.py``, ``tests/test_psi_prober.py``) no method
-    reaches; ``clone_model`` runs only where ``make_nodes`` copies the
-    shared initialisation; and a fleet the bank cannot hold is refused,
-    never trained some slower way."""
+    layers, the per-level psi loop and its scorer, ``clone_model`` — is
+    the oracle (``tests/test_nn_bank.py``, ``tests/test_psi_prober.py``)
+    no method reaches; and nodes a trainer cannot step together are
+    refused, never trained some slower way."""
 
     @staticmethod
     def reference_only():
@@ -335,20 +330,21 @@ class TestOneWayToTakeAGradientStep:
         return (
             (WaypointNet, "forward"), (WaypointNet, "backward"), (Linear, "forward"),
             (VehicleNode, "train_step"), (VehicleNode, "build_psi_map"),
-            (VehicleNode, "evaluate_model_on"), (Adam, "step"),
+            (VehicleNode, "evaluate_model_on"), (VehicleNode, "detached_model"),
+            (Adam, "__init__"), (Adam, "step"),
         )
 
     def run_counting(self, monkeypatch, world, method, **overrides):
         """Run ``method`` on a selfcheck world, counting reference calls
-        and ``clone_model``'s callers."""
+        and which objects allocate a ``ParamBank``."""
         import sys
         from collections import Counter
 
         from repro import selfcheck
         from repro.experiments.runner import RunSpec, run_method
-        from repro.nn import params
+        from repro.nn import ParamBank, params
 
-        calls, clones = Counter(), Counter()
+        calls, banks = Counter(), Counter()
         for owner, name in self.reference_only():
             def counting(*args, _real=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kw):
                 calls[_key] += 1
@@ -359,18 +355,27 @@ class TestOneWayToTakeAGradientStep:
         real_clone = params.clone_model
 
         def cloning(model):
-            clones[sys._getframe(1).f_code.co_name] += 1
+            calls["clone_model"] += 1
             return real_clone(model)
 
         for module in list(sys.modules.values()):
             if vars(module).get("clone_model") is real_clone:
                 monkeypatch.setattr(module, "clone_model", cloning)
+
+        def allocating(bank, *args, _real=ParamBank.__init__, **kw):
+            banks[type(sys._getframe(1).f_locals.get("self")).__name__] += 1
+            _real(bank, *args, **kw)
+
+        monkeypatch.setattr(ParamBank, "__init__", allocating)
         context = selfcheck._context(world)
         spec = RunSpec.for_context(context, method, seed=selfcheck.SEED, overrides=overrides)
         result = run_method(context, spec)
         n = len(result.nodes)
         assert result.trainer.fleet.mean_step_width == n
-        assert dict(clones) == {"make_nodes": n - 1}  # one initialisation
+        assert banks["FleetEngine"] == 1 and set(banks) <= {"FleetEngine", "DensePsiProber"}
+        assert not hasattr(ParamBank, "adopt")  # no second home to move a row to
+        for node in result.nodes:
+            assert not any(hasattr(node, name) for name in ("model", "optimizer", "bind_bank"))
         return dict(calls), result
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -388,40 +393,58 @@ class TestOneWayToTakeAGradientStep:
         assert result.receive_completed > 0
         assert calls == {}
 
+    def test_birth_allocates_the_fleet_once(self):
+        """``prepare_trainer``'s allocation peak is what the fleet keeps
+        — bank, gradients, Adam moments (four rows a vehicle) and the
+        template's parameters and gradients — plus two rows for one
+        construction evaluation (its gathered frames and activations).
+        A per-vehicle model, bank or ``Adam`` built on the way adds at
+        least two rows a vehicle."""
+        import tracemalloc
+
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, prepare_trainer
+
+        context = selfcheck._context("hotpath")
+        spec = RunSpec.for_context(context, "LbChat", seed=selfcheck.SEED)
+        prepare_trainer(context, spec)  # imports and one-time caches
+        tracemalloc.start()
+        try:
+            _, trainer = prepare_trainer(context, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bank = trainer.fleet.bank
+        row = bank.n_params * bank.flat.itemsize
+        assert peak < (4 * bank.n_nodes + 2 + 2) * row
+
     @pytest.mark.parametrize(
         "reason",
-        ["parameter shapes", "learning_rate", "batch_size", "trunk module Identity"],
-        ids=["two_hidden_widths", "two_learning_rates", "two_batch_sizes", "unstackable_trunk"],
+        ["learning_rate", "batch_size", "rows of one fleet"],
+        ids=["two_learning_rates", "two_batch_sizes", "two_fleets"],
     )
     def test_a_fleet_the_bank_cannot_hold_is_refused_at_construction(
         self, fleet_datasets, traces, reason
     ):
+        """A template the bank cannot stack is refused earlier, at birth
+        (``tests/test_nn_bank.py``)."""
         from dataclasses import replace
 
         from repro.core.fleet import FleetIncompatible
         from repro.core.lbchat import LbChatConfig, LbChatTrainer
-        from repro.nn.layers import Module
-        from tests.conftest import MODEL_SHAPE, N_WAYPOINTS, make_node
+        from tests.conftest import make_fleet, make_node
 
-        class Identity(Module):
-            def forward(self, x):
-                return x
-
-        nodes = [make_node(vid, data, coreset_size=8) for vid, data in sorted(fleet_datasets.items())]
+        nodes = make_fleet(fleet_datasets, coreset_size=8)
         odd = nodes[-1]
-        if reason == "parameter shapes":
-            odd.model = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=16, seed=0)
-        elif reason == "learning_rate":
+        if reason == "learning_rate":
             odd.config = replace(odd.config, learning_rate=5e-4)
         elif reason == "batch_size":
             odd.config = replace(odd.config, batch_size=odd.config.batch_size // 2)
-        else:  # every node alike, and none the bank can stack
-            for node in nodes:
-                node.model.trunk.modules.append(Identity())
+        else:  # a vehicle born in a fleet of its own
+            nodes[-1] = make_node(odd.node_id, fleet_datasets[odd.node_id], coreset_size=8)
         with pytest.raises(FleetIncompatible, match=reason):
             LbChatTrainer(nodes, traces, fleet_datasets["v0"], LbChatConfig(duration=30.0, seed=1))
         assert [n.train_steps for n in nodes] == [0] * len(nodes)  # before any step
-        assert all(n.optimizer is not None for n in nodes)  # and no node re-homed
 
 
 class TestFramesAreStoredOnce:

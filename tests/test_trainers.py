@@ -19,7 +19,7 @@ from repro.baselines import (
 )
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.sim.dataset import DrivingDataset
-from tests.conftest import make_node
+from tests.conftest import make_fleet
 
 DURATION = 120.0
 
@@ -34,10 +34,7 @@ def validation(fleet_datasets):
 
 @pytest.fixture()
 def nodes(fleet_datasets):
-    return [
-        make_node(vid, dataset, coreset_size=10, seed=3)
-        for vid, dataset in sorted(fleet_datasets.items())
-    ]
+    return make_fleet(fleet_datasets, coreset_size=10, seed=3)
 
 
 def config_kwargs(**extra):
@@ -70,10 +67,7 @@ class TestLbChatTrainer:
     def test_wireless_loss_reduces_receive_rate(self, fleet_datasets, traces, validation):
         rates = {}
         for wireless in (False, True):
-            nodes = [
-                make_node(vid, ds, coreset_size=10, seed=3)
-                for vid, ds in sorted(fleet_datasets.items())
-            ]
+            nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3)
             trainer = LbChatTrainer(
                 nodes, traces, validation, LbChatConfig(**config_kwargs(wireless_loss=wireless))
             )
