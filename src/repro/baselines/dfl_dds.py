@@ -143,8 +143,7 @@ class DflDdsTrainer(TrainerBase):
                 deadline,
             )
             elapsed += sent.elapsed
-            self.receive_rate.observe(receiver.node_id, sent.completed)
-            telemetry.on_model_reception(sent.completed)
+            self.receive_rate.observe(sent.completed)
             if sent.completed:
                 received += 1
                 self._aggregate(r_idx, s_idx, decompress(compressed, fill=receiver.flat_params))

@@ -104,7 +104,7 @@ class DpTrainer(TrainerBase):
                 deadline,
             )
             elapsed += sent.elapsed
-            self.receive_rate.observe(receiver.node_id, sent.completed)
+            self.receive_rate.observe(sent.completed)
             if sent.completed:
                 self._merge(receiver, decompress(compressed, fill=receiver.flat_params))
         self.occupy(i, elapsed)

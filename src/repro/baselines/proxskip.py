@@ -86,7 +86,7 @@ class ProxSkipTrainer(TrainerBase):
         average = np.mean(uploads, axis=0)
         for node in self.nodes:
             ok = self._link_succeeds()
-            self.receive_rate.observe(node.node_id, ok)
+            self.receive_rate.observe(ok)
             if ok:
                 node.replace_model_params(average)
 

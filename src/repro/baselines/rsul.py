@@ -172,7 +172,7 @@ class RsuLTrainer(TrainerBase):
                 deadline,
             )
             elapsed += down.elapsed
-            self.receive_rate.observe(node.node_id, down.completed)
+            self.receive_rate.observe(down.completed)
             if down.completed:
                 # Merge the RSU aggregate into the local model (keeping
                 # half the local progress, as the RSU model lags the
@@ -181,7 +181,7 @@ class RsuLTrainer(TrainerBase):
                 node.replace_model_params(merged.astype(np.float32))
                 self.counters.add("rsu_syncs")
         else:
-            self.receive_rate.observe(node.node_id, False)
+            self.receive_rate.observe(False)
         self.occupy(i, elapsed)
 
     # -- checkpointing ------------------------------------------------------------

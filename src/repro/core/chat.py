@@ -373,11 +373,6 @@ def pairwise_chat(node_i: VehicleNode, node_j: VehicleNode, **protocol) -> ChatO
     Mutates both nodes on success.  ``protocol`` is :func:`negotiate`'s
     keyword list.
     """
-    session = telemetry.active()
-    if session is not None:
-        session.tracer.start_span(
-            "chat", protocol["start_time"], i=node_i.node_id, j=node_j.node_id
-        )
     chat = negotiate(node_i, node_j, **protocol)
     # 5. model exchange, a leg at a time: the second sender compresses
     # after the first model was aggregated into it.
@@ -391,8 +386,6 @@ def pairwise_chat(node_i: VehicleNode, node_j: VehicleNode, **protocol) -> ChatO
             chat.deliver(leg, receiver)
     # 6. absorb peer coresets, expanding local datasets.
     chat.commit(node_i, node_j, chat.now)
-    if session is not None:
-        telemetry.on_chat_outcome(chat.start, chat.outcome)
     return chat.outcome
 
 

@@ -110,6 +110,10 @@ class LbChatTrainer(TrainerBase):
         )
         flight = None  # the planned chat, when it has legs to ship
         if self.overlap is None:
+            if (session := telemetry.active()) is not None:  # closed by account_chat
+                session.tracer.start_span(
+                    "chat", now, i=self.nodes[i].node_id, j=self.nodes[j].node_id
+                )
             outcome = pairwise_chat(self.nodes[i], self.nodes[j], **protocol)
             busy = outcome.duration
         else:
@@ -135,8 +139,7 @@ class LbChatTrainer(TrainerBase):
         """
         from repro.core.chatlog import ChatRecord
 
-        if self.overlap is not None:
-            telemetry.on_overlap_outcome(started_at, outcome)
+        telemetry.on_chat_resolved(started_at, outcome, overlapped=self.overlap is not None)
         self.chat_log.append(
             ChatRecord.from_outcome(
                 started_at, self.nodes[i].node_id, self.nodes[j].node_id, outcome
@@ -144,9 +147,9 @@ class LbChatTrainer(TrainerBase):
         )
         self.counters.add("chat_seconds", outcome.duration)
         if outcome.i_attempted:
-            self.receive_rate.observe(self.nodes[i].node_id, outcome.i_received_model)
+            self.receive_rate.observe(outcome.i_received_model)
         if outcome.j_attempted:
-            self.receive_rate.observe(self.nodes[j].node_id, outcome.j_received_model)
+            self.receive_rate.observe(outcome.j_received_model)
         if outcome.coresets_exchanged:
             self.counters.add("coresets_exchanged", 2)
             self.counters.add(

@@ -369,13 +369,17 @@ class VehicleNode:
         )
         self._steps_since_refresh = 0
         self._evict_stale_losses()
-        telemetry.on_coreset_refresh(self.node_id, len(self.coreset))
         return self.coreset
 
     def maybe_refresh_coreset(self) -> None:
-        """Rebuild the coreset if the refresh interval elapsed."""
+        """Rebuild the coreset if the refresh interval elapsed.
+
+        Only these rebuilds are a run's telemetry: the first coreset is
+        built at birth, which a resumed run repeats before its restore.
+        """
         if self._steps_since_refresh >= self.config.coreset_refresh_steps:
             self.refresh_coreset()
+            telemetry.on_coreset_refresh(self.node_id, len(self.coreset))
 
     def absorb_coreset(self, received: Coreset) -> int:
         """Expand the local dataset with a received coreset (§III-D).
@@ -392,7 +396,7 @@ class VehicleNode:
             self.coreset = reduce_coreset(
                 merged, losses, self.config.coreset_size, self.rng
             )
-            telemetry.on_coreset_merge(self.node_id, added)
+            telemetry.on_coreset_merge()
         return added
 
     # -- model exchange ------------------------------------------------------------

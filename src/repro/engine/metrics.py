@@ -8,9 +8,8 @@ tables.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +44,6 @@ class TimeSeriesRecorder:
     def series(self, key: str) -> tuple[np.ndarray, np.ndarray]:
         """Raw (times, values) arrays for one key."""
         return np.asarray(self._times[key]), np.asarray(self._values[key])
-
-    def value_at(self, key: str, time: float) -> float:
-        """Last observation at or before ``time`` (step interpolation)."""
-        times = self._times[key]
-        idx = bisect_right(times, time) - 1
-        if idx < 0:
-            raise ValueError(f"no observation for {key!r} at or before t={time}")
-        return self._values[key][idx]
 
     def mean_curve(self, grid: np.ndarray) -> np.ndarray:
         """Average the step-interpolated series of all keys onto ``grid``.
@@ -115,41 +106,26 @@ class ReceiveRateRecorder:
 
     attempted: int = 0
     completed: int = 0
-    _per_key: dict[str, list[int]] = field(default_factory=lambda: defaultdict(lambda: [0, 0]))
 
-    def observe(self, key: str, success: bool) -> None:
+    def observe(self, success: bool) -> None:
         """Record one attempted model reception and its outcome."""
         self.attempted += 1
-        self._per_key[key][0] += 1
-        if success:
-            self.completed += 1
-            self._per_key[key][1] += 1
+        self.completed += bool(success)
 
     @property
     def rate(self) -> float:
         """Overall completion rate in [0, 1]; 0 when nothing attempted."""
         return self.completed / self.attempted if self.attempted else 0.0
 
-    def rate_for(self, key: str) -> float:
-        """Completion rate for one key; 0 when it attempted nothing."""
-        attempted, completed = self._per_key[key]
-        return completed / attempted if attempted else 0.0
-
     def snapshot(self) -> dict:
         """Plain-data contents (checkpoint state)."""
-        return {
-            "attempted": int(self.attempted),
-            "completed": int(self.completed),
-            "per_key": {k: list(v) for k, v in self._per_key.items()},
-        }
+        return {"attempted": int(self.attempted), "completed": int(self.completed)}
 
     def restore(self, state: dict) -> None:
-        """Replace contents with a :meth:`snapshot`'s."""
+        """Replace contents with a :meth:`snapshot`'s (a ``per_key``
+        table an older barrier carries is ignored)."""
         self.attempted = int(state["attempted"])
         self.completed = int(state["completed"])
-        self._per_key = defaultdict(lambda: [0, 0])
-        for key, (attempted, completed) in state["per_key"].items():
-            self._per_key[key] = [int(attempted), int(completed)]
 
 
 class CounterSet:

@@ -80,10 +80,10 @@ def run_isolated(spec):
 
     Returns ``(result, registry_state)``.  Wrapping each run in its own
     session makes a run's metric contribution a pure function of its
-    spec: per-run recorder adoption (which is max-semantics *within* a
-    session) can never interact across runs, so merging the states in
-    job order yields the same registry whether the runs happened in one
-    process or many.
+    spec, summed on its own: a float counter such as
+    ``transfer.bytes_delivered`` then adds up in the same order whether
+    the runs happened in one process or many, so merging the states in
+    job order yields the same registry, to the bit, for every ``jobs``.
     """
     from repro.telemetry import TelemetrySession
 

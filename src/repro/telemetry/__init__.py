@@ -4,8 +4,10 @@ The layer has two legs, one per question an experimenter asks:
 
 * **tracer** — *what happened when* (virtual-time spans/events: chats,
   their protocol stages, transfers, trainer runs);
-* **registry** — *how much* (named counters, gauges, histograms; adopts
-  the trainers' :mod:`repro.engine.metrics` recorders at snapshot time).
+* **registry** — *how much* (named counters, gauges, histograms).  What
+  a trainer counts itself lives in its :mod:`repro.engine.metrics`
+  recorders only; each run's are added in once, when the run ends, as
+  ``trainer.*`` and ``model_rx.*``.
 
 *How fast on the host* is measured from outside, by the tracer of
 ``benchmarks/perf`` (``run.py --trace 1``).

@@ -1,12 +1,21 @@
 """Opt-in instrumentation entry points for the simulation hot paths.
 
-Core modules (``core.chat``, ``net.channel``, ``core.trainer_base``,
-``core.node``) call the module-level functions below at interesting
-moments.  When no :class:`TelemetrySession` is active every call is a
-global read plus a ``None`` check — the no-op fast path that keeps
-disabled-telemetry overhead well under 5%.  Activating a session (via
-``with TelemetrySession(): ...`` or :func:`activate`) routes the same
-calls into its tracer/registry.
+Core modules call the module-level functions below at interesting
+moments: ``net.channel`` and ``core.overlap`` per transfer,
+``core.chat`` per protocol stage, ``LbChatTrainer.account_chat`` per
+resolved chat, ``core.node`` per coreset rebuild and merge-reduce,
+``core.trainer_base`` at run start and end and per loss record, and
+``core.fleet`` / ``parallel.pool`` through :func:`count` and
+:func:`set_gauge`.  When no :class:`TelemetrySession` is active every
+call is a global read plus a ``None`` check — the no-op fast path that
+keeps disabled-telemetry overhead well under 5%.  Activating a session
+(via ``with TelemetrySession(): ...`` or :func:`activate`) routes the
+same calls into its tracer/registry.
+
+What a trainer counts itself — chats, absorbed frames, train steps,
+model receptions — lives in its ``CounterSet`` / ``ReceiveRateRecorder``
+only; :func:`on_run_finished` adds those into the registry once, and the
+hooks count only what no recorder has.
 
 The telemetry package never imports ``repro.core``/``repro.net``;
 domain objects (a ``ChatOutcome``, a trainer) are duck-typed here so the
@@ -24,14 +33,10 @@ __all__ = [
     "deactivate",
     "active",
     "count",
-    "observe",
     "set_gauge",
-    "add_event",
     "on_transfer",
     "on_chat_stage",
-    "on_chat_outcome",
-    "on_overlap_outcome",
-    "on_model_reception",
+    "on_chat_resolved",
     "on_coreset_refresh",
     "on_coreset_merge",
     "on_run_started",
@@ -98,25 +103,11 @@ def count(name: str, amount: float = 1.0) -> None:
         s.registry.counter(name).inc(amount)
 
 
-def observe(name: str, value: float) -> None:
-    """Record a histogram observation."""
-    s = _ACTIVE
-    if s is not None:
-        s.registry.histogram(name).observe(value)
-
-
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge level."""
     s = _ACTIVE
     if s is not None:
         s.registry.gauge(name).set(value)
-
-
-def add_event(name: str, time: float | None = None, **attrs) -> None:
-    """Record a trace event (virtual ``time``; session clock if omitted)."""
-    s = _ACTIVE
-    if s is not None:
-        s.tracer.event(name, s.now() if time is None else time, **attrs)
 
 
 # -- net.channel ------------------------------------------------------------
@@ -143,7 +134,7 @@ def on_transfer(n_bytes: float, result, start_time: float) -> None:
     )
 
 
-# -- core.chat ---------------------------------------------------------------
+# -- core.chat / core.lbchat ---------------------------------------------------
 
 
 def on_chat_stage(stage: str, time: float, ok: bool) -> None:
@@ -153,29 +144,29 @@ def on_chat_stage(stage: str, time: float, ok: bool) -> None:
         s.tracer.event("chat.stage", time, stage=stage, ok=bool(ok))
 
 
-def _account_chat(s: TelemetrySession, outcome) -> dict:
-    """Registry accounting of one resolved chat, the same under either
-    protocol; returns the attributes both protocols' tracer records carry."""
+def on_chat_resolved(start_time: float, outcome, overlapped: bool) -> None:
+    """A chat's ``ChatOutcome`` was accounted, under either protocol.
+
+    Counts what the trainer's recorders do not: aborts by stage, the
+    psi and duration distributions, and overlap commits/aborts (a commit
+    is a chat cut at no stage whose every attempted leg arrived).  A
+    synchronous chat closes the span ``LbChatTrainer._chat`` opened; an
+    overlapped one cannot use the tracer's span stack — several can be
+    in flight at once — so it is one event carrying explicit start/end
+    times.
+    """
+    s = _ACTIVE
+    if s is None:
+        return
     psi_i = outcome.psi.psi_i if outcome.psi is not None else None
     psi_j = outcome.psi.psi_j if outcome.psi is not None else None
-    absorbed = outcome.absorbed_by_i + outcome.absorbed_by_j
-    s.registry.counter("chat.count").inc()
     if outcome.aborted:
         s.registry.counter(f"chat.aborted.{outcome.aborted}").inc()
-    else:
-        s.registry.counter("chat.completed").inc()
     s.registry.histogram("chat.duration_s").observe(outcome.duration)
-    s.registry.counter("chat.frames_absorbed").inc(absorbed)
     for psi in (psi_i, psi_j):
         if psi is not None:
             s.registry.histogram("chat.psi").observe(psi)
-    for attempted, received in (
-        (outcome.i_attempted, outcome.i_received_model),
-        (outcome.j_attempted, outcome.j_received_model),
-    ):
-        if attempted:
-            on_model_reception(received)
-    return dict(
+    attrs = dict(
         status="aborted" if outcome.aborted else "ok",
         aborted=outcome.aborted,
         coresets_exchanged=outcome.coresets_exchanged,
@@ -183,52 +174,19 @@ def _account_chat(s: TelemetrySession, outcome) -> dict:
         psi_j=psi_j,
         i_received_model=outcome.i_received_model,
         j_received_model=outcome.j_received_model,
-        absorbed=absorbed,
+        absorbed=outcome.absorbed_by_i + outcome.absorbed_by_j,
     )
-
-
-def on_chat_outcome(start_time: float, outcome) -> None:
-    """Close the current chat span and account its ChatOutcome."""
-    s = _ACTIVE
-    if s is not None:
-        s.tracer.end_span(start_time + outcome.duration, **_account_chat(s, outcome))
-
-
-def on_overlap_outcome(start_time: float, outcome) -> None:
-    """An overlapped chat resolved (plan-phase end or transfer commit).
-
-    Overlapped chats cannot use the tracer's span stack — several can be
-    in flight at once — so the chat is recorded as one event carrying
-    explicit start/end times, with the same accounting as
-    :func:`on_chat_outcome` plus the overlap commit/abort tallies: a
-    commit is a chat cut at no stage whose every attempted leg arrived.
-    """
-    s = _ACTIVE
-    if s is None:
+    end = start_time + outcome.duration
+    if not overlapped:
+        s.tracer.end_span(end, **attrs)
         return
     committed = (
         not outcome.aborted
         and outcome.i_attempted == outcome.i_received_model
         and outcome.j_attempted == outcome.j_received_model
     )
-    s.tracer.event(
-        "overlap.chat",
-        start_time + outcome.duration,
-        start=start_time,
-        committed=committed,
-        **_account_chat(s, outcome),
-    )
+    s.tracer.event("overlap.chat", end, start=start_time, committed=committed, **attrs)
     s.registry.counter("overlap.commits" if committed else "overlap.aborts").inc()
-
-
-def on_model_reception(success: bool) -> None:
-    """One attempted model reception resolved (any trainer)."""
-    s = _ACTIVE
-    if s is None:
-        return
-    s.registry.counter("model_rx.attempted").inc()
-    if success:
-        s.registry.counter("model_rx.completed").inc()
 
 
 # -- core.node (coreset lifecycle) -------------------------------------------
@@ -243,13 +201,11 @@ def on_coreset_refresh(node_id: str, size: int) -> None:
     s.tracer.event("coreset.refresh", s.now(), node=node_id, size=size)
 
 
-def on_coreset_merge(node_id: str, added: int) -> None:
+def on_coreset_merge() -> None:
     """A node merge-reduced a received coreset into its own (§III-D)."""
     s = _ACTIVE
-    if s is None:
-        return
-    s.registry.counter("coreset.merges").inc()
-    s.registry.counter("coreset.frames_added").inc(added)
+    if s is not None:
+        s.registry.counter("coreset.merges").inc()
 
 
 # -- core.trainer_base --------------------------------------------------------
@@ -272,12 +228,19 @@ def on_run_started(trainer) -> None:
 
 
 def on_run_finished(trainer) -> None:
-    """A trainer's run() ended: adopt its recorders, close the run span."""
+    """A trainer's run() ended: add its recorders in, close the run span.
+
+    The recorders are the run's one ledger of what they count — a
+    resumed trainer restored them from its barrier — so they are added
+    here, once, and never counted live.
+    """
     s = _ACTIVE
     if s is None:
         return
-    s.registry.merge_counter_set(trainer.counters, prefix="trainer.")
-    s.registry.merge_receive_rate(trainer.receive_rate)
+    for name, value in trainer.counters.as_dict().items():
+        s.registry.counter(f"trainer.{name}").inc(value)
+    s.registry.counter("model_rx.attempted").inc(trainer.receive_rate.attempted)
+    s.registry.counter("model_rx.completed").inc(trainer.receive_rate.completed)
     if s.tracer.current_span is not None:
         s.tracer.end_span(trainer.sim.now, status="ok")
 

@@ -1,12 +1,12 @@
 """Named metric instruments: counters, gauges, histograms.
 
 The :class:`MetricRegistry` is the accounting half of the telemetry
-layer.  It subsumes the ad-hoc recorders in :mod:`repro.engine.metrics`
-without replacing them: trainers keep their ``CounterSet`` /
-``ReceiveRateRecorder`` (cheap, always on), and a registry *adopts*
-their contents at snapshot time via :meth:`MetricRegistry.merge_counter_set`
-and :meth:`MetricRegistry.merge_receive_rate` — duck-typed so this
-module stays dependency-free.
+layer.  It holds what the hooks count live — transfers, aborts by
+stage, the psi distribution, coreset rebuilds — and, added once per run
+by :func:`repro.telemetry.hooks.on_run_finished`, the trainers'
+``CounterSet`` / ``ReceiveRateRecorder`` (cheap, always on) as
+``trainer.*`` and ``model_rx.*``.  Those recorders are the one ledger
+of what they count; the registry never counts it a second time.
 """
 
 from __future__ import annotations
@@ -109,22 +109,6 @@ class MetricRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
-
-    # -- interop with repro.engine.metrics ---------------------------------
-
-    def merge_counter_set(self, counter_set, prefix: str = "") -> None:
-        """Adopt an ``engine.metrics.CounterSet`` (anything with as_dict)."""
-        for name, value in counter_set.as_dict().items():
-            counter = self.counter(prefix + name)
-            counter.value = max(counter.value, float(value))
-
-    def merge_receive_rate(self, recorder, prefix: str = "model_rx.") -> None:
-        """Adopt an ``engine.metrics.ReceiveRateRecorder``."""
-        attempted = self.counter(prefix + "attempted")
-        completed = self.counter(prefix + "completed")
-        attempted.value = max(attempted.value, float(recorder.attempted))
-        completed.value = max(completed.value, float(recorder.completed))
-        self.gauge(prefix + "rate").set(recorder.rate)
 
     # -- cross-process merge -------------------------------------------------
 

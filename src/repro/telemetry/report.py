@@ -27,14 +27,13 @@ def render_report(
 ) -> str:
     """Render a metrics snapshot (plus optional span counts) as text."""
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
     histograms = metrics.get("histograms", {})
     lines = [f"=== telemetry report: {label} ==="]
+    shown = {"trainer.chats", "trainer.frames_absorbed"}  # not repeated below
 
-    chats = counters.get("chat.count", 0)
+    chats = counters.get("trainer.chats", 0)
     if chats:
-        completed = counters.get("chat.completed", 0)
-        lines.append(f"chats: {chats:.0f} total, {completed:.0f} ran to completion")
+        lines.append(f"chats: {chats:.0f} total")
         aborts = {
             name.split("chat.aborted.", 1)[1]: value
             for name, value in sorted(counters.items())
@@ -43,17 +42,16 @@ def render_report(
         if aborts:
             stages = ", ".join(f"{stage}={value:.0f}" for stage, value in aborts.items())
             lines.append(f"  aborted by stage: {stages}")
-        absorbed = counters.get("chat.frames_absorbed", 0)
+        absorbed = counters.get("trainer.frames_absorbed", 0)
         if absorbed:
             lines.append(f"  coreset frames absorbed: {absorbed:.0f}")
 
     attempted = counters.get("model_rx.attempted", 0)
     if attempted:
         completed = counters.get("model_rx.completed", 0)
-        rate = gauges.get("model_rx.rate", completed / attempted)
         lines.append(
             f"model receptions: {completed:.0f}/{attempted:.0f} "
-            f"completed (receive rate {100 * rate:.1f}%)"
+            f"completed (receive rate {100 * completed / attempted:.1f}%)"
         )
 
     transfers = counters.get("transfer.count", 0)
@@ -81,7 +79,7 @@ def render_report(
     extra_counters = {
         name: value
         for name, value in sorted(counters.items())
-        if name.startswith("trainer.")
+        if name.startswith("trainer.") and name not in shown
     }
     if extra_counters:
         lines.append("trainer counters:")

@@ -132,14 +132,18 @@ class TestRecorderSnapshots:
 
     def test_receive_rate_round_trip(self):
         recorder = ReceiveRateRecorder()
-        recorder.observe("v0", True)
-        recorder.observe("v0", False)
-        recorder.observe("v1", True)
+        recorder.observe(True)
+        recorder.observe(False)
+        recorder.observe(True)
         clone = ReceiveRateRecorder()
         clone.restore(recorder.snapshot())
         assert clone.attempted == 3 and clone.completed == 2
-        clone.observe("v2", True)  # defaultdict behaviour survives restore
-        assert clone.attempted == 4
+        clone.observe(True)  # still counting after restore
+        assert clone.attempted == 4 and clone.completed == 3
+        # A barrier written while the recorder also kept per-vehicle
+        # tallies still restores; the table is ignored.
+        clone.restore({"attempted": 5, "completed": 1, "per_key": {"v0": [5, 1]}})
+        assert (clone.attempted, clone.completed) == (5, 1)
 
     def test_counter_set_round_trip(self):
         counters = CounterSet()

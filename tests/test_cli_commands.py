@@ -140,8 +140,7 @@ def test_cmd_trace_with_stubs(monkeypatch, capsys, tmp_path):
         assert session is not None, "trace must activate a TelemetrySession"
         session.tracer.start_span("chat", 0.0, i="v0", j="v1")
         session.tracer.end_span(1.0)
-        session.registry.counter("chat.count").inc()
-        session.registry.counter("chat.completed").inc()
+        session.registry.counter("trainer.chats").inc()
         return [FakeResult() for _ in specs]
 
     monkeypatch.setattr("repro.parallel.run_specs", fake_run_specs)
@@ -178,7 +177,7 @@ def test_cmd_report_from_trace(tmp_path, capsys):
     session = TelemetrySession(label="saved run")
     session.tracer.start_span("chat", 0.0)
     session.tracer.end_span(2.0, status="aborted", aborted="coresets")
-    session.registry.counter("chat.count").inc()
+    session.registry.counter("trainer.chats").inc()
     session.registry.counter("chat.aborted.coresets").inc()
     path = export_jsonl(session, tmp_path / "t.jsonl")
     assert cli.main(["report", "--trace", str(path)]) == 0

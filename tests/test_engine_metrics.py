@@ -26,20 +26,6 @@ class TestTimeSeriesRecorder:
         rec.record("a", 5.0, 1.0)
         rec.record("a", 5.0, 0.9)  # same-time re-record is fine
 
-    def test_value_at_uses_step_interpolation(self):
-        rec = TimeSeriesRecorder()
-        rec.record("a", 0.0, 3.0)
-        rec.record("a", 10.0, 1.0)
-        assert rec.value_at("a", 9.9) == 3.0
-        assert rec.value_at("a", 10.0) == 1.0
-        assert rec.value_at("a", 50.0) == 1.0
-
-    def test_value_at_before_first_raises(self):
-        rec = TimeSeriesRecorder()
-        rec.record("a", 5.0, 1.0)
-        with pytest.raises(ValueError):
-            rec.value_at("a", 4.0)
-
     def test_mean_curve_averages_across_keys(self):
         rec = TimeSeriesRecorder()
         rec.record("a", 0.0, 2.0)
@@ -126,21 +112,12 @@ class TestReceiveRateRecorder:
 
     def test_rate_counts_successes(self):
         rec = ReceiveRateRecorder()
-        rec.observe("v0", True)
-        rec.observe("v0", False)
-        rec.observe("v1", True)
+        rec.observe(True)
+        rec.observe(False)
+        rec.observe(True)
         assert rec.attempted == 3
         assert rec.completed == 2
         assert rec.rate == pytest.approx(2 / 3)
-
-    def test_per_key_rate(self):
-        rec = ReceiveRateRecorder()
-        rec.observe("v0", True)
-        rec.observe("v0", False)
-        rec.observe("v1", True)
-        assert rec.rate_for("v0") == 0.5
-        assert rec.rate_for("v1") == 1.0
-        assert rec.rate_for("v9") == 0.0
 
 
 class TestCounterSet:

@@ -6,6 +6,8 @@ fleet run produces spans that match the trainer's own ChatLog, and the
 JSONL export round-trips losslessly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ from repro.telemetry import (
 )
 from repro.telemetry import hooks
 from tests.conftest import make_fleet
+
+
+def finished_trainer(counters=None, attempted=0, completed=0):
+    """What ``hooks.on_run_finished`` reads of a trainer whose run ended."""
+    return SimpleNamespace(
+        counters=counters or CounterSet(),
+        receive_rate=ReceiveRateRecorder(attempted=attempted, completed=completed),
+        sim=SimpleNamespace(now=0.0),
+    )
 
 
 class TestTracer:
@@ -86,47 +97,38 @@ class TestRegistry:
         assert "never_set" not in reg.snapshot()["gauges"]
 
     def test_merge_engine_counter_set(self):
-        cs = CounterSet()
-        cs.add("chats", 5)
-        cs.add("bytes", 1000.0)
-        reg = MetricRegistry()
-        reg.merge_counter_set(cs, prefix="trainer.")
-        snap = reg.snapshot()["counters"]
-        assert snap["trainer.chats"] == 5.0
-        assert snap["trainer.bytes"] == 1000.0
+        """Each finished run adds its CounterSet in: two runs, twice the counts."""
+        counters = CounterSet()
+        counters.add("chats", 5)
+        counters.add("bytes", 1000.0)
+        with TelemetrySession() as session:
+            for _ in range(2):
+                hooks.on_run_finished(finished_trainer(counters=counters))
+        snap = session.registry.snapshot()["counters"]
+        assert snap["trainer.chats"] == 10.0
+        assert snap["trainer.bytes"] == 2000.0
 
     def test_merge_receive_rate(self):
-        rr = ReceiveRateRecorder()
-        rr.observe("v0", True)
-        rr.observe("v0", False)
-        reg = MetricRegistry()
-        reg.merge_receive_rate(rr)
-        snap = reg.snapshot()
+        """Receptions land as two counters and nothing else: a rate is
+        read off the counters, never kept beside them."""
+        with TelemetrySession() as session:
+            hooks.on_run_finished(finished_trainer(attempted=2, completed=1))
+        snap = session.registry.snapshot()
         assert snap["counters"]["model_rx.attempted"] == 2.0
         assert snap["counters"]["model_rx.completed"] == 1.0
-        assert snap["gauges"]["model_rx.rate"] == pytest.approx(0.5)
-
-    def test_merge_is_idempotent(self):
-        cs = CounterSet()
-        cs.add("chats", 5)
-        reg = MetricRegistry()
-        reg.merge_counter_set(cs, prefix="trainer.")
-        reg.merge_counter_set(cs, prefix="trainer.")
-        assert reg.snapshot()["counters"]["trainer.chats"] == 5.0
+        assert snap["gauges"] == {}
 
 
 class TestHooksNoOp:
     def test_all_hooks_are_safe_when_inactive(self):
         assert hooks.active() is None
         hooks.count("x")
-        hooks.observe("x", 1.0)
         hooks.set_gauge("x", 1.0)
-        hooks.add_event("x")
         hooks.on_chat_stage("assist", 0.0, True)
-        hooks.on_model_reception(True)
         hooks.on_coreset_refresh("v0", 10)
-        hooks.on_coreset_merge("v0", 3)
+        hooks.on_coreset_merge()
         hooks.on_record_tick(0.0, 4)
+        hooks.on_run_finished(finished_trainer())
 
     def test_session_context_restores_previous(self):
         outer = TelemetrySession("outer")
@@ -140,13 +142,10 @@ class TestHooksNoOp:
     def test_generic_instruments_route_to_session(self):
         with TelemetrySession() as session:
             hooks.count("c", 2.0)
-            hooks.observe("h", 1.5)
             hooks.set_gauge("g", 7.0)
-            hooks.add_event("e", 3.0, detail="x")
         snap = session.registry.snapshot()
         assert snap["counters"]["c"] == 2.0
         assert snap["gauges"]["g"] == 7.0
-        assert session.tracer.event_counts() == {"e": 1}
 
 
 class TestExportRoundTrip:
@@ -155,7 +154,7 @@ class TestExportRoundTrip:
         session.tracer.start_span("chat", 0.0, i="v0", j="v1")
         session.tracer.event("transfer", 0.5, bytes=np.float64(10.0))
         session.tracer.end_span(1.0, status="aborted", aborted="coresets")
-        session.registry.counter("chat.count").inc()
+        session.registry.counter("chat.aborted.coresets").inc()
         session.registry.histogram("chat.psi").observe(0.3)
         return session
 
@@ -186,15 +185,16 @@ class TestExportRoundTrip:
         session = self._toy_session()
         path = export_metrics_csv(session.registry, tmp_path / "metrics.csv")
         text = path.read_text()
-        assert "chat.count" in text and "chat.psi" in text
+        assert "chat.aborted.coresets" in text and "chat.psi" in text
 
 
 class TestReport:
     def test_report_mentions_key_quantities(self):
         metrics = {
             "counters": {
-                "chat.count": 10.0,
-                "chat.completed": 7.0,
+                "trainer.chats": 10.0,
+                "trainer.frames_absorbed": 12.0,
+                "trainer.train_steps": 90.0,
                 "chat.aborted.assist": 2.0,
                 "chat.aborted.coresets": 1.0,
                 "model_rx.attempted": 8.0,
@@ -204,7 +204,6 @@ class TestReport:
                 "transfer.bytes_requested": 2e6,
                 "transfer.bytes_delivered": 1.5e6,
             },
-            "gauges": {"model_rx.rate": 0.75},
             "histograms": {
                 "chat.psi": {
                     "count": 14, "sum": 4.2, "min": 0.0, "max": 1.0,
@@ -218,6 +217,21 @@ class TestReport:
         assert "receive rate 75.0%" in text
         assert "psi distribution" in text
         assert "chat=10" in text
+        assert "train_steps: 90" in text
+        # Each quantity once: chats and absorbed frames are not repeated
+        # among the trainer counters.
+        assert text.count(": 10") == 1 and text.count(": 12") == 1
+
+    def test_rate_of_merged_runs_is_read_off_the_pooled_counts(self):
+        """Two runs' registries merged (several specs, or ``jobs > 1``):
+        the rate is of the pooled counts, not the last run's."""
+        merged = MetricRegistry()
+        for attempted, completed in ((2, 1), (4, 3)):
+            with TelemetrySession() as session:
+                hooks.on_run_finished(finished_trainer(attempted=attempted, completed=completed))
+            merged.merge_state(session.registry.state())
+        text = render_report(merged.snapshot())
+        assert "model receptions: 4/6 completed (receive rate 66.7%)" in text
 
     def test_empty_report(self):
         assert "no telemetry" in render_report({})
@@ -259,16 +273,18 @@ class TestTracedFleetRun:
         )
 
     def test_registry_matches_trainer_recorders(self, traced_run):
+        """The recorders are the one ledger: the registry holds them as
+        they are and counts none of it a second time."""
         trainer, session = traced_run
-        snap = session.registry.snapshot()
-        assert snap["counters"]["chat.count"] == len(trainer.chat_log)
-        assert snap["counters"]["model_rx.attempted"] == trainer.receive_rate.attempted
-        assert snap["counters"]["model_rx.completed"] == trainer.receive_rate.completed
-        assert snap["counters"]["trainer.chats"] == trainer.counters.get("chats")
-        assert snap["gauges"]["model_rx.rate"] == pytest.approx(
-            trainer.receive_rate.rate
-        )
-        assert snap["counters"]["coreset.merges"] > 0
+        counters = session.registry.snapshot()["counters"]
+        ledger = {
+            **{f"trainer.{name}": value for name, value in trainer.counters.as_dict().items()},
+            "model_rx.attempted": trainer.receive_rate.attempted,
+            "model_rx.completed": trainer.receive_rate.completed,
+        }
+        assert {name: counters[name] for name in ledger} == ledger
+        assert not {"chat.count", "chat.completed", "chat.frames_absorbed"} & set(counters)
+        assert counters["coreset.merges"] > 0
 
     def test_export_reload_report(self, traced_run, tmp_path):
         trainer, session = traced_run

@@ -306,6 +306,77 @@ class TestBenchmarkTracer:
         assert calls["core.pairwise_chat"] == (0 if overlap_chat else chats)
 
 
+class TestOneLedger:
+    """ROADMAP item 11c (metamorphic) as a gate: what a run counts lives
+    in its trainer's recorders, which a telemetry session adds up when
+    the run ends — so a session over the same run twice holds exactly
+    twice one run's counts, and a run cut at a barrier and finished in a
+    fresh session leaves the registry of a run that went through."""
+
+    #: Live re-counts of the recorders, gone with the ledger's twin.
+    DUPLICATES = {"chat.count", "chat.completed", "chat.frames_absorbed", "coreset.frames_added"}
+
+    @staticmethod
+    def registry_of(*runs):
+        """The registry state of one session over ``runs`` (callables)."""
+        from repro.telemetry import TelemetrySession
+
+        with TelemetrySession() as session:
+            for run in runs:
+                run()
+        return session.registry.state()
+
+    @staticmethod
+    def hotpath_lbchat(**spec):
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec
+
+        context = selfcheck._context("hotpath")
+        return context, RunSpec.for_context(context, "LbChat", seed=selfcheck.SEED, **spec)
+
+    def test_a_run_twice_counts_twice(self):
+        from repro.experiments.runner import run_method
+
+        context, spec = self.hotpath_lbchat()
+
+        def run():
+            run_method(context, spec)
+
+        once, twice = self.registry_of(run), self.registry_of(run, run)
+        assert not self.DUPLICATES & {*once["counters"], *twice["counters"]}
+        assert "model_rx.rate" not in twice["gauges"]
+        assert set(twice["counters"]) == set(once["counters"])
+        ledger = {name for name in once["counters"] if name.startswith(("trainer.", "model_rx."))}
+        assert {"trainer.train_steps", "trainer.chats", "model_rx.attempted"} <= ledger
+        integral = {name for name, value in once["counters"].items() if value.is_integer()}
+        for name in ledger | integral:
+            assert twice["counters"][name] == 2 * once["counters"][name], name
+        assert once["histograms"]
+        for name, values in once["histograms"].items():
+            assert len(twice["histograms"][name]) == 2 * len(values), name
+
+    def test_a_run_resumed_in_a_fresh_session_leaves_the_same_registry(self):
+        from repro import selfcheck
+        from repro.experiments.runner import prepare_trainer
+
+        context, spec = self.hotpath_lbchat(checkpoint_every=10.0)
+        saver = selfcheck._MemoryCheckpointer(every=10.0)
+
+        def run(state=None):
+            _, trainer = prepare_trainer(context, spec)
+            if state is not None:
+                trainer.restore(state)  # merges state["telemetry"] into the session
+            trainer.run(checkpointer=saver)
+
+        through = self.registry_of(run)
+        barrier = saver.states[2]
+        assert barrier["telemetry"]["counters"]["run.record_ticks"] > 0
+        assert not any(name.startswith("trainer.") for name in barrier["telemetry"]["counters"])
+        resumed = self.registry_of(lambda: run(barrier))
+        assert resumed["counters"] == through["counters"]
+        assert through["counters"]["trainer.train_steps"] == 60
+
+
 class TestOneWayToTakeAGradientStep:
     """ROADMAP items 9 and 15(a) as a gate — the bank is the network, and
     a fleet is born in it: a run builds one fleet ``ParamBank`` and no
