@@ -41,9 +41,9 @@ def run_with_checkpoints(context, spec, store: RunStore | None = None):
         raise CheckpointError(f"spec {spec.label!r} has no checkpoint_every")
     if store is None:
         store = RunStore(spec.checkpoint_dir or DEFAULT_CHECKPOINT_ROOT)
-    store.ensure_run(spec)
-    policy = CheckpointPolicy(every=float(spec.checkpoint_every))
     nodes, trainer = prepare_trainer(context, spec)
+    store.ensure_run(spec, step_shards=len(trainer.fleet.shards))
+    policy = CheckpointPolicy(every=float(spec.checkpoint_every))
     state = store.latest_checkpoint(spec)
     if state is not None:
         trainer.restore(state)

@@ -163,8 +163,11 @@ class RunStore:
 
     # -- run lifecycle -------------------------------------------------------
 
-    def ensure_run(self, spec) -> Path:
-        """Create the run directory and its ``run.json`` (idempotent)."""
+    def ensure_run(self, spec, step_shards: int | None = None) -> Path:
+        """Create the run directory and its ``run.json`` (idempotent).
+
+        ``step_shards`` is the row-shard count the run's fleet steps in.
+        """
         run_dir = self.run_dir(spec)
         run_dir.mkdir(parents=True, exist_ok=True)
         run_json = run_dir / "run.json"
@@ -174,6 +177,7 @@ class RunStore:
                 "fingerprint": spec_fingerprint(spec),
                 "spec": spec_payload(spec),
                 "blas_threads": blas_threads(),  # not identity; see log_resumed
+                "step_shards": step_shards,  # not identity: bits are equal for any count
                 "adam_kernel": kernel_status(),  # not identity: both paths agree to the bit
             }
             _atomic_write_bytes(run_json, json.dumps(payload, indent=2).encode())

@@ -45,20 +45,12 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_step_workers_arg(parser: argparse.ArgumentParser, default: str = "1") -> None:
+def _add_step_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--step-workers", default=default, metavar="N|auto",
-        help="shard each run's fleet training step across N forked workers "
-        "over shared-memory banks ('auto' = measured per-host tuning); "
-        "results are bit-identical for every value",
+        "--step-workers", type=int, default=None, metavar="N",
+        help="step each run's fleet in at most N row shards on threads "
+        "(default: one per usable core); results are bit-identical for every value",
     )
-
-
-def _step_workers(args: argparse.Namespace) -> int:
-    """Resolve the --step-workers flag ('auto' probes/reads the host cache)."""
-    from repro.parallel import resolve_step_workers
-
-    return resolve_step_workers(args.step_workers)
 
 
 def _add_overlap_arg(parser: argparse.ArgumentParser) -> None:
@@ -73,10 +65,9 @@ def _add_overlap_arg(parser: argparse.ArgumentParser) -> None:
 
 def _run_overrides(args: argparse.Namespace) -> dict:
     """Config overrides from the execution flags every training command shares."""
-    workers = _step_workers(args)
     overrides: dict = {}
-    if workers != 1:
-        overrides["step_workers"] = workers
+    if args.step_workers is not None:
+        overrides["step_workers"] = args.step_workers
     if getattr(args, "overlap_chat", False):
         overrides["overlap_chat"] = True
     return overrides
@@ -164,8 +155,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.checkpoint import resume_run_dir
 
     print(f"Resuming run from {args.run_dir}...")
-    workers = None if args.step_workers is None else _step_workers(args)
-    result = resume_run_dir(args.run_dir, step_workers=workers)
+    result = resume_run_dir(args.run_dir, step_workers=args.step_workers)
     _render_result(args, result)
     return 0
 
@@ -346,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resume", help="continue a checkpointed run from its run directory")
     p.add_argument("run_dir", help="checkpoint run directory (contains run.json)")
-    _add_step_workers_arg(p, default=None)
+    _add_step_workers_arg(p)
     p.add_argument("--out", default=None, help="archive run results to JSON")
     p.add_argument("--save-model", default=None, help="write a model checkpoint (.npz)")
     p.set_defaults(fn=_cmd_resume)

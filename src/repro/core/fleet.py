@@ -15,29 +15,21 @@ engine exploits that: when the first vehicle of an instant fires, it
 samples every node's minibatch, runs one batched forward/backward over
 the bank, and applies a vectorized Adam step for the whole fleet; the
 remaining vehicles of the instant just pick up their precomputed loss.
+That step, and the fleet's validation pass, run as contiguous row
+shards on threads (:mod:`repro.parallel.stepshard`), bit-identical for
+any shard count.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from repro.core.node import _EVAL_CHUNK, NodeConfig, VehicleNode
 from repro.nn._fused import fused_adam_step
 from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
-from repro.nn.losses import fleet_waypoint_l1
-from repro.nn.params import get_flat_params, num_params
-from repro.parallel.stepshard import (
-    ShmArena,
-    StepShard,
-    StepWorkerError,
-    StepWorkerPool,
-    fork_available,
-    partition_rows,
-)
+from repro.nn.params import get_flat_params
+from repro.parallel.stepshard import StepShard, default_step_shards, partition_rows, run_shards
 from repro.sim.dataset import DrivingDataset
-from repro.telemetry import hooks
 
 __all__ = ["FleetEngine", "FleetIncompatible"]
 
@@ -51,10 +43,11 @@ class FleetEngine:
     forward/backward/update.
 
     ``members`` are ``(node_id, dataset, rng)`` in row order.  Birth
-    allocates the bank and :class:`FleetAdam` (in a shared-memory arena
-    when ``step_workers > 1`` and the platform can fork, so forked step
-    workers update their rows in place), writes ``template``'s
-    parameters into every row with one broadcast, and constructs each
+    allocates the bank and :class:`FleetAdam`, writes ``template``'s
+    parameters into every row with one broadcast, cuts the rows into
+    ``step_workers`` contiguous :class:`~repro.parallel.stepshard.
+    StepShard`\\ s (default: one per usable core, at most one per row)
+    that the two fleet-wide ops run on threads, and constructs each
     :class:`VehicleNode` on ``(fleet, row)``; a node builds its first
     coreset from its own RNG.  A template the bank cannot stack raises
     :class:`FleetIncompatible` — there is no per-node training to
@@ -67,45 +60,24 @@ class FleetEngine:
         members: list[tuple[str, DrivingDataset, np.random.Generator]],
         config: NodeConfig,
         *,
-        step_workers: int = 1,
+        step_workers: int | None = None,
     ):
         n = len(members)
-        requested = max(1, int(step_workers))
-        if requested > 1 and not fork_available():
-            warnings.warn(
-                "step_workers requires the fork start method; "
-                "falling back to serial fleet stepping",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            requested = 1
-        self.step_workers = requested
-        allocator = None
-        self._bank_arena: ShmArena | None = None
-        if requested > 1:
-            n_params = num_params(template)
-            self._bank_arena = ShmArena(
-                ShmArena.bytes_for(
-                    ((n, n_params), np.float32),  # bank.flat
-                    ((n, n_params), np.float32),  # bank.grad_flat
-                    ((n, n_params), np.float32),  # optim.m
-                    ((n, n_params), np.float32),  # optim.v
-                    ((n,), np.int64),  # optim.steps
-                )
-            )
-            allocator = self._bank_arena.alloc
         #: The shared initialisation; it stays as born (the rows train).
         self.template = template
         #: The config the fleet was born with: its Adam's learning rate
         #: and its stacked minibatches' size.
         self.config = config
-        self.bank = ParamBank(template, n, allocator=allocator)
+        self.bank = ParamBank(template, n)
+        self.optim = FleetAdam(self.bank, lr=config.learning_rate)
+        self._row_ranges = partition_rows(
+            n, default_step_shards() if step_workers is None else step_workers
+        )
         try:
-            self.model = FleetWaypointNet(self.bank, template)
+            self._build_shards()
         except ValueError as exc:
             raise FleetIncompatible(str(exc)) from exc
         self.bank.flat[:] = get_flat_params(template)
-        self.optim = FleetAdam(self.bank, lr=config.learning_rate, allocator=allocator)
         #: One-row banks over each row, sliced once (:meth:`row_net`).
         self._row_banks: dict[int, ParamBank] = {}
         self.nodes = tuple(
@@ -120,14 +92,19 @@ class FleetEngine:
         # ``mean_step_width`` == n_nodes once any step ran.
         self.step_events = 0
         self.step_width_sum = 0
-        self._batch_bufs: tuple[np.ndarray, ...] | None = None
-        # The worker pool spawns lazily at the first batched step (the
-        # stacked batch shapes are only known then).
-        self._pool: StepWorkerPool | None = None
-        self._pool_failed = requested <= 1
-        self._batch_arena: ShmArena | None = None
-        self._shm_batch: tuple[np.ndarray, ...] | None = None
-        self._shm_losses: np.ndarray | None = None
+        #: The stacked ``(n, batch, ...)`` minibatch every step gathers
+        #: into (allocated by the first step, reused by every later one).
+        self._batch: tuple[np.ndarray, ...] | None = None
+
+    def _build_shards(self) -> None:
+        shards = []
+        for lo, hi in self._row_ranges:
+            rows = self.bank.slice_rows(lo, hi)
+            net = FleetWaypointNet(rows, self.template)
+            shards.append(StepShard(lo, hi, net, self.optim.slice_rows(lo, hi, rows)))
+        #: The row shards :meth:`train_step_all` and :meth:`evaluate_fleet`
+        #: run concurrently (one shard: the whole fleet, on this thread).
+        self.shards = tuple(shards)
 
     @staticmethod
     def of(nodes: list[VehicleNode]) -> "FleetEngine":
@@ -168,18 +145,14 @@ class FleetEngine:
 
     def __getstate__(self):
         """A fleet crossing processes (a run's result) takes its banks and
-        nodes, not the step workers, their shared memory or scratch."""
+        nodes, not its shards' activations or its scratch."""
         state = self.__dict__.copy()
-        state.update(
-            model=None, _row_banks={}, _pending=None, _batch_bufs=None, _pool=None,
-            _pool_failed=True, _bank_arena=None, _batch_arena=None, _shm_batch=None,
-            _shm_losses=None,
-        )  # fmt: skip
+        state.update(shards=(), _row_banks={}, _pending=None, _batch=None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.model = FleetWaypointNet(self.bank, self.template)
+        self._build_shards()
 
     @property
     def mean_step_width(self) -> float:
@@ -211,147 +184,45 @@ class FleetEngine:
         Minibatches are sampled from each node's own RNG in row order —
         the same draws, in the same order, as per-node lock-step
         training — and every one has ``batch_size`` rows
-        (:meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), so
-        they always stack.
+        (:meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), gathered
+        straight into the stacked buffers.  Then every shard steps its
+        rows, concurrently.
         """
         nodes = self.nodes
-        samples = [
+        bev, commands, targets = batch = self._batch_buffers()
+        for row, node in enumerate(nodes):
             node.dataset.sample_batch(
                 node.config.batch_size,
                 node.rng,
                 balance_commands=node.config.balance_commands,
+                out=(bev[row], commands[row], targets[row]),
             )
-            for node in nodes
-        ]
         self.step_events += len(nodes)
         self.step_width_sum += len(nodes) * len(nodes)
-        if not self._pool_failed:
-            losses = self._pool_step(samples)
-            if losses is not None:
-                return losses
-        bev, commands, targets = self._stack_batches(samples)
-        pred = self.model.forward(bev, commands)
-        scalars, _, grad = fleet_waypoint_l1(pred, targets)
-        # No zero_grad: the batched backward assigns parameter gradients.
-        self.model.backward(grad)
-        self.optim.step()
+        losses = np.empty(len(nodes), dtype=np.float64)
+        if len(self.shards) > 1:
+            fused_adam_step()  # resolve the kernel once, before shard threads race to load it
+        run_shards(self.shards, lambda shard: shard.run_step(*batch, losses))
         for node in nodes:
             node.model_version += 1
             node.train_steps += 1
             node._steps_since_refresh += 1
-        return np.asarray(scalars, dtype=np.float64)
+        return losses
 
-    def _stack_batches(
-        self, samples: list
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stack per-node minibatches into persistent ``(n, b, ...)`` buffers.
+    def _batch_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The persistent ``(n, batch, ...)`` bev / command / target buffers.
 
-        Reusing the buffers step over step avoids re-faulting tens of
-        megabytes of freshly mmap'd pages on every training instant.
+        Reusing them step over step avoids re-faulting tens of megabytes
+        of freshly mmap'd pages on every training instant.
         """
-        bufs = self._batch_bufs
-        shapes = tuple((len(samples), *samples[0][k].shape) for k in range(3))
-        if bufs is None or tuple(buf.shape for buf in bufs) != shapes:
-            bufs = self._batch_bufs = tuple(
-                np.empty(shape, dtype=samples[0][k].dtype)
-                for k, shape in enumerate(shapes)
+        if self._batch is None:
+            pool = self.nodes[0].dataset.pool
+            lead = (len(self.nodes), self.config.batch_size)
+            self._batch = tuple(
+                np.empty((*lead, *column.shape[1:]), dtype=column.dtype)
+                for column in (pool.bev, pool.commands, pool.targets)
             )
-        for row, sample in enumerate(samples):
-            bufs[0][row] = sample[0]
-            bufs[1][row] = sample[1]
-            bufs[2][row] = sample[2]
-        return bufs
-
-    # -- step-worker pool ----------------------------------------------------
-
-    def _spawn_pool(self, samples: list) -> None:
-        """Fork the step-worker pool around the first batch.
-
-        Allocates the shared batch/loss buffers (shapes are known now),
-        slices the bank and optimizer into contiguous row shards, warms
-        the fused Adam kernel so workers inherit the loaded library
-        instead of racing to compile, and forks one worker per shard.
-        Failure to spawn degrades to serial batched stepping.
-        """
-        n = len(self.nodes)
-        try:
-            specs = [((n, *samples[0][k].shape), samples[0][k].dtype) for k in range(3)]
-            arena = ShmArena(ShmArena.bytes_for(*specs, ((n,), np.float64)))
-            bufs = tuple(arena.alloc(shape, dtype) for shape, dtype in specs)
-            losses = arena.alloc((n,), np.float64)
-            fused_adam_step()
-            shards = []
-            for i, (lo, hi) in enumerate(partition_rows(n, self.step_workers)):
-                bank_slice = self.bank.slice_rows(lo, hi)
-                shards.append(
-                    StepShard(
-                        i,
-                        lo,
-                        hi,
-                        FleetWaypointNet(bank_slice, self.template),
-                        self.optim.slice_rows(lo, hi, bank_slice),
-                        *bufs,
-                        losses,
-                    )
-                )
-            pool = StepWorkerPool(shards)
-        except (StepWorkerError, OSError, MemoryError) as exc:
-            warnings.warn(
-                f"could not spawn step workers ({exc}); "
-                "falling back to serial fleet stepping",
-                RuntimeWarning,
-            )
-            self._pool_failed = True
-            return
-        self._batch_arena = arena
-        self._shm_batch = bufs
-        self._shm_losses = losses
-        self._pool = pool
-        hooks.count("stepshard.pools_spawned")
-        hooks.set_gauge("stepshard.workers", pool.n_workers)
-
-    def _pool_step(self, samples: list) -> np.ndarray | None:
-        """One sharded batched step; None (the pool could not spawn)
-        routes to the serial path.
-
-        The parent has already drawn every node's minibatch (keeping all
-        RNG consumption in one process, in row order); here it stages the
-        stacked batch into the shared buffers and fans the step command
-        out to the workers, which update their disjoint bank rows in
-        place.  The per-node losses land in shared memory — returning a
-        copy *is* the merge.
-        """
-        if self._pool is None:
-            self._spawn_pool(samples)
-            if self._pool is None:
-                return None
-        bev, commands, targets = self._shm_batch
-        for row, sample in enumerate(samples):
-            bev[row] = sample[0]
-            commands[row] = sample[1]
-            targets[row] = sample[2]
-        self._pool.step()
-        hooks.count("stepshard.steps")
-        for node in self.nodes:
-            node.model_version += 1
-            node.train_steps += 1
-            node._steps_since_refresh += 1
-        return self._shm_losses.copy()
-
-    def close(self) -> None:
-        """Stop the step workers (if any) and merge their telemetry.
-
-        Idempotent; the engine keeps working afterwards on the serial
-        batched path (the banks themselves stay valid — they are views
-        into an arena this object owns).
-        """
-        pool, self._pool = self._pool, None
-        self._pool_failed = True
-        if pool is None:
-            return
-        for shard, counters in pool.close().items():
-            for name, value in counters.items():
-                hooks.count(f"stepshard.shard{shard}.{name}", value)
+        return self._batch
 
     # -- evaluation ----------------------------------------------------------
 
@@ -381,12 +252,14 @@ class FleetEngine:
                 need.append(i)
         if need:
             fresh = np.empty((n_nodes, n), dtype=np.float32)
-            # Keep total forward work per chunk near the per-node cap.
+            # Keep total forward work per chunk near the per-node cap.  The
+            # chunk is the fleet's, whatever a shard's height: a row's
+            # GEMMs keep their shape for any shard count.
             chunk = max(1, _EVAL_CHUNK // n_nodes)
-            for start in range(0, n, chunk):
-                sl = slice(start, start + chunk)
-                pred = self.model.forward(bev[sl], commands[sl])
-                fresh[:, sl] = np.abs(pred - targets[sl]).mean(axis=2)
+            run_shards(
+                self.shards,
+                lambda shard: shard.evaluate(bev, commands, targets, chunk, fresh),
+            )
             for i in need:
                 values[i] = fresh[i]
                 nodes[i].store_losses(slots_list[i], fresh[i])

@@ -352,12 +352,9 @@ class TrainerBase:
             activities.sort(key=lambda item: (item[0], item[1]))
         for _, _, gen in activities:
             self.sim.process(gen)
-        try:
-            self.sim.run(until=cfg.duration)
-            # Final snapshot so curves end exactly at T.
-            self.record_losses()
-        finally:
-            self.fleet.close()
+        self.sim.run(until=cfg.duration)
+        # Final snapshot so curves end exactly at T.
+        self.record_losses()
         telemetry.on_run_finished(self)
 
     # -- checkpointing ------------------------------------------------------------

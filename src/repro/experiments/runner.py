@@ -255,12 +255,13 @@ def register_context(context: ExperimentContext) -> None:
 
 
 def make_nodes(
-    context: ExperimentContext, seed: int = 1, *, step_workers: int = 1
+    context: ExperimentContext, seed: int = 1, *, step_workers: int | None = None
 ) -> list[VehicleNode]:
     """Fresh nodes, born rows of one fleet from one initialisation (§II-A).
 
-    ``step_workers`` is where the fleet's bank lives (:class:`~repro.core.
-    fleet.FleetEngine`); results are bit-identical for every value.
+    ``step_workers`` caps the row shards the fleet steps in (:class:`~repro.
+    core.fleet.FleetEngine`; default one per usable core); results are
+    bit-identical for every value.
     """
     scale = context.scale
     node_config = NodeConfig(
@@ -396,7 +397,7 @@ def prepare_trainer(
     fleet's birth, every other one to the trainer's config.
     """
     overrides = dict(spec.overrides)
-    step_workers = overrides.pop("step_workers", 1)
+    step_workers = overrides.pop("step_workers", None)
     nodes = make_nodes(context, seed=spec.seed, step_workers=step_workers)
     node_overrides = {}
     if spec.coreset_size is not None:

@@ -11,8 +11,8 @@ caller falls back to the numpy path.
 Compiled kernels are cached on disk keyed by a hash of the C source
 (plus the flags and the platform tag), so the compiler runs **at most
 once per host** no matter how many processes need the kernel — the
-run-level pool and the step-worker shards all dlopen the same cached
-``.so``.  Concurrent first use is serialized by a lockfile: one process
+run-level pool's workers all dlopen the same cached ``.so`` (a
+process's step shards are threads sharing its one load).  Concurrent first use is serialized by a lockfile: one process
 compiles into a private temp file and publishes it with an atomic
 rename; the others wait for the artifact to appear.  A stale lock (a
 compiler crash) times out and the waiter compiles privately — the

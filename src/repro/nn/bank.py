@@ -45,11 +45,6 @@ from repro.nn._fused import fused_adam_step
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.model import WaypointNet
 
-def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Default bank allocator: ordinary zeroed process memory."""
-    return np.zeros(shape, dtype=dtype)
-
-
 __all__ = [
     "ParamBank",
     "FleetLinear",
@@ -70,18 +65,11 @@ class ParamBank:
     written from (or into) a model of that layout is the model.  The
     bank starts zeroed; ``views[k]``/``grad_views[k]`` expose parameter
     ``k`` of every node as a ``(n_nodes, *shape)`` view into the bank.
-
-    ``allocator`` controls where the backing matrices live: the default
-    is ordinary process-private memory; the step-worker pool passes a
-    :class:`~repro.parallel.stepshard.ShmArena` allocator so the banks
-    live in ``multiprocessing.shared_memory`` and forked workers update
-    disjoint row ranges in place (see :meth:`slice_rows`).
     """
 
-    def __init__(self, template, n_nodes: int, *, allocator=None):
+    def __init__(self, template, n_nodes: int):
         if n_nodes <= 0:
             raise ValueError(f"bank needs at least one node: {n_nodes}")
-        alloc = allocator if allocator is not None else _zeros
         params = template.parameters()
         self.n_nodes = n_nodes
         self.specs: list[tuple[str, tuple[int, ...]]] = [
@@ -89,8 +77,8 @@ class ParamBank:
         ]
         sizes = [int(np.prod(shape)) if shape else 1 for _, shape in self.specs]
         self.n_params = int(sum(sizes))
-        self.flat = alloc((n_nodes, self.n_params), np.float32)
-        self.grad_flat = alloc((n_nodes, self.n_params), np.float32)
+        self.flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
+        self.grad_flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
         self._build_views()
 
     def _build_views(self) -> None:
@@ -123,7 +111,7 @@ class ParamBank:
         — so a :class:`FleetWaypointNet` built over it trains those rows
         in place.  Row ranges are the step-sharding unit: every batched
         op in this module is independent per leading (node) index, so
-        partitioning rows across workers cannot reorder any float op.
+        partitioning rows across shards cannot reorder any float op.
         """
         if not (0 <= lo < hi <= self.n_nodes):
             raise ValueError(f"invalid row range [{lo}, {hi}) for {self.n_nodes} rows")
@@ -455,19 +443,16 @@ class FleetAdam:
         lr: float = 1e-4,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        *,
-        allocator=None,
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive: {lr}")
-        alloc = allocator if allocator is not None else _zeros
         self.bank = bank
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.steps = alloc((bank.n_nodes,), np.int64)
-        self.m = alloc((bank.n_nodes, bank.n_params), np.float32)
-        self.v = alloc((bank.n_nodes, bank.n_params), np.float32)
+        self.steps = np.zeros(bank.n_nodes, dtype=np.int64)
+        self.m = np.zeros((bank.n_nodes, bank.n_params), dtype=np.float32)
+        self.v = np.zeros((bank.n_nodes, bank.n_params), dtype=np.float32)
         self._scratch: np.ndarray | None = None
 
     def slice_rows(self, lo: int, hi: int, bank_slice: ParamBank) -> "FleetAdam":
@@ -475,8 +460,8 @@ class FleetAdam:
 
         ``bank_slice`` must be ``self.bank.slice_rows(lo, hi)``.  The
         slice shares moment matrices and step counters with the parent
-        (views), so a step-worker advancing its rows is indistinguishable
-        from the parent advancing them itself.
+        (views), so a shard advancing its rows is indistinguishable from
+        the whole optimizer advancing them.
         """
         other = FleetAdam.__new__(FleetAdam)
         other.bank = bank_slice

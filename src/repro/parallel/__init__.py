@@ -15,34 +15,27 @@ the same per-job code and return bit-identical results in job order::
     results = run_specs(specs, jobs=3)
 
 The ``parallel.jobs4`` row of ``repro selfcheck`` gates exactly this
-determinism claim.
+determinism claim.  Inside one run, :mod:`repro.parallel.stepshard`
+steps the fleet's bank rows in shards on threads, bit-identical for
+every shard count.
 """
 
-from repro.parallel.autotune import resolve_step_workers
 from repro.parallel.pool import (
     ParallelConfig,
     clamp_step_workers,
     resolve_jobs,
     run_specs,
 )
-from repro.parallel.stepshard import (
-    ShmArena,
-    StepWorkerPool,
-    fork_available,
-    partition_rows,
-)
+from repro.parallel.stepshard import partition_rows, usable_cores
 from repro.parallel.worker import execute_spec, run_job
 
 __all__ = [
     "ParallelConfig",
     "clamp_step_workers",
     "resolve_jobs",
-    "resolve_step_workers",
     "run_specs",
     "execute_spec",
     "run_job",
-    "ShmArena",
-    "StepWorkerPool",
-    "fork_available",
     "partition_rows",
+    "usable_cores",
 ]

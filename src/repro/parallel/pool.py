@@ -22,7 +22,6 @@ finishes its stale task in the background and then exits).
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -30,6 +29,7 @@ from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 from repro.parallel import worker
+from repro.parallel.stepshard import usable_cores
 
 __all__ = ["ParallelConfig", "clamp_step_workers", "resolve_jobs", "run_specs"]
 
@@ -38,7 +38,7 @@ __all__ = ["ParallelConfig", "clamp_step_workers", "resolve_jobs", "run_specs"]
 class ParallelConfig:
     """How to fan runs out to processes.
 
-    ``jobs <= 0`` means "all available cores"; ``jobs == 1`` is the
+    ``jobs <= 0`` means "all usable cores"; ``jobs == 1`` is the
     serial path (no pool, no pickling).  ``start_method`` defaults to
     the platform default ("fork" on Linux, which also lets workers
     inherit already-built contexts).
@@ -51,40 +51,40 @@ class ParallelConfig:
 
 
 def resolve_jobs(jobs: int) -> int:
-    """Normalize a --jobs value: non-positive selects all cores."""
-    return jobs if jobs > 0 else (os.cpu_count() or 1)
+    """Normalize a --jobs value: non-positive selects all usable cores."""
+    return jobs if jobs > 0 else usable_cores()
 
 
 def clamp_step_workers(specs: list, n_jobs: int) -> list:
-    """Budget run-level jobs x per-run step workers against host cores.
+    """Budget run-level jobs x per-run step shards against usable cores.
 
-    Each pooled run forks its own step workers, so ``jobs`` runs at
-    ``step_workers`` each would oversubscribe the host ``jobs x workers``
-    fold.  Specs asking for more than ``cores // n_jobs`` step workers
-    are clamped to that budget (results are bit-identical for every
-    worker count, so clamping is free); one warning and one telemetry
-    counter report how many specs were touched instead of silently
-    thrashing the machine.
+    Each pooled run steps its fleet in row shards on threads, so ``jobs``
+    runs at ``step_workers`` shards each would oversubscribe the cores
+    ``jobs x shards`` fold.  A spec that asked for no shard count gets
+    the budget, ``usable_cores() // n_jobs``; one asking for more is
+    clamped to it (results are bit-identical for every shard count, so
+    either is free), and one warning and one telemetry counter report
+    how many explicit asks were cut instead of silently thrashing the
+    machine.
     """
     from repro.telemetry import hooks
 
     if n_jobs <= 1:
         return specs
-    budget = max(1, (os.cpu_count() or 1) // n_jobs)
+    cores = usable_cores()
+    budget = max(1, cores // n_jobs)
     clamped = []
     touched = 0
     for spec in specs:
-        asked = int((getattr(spec, "overrides", None) or {}).get("step_workers", 1))
-        if asked > budget:
-            overrides = dict(spec.overrides)
-            overrides["step_workers"] = budget
-            spec = replace(spec, overrides=overrides)
-            touched += 1
+        asked = spec.overrides.get("step_workers")
+        if asked is None or asked > budget:
+            spec = replace(spec, overrides={**spec.overrides, "step_workers": budget})
+            touched += asked is not None  # the default takes the budget silently
         clamped.append(spec)
     if touched:
         warnings.warn(
             f"step_workers clamped to {budget} on {touched} of {len(specs)} "
-            f"specs: {n_jobs} pooled jobs share {os.cpu_count() or 1} cores",
+            f"specs: {n_jobs} pooled jobs share {cores} usable cores",
             RuntimeWarning,
             stacklevel=3,
         )

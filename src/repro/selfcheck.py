@@ -7,8 +7,8 @@ experiment, digests what it computed, and is read against a reference:
   ``selfcheck_golden.json``, which are single-thread GEMM results
   (``repro.cli.main`` and ``tests/conftest.py`` pin BLAS for that);
 * another row's name — the *exact* tier: same process, same world, so
-  the same bits on any host (step workers vs serial, resumed vs
-  uninterrupted, ``jobs=4`` vs ``jobs=1``);
+  the same bits on any host (1, 2 or 4 step shards vs the default count,
+  resumed vs uninterrupted, ``jobs=4`` vs ``jobs=1``);
 * ``None`` — a baseline that exact-tier rows are read against.
 
 The ``world.*`` rows need no experiment: they step small worlds through
@@ -16,9 +16,10 @@ the driver bank and through a loop over the per-object controller it
 replaced, and require the two equal at every tick.
 
 A row's invariant hooks say what must be true beyond "nothing changed",
-above all that the variant really executed (the pool stepped, a flight
-launched, a barrier held a flight): an equality that holds because both
-sides took the serial path is a failure, not a pass.
+above all that the variant really executed (the fleet stepped in the
+shards asked for, a flight launched, a barrier held a flight): an
+equality that holds because both sides took the same path is a
+failure, not a pass.
 
     PYTHONPATH=src python -m repro selfcheck [ROW ...]      # all rows by default
     PYTHONPATH=src python -m repro selfcheck ROW --record   # re-baseline ROW
@@ -672,13 +673,16 @@ def budgets_held(run: Run):
         yield f"chat log {len(run.result.trainer.chat_log)} > {scale.chat_log_budget}"
 
 
-def pool_stepped(run: Run):
-    """The step-worker pool took every train instant (no batch can be
-    refused, so anything less is a silent serial fallback)."""
-    pooled = run.session.registry.state()["counters"].get("stepshard.steps", 0)
-    instants = run.result.counters.get("train_steps", 0) / len(run.result.nodes)
-    if not (0 < pooled == instants):
-        yield f"the worker pool stepped {pooled:.0f} of {instants:.0f} train instants"
+def shards_stepped(run: Run):
+    """The fleet was cut into the row shards the spec asked for (clamped
+    to its rows), and every train instant stepped all of them."""
+    fleet, n = run.result.trainer.fleet, len(run.result.nodes)
+    asked = run.result.spec.overrides["step_workers"]
+    if len(fleet.shards) != min(asked, n):
+        yield f"{len(fleet.shards)} row shards for step_workers={asked} on {n} rows"
+    instants = run.result.counters.get("train_steps", 0) / n
+    if not (0 < fleet.step_events / n == instants):
+        yield f"the shards stepped {fleet.step_events / n:.0f} of {instants:.0f} train instants"
 
 
 def flights_launched(run: Run):
@@ -817,8 +821,8 @@ CHECKS: dict[str, Check] = {
               invariants=(dense_steps, budgets_held, dense_probes)),
         *(
             Check(f"stepshard.workers{n}", "hotpath.LbChat", "hotpath",
-                  spec={"overrides": {"step_workers": n}}, invariants=(pool_stepped,))
-            for n in (2, 4)
+                  spec={"overrides": {"step_workers": n}}, invariants=(shards_stepped,))
+            for n in (1, 2, 4)
         ),
         Check("overlap.off", "golden", "overlap",
               invariants=(dense_steps, one_span_per_chat, export_round_trips,
@@ -889,6 +893,7 @@ class Runner:
 def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
     """Run the named rows (all by default), print the table, return an exit code."""
     from repro.nn._fused import kernel_status
+    from repro.parallel.stepshard import default_step_shards
 
     names = list(names) or list(CHECKS)
     if unknown := [name for name in names if name not in CHECKS]:
@@ -896,7 +901,10 @@ def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
         return 2
     adam = kernel_status()
     adam_path = f"{adam['path']}, {adam['so'] or adam['reason']}"
-    print(f"BLAS threads: {blas_threads()}; FleetAdam: {adam_path}")
+    print(
+        f"BLAS threads: {blas_threads()}; step shards: {default_step_shards()}; "
+        f"FleetAdam: {adam_path}"
+    )
     runner = Runner()
     failed = []
     for name in names:

@@ -167,13 +167,20 @@ class FramePool:
             self.ids.extend(new_rows)
         return rows
 
-    def take(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def take(self, rows, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(bev, commands, targets)`` of ``rows``, gathered read-only.
 
         Read-only because nobody else holds the gather: a forward-only
         evaluation can alias it without the defensive copy a layer takes
-        of a buffer its caller might refill.
+        of a buffer its caller might refill.  ``out`` (three arrays of
+        the gather's shapes and dtypes) receives the gather instead.
         """
+        if out is not None:
+            for column, buf in zip((self._bev, self._commands, self._targets), out):
+                # Rows are this pool's by construction; "clip" gathers
+                # straight into ``out`` where "raise" would buffer it.
+                np.take(column, rows, axis=0, out=buf, mode="clip")
+            return out
         return (
             _frozen(self._bev[rows]),
             _frozen(self._commands[rows]),
@@ -451,13 +458,15 @@ class DrivingDataset:
         batch_size: int,
         rng: np.random.Generator,
         balance_commands: bool = False,
+        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Weighted random minibatch: (bev, commands, targets, indices).
 
         Always ``batch_size`` rows, drawn with replacement when the
         dataset holds fewer frames than that, so every node's batch
         stacks into the fleet's one dense step whatever it has collected.
-        The rows are gathered from the pool (read-only).
+        The rows are gathered from the pool (read-only), or into ``out``
+        (the fleet's stacked buffers; the same draws either way).
 
         With ``balance_commands`` the batch is stratified uniformly over
         the commands present in the dataset (the standard trick for
@@ -486,7 +495,7 @@ class DrivingDataset:
             idx = rng.choice(
                 len(self), size=batch_size, replace=len(self) < batch_size, p=probs
             )
-        return (*self.take(idx), idx)
+        return (*self._pool.take(self._rows[idx], out=out), idx)
 
 
 def collect_fleet_datasets(

@@ -86,7 +86,7 @@ def make_fleet(
     datasets: dict[str, DrivingDataset],
     coreset_size: int = 12,
     seed: int = 5,
-    step_workers: int = 1,
+    step_workers: int | None = None,
     **config_overrides,
 ) -> list[VehicleNode]:
     """Nodes born in one fleet of a small model, one per ``datasets``

@@ -258,3 +258,41 @@ class TestPickling:
         held = [d for node in received.nodes for d in (node.dataset, node.coreset.data)]
         assert len({id(d.pool) for d in held}) == 1 and held[0].pool is not pool
         assert [n.dataset.ids for n in received.nodes] == [n.dataset.ids for n in result.nodes]
+
+
+class TestGatherInPlace:
+    @pytest.mark.parametrize("balance", [False, True], ids=["weighted", "balanced"])
+    def test_the_fleet_buffers_are_todays_batches_stacked(self, balance):
+        """``sample_batch(out=...)`` gathers into the fleet's stacked
+        buffers what stacking the returned batches would, from the same
+        RNG draws."""
+        from dataclasses import replace
+
+        from tests.test_nn_bank import build_fleet
+
+        engine = build_fleet(n_nodes=3)
+        for node in engine.nodes:
+            node.config = replace(node.config, balance_commands=balance)
+        clones = [pickle.loads(pickle.dumps(node.rng)) for node in engine.nodes]
+        batches = [
+            node.dataset.sample_batch(node.config.batch_size, rng, balance_commands=balance)
+            for node, rng in zip(engine.nodes, clones)
+        ]
+        engine.train_step_all()
+        for buf, k in zip(engine._batch, range(3)):
+            assert buf.tobytes() == np.stack([batch[k] for batch in batches]).tobytes()
+        for node, rng in zip(engine.nodes, clones):
+            assert node.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_out_returns_the_buffers_and_the_indices(self):
+        dataset = DrivingDataset(frames("o", 5))
+        out = tuple(
+            np.empty((4, *column.shape[1:]), dtype=column.dtype)
+            for column in (dataset.pool.bev, dataset.pool.commands, dataset.pool.targets)
+        )
+        bev, commands, targets, idx = dataset.sample_batch(4, np.random.default_rng(1), out=out)
+        assert all(got is buf for got, buf in zip((bev, commands, targets), out))
+        want = dataset.sample_batch(4, np.random.default_rng(1))
+        assert np.array_equal(idx, want[3])
+        for got, ref in zip(out, want):
+            assert np.array_equal(got, ref)

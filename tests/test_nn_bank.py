@@ -68,7 +68,9 @@ def make_dataset(seed: int, n_frames: int) -> DrivingDataset:
 CONFIG = NodeConfig(coreset_size=10, learning_rate=1e-3, batch_size=8)
 
 
-def build_fleet(n_nodes: int = 4, use_conv: bool = False, step_workers: int = 1) -> FleetEngine:
+def build_fleet(
+    n_nodes: int = 4, use_conv: bool = False, step_workers: int | None = 1
+) -> FleetEngine:
     template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=0, use_conv=use_conv)
     members = [
         (f"v{i}", make_dataset(100 + i, 30), spawn_rng(5, f"bank-{i}")) for i in range(n_nodes)
@@ -134,16 +136,16 @@ class TestParamBank:
 
     def test_a_pickled_fleet_is_its_banks_and_nodes(self):
         """A run's result crosses processes with its nodes' fleet: the
-        views are taken again on arrival, and no step worker travels."""
+        views and the row shards are taken again on arrival."""
         import pickle
 
         fleet = build_fleet(n_nodes=3, step_workers=2)
-        try:
-            fleet.train_step_all()
-            copied = pickle.loads(pickle.dumps(fleet))
-        finally:
-            fleet.close()
-        assert copied._pool is None and copied._bank_arena is None
+        fleet.train_step_all()
+        copied = pickle.loads(pickle.dumps(fleet))
+        assert [(s.lo, s.hi) for s in copied.shards] == [(s.lo, s.hi) for s in fleet.shards]
+        for shard in copied.shards:
+            assert np.shares_memory(shard.model.bank.flat, copied.bank.flat)
+            assert np.shares_memory(shard.optim.m, copied.optim.m)
         assert np.array_equal(copied.bank.flat, fleet.bank.flat)
         for node in copied.nodes:
             assert node.fleet is copied

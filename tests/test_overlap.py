@@ -318,10 +318,6 @@ class TestOverlapFlights:
     def test_stepshard_bit_identity_under_overlap(
         self, fleet_datasets, traces, validation
     ):
-        from repro.parallel.stepshard import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
         serial = build_trainer(
             fleet_datasets, traces, validation, overlap_chat=True
         )

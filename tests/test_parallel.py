@@ -74,11 +74,12 @@ def assert_results_identical(a, b):
 
 
 class TestConfig:
-    def test_resolve_jobs(self):
+    def test_resolve_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert resolve_jobs(3) == 3
         assert resolve_jobs(1) == 1
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
-        assert resolve_jobs(-1) == (os.cpu_count() or 1)
+        assert resolve_jobs(0) == 3  # the usable cores, not the host's
+        assert resolve_jobs(-1) == 3
 
     def test_empty_specs(self):
         assert run_specs([], jobs=4) == []

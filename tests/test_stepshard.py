@@ -1,21 +1,27 @@
-"""Within-run step sharding: shared-memory banks, worker pool, autotune.
+"""Within-run step sharding: contiguous bank-row shards on threads.
 
-The load-bearing contract: sharding a fleet's batched training step
-across worker processes is *purely* an execution strategy — every
-result (losses, parameters, optimizer moments, step counters, full run
-digests, checkpoints) is bit-identical for every ``step_workers`` value,
-including resuming a checkpoint under a different worker count than the
-one that wrote it.  Plus regressions for the kernel-cache lockfile
-(compile at most once per host under concurrent first use) and the
-jobs x step-workers oversubscription guard.
+The load-bearing contract: stepping a fleet's batched training step and
+validation pass as row shards on threads is *purely* an execution
+strategy — every result (losses, parameters, optimizer moments, step
+counters, full run digests, checkpoints) is bit-identical for every
+``step_workers`` value, including resuming a checkpoint under a
+different shard count than the one that wrote it.  Plus the fault
+matrix (a shard that raises, a fork after a sharded step, a process
+pinned to one core), the usable-core count every default reads,
+regressions for the kernel-cache lockfile (compile at most once per
+host under concurrent first use) and the jobs x step-shards
+oversubscription guard.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,26 +31,29 @@ import pytest
 from repro.checkpoint import RunStore
 from repro.checkpoint.format import spec_fingerprint
 from repro.checkpoint.resume import resume_run_dir
+from repro.core import fleet as fleet_module
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.experiments.runner import RunSpec, build_context, run_method
-from repro.parallel import clamp_step_workers
-from repro.parallel import autotune as autotune_module
-from repro.parallel.autotune import host_fingerprint, resolve_step_workers
+from repro.parallel import clamp_step_workers, resolve_jobs, run_specs
+from repro.parallel import stepshard
 from repro.parallel.stepshard import (
-    ShmArena,
-    StepWorkerError,
-    fork_available,
+    StepShard,
+    default_step_shards,
     partition_rows,
+    usable_cores,
 )
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry.hooks import TelemetrySession
 from tests.conftest import make_fleet
 from tests.test_checkpoint_resume import TINY, digest
-from tests.test_nn_bank import build_fleet
+from tests.test_nn_bank import build_fleet, make_dataset
 
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="step sharding requires the fork start method"
-)
+REPO = Path(__file__).resolve().parent.parent
+
+
+def pin_affinity(monkeypatch, n_cores: int) -> None:
+    """Make this process look pinned to ``n_cores`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cores)), raising=False)
 
 
 # -- primitives ---------------------------------------------------------------
@@ -77,52 +86,19 @@ class TestPartitionRows:
             partition_rows(4, 0)
 
 
-class TestShmArena:
-    def test_alloc_zeroed_and_writable(self):
-        arena = ShmArena(ShmArena.bytes_for(((4, 8), np.float32), ((4,), np.int64)))
-        a = arena.alloc((4, 8), np.float32)
-        b = arena.alloc((4,), np.int64)
-        assert not a.any() and not b.any()
-        a[2, 3] = 7.0
-        b[:] = 5
-        assert a[2, 3] == 7.0 and b.sum() == 20
-
-    def test_allocations_are_disjoint_and_aligned(self):
-        arena = ShmArena(1 << 16)
-        a = arena.alloc((100,), np.float32)
-        b = arena.alloc((100,), np.float32)
-        a[:] = 1.0
-        assert not b.any()
-        for arr in (a, b):
-            assert arr.ctypes.data % 64 == 0
-
-    def test_exhaustion_raises(self):
-        arena = ShmArena(256)
-        arena.alloc((32,), np.float32)
-        with pytest.raises(MemoryError):
-            arena.alloc((1024,), np.float32)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ShmArena(0)
-
-
 # -- engine-level bit identity ------------------------------------------------
 
 
-def _run_engine(step_workers: int, *, use_conv: bool, steps: int = 6):
+def _run_engine(step_workers: int | None, *, use_conv: bool, steps: int = 6):
     engine = build_fleet(n_nodes=5, use_conv=use_conv, step_workers=step_workers)
-    try:
-        losses = np.array([engine.train_step_all() for _ in range(steps)])
-        return (
-            losses,
-            engine.bank.flat.copy(),
-            engine.optim.m.copy(),
-            engine.optim.v.copy(),
-            engine.optim.steps.copy(),
-        )
-    finally:
-        engine.close()
+    losses = np.array([engine.train_step_all() for _ in range(steps)])
+    return (
+        losses,
+        engine.bank.flat.copy(),
+        engine.optim.m.copy(),
+        engine.optim.v.copy(),
+        engine.optim.steps.copy(),
+    )
 
 
 class TestEngineBitIdentity:
@@ -137,78 +113,151 @@ class TestEngineBitIdentity:
     def test_train_tick_path_bit_identical(self):
         serial = build_fleet(n_nodes=4, step_workers=1)
         sharded = build_fleet(n_nodes=4, step_workers=2)
-        try:
-            for _ in range(4):
-                for row in range(4):
-                    assert serial.train_tick(row) == sharded.train_tick(row)
-            assert serial.bank.flat.tobytes() == sharded.bank.flat.tobytes()
-        finally:
-            serial.close()
-            sharded.close()
+        for _ in range(4):
+            for row in range(4):
+                assert serial.train_tick(row) == sharded.train_tick(row)
+        assert serial.bank.flat.tobytes() == sharded.bank.flat.tobytes()
 
-    def test_pool_actually_engages_and_reports_telemetry(self):
-        with TelemetrySession() as session:
-            engine = build_fleet(n_nodes=4, step_workers=2)
-            for _ in range(3):
-                engine.train_step_all()
-            engine.close()
-            counters = session.registry.state()["counters"]
-        assert counters["stepshard.steps"] == 3.0
-        assert counters["stepshard.pools_spawned"] == 1.0
-        # Per-shard counters ship back on close and merge into the session.
-        assert counters["stepshard.shard0.steps"] == 3.0
-        assert counters["stepshard.shard1.steps"] == 3.0
-        assert (
-            counters["stepshard.shard0.rows_stepped"]
-            + counters["stepshard.shard1.rows_stepped"]
-            == 4 * 3
-        )
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
+    def test_evaluate_fleet_bit_identical(self, workers, monkeypatch):
+        """Validation longer than one chunk: every shard keeps the
+        fleet's chunk, so each row's GEMMs keep their shape."""
+        monkeypatch.setattr(fleet_module, "_EVAL_CHUNK", 40)  # 8 frames a chunk on 5 rows
+        validation = make_dataset(99, 30)
 
-    def test_close_is_idempotent_and_engine_stays_usable(self):
-        engine = build_fleet(n_nodes=4, step_workers=2)
-        before = engine.train_step_all()
-        engine.close()
-        engine.close()
-        after = engine.train_step_all()  # serial path now
-        assert before.shape == after.shape
-        # The serial continuation must match an uninterrupted serial run.
-        ref = build_fleet(n_nodes=4, step_workers=1)
-        ref.train_step_all()
-        ref.train_step_all()
-        assert engine.bank.flat.tobytes() == ref.bank.flat.tobytes()
-
-    def test_worker_death_raises_step_worker_error(self):
-        engine = build_fleet(n_nodes=4, step_workers=2)
-        try:
+        def evaluated(step_workers: int):
+            engine = build_fleet(n_nodes=5, use_conv=True, step_workers=step_workers)
             engine.train_step_all()
-            assert engine._pool is not None
-            for proc in engine._pool._procs:
-                proc.terminate()
-                proc.join(timeout=5.0)
-            with pytest.raises(StepWorkerError):
-                engine.train_step_all()
-        finally:
-            engine.close()
+            values = engine.evaluate_fleet(validation)
+            per_frame = [node.cached_losses(validation)[1] for node in engine.nodes]
+            return values.tobytes(), [losses.tobytes() for losses in per_frame]
+
+        assert evaluated(workers) == evaluated(1)
+
+    def test_shards_cover_the_rows_and_share_the_banks(self):
+        engine = build_fleet(n_nodes=5, step_workers=2)
+        assert [(shard.lo, shard.hi) for shard in engine.shards] == [(0, 3), (3, 5)]
+        for shard in engine.shards:
+            assert np.shares_memory(shard.optim.m, engine.optim.m)
+            assert shard.model.bank.flat.base is engine.bank.flat
+        assert len(build_fleet(n_nodes=3, step_workers=8).shards) == 3
 
     def test_checkpoint_bridge_sees_sharded_updates(self):
-        """Chat views and the checkpoint's optimizer rows read the shared banks."""
+        """Chat views and the checkpoint's optimizer rows read the banks the shards wrote."""
         engine = build_fleet(n_nodes=4, step_workers=2)
-        try:
-            engine.train_step_all()
-            for row, node in enumerate(engine.nodes):
-                assert node.flat_params.tobytes() == engine.bank.flat[row].tobytes()
-                snap = engine.optim.node_snapshot(row)
-                assert snap["step"] == 1
-                assert snap["m"].tobytes() == engine.optim.m[row].tobytes()
-        finally:
-            engine.close()
+        engine.train_step_all()
+        for row, node in enumerate(engine.nodes):
+            assert node.flat_params.tobytes() == engine.bank.flat[row].tobytes()
+            snap = engine.optim.node_snapshot(row)
+            assert snap["step"] == 1
+            assert snap["m"].tobytes() == engine.optim.m[row].tobytes()
+
+
+# -- fault matrix -------------------------------------------------------------
+
+
+class ShardFailure(RuntimeError):
+    pass
+
+
+class TestFaults:
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "pool-thread"])
+    @pytest.mark.parametrize("op", ["run_step", "evaluate"])
+    def test_a_raising_shard_surfaces_its_exception(self, failing, op, monkeypatch):
+        threads = threading.active_count()
+        engine = build_fleet(n_nodes=4, step_workers=2)
+        victim = engine.shards[failing]
+        original = getattr(StepShard, op)
+
+        def fail_on_victim(shard, *args):
+            if shard is victim:
+                raise ShardFailure(f"shard {failing}")
+            return original(shard, *args)
+
+        monkeypatch.setattr(StepShard, op, fail_on_victim)
+        with pytest.raises(ShardFailure, match=f"shard {failing}"):
+            if op == "run_step":
+                engine.train_step_all()
+            else:
+                engine.evaluate_fleet(make_dataset(99, 10))
+        assert threading.active_count() == threads  # no shard thread outlives the call
+
+    def test_no_thread_outlives_a_step(self):
+        threads = threading.active_count()
+        engine = build_fleet(n_nodes=4, step_workers=4)
+        engine.train_step_all()
+        engine.evaluate_fleet(make_dataset(99, 10))
+        assert threading.active_count() == threads
+
+    def test_forked_pool_after_a_sharded_step_matches_serial(self, context):
+        build_fleet(n_nodes=4, step_workers=2).train_step_all()
+        specs = [RunSpec.for_context(context, method, seed=1) for method in ("LbChat", "DP")]
+        serial = run_specs(specs, jobs=1)
+        pooled = run_specs(specs, jobs=2)
+        assert [digest(result) for result in pooled] == [digest(result) for result in serial]
+
+    @pytest.mark.skipif(shutil.which("taskset") is None, reason="no taskset")
+    def test_pinned_to_one_core_takes_the_one_shard_path(self):
+        probe = (
+            "from tests.test_stepshard import engine_digest; "
+            "print(*engine_digest(None))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])}
+        child = subprocess.run(
+            ["taskset", "-c", "0", sys.executable, "-c", probe],
+            env=env, cwd=REPO, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        shards, bits = child.stdout.split()
+        assert shards == "1"
+        assert bits == engine_digest(2)[1]
+
+
+def engine_digest(step_workers: int | None) -> tuple[int, str]:
+    """Shard count and a digest of a few steps and one validation pass."""
+    engine = build_fleet(n_nodes=5, use_conv=True, step_workers=step_workers)
+    losses = [engine.train_step_all() for _ in range(3)]
+    values = engine.evaluate_fleet(make_dataset(99, 20))
+    blob = b"".join(np.asarray(x).tobytes() for x in (*losses, values, engine.bank.flat))
+    return len(engine.shards), hashlib.sha256(blob).hexdigest()
+
+
+# -- usable cores ---------------------------------------------------------------
+
+
+class TestUsableCores:
+    def test_reads_the_affinity_mask_not_the_host(self, monkeypatch):
+        pin_affinity(monkeypatch, 3)
+        assert usable_cores() == 3
+        assert resolve_jobs(0) == 3
+
+    def test_falls_back_to_the_cpu_count_without_an_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+
+    def test_default_shards_are_cores_over_blas_threads(self, monkeypatch):
+        pin_affinity(monkeypatch, 4)
+        monkeypatch.setattr(stepshard, "blas_threads", lambda: 2)
+        assert default_step_shards() == 2
+        monkeypatch.setattr(stepshard, "blas_threads", lambda: None)
+        assert default_step_shards() == 4
+        monkeypatch.setattr(stepshard, "blas_threads", lambda: 8)
+        assert default_step_shards() == 1
+
+    def test_a_fleet_defaults_to_one_shard_per_usable_core(self, monkeypatch):
+        monkeypatch.setattr(stepshard, "blas_threads", lambda: 1)
+        pin_affinity(monkeypatch, 1)
+        assert len(build_fleet(n_nodes=4, step_workers=None).shards) == 1
+        pin_affinity(monkeypatch, 4)
+        assert len(build_fleet(n_nodes=3, step_workers=None).shards) == 3
 
 
 # -- full-run invariance ------------------------------------------------------
 
 
 class TestTrainerRunInvariance:
-    def _run(self, fleet_datasets, traces, step_workers: int):
+    def _run(self, fleet_datasets, traces, step_workers: int | None):
         validation = DrivingDataset()
         for dataset in fleet_datasets.values():
             validation.extend([dataset.frame(i) for i in range(0, len(dataset), 8)])
@@ -233,7 +282,7 @@ class TestTrainerRunInvariance:
         self, fleet_datasets, traces
     ):
         reference = self._run(fleet_datasets, traces, 1)
-        for workers in (2, 4):
+        for workers in (None, 2, 4):
             assert self._run(fleet_datasets, traces, workers) == reference
 
 
@@ -291,65 +340,35 @@ class TestCheckpointCrossWorkerCount:
 
 
 class TestOversubscriptionGuard:
-    def _spec(self, context, step_workers: int) -> RunSpec:
-        return RunSpec.for_context(
-            context, "LbChat", seed=1, overrides={"step_workers": step_workers}
-        )
+    def _spec(self, context, step_workers: int | None) -> RunSpec:
+        overrides = {} if step_workers is None else {"step_workers": step_workers}
+        return RunSpec.for_context(context, "LbChat", seed=1, overrides=overrides)
 
-    def test_clamps_over_budget_specs(self, context):
-        cores = os.cpu_count() or 1
-        n_jobs = max(2, cores)  # budget becomes cores // n_jobs == 1
+    def test_clamps_over_budget_specs(self, context, monkeypatch):
+        pin_affinity(monkeypatch, 4)  # budget: 4 // 2 == 2
         specs = [self._spec(context, 8), self._spec(context, 1)]
         with TelemetrySession() as session:
             with pytest.warns(RuntimeWarning, match="step_workers clamped"):
-                clamped = clamp_step_workers(specs, n_jobs)
+                clamped = clamp_step_workers(specs, 2)
             counters = session.registry.state()["counters"]
-        assert clamped[0].overrides["step_workers"] == 1
+        assert clamped[0].overrides["step_workers"] == 2
         assert clamped[1].overrides["step_workers"] == 1
         assert counters["stepshard.oversubscription_clamped"] == 1.0
         # Untouched specs come back as-is (same object).
         assert clamped[1] is specs[1]
 
+    def test_a_spec_that_asked_nothing_gets_the_budget_silently(self, context, monkeypatch):
+        pin_affinity(monkeypatch, 4)
+        specs = [self._spec(context, None)]
+        with TelemetrySession() as session, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clamped = clamp_step_workers(specs, 3)
+        assert clamped[0].overrides["step_workers"] == 1
+        assert "stepshard.oversubscription_clamped" not in session.registry.state()["counters"]
+
     def test_serial_pool_leaves_specs_alone(self, context):
         specs = [self._spec(context, 8)]
         assert clamp_step_workers(specs, 1) is specs
-
-
-# -- autotune -----------------------------------------------------------------
-
-
-class TestAutotune:
-    def test_resolve_plain_values(self):
-        assert resolve_step_workers("3") == 3
-        assert resolve_step_workers(2) == 2
-        with pytest.raises(ValueError):
-            resolve_step_workers("0")
-
-    def test_auto_reads_host_cache(self, tmp_path, monkeypatch):
-        # An entry cached before the Adam chunk scan was deleted still
-        # carries its key; it must load, and nothing reads it.
-        cache = tmp_path / "autotune.json"
-        cache.write_text(
-            json.dumps({host_fingerprint(): {"step_workers": 3, "adam_chunk": 65536}})
-        )
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(cache))
-        assert resolve_step_workers("auto") == 3
-
-    def test_autotune_measures_worker_counts_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "autotune.json"))
-        probed = []
-
-        def measure(workers, **kwargs):
-            probed.append((workers, kwargs))
-            return 100.0 / workers  # serial wins: one doubling probe, then stop
-
-        monkeypatch.setattr(autotune_module, "measure_step_throughput", measure)
-        result = autotune_module.autotune(force=True)
-        assert result.step_workers == 1
-        assert probed == [(1, {}), (2, {})]  # no chunk-width ladder behind it
-        assert sorted(result) == ["host_cores", "step_workers", "throughput"]
-        cached = json.loads((tmp_path / "autotune.json").read_text())
-        assert cached[host_fingerprint()] == dict(result)
 
 
 # -- kernel cache -------------------------------------------------------------
