@@ -168,11 +168,8 @@ class DflDdsTrainer(TrainerBase):
         node.replace_model_params(merged.astype(np.float32))
         self.source_counts[receiver, source] += 1.0
 
-    def extra_processes(self):
-        """The global round-boundary clock process."""
-        return [self._round_process()]
-
     def extra_activities(self, resume: bool = False):
+        """The global round-boundary clock process."""
         armed_at = self._next_round - self.config.round_interval
         return [(armed_at, self._round_process(resume=resume))]
 

@@ -90,11 +90,8 @@ class ProxSkipTrainer(TrainerBase):
             if ok:
                 node.replace_model_params(average)
 
-    def extra_processes(self):
-        """The server's synchronization round process."""
-        return [self._server_process()]
-
     def extra_activities(self, resume: bool = False):
+        """The server's synchronization round process."""
         armed_at = self._next_round - self.config.round_interval
         return [(armed_at, self._server_process(resume=resume))]
 

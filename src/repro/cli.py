@@ -92,7 +92,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-dir", default=None,
         help="checkpoint store root (default .repro_cache/checkpoints)",
     )
-    _add_jobs_arg(parser)
     _add_step_workers_arg(parser)
     _add_overlap_arg(parser)
 
@@ -110,25 +109,30 @@ def _cmd_scales(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_spec(args: argparse.Namespace, **fields):
+    """The one :class:`RunSpec` a run/trace command's flags describe."""
     from repro.experiments.configs import get_scale
     from repro.experiments.runner import RunSpec
-    from repro.parallel import run_specs
 
-    scale = get_scale(args.scale)
-    spec = RunSpec(
+    return RunSpec(
         method=args.method,
-        scale=scale,
+        scale=get_scale(args.scale),
         wireless=args.wireless,
         seed=args.seed,
-        coreset_size=args.coreset_size,
         overrides=_run_overrides(args),
         use_cache=args.cache,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
+        **fields,
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.parallel import execute_spec
+
+    spec = _run_spec(args, coreset_size=args.coreset_size)
     print(f"Training {args.method} (scale={args.scale}, wireless={args.wireless})...")
-    result = run_specs([spec], jobs=args.jobs)[0]
+    result = execute_spec(spec)
     _render_result(args, result)
     return 0
 
@@ -233,24 +237,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.configs import get_scale
-    from repro.experiments.runner import RunSpec
-    from repro.parallel import run_specs
+    from repro.parallel import execute_spec
     from repro.telemetry import TelemetrySession, export_jsonl, report_session
 
-    scale = get_scale(args.scale)
-    spec = RunSpec(
-        method=args.method,
-        scale=scale,
-        wireless=args.wireless,
-        seed=args.seed,
-        overrides=_run_overrides(args),
-        use_cache=args.cache,
-    )
+    spec = _run_spec(args)
     print(f"Tracing {args.method} (scale={args.scale}, wireless={args.wireless})...")
     session = TelemetrySession(label=f"{args.method} @ {args.scale}")
     with session:
-        result = run_specs([spec], jobs=args.jobs)[0]
+        result = execute_spec(spec)
     path = export_jsonl(session, args.out)
     print(report_session(session))
     print(f"\ntrace written to {path}")

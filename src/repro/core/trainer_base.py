@@ -285,19 +285,16 @@ class TrainerBase:
     def on_scan(self, i: int) -> None:
         """Called whenever idle vehicle ``i`` looks for exchange partners."""
 
-    def extra_processes(self) -> list:
-        """Additional generator processes (servers, RSUs, round clocks)."""
-        return []
-
     def extra_activities(self, resume: bool = False) -> list:
-        """``(armed_at, generator)`` pairs for the extra processes.
+        """``(armed_at, generator)`` pairs for additional processes
+        (servers, round clocks); none by default.
 
         ``armed_at`` is the virtual time the process's pending timer was
         *created* — it decides heap tie-break order on resume (see
         :meth:`run`).  Subclasses with resumable servers/round clocks
         override this alongside :meth:`extra_state`/:meth:`restore_extra`.
         """
-        return [(self.sim.now, gen) for gen in self.extra_processes()]
+        return []
 
     def extra_state(self) -> dict:
         """Subclass-owned state to include in checkpoints."""

@@ -1,16 +1,19 @@
 """Discrete-event simulation engine.
 
-A minimal, dependency-free engine in the style of simpy: a
-:class:`~repro.engine.events.Simulator` owns a virtual clock and an event
-queue; *processes* are Python generators that yield
-:class:`~repro.engine.events.Timeout` or :class:`~repro.engine.events.Event`
-objects to suspend themselves.  Every asynchronous component of the
-reproduction (vehicle learner loops, pairwise chats, server rounds) runs
-as a process on one shared simulator so that wall-clock interleavings are
-deterministic and reproducible.
+A minimal, dependency-free engine: a
+:class:`~repro.engine.events.Simulator` owns a virtual clock and one heap
+of timed wake-ups.  A *process* is a Python generator that yields the
+absolute virtual time it next wakes at (``sim.timeout(delay)`` or
+``sim.wait_until(when)``); a plain callback is queued with
+``sim.call_at``.  Every timed activity of the reproduction — each
+vehicle's Algorithm 2 loop, the loss recorder, the ProxSkip/DFL-DDS
+round clocks, overlapped chat flights and checkpoint barriers — runs on
+one shared simulator, so interleavings are deterministic and
+reproducible.  Alongside it: the metric recorders every trainer keeps
+and the named RNG streams.
 """
 
-from repro.engine.events import Event, Interrupt, Simulator, Timeout
+from repro.engine.events import Simulator
 from repro.engine.metrics import (
     CounterSet,
     ReceiveRateRecorder,
@@ -19,10 +22,7 @@ from repro.engine.metrics import (
 from repro.engine.random import spawn_rng, spawn_seed
 
 __all__ = [
-    "Event",
-    "Interrupt",
     "Simulator",
-    "Timeout",
     "CounterSet",
     "ReceiveRateRecorder",
     "TimeSeriesRecorder",

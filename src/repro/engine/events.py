@@ -1,181 +1,30 @@
-"""Core discrete-event machinery: simulator, events, timeouts, processes.
+"""The discrete-event engine: one heap of timed wake-ups.
 
-The design follows the classic event-wheel pattern:
+:class:`Simulator` keeps a heap of ``(time, seq, callback)`` entries and
+advances virtual time by popping the earliest.  A *process* is a
+generator that yields the absolute virtual time of its next wake-up;
+:meth:`Simulator.timeout` (``now + delay``) and
+:meth:`Simulator.wait_until` (``when``) are the two ways to write it.
+Resuming a process is one heap entry that advances the generator and
+queues the time it yields; the process ends when the generator returns.
 
-* :class:`Simulator` keeps a heap of ``(time, sequence, callback)``
-  entries and advances virtual time by popping the earliest entry.
-* :class:`Event` is a one-shot synchronization point.  Processes waiting
-  on an event are resumed when it succeeds (or receive the failure
-  exception).
-* A *process* is a generator wrapped by :meth:`Simulator.process`.  It
-  yields events (or :class:`Timeout`) to suspend; the value sent back on
-  resumption is the event's payload.
+The ordering contract, which bit-identical checkpoint resume rests on:
 
-The engine is intentionally single-threaded and deterministic: ties in
-time are broken by insertion order, so a given seed always produces the
-same interleaving.
+* at one instant, entries run in the order they were queued;
+* so a :meth:`~Simulator.call_at` armed before the processes (a
+  checkpoint barrier) runs before every process due at its instant;
+* a process started, or a wake-up queued, mid-instant runs after every
+  entry already due at that instant.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Generator
-from typing import Any
+from collections.abc import Callable, Iterator
+from numbers import Real
 
-__all__ = ["Event", "Timeout", "Interrupt", "Process", "Simulator"]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Event:
-    """A one-shot occurrence that processes can wait on.
-
-    An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
-    triggers it exactly once and resumes every waiter.  Waiting on an
-    already-triggered event resumes the waiter immediately (on the next
-    simulator step), which makes "wait for completion" idioms safe
-    against races.
-    """
-
-    PENDING = "pending"
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
-
-    def __init__(self, sim: "Simulator"):
-        self._sim = sim
-        self._state = Event.PENDING
-        self._value: Any = None
-        self._callbacks: list[Callable[[Event], None]] = []
-
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has fired (success or failure)."""
-        return self._state != Event.PENDING
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event fired successfully."""
-        return self._state == Event.SUCCEEDED
-
-    @property
-    def value(self) -> Any:
-        """The payload (or exception) the event fired with."""
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional payload."""
-        if self.triggered:
-            raise RuntimeError("event already triggered")
-        self._state = Event.SUCCEEDED
-        self._value = value
-        self._sim._schedule_now(self._dispatch)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event as failed; waiters receive ``exc``."""
-        if self.triggered:
-            raise RuntimeError("event already triggered")
-        self._state = Event.FAILED
-        self._value = exc
-        self._sim._schedule_now(self._dispatch)
-        return self
-
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Run ``cb(event)`` when the event triggers (immediately if it already has)."""
-        if self.triggered:
-            # Already dispatched (or dispatching): run on next step.
-            self._sim._schedule_now(lambda: cb(self))
-        else:
-            self._callbacks.append(cb)
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-
-class Timeout(Event):
-    """An event that triggers automatically after ``delay`` time units."""
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self._delay = delay
-        sim._schedule_at(sim.now + delay, lambda: self._fire(value))
-
-    def _fire(self, value: Any) -> None:
-        if not self.triggered:  # may have been cancelled via interrupt
-            self.succeed(value)
-
-
-class Process(Event):
-    """A running generator; itself an event that triggers on return.
-
-    The generator yields :class:`Event` instances.  When a yielded event
-    triggers, the process resumes with the event's value (or the failure
-    exception is thrown into it).  When the generator returns, the
-    process event succeeds with the return value.
-    """
-
-    def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]):
-        super().__init__(sim)
-        self._gen = gen
-        self._waiting_on: Event | None = None
-        sim._schedule_now(lambda: self._resume(None, None))
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the process generator is still running."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next step."""
-        if self.triggered:
-            return
-        self._waiting_on = None  # stop caring about the pending event
-        self._sim._schedule_now(lambda: self._resume(None, Interrupt(cause)))
-
-    def _resume(self, value: Any, exc: BaseException | None) -> None:
-        if self.triggered:
-            return
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle its own interruption: treat as
-            # a clean exit so teardown interrupts are not fatal.
-            self.succeed(None)
-            return
-        if not isinstance(target, Event):
-            raise TypeError(f"process yielded non-event: {target!r}")
-        self._waiting_on = target
-        target.add_callback(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wakeup after an interrupt
-        self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
-        else:
-            self._resume(None, event.value)
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -188,7 +37,7 @@ class Simulator:
     >>> def proc():
     ...     yield sim.timeout(5.0)
     ...     log.append(sim.now)
-    >>> _ = sim.process(proc())
+    >>> sim.process(proc())
     >>> sim.run()
     >>> log
     [5.0]
@@ -197,103 +46,53 @@ class Simulator:
     def __init__(self):
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
+        self._seq = itertools.count()
 
     @property
     def now(self) -> float:
         """Current virtual time."""
         return self._now
 
-    # -- scheduling primitives -------------------------------------------
+    def timeout(self, delay: float) -> float:
+        """The wake-up time ``delay`` time units from now."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        return self._now + delay
 
-    def _schedule_at(self, when: float, cb: Callable[[], None]) -> None:
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        heapq.heappush(self._heap, (when, next(self._counter), cb))
+    def wait_until(self, when: float) -> float:
+        """The wake-up time ``when``, exactly as given.
 
-    def _schedule_now(self, cb: Callable[[], None]) -> None:
-        self._schedule_at(self._now, cb)
-
-    # -- public factory methods ------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh pending event on this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def wait_until(self, when: float, value: Any = None) -> Event:
-        """Create an event firing at *absolute* virtual time ``when``.
-
-        Semantically ``timeout(when - now)``, but the fire time is the
-        exact float given — no ``now + (when - now)`` round trip — so a
-        restored process re-arms its pending timer at the identical
-        instant the original run scheduled it.
+        No ``now + (when - now)`` round trip, so a restored process
+        re-arms its pending timer at the identical instant the original
+        run armed it.
         """
-        event = Event(self)
-        self._schedule_at(when, lambda: None if event.triggered else event.succeed(value))
-        return event
-
-    def process(self, gen: Generator[Event, Any, Any]) -> Process:
-        """Start a generator as a concurrent process."""
-        return Process(self, gen)
+        return when
 
     def call_at(self, when: float, cb: Callable[[], None]) -> None:
-        """Schedule a plain callback at absolute virtual time ``when``."""
-        self._schedule_at(when, cb)
+        """Queue a plain callback at absolute virtual time ``when``."""
+        if when < self._now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        heapq.heappush(self._heap, (when, next(self._seq), cb))
 
-    def all_of(self, events: list[Event]) -> Event:
-        """An event that succeeds once every event in ``events`` has."""
-        done = self.event()
-        remaining = len(events)
-        if remaining == 0:
-            return done.succeed([])
-        values: list[Any] = [None] * remaining
+    def process(self, gen: Iterator[float]) -> None:
+        """Start a generator as a process; its first step is queued now."""
 
-        def make_cb(i: int):
-            def cb(ev: Event) -> None:
-                nonlocal remaining
-                if done.triggered:
-                    return
-                if not ev.ok:
-                    done.fail(ev.value)
-                    return
-                values[i] = ev.value
-                remaining -= 1
-                if remaining == 0:
-                    done.succeed(values)
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
-
-    def any_of(self, events: list[Event]) -> Event:
-        """An event that succeeds when the first of ``events`` does."""
-        done = self.event()
-
-        def cb(ev: Event) -> None:
-            if done.triggered:
+        def resume() -> None:
+            try:
+                when = next(gen)
+            except StopIteration:
                 return
-            if ev.ok:
-                done.succeed(ev.value)
-            else:
-                done.fail(ev.value)
+            if not isinstance(when, Real):
+                raise TypeError(f"process yielded {when!r}, not a wake-up time")
+            self.call_at(when, resume)
 
-        for ev in events:
-            ev.add_callback(cb)
-        if not events:
-            done.succeed(None)
-        return done
+        self.call_at(self._now, resume)
 
     def advance_to(self, when: float) -> None:
         """Jump the idle clock forward to ``when`` (checkpoint restore).
 
-        Only legal while no events are pending: restoring a snapshot
-        sets the clock first, then re-arms processes at absolute times.
+        Only legal while nothing is queued: restoring a snapshot sets the
+        clock first, then re-arms processes at absolute times.
         """
         if self._heap:
             raise RuntimeError("cannot advance a simulator with pending events")
@@ -301,25 +100,15 @@ class Simulator:
             raise ValueError(f"cannot advance backwards: {when} < {self._now}")
         self._now = float(when)
 
-    # -- execution ---------------------------------------------------------
-
-    def step(self) -> None:
-        """Execute the earliest scheduled callback, advancing the clock."""
-        when, _, cb = heapq.heappop(self._heap)
-        self._now = when
-        cb()
-
     def run(self, until: float | None = None) -> None:
-        """Run until the queue drains or the clock passes ``until``.
+        """Run until the queue drains or the next entry lies past ``until``.
 
-        When ``until`` is given, the clock is left exactly at ``until``
-        even if the next event lies beyond it, matching simpy semantics.
+        When ``until`` is given the clock is left exactly at ``until``,
+        even if the queue drained earlier.
         """
-        while self._heap:
-            when = self._heap[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            self.step()
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            self._now, _, cb = heapq.heappop(heap)
+            cb()
         if until is not None and until > self._now:
             self._now = until

@@ -200,7 +200,7 @@ class Run:
 
     digests: dict[str, str]
     context: Any = None
-    result: Any = None  # the RunResult (a list of them for a batch row)
+    result: Any = None  # the RunResult (a list of them for a batch or resume row)
     session: Any = None  # the TelemetrySession the run executed in
     scratch: Path | None = None  # the row's temporary directory
     facts: dict = field(default_factory=dict)
@@ -359,10 +359,11 @@ def _run_with_barriers(runner: "Runner", check: Check, scratch: Path) -> Run:
 def _resume_every_barrier(runner: "Runner", check: Check, scratch: Path) -> Run:
     """Interrupt the reference run at each of its barriers and finish it."""
     base = runner.check(check.reference)
-    run = Run({}, base.context)
+    run = Run({}, base.context, result=[])
     for barrier, state in sorted(base.facts["states"].items()):
-        run.result, _ = _run_trainer(base.context, base.result.spec, state)
-        run.digests = digest_result(run.result)
+        result, _ = _run_trainer(base.context, base.result.spec, state)
+        run.result.append(result)
+        run.digests = digest_result(result)
         run.failures += [
             f"resumed from barrier {barrier}: {key} diverged"
             for key, value in run.digests.items()
@@ -625,6 +626,22 @@ def dense_steps(run: Run):
         yield f"{fleet.step_events} bank step events for {steps:.0f} train steps"
 
 
+def clock_monotone(run: Run):
+    """Each vehicle's loss curve starts at 0, ends at T and never steps
+    back.  Its times strictly increase but for one known repeat: the
+    final record at T follows the recorder's own tick there whenever T
+    is a multiple of ``record_interval``."""
+    results = run.result if isinstance(run.result, list) else [run.result]
+    for result in results:
+        recorder, end = result.loss_recorder, result.duration
+        for key in recorder.keys():
+            times, _ = recorder.series(key)
+            tick = times[:-1] if len(times) > 1 and times[-1] == times[-2] == end else times
+            if not (len(times) and times[0] == 0.0 and times[-1] == end
+                    and np.all(np.diff(tick) > 0)):
+                yield f"{result.method}/{key}: loss-curve times {times.tolist()} on [0, {end}]"
+
+
 def transfers_conserved(run: Run):
     """No transfer delivered more bytes than it was asked to move, and no
     model arrived that was never attempted."""
@@ -809,42 +826,43 @@ CHECKS: dict[str, Check] = {
     for check in (
         Check("hotpath.LbChat", "golden", "hotpath",
               invariants=(dense_steps, dense_probes, transfers_conserved,
-                          every_chat_accounted_once)),
-        Check("hotpath.SCO", "golden", "hotpath", "SCO", invariants=(dense_steps,)),
-        Check("hotpath.DP", "golden", "hotpath", "DP", invariants=(dense_steps,)),
+                          every_chat_accounted_once, clock_monotone)),
+        Check("hotpath.SCO", "golden", "hotpath", "SCO", invariants=(dense_steps, clock_monotone)),
+        Check("hotpath.DP", "golden", "hotpath", "DP", invariants=(dense_steps, clock_monotone)),
         Check("hotpath.telemetry", "golden", "hotpath", produce=_registry_of_three_runs,
-              invariants=(one_ledger,)),
+              invariants=(one_ledger, clock_monotone)),
         Check("fleet.segment", "golden", produce=_fleet_segment),
         Check("city.contacts", "golden", "city", produce=_contact_windows,
               invariants=(swept_equals_pairwise,)),
         Check("city.LbChat", "golden", "city",
-              invariants=(dense_steps, budgets_held, dense_probes)),
+              invariants=(dense_steps, budgets_held, dense_probes, clock_monotone)),
         *(
             Check(f"stepshard.workers{n}", "hotpath.LbChat", "hotpath",
-                  spec={"overrides": {"step_workers": n}}, invariants=(shards_stepped,))
+                  spec={"overrides": {"step_workers": n}},
+                  invariants=(shards_stepped, clock_monotone))
             for n in (1, 2, 4)
         ),
         Check("overlap.off", "golden", "overlap",
               invariants=(dense_steps, one_span_per_chat, export_round_trips,
-                          transfers_conserved, every_chat_accounted_once)),
+                          transfers_conserved, every_chat_accounted_once, clock_monotone)),
         Check("overlap.on", "golden", "overlap", spec=_ON,
               invariants=(dense_steps, flights_launched, transfers_conserved,
-                          every_chat_accounted_once)),
+                          every_chat_accounted_once, clock_monotone)),
         Check("overlap.barriers", None, "overlap", spec=_ON, produce=_run_with_barriers,
-              invariants=(a_barrier_held_a_flight,)),
+              invariants=(a_barrier_held_a_flight, clock_monotone)),
         Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,
-              produce=_resume_every_barrier),
+              produce=_resume_every_barrier, invariants=(clock_monotone,)),
         Check("checkpoint.uninterrupted", None, "hotpath",
-              spec={"checkpoint_every": 10.0}, invariants=(dense_steps,)),
+              spec={"checkpoint_every": 10.0}, invariants=(dense_steps, clock_monotone)),
         Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
-              produce=_kill_and_resume, invariants=(crash_shaped_history,)),
+              produce=_kill_and_resume, invariants=(crash_shaped_history, clock_monotone)),
         Check("world.scalar", None, produce=_world_scalar),
         Check("world.batched", "world.scalar", produce=_world_batched,
               invariants=(first_divergence, rare_branches_fired)),
         Check("parallel.jobs1", None, "hotpath", produce=partial(_run_batch, jobs=1),
-              invariants=(in_submission_order,)),
+              invariants=(in_submission_order, clock_monotone)),
         Check("parallel.jobs4", "parallel.jobs1", "hotpath", produce=partial(_run_batch, jobs=4),
-              invariants=(in_submission_order, crossed_a_process_boundary)),
+              invariants=(in_submission_order, crossed_a_process_boundary, clock_monotone)),
     )
 }
 

@@ -5,7 +5,7 @@ locations at 2 fps, then replays those traces to drive encounters during
 collaborative training.  :func:`simulate_traces` does the same on our
 world (background traffic disabled — only the learning fleet's positions
 matter for encounters), and :class:`MobilityTraces` answers the queries
-the communication layer needs: positions, pairwise distances, and
+the communication layer needs: positions, distances, neighbors and
 look-ahead routes for contact-duration estimation (§III-A).
 """
 
@@ -65,12 +65,6 @@ class MobilityTraces:
         k = self.index_at(time)
         return float(np.linalg.norm(self.positions[k, a] - self.positions[k, b]))
 
-    def pairwise_distances(self, time: float) -> np.ndarray:
-        """Full (n, n) distance matrix at ``time``."""
-        pos = self.positions[self.index_at(time)]
-        diff = pos[:, None, :] - pos[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
-
     def contact_index(self, radius: float):
         """Swept :class:`~repro.net.sweep.ContactIndex` for ``radius``.
 
@@ -102,29 +96,6 @@ class MobilityTraces:
         pos = self.positions[self.index_at(time)]
         dist = np.linalg.norm(pos - pos[vehicle], axis=1)
         return [int(i) for i in np.where(dist <= radius)[0] if i != vehicle]
-
-    def save(self, path) -> None:
-        """Persist the traces as a compressed .npz archive."""
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
-            vehicle_ids=np.asarray(self.vehicle_ids),
-            times=self.times,
-            positions=self.positions,
-        )
-
-    @classmethod
-    def load(cls, path) -> "MobilityTraces":
-        """Load traces written by :meth:`save`."""
-        with np.load(path) as data:
-            return cls(
-                vehicle_ids=[str(v) for v in data["vehicle_ids"]],
-                times=data["times"],
-                positions=data["positions"],
-            )
 
     def future_positions(self, vehicle: int | list[int], time: float, horizon: float) -> np.ndarray:
         """Trace samples of ``vehicle`` in ``[time, time + horizon]``:

@@ -40,13 +40,13 @@ class FakeResult:
 
 
 def test_cmd_run_with_stubs(monkeypatch, capsys, tmp_path):
-    seen = {}
+    seen = []
 
-    def fake_run_specs(specs, jobs=1, **kwargs):
-        seen["specs"], seen["jobs"] = list(specs), jobs
-        return [FakeResult() for _ in specs]
+    def fake_execute_spec(spec):
+        seen.append(spec)
+        return FakeResult()
 
-    monkeypatch.setattr("repro.parallel.run_specs", fake_run_specs)
+    monkeypatch.setattr("repro.parallel.execute_spec", fake_execute_spec)
     out_json = tmp_path / "run.json"
     model_path = tmp_path / "model.npz"
     code = cli.main(
@@ -54,8 +54,6 @@ def test_cmd_run_with_stubs(monkeypatch, capsys, tmp_path):
             "run",
             "--method",
             "LbChat",
-            "--jobs",
-            "2",
             "--out",
             str(out_json),
             "--save-model",
@@ -65,9 +63,8 @@ def test_cmd_run_with_stubs(monkeypatch, capsys, tmp_path):
     assert code == 0
     assert out_json.exists()
     assert model_path.exists()
-    [spec] = seen["specs"]
+    [spec] = seen
     assert spec.method == "LbChat" and spec.use_cache
-    assert seen["jobs"] == 2
     output = capsys.readouterr().out
     assert "receive rate: 80.0%" in output
 
@@ -134,16 +131,16 @@ def test_cmd_table_with_stubs(monkeypatch, capsys):
 def test_cmd_trace_with_stubs(monkeypatch, capsys, tmp_path):
     from repro.telemetry import hooks
 
-    def fake_run_specs(specs, jobs=1, **kwargs):
+    def fake_execute_spec(spec):
         # Mimic an instrumented run: the active session sees one chat.
         session = hooks.active()
         assert session is not None, "trace must activate a TelemetrySession"
         session.tracer.start_span("chat", 0.0, i="v0", j="v1")
         session.tracer.end_span(1.0)
         session.registry.counter("trainer.chats").inc()
-        return [FakeResult() for _ in specs]
+        return FakeResult()
 
-    monkeypatch.setattr("repro.parallel.run_specs", fake_run_specs)
+    monkeypatch.setattr("repro.parallel.execute_spec", fake_execute_spec)
     trace_path = tmp_path / "trace.jsonl"
     csv_path = tmp_path / "metrics.csv"
     code = cli.main(
@@ -162,13 +159,17 @@ def test_cmd_trace_with_stubs(monkeypatch, capsys, tmp_path):
 
 def test_run_and_trace_share_flags():
     parser = cli.build_parser()
-    run_args = parser.parse_args(["run", "--no-wireless", "--seed", "7", "--jobs", "0"])
-    trace_args = parser.parse_args(["trace", "--no-wireless", "--seed", "7", "--jobs", "0"])
+    argv = ["--no-wireless", "--seed", "7", "--checkpoint-every", "5"]
+    run_args = parser.parse_args(["run", *argv])
+    trace_args = parser.parse_args(["trace", *argv])
     for args in (run_args, trace_args):
         assert args.wireless is False
         assert args.seed == 7
-        assert args.jobs == 0
+        assert args.checkpoint_every == 5.0
         assert args.cache is True
+    for command in ("run", "trace"):  # one spec: nothing for --jobs to fan out
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--jobs", "2"])
 
 
 def test_cmd_report_from_trace(tmp_path, capsys):

@@ -1,11 +1,10 @@
-"""Tests for balanced batch sampling and trace persistence."""
+"""Tests for balanced batch sampling."""
 
 import numpy as np
 import pytest
 
 from repro.nn.model import N_COMMANDS
 from repro.sim.dataset import DrivingDataset, Frame
-from repro.sim.traces import MobilityTraces
 
 
 def make_dataset(counts):
@@ -74,19 +73,3 @@ class TestBalancedSampling:
         _, _, _, idx = ds.sample_batch(64, rng, balance_commands=True)
         assert (np.asarray(idx) == 1).mean() > 0.95
 
-
-class TestTracePersistence:
-    def test_roundtrip(self, tmp_path, traces):
-        path = tmp_path / "traces.npz"
-        traces.save(path)
-        restored = MobilityTraces.load(path)
-        assert restored.vehicle_ids == traces.vehicle_ids
-        assert np.array_equal(restored.times, traces.times)
-        assert np.array_equal(restored.positions, traces.positions)
-
-    def test_queries_work_after_load(self, tmp_path, traces):
-        path = tmp_path / "traces.npz"
-        traces.save(path)
-        restored = MobilityTraces.load(path)
-        assert restored.distance(0, 1, 10.0) == traces.distance(0, 1, 10.0)
-        assert restored.neighbors(0, 10.0, 1e9) == traces.neighbors(0, 10.0, 1e9)

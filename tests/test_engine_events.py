@@ -1,9 +1,9 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine: one heap of timed wake-ups."""
 
+import numpy as np
 import pytest
 
-from repro.engine import Event, Simulator, Timeout
-from repro.engine.events import Interrupt
+from repro.engine import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -25,7 +25,7 @@ def test_timeout_advances_clock():
 
 def test_negative_timeout_rejected():
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative"):
         sim.timeout(-1.0)
 
 
@@ -77,149 +77,20 @@ def test_run_until_beyond_last_event_sets_clock():
     assert sim.now == 9.0
 
 
-def test_event_succeed_wakes_waiter_with_value():
-    sim = Simulator()
-    event = sim.event()
-    got = []
-
-    def waiter():
-        value = yield event
-        got.append(value)
-
-    def trigger():
-        yield sim.timeout(4.0)
-        event.succeed("payload")
-
-    sim.process(waiter())
-    sim.process(trigger())
-    sim.run()
-    assert got == ["payload"]
-
-
-def test_event_fail_raises_in_waiter():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield event
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def trigger():
-        yield sim.timeout(1.0)
-        event.fail(RuntimeError("boom"))
-
-    sim.process(waiter())
-    sim.process(trigger())
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_event_cannot_trigger_twice():
-    sim = Simulator()
-    event = sim.event()
-    event.succeed()
-    with pytest.raises(RuntimeError):
-        event.succeed()
-
-
-def test_waiting_on_triggered_event_resumes_immediately():
-    sim = Simulator()
-    event = sim.event().succeed("late")
-    got = []
-
-    def waiter():
-        value = yield event
-        got.append((sim.now, value))
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [(0.0, "late")]
-
-
-def test_process_is_event_with_return_value():
-    sim = Simulator()
-
-    def child():
-        yield sim.timeout(2.0)
-        return 17
-
-    results = []
-
-    def parent():
-        value = yield sim.process(child())
-        results.append((sim.now, value))
-
-    sim.process(parent())
-    sim.run()
-    assert results == [(2.0, 17)]
-
-
-def test_interrupt_stops_sleeping_process():
+def test_run_until_leaves_later_wakeups_queued():
     sim = Simulator()
     log = []
 
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("woke")
-        except Interrupt as interrupt:
-            log.append(("interrupted", sim.now, interrupt.cause))
+    def proc():
+        for _ in range(3):
+            yield sim.timeout(5.0)
+            log.append(sim.now)
 
-    proc = sim.process(sleeper())
-
-    def killer():
-        yield sim.timeout(3.0)
-        proc.interrupt("reason")
-
-    sim.process(killer())
+    sim.process(proc())
+    sim.run(until=5.0)  # an entry due exactly at ``until`` runs
+    assert log == [5.0] and sim.now == 5.0
     sim.run()
-    assert log == [("interrupted", 3.0, "reason")]
-
-
-def test_unhandled_interrupt_ends_process_cleanly():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(100.0)
-
-    proc = sim.process(sleeper())
-
-    def killer():
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.process(killer())
-    sim.run()
-    assert proc.triggered and proc.ok
-
-
-def test_all_of_collects_all_values():
-    sim = Simulator()
-    got = []
-
-    def waiter():
-        values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(5.0, "b")])
-        got.append((sim.now, values))
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [(5.0, ["a", "b"])]
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    got = []
-
-    def waiter():
-        value = yield sim.any_of([sim.timeout(4.0, "slow"), sim.timeout(1.0, "fast")])
-        got.append((sim.now, value))
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [(1.0, "fast")]
+    assert log == [5.0, 10.0, 15.0]
 
 
 def test_call_at_runs_callback_at_time():
@@ -230,6 +101,98 @@ def test_call_at_runs_callback_at_time():
     assert log == [7.5]
 
 
+# -- the ordering contract checkpoint resume depends on -----------------------
+
+
+def test_call_at_armed_before_processes_runs_first():
+    """A barrier armed before the processes runs before every process
+    due at its instant, whichever way each wrote its wake-up."""
+    sim = Simulator()
+    log = []
+    sim.call_at(4.0, lambda: log.append("barrier"))
+
+    def by_timeout():
+        yield sim.timeout(4.0)
+        log.append("timeout")
+
+    def by_wait_until():
+        yield sim.wait_until(4.0)
+        log.append("wait_until")
+
+    sim.process(by_timeout())
+    sim.process(by_wait_until())
+    sim.run()
+    assert log == ["barrier", "timeout", "wait_until"]
+
+
+def test_processes_due_at_one_instant_resume_in_arming_order():
+    """Ties resume in the order the waits were armed, not the order the
+    processes were started, mixing ``timeout`` and ``wait_until``."""
+    sim = Simulator()
+    log = []
+
+    def proc(name, first, second):
+        yield sim.wait_until(first)
+        yield second()
+        log.append(name)
+
+    # All three wake at t=6.  Arming order of those waits: c (at t=1),
+    # a (at t=2, by timeout), b (at t=3, by wait_until).
+    sim.process(proc("a", 2.0, lambda: sim.timeout(4.0)))
+    sim.process(proc("b", 3.0, lambda: sim.wait_until(6.0)))
+    sim.process(proc("c", 1.0, lambda: sim.timeout(5.0)))
+    sim.run()
+    assert log == ["c", "a", "b"]
+
+
+def test_mid_instant_start_and_wait_until_now_run_after_processes_due():
+    """A process started mid-instant and a ``wait_until(now)`` both run
+    after every process already due at that instant, in the order they
+    were queued."""
+    sim = Simulator()
+    log = []
+
+    def late():
+        log.append("started")
+        yield sim.timeout(0.0)
+
+    def first():
+        yield sim.timeout(2.0)
+        log.append("first")
+        sim.process(late())
+        yield sim.wait_until(sim.now)
+        log.append("first again")
+
+    def second():
+        yield sim.timeout(2.0)
+        log.append("second")
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    assert log == ["first", "second", "started", "first again"]
+    assert sim.now == 2.0
+
+
+def test_wait_until_keeps_the_exact_float():
+    sim = Simulator()
+    now, when = 11.2, 45.699999999999996
+    assert now + (when - now) != when  # the round trip a timeout would take
+    seen = []
+
+    def proc():
+        yield sim.timeout(now)
+        yield sim.wait_until(when)
+        seen.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [when]
+
+
+# -- input checks -------------------------------------------------------------
+
+
 def test_cannot_schedule_in_past():
     sim = Simulator()
 
@@ -238,76 +201,43 @@ def test_cannot_schedule_in_past():
         sim.call_at(1.0, lambda: None)
 
     sim.process(proc())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="past"):
         sim.run()
 
 
-def test_all_of_propagates_failure():
-    sim = Simulator()
-    bad = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield sim.all_of([sim.timeout(5.0), bad])
-        except RuntimeError as exc:
-            caught.append((sim.now, str(exc)))
-
-    def failer():
-        yield sim.timeout(1.0)
-        bad.fail(RuntimeError("nope"))
-
-    sim.process(waiter())
-    sim.process(failer())
-    sim.run()
-    assert caught == [(1.0, "nope")]
-
-
-def test_any_of_empty_succeeds_immediately():
-    sim = Simulator()
-    got = []
-
-    def waiter():
-        value = yield sim.any_of([])
-        got.append((sim.now, value))
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [(0.0, None)]
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulator()
-    got = []
-
-    def waiter():
-        values = yield sim.all_of([])
-        got.append(values)
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [[]]
-
-
-def test_interrupt_after_completion_is_noop():
+def test_yielding_a_past_time_raises():
     sim = Simulator()
 
-    def quick():
-        yield sim.timeout(1.0)
+    def proc():
+        yield sim.timeout(5.0)
+        yield sim.wait_until(1.0)
 
-    proc = sim.process(quick())
-    sim.run()
-    proc.interrupt("late")  # must not raise or re-trigger
-    sim.run()
-    assert proc.ok
-
-
-def test_yielding_non_event_raises():
-    sim = Simulator()
-
-    def bad():
-        yield 42
-
-    sim.process(bad())
-    with pytest.raises(TypeError):
+    sim.process(proc())
+    with pytest.raises(ValueError, match="past"):
         sim.run()
+
+
+def test_yielding_a_non_time_raises():
+    for bad in (None, "5", [5.0]):
+        sim = Simulator()
+
+        def proc():
+            yield bad
+
+        sim.process(proc())
+        with pytest.raises(TypeError, match="not a wake-up time"):
+            sim.run()
+
+
+def test_numpy_times_are_wake_up_times():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield np.float64(2.5)
+        yield np.float32(3.0)
+        seen.append(sim.now)
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [3.0]

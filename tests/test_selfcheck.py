@@ -129,3 +129,48 @@ def test_the_accounting_hooks_bite(runner, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(run.result, "receive_completed", run.result.receive_attempted + 1)
         assert len(list(selfcheck.transfers_conserved(run))) == 1
+
+
+def test_clock_monotone_bites(runner):
+    """It passes on the real rows (``test_row``), whose curves repeat T
+    once (hotpath LbChat: ``... 30.0, 40.0, 40.0``); a step back in
+    time, a second repeat, a curve that misses 0 or T each fail it."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    class Recorder:  # TimeSeriesRecorder refuses a step back at record time
+        def __init__(self, times):
+            self.times = np.asarray(times)
+
+        def keys(self):
+            return ["v0"]
+
+        def series(self, key):
+            return self.times, np.ones_like(self.times)
+
+    run = runner.check("hotpath.LbChat")
+    times, _ = run.result.loss_recorder.series(run.result.loss_recorder.keys()[0])
+    assert times.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 40.0]
+    assert list(selfcheck.clock_monotone(run)) == []
+
+    def verdicts(times):
+        bad = selfcheck.Run({}, result=replace(run.result, loss_recorder=Recorder(times)))
+        return len(list(selfcheck.clock_monotone(bad)))
+
+    assert verdicts([0.0, 10.0, 20.0, 30.0, 40.0]) == 0  # T not on the recorder's grid
+    for broken in (
+        [0.0, 20.0, 10.0, 30.0, 40.0],
+        [0.0, 10.0, 10.0, 30.0, 40.0],
+        [0.0, 10.0, 40.0, 40.0, 40.0],
+        [10.0, 20.0, 30.0, 40.0],
+        [0.0, 10.0, 20.0, 30.0],
+    ):
+        assert verdicts(broken) == 1, broken
+
+
+def test_every_row_that_runs_a_trainer_checks_its_clock():
+    no_trainer = {selfcheck._contact_windows, selfcheck._fleet_segment}
+    for name, check in selfcheck.CHECKS.items():
+        if check.world is not None and check.produce not in no_trainer:
+            assert selfcheck.clock_monotone in check.invariants, name

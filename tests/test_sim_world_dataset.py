@@ -212,11 +212,6 @@ class TestTraces:
         assert np.allclose(traces.position(0, 10.0), traces.positions[traces.index_at(10.0), 0])
         assert np.allclose(traces.position("v0", 10.0), traces.position(0, 10.0))
 
-    def test_pairwise_distances_symmetric(self, traces):
-        mat = traces.pairwise_distances(60.0)
-        assert np.allclose(mat, mat.T)
-        assert np.allclose(np.diag(mat), 0.0)
-
     def test_neighbors_excludes_self(self, traces):
         neighbors = traces.neighbors(0, 60.0, radius=1e9)
         assert 0 not in neighbors

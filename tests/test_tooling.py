@@ -255,6 +255,88 @@ class TestCli:
             main(["frobnicate"])
 
 
+class _Captured(Exception):
+    """Raised by the stubbed execution entry point, carrying its spec."""
+
+
+#: Flags of ``repro run`` / ``repro trace`` that only say where results go.
+OUTPUT_ONLY = {"--out", "--save-model", "--csv"}
+
+
+def _single_run_flags():
+    """``(command, action)`` for every option ``repro run`` / ``repro trace``
+    accept, output-only ones aside."""
+    import argparse
+
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        (command, action)
+        for command in ("run", "trace")
+        for action in subparsers.choices[command]._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+        and action.option_strings[0] not in OUTPUT_ONLY
+    ]
+
+
+RUN_FLAGS = _single_run_flags()
+
+
+class TestEveryRunFlagReachesTheSpec:
+    """A flag of ``repro run`` / ``repro trace`` is either output-only or
+    changes the :class:`RunSpec` the command executes: none is accepted
+    and then dropped.  The spec is captured at the execution entry point,
+    before anything trains."""
+
+    #: Non-default values for free-text flags (a new one must be added here).
+    TEXT = {"method": "SCO", "checkpoint_dir": "elsewhere"}
+
+    @classmethod
+    def non_default(cls, action) -> list[str]:
+        import argparse
+
+        option = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction):
+            return [f"--no-{option[2:]}" if action.default else option]
+        if action.nargs == 0:
+            return [option]
+        if action.choices:
+            return [option, next(c for c in action.choices if c != action.default)]
+        if action.type in (int, float):
+            return [option, str((action.default or 1) + 1)]
+        return [option, cls.TEXT[action.dest]]
+
+    @pytest.fixture
+    def spec_of(self, monkeypatch):
+        def capture(spec, *args, **kwargs):
+            raise _Captured(spec)
+
+        # run_specs' serial path calls the worker's name, should a command route through it.
+        monkeypatch.setattr("repro.parallel.execute_spec", capture)
+        monkeypatch.setattr("repro.parallel.worker.execute_spec", capture)
+
+        def spec_of(argv):
+            with pytest.raises(_Captured) as caught:
+                main(argv)
+            return caught.value.args[0]
+
+        return spec_of
+
+    @pytest.mark.parametrize(
+        "command, action",
+        RUN_FLAGS,
+        ids=[f"{command}{action.option_strings[0]}" for command, action in RUN_FLAGS],
+    )
+    def test_flag_changes_the_spec(self, spec_of, command, action):
+        flag = self.non_default(action)
+        assert spec_of([command, *flag]) != spec_of([command]), (
+            f"repro {command} accepts {' '.join(flag)} and drops it"
+        )
+
+
 class TestBenchmarkTracer:
     """``testpaths`` never runs ``benchmarks/perf/tests``: what the frozen
     benchmark's tracer needs of ``src/`` is held here, in tier-1."""
