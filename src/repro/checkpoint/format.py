@@ -42,9 +42,10 @@ __all__ = [
 #: ``frame_table`` — see :class:`repro.checkpoint.state.FrameTable`; 5: a
 #: frame table names the frames the run's pool holds by id alone, and an
 #: array may be two members, its nonzero mask and values, joined by the
-#: sidecar's ``split`` shapes — see :mod:`repro.checkpoint.store`).  An
-#: older format is refused, not loaded.
-FORMAT_VERSION = 5
+#: sidecar's ``split`` shapes — see :mod:`repro.checkpoint.store`; 6: a
+#: node's loss cache is frame-table rows and their values, current model
+#: version only).  An older format is refused, not loaded.
+FORMAT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

@@ -194,48 +194,6 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.experiments.configs import get_scale
-    from repro.experiments.io import cached_context
-    from repro.nn.serialize import load_model
-    from repro.sim.comfort import comfort_score, compute_comfort
-    from repro.sim.evaluate import DrivingCondition, EvalConfig, route_for_condition, run_episode
-    from repro.sim.scenarios import SCENARIOS
-    from repro.engine.random import spawn_rng
-
-    scale = get_scale(args.scale)
-    context = cached_context(scale)
-    model = load_model(args.model)
-    print(f"{'scenario':22s} {'outcome':10s} {'min gap':>8s}")
-    for name, scenario in SCENARIOS.items():
-        result = scenario(context.town, model, scale.bev)
-        gap = "-" if result.min_gap == float("inf") else f"{result.min_gap:.1f}m"
-        print(f"{name:22s} {result.reason:10s} {gap:>8s}")
-    if args.comfort:
-        config = EvalConfig(
-            bev_spec=scale.bev,
-            n_waypoints=scale.n_waypoints,
-            normal_cars=0,
-            normal_pedestrians=0,
-        )
-        plan = route_for_condition(
-            context.town, DrivingCondition.NAVI_EMPTY, spawn_rng(args.seed, "cmf"), config
-        )
-        episode = run_episode(
-            model, context.town, plan, DrivingCondition.NAVI_EMPTY, config,
-            seed=args.seed, record_trajectory=True,
-        )
-        if episode.trajectory is not None and len(episode.trajectory) >= 3:
-            metrics = compute_comfort(episode.trajectory, config.dt)
-            print(f"\ncomfort on an empty navigation route ({episode.reason}):")
-            print(f"  max accel {metrics.max_acceleration:.2f} m/s², "
-                  f"max brake {metrics.max_deceleration:.2f} m/s²")
-            print(f"  jerk RMS {metrics.jerk_rms:.2f} m/s³, "
-                  f"max lateral {metrics.max_lateral_acceleration:.2f} m/s²")
-            print(f"  comfort score: {comfort_score(metrics):.0f}/100")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.parallel import execute_spec
     from repro.telemetry import TelemetrySession, export_jsonl, report_session
@@ -360,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_workers_arg(p)
     _add_overlap_arg(p)
     p.set_defaults(fn=_cmd_rates)
-
-    p = sub.add_parser("scenario", help="run stress scenarios on a checkpoint")
-    p.add_argument("--model", required=True)
-    _add_scale_arg(p)
-    p.add_argument("--comfort", action="store_true", help="also report comfort metrics")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_scenario)
 
     p = sub.add_parser("trace", help="train one method with telemetry on")
     _add_run_args(p)

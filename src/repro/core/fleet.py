@@ -241,15 +241,8 @@ class FleetEngine:
         if n == 0:
             return np.zeros(n_nodes)
         bev, commands, targets, weights = dataset.arrays()
-        slots_list: list[np.ndarray] = []
-        values: list[np.ndarray | None] = []
-        need = []
-        for i, node in enumerate(nodes):
-            slots, cached = node.cached_losses(dataset)
-            slots_list.append(slots)
-            values.append(cached)
-            if cached is None:
-                need.append(i)
+        values = [node.cached_losses(dataset) for node in nodes]
+        need = [i for i, cached in enumerate(values) if cached is None]
         if need:
             fresh = np.empty((n_nodes, n), dtype=np.float32)
             # Keep total forward work per chunk near the per-node cap.  The
@@ -262,6 +255,6 @@ class FleetEngine:
             )
             for i in need:
                 values[i] = fresh[i]
-                nodes[i].store_losses(slots_list[i], fresh[i])
+                nodes[i].store_losses(dataset, fresh[i])
         norm = weights / weights.sum()
         return np.array([float(vals @ norm) for vals in values])

@@ -37,9 +37,8 @@ __all__ = ["NodeConfig", "VehicleNode"]
 #: depends on it).
 _EVAL_CHUNK = 8192
 
-#: Slot-vector memos kept per node before the memo table is reset
-#: (short-lived subset datasets would otherwise accumulate entries).
-_MAX_SLOT_MEMOS = 64
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_LOSSES = np.zeros(0, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,10 @@ class NodeConfig:
     #: Stratify minibatches uniformly over commands — the standard
     #: branched-imitation trick (rare turn branches starve otherwise).
     balance_commands: bool = True
-    #: Hard cap on live loss-cache entries (0 = unbounded, the paper
-    #: scales).  City-scale fleets set this so per-node resident state
-    #: stays O(coreset + validation) instead of growing with every
-    #: frame that ever churned through a merge.  Enforced after each
-    #: cache write; when even the current-version entries exceed the
-    #: budget the cache is dropped wholesale (it is a pure recompute
-    #: cache, so correctness is unaffected).
+    #: Hard cap on loss-cache entries (0 = unbounded, the paper scales).
+    #: City-scale fleets set it so per-node resident state stays
+    #: O(coreset + validation).  Checked after each cache write; a cache
+    #: over budget is emptied (later evaluations recompute).
     loss_cache_budget: int = 0
 
 
@@ -101,15 +97,11 @@ class VehicleNode:
         self.rng = rng
         self.model_version = 0
         self.train_steps = 0
-        # Loss cache, vectorized: frame ids map to slots in flat
-        # version/value arrays, so lookups over a whole dataset are two
-        # fancy-indexing operations instead of a per-frame dict walk.
-        self._cache_slots: dict[str, int] = {}
-        self._cache_versions = np.full(64, -1, dtype=np.int64)
-        self._cache_values = np.zeros(64, dtype=np.float32)
-        self._cache_epoch = 0
-        #: dataset uid -> (generation, epoch, id→slot vector) memo.
-        self._slot_memo: dict[int, tuple[int, int, np.ndarray]] = {}
+        # Loss cache: the losses of model version ``_cache_version`` by
+        # row of this node's pool, rows sorted, values aligned.
+        self._cache_version = 0
+        self._cache_rows = _NO_ROWS
+        self._cache_values = _NO_LOSSES
         self._steps_since_refresh = 0
         self.coreset: Coreset = self.refresh_coreset()
 
@@ -163,113 +155,57 @@ class VehicleNode:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _slots_for(self, dataset: DrivingDataset) -> np.ndarray:
-        """Cache-slot row per frame of ``dataset`` (memoized per generation).
-
-        New frame ids are assigned slots on first sight; the resulting
-        vector is reused until the dataset mutates or the cache is
-        compacted, so the per-id dict walk happens once per dataset
-        generation instead of once per evaluation.
-        """
-        memo = self._slot_memo.get(dataset.uid)
-        if (
-            memo is not None
-            and memo[0] == dataset.generation
-            and memo[1] == self._cache_epoch
-        ):
-            return memo[2]
-        ids = dataset.ids
-        slots = np.empty(len(ids), dtype=np.intp)
-        cache_slots = self._cache_slots
-        for i, frame_id in enumerate(ids):
-            slot = cache_slots.get(frame_id)
-            if slot is None:
-                slot = len(cache_slots)
-                if slot >= self._cache_versions.size:
-                    grown = max(2 * self._cache_versions.size, slot + 1)
-                    versions = np.full(grown, -1, dtype=np.int64)
-                    versions[: self._cache_versions.size] = self._cache_versions
-                    values = np.zeros(grown, dtype=np.float32)
-                    values[: self._cache_values.size] = self._cache_values
-                    self._cache_versions, self._cache_values = versions, values
-                cache_slots[frame_id] = slot
-            slots[i] = slot
-        if len(self._slot_memo) >= _MAX_SLOT_MEMOS:
-            self._slot_memo.clear()
-        self._slot_memo[dataset.uid] = (dataset.generation, self._cache_epoch, slots)
-        return slots
-
-    def _evict_stale_losses(self) -> None:
-        """Drop cache entries from superseded model versions.
-
-        Provably behaviour-neutral: ``model_version`` only increases, so
-        a stale entry can never produce a cache hit again — it would
-        only sit in memory.  Compacting on refresh bounds the cache by
-        the number of frames evaluated at the current version, fixing
-        the unbounded growth the per-id dict suffered as frames churned
-        through merged/reduced coresets and validation evaluations.
-        """
-        used = len(self._cache_slots)
-        live = self._cache_versions[:used] == self.model_version
-        if bool(live.all()):
-            return
-        remap = np.cumsum(live) - 1  # old slot -> new slot (where live)
-        self._cache_slots = {
-            frame_id: int(remap[slot])
-            for frame_id, slot in self._cache_slots.items()
-            if live[slot]
-        }
-        n_live = len(self._cache_slots)
-        capacity = max(64, n_live)
-        versions = np.full(capacity, -1, dtype=np.int64)
-        values = np.zeros(capacity, dtype=np.float32)
-        versions[:n_live] = self._cache_versions[:used][live]
-        values[:n_live] = self._cache_values[:used][live]
-        self._cache_versions, self._cache_values = versions, values
-        self._cache_epoch += 1  # invalidate memoized slot vectors
-        self._slot_memo.clear()
+    def _cache(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cache's ``(rows, values)``, emptied first if ``model_version``
+        has moved (it only increases, so an older entry never hits again)."""
+        if self._cache_version != self.model_version:
+            self._cache_version = self.model_version
+            self._cache_rows, self._cache_values = _NO_ROWS, _NO_LOSSES
+        return self._cache_rows, self._cache_values
 
     @property
     def loss_cache_size(self) -> int:
-        """Number of frames with a (possibly stale) cached loss."""
-        return len(self._cache_slots)
+        """Number of frames with a cached loss at the current model version."""
+        return self._cache()[0].size
 
-    def _enforce_cache_budget(self) -> None:
-        """Keep the loss cache within ``config.loss_cache_budget``.
+    def _lookup(self, dataset: DrivingDataset) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, values)``: which frames of ``dataset`` the cache holds,
+        and their losses.  Nothing hits for a dataset on another pool."""
+        rows, values = self._cache()
+        at = np.searchsorted(rows, dataset.rows)
+        hit = (at < rows.size) & (dataset.pool is self.dataset.pool)
+        hit[hit] = rows[at[hit]] == dataset.rows[hit]
+        return hit, values[at[hit]]
 
-        Tries the behaviour-neutral stale compaction first; if the
-        current-version entries alone exceed the budget, drops the
-        cache entirely — later evaluations recompute, trading time for
-        the bounded footprint city-scale fleets need.
-        """
-        budget = self.config.loss_cache_budget
-        if budget <= 0 or len(self._cache_slots) <= budget:
+    def _store(self, dataset: DrivingDataset, positions, values: np.ndarray) -> None:
+        """Cache ``values``, the losses of ``dataset``'s frames at
+        ``positions``, over any they had; empty the cache if that puts
+        it over budget."""
+        if dataset.pool is not self.dataset.pool:
             return
-        self._evict_stale_losses()
-        if len(self._cache_slots) <= budget:
-            return
-        self._cache_slots = {}
-        self._cache_versions = np.full(64, -1, dtype=np.int64)
-        self._cache_values = np.zeros(64, dtype=np.float32)
-        self._cache_epoch += 1
-        self._slot_memo.clear()
+        rows, cached = self._cache()
+        rows = np.concatenate([dataset.rows[positions], rows])
+        values = np.concatenate([values, cached], dtype=np.float32)
+        self._cache_rows, first = np.unique(rows, return_index=True)
+        self._cache_values = values[first]  # the new value of a row held twice
+        if 0 < self.config.loss_cache_budget < self._cache_rows.size:
+            self._cache_rows, self._cache_values = _NO_ROWS, _NO_LOSSES
+            telemetry.count("loss_cache.resets")
 
     def per_sample_losses(self, dataset: DrivingDataset) -> np.ndarray:
         """Per-sample waypoint losses of the current model on ``dataset``.
 
-        Cached by (model version, frame id): Eq. 8 and Algorithm 1 reuse
+        Cached by (model version, pool row): Eq. 8 and Algorithm 1 reuse
         losses heavily, and the paper calls out caching them (§III-D).
-        Lookups are vectorized over slot arrays; misses are evaluated in
-        chunked batched forwards and written back in bulk.
+        Misses are evaluated in dataset order, in chunked batched
+        forwards, and cached together.
         """
         n = len(dataset)
         losses = np.zeros(n, dtype=np.float32)
         if n == 0:
             return losses
-        slots = self._slots_for(dataset)
-        hit = self._cache_versions[slots] == self.model_version
-        if hit.any():
-            losses[hit] = self._cache_values[slots[hit]]
+        hit, cached = self._lookup(dataset)
+        losses[hit] = cached
         miss = np.flatnonzero(~hit)
         if miss.size:
             for start in range(0, miss.size, _EVAL_CHUNK):
@@ -277,30 +213,19 @@ class VehicleNode:
                 # Only the misses are gathered, straight from the pool:
                 # ``dataset`` may be a vehicle's whole local dataset.
                 losses[chunk] = self._forward_losses(*dataset.take(chunk))
-                chunk_slots = slots[chunk]
-                self._cache_values[chunk_slots] = losses[chunk]
-                self._cache_versions[chunk_slots] = self.model_version
-            self._enforce_cache_budget()
+            self._store(dataset, miss, losses[miss])
         return losses
 
-    def cached_losses(self, dataset: DrivingDataset) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(slots, values)`` if the whole dataset hits the loss cache.
+    def cached_losses(self, dataset: DrivingDataset) -> np.ndarray | None:
+        """The cached losses of ``dataset`` if all of it hits, else ``None``
+        — the fleet engine then recomputes the node's losses in one
+        batched forward and hands them back via :meth:`store_losses`."""
+        hit, values = self._lookup(dataset)
+        return values if hit.all() else None
 
-        ``values`` is ``None`` on any miss — the fleet engine then
-        recomputes the node's losses in one batched forward and writes
-        them back via :meth:`store_losses`.
-        """
-        slots = self._slots_for(dataset)
-        hit = self._cache_versions[slots] == self.model_version
-        if hit.all():
-            return slots, self._cache_values[slots]
-        return slots, None
-
-    def store_losses(self, slots: np.ndarray, values: np.ndarray) -> None:
-        """Write externally computed per-sample losses into the cache."""
-        self._cache_values[slots] = values
-        self._cache_versions[slots] = self.model_version
-        self._enforce_cache_budget()
+    def store_losses(self, dataset: DrivingDataset, values: np.ndarray) -> None:
+        """Cache externally computed losses of all of ``dataset``."""
+        self._store(dataset, slice(None), values)
 
     def _forward_losses(self, bev, commands, targets) -> np.ndarray:
         """Per-sample L1 losses of this node's parameters: one one-row
@@ -368,7 +293,6 @@ class VehicleNode:
             self.rng,
         )
         self._steps_since_refresh = 0
-        self._evict_stale_losses()
         return self.coreset
 
     def maybe_refresh_coreset(self) -> None:
@@ -472,12 +396,12 @@ class VehicleNode:
         The RNG is deliberately absent: trainers re-derive every stream
         at checkpoint barriers (``spawn_rng(seed, f"node-{{id}}@ckpt{{k}}")``),
         so no bit-generator state ever needs to round-trip through disk.
-        The loss cache *is* captured — which frames miss determines the
-        batch composition of the next evaluation, and BLAS accumulation
-        order (hence bit-identity) depends on it.
+        The loss cache *is* captured, as rows of the frame table and their
+        values — which frames miss determines the batch composition of
+        the next evaluation, and BLAS accumulation order (hence
+        bit-identity) depends on it.
         """
-        used = len(self._cache_slots)
-        cache_ids = sorted(self._cache_slots, key=self._cache_slots.__getitem__)
+        rows, values = self._cache()
         return {
             "params": self.flat_params,
             "model_version": self.model_version,
@@ -485,9 +409,8 @@ class VehicleNode:
             "steps_since_refresh": self._steps_since_refresh,
             "dataset": frames.ref(self.dataset),
             "coreset_data": frames.ref(self.coreset.data),
-            "cache_ids": cache_ids,
-            "cache_versions": self._cache_versions[:used].copy(),
-            "cache_values": self._cache_values[:used].copy(),
+            "loss_cache": frames.ref(self.dataset.pool.dataset(rows)),
+            "loss_values": values,
         }
 
     def restore(self, state, frames) -> None:
@@ -496,11 +419,6 @@ class VehicleNode:
         The datasets come back over the pool this node's dataset is on
         (the run's, rebuilt with its context), their frames found there
         by id or interned from ``frames``, the snapshot's table.
-
-        The slot memo is *not* restored: it is a pure recomputation
-        cache keyed by dataset generation, and generation counters start
-        over in a resumed process — bumping the cache epoch invalidates
-        every stale memo instead.
         """
         pool = self.dataset.pool
         self._set_params(np.asarray(state["params"]))
@@ -509,13 +427,8 @@ class VehicleNode:
         self._steps_since_refresh = int(state["steps_since_refresh"])
         self.dataset = frames.dataset(state["dataset"], pool)
         self.coreset = Coreset(frames.dataset(state["coreset_data"], pool))
-        cache_ids = [str(frame_id) for frame_id in state["cache_ids"]]
-        self._cache_slots = {frame_id: i for i, frame_id in enumerate(cache_ids)}
-        used = len(cache_ids)
-        capacity = max(64, used)
-        self._cache_versions = np.full(capacity, -1, dtype=np.int64)
-        self._cache_values = np.zeros(capacity, dtype=np.float32)
-        self._cache_versions[:used] = np.asarray(state["cache_versions"], dtype=np.int64)
-        self._cache_values[:used] = np.asarray(state["cache_values"], dtype=np.float32)
-        self._cache_epoch += 1
-        self._slot_memo.clear()
+        rows = frames.dataset(state["loss_cache"], pool).rows
+        order = np.argsort(rows)
+        self._cache_version = self.model_version
+        self._cache_rows = rows[order]
+        self._cache_values = np.asarray(state["loss_values"], dtype=np.float32)[order]

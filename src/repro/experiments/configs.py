@@ -74,7 +74,8 @@ class ExperimentScale:
     eval_normal_pedestrians: int = 30
     #: Fraction of collected frames held out as the shared validation set.
     validation_stride: int = 10
-    #: Max live entries in a node's slot-based loss cache (0 = unbounded).
+    #: Max entries in a node's loss cache (0 = unbounded); see
+    #: ``NodeConfig.loss_cache_budget``.
     loss_cache_budget: int = 0
     #: Max retained ChatRecord entries per run (0 = unbounded).
     chat_log_budget: int = 0

@@ -259,7 +259,7 @@ def _registry_of_three_runs(runner: "Runner", check: Check, scratch: Path) -> Ru
 def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
     """Four synthetic nodes take three lock-step batched steps and one
     batched validation pass: pins the fleet forward/backward/Adam path
-    and the slot-based loss cache without needing a world.
+    and the loss cache without needing a world.
 
     The row was recorded with a distinct initialisation per node, so
     each row is re-initialised after birth and builds its first coreset

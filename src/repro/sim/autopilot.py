@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.bank import FleetWaypointNet, ParamBank
-from repro.nn.model import WaypointNet
 from repro.nn.params import get_flat_params
 from repro.sim.geometry import to_vehicle_frame
 from repro.sim.kinematics import MAX_TURN_RATE, VehicleState, advance_fleet
@@ -375,8 +374,7 @@ class ModelPilot:
         A trained :class:`~repro.nn.model.WaypointNet`.  The pilot drives
         a copy of its parameters, taken here, in a one-row
         :class:`~repro.nn.bank.ParamBank` of its own, so the model (a
-        vehicle's detached copy) may change afterwards.  Any other object with a ``forward(bev, commands)`` (a scripted
-        stand-in in the scenario tests) is queried as it is.
+        vehicle's detached copy) may change afterwards.
     plan:
         The navigation route (supplies the high-level command and the
         BEV route channel — exactly what a navigation service provides).
@@ -398,11 +396,9 @@ class ModelPilot:
         waypoint_interval: float = 0.5,
         decision_interval: float = 0.5,
     ):
-        if isinstance(model, WaypointNet):
-            bank = ParamBank(model, 1)
-            bank.flat[0] = get_flat_params(model)
-            model = FleetWaypointNet(bank, model)
-        self._net = model
+        bank = ParamBank(model, 1)
+        bank.flat[0] = get_flat_params(model)
+        self._net = FleetWaypointNet(bank, model)
         self.plan = plan
         self._bev_fn = bev_fn
         self.waypoint_interval = waypoint_interval

@@ -15,17 +15,14 @@ the same frames.  Over one pool that costs row numbers: :meth:`subset`,
 :meth:`with_weights`, :meth:`copy` and :meth:`absorb_from` move no frame
 bytes, :meth:`DrivingDataset.sample_batch` and :meth:`take` gather the
 rows they need straight from the pool, and :meth:`arrays` is a read-only
-gather cached per :attr:`generation` — for the small datasets that are
+gather cached until the next mutation — for the small datasets that are
 read whole (a coreset, the validation set), never for a vehicle's
-growing local dataset.  The :attr:`generation` counter (bumped on every
-mutation) lets callers — the gather cache here, and
-:class:`repro.core.node.VehicleNode`'s loss cache — invalidate derived
-state exactly when the dataset changes.
+growing local dataset.  In a run a frame has one name, its pool row:
+a vehicle's loss cache and a checkpoint's frame table key frames by it.
 """
 
 from __future__ import annotations
 
-import itertools
 import pickle
 from dataclasses import dataclass
 
@@ -37,10 +34,6 @@ from repro.sim.geometry import to_vehicle_frame_fleet
 from repro.sim.world import World
 
 __all__ = ["Frame", "FramePool", "DrivingDataset", "collect_fleet_datasets"]
-
-#: Process-wide unique ids so caches can key datasets without holding
-#: references (``id()`` values get recycled; these never do).
-_DATASET_UIDS = itertools.count()
 
 _MIN_CAPACITY = 8
 
@@ -218,7 +211,6 @@ class DrivingDataset:
         self._weights = _frozen(np.zeros(0))  # (n,) float64
         self._members: set[int] = set()
         self._generation = 0
-        self._uid = next(_DATASET_UIDS)
         self._views: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._views_generation = -1
         for frame in frames or []:
@@ -242,10 +234,6 @@ class DrivingDataset:
         self.__dict__.update(state)
         _frozen(self._rows), _frozen(self._weights)  # pickling drops the flag
         self._members = set(self._rows.tolist())
-        # A fresh uid in the receiving process: pickled uids could
-        # collide with ids handed out locally, confusing caches keyed
-        # on (uid, generation).
-        self._uid = next(_DATASET_UIDS)
 
     @classmethod
     def from_arrays(
@@ -277,16 +265,6 @@ class DrivingDataset:
     def rows(self) -> np.ndarray:
         """Pool row of each frame, in insertion order (read-only)."""
         return self._rows
-
-    @property
-    def uid(self) -> int:
-        """Process-wide unique identity (stable across mutations)."""
-        return self._uid
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes whenever frames are appended."""
-        return self._generation
 
     # -- growth ---------------------------------------------------------------
 

@@ -83,9 +83,6 @@ class EpisodeResult:
     reason: str  # "success" | "collision" | "off_road" | "timeout"
     time: float
     route_length: float
-    #: (n, 4) array of (x, y, heading, speed) per step when requested;
-    #: feeds the comfort metrics in :mod:`repro.sim.comfort`.
-    trajectory: np.ndarray | None = None
 
 
 def route_for_condition(
@@ -114,13 +111,8 @@ def run_episode(
     condition: DrivingCondition,
     config: EvalConfig,
     seed: int,
-    record_trajectory: bool = False,
 ) -> EpisodeResult:
-    """Drive one closed-loop trial; returns the outcome.
-
-    ``record_trajectory`` additionally captures the ego's (x, y,
-    heading, speed) per step for comfort analysis.
-    """
+    """Drive one closed-loop trial; returns the outcome."""
     scale = condition.traffic_scale
     traffic = TrafficManager(
         town,
@@ -151,15 +143,11 @@ def run_episode(
     )
     budget = plan.total_length / config.speed_budget + config.budget_slack
     time = 0.0
-    track: list[tuple[float, float, float, float]] = []
 
     def finish(success: bool, reason: str) -> EpisodeResult:
-        trajectory = np.asarray(track) if record_trajectory else None
-        return EpisodeResult(success, reason, time, plan.total_length, trajectory)
+        return EpisodeResult(success, reason, time, plan.total_length)
 
     while time < budget:
-        if record_trajectory:
-            track.append((state.x, state.y, state.heading, state.speed))
         turn_rate, accel = pilot.control(state, config.dt)
         state = advance(state, turn_rate, accel, config.dt)
         traffic.step(

@@ -224,6 +224,18 @@ class TestBoundedBudgets:
         node.per_sample_losses(node.dataset)
         assert node.loss_cache_size == 48
 
+    def test_budget_resets_are_counted(self):
+        from repro.telemetry.hooks import TelemetrySession
+
+        node = self._node(budget=16, n_frames=48)
+        with TelemetrySession() as session:
+            node.per_sample_losses(node.dataset.subset(range(16)))  # at the budget
+            node.per_sample_losses(node.dataset.subset(range(8)))  # all hits, no write
+            assert node.loss_cache_size == 16
+            node.per_sample_losses(node.dataset)  # 48 > 16: emptied
+            assert node.loss_cache_size == 0
+        assert session.registry.snapshot()["counters"]["loss_cache.resets"] == 1.0
+
     def test_chat_log_ring_eviction(self):
         from repro.core.chatlog import ChatLog, ChatRecord
 

@@ -198,16 +198,11 @@ class TestCliParser:
             ["rates", "--scale", "ci"],
             ["report", "--artifacts", "x"],
             ["eval", "--model", "m.npz", "--trials", "2"],
-            ["scenario", "--model", "m.npz", "--comfort"],
         ],
     )
     def test_all_subcommands_parse(self, argv):
         args = cli.build_parser().parse_args(argv)
         assert callable(args.fn)
-
-    def test_scenario_requires_model(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["scenario"])
 
     def test_invalid_table_number(self):
         with pytest.raises(SystemExit):

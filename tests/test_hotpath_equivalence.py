@@ -198,13 +198,13 @@ class TestPerSampleLossDeterminism:
 
 
 class TestLossCacheBounded:
-    """The loss cache compacts on refresh instead of growing forever.
+    """The loss cache holds the current model version's losses only.
 
     Pre-rewrite, ``VehicleNode`` kept one dict entry per frame id it had
     *ever* evaluated — peer coresets, validation strides, frames long
     evicted from merged/reduced coresets — so the cache grew without
-    bound over a run.  Now stale-version entries are dropped on every
-    coreset refresh, bounding the cache by the live frame count.
+    bound over a run.  Now a new model version empties it, bounding it
+    by the frames evaluated since.
     """
 
     @staticmethod
@@ -240,6 +240,19 @@ class TestLossCacheBounded:
             assert node.loss_cache_size <= len(node.dataset)
         # The old dict would have held every id ever seen (>480 here).
         assert node.loss_cache_size == len(node.dataset)
+
+    def test_a_model_version_starts_an_empty_cache(self):
+        node = make_synthetic_node(make_synthetic_dataset(120))
+        assert node.loss_cache_size == len(node.dataset)  # the birth coreset build
+        node.train_step()
+        assert node.loss_cache_size == 0
+        part = node.dataset.subset(range(0, len(node.dataset), 2))
+        first = node.per_sample_losses(part)
+        assert node.loss_cache_size == len(part)
+        whole = node.per_sample_losses(node.dataset)
+        assert node.loss_cache_size == len(node.dataset)
+        assert whole[::2].tobytes() == first.tobytes()  # the half that hit
+        assert node.cached_losses(node.dataset).tobytes() == whole.tobytes()
 
 
 class TestWorldSegmentDeterminism:

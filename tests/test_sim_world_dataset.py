@@ -165,7 +165,6 @@ class TestDrivingDataset:
         assert clone.ids == ds.ids
         assert clone.weights.tolist() == ds.weights.tolist()
         assert np.array_equal(clone.arrays()[0], ds.arrays()[0])
-        assert clone.uid != ds.uid  # fresh identity in the receiving process
 
 
 class TestCollectFleetDatasets:

@@ -128,9 +128,14 @@ class TestEngineBitIdentity:
         def evaluated(step_workers: int):
             engine = build_fleet(n_nodes=5, use_conv=True, step_workers=step_workers)
             engine.train_step_all()
+            per_frame = []  # each row of the batched pass, as handed to its node's cache
+            for node in engine.nodes:
+                monkeypatch.setattr(
+                    node, "store_losses", lambda dataset, losses: per_frame.append(losses.tobytes())
+                )
             values = engine.evaluate_fleet(validation)
-            per_frame = [node.cached_losses(validation)[1] for node in engine.nodes]
-            return values.tobytes(), [losses.tobytes() for losses in per_frame]
+            assert len(per_frame) == len(engine.nodes)
+            return values.tobytes(), per_frame
 
         assert evaluated(workers) == evaluated(1)
 

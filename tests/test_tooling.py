@@ -662,6 +662,29 @@ class TestFramesAreStoredOnce:
         assert len(table["pools"][0]["ids"]) == len(set(table["pools"][0]["ids"])) <= len(pool)
         assert table["frame_refs"] > len(table["pools"][0]["ids"])
 
+    def test_a_run_names_each_frame_by_its_row(self, monkeypatch):
+        """In a run a frame has one name, its row of the pool: nothing —
+        the loss cache included — goes back to frame ids.  Only a
+        checkpoint barrier writes them, so this run has no checkpointer."""
+        from repro import selfcheck
+        from repro.experiments.runner import RunSpec, run_method
+        from repro.sim.dataset import DrivingDataset, FramePool
+
+        context = selfcheck._context("hotpath")
+        spec = RunSpec.for_context(context, "LbChat", seed=selfcheck.SEED)
+        reads = []
+        ids = DrivingDataset.ids.fget
+        row = FramePool.row
+        monkeypatch.setattr(
+            DrivingDataset, "ids", property(lambda data: reads.append("ids") or ids(data))
+        )
+        monkeypatch.setattr(
+            FramePool, "row", lambda pool, frame_id: reads.append("row") or row(pool, frame_id)
+        )
+        result = run_method(context, spec)
+        assert result.counters["frames_absorbed"] > 0
+        assert reads == []
+
     def check(self, trainer, pool, frames_before):
         datasets = self.datasets_of(trainer)
         assert [label for label, data in datasets if data.pool is not pool] == []
