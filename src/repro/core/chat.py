@@ -44,10 +44,12 @@ from repro.core.value import assess_value
 from repro.coreset.construction import Coreset
 from repro.net.channel import ChannelConfig, TransferSession, simulate_transfer
 from repro.net.wireless import WirelessModel
+from repro.parallel.stepshard import default_step_shards, run_shards
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
 __all__ = [
+    "THREADED_SIDES_MIN_WORK",
     "Chat",
     "ChatOutcome",
     "Leg",
@@ -58,6 +60,18 @@ __all__ = [
 
 #: Fixed overhead for computing/exchanging evaluation results and maps.
 _RESULTS_EXCHANGE_SECONDS = 0.1
+
+#: Stage 3 runs a chat's two sides concurrently (side 1 on a thread)
+#: from this much work on: ``n_params × (|C_i| + |C_j|)``, the
+#: parameter-frames its forwards touch.  Below it a side is too small to
+#: outrun the GIL hand-offs and a thread's start, and both run on the
+#: caller.  The benchmark's two worlds sit far either side: every
+#: ``bench-city`` chat is 0.62 M, ``bench-paper`` chats 26.7-61.6 M.
+#: Measured on a 2-core x86 host (``benchmarks/perf/run.py``, parent
+#: and change alternated): threading every chat (floor 0) made
+#: ``city_lbchat``'s ``run_wall_s`` ~40 % slower; at this floor it is
+#: flat, while ``paper_lbchat`` falls ~24 % (10 of 10 pairs).
+THREADED_SIDES_MIN_WORK = 4_000_000
 
 
 @dataclass
@@ -264,6 +278,17 @@ def negotiate(
     gets one built here on ``node_i``'s fleet template.  Only Eq. 7 reads the
     maps, so ``equal_compression`` fits none.
 
+    Stage 3 is one function per side, as each vehicle computes on its
+    own computer: side ``k`` scores its node on its own coreset and on
+    the peer's, then fits its map in its own half of the probe bank
+    (``prober.build(node, side=k)``).  When the chat's work reaches
+    :data:`THREADED_SIDES_MIN_WORK` and more than one core is usable,
+    side 1 runs on a thread of :func:`~repro.parallel.stepshard.
+    run_shards` while side 0 runs here, joined before stage 3 ends;
+    otherwise both run here in turn.  A side touches only its own node
+    (row, loss cache, coreset), the peer's coreset frames (read) and its
+    own half of the bank, so both paths compute the same bits.
+
     A chat that ends here (stage abort, coreset-only, nothing worth
     sending) has no legs; the caller commits it like any other, which
     still absorbs coresets that got through.
@@ -299,24 +324,39 @@ def negotiate(
         # model exchange at all.
         return chat
 
-    # 3. cross-evaluations and psi maps (compute treated as free, §IV-A).
-    value = assess_value(
-        loss_i_on_ci=node_i.evaluate(node_i.coreset.data),
-        loss_i_on_cj=node_i.evaluate(node_j.coreset.data),
-        loss_j_on_cj=node_j.evaluate(node_j.coreset.data),
-        loss_j_on_ci=node_j.evaluate(node_i.coreset.data),
-    )
-    maps, plans = [], [None, None]
-    if not equal_compression:
-        if prober is None:
-            from repro.core.overlap import DensePsiProber
+    # 3. cross-evaluations and psi maps (compute treated as free, §IV-A),
+    # each vehicle on its own computer: side 1 on a thread when it pays.
+    if not equal_compression and prober is None:
+        from repro.core.overlap import DensePsiProber
 
-            prober = DensePsiProber(node_i.fleet.template)
-        for side, node in enumerate((node_i, node_j)):
-            psi_map, plan = prober.build(node)
-            plans[side] = (plan, node.model_version)
-            outcome.psi_probe_builds += 1
-            maps.append(psi_map)
+        prober = DensePsiProber(node_i.fleet.template)
+
+    sides = (
+        (node_i, chat.coreset_i, chat.coreset_j),
+        (node_j, chat.coreset_j, chat.coreset_i),
+    )
+
+    def assess(side: int):
+        """One vehicle's stage 3: its loss on both coresets, then its psi map."""
+        node, own, peer = sides[side]
+        losses = node.evaluate(own.data), node.evaluate(peer.data)
+        return losses, None if equal_compression else prober.build(node, side=side)
+
+    work = node_i.flat_params.size * (len(chat.coreset_i) + len(chat.coreset_j))
+    if work >= THREADED_SIDES_MIN_WORK and default_step_shards() >= 2:
+        (losses_i, built_i), (losses_j, built_j) = run_shards((0, 1), assess)
+    else:
+        (losses_i, built_i), (losses_j, built_j) = assess(0), assess(1)
+    value = assess_value(
+        loss_i_on_ci=losses_i[0],
+        loss_i_on_cj=losses_i[1],
+        loss_j_on_cj=losses_j[0],
+        loss_j_on_ci=losses_j[1],
+    )
+    plans = [None, None]
+    if not equal_compression:
+        outcome.psi_probe_builds += 2
+        plans = [(built_i[1], node_i.model_version), (built_j[1], node_j.model_version)]
     if not chat.exchange("results", 2 * 256, contact_deadline):  # tiny payloads
         return cut("results")
     # The fixed compute/exchange overhead applies only when the results
@@ -344,8 +384,8 @@ def negotiate(
         )
     else:
         outcome.psi = optimize_compression(
-            maps[0],
-            maps[1],
+            built_i[0],
+            built_j[0],
             loss_i_on_cj=value.loss_i_on_cj,
             loss_j_on_ci=value.loss_j_on_ci,
             model_size_bytes=node_i.config.nominal_model_bytes,

@@ -26,8 +26,8 @@ background-averaged state at a sync point rather than freezing the
 learner.
 
 Both protocols fit their psi maps with :class:`DensePsiProber`: the ~7
-compressed variants are stacked into a small
-:class:`~repro.nn.bank.ParamBank` and scored with a single
+compressed variants are stacked into one side's half of a small
+forward-only :class:`~repro.nn.bank.ParamBank` and scored with a single
 :class:`~repro.nn.bank.FleetWaypointNet` forward over the coreset
 instead of seven sequential per-model forwards, and payload compression
 reuses the psi map's :class:`~repro.compression.TopkPlan` (the sorted
@@ -57,26 +57,40 @@ __all__ = ["DensePsiProber", "TransferScheduler", "plan_chat"]
 
 
 class DensePsiProber:
-    """Psi-grid probes of one model, evaluated as a fleet batch.
+    """Psi-grid probes of a chat's two models, evaluated as fleet batches.
 
-    One probe bank row per level of :data:`~repro.core.psi.
-    DEFAULT_PSI_GRID`: row ``k`` holds the model compressed to level
-    ``k`` (dense at ``psi >= 1``).  A single shared-batch forward over
-    the coreset then scores every level at once — the same per-layer
-    GEMMs the fleet engine uses for training, instead of one full forward
-    per level.  Every node it is asked about shares ``template``'s
-    parameter layout, as every node of a fleet does.
+    One forward-only probe bank (no gradient array: nothing here runs
+    backward) with one row per level of :data:`~repro.core.psi.
+    DEFAULT_PSI_GRID` per chat side: row ``k`` of side ``s``'s half
+    holds side ``s``'s model compressed to level ``k`` (dense at
+    ``psi >= 1``).  A single shared-batch forward over the coreset then
+    scores every level at once — the same per-layer GEMMs the fleet
+    engine uses for training, instead of one full forward per level.
+    Each side has its own half (a :meth:`~repro.nn.bank.ParamBank.
+    slice_rows` view) and its own net, so the two sides of one chat can
+    build at once, on two threads (:func:`~repro.core.chat.negotiate`).
+    Every node it is asked about shares ``template``'s parameter layout,
+    as every node of a fleet does.
     """
+
+    SIDES = 2
 
     def __init__(self, template):
         from repro.nn.bank import FleetWaypointNet, ParamBank
 
         self.psis = [float(p) for p in DEFAULT_PSI_GRID]
-        self.bank = ParamBank(template, len(self.psis))
-        self.net = FleetWaypointNet(self.bank, template)
+        levels = len(self.psis)
+        self.bank = ParamBank(template, self.SIDES * levels, grads=False)
+        #: Side ``s``'s rows of :attr:`bank`, one per psi level.
+        self.side_banks = tuple(
+            self.bank.slice_rows(s * levels, (s + 1) * levels) for s in range(self.SIDES)
+        )
+        self._nets = tuple(FleetWaypointNet(bank, template) for bank in self.side_banks)
 
-    def build(self, node):
-        """``(PsiLossMap, TopkPlan)`` for ``node`` in one batched forward."""
+    def build(self, node, side: int = 0):
+        """``(PsiLossMap, TopkPlan)`` for ``node`` in one batched forward
+        on side ``side``'s half of the bank."""
+        bank, net = self.side_banks[side], self._nets[side]
         flat = np.asarray(node.flat_params, dtype=np.float32)
         plan = topk_plan(flat, node.config.nominal_model_bytes)
         keep = plan.keep([topk_for_psi(flat.size, psi) for psi in self.psis])
@@ -84,13 +98,11 @@ class DensePsiProber:
         # kept entry keeps every bit and an unsent one is +0.0 (a float
         # multiply would leave -0.0 and turn inf into NaN), so rows are
         # bit-identical to ``decompress(plan.compress(psi))``.
-        np.multiply(flat.view(np.uint32), keep, out=self.bank.flat.view(np.uint32))
+        np.multiply(flat.view(np.uint32), keep, out=bank.flat.view(np.uint32))
         bev, commands, targets, weights = node.coreset.data.arrays()
-        pred = self.net.forward(bev, commands)  # (levels, batch, 2w)
+        pred = net.forward(bev, commands)  # (levels, batch, 2w)
         per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
-        losses = penalized_losses(
-            self.bank.flat, per_sample, commands, weights, node.config.penalty
-        )
+        losses = penalized_losses(bank.flat, per_sample, commands, weights, node.config.penalty)
         return PsiLossMap(np.asarray(self.psis), losses), plan
 
 

@@ -7,8 +7,9 @@ so one batched tensor op per layer trains or evaluates the whole fleet;
 it is the only forward and the only gradient step a run has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
-  float32 matrix (plus a twin for gradients), laid out after a template
-  model.  A vehicle's parameters are a bank row from birth and nowhere
+  float32 matrix (plus a twin for gradients, unless it is a forward-only
+  bank such as the psi prober's), laid out after a template model.  A
+  vehicle's parameters are a bank row from birth and nowhere
   else: :class:`~repro.core.fleet.FleetEngine` writes the template into
   every row and hands each :class:`~repro.core.node.VehicleNode` its
   row, so chat aggregation, compression and checkpoints read and write
@@ -65,9 +66,13 @@ class ParamBank:
     written from (or into) a model of that layout is the model.  The
     bank starts zeroed; ``views[k]``/``grad_views[k]`` expose parameter
     ``k`` of every node as a ``(n_nodes, *shape)`` view into the bank.
+
+    ``grads=False`` makes a forward-only bank: ``grad_flat`` is ``None``
+    and every ``grad_views[k]`` too, so it costs half the memory, and a
+    :class:`FleetWaypointNet` over it refuses ``backward``.
     """
 
-    def __init__(self, template, n_nodes: int):
+    def __init__(self, template, n_nodes: int, grads: bool = True):
         if n_nodes <= 0:
             raise ValueError(f"bank needs at least one node: {n_nodes}")
         params = template.parameters()
@@ -78,7 +83,9 @@ class ParamBank:
         sizes = [int(np.prod(shape)) if shape else 1 for _, shape in self.specs]
         self.n_params = int(sum(sizes))
         self.flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
-        self.grad_flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
+        self.grad_flat = (
+            np.zeros((n_nodes, self.n_params), dtype=np.float32) if grads else None
+        )
         self._build_views()
 
     def _build_views(self) -> None:
@@ -90,7 +97,9 @@ class ParamBank:
             size = int(np.prod(shape)) if shape else 1
             self.views.append(self.flat[:, offset : offset + size].reshape((n_nodes, *shape)))
             self.grad_views.append(
-                self.grad_flat[:, offset : offset + size].reshape((n_nodes, *shape))
+                None
+                if self.grad_flat is None
+                else self.grad_flat[:, offset : offset + size].reshape((n_nodes, *shape))
             )
             offset += size
 
@@ -120,7 +129,7 @@ class ParamBank:
         bank.n_params = self.n_params
         bank.specs = self.specs
         bank.flat = self.flat[lo:hi]
-        bank.grad_flat = self.grad_flat[lo:hi]
+        bank.grad_flat = None if self.grad_flat is None else self.grad_flat[lo:hi]
         bank._build_views()
         return bank
 
@@ -404,6 +413,8 @@ class FleetWaypointNet:
         between steps is needed; the return value is the input gradient,
         or None because the first parameterized trunk layer skips it.
         """
+        if self.bank.grad_flat is None:
+            raise RuntimeError("backward on a forward-only bank (ParamBank(..., grads=False))")
         if self._features is None or self._masks is None:
             raise RuntimeError("backward needs a per-node forward before it")
         features = self._features

@@ -14,7 +14,8 @@ the banks and of the loss vector — the merge is the memory itself.
 
 :func:`run_shards` runs shard 0 on the calling thread and the others on
 a thread pool opened for that one call and joined before it returns, so
-no thread outlives a step (nothing is live when ``run_specs`` forks).
+no thread outlives a step (nothing is live when ``run_specs`` forks);
+a chat's stage 3 runs its two sides through it the same way.
 The time goes to numpy's GEMMs and the ctypes Adam kernel, both of which
 release the GIL, so the shards use as many cores as there are shards.
 
@@ -110,20 +111,20 @@ class StepShard:
             rows[:, sl] = np.abs(pred - targets[sl]).mean(axis=2)
 
 
-def run_shards(shards, work) -> None:
-    """``work(shard)`` for every shard, concurrently; returns when all finish.
+def run_shards(shards, work) -> list:
+    """``work(shard)`` for every shard, concurrently; their results, in order.
 
     Shard 0 runs on the calling thread, the rest on threads that live
     for this call only.  An exception in any shard is raised here once
     every shard has stopped; the rows it had yet to write are stale, so
-    there is nothing to fall back to.
+    there is nothing to fall back to.  A "shard" is any work item: a
+    chat's two sides (:func:`repro.core.chat.negotiate`) run through
+    here too.
     """
     first, *rest = shards
     if not rest:
-        work(first)
-        return
+        return [work(first)]
     with ThreadPoolExecutor(max_workers=len(rest)) as pool:
         futures = [pool.submit(work, shard) for shard in rest]
-        work(first)
-    for future in futures:
-        future.result()
+        results = [work(first)]
+    return results + [future.result() for future in futures]

@@ -24,6 +24,8 @@ dependency arrow points strictly from the hot paths to telemetry.
 
 from __future__ import annotations
 
+import threading
+
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.tracer import Tracer
 
@@ -96,11 +98,18 @@ def active() -> TelemetrySession | None:
 # -- generic instruments (each no-ops when telemetry is off) -----------------
 
 
+#: Serialises :func:`count`: a chat's side thread reaches it
+#: (``loss_cache.resets``), and a counter's read-add-write and its
+#: creation on first use are not atomic.
+_COUNT_LOCK = threading.Lock()
+
+
 def count(name: str, amount: float = 1.0) -> None:
-    """Increment a registry counter."""
+    """Increment a registry counter (safe from any thread)."""
     s = _ACTIVE
     if s is not None:
-        s.registry.counter(name).inc(amount)
+        with _COUNT_LOCK:
+            s.registry.counter(name).inc(amount)
 
 
 def set_gauge(name: str, value: float) -> None:

@@ -155,6 +155,46 @@ class TestParamBank:
         assert np.array_equal(copied.evaluate_fleet(validation), fleet.evaluate_fleet(validation))
 
 
+class TestForwardOnlyBank:
+    """``ParamBank(..., grads=False)``: the psi prober's bank, which never
+    runs backward, carries no gradient array at all."""
+
+    @staticmethod
+    def banks(use_conv=False):
+        models = [
+            make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=s, use_conv=use_conv)
+            for s in (0, 1, 2)
+        ]
+        full = bank_of(models)
+        bare = ParamBank(models[0], len(models), grads=False)
+        bare.flat[:] = full.flat
+        return models, full, bare
+
+    def test_has_no_gradient_array_and_a_slice_keeps_none(self):
+        _, full, bare = self.banks()
+        assert bare.grad_flat is None and bare.grad_views == [None] * len(bare.views)
+        assert bare.flat.nbytes == full.flat.nbytes
+        rows = bare.slice_rows(1, 3)
+        assert rows.grad_flat is None and rows.grad_views == [None] * len(rows.views)
+        assert np.shares_memory(rows.flat, bare.flat)
+        copied = copy.deepcopy(bare)
+        assert copied.grad_flat is None and np.array_equal(copied.flat, bare.flat)
+
+    @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
+    def test_forward_is_the_full_banks_and_backward_is_refused(self, use_conv):
+        models, full, bare = self.banks(use_conv)
+        rng = np.random.default_rng(2)
+        bev = rng.normal(size=(3, 5, *BEV_SHAPE)).astype(np.float32)
+        commands = rng.integers(0, 4, size=(3, 5))
+        want = FleetWaypointNet(full, models[0]).forward(bev, commands)
+        for bank in (bare, bare.slice_rows(0, 3)):
+            net = FleetWaypointNet(bank, models[0])
+            got = net.forward(bev, commands)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            with pytest.raises(RuntimeError, match="forward-only bank"):
+                net.backward(np.ones_like(got))
+
+
 class TestFleetForward:
     @pytest.mark.parametrize("use_conv", [False, True])
     def test_forward_matches_per_node(self, use_conv):

@@ -92,7 +92,7 @@ class TestProberMatchesOracle:
         prober = DensePsiProber(node.fleet.template)
         psi_map, plan = prober.build(node)
         # The probe rows, to the bit: +0.0 in every unsent position.
-        for row, level in zip(prober.bank.flat, prober.psis):
+        for row, level in zip(prober.side_banks[0].flat, prober.psis):
             assert np.array_equal(bits(row), bits(decompress(plan.compress(level))))
         oracle = node.build_psi_map()
         assert np.array_equal(psi_map.psis, oracle.psis)
@@ -120,7 +120,7 @@ def test_probe_rows_hold_the_brute_force_top_k():
     prober = DensePsiProber(node.fleet.template)
     _, plan = prober.build(node)
     order = brute_force_order(flat)
-    for row, level in zip(prober.bank.flat, prober.psis):
+    for row, level in zip(prober.side_banks[0].flat, prober.psis):
         kept = order[: topk_for_psi(flat.size, level)]
         want = np.zeros_like(flat)
         want[kept] = flat[kept]
@@ -131,6 +131,28 @@ def test_probe_rows_hold_the_brute_force_top_k():
         assert node.compress_model(psi).indices.tolist() == kept
 
 
+def test_the_probe_bank_is_two_forward_only_halves():
+    """Seven levels per chat side in one bank with no gradient array;
+    each side builds in its own half and leaves the other alone."""
+    engine = fleet([7, 8], "paper", True, PenaltyConfig())
+    engine.train_step_all()
+    prober = DensePsiProber(engine.template)
+    levels, n_params = len(prober.psis), engine.bank.n_params
+    assert prober.bank.flat.shape == (2 * levels, n_params)
+    assert prober.bank.flat.nbytes == 2 * levels * n_params * 4
+    assert prober.bank.grad_flat is None
+    for side, half in enumerate(prober.side_banks):
+        assert half.grad_flat is None
+        assert np.shares_memory(half.flat, prober.bank.flat[side * levels : (side + 1) * levels])
+    node_i, node_j = engine.nodes
+    map_i, _ = prober.build(node_i, side=0)
+    side_0 = prober.side_banks[0].flat.copy()
+    map_j, _ = prober.build(node_j, side=1)
+    assert np.array_equal(prober.side_banks[0].flat, side_0)
+    assert np.array_equal(map_i.losses, node_i.build_psi_map().losses)
+    assert np.array_equal(map_j.losses, node_j.build_psi_map().losses)
+
+
 # -- the prober inside a chat ------------------------------------------------------
 
 
@@ -138,7 +160,7 @@ class LoopProber:
     """The oracle in the prober's place: the per-level loop's map, and a
     plan ranked from scratch for the payload to reuse."""
 
-    def build(self, node):
+    def build(self, node, side=0):
         return node.build_psi_map(), topk_plan(node.flat_params, node.config.nominal_model_bytes)
 
 
