@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.compression import decompress
 from repro.core.chat import equal_compression_decision
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import RoundConfig, RoundTrainer
 from repro.net.channel import simulate_transfer
 from repro.telemetry import hooks as telemetry
 
@@ -30,13 +30,11 @@ __all__ = ["DflDdsConfig", "DflDdsTrainer"]
 
 
 @dataclass
-class DflDdsConfig(TrainerConfig):
-    #: Round length; the paper sets it equal to LbChat's T_B.
+class DflDdsConfig(RoundConfig):
     """Synchronous-round timeline configuration."""
-    round_interval: float = 15.0
 
 
-class DflDdsTrainer(TrainerBase):
+class DflDdsTrainer(RoundTrainer):
     """Synchronous rounds + data-source-diversity aggregation weights."""
 
     name = "DFL-DDS"
@@ -49,32 +47,14 @@ class DflDdsTrainer(TrainerBase):
         self.source_counts = np.zeros((n, n))
         for i in range(n):
             self.source_counts[i, i] = 1.0
-        self._next_round = self.config.round_interval
 
     # Vehicles do not exchange on scan — only at round boundaries.
     def on_scan(self, i: int) -> None:
         """No-op: DFL-DDS only exchanges at round boundaries."""
         return
 
-    def _round_process(self, resume: bool = False):
-        # Yield-first loop, unrolled like ProxSkip's so a resumed round
-        # clock re-arms at the exact absolute fire time.
-        cfg = self.config
-        if resume:
-            yield self.sim.wait_until(self._next_round)
-        else:
-            if self.sim.now >= cfg.duration:
-                return
-            self._next_round = self.sim.now + cfg.round_interval
-            yield self.sim.timeout(cfg.round_interval)
-        while True:
-            self._run_round()
-            if self.sim.now >= cfg.duration:
-                return
-            self._next_round = self.sim.now + cfg.round_interval
-            yield self.sim.timeout(cfg.round_interval)
-
-    def _run_round(self) -> None:
+    def on_round(self) -> None:
+        """Pair idle neighbors by id order, nearest first, and exchange."""
         self.counters.add("rounds")
         paired: set[int] = set()
         order = np.argsort([n.node_id for n in self.nodes])
@@ -168,17 +148,9 @@ class DflDdsTrainer(TrainerBase):
         node.replace_model_params(merged.astype(np.float32))
         self.source_counts[receiver, source] += 1.0
 
-    def extra_activities(self, resume: bool = False):
-        """The global round-boundary clock process."""
-        armed_at = self._next_round - self.config.round_interval
-        return [(armed_at, self._round_process(resume=resume))]
-
     def extra_state(self) -> dict:
-        return {
-            "next_round": self._next_round,
-            "source_counts": self.source_counts.copy(),
-        }
+        return {**super().extra_state(), "source_counts": self.source_counts.copy()}
 
     def restore_extra(self, state) -> None:
-        self._next_round = float(state["next_round"])
+        super().restore_extra(state)
         self.source_counts = np.asarray(state["source_counts"], dtype=float).copy()

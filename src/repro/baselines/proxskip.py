@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import RoundConfig, RoundTrainer
 from repro.engine.random import spawn_rng
 from repro.net.wireless import DEFAULT_LOSS_TABLE
 
@@ -28,14 +28,13 @@ __all__ = ["ProxSkipConfig", "ProxSkipTrainer"]
 
 
 @dataclass
-class ProxSkipConfig(TrainerConfig):
+class ProxSkipConfig(RoundConfig):
     """Server-based timeline: rounds fire at ``round_interval``."""
 
-    round_interval: float = 15.0  # matches T_B so rounds ~ LbChat budget
     sync_probability: float = 0.8  # ProxSkip's p: skip some rounds
 
 
-class ProxSkipTrainer(TrainerBase):
+class ProxSkipTrainer(RoundTrainer):
     """Central-server FL with skip-able synchronization rounds."""
 
     name = "ProxSkip"
@@ -45,7 +44,6 @@ class ProxSkipTrainer(TrainerBase):
         self.config: ProxSkipConfig
         self._rng = spawn_rng(self.config.seed, "proxskip-server")
         self._loss_values = np.array([row[1] for row in DEFAULT_LOSS_TABLE])
-        self._next_round = self.config.round_interval
 
     def _link_succeeds(self) -> bool:
         """One backend link attempt under uniformly-sampled wireless loss."""
@@ -54,26 +52,13 @@ class ProxSkipTrainer(TrainerBase):
         loss = float(self._rng.choice(self._loss_values))
         return bool(self._rng.uniform() > loss)
 
-    def _server_process(self, resume: bool = False):
-        # Yield-first loop, unrolled so a resumed process can re-arm its
-        # pending round timer at the exact absolute time (the round body
-        # and the duration check keep their original relative order).
-        cfg = self.config
-        if resume:
-            yield self.sim.wait_until(self._next_round)
-        else:
-            if self.sim.now >= cfg.duration:
-                return
-            self._next_round = self.sim.now + cfg.round_interval
-            yield self.sim.timeout(cfg.round_interval)
-        while True:
-            if self._rng.uniform() <= cfg.sync_probability:
-                self._synchronize()
-            # (a skipped draw is ProxSkip skipping this synchronization)
-            if self.sim.now >= cfg.duration:
-                return
-            self._next_round = self.sim.now + cfg.round_interval
-            yield self.sim.timeout(cfg.round_interval)
+    def on_round(self) -> None:
+        """Synchronize with probability ``sync_probability``.
+
+        A draw above it is ProxSkip skipping this synchronization.
+        """
+        if self._rng.uniform() <= self.config.sync_probability:
+            self._synchronize()
 
     def _synchronize(self) -> None:
         uploads = []
@@ -89,17 +74,6 @@ class ProxSkipTrainer(TrainerBase):
             self.receive_rate.observe(ok)
             if ok:
                 node.replace_model_params(average)
-
-    def extra_activities(self, resume: bool = False):
-        """The server's synchronization round process."""
-        armed_at = self._next_round - self.config.round_interval
-        return [(armed_at, self._server_process(resume=resume))]
-
-    def extra_state(self) -> dict:
-        return {"next_round": self._next_round}
-
-    def restore_extra(self, state) -> None:
-        self._next_round = float(state["next_round"])
 
     def _reseed_extra_streams(self, barrier: int) -> None:
         self._rng = spawn_rng(self.config.seed, f"proxskip-server@ckpt{barrier}")

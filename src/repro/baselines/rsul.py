@@ -31,8 +31,6 @@ class RsuLConfig(TrainerConfig):
     rsu_range: float = 500.0
     #: A vehicle syncs with (any) RSU at most this often.
     rsu_cooldown: float = 30.0
-    #: EMA coefficient for folding a vehicle model into the RSU model.
-    rsu_mix: float = 0.5
     #: Fraction of the session window the up+down transfers are sized to
     #: fill — the protocol's fixed headroom for retransmissions.
     fill_factor: float = 0.75
@@ -56,7 +54,7 @@ class RoadSideUnit:
         self.uploads = 0
         self._recent: list[np.ndarray] = []
 
-    def fold_in(self, params: np.ndarray, mix: float) -> None:
+    def fold_in(self, params: np.ndarray) -> None:
         """Fold an uploaded model into the sliding-window aggregate."""
         self._recent.append(params.copy())
         if len(self._recent) > self.WINDOW:
@@ -162,7 +160,7 @@ class RsuLTrainer(TrainerBase):
         if up.completed:
             from repro.compression import decompress
 
-            rsu.fold_in(decompress(up_model, fill=node.flat_params), self.config.rsu_mix)
+            rsu.fold_in(decompress(up_model, fill=node.flat_params))
             down = simulate_transfer(
                 up_model.nominal_bytes,
                 distance_fn,

@@ -44,8 +44,10 @@ __all__ = [
 #: array may be two members, its nonzero mask and values, joined by the
 #: sidecar's ``split`` shapes — see :mod:`repro.checkpoint.store`; 6: a
 #: node's loss cache is frame-table rows and their values, current model
-#: version only).  An older format is refused, not loaded.
-FORMAT_VERSION = 6
+#: version only; 7: ``next_train`` is one time, the fleet's — one process
+#: trains every vehicle — not one per vehicle).  An older format is
+#: refused, not loaded.
+FORMAT_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

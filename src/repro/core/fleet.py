@@ -8,16 +8,14 @@ FleetAdam`, writes the template into every row, and hands each
 home — chats, compression, psi probes and checkpoints read and write
 its row, and the fleet's Adam owns its optimizer state.
 
-Every trainer runs all vehicles' local iterations in lock-step — the
-discrete-event loop fires each vehicle's train timer at the same
-instants, and busy state gates communication only, never training.  The
-engine exploits that: when the first vehicle of an instant fires, it
-samples every node's minibatch, runs one batched forward/backward over
-the bank, and applies a vectorized Adam step for the whole fleet; the
-remaining vehicles of the instant just pick up their precomputed loss.
-That step, and the fleet's validation pass, run as contiguous row
-shards on threads (:mod:`repro.parallel.stepshard`), bit-identical for
-any shard count.
+Every trainer runs all vehicles' local iterations in lock-step — busy
+state gates communication only, never training — so one process of the
+trainer's event loop calls :meth:`FleetEngine.train_step_all` once per
+train instant: it samples every node's minibatch, runs one batched
+forward/backward over the bank, and applies a vectorized Adam step for
+the whole fleet.  That step, and the fleet's validation pass, run as
+contiguous row shards on threads (:mod:`repro.parallel.stepshard`),
+bit-identical for any shard count.
 """
 
 from __future__ import annotations
@@ -84,8 +82,6 @@ class FleetEngine:
             VehicleNode(self, row, node_id, dataset, config, rng)
             for row, (node_id, dataset, rng) in enumerate(members)
         )
-        self._pending: np.ndarray | None = None
-        self._consumed = np.ones(n, dtype=bool)
         # Plain-Python step accounting (cheap enough for the hot loop):
         # how many per-row training events ran, and at what batched
         # width each ran.  Every step is the dense bank's, so
@@ -147,7 +143,7 @@ class FleetEngine:
         """A fleet crossing processes (a run's result) takes its banks and
         nodes, not its shards' activations or its scratch."""
         state = self.__dict__.copy()
-        state.update(shards=(), _row_banks={}, _pending=None, _batch=None)
+        state.update(shards=(), _row_banks={}, _batch=None)
         return state
 
     def __setstate__(self, state):
@@ -162,21 +158,6 @@ class FleetEngine:
         return self.step_width_sum / self.step_events
 
     # -- training ------------------------------------------------------------
-
-    def train_tick(self, row: int) -> float:
-        """One vehicle's train event inside the lock-step instant.
-
-        The first vehicle of an instant triggers the batched step for
-        the whole fleet; later vehicles of the same instant consume
-        their precomputed loss.  A vehicle firing twice without the
-        others in between (never in the event loop, possible in direct
-        calls) simply starts a fresh batch.
-        """
-        if self._pending is None or self._consumed[row]:
-            self._pending = self.train_step_all()
-            self._consumed[:] = False
-        self._consumed[row] = True
-        return float(self._pending[row])
 
     def train_step_all(self) -> np.ndarray:
         """One batched minibatch step for every node; per-node losses.

@@ -6,11 +6,12 @@ shared routes, then runs the full pairwise chat protocol with the best
 one.  Both participants are busy for the chat's simulated duration.
 
 Training itself runs through :class:`~repro.core.trainer_base.
-TrainerBase`'s fleet engine: all vehicles' train timers
-fire at the same instants (busy state gates chats, never training), so
-the fleet takes one batched step per instant, and every chat-side
-operation here — compression, Eq. 8 aggregation, coreset absorption —
-works on zero-copy views into the shared parameter bank.
+TrainerBase`'s one fleet process: all vehicles train at the same
+instants (busy state gates chats, never training), so the fleet takes
+one batched step per instant and then each due, idle vehicle scans, in
+row order (:meth:`LbChatTrainer.on_scan`).  Every chat-side operation
+here — compression, Eq. 8 aggregation, coreset absorption — works on
+zero-copy views into the shared parameter bank.
 """
 
 from __future__ import annotations

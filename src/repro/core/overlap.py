@@ -12,8 +12,8 @@ duration.  This one differs in two call times and nothing else:
   coupling is dropped here);
 * **delivery** — the legs become a background activity of the
   :class:`TransferScheduler`, advanced one channel chunk at a time by a
-  :class:`~repro.net.channel.TransferSession` while every vehicle keeps
-  issuing train ticks at full fleet width, and the delivered models and
+  :class:`~repro.net.channel.TransferSession` while the whole fleet
+  keeps training at every train instant, and the delivered models and
   the stage-2 coresets are applied together at a *commit barrier* when
   the last leg resolves (completion, range cut, or deadline).
 
@@ -224,7 +224,7 @@ class TransferScheduler:
 
     # -- checkpointing -------------------------------------------------------
 
-    def activities(self, resume: bool = False) -> list:
+    def activities(self) -> list:
         """``(armed_at, generator)`` pairs re-arming every live flight."""
         return [(flight.armed_at, self._flight_process(flight)) for flight in self.flights]
 

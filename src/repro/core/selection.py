@@ -59,7 +59,7 @@ def select_priority(trainer, i: int, candidates: list) -> int | None:
     """
     if not candidates:
         return None
-    psi_total = getattr(trainer.config, "anticipated_psi_total", 0.6)
+    psi_total = trainer.config.anticipated_psi_total
     estimates = trainer.contact_estimates(
         i, candidates, [trainer.estimate_chat_bytes(i, j, psi_total) for j in candidates]
     )

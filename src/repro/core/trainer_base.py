@@ -4,9 +4,10 @@ A trainer owns: the vehicle nodes, the mobility traces driving
 encounters, the wireless/channel models, the discrete-event simulator,
 and the metric recorders (fleet validation-loss curve, model receive
 rate, byte counters).  Subclasses implement how/when vehicles exchange
-models; the base class provides the vehicle main loop, neighbor
+models; the base class provides the fleet's main loop, neighbor
 queries, and periodic loss recording so every method is measured
-identically.
+identically, and :class:`RoundTrainer` the one round clock the
+synchronous-round baselines (ProxSkip, DFL-DDS) exchange on.
 
 Timing conventions:
 
@@ -16,7 +17,9 @@ Timing conventions:
 * a vehicle is *busy* while chatting: it starts and accepts no other
   chat, and keeps training (busy state gates communication only);
 * validation loss of every vehicle is recorded every
-  ``record_interval`` simulated seconds.
+  ``record_interval`` simulated seconds;
+* a round-based method exchanges at every ``round_interval`` tick of
+  its round clock, on top of the same continuous local training.
 """
 
 from __future__ import annotations
@@ -43,7 +46,14 @@ from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
 from repro.telemetry import hooks as telemetry
 
-__all__ = ["TrainerConfig", "TrainerBase", "pair_times_state", "pair_times_from_state"]
+__all__ = [
+    "TrainerConfig",
+    "TrainerBase",
+    "RoundConfig",
+    "RoundTrainer",
+    "pair_times_state",
+    "pair_times_from_state",
+]
 
 
 def pair_times_state(pairs: dict[tuple[int, int], float]) -> dict:
@@ -131,7 +141,7 @@ class TrainerBase:
         # re-arm every pending loop from absolute times (generators
         # themselves cannot be serialized).
         self.next_scan = np.zeros(len(nodes))
-        self._next_train = np.zeros(len(nodes))
+        self._next_train = 0.0
         self._next_record = 0.0
         self._restored_at: float | None = None
         pools = {node.dataset.pool for node in nodes}
@@ -244,32 +254,34 @@ class TrainerBase:
 
     # -- processes ------------------------------------------------------------
 
-    def _vehicle_process(self, i: int, resume: bool = False):
-        """Algorithm 2 main loop for one vehicle (train + encounters).
+    def _fleet_process(self, resume: bool = False):
+        """Algorithm 2's main loop, for the whole fleet (train + encounters).
 
         Local training runs continuously — the onboard GPU keeps
         iterating while the radio is mid-transfer (the paper counts only
         local training time; communication and computation overlap).
-        The busy state gates *communication* only: a vehicle in a chat
-        does not start or accept another chat.
+        Every vehicle trains at the same instants, so one process steps
+        the whole bank once per instant, then lets each due, idle
+        vehicle scan, in row order.  The busy state gates
+        *communication* only: a vehicle in a chat does not start or
+        accept another chat.
 
         With ``resume`` the loop first waits until the absolute time its
         pending timer would have fired in the original run, then
         proceeds exactly as if it had never been torn down.
         """
         cfg = self.config
+        n = len(self.nodes)
         if resume:
-            yield self.sim.wait_until(self._next_train[i])
+            yield self.sim.wait_until(self._next_train)
         while self.sim.now < cfg.duration:
-            # All vehicles fire at the same instants (training is never
-            # gated by busy state), so the fleet engine runs one batched
-            # step per instant; this event just claims vehicle i's share.
-            self.fleet.train_tick(i)
-            self.counters.add("train_steps")
-            if self.sim.now >= self.next_scan[i] and self.is_idle(i):
-                self.next_scan[i] = self.sim.now + cfg.scan_interval
-                self.on_scan(i)
-            self._next_train[i] = self.sim.now + cfg.train_interval
+            self.fleet.train_step_all()
+            self.counters.add("train_steps", n)
+            for i in range(n):
+                if self.sim.now >= self.next_scan[i] and self.is_idle(i):
+                    self.next_scan[i] = self.sim.now + cfg.scan_interval
+                    self.on_scan(i)
+            self._next_train = self.sim.now + cfg.train_interval
             yield self.sim.timeout(cfg.train_interval)
 
     def _recorder_process(self, resume: bool = False):
@@ -285,14 +297,13 @@ class TrainerBase:
     def on_scan(self, i: int) -> None:
         """Called whenever idle vehicle ``i`` looks for exchange partners."""
 
-    def extra_activities(self, resume: bool = False) -> list:
-        """``(armed_at, generator)`` pairs for additional processes
-        (servers, round clocks); none by default.
+    def extra_activities(self) -> list:
+        """``(armed_at, generator)`` pairs for additional processes (a
+        round clock, :class:`RoundTrainer`); none by default.
 
         ``armed_at`` is the virtual time the process's pending timer was
         *created* — it decides heap tie-break order on resume (see
-        :meth:`run`).  Subclasses with resumable servers/round clocks
-        override this alongside :meth:`extra_state`/:meth:`restore_extra`.
+        :meth:`run`).
         """
         return []
 
@@ -327,27 +338,17 @@ class TrainerBase:
             checkpointer.schedule(self)
         cfg = self.config
         resume = self._restored_at is not None
-        activities: list[tuple[float, int, object]] = []
-        for i in range(len(self.nodes)):
-            armed_at = self._next_train[i] - cfg.train_interval
-            activities.append(
-                (armed_at, len(activities), self._vehicle_process(i, resume=resume))
-            )
-        activities.append(
-            (
-                self._next_record - cfg.record_interval,
-                len(activities),
-                self._recorder_process(resume=resume),
-            )
-        )
-        for armed_at, gen in self.extra_activities(resume):
-            activities.append((armed_at, len(activities), gen))
+        activities = [
+            (self._next_train - cfg.train_interval, self._fleet_process(resume=resume)),
+            (self._next_record - cfg.record_interval, self._recorder_process(resume=resume)),
+            *self.extra_activities(),
+        ]
         if self.overlap is not None:
-            for armed_at, gen in self.overlap.activities(resume):
-                activities.append((armed_at, len(activities), gen))
+            activities += self.overlap.activities()
         if resume:
-            activities.sort(key=lambda item: (item[0], item[1]))
-        for _, _, gen in activities:
+            # A stable sort: timers armed at one instant keep creation order.
+            activities.sort(key=lambda item: item[0])
+        for _, gen in activities:
             self.sim.process(gen)
         self.sim.run(until=cfg.duration)
         # Final snapshot so curves end exactly at T.
@@ -393,7 +394,7 @@ class TrainerBase:
             "time": self.sim.now,
             "nodes": nodes,
             "busy_until": self.busy_until.copy(),
-            "next_train": self._next_train.copy(),
+            "next_train": self._next_train,
             "next_scan": self.next_scan.copy(),
             "next_record": self._next_record,
             "last_chat": pair_times_state(self._last_chat),
@@ -424,7 +425,7 @@ class TrainerBase:
             node.restore(node_state, frames)
             self.fleet.optim.node_restore(row, node_state["optimizer"])
         self.busy_until = np.asarray(state["busy_until"], dtype=float).copy()
-        self._next_train = np.asarray(state["next_train"], dtype=float).copy()
+        self._next_train = float(state["next_train"])
         self.next_scan = np.asarray(state["next_scan"], dtype=float).copy()
         self._next_record = float(state["next_record"])
         self._last_chat = pair_times_from_state(state["last_chat"])
@@ -445,3 +446,52 @@ class TrainerBase:
         if session is not None and state.get("telemetry") is not None:
             session.registry.merge_state(state["telemetry"])
         self._restored_at = self.sim.now
+
+
+@dataclass
+class RoundConfig(TrainerConfig):
+    """A timeline with a global round clock."""
+
+    #: Round length; the paper sets it equal to LbChat's T_B (§IV-B).
+    round_interval: float = 15.0
+
+
+class RoundTrainer(TrainerBase):
+    """Exchanges at the ticks of one global round clock.
+
+    Vehicles train continuously, as under every method; at each
+    ``round_interval`` tick the clock calls :meth:`on_round`, which each
+    round-based baseline fills in (a ProxSkip server synchronisation, a
+    DFL-DDS round boundary).  ``next_round`` is the clock's pending fire
+    time, checkpointed so a resumed clock re-arms at the exact instant.
+    """
+
+    def __init__(self, nodes, traces, validation, config: RoundConfig):
+        super().__init__(nodes, traces, validation, config)
+        self.config: RoundConfig
+        self.next_round = config.round_interval
+
+    def on_round(self) -> None:
+        """One round tick."""
+        raise NotImplementedError
+
+    def _round_process(self):
+        # Yield-first: a fresh clock waits out its first round, a resumed
+        # one its pending timer — the same absolute time either way.
+        cfg = self.config
+        while True:
+            yield self.sim.wait_until(self.next_round)
+            self.on_round()
+            if self.sim.now >= cfg.duration:
+                return
+            self.next_round = self.sim.now + cfg.round_interval
+
+    def extra_activities(self) -> list:
+        """The round clock."""
+        return [(self.next_round - self.config.round_interval, self._round_process())]
+
+    def extra_state(self) -> dict:
+        return {"next_round": self.next_round}
+
+    def restore_extra(self, state) -> None:
+        self.next_round = float(state["next_round"])

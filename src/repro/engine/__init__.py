@@ -5,9 +5,9 @@ A minimal, dependency-free engine: a
 of timed wake-ups.  A *process* is a Python generator that yields the
 absolute virtual time it next wakes at (``sim.timeout(delay)`` or
 ``sim.wait_until(when)``); a plain callback is queued with
-``sim.call_at``.  Every timed activity of the reproduction — each
-vehicle's Algorithm 2 loop, the loss recorder, the ProxSkip/DFL-DDS
-round clocks, overlapped chat flights and checkpoint barriers — runs on
+``sim.call_at``.  Every timed activity of the reproduction — the
+fleet's Algorithm 2 loop, the loss recorder, the ProxSkip/DFL-DDS
+round clock, overlapped chat flights and checkpoint barriers — runs on
 one shared simulator, so interleavings are deterministic and
 reproducible.  Alongside it: the metric recorders every trainer keeps
 and the named RNG streams.

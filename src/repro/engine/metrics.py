@@ -141,8 +141,9 @@ class CounterSet:
         self._counts[name] += amount
 
     def get(self, name: str) -> float:
-        """Current value of a counter (0 if never incremented)."""
-        return self._counts[name]
+        """Current value of a counter (0 if never incremented; a read
+        adds no entry)."""
+        return self._counts.get(name, 0.0)
 
     def as_dict(self) -> dict[str, float]:
         """Snapshot of all counters as a plain dict."""

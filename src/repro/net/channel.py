@@ -34,7 +34,6 @@ class ChannelConfig:
 
     bandwidth_bps: float = 31e6
     packet_bytes: int = 1500
-    max_retransmissions: int = 3
     #: Size of the route/bandwidth assistive message (§III-A): 184 bytes.
     assist_info_bytes: int = 184
     #: Simulation chunk for re-evaluating distance-dependent loss.

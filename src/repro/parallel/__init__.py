@@ -20,17 +20,11 @@ steps the fleet's bank rows in shards on threads, bit-identical for
 every shard count.
 """
 
-from repro.parallel.pool import (
-    ParallelConfig,
-    clamp_step_workers,
-    resolve_jobs,
-    run_specs,
-)
+from repro.parallel.pool import clamp_step_workers, resolve_jobs, run_specs
 from repro.parallel.stepshard import partition_rows, usable_cores
 from repro.parallel.worker import execute_spec, run_job
 
 __all__ = [
-    "ParallelConfig",
     "clamp_step_workers",
     "resolve_jobs",
     "run_specs",

@@ -25,29 +25,12 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from multiprocessing import get_context
+from dataclasses import replace
 
 from repro.parallel import worker
 from repro.parallel.stepshard import usable_cores
 
-__all__ = ["ParallelConfig", "clamp_step_workers", "resolve_jobs", "run_specs"]
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How to fan runs out to processes.
-
-    ``jobs <= 0`` means "all usable cores"; ``jobs == 1`` is the
-    serial path (no pool, no pickling).  ``start_method`` defaults to
-    the platform default ("fork" on Linux, which also lets workers
-    inherit already-built contexts).
-    """
-
-    jobs: int = 1
-    timeout: float | None = None
-    retries: int = 1
-    start_method: str | None = None
+__all__ = ["clamp_step_workers", "resolve_jobs", "run_specs"]
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -92,30 +75,25 @@ def clamp_step_workers(specs: list, n_jobs: int) -> list:
     return clamped
 
 
-def _new_executor(config: ParallelConfig, n_jobs: int) -> ProcessPoolExecutor:
-    mp_context = get_context(config.start_method) if config.start_method else None
-    return ProcessPoolExecutor(max_workers=n_jobs, mp_context=mp_context)
-
-
-def run_specs(specs, jobs: int | ParallelConfig = 1, timeout: float | None = None,
-              retries: int = 1, start_method: str | None = None):
+def run_specs(specs, jobs: int = 1, timeout: float | None = None, retries: int = 1):
     """Execute specs (serially or in a process pool) and return results in order.
 
-    ``jobs`` may be an int or a full :class:`ParallelConfig`.  With an
+    ``jobs <= 0`` means "all usable cores"; ``jobs == 1`` is the serial
+    path (no pool, no pickling).  The pool uses the platform's default
+    start method ("fork" on Linux, which also lets workers inherit
+    already-built contexts).  ``timeout`` (wall-clock seconds per job)
+    and ``retries`` are the failure policy's (module doc).  With an
     active telemetry session, worker registries are merged back into it
     in job order; on the serial path hooks record into it directly.
     """
     from repro.telemetry import hooks
 
-    config = jobs if isinstance(jobs, ParallelConfig) else ParallelConfig(
-        jobs=jobs, timeout=timeout, retries=retries, start_method=start_method
-    )
     specs = list(specs)
     if not specs:
         return []
     session = hooks.active()
     capture = session is not None
-    n_workers = min(resolve_jobs(config.jobs), len(specs))
+    n_workers = min(resolve_jobs(jobs), len(specs))
     if n_workers <= 1:
         # Single run: record straight into the active session (keeps
         # tracer spans — e.g. `repro trace`).  Several runs: use the same
@@ -134,7 +112,7 @@ def run_specs(specs, jobs: int | ParallelConfig = 1, timeout: float | None = Non
     results: list = [None] * n
     states: list = [None] * n
     attempts = [0] * n
-    executor = _new_executor(config, n_workers)
+    executor = ProcessPoolExecutor(max_workers=n_workers)
     futures: dict[int, object] = {}
 
     def submit(i: int) -> None:
@@ -144,7 +122,7 @@ def run_specs(specs, jobs: int | ParallelConfig = 1, timeout: float | None = Non
         """Replace a broken/stalled pool and resubmit every pending job."""
         nonlocal executor
         executor.shutdown(wait=False, cancel_futures=True)
-        executor = _new_executor(config, n_workers)
+        executor = ProcessPoolExecutor(max_workers=n_workers)
         for j in list(futures):
             submit(j)
 
@@ -155,13 +133,13 @@ def run_specs(specs, jobs: int | ParallelConfig = 1, timeout: float | None = Non
             while True:
                 future = futures.pop(i)
                 try:
-                    results[i], states[i] = future.result(timeout=config.timeout)
+                    results[i], states[i] = future.result(timeout=timeout)
                     break
                 except Exception as exc:
                     attempts[i] += 1
                     if isinstance(exc, (BrokenProcessPool, TimeoutError)):
                         recycle()  # job i is already popped; peers resubmit
-                    if attempts[i] <= config.retries:
+                    if attempts[i] <= retries:
                         submit(i)
                         continue
                     # Retries exhausted: degrade to the serial path in the

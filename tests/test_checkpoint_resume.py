@@ -109,6 +109,20 @@ class TestResumeEquivalence:
         events = [event["event"] for event in store.events(spec)]
         assert "resumed" in events
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_resumes_from_the_last_barrier(self, context, tmp_path, method):
+        """Barrier 3 (t = 30 s) holds a train instant, a record tick and
+        the second round tick: the resume must replay their tie-break."""
+        spec = RunSpec.for_context(
+            context, method, seed=2, checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
+        )
+        reference = run_method(context, spec)
+        store = RunStore(tmp_path)
+        store.drop_after(spec, 3)
+        resumed = run_method(context, spec)
+        assert digest(resumed) == digest(reference)
+        assert "resumed" in [event["event"] for event in store.events(spec)]
+
     def test_resume_replays_remaining_barriers(self, context, tmp_path):
         spec = RunSpec.for_context(
             context,

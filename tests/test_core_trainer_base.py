@@ -1,11 +1,16 @@
 """Direct unit tests for TrainerBase scheduling helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import RoundTrainer, TrainerBase, TrainerConfig
+from repro.engine import Simulator
+from repro.experiments.runner import METHOD_NAMES, RunSpec, build_context, prepare_trainer
 from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_fleet
+from tests.test_checkpoint_resume import TINY
 
 
 @pytest.fixture()
@@ -106,3 +111,49 @@ class TestRecording:
         times, _ = base.loss_curve.series(base.nodes[0].node_id)
         assert times[-1] == pytest.approx(base.config.duration)
         assert base.counters.get("train_steps") > 0
+
+
+class TestOneClock:
+    """One process trains the fleet: at each train instant the bank
+    steps once, then each due, idle vehicle scans, in row order."""
+
+    def test_scans_see_the_instants_step_and_come_in_row_order(self, base):
+        seen = []
+        base.on_scan = lambda i: seen.append((base.sim.now, i, base.fleet.step_events))
+        base.run()
+        n = len(base.nodes)
+        instants = sorted({when for when, _, _ in seen})
+        assert len(instants) == 10  # 50 s, a train instant and a scan every 5 s
+        for k, now in enumerate(instants):
+            scans = [(i, events) for when, i, events in seen if when == now]
+            assert [i for i, _ in scans] == list(range(n))
+            assert all(events == n * (k + 1) for _, events in scans)
+
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        return {
+            n: build_context(
+                replace(TINY, name=f"one-clock-{n}", world=replace(TINY.world, n_vehicles=n))
+            )
+            for n in (3, 6)
+        }
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_process_count_does_not_depend_on_fleet_size(self, contexts, method, monkeypatch):
+        started = []
+        start = Simulator.process
+
+        def counted(sim, gen):
+            started.append(gen)
+            start(sim, gen)
+
+        monkeypatch.setattr(Simulator, "process", counted)
+        counts = {}
+        for n, context in contexts.items():
+            started.clear()
+            nodes, trainer = prepare_trainer(context, RunSpec.for_context(context, method, seed=2))
+            assert len(nodes) == n
+            trainer.run()
+            counts[n] = len(started)
+        # The fleet and the recorder, and a round clock where there is one.
+        assert counts[3] == counts[6] == (3 if isinstance(trainer, RoundTrainer) else 2)

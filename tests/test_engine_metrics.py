@@ -124,6 +124,13 @@ class TestCounterSet:
     def test_default_zero(self):
         assert CounterSet().get("missing") == 0.0
 
+    def test_get_is_a_read_not_a_write(self):
+        counters = CounterSet()
+        counters.add("a", 2.0)
+        assert counters.get("missing") == 0.0
+        assert counters.as_dict() == {"a": 2.0}
+        assert counters.snapshot() == {"a": 2.0}
+
     def test_accumulates(self):
         counters = CounterSet()
         counters.add("x")

@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.configs import CI
 from repro.experiments.multiseed import SeedSummary, run_seeds
 from repro.experiments.runner import RunSpec, build_context, run_method
-from repro.parallel import ParallelConfig, resolve_jobs, run_specs
+from repro.parallel import resolve_jobs, run_specs
 from repro.parallel.worker import CRASH_FLAG_ENV, CRASH_HARD_ENV, CRASH_METHOD_ENV
 from repro.sim.world import WorldConfig
 
@@ -130,11 +130,6 @@ class TestDeterminism:
         parallel = run_seeds(context, "LbChat", seeds=[1, 2], n_points=9, jobs=2)
         assert np.array_equal(serial.curves, parallel.curves)
         assert np.array_equal(serial.receive_rates, parallel.receive_rates)
-
-    def test_parallel_config_object_accepted(self, context):
-        specs = tiny_specs(context, methods=("DP",), seeds=(1,))
-        config = ParallelConfig(jobs=2, retries=0)
-        assert_results_identical(run_specs(specs, config), run_specs(specs, jobs=1))
 
 
 class TestFailurePolicy:

@@ -110,14 +110,6 @@ class TestEngineBitIdentity:
         for ref, got in zip(reference, sharded):
             assert ref.tobytes() == got.tobytes()
 
-    def test_train_tick_path_bit_identical(self):
-        serial = build_fleet(n_nodes=4, step_workers=1)
-        sharded = build_fleet(n_nodes=4, step_workers=2)
-        for _ in range(4):
-            for row in range(4):
-                assert serial.train_tick(row) == sharded.train_tick(row)
-        assert serial.bank.flat.tobytes() == sharded.bank.flat.tobytes()
-
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_evaluate_fleet_bit_identical(self, workers, monkeypatch):
         """Validation longer than one chunk: every shard keeps the

@@ -199,9 +199,9 @@ class TestRsuL:
         from repro.baselines.rsul import RoadSideUnit
 
         rsu = RoadSideUnit("r0", np.zeros(2), np.zeros(4, dtype=np.float32))
-        rsu.fold_in(np.ones(4, dtype=np.float32), mix=0.5)
+        rsu.fold_in(np.ones(4, dtype=np.float32))
         assert np.allclose(rsu.params, 1.0)
-        rsu.fold_in(np.full(4, 3.0, dtype=np.float32), mix=0.5)
+        rsu.fold_in(np.full(4, 3.0, dtype=np.float32))
         assert np.allclose(rsu.params, 2.0)
 
 
