@@ -720,6 +720,37 @@ def a_barrier_held_a_flight(run: Run):
         yield f"none of {len(states)} barriers held an in-flight transfer"
 
 
+#: What each ``methods.*`` row's method must have done for its digest to
+#: pin that method and not a neighbour's: (what, test on the RunResult).
+ONE_THING = {
+    "ProxSkip": ("a server round pushed an average",
+                 lambda r: r.counters.get("rounds", 0) > 0 and r.receive_completed > 0),
+    "RSU-L": ("a vehicle synced with an RSU", lambda r: r.counters.get("rsu_syncs", 0) > 0),
+    "DFL-DDS": ("a round-boundary exchange landed a model",
+                lambda r: r.counters.get("exchanges", 0) > 0 and r.receive_completed > 0),
+    "LbChat (equal comp.)": ("a model shipped with no psi map fitted",
+                             lambda r: r.receive_completed > 0
+                             and r.counters.get("psi_probe_builds", 0) == 0),
+    "LbChat (avg. agg.)": ("a received model was averaged in", lambda r: r.receive_completed > 0),
+    "LbChat (no priority)": ("a randomly chosen neighbour chatted",
+                             lambda r: r.counters.get("chats", 0) > 0),
+    "Local": ("nothing was sent",
+              lambda r: r.receive_attempted == 0 and set(r.counters) == {"train_steps"}),
+}
+
+
+def did_its_one_thing(run: Run):
+    """The run did what sets its method apart (:data:`ONE_THING`): a
+    masked design that never fired digests like the method it masks."""
+    result = run.result
+    what, happened = ONE_THING[result.method]
+    if not happened(result):
+        yield (
+            f"{result.method} did not do what sets it apart ({what}): {result.receive_completed}/"
+            f"{result.receive_attempted} received, counters {dict(result.counters)}"
+        )
+
+
 def one_span_per_chat(run: Run):
     counts = run.session.tracer.span_counts()
     n_chats = len(run.result.trainer.chat_log)
@@ -852,6 +883,13 @@ CHECKS: dict[str, Check] = {
               invariants=(a_barrier_held_a_flight, clock_monotone)),
         Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,
               produce=_resume_every_barrier, invariants=(clock_monotone,)),
+        # On the overlap world, where every variant does what sets it apart
+        # (on hotpath no model arrives: the aggregation ablation is LbChat).
+        *(
+            Check(f"methods.{method}", "golden", "overlap", method,
+                  invariants=(dense_steps, clock_monotone, did_its_one_thing))
+            for method in ONE_THING
+        ),
         Check("checkpoint.uninterrupted", None, "hotpath",
               spec={"checkpoint_every": 10.0}, invariants=(dense_steps, clock_monotone)),
         Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
@@ -932,9 +970,9 @@ def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
         verdict = "FAIL" if run.failures else "recorded" if recorded else "ok"
         hooks = " ".join(hook.__name__ for hook in check.invariants)
         reference = check.reference or "-"
-        print(f"{name:26s}· {reference:26s}· {verdict:8s} {run.seconds:5.1f}s  {hooks}")
+        print(f"{name:30s}· {reference:26s}· {verdict:8s} {run.seconds:5.1f}s  {hooks}")
         for note in run.notes:
-            print(f"{'':26s}  {note}")
+            print(f"{'':30s}  {note}")
         failed += [f"{name}: {failure}" for failure in run.failures]
     if record:
         GOLDEN_PATH.write_text(json.dumps(runner.golden, indent=2, sort_keys=True) + "\n")
