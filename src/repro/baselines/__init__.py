@@ -9,36 +9,25 @@
   decentralized rounds with data-source-diversity aggregation weights.
 * :class:`~repro.baselines.dp.DpTrainer` — asynchronous gossip with
   log-loss merge weights.
-* :class:`~repro.baselines.sco.ScoTrainer` — coreset-sharing only
-  (§IV-G study).
-* :mod:`~repro.baselines.ablations` — LbChat with Eq. 7 / Eq. 8 /
-  prioritization masked (§IV-F and extras).
+
+DP and DFL-DDS swap models through one fixed-ratio exchange,
+:meth:`~repro.core.trainer_base.TrainerBase.exchange_models`.  The other
+methods are rows of :data:`repro.experiments.runner.METHODS`: ``Local``
+is the base trainer, and SCO (§IV-G) and the ablations (§IV-F) are
+LbChat with one config field fixed.
 """
 
-from repro.baselines.local_only import LocalOnlyTrainer
 from repro.baselines.proxskip import ProxSkipConfig, ProxSkipTrainer
 from repro.baselines.rsul import RsuLConfig, RsuLTrainer
-from repro.baselines.dfl_dds import DflDdsConfig, DflDdsTrainer
+from repro.baselines.dfl_dds import DflDdsTrainer
 from repro.baselines.dp import DpConfig, DpTrainer
-from repro.baselines.sco import ScoTrainer
-from repro.baselines.ablations import (
-    equal_compression_trainer,
-    mean_aggregation_trainer,
-    no_prioritization_trainer,
-)
 
 __all__ = [
-    "LocalOnlyTrainer",
     "ProxSkipConfig",
     "ProxSkipTrainer",
     "RsuLConfig",
     "RsuLTrainer",
-    "DflDdsConfig",
     "DflDdsTrainer",
     "DpConfig",
     "DpTrainer",
-    "ScoTrainer",
-    "equal_compression_trainer",
-    "mean_aggregation_trainer",
-    "no_prioritization_trainer",
 ]

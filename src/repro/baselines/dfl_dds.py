@@ -16,22 +16,11 @@ adapt to how useful the peer's model actually is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.compression import decompress
-from repro.core.chat import equal_compression_decision
-from repro.core.trainer_base import RoundConfig, RoundTrainer
-from repro.net.channel import simulate_transfer
-from repro.telemetry import hooks as telemetry
+from repro.core.trainer_base import RoundTrainer
 
-__all__ = ["DflDdsConfig", "DflDdsTrainer"]
-
-
-@dataclass
-class DflDdsConfig(RoundConfig):
-    """Synchronous-round timeline configuration."""
+__all__ = ["DflDdsTrainer"]
 
 
 class DflDdsTrainer(RoundTrainer):
@@ -39,19 +28,13 @@ class DflDdsTrainer(RoundTrainer):
 
     name = "DFL-DDS"
 
-    def __init__(self, nodes, traces, validation, config: DflDdsConfig | None = None):
-        super().__init__(nodes, traces, validation, config or DflDdsConfig())
-        self.config: DflDdsConfig
+    def __init__(self, nodes, traces, validation, config=None):
+        super().__init__(nodes, traces, validation, config)
         n = len(nodes)
         # source_counts[i][j]: how often source j contributed to model i.
         self.source_counts = np.zeros((n, n))
         for i in range(n):
             self.source_counts[i, i] = 1.0
-
-    # Vehicles do not exchange on scan — only at round boundaries.
-    def on_scan(self, i: int) -> None:
-        """No-op: DFL-DDS only exchanges at round boundaries."""
-        return
 
     def on_round(self) -> None:
         """Pair idle neighbors by id order, nearest first, and exchange."""
@@ -74,65 +57,8 @@ class DflDdsTrainer(RoundTrainer):
                 key=lambda j: self.traces.distance(i, j, self.sim.now),
             )
             paired.update((i, j))
-            self._exchange(i, j)
-
-    def _exchange(self, i: int, j: int) -> None:
-        now = self.sim.now
-        node_i, node_j = self.nodes[i], self.nodes[j]
-        estimate = self.contact_estimate(
-            i, j, node_i.config.nominal_model_bytes
-        )
-        contact = max(estimate.contact_duration, 1.0)
-        bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
-        # Raw-bandwidth planning: DFL-DDS has no loss-aware route
-        # estimator (that is LbChat's coreset/route machinery), so under
-        # wireless loss its exchanges routinely overrun the contact.
-        decision = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
-            bandwidth,
-            self.config.round_interval,
-            contact,
-        )
-        distance_fn = self.pair_distance_fn(i, j)
-        deadline = now + min(contact, self.config.round_interval)
-        session = telemetry.active()
-        if session is not None:
-            session.tracer.start_span(
-                "exchange", now, i=node_i.node_id, j=node_j.node_id
-            )
-        elapsed = 0.0
-        received = 0
-        for sender, receiver, psi, s_idx, r_idx in (
-            (node_i, node_j, decision.psi_i, i, j),
-            (node_j, node_i, decision.psi_j, j, i),
-        ):
-            if psi <= 0:
-                continue
-            compressed = sender.compress_model(psi)
-            # Same empty-send edge case as the chat protocol: a positive
-            # psi rounded down to zero retained bytes must not count as
-            # an instantly-successful reception.
-            if compressed.nominal_bytes <= 0:
-                continue
-            sent = simulate_transfer(
-                compressed.nominal_bytes,
-                distance_fn,
-                self.wireless,
-                self.config.channel,
-                now + elapsed,
-                deadline,
-            )
-            elapsed += sent.elapsed
-            self.receive_rate.observe(sent.completed)
-            if sent.completed:
-                received += 1
-                self._aggregate(r_idx, s_idx, decompress(compressed, fill=receiver.flat_params))
-        if session is not None:
-            session.tracer.end_span(now + elapsed, status="ok", received=received)
-        self.occupy(i, elapsed)
-        self.occupy(j, elapsed)
-        self.note_chat(i, j)
-        self.counters.add("exchanges")
+            self.exchange_models(i, j, self.config.round_interval, self._aggregate)
+            self.counters.add("exchanges")
 
     def _aggregate(self, receiver: int, source: int, received_params: np.ndarray) -> None:
         """Diversity-weighted merge: fresher sources weigh more.

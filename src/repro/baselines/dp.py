@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import decompress
-from repro.core.chat import equal_compression_decision
 from repro.core.trainer_base import TrainerBase, TrainerConfig
-from repro.net.channel import simulate_transfer
 
 __all__ = ["DpConfig", "DpTrainer", "powerloss_weights"]
 
@@ -48,8 +45,9 @@ def powerloss_weights(loss_local: float, loss_received: float) -> tuple[float, f
 
 @dataclass
 class DpConfig(TrainerConfig):
-    #: Frames of the local dataset used as the gossip validation slice.
     """DP gossip timeline configuration."""
+
+    #: Frames of the local dataset used as the gossip validation slice.
     validation_slice: int = 64
 
 
@@ -57,62 +55,21 @@ class DpTrainer(TrainerBase):
     """Loss-based gossip merging without coresets."""
 
     name = "DP"
-
-    def __init__(self, nodes, traces, validation, config: DpConfig | None = None):
-        super().__init__(nodes, traces, validation, config or DpConfig())
-        self.config: DpConfig
+    config_class = DpConfig
+    config: DpConfig
 
     def on_scan(self, i: int) -> None:
-        """Gossip with a uniformly random idle neighbor."""
+        """Gossip with a uniformly random idle neighbor, inside ``T_B``."""
         candidates = self.idle_neighbors(i)
         if not candidates:
             return
         rng = self.nodes[i].rng
         j = int(candidates[rng.integers(len(candidates))])
-        self._gossip(i, j)
-
-    def _gossip(self, i: int, j: int) -> None:
-        now = self.sim.now
-        node_i, node_j = self.nodes[i], self.nodes[j]
-        estimate = self.contact_estimate(i, j, node_i.config.nominal_model_bytes)
-        contact = max(estimate.contact_duration, 1.0)
-        bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
-        # Raw-bandwidth planning: like DFL-DDS, DP sizes its exchange
-        # without loss-aware estimation, so lossy links overrun contacts.
-        decision = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
-            bandwidth,
-            self.config.time_budget,
-            contact,
-        )
-        distance_fn = self.pair_distance_fn(i, j)
-        deadline = now + min(contact, self.config.time_budget)
-        elapsed = 0.0
-        for sender, receiver, psi in (
-            (node_i, node_j, decision.psi_i),
-            (node_j, node_i, decision.psi_j),
-        ):
-            if psi <= 0:
-                continue
-            compressed = sender.compress_model(psi)
-            sent = simulate_transfer(
-                compressed.nominal_bytes,
-                distance_fn,
-                self.wireless,
-                self.config.channel,
-                now + elapsed,
-                deadline,
-            )
-            elapsed += sent.elapsed
-            self.receive_rate.observe(sent.completed)
-            if sent.completed:
-                self._merge(receiver, decompress(compressed, fill=receiver.flat_params))
-        self.occupy(i, elapsed)
-        self.occupy(j, elapsed)
-        self.note_chat(i, j)
+        self.exchange_models(i, j, self.config.time_budget, self._merge)
         self.counters.add("gossips")
 
-    def _merge(self, node, received_params: np.ndarray) -> None:
+    def _merge(self, receiver: int, sender: int, received_params: np.ndarray) -> None:
+        node = self.nodes[receiver]
         # Evaluate both models on a slice of the local dataset, alike:
         # the plain weighted loss (Eq. 6's penalty terms are LbChat's).
         n = len(node.dataset)

@@ -38,10 +38,11 @@ class ProxSkipTrainer(RoundTrainer):
     """Central-server FL with skip-able synchronization rounds."""
 
     name = "ProxSkip"
+    config_class = ProxSkipConfig
+    config: ProxSkipConfig
 
-    def __init__(self, nodes, traces, validation, config: ProxSkipConfig | None = None):
-        super().__init__(nodes, traces, validation, config or ProxSkipConfig())
-        self.config: ProxSkipConfig
+    def __init__(self, nodes, traces, validation, config=None):
+        super().__init__(nodes, traces, validation, config)
         self._rng = spawn_rng(self.config.seed, "proxskip-server")
         self._loss_values = np.array([row[1] for row in DEFAULT_LOSS_TABLE])
 

@@ -67,6 +67,8 @@ class RsuLTrainer(TrainerBase):
     """RSU-based opportunistic aggregation."""
 
     name = "RSU-L"
+    config_class = RsuLConfig
+    config: RsuLConfig
 
     def __init__(
         self,
@@ -76,8 +78,7 @@ class RsuLTrainer(TrainerBase):
         config: RsuLConfig | None = None,
         rsu_positions: np.ndarray | None = None,
     ):
-        super().__init__(nodes, traces, validation, config or RsuLConfig())
-        self.config: RsuLConfig
+        super().__init__(nodes, traces, validation, config)
         from repro.net.wireless import DEFAULT_LOSS_TABLE
 
         self._rng = spawn_rng(self.config.seed, "rsul-links")

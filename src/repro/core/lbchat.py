@@ -50,10 +50,11 @@ class LbChatTrainer(TrainerBase):
     """The paper's method; ablation variants via :class:`LbChatConfig`."""
 
     name = "LbChat"
+    config_class = LbChatConfig
+    config: LbChatConfig
 
     def __init__(self, nodes, traces, validation, config: LbChatConfig | None = None):
-        super().__init__(nodes, traces, validation, config or LbChatConfig())
-        self.config: LbChatConfig
+        super().__init__(nodes, traces, validation, config)
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)

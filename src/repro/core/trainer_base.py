@@ -6,8 +6,12 @@ and the metric recorders (fleet validation-loss curve, model receive
 rate, byte counters).  Subclasses implement how/when vehicles exchange
 models; the base class provides the fleet's main loop, neighbor
 queries, and periodic loss recording so every method is measured
-identically, and :class:`RoundTrainer` the one round clock the
-synchronous-round baselines (ProxSkip, DFL-DDS) exchange on.
+identically, :meth:`TrainerBase.exchange_models` the one fixed-ratio
+model swap the decentralised baselines (DP, DFL-DDS) exchange through,
+and :class:`RoundTrainer` the one round clock the synchronous-round
+baselines (ProxSkip, DFL-DDS) exchange on.  The base trainer itself is
+the ``Local`` method: its scan does nothing, so vehicles never
+communicate.
 
 Timing conventions:
 
@@ -29,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.checkpoint.state import FrameTable
-from repro.core.chat import estimated_chat_bytes
+from repro.compression import decompress
+from repro.core.chat import equal_compression_decision, estimated_chat_bytes
 from repro.core.ledger import TransferLedger
 from repro.core.node import VehicleNode
 from repro.engine import (
@@ -39,7 +44,7 @@ from repro.engine import (
     TimeSeriesRecorder,
     spawn_rng,
 )
-from repro.net.channel import ChannelConfig
+from repro.net.channel import ChannelConfig, simulate_transfer
 from repro.net.contact import ContactEstimate, estimate_contact, estimate_contacts
 from repro.net.wireless import WirelessModel
 from repro.sim.dataset import DrivingDataset
@@ -105,17 +110,26 @@ class TrainerConfig:
 
 
 class TrainerBase:
-    """Runs one collaborative-training experiment on the event engine."""
+    """Runs one collaborative-training experiment on the event engine.
 
-    name = "base"
+    Used as is, it is pure local training (``Local``): the
+    no-collaboration floor every collaborative method claims to beat.
+    """
+
+    name = "Local"
+    #: The config a trainer of this class runs on (built with its
+    #: defaults when none is given).
+    config_class: type[TrainerConfig] = TrainerConfig
 
     def __init__(
         self,
         nodes: list[VehicleNode],
         traces: MobilityTraces,
         validation: DrivingDataset,
-        config: TrainerConfig,
+        config: TrainerConfig | None = None,
     ):
+        if config is None:
+            config = self.config_class()
         if len(nodes) != traces.positions.shape[1]:
             raise ValueError(
                 f"{len(nodes)} nodes but traces cover {traces.positions.shape[1]} vehicles"
@@ -241,6 +255,61 @@ class TrainerBase:
         """Distance between i and j as a function of absolute time."""
         return lambda t: self.traces.distance(i, j, t)
 
+    def exchange_models(self, i: int, j: int, window: float, merge) -> None:
+        """Swap models between ``i`` and ``j`` at one fixed compression ratio.
+
+        §IV-B runs the decentralised baselines under LbChat's
+        communication constraints: with no value assessment, both models
+        get the same ratio, sized to fill ``min(window, contact)`` at raw
+        bandwidth.  There is no loss-aware estimate (that is LbChat's
+        route machinery), so under wireless loss an exchange can overrun
+        the contact.  ``x_i`` goes first, then ``x_j``; each model that
+        arrives is handed to ``merge(receiver, sender, params)`` by row.
+        """
+        now = self.sim.now
+        node_i, node_j = self.nodes[i], self.nodes[j]
+        estimate = self.contact_estimate(i, j, node_i.config.nominal_model_bytes)
+        contact = max(estimate.contact_duration, 1.0)
+        decision = equal_compression_decision(
+            node_i.config.nominal_model_bytes,
+            min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps),
+            window,
+            contact,
+        )
+        distance_fn = self.pair_distance_fn(i, j)
+        deadline = now + min(contact, window)
+        session = telemetry.active()
+        if session is not None:
+            session.tracer.start_span("exchange", now, i=node_i.node_id, j=node_j.node_id)
+        elapsed = 0.0
+        received = 0
+        for sender, receiver, psi in ((i, j, decision.psi_i), (j, i, decision.psi_j)):
+            if psi <= 0:
+                continue
+            compressed = self.nodes[sender].compress_model(psi)
+            # As in a chat: a payload that keeps no entry is no reception.
+            if compressed.nominal_bytes <= 0:
+                continue
+            sent = simulate_transfer(
+                compressed.nominal_bytes,
+                distance_fn,
+                self.wireless,
+                self.config.channel,
+                now + elapsed,
+                deadline,
+            )
+            elapsed += sent.elapsed
+            self.receive_rate.observe(sent.completed)
+            if sent.completed:
+                received += 1
+                fill = self.nodes[receiver].flat_params
+                merge(receiver, sender, decompress(compressed, fill=fill))
+        if session is not None:
+            session.tracer.end_span(now + elapsed, status="ok", received=received)
+        self.occupy(i, elapsed)
+        self.occupy(j, elapsed)
+        self.note_chat(i, j)
+
     def record_losses(self) -> None:
         """Record every vehicle's validation loss at the current time.
 
@@ -295,7 +364,8 @@ class TrainerBase:
     # -- subclass hooks -----------------------------------------------------------
 
     def on_scan(self, i: int) -> None:
-        """Called whenever idle vehicle ``i`` looks for exchange partners."""
+        """Called whenever idle vehicle ``i`` looks for exchange partners
+        (a no-op here: ``Local`` vehicles never communicate)."""
 
     def extra_activities(self) -> list:
         """``(armed_at, generator)`` pairs for additional processes (a
@@ -466,10 +536,12 @@ class RoundTrainer(TrainerBase):
     time, checkpointed so a resumed clock re-arms at the exact instant.
     """
 
-    def __init__(self, nodes, traces, validation, config: RoundConfig):
+    config_class = RoundConfig
+    config: RoundConfig
+
+    def __init__(self, nodes, traces, validation, config: RoundConfig | None = None):
         super().__init__(nodes, traces, validation, config)
-        self.config: RoundConfig
-        self.next_round = config.round_interval
+        self.next_round = self.config.round_interval
 
     def on_round(self) -> None:
         """One round tick."""

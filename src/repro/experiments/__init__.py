@@ -26,6 +26,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.runner import (
     ExperimentContext,
+    METHODS,
     METHOD_NAMES,
     RunResult,
     RunSpec,
@@ -76,6 +77,7 @@ __all__ = [
     "iter_scales",
     "scale_names",
     "ExperimentContext",
+    "METHODS",
     "METHOD_NAMES",
     "RunSpec",
     "RunResult",

@@ -13,6 +13,9 @@ the run from scratch (the scale, the method, the seed, and any config
 overrides).  :func:`run_method` executes a spec against a context and
 returns a :class:`RunResult`, which is likewise plain picklable data so
 results can cross process boundaries (see :mod:`repro.parallel`).
+
+:data:`METHODS` is the one statement of what a method is: a trainer
+class plus the config fields the method fixes.
 """
 
 from __future__ import annotations
@@ -22,23 +25,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.baselines import (
-    DflDdsTrainer,
-    DpTrainer,
-    LocalOnlyTrainer,
-    ProxSkipTrainer,
-    RsuLTrainer,
-    ScoTrainer,
-    equal_compression_trainer,
-    mean_aggregation_trainer,
-    no_prioritization_trainer,
-)
-from repro.baselines.dfl_dds import DflDdsConfig
-from repro.baselines.dp import DpConfig
-from repro.baselines.proxskip import ProxSkipConfig
-from repro.baselines.rsul import RsuLConfig
+from repro.baselines import DflDdsTrainer, DpTrainer, ProxSkipTrainer, RsuLTrainer
 from repro.core.fleet import FleetEngine
-from repro.core.lbchat import LbChatConfig, LbChatTrainer
+from repro.core.lbchat import LbChatTrainer
 from repro.core.node import NodeConfig, VehicleNode
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.engine.metrics import TimeSeriesRecorder
@@ -55,6 +44,7 @@ __all__ = [
     "ExperimentContext",
     "RunSpec",
     "RunResult",
+    "METHODS",
     "METHOD_NAMES",
     "build_context",
     "register_context",
@@ -66,18 +56,24 @@ __all__ = [
     "online_evaluate",
 ]
 
-METHOD_NAMES = (
-    "Local",
-    "ProxSkip",
-    "RSU-L",
-    "DFL-DDS",
-    "DP",
-    "LbChat",
-    "SCO",
-    "LbChat (equal comp.)",
-    "LbChat (avg. agg.)",
-    "LbChat (no priority)",
-)
+#: Every method by its paper name: ``(trainer class, config fields it
+#: fixes)``.  ``Local`` is the base trainer (its scan does nothing); SCO
+#: (§IV-G) and the ablations (§IV-F and one extra) are LbChat with one
+#: design masked.  A fixed field wins over an override of the same name.
+METHODS: dict[str, tuple[type[TrainerBase], dict[str, Any]]] = {
+    "Local": (TrainerBase, {}),
+    "ProxSkip": (ProxSkipTrainer, {}),
+    "RSU-L": (RsuLTrainer, {}),
+    "DFL-DDS": (DflDdsTrainer, {}),
+    "DP": (DpTrainer, {}),
+    "LbChat": (LbChatTrainer, {}),
+    "SCO": (LbChatTrainer, {"coreset_only": True}),
+    "LbChat (equal comp.)": (LbChatTrainer, {"equal_compression": True}),
+    "LbChat (avg. agg.)": (LbChatTrainer, {"mean_aggregation": True}),
+    "LbChat (no priority)": (LbChatTrainer, {"prioritize_neighbors": False}),
+}
+
+METHOD_NAMES = tuple(METHODS)
 
 
 @dataclass
@@ -220,9 +216,20 @@ _context_cache: dict[str, ExperimentContext] = {}
 
 
 def build_context(scale: ExperimentScale) -> ExperimentContext:
-    """Collect datasets and traces for a scale (memoized per process)."""
-    if scale.name in _context_cache:
-        return _context_cache[scale.name]
+    """Collect datasets and traces for a scale (memoized per process).
+
+    The memo is keyed by ``scale.name``: a second scale under a name
+    already built raises :class:`ValueError` instead of serving the
+    first one's world (a run would train the wrong model width).
+    """
+    cached = _context_cache.get(scale.name)
+    if cached is not None:
+        if cached.scale != scale:
+            raise ValueError(
+                f"a different scale named {scale.name!r} was built in this process; "
+                "give the variant its own name"
+            )
+        return cached
     world = World(scale.world)
     raw = collect_fleet_datasets(
         world, scale.collect_duration, scale.bev, n_waypoints=scale.n_waypoints
@@ -284,52 +291,24 @@ def make_nodes(
     return list(FleetEngine(template, members, node_config, step_workers=step_workers).nodes)
 
 
-#: Trainer-config class per method name (ablations share LbChatConfig).
-_CONFIG_CLASSES: dict[str, type[TrainerConfig]] = {
-    "Local": TrainerConfig,
-    "ProxSkip": ProxSkipConfig,
-    "RSU-L": RsuLConfig,
-    "DFL-DDS": DflDdsConfig,
-    "DP": DpConfig,
-    "LbChat": LbChatConfig,
-    "SCO": LbChatConfig,
-    "LbChat (equal comp.)": LbChatConfig,
-    "LbChat (avg. agg.)": LbChatConfig,
-    "LbChat (no priority)": LbChatConfig,
-}
-
-#: Trainer factory per method name: (nodes, traces, validation, config).
-_TRAINER_FACTORIES = {
-    "Local": LocalOnlyTrainer,
-    "ProxSkip": ProxSkipTrainer,
-    "RSU-L": RsuLTrainer,
-    "DFL-DDS": DflDdsTrainer,
-    "DP": DpTrainer,
-    "LbChat": LbChatTrainer,
-    "SCO": ScoTrainer,
-    "LbChat (equal comp.)": equal_compression_trainer,
-    "LbChat (avg. agg.)": mean_aggregation_trainer,
-    "LbChat (no priority)": no_prioritization_trainer,
-}
-
-
 def make_config(method: str, **overrides) -> TrainerConfig:
     """Build a method's trainer config without importing its class.
 
     Callers tweak one field via ``make_config("DP", lambda_c=0.2)``
     instead of importing the per-baseline ``*Config`` classes.  Unknown
-    fields raise :class:`AttributeError` naming the offending key.
+    fields raise :class:`AttributeError` naming the offending key; the
+    fields the method fixes (:data:`METHODS`) win over ``overrides``.
     """
-    cls = _CONFIG_CLASSES.get(method)
-    if cls is None:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHOD_NAMES}")
-    valid = {f.name for f in fields(cls)}
-    unknown = sorted(set(overrides) - valid)
+    trainer_class, fixed = METHODS[method]
+    cls = trainer_class.config_class
+    unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
     if unknown:
         raise AttributeError(
             f"{method} config ({cls.__name__}) has no field(s) {unknown}"
         )
-    return cls(**overrides)
+    return cls(**{**overrides, **fixed})
 
 
 def _base_trainer_kwargs(scale: ExperimentScale, wireless: bool, seed: int) -> dict:
@@ -364,8 +343,10 @@ def make_trainer(
         # 1 km world, vehicles regularly leave RSU coverage.
         kwargs["rsu_range"] = min(500.0, scale.world.map_size * 0.4)
     config = make_config(method, **kwargs)
-    factory = _TRAINER_FACTORIES[method]
-    return factory(nodes, context.traces, context.validation, config)
+    trainer_class, _ = METHODS[method]
+    trainer = trainer_class(nodes, context.traces, context.validation, config)
+    trainer.name = method
+    return trainer
 
 
 def run_method(context: ExperimentContext, spec: RunSpec, /) -> RunResult:

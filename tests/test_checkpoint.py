@@ -187,13 +187,12 @@ class TestOptimizerSnapshots:
         writes each row under its node's ``"optimizer"`` key and a
         restore puts it back — one vehicle from an older snapshot
         included, its own step count and moments."""
-        from repro.baselines.local_only import LocalOnlyTrainer
-        from repro.core.trainer_base import TrainerConfig
+        from repro.core.trainer_base import TrainerBase, TrainerConfig
         from tests.conftest import make_fleet
 
         def trainer():
             nodes = make_fleet(fleet_datasets)
-            return LocalOnlyTrainer(nodes, traces, fleet_datasets["v0"], TrainerConfig(duration=30.0))
+            return TrainerBase(nodes, traces, fleet_datasets["v0"], TrainerConfig(duration=30.0))
 
         first = trainer()
         for _ in range(3):

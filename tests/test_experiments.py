@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import (
     METHOD_NAMES,
+    METHODS,
     RunSpec,
     build_context,
     get_scale,
@@ -72,6 +73,14 @@ class TestContext:
     def test_context_memoized(self):
         assert build_context(MICRO) is build_context(MICRO)
 
+    def test_a_second_scale_under_one_name_is_refused(self, context):
+        """The memo is keyed by name: serving the first scale's world to a
+        spec asking for another width would train the wrong model."""
+        narrower = replace(MICRO, hidden=MICRO.hidden // 2, collect_duration=20.0)
+        with pytest.raises(ValueError, match=MICRO.name):
+            build_context(narrower)
+        assert build_context(MICRO) is context
+
     def test_datasets_nonempty(self, context):
         assert len(context.datasets) == MICRO.world.n_vehicles
         assert all(len(ds) > 20 for ds in context.datasets.values())
@@ -100,6 +109,20 @@ class TestRunner:
             nodes = make_nodes(context)
             trainer = make_trainer(method, nodes, context)
             assert trainer is not None
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_the_table_is_the_method(self, context, method):
+        """A method is its row: the trainer class, the class's config, the
+        fixed fields — which win over a conflicting override."""
+        trainer_class, fixed = METHODS[method]
+        trainer = make_trainer(method, make_nodes(context), context)
+        assert type(trainer) is trainer_class and trainer.name == method
+        assert type(trainer.config) is trainer_class.config_class
+        assert {key: getattr(trainer.config, key) for key in fixed} == fixed
+        for key, value in fixed.items():
+            assert getattr(make_config(method, **{key: not value}), key) == value
+        with pytest.raises(AttributeError, match="bogus"):
+            make_config(method, bogus=1)
 
     def test_unknown_method_rejected(self, context):
         nodes = make_nodes(context)

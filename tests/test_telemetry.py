@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.baselines import DflDdsTrainer, DpTrainer
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.engine.metrics import CounterSet, ReceiveRateRecorder
 from repro.sim.dataset import DrivingDataset
@@ -317,3 +318,27 @@ class TestTracedFleetRun:
         assert hooks.active() is None
         trainer.run()  # must not raise and must not create a session
         assert hooks.active() is None
+
+
+class TestExchangeSpans:
+    """DP and DFL-DDS swap models through one fixed-ratio exchange
+    (``TrainerBase.exchange_models``), which opens one span per swap."""
+
+    @pytest.mark.parametrize(
+        "trainer_class, counter", [(DpTrainer, "gossips"), (DflDdsTrainer, "exchanges")]
+    )
+    def test_one_exchange_span_per_swap(self, fleet_datasets, traces, trainer_class, counter):
+        nodes = make_fleet(fleet_datasets, coreset_size=10, seed=3)
+        validation = DrivingDataset(
+            [fleet_datasets["v0"].frame(i) for i in range(0, 30, 6)]
+        )
+        config = trainer_class.config_class(
+            duration=120.0, train_interval=2.0, record_interval=30.0, seed=1
+        )
+        trainer = trainer_class(nodes, traces, validation, config)
+        with TelemetrySession(label=trainer.name) as session:
+            trainer.run()
+        spans = session.tracer.find_spans("exchange")
+        assert len(spans) == trainer.counters.get(counter) > 0
+        received = sum(span.attrs["received"] for span in spans)
+        assert received == trainer.receive_rate.completed > 0

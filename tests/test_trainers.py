@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    DflDdsConfig,
     DflDdsTrainer,
     DpConfig,
     DpTrainer,
@@ -12,12 +11,9 @@ from repro.baselines import (
     ProxSkipTrainer,
     RsuLConfig,
     RsuLTrainer,
-    ScoTrainer,
-    equal_compression_trainer,
-    mean_aggregation_trainer,
-    no_prioritization_trainer,
 )
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
+from repro.core.trainer_base import RoundConfig, TrainerBase, TrainerConfig
 from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_fleet
 
@@ -91,7 +87,8 @@ class TestLbChatTrainer:
 
 class TestScoTrainer:
     def test_no_model_transfers(self, nodes, traces, validation):
-        trainer = ScoTrainer(nodes, traces, validation, LbChatConfig(**config_kwargs()))
+        config = LbChatConfig(**config_kwargs(coreset_only=True))
+        trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()
         assert trainer.receive_rate.attempted == 0
         assert trainer.counters.get("frames_absorbed") > 0
@@ -100,25 +97,22 @@ class TestScoTrainer:
 
 class TestAblationTrainers:
     def test_equal_compression(self, nodes, traces, validation):
-        trainer = equal_compression_trainer(
-            nodes, traces, validation, LbChatConfig(**config_kwargs())
-        )
+        config = LbChatConfig(**config_kwargs(equal_compression=True))
+        trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()
         assert trainer.config.equal_compression
         assert_learned(trainer, nodes)
 
     def test_mean_aggregation(self, nodes, traces, validation):
-        trainer = mean_aggregation_trainer(
-            nodes, traces, validation, LbChatConfig(**config_kwargs())
-        )
+        config = LbChatConfig(**config_kwargs(mean_aggregation=True))
+        trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()
         assert trainer.config.mean_aggregation
         assert_learned(trainer, nodes)
 
     def test_no_prioritization(self, nodes, traces, validation):
-        trainer = no_prioritization_trainer(
-            nodes, traces, validation, LbChatConfig(**config_kwargs())
-        )
+        config = LbChatConfig(**config_kwargs(prioritize_neighbors=False))
+        trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()
         assert not trainer.config.prioritize_neighbors
         assert_learned(trainer, nodes)
@@ -126,24 +120,14 @@ class TestAblationTrainers:
 
 class TestLocalOnly:
     def test_trains_without_communication(self, nodes, traces, validation):
-        from repro.baselines import LocalOnlyTrainer
-        from repro.core.trainer_base import TrainerConfig
-
-        trainer = LocalOnlyTrainer(
-            nodes, traces, validation, TrainerConfig(**config_kwargs())
-        )
+        trainer = TrainerBase(nodes, traces, validation, TrainerConfig(**config_kwargs()))
         trainer.run()
         assert trainer.receive_rate.attempted == 0
         assert_learned(trainer, nodes)
 
     def test_datasets_never_grow(self, nodes, traces, validation):
-        from repro.baselines import LocalOnlyTrainer
-        from repro.core.trainer_base import TrainerConfig
-
         before = [len(n.dataset) for n in nodes]
-        trainer = LocalOnlyTrainer(
-            nodes, traces, validation, TrainerConfig(**config_kwargs())
-        )
+        trainer = TrainerBase(nodes, traces, validation, TrainerConfig(**config_kwargs()))
         trainer.run()
         assert [len(n.dataset) for n in nodes] == before
 
@@ -208,7 +192,7 @@ class TestRsuL:
 class TestDflDds:
     def test_learns_with_rounds(self, nodes, traces, validation):
         trainer = DflDdsTrainer(
-            nodes, traces, validation, DflDdsConfig(**config_kwargs())
+            nodes, traces, validation, RoundConfig(**config_kwargs())
         )
         trainer.run()
         assert trainer.counters.get("rounds") > 0
@@ -216,7 +200,7 @@ class TestDflDds:
 
     def test_source_counts_grow(self, nodes, traces, validation):
         trainer = DflDdsTrainer(
-            nodes, traces, validation, DflDdsConfig(**config_kwargs())
+            nodes, traces, validation, RoundConfig(**config_kwargs())
         )
         trainer.run()
         off_diagonal = trainer.source_counts - np.diag(np.diag(trainer.source_counts))
@@ -224,7 +208,7 @@ class TestDflDds:
 
     def test_diversity_weights_decay(self, nodes, traces, validation):
         trainer = DflDdsTrainer(
-            nodes, traces, validation, DflDdsConfig(**config_kwargs())
+            nodes, traces, validation, RoundConfig(**config_kwargs())
         )
         params = np.ones_like(nodes[0].flat_params)
         trainer._aggregate(0, 1, params)
@@ -254,7 +238,7 @@ class TestDp:
         monkeypatch.setattr(
             dp, "powerloss_weights", lambda *losses: weights.append(powerloss_weights(*losses)) or weights[-1]
         )
-        trainer._merge(node, before.copy())
+        trainer._merge(0, 1, before.copy())
         assert weights == [(0.5, 0.5)]
         assert np.array_equal(node.flat_params, before)
 
