@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.trainer_base import RoundConfig, RoundTrainer
 from repro.engine.random import spawn_rng
-from repro.net.wireless import DEFAULT_LOSS_TABLE
+from repro.net.wireless import table_loss
 
 __all__ = ["ProxSkipConfig", "ProxSkipTrainer"]
 
@@ -44,13 +44,12 @@ class ProxSkipTrainer(RoundTrainer):
     def __init__(self, nodes, traces, validation, config=None):
         super().__init__(nodes, traces, validation, config)
         self._rng = spawn_rng(self.config.seed, "proxskip-server")
-        self._loss_values = np.array([row[1] for row in DEFAULT_LOSS_TABLE])
 
     def _link_succeeds(self) -> bool:
         """One backend link attempt under uniformly-sampled wireless loss."""
         if not self.config.wireless_loss:
             return True
-        loss = float(self._rng.choice(self._loss_values))
+        loss = table_loss(self._rng)
         return bool(self._rng.uniform() > loss)
 
     def on_round(self) -> None:
@@ -76,5 +75,9 @@ class ProxSkipTrainer(RoundTrainer):
             if ok:
                 node.replace_model_params(average)
 
-    def _reseed_extra_streams(self, barrier: int) -> None:
-        self._rng = spawn_rng(self.config.seed, f"proxskip-server@ckpt{barrier}")
+    def extra_state(self) -> dict:
+        return {**super().extra_state(), "rng": self._rng.bit_generator.state}
+
+    def restore_extra(self, state) -> None:
+        super().restore_extra(state)
+        self._rng.bit_generator.state = state["rng"]

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.engine.random import spawn_rng
 from repro.net.channel import simulate_transfer
-from repro.net.wireless import WirelessModel
+from repro.net.wireless import WirelessModel, table_loss
 
 __all__ = ["RsuLConfig", "RsuLTrainer", "RoadSideUnit"]
 
@@ -79,10 +79,7 @@ class RsuLTrainer(TrainerBase):
         rsu_positions: np.ndarray | None = None,
     ):
         super().__init__(nodes, traces, validation, config)
-        from repro.net.wireless import DEFAULT_LOSS_TABLE
-
         self._rng = spawn_rng(self.config.seed, "rsul-links")
-        self._loss_values = np.array([row[1] for row in DEFAULT_LOSS_TABLE])
         if rsu_positions is None:
             rsu_positions = self._default_positions()
         init = nodes[0].flat_params
@@ -149,8 +146,8 @@ class RsuLTrainer(TrainerBase):
         # from the distance-loss lookup table (as for ProxSkip), one
         # draw per transfer.
         if self.config.wireless_loss:
-            up_wireless = WirelessModel.fixed(float(self._rng.choice(self._loss_values)))
-            down_wireless = WirelessModel.fixed(float(self._rng.choice(self._loss_values)))
+            up_wireless = WirelessModel.fixed(table_loss(self._rng))
+            down_wireless = WirelessModel.fixed(table_loss(self._rng))
         else:
             up_wireless = down_wireless = self.wireless
         up_model = node.compress_model(psi)
@@ -198,6 +195,7 @@ class RsuLTrainer(TrainerBase):
             ],
             "sync_vehicles": np.asarray([i for i, _ in items], dtype=np.int64),
             "sync_times": np.asarray([t for _, t in items], dtype=float),
+            "rng": self._rng.bit_generator.state,
         }
 
     def restore_extra(self, state) -> None:
@@ -209,6 +207,4 @@ class RsuLTrainer(TrainerBase):
             int(i): float(t)
             for i, t in zip(state["sync_vehicles"], state["sync_times"])
         }
-
-    def _reseed_extra_streams(self, barrier: int) -> None:
-        self._rng = spawn_rng(self.config.seed, f"rsul-links@ckpt{barrier}")
+        self._rng.bit_generator.state = state["rng"]

@@ -2,10 +2,11 @@
 
 A *checkpoint* is a full snapshot of a live training run taken at a
 virtual-time barrier: every vehicle node (model parameters, optimizer
-moments, dataset, coreset, loss cache — datasets as rows and weights,
-their frames once for the fleet in a
+moments, dataset, coreset, loss cache, generator state — datasets as
+rows and weights, their frames once for the fleet in a
 :class:`~repro.checkpoint.state.FrameTable`), every metric recorder, the
-trainers' externalized timer state, and the active telemetry registry.
+trainers' externalized timer state and generators, and the active
+telemetry registry.
 Restoring a checkpoint into a freshly built trainer and continuing
 produces results **bit-identical** to the uninterrupted run.
 
@@ -14,12 +15,11 @@ The design rests on three invariants:
 1. *Snapshots happen before any same-instant events.*  Barrier
    callbacks are scheduled before any process timer, so ties at the
    barrier instant always dispatch the snapshot first.
-2. *No RNG generator state is serialized.*  At every barrier — in every
-   checkpointed run, interrupted or not — all named streams are
-   re-derived via ``spawn_rng(seed, f"{name}@ckpt{k}")``, so a resumed
-   run re-creates the exact same streams from the spec alone.  (This
-   makes ``checkpoint_every`` part of a run's identity: a checkpointed
-   run differs from a non-checkpointed one.)
+2. *Every RNG generator's state is saved.*  A snapshot holds each
+   generator's ``bit_generator.state`` and a restore puts it back;
+   nothing is re-derived at a barrier.  Taking a snapshot is a pure
+   read, so checkpointing never changes a run: a checkpointed run
+   equals the same spec run without checkpoints.
 3. *Pending timers are re-armed from absolute times.*  Generator
    processes cannot be pickled; instead each trainer externalizes its
    loop state (next train/scan/record/round times) and re-creates its
@@ -27,8 +27,8 @@ The design rests on three invariants:
    :meth:`~repro.engine.events.Simulator.wait_until` in the original
    heap tie-break order.
 
-Modules: :mod:`~repro.checkpoint.state` (snapshot protocol and state
-tree flattening), :mod:`~repro.checkpoint.store` (atomic, versioned,
+Modules: :mod:`~repro.checkpoint.state` (state tree flattening and the
+frame table), :mod:`~repro.checkpoint.store` (atomic, versioned,
 content-fingerprinted on-disk run store), :mod:`~repro.checkpoint.policy`
 (barrier scheduling), :mod:`~repro.checkpoint.format` (format version,
 errors, spec payloads), :mod:`~repro.checkpoint.resume`
@@ -48,7 +48,6 @@ from repro.checkpoint.format import (
 from repro.checkpoint.policy import CheckpointPolicy, Checkpointer
 from repro.checkpoint.state import (
     FrameTable,
-    Snapshottable,
     flatten_state,
     unflatten_state,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Checkpointer",
     "DEFAULT_CHECKPOINT_ROOT",
     "RunStore",
-    "Snapshottable",
     "FrameTable",
     "flatten_state",
     "unflatten_state",

@@ -8,10 +8,11 @@ or whose npz hash does not match, does not exist as far as
 :meth:`~repro.checkpoint.store.RunStore.latest_checkpoint` is concerned.
 
 Run directories are keyed by a fingerprint of the :class:`RunSpec`:
-everything that influences the run's results, including
-``checkpoint_every`` (barrier reseeding makes the cadence part of the
-run's identity) but excluding ``checkpoint_dir``/``use_cache`` (where
-state lives and how contexts are resolved cannot change results).
+everything that influences the run's results, plus
+``checkpoint_every`` (it does not change the results, but a run
+directory numbers its barriers by it), excluding
+``checkpoint_dir``/``use_cache`` (where state lives and how contexts are
+resolved cannot change results).
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ __all__ = [
 #: sidecar's ``split`` shapes — see :mod:`repro.checkpoint.store`; 6: a
 #: node's loss cache is frame-table rows and their values, current model
 #: version only; 7: ``next_train`` is one time, the fleet's — one process
-#: trains every vehicle — not one per vehicle).  An older format is
-#: refused, not loaded.
-FORMAT_VERSION = 7
+#: trains every vehicle — not one per vehicle; 8: every generator's
+#: ``bit_generator.state`` is saved — a node's under ``rng``, ProxSkip's
+#: and RSU-L's in their ``extra`` — where 7 re-derived the streams at
+#: each barrier).  An older format is refused, not loaded.
+FORMAT_VERSION = 8
 
 
 class CheckpointError(RuntimeError):

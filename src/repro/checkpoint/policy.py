@@ -70,8 +70,8 @@ class Checkpointer:
 
         Must run before the trainer creates its processes (see module
         docstring).  Barriers at or before the current clock are skipped:
-        on resume the restore barrier was already saved by the previous
-        incarnation, and re-snapshotting it would double-reseed.
+        on resume the restore barrier is already on disk, written by the
+        previous incarnation.
         """
         start = trainer.sim.now
         for index, when in self.policy.barriers(trainer.config.duration):

@@ -1,10 +1,10 @@
-"""Snapshot protocol and state-tree flattening.
+"""State-tree flattening and the frame table.
 
-A component participates in checkpointing by implementing the
-:class:`Snapshottable` protocol: ``snapshot()`` returns a plain nested
-dict of JSON scalars, strings, lists, and numpy arrays; ``restore``
-takes that tree back and overwrites the component's state.  Snapshots
-must be *pure reads* — taking one never changes behaviour.
+A component takes part in checkpointing through a ``snapshot`` that
+returns a plain nested dict of JSON scalars, strings, lists, and numpy
+arrays, and a ``restore`` that takes that tree back and overwrites the
+component's state.  Snapshots must be *pure reads* — taking one never
+changes behaviour.
 
 The store serializes state trees with :func:`flatten_state`, which
 splits a tree into (a) a JSON-able meta tree in which every array is
@@ -28,7 +28,7 @@ A frame that any resume's pool already holds is written by id alone.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.checkpoint.format import CheckpointError
 from repro.sim.dataset import DrivingDataset
 
 __all__ = [
-    "Snapshottable",
     "flatten_state",
     "unflatten_state",
     "FrameTable",
@@ -48,24 +47,6 @@ ARRAY_MARKER = "__array__"
 #: Leaf types the meta tree keeps as they are (exact types: a numpy
 #: scalar subclassing ``float`` is converted by ``_flatten``).
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """A component whose full state can round-trip through a checkpoint.
-
-    A snapshot may share memory with the component (a parameter row, an
-    optimizer row): it is read before the component changes again, and
-    a caller that keeps one longer copies it (``copy.deepcopy``).
-    """
-
-    def snapshot(self) -> dict:
-        """The component's state as a plain tree (dicts/lists/arrays)."""
-        ...
-
-    def restore(self, state: Mapping) -> None:
-        """Overwrite the component's state with a snapshot's contents."""
-        ...
 
 
 # -- tree flattening ---------------------------------------------------------

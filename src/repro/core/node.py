@@ -391,12 +391,12 @@ class VehicleNode:
         frames go into ``frames``, the snapshot's
         :class:`~repro.checkpoint.state.FrameTable`, once for the fleet.
         ``params`` is the node's bank row itself, not a copy (see
-        :class:`~repro.checkpoint.state.Snapshottable`).
+        :mod:`repro.checkpoint.state`).
 
-        The RNG is deliberately absent: trainers re-derive every stream
-        at checkpoint barriers (``spawn_rng(seed, f"node-{{id}}@ckpt{{k}}")``),
-        so no bit-generator state ever needs to round-trip through disk.
-        The loss cache *is* captured, as rows of the frame table and their
+        ``rng`` is the generator's ``bit_generator.state``, a dict of
+        strings and ints: a restored node draws on where the snapshotted
+        one left off, so a checkpointed run is the run without barriers.
+        The loss cache is captured as rows of the frame table and their
         values — which frames miss determines the batch composition of
         the next evaluation, and BLAS accumulation order (hence
         bit-identity) depends on it.
@@ -411,6 +411,7 @@ class VehicleNode:
             "coreset_data": frames.ref(self.coreset.data),
             "loss_cache": frames.ref(self.dataset.pool.dataset(rows)),
             "loss_values": values,
+            "rng": self.rng.bit_generator.state,
         }
 
     def restore(self, state, frames) -> None:
@@ -425,6 +426,7 @@ class VehicleNode:
         self.model_version = int(state["model_version"])
         self.train_steps = int(state["train_steps"])
         self._steps_since_refresh = int(state["steps_since_refresh"])
+        self.rng.bit_generator.state = state["rng"]
         self.dataset = frames.dataset(state["dataset"], pool)
         self.coreset = Coreset(frames.dataset(state["coreset_data"], pool))
         rows = frames.dataset(state["loss_cache"], pool).rows

@@ -42,7 +42,6 @@ from repro.engine import (
     ReceiveRateRecorder,
     Simulator,
     TimeSeriesRecorder,
-    spawn_rng,
 )
 from repro.net.channel import ChannelConfig, simulate_transfer
 from repro.net.contact import ContactEstimate, estimate_contact, estimate_contacts
@@ -323,7 +322,7 @@ class TrainerBase:
 
     # -- processes ------------------------------------------------------------
 
-    def _fleet_process(self, resume: bool = False):
+    def _fleet_process(self):
         """Algorithm 2's main loop, for the whole fleet (train + encounters).
 
         Local training runs continuously — the onboard GPU keeps
@@ -335,15 +334,16 @@ class TrainerBase:
         *communication* only: a vehicle in a chat does not start or
         accept another chat.
 
-        With ``resume`` the loop first waits until the absolute time its
-        pending timer would have fired in the original run, then
-        proceeds exactly as if it had never been torn down.
+        Yield-first, like every process here: a fresh loop waits until
+        0, a resumed one until its pending timer — the absolute time it
+        would have fired at in the original run.
         """
         cfg = self.config
         n = len(self.nodes)
-        if resume:
+        while True:
             yield self.sim.wait_until(self._next_train)
-        while self.sim.now < cfg.duration:
+            if self.sim.now >= cfg.duration:
+                return
             self.fleet.train_step_all()
             self.counters.add("train_steps", n)
             for i in range(n):
@@ -351,15 +351,14 @@ class TrainerBase:
                     self.next_scan[i] = self.sim.now + cfg.scan_interval
                     self.on_scan(i)
             self._next_train = self.sim.now + cfg.train_interval
-            yield self.sim.timeout(cfg.train_interval)
 
-    def _recorder_process(self, resume: bool = False):
-        if resume:
+    def _recorder_process(self):
+        while True:
             yield self.sim.wait_until(self._next_record)
-        while self.sim.now <= self.config.duration:
+            if self.sim.now > self.config.duration:
+                return
             self.record_losses()
             self._next_record = self.sim.now + self.config.record_interval
-            yield self.sim.timeout(self.config.record_interval)
 
     # -- subclass hooks -----------------------------------------------------------
 
@@ -384,9 +383,6 @@ class TrainerBase:
     def restore_extra(self, state) -> None:
         """Restore what :meth:`extra_state` captured."""
 
-    def _reseed_extra_streams(self, barrier: int) -> None:
-        """Re-derive subclass RNG streams at a checkpoint barrier."""
-
     # -- entry point -----------------------------------------------------------
 
     def run(self, checkpointer=None) -> None:
@@ -407,15 +403,14 @@ class TrainerBase:
         if checkpointer is not None:
             checkpointer.schedule(self)
         cfg = self.config
-        resume = self._restored_at is not None
         activities = [
-            (self._next_train - cfg.train_interval, self._fleet_process(resume=resume)),
-            (self._next_record - cfg.record_interval, self._recorder_process(resume=resume)),
+            (self._next_train - cfg.train_interval, self._fleet_process()),
+            (self._next_record - cfg.record_interval, self._recorder_process()),
             *self.extra_activities(),
         ]
         if self.overlap is not None:
             activities += self.overlap.activities()
-        if resume:
+        if self._restored_at is not None:
             # A stable sort: timers armed at one instant keep creation order.
             activities.sort(key=lambda item: item[0])
         for _, gen in activities:
@@ -428,27 +423,16 @@ class TrainerBase:
     # -- checkpointing ------------------------------------------------------------
 
     def checkpoint_barrier(self, barrier: int) -> dict:
-        """Reseed RNG streams, then snapshot (the per-barrier protocol).
-
-        Reseeding happens in *every* checkpointed run at *every*
-        barrier, interrupted or not — a resumed run re-derives the same
-        streams from ``(seed, name, barrier)`` alone, so no generator
-        state needs to be serialized mid-stream.
+        """The snapshot a checkpoint barrier writes: :meth:`snapshot`
+        plus the barrier's index.
 
         The state holds views of the live parameter and optimizer banks
         (:meth:`snapshot`): write it before the simulator runs on, or
         copy it (``copy.deepcopy``) to keep it past the barrier.
         """
-        self.reseed_streams(barrier)
         state = self.snapshot()
         state["barrier"] = barrier
         return state
-
-    def reseed_streams(self, barrier: int) -> None:
-        """Re-derive every named RNG stream for the given barrier index."""
-        for node in self.nodes:
-            node.rng = spawn_rng(self.config.seed, f"node-{node.node_id}@ckpt{barrier}")
-        self._reseed_extra_streams(barrier)
 
     def snapshot(self) -> dict:
         """Full trainer state as a checkpointable tree (a pure read).
@@ -488,7 +472,6 @@ class TrainerBase:
         state is merged into the active session so counters accumulated
         before the interruption are not lost.
         """
-        barrier = int(state["barrier"])
         frames = FrameTable(state["frame_table"])
         self.sim.advance_to(float(state["time"]))
         for row, (node, node_state) in enumerate(zip(self.nodes, state["nodes"], strict=True)):
@@ -502,7 +485,6 @@ class TrainerBase:
         self.loss_curve.restore(state["loss_curve"])
         self.receive_rate.restore(state["receive_rate"])
         self.counters.restore(state["counters"])
-        self.reseed_streams(barrier)
         self.restore_extra(state["extra"])
         overlap_state = state.get("overlap")
         if self.overlap is not None:

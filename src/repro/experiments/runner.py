@@ -104,11 +104,9 @@ class RunSpec:
     ``checkpoint_every`` opts the run into barrier checkpointing (see
     :mod:`repro.checkpoint`): state is snapshotted every that many
     virtual seconds and a crashed/retried run resumes from the newest
-    snapshot.  RNG streams are re-derived at every barrier, so the
-    cadence is part of the run's identity — a checkpointed run is a
-    *different* (equally valid) run than a non-checkpointed one.
-    ``checkpoint_dir`` only says where snapshots live and does not
-    affect results.
+    snapshot.  A snapshot carries every generator's state, so a
+    checkpointed run, resumed or not, equals the same spec without
+    checkpoints.  ``checkpoint_dir`` only says where snapshots live.
     """
 
     method: str

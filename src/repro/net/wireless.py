@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_LOSS_TABLE", "WirelessModel"]
+__all__ = ["DEFAULT_LOSS_TABLE", "WirelessModel", "table_loss"]
 
 #: (max_distance_m, packet_loss_probability) rows, ascending distance.
 #: Shape follows the 802.11bd highway measurements in Anwar et al.
@@ -34,6 +34,15 @@ DEFAULT_LOSS_TABLE: tuple[tuple[float, float], ...] = (
     (450.0, 0.63),
     (500.0, 0.80),
 )
+
+_TABLE_LOSSES = np.array([row[1] for row in DEFAULT_LOSS_TABLE])
+
+
+def table_loss(rng: np.random.Generator) -> float:
+    """One loss value drawn uniformly from the table's rows — how the
+    paper samples an infrastructure link's loss (§IV-C: ProxSkip and
+    RSU-L communications)."""
+    return float(rng.choice(_TABLE_LOSSES))
 
 
 class WirelessModel:

@@ -879,7 +879,7 @@ CHECKS: dict[str, Check] = {
         Check("overlap.on", "golden", "overlap", spec=_ON,
               invariants=(dense_steps, flights_launched, transfers_conserved,
                           every_chat_accounted_once, clock_monotone)),
-        Check("overlap.barriers", None, "overlap", spec=_ON, produce=_run_with_barriers,
+        Check("overlap.barriers", "overlap.on", "overlap", spec=_ON, produce=_run_with_barriers,
               invariants=(a_barrier_held_a_flight, clock_monotone)),
         Check("overlap.resumed", "overlap.barriers", "overlap", spec=_ON,
               produce=_resume_every_barrier, invariants=(clock_monotone,)),
@@ -890,7 +890,7 @@ CHECKS: dict[str, Check] = {
                   invariants=(dense_steps, clock_monotone, did_its_one_thing))
             for method in ONE_THING
         ),
-        Check("checkpoint.uninterrupted", None, "hotpath",
+        Check("checkpoint.uninterrupted", "hotpath.LbChat", "hotpath",
               spec={"checkpoint_every": 10.0}, invariants=(dense_steps, clock_monotone)),
         Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
               produce=_kill_and_resume, invariants=(crash_shaped_history, clock_monotone)),

@@ -1,10 +1,11 @@
 """End-to-end resume equivalence for the repro.checkpoint subsystem.
 
-The contract under test: a checkpointed run that is interrupted at any
-barrier and resumed from disk produces results bit-identical to the same
-checkpointed run left uninterrupted — for every method, seed, and
-interruption point.  A second test drives the same guarantee through the
-process pool's crash-retry path with a worker killed mid-run.
+The contract under test: checkpointing never changes a run.  A
+checkpointed run is bit-identical to the same spec without checkpoints,
+and one interrupted at any barrier and resumed from disk is
+bit-identical to it left uninterrupted — for every method, seed, and
+interruption point.  A second test drives the resume guarantee through
+the process pool's crash-retry path with a worker killed mid-run.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ TINY = replace(
 EVERY = 10.0
 BARRIERS = (1, 2, 3)
 
+#: Every method, and LbChat under the overlapped chat protocol.
+RUNS = [
+    *(pytest.param(method, {}, id=method) for method in METHOD_NAMES),
+    pytest.param("LbChat", {"overlap_chat": True}, id="LbChat-overlap"),
+]
+
 
 @pytest.fixture(scope="module")
 def context():
@@ -72,6 +79,14 @@ def digest(result):
 
 
 class TestResumeEquivalence:
+    @pytest.mark.parametrize(("method", "overrides"), RUNS)
+    def test_a_checkpointed_run_is_the_plain_run(self, context, tmp_path, method, overrides):
+        """A barrier is a pure read: generator state is saved, not re-derived."""
+        plain = RunSpec.for_context(context, method, seed=2, overrides=overrides)
+        checkpointed = replace(plain, checkpoint_every=EVERY, checkpoint_dir=str(tmp_path))
+        assert digest(run_method(context, checkpointed)) == digest(run_method(context, plain))
+        assert RunStore(tmp_path).barriers(checkpointed) == list(BARRIERS)
+
     @settings(
         max_examples=4,
         deadline=None,
