@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import ROUTE_HORIZON, TrainerBase, TrainerConfig
 from repro.engine.random import spawn_rng
 from repro.net.channel import simulate_transfer
 from repro.net.wireless import WirelessModel, table_loss
@@ -126,11 +126,11 @@ class RsuLTrainer(TrainerBase):
         # chats, an RSU session has no T_B cap — the RSU is fixed
         # infrastructure and keeps serving as long as the vehicle stays
         # in range (the paper grants RSU-L an unconstrained backend).
-        future = self.traces.future_positions(i, now, self.config.route_horizon)
+        future = self.traces.future_positions(i, now, ROUTE_HORIZON)
         dists = np.linalg.norm(future - rsu.position, axis=1)
         out = np.where(dists > self.config.rsu_range)[0]
         dwell = (out[0] if len(out) else len(dists)) * self.traces.interval
-        window = min(max(float(dwell), 1.0), self.config.route_horizon)
+        window = min(max(float(dwell), 1.0), ROUTE_HORIZON)
         deadline = now + window
         # Size both directions to fit the window at the *raw* bandwidth
         # (the RSU protocol does not do LbChat's loss-aware estimation).

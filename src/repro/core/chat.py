@@ -42,7 +42,7 @@ from repro.core.node import VehicleNode
 from repro.core.psi import PsiDecision, optimize_compression
 from repro.core.value import assess_value
 from repro.coreset.construction import Coreset
-from repro.net.channel import ChannelConfig, TransferSession, simulate_transfer
+from repro.net.channel import ASSIST_INFO_BYTES, ChannelConfig, TransferSession, simulate_transfer
 from repro.net.wireless import WirelessModel
 from repro.parallel.stepshard import default_step_shards, run_shards
 from repro.sim.dataset import DrivingDataset
@@ -303,7 +303,7 @@ def negotiate(
         return chat
 
     # 1. assistive info both ways.
-    if not chat.exchange("assist", 2 * channel.assist_info_bytes, contact_deadline):
+    if not chat.exchange("assist", 2 * ASSIST_INFO_BYTES, contact_deadline):
         return cut("assist")
 
     # 2. coresets (rebuild first so they reflect the current model/data).

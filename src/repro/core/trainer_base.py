@@ -51,6 +51,8 @@ from repro.sim.traces import MobilityTraces
 from repro.telemetry import hooks as telemetry
 
 __all__ = [
+    "ROUTE_HORIZON",
+    "SCAN_INTERVAL",
     "TrainerConfig",
     "TrainerBase",
     "RoundConfig",
@@ -58,6 +60,13 @@ __all__ = [
     "pair_times_state",
     "pair_times_from_state",
 ]
+
+
+#: How often an idle vehicle looks for peers in range (§III-A), seconds.
+SCAN_INTERVAL = 5.0
+#: Look-ahead of the routes vehicles share to estimate a contact's
+#: duration (§III-A), seconds.
+ROUTE_HORIZON = 120.0
 
 
 def pair_times_state(pairs: dict[tuple[int, int], float]) -> dict:
@@ -82,10 +91,8 @@ class TrainerConfig:
 
     duration: float = 1200.0  # simulated training time T
     train_interval: float = 2.0  # sim-seconds per local iteration
-    scan_interval: float = 5.0  # how often an idle vehicle looks around
     record_interval: float = 30.0
     time_budget: float = 15.0  # T_B (§IV-A)
-    route_horizon: float = 120.0  # shared route lookahead (§III-A)
     lambda_c: float = 0.02
     #: Minimum time before the same pair exchanges again — repeat chats
     #: with a peer whose model/data was just absorbed add nothing.
@@ -219,8 +226,8 @@ class TrainerBase:
     def contact_estimate(self, i: int, j: int, exchange_bytes: float) -> ContactEstimate:
         """§III-A estimate for pair (i, j) from shared future routes."""
         now = self.sim.now
-        route_i = self.traces.future_positions(i, now, self.config.route_horizon)
-        route_j = self.traces.future_positions(j, now, self.config.route_horizon)
+        route_i = self.traces.future_positions(i, now, ROUTE_HORIZON)
+        route_j = self.traces.future_positions(j, now, ROUTE_HORIZON)
         return estimate_contact(
             route_i,
             route_j,
@@ -238,11 +245,11 @@ class TrainerBase:
     ) -> list[ContactEstimate]:
         """:meth:`contact_estimate` of ``i`` with every candidate, from one
         slice of the traces."""
-        now, horizon = self.sim.now, self.config.route_horizon
+        now = self.sim.now
         bandwidth_i = self.nodes[i].config.bandwidth_bps
         return estimate_contacts(
-            self.traces.future_positions(i, now, horizon),
-            self.traces.future_positions(candidates, now, horizon),
+            self.traces.future_positions(i, now, ROUTE_HORIZON),
+            self.traces.future_positions(candidates, now, ROUTE_HORIZON),
             self.traces.interval,
             self.wireless,
             self.config.channel,
@@ -348,7 +355,7 @@ class TrainerBase:
             self.counters.add("train_steps", n)
             for i in range(n):
                 if self.sim.now >= self.next_scan[i] and self.is_idle(i):
-                    self.next_scan[i] = self.sim.now + cfg.scan_interval
+                    self.next_scan[i] = self.sim.now + SCAN_INTERVAL
                     self.on_scan(i)
             self._next_train = self.sim.now + cfg.train_interval
 

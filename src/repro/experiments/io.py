@@ -41,8 +41,9 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 #: TownMap grew ``districts_per_side``, WorldConfig grew
 #: ``city_blocks``/``shard_stepping``, MobilityTraces memoize contact
 #: indexes; format 5: the fleet's frames are one ``FramePool`` and every
-#: dataset is rows and weights over it).
-_CACHE_FORMAT = 5
+#: dataset is rows and weights over it; format 6: the contact-index memo
+#: is a declared ``MobilityTraces`` field, so older traces lack it).
+_CACHE_FORMAT = 6
 
 
 def scale_fingerprint(scale: ExperimentScale) -> str:

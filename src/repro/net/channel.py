@@ -20,7 +20,10 @@ from repro.net.wireless import WirelessModel
 from repro.telemetry import hooks as telemetry
 
 __all__ = [
+    "ASSIST_INFO_BYTES",
+    "CHUNK_SECONDS",
     "ChannelConfig",
+    "PACKET_BYTES",
     "TransferResult",
     "TransferSession",
     "simulate_transfer",
@@ -28,16 +31,20 @@ __all__ = [
 ]
 
 
+#: Packet size on the V2V link (§IV-A).
+PACKET_BYTES = 1500
+#: Size of the route/bandwidth assistive message (§III-A).
+ASSIST_INFO_BYTES = 184
+#: Simulation chunk for re-evaluating distance-dependent loss (§IV-A's
+#: loss model is distance-indexed; the chunk is the simulation's own).
+CHUNK_SECONDS = 0.5
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Link-layer constants from §IV-A."""
 
     bandwidth_bps: float = 31e6
-    packet_bytes: int = 1500
-    #: Size of the route/bandwidth assistive message (§III-A): 184 bytes.
-    assist_info_bytes: int = 184
-    #: Simulation chunk for re-evaluating distance-dependent loss.
-    chunk_seconds: float = 0.5
 
     @property
     def bytes_per_second(self) -> float:
@@ -58,8 +65,8 @@ def transfer_time_lossless(n_bytes: float, config: ChannelConfig) -> float:
     """Time to ship ``n_bytes`` on a clean link (packetization included)."""
     if n_bytes <= 0:
         return 0.0
-    n_packets = max(int(-(-n_bytes // config.packet_bytes)), 1)
-    return n_packets * config.packet_bytes / config.bytes_per_second
+    n_packets = max(int(-(-n_bytes // PACKET_BYTES)), 1)
+    return n_packets * PACKET_BYTES / config.bytes_per_second
 
 
 class TransferSession:
@@ -131,7 +138,7 @@ class TransferSession:
             self.abort_cause = "rate"
             self.finish_time = self.now
             return None
-        chunk = min(self.config.chunk_seconds, deadline - self.now)
+        chunk = min(CHUNK_SECONDS, deadline - self.now)
         can_send = rate * chunk
         if can_send >= self.remaining:
             self.elapsed = self.now - self.start_time + self.remaining / rate

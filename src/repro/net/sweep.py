@@ -1,25 +1,22 @@
-"""Swept contact detection over mobility traces.
+"""Contact detection over mobility traces.
 
 The communication layer's hot question is "who is within radio range of
-vehicle *i* at time *t*?", asked once per vehicle per scan tick.  The
-brute-force answer recomputes all ``n`` distances per query — O(n²) per
-scan instant fleet-wide, the dominant cost of city-scale fleets.
-
-:func:`sweep_encounters` replaces that with one sort-and-sweep pass
-over the whole trace: at each sample instant the positions are sorted
-into grid cells sized to the radio radius, candidate pairs are
-drawn only from each cell and its forward half-neighborhood, then
-filtered with the **same exact distance test** the brute force scan
-uses (`sqrt((dx)² + (dy)²) <= radius` on the same float values), and
-consecutive in-range instants are merged into maximal *encounter
-windows* ``(i, j, start, end)``.  Because per-pair distance values do
-not depend on which other pairs are considered, the surviving pairs —
-and therefore the windows — are bit-identical to the pairwise
-reference (:func:`pairwise_encounters`), boundary ties included.
+vehicle *i* at time *t*?" (§III-A), asked once per vehicle per scan
+tick.  :func:`sweep_encounters` answers it for the whole trace at once:
+every vehicle pair's distance at every sample instant, in fixed-size
+blocks of pairs, with the **same exact distance test** a brute-force
+scan uses (``sqrt(dx*dx + dy*dy) <= radius`` on the same float values),
+and each pair's runs of in-range instants are its maximal *encounter
+windows* ``(i, j, start, end)``.  Per-pair distance values do not
+depend on which other pairs are considered, so the windows are
+bit-identical to the per-instant reference (:func:`pairwise_encounters`),
+boundary ties included.  The name ``sweep_encounters`` outlives the
+grid sweep it once ran because the frozen benchmark tracer times it by
+that path (ROADMAP item 17).
 
 :class:`ContactIndex` turns the windows into a per-vehicle interval
 table so each "neighbors at instant k" query is a vectorized mask over
-that vehicle's windows instead of a fleet-wide distance scan.
+that vehicle's windows; ``MobilityTraces.neighbors`` asks nothing else.
 """
 
 from __future__ import annotations
@@ -106,90 +103,53 @@ def _windows_from_step_keys(step_keys, n: int, n_steps: int, radius: float) -> E
     )
 
 
-# Packed cell keys: (cx + _CELL_OFF) * _CELL_MUL + (cy + _CELL_OFF).
-_CELL_OFF = 1 << 20
-_CELL_MUL = 1 << 21
-# Forward half of the 8-neighborhood in key space; scanning only these
-# from each cell visits every adjacent cell pair exactly once.
-_FORWARD = (_CELL_MUL - 1, _CELL_MUL, _CELL_MUL + 1, 1)
+#: Pair-instant cells per block of :func:`sweep_encounters`: one block's
+#: float planes (512 KiB each) stay in cache, and memory is bounded
+#: whatever the fleet size or trace length.
+_BLOCK_CELLS = 1 << 16
 
 
-def sweep_encounters(
-    positions: np.ndarray, radius: float, cell_size: float | None = None
-) -> EncounterWindows:
-    """Extract encounter windows via a per-instant spatial-grid sweep.
+def sweep_encounters(positions: np.ndarray, radius: float) -> EncounterWindows:
+    """Extract encounter windows as runs of every pair's in-range mask.
 
-    ``positions`` is the ``(n_steps, n, 2)`` trace array.  Cost per
-    instant is O(occupied cells · local density²) instead of O(n²): a
-    sort groups vehicles by grid cell, pairs are enumerated within each
-    cell and against its four forward neighbors (cells are at least
-    ``radius`` wide, so no in-range pair can span further), and the
-    exact distance test prunes the superset.  Windows are bit-identical
-    to :func:`pairwise_encounters` (same distance expression over the
-    same floats).
+    ``positions`` is the ``(n_steps, n, 2)`` trace array.  The ``triu``
+    pairs go in blocks of ``_BLOCK_CELLS // n_steps``; a block's
+    ``dx``/``dy`` are ``(pairs, n_steps)`` planes, so each pair's time
+    series is one contiguous row, and a window opens at a +1 and closes
+    before a -1 of ``np.diff`` over the zero-padded mask.  ``nonzero``
+    walks rows in order, so the windows come out sorted by
+    ``(pair_i, pair_j, start)`` with no sort.  Bit-identical to
+    :func:`pairwise_encounters` (same distance expression over the same
+    floats).
     """
     positions = np.asarray(positions, dtype=float)
     n_steps, n = positions.shape[0], positions.shape[1]
-    # Cells narrower than the radius would let in-range pairs span
-    # beyond the forward neighborhood, so the radius is a floor.
-    cell = max(float(cell_size or 0.0), float(radius), 1e-9)
-
-    triu_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def step_keys():
-        for k in range(n_steps):
-            pos = positions[k]
-            cells = np.floor(pos / cell).astype(np.int64)
-            ckey = (cells[:, 0] + _CELL_OFF) * _CELL_MUL + (cells[:, 1] + _CELL_OFF)
-            order = np.argsort(ckey, kind="stable")
-            sk = ckey[order]
-            starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-            ends = np.r_[starts[1:], sk.size]
-            buckets = {
-                int(sk[s]): (order[s:e], pos[order[s:e]])
-                for s, e in zip(starts, ends)
-            }
-            chunks = []
-            for key, (members, pts) in buckets.items():
-                m = members.size
-                if m > 1:
-                    pair = triu_memo.get(m)
-                    if pair is None:
-                        pair = triu_memo[m] = np.triu_indices(m, k=1)
-                    ai, bi = pair
-                    a, b = members[ai], members[bi]
-                    lo, hi = np.minimum(a, b), np.maximum(a, b)
-                    d = pts[ai] - pts[bi]
-                    dist = np.sqrt(np.add.reduce(d * d, axis=1))
-                    keep = dist <= radius
-                    if keep.any():
-                        chunks.append(lo[keep] * n + hi[keep])
-                for delta in _FORWARD:
-                    other = buckets.get(key + delta)
-                    if other is None:
-                        continue
-                    other_members, other_pts = other
-                    d = pts[:, None, :] - other_pts[None, :, :]
-                    dist = np.sqrt(np.add.reduce(d * d, axis=2))
-                    ai, bi = np.nonzero(dist <= radius)
-                    if ai.size:
-                        a, b = members[ai], other_members[bi]
-                        lo, hi = np.minimum(a, b), np.maximum(a, b)
-                        chunks.append(lo * n + hi)
-            if chunks:
-                yield np.sort(np.concatenate(chunks))
-            else:
-                yield _EMPTY
-
-    return _windows_from_step_keys(step_keys(), n, n_steps, radius)
+    iu, ju = np.triu_indices(n, k=1)
+    xs = np.ascontiguousarray(positions[:, :, 0].T)
+    ys = np.ascontiguousarray(positions[:, :, 1].T)
+    per_block = max(_BLOCK_CELLS // max(n_steps, 1), 1)
+    columns: list[list[np.ndarray]] = [[_EMPTY], [_EMPTY], [_EMPTY], [_EMPTY]]
+    for b0 in range(0, iu.size, per_block):
+        a, b = iu[b0 : b0 + per_block], ju[b0 : b0 + per_block]
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
+        mask = np.zeros((a.size, n_steps + 2), dtype=np.int8)
+        mask[:, 1:-1] = np.sqrt(dx * dx + dy * dy) <= radius
+        edges = np.diff(mask, axis=1)
+        pair, start = np.nonzero(edges == 1)
+        _, stop = np.nonzero(edges == -1)
+        for column, values in zip(columns, (a[pair], b[pair], start, stop - 1)):
+            column.append(values)
+    pair_i, pair_j, start, end = (np.concatenate(c).astype(np.int64) for c in columns)
+    return EncounterWindows(pair_i, pair_j, start, end, n, n_steps, float(radius))
 
 
 def pairwise_encounters(positions: np.ndarray, radius: float) -> EncounterWindows:
-    """Reference all-pairs window extraction (O(n² · n_steps)).
+    """Reference window extraction, one instant at a time (O(n² · n_steps)).
 
-    Uses the same per-pair distance arithmetic as
-    ``MobilityTraces.neighbors``; kept as the equivalence oracle for
-    tests and as the small-fleet fallback in benchmarks.
+    The same per-pair distance arithmetic as :func:`sweep_encounters`,
+    merged instant by instant; kept as the equivalence oracle for the
+    tests and the selfcheck's ``swept_equals_pairwise`` hook.
     """
     positions = np.asarray(positions, dtype=float)
     n_steps, n = positions.shape[0], positions.shape[1]
@@ -211,16 +171,12 @@ class ContactIndex:
 
     Built once from :class:`EncounterWindows`; each query is a
     vectorized interval-containment mask over one vehicle's windows
-    (typically a few hundred) instead of an O(n) distance scan, and
-    returns exactly what ``MobilityTraces.neighbors`` would: ascending
+    and returns what a distance scan at that instant would: ascending
     neighbor indices, self excluded.
     """
 
     def __init__(self, windows: EncounterWindows):
         self.windows = windows
-        n = windows.n_vehicles
-        self.n_vehicles = n
-        self.radius = windows.radius
         # Each window is visible from both endpoints.
         owner = np.concatenate([windows.pair_i, windows.pair_j])
         partner = np.concatenate([windows.pair_j, windows.pair_i])
@@ -230,7 +186,7 @@ class ContactIndex:
         self._partner = partner[order]
         self._start = start[order]
         self._end = end[order]
-        counts = np.bincount(owner, minlength=n)
+        counts = np.bincount(owner, minlength=windows.n_vehicles)
         self._offsets = np.concatenate([[0], np.cumsum(counts)])
 
     def neighbors_at(self, vehicle: int, k: int) -> list[int]:
@@ -242,9 +198,3 @@ class ContactIndex:
         if not mask.any():
             return []
         return [int(p) for p in np.sort(self._partner[s:e][mask])]
-
-    def window_count(self, vehicle: int | None = None) -> int:
-        """Number of windows (one vehicle's, or total distinct pairs)."""
-        if vehicle is None:
-            return len(self.windows)
-        return int(self._offsets[vehicle + 1] - self._offsets[vehicle])

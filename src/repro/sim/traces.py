@@ -6,25 +6,21 @@ collaborative training.  :func:`simulate_traces` does the same on our
 world (background traffic disabled — only the learning fleet's positions
 matter for encounters), and :class:`MobilityTraces` answers the queries
 the communication layer needs: positions, distances, neighbors and
-look-ahead routes for contact-duration estimation (§III-A).
+look-ahead routes for contact-duration estimation (§III-A).  Every
+neighbor query, whatever the fleet size, is answered by one
+:class:`~repro.net.sweep.ContactIndex` per radius, built from the
+whole trace on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.sim.world import World, WorldConfig
 
-__all__ = ["MobilityTraces", "simulate_traces", "SWEPT_MIN_VEHICLES"]
-
-#: Fleet size from which ``neighbors`` answers out of a swept
-#: :class:`~repro.net.sweep.ContactIndex` instead of a brute-force
-#: distance scan.  Both paths return bit-identical neighbor sets; the
-#: index amortizes one grid sweep over the whole trace, which only pays
-#: off once per-query O(n) scans dominate.
-SWEPT_MIN_VEHICLES = 48
+__all__ = ["MobilityTraces", "simulate_traces"]
 
 
 @dataclass
@@ -37,6 +33,7 @@ class MobilityTraces:
     vehicle_ids: list[str]
     times: np.ndarray  # (n_steps,)
     positions: np.ndarray  # (n_steps, n_vehicles, 2)
+    _contact_indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def duration(self) -> float:
@@ -66,36 +63,22 @@ class MobilityTraces:
         return float(np.linalg.norm(self.positions[k, a] - self.positions[k, b]))
 
     def contact_index(self, radius: float):
-        """Swept :class:`~repro.net.sweep.ContactIndex` for ``radius``.
+        """The :class:`~repro.net.sweep.ContactIndex` for ``radius``.
 
-        Built on first use (one spatial-grid sweep over the whole
-        trace) and memoized per radius; ``getattr``-guarded so traces
-        unpickled from older context caches grow the memo lazily.
+        Built on first use (one pass over the whole trace) and memoized
+        per radius.
         """
         from repro.net.sweep import ContactIndex, sweep_encounters
 
-        cache = getattr(self, "_contact_indexes", None)
-        if cache is None:
-            cache = {}
-            self._contact_indexes = cache
-        index = cache.get(float(radius))
+        index = self._contact_indexes.get(float(radius))
         if index is None:
             index = ContactIndex(sweep_encounters(self.positions, radius))
-            cache[float(radius)] = index
+            self._contact_indexes[float(radius)] = index
         return index
 
     def neighbors(self, vehicle: int, time: float, radius: float) -> list[int]:
-        """Other vehicles within ``radius`` of ``vehicle`` at ``time``.
-
-        Large fleets answer from the swept contact index; small fleets
-        keep the direct scan.  Both return the identical neighbor list
-        (same distance expression, ascending order, ties included).
-        """
-        if self.positions.shape[1] >= SWEPT_MIN_VEHICLES:
-            return self.contact_index(radius).neighbors_at(vehicle, self.index_at(time))
-        pos = self.positions[self.index_at(time)]
-        dist = np.linalg.norm(pos - pos[vehicle], axis=1)
-        return [int(i) for i in np.where(dist <= radius)[0] if i != vehicle]
+        """Other vehicles within ``radius`` of ``vehicle`` at ``time``, ascending."""
+        return self.contact_index(radius).neighbors_at(vehicle, self.index_at(time))
 
     def future_positions(self, vehicle: int | list[int], time: float, horizon: float) -> np.ndarray:
         """Trace samples of ``vehicle`` in ``[time, time + horizon]``:

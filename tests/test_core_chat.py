@@ -13,6 +13,7 @@ from repro.core.chat import (
 from repro.core.overlap import plan_chat
 from repro.core.psi import PsiDecision
 from repro.net import ChannelConfig, WirelessModel
+from repro.net.channel import ASSIST_INFO_BYTES
 from tests.conftest import make_node
 
 CHANNEL = ChannelConfig()
@@ -38,7 +39,7 @@ def run_chat(
 def stage_bytes(node_a, node_b, results=0):
     """Bytes on the air up to the coreset exchange, plus ``results`` more."""
     return (
-        2 * CHANNEL.assist_info_bytes
+        2 * ASSIST_INFO_BYTES
         + node_a.coreset.nominal_bytes
         + node_b.coreset.nominal_bytes
         + results

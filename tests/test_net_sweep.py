@@ -1,26 +1,38 @@
-"""Property tests for swept contact detection.
+"""Property tests for contact detection.
 
-The sweep's contract is exact: encounter windows extracted via the
-spatial sort-and-sweep must be *bit-identical* to the all-pairs
-reference — same pairs, same window boundaries, ties on the radius
-included — because city-scale runs route every neighbor query through
-the index while the paper-scale goldens pin the brute path.  Hypothesis
-drives randomized traces (fleet size, duration, spread, radius,
-off-map excursions) through both extractors.
+The extractor's contract is exact: encounter windows read off each
+pair's in-range runs (``sweep_encounters``, named for the grid sweep it
+replaced, which the frozen benchmark tracer still times by that path)
+must be *bit-identical* to the per-instant reference — same pairs, same
+window boundaries, ties on the radius included — because every neighbor
+query of every run reads the index built from them.  Hypothesis drives
+randomized traces (fleet size, duration, spread, radius, off-map
+excursions) through both extractors; hand-made traces pin the run
+boundaries random walks rarely hit.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.net import sweep
 from repro.net.sweep import (
     ContactIndex,
     pairwise_encounters,
     sweep_encounters,
 )
-from repro.sim.traces import SWEPT_MIN_VEHICLES, MobilityTraces
+from repro.sim.traces import MobilityTraces
+
+
+def brute_neighbors(positions, v, k, radius):
+    """Inline oracle: every other vehicle within ``radius`` of ``v`` at ``k``."""
+    pos = positions[k]
+    d = pos - pos[v]
+    dist = np.sqrt(np.add.reduce(d * d, axis=1))
+    return [int(i) for i in np.where(dist <= radius)[0] if i != v]
 
 
 @st.composite
@@ -48,13 +60,15 @@ class TestSweepMatchesPairwise:
         reference = pairwise_encounters(positions, radius)
         assert swept.to_tuples() == reference.to_tuples()
 
-    @settings(max_examples=50, deadline=None)
-    @given(trace_cases(), st.floats(min_value=0.5, max_value=3.0))
-    def test_cell_size_never_changes_windows(self, case, cell_scale):
-        # Any cell size (including ones below the radius, which the
-        # sweep clamps) must yield the same windows.
+    @settings(max_examples=60, deadline=None)
+    @given(trace_cases(), st.integers(min_value=1, max_value=7))
+    def test_windows_spanning_pair_blocks(self, case, block_cells):
+        # A few cells per block: one or two pairs each, so a fleet's
+        # windows are stitched together from many blocks.
         positions, radius = case
-        swept = sweep_encounters(positions, radius, cell_size=cell_scale * radius)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_BLOCK_CELLS", block_cells)
+            swept = sweep_encounters(positions, radius)
         assert swept.to_tuples() == pairwise_encounters(positions, radius).to_tuples()
 
     @settings(max_examples=60, deadline=None)
@@ -75,6 +89,48 @@ class TestSweepMatchesPairwise:
                 assert s2 > e1 + 1
 
 
+def two_vehicles(separation):
+    """Vehicle 0 parked at the origin, vehicle 1 at ``separation[k]`` metres east."""
+    separation = np.asarray(separation, dtype=float)
+    positions = np.zeros((separation.size, 2, 2))
+    positions[:, 1, 0] = separation
+    return positions
+
+
+class TestRunBoundaries:
+    """Runs that start or end at the trace's edges, or sit on the radius."""
+
+    @pytest.mark.parametrize(
+        "separation, windows",
+        [
+            ([10, 900, 900, 900], [(0, 1, 0, 0)]),  # in range only at instant 0
+            ([900, 900, 900, 10], [(0, 1, 3, 3)]),  # only at the last instant
+            ([10, 20, 30, 40], [(0, 1, 0, 3)]),  # at every instant
+            ([900, 100, 900, 100], [(0, 1, 1, 1), (0, 1, 3, 3)]),
+            ([100, 100.0000001, 100, 99], [(0, 1, 0, 0), (0, 1, 2, 3)]),  # exactly radius
+        ],
+    )
+    def test_windows(self, separation, windows):
+        positions = two_vehicles(separation)
+        assert sweep_encounters(positions, 100.0).to_tuples() == windows
+        assert pairwise_encounters(positions, 100.0).to_tuples() == windows
+
+    def test_single_vehicle_has_no_windows(self):
+        positions = np.zeros((5, 1, 2))
+        assert len(sweep_encounters(positions, 500.0)) == 0
+        assert ContactIndex(sweep_encounters(positions, 500.0)).neighbors_at(0, 2) == []
+
+    def test_single_instant(self):
+        rng = np.random.default_rng(3)
+        positions = rng.uniform(0, 400, size=(1, 9, 2))
+        swept = sweep_encounters(positions, 150.0)
+        assert swept.to_tuples() == pairwise_encounters(positions, 150.0).to_tuples()
+        assert np.all(swept.start == 0) and np.all(swept.end == 0)
+        index = ContactIndex(swept)
+        for v in range(9):
+            assert index.neighbors_at(v, 0) == brute_neighbors(positions, v, 0, 150.0)
+
+
 class TestContactIndex:
     @settings(max_examples=100, deadline=None)
     @given(trace_cases(), st.integers(min_value=0, max_value=2**31 - 1))
@@ -86,20 +142,7 @@ class TestContactIndex:
         for _ in range(5):
             v = int(rng.integers(n))
             k = int(rng.integers(n_steps))
-            pos = positions[k]
-            d = pos - pos[v]
-            dist = np.sqrt(np.add.reduce(d * d, axis=1))
-            brute = [int(i) for i in np.where(dist <= radius)[0] if i != v]
-            assert index.neighbors_at(v, k) == brute
-
-    def test_window_counts(self):
-        rng = np.random.default_rng(7)
-        positions = rng.uniform(0, 200, size=(6, 10, 2))
-        index = ContactIndex(sweep_encounters(positions, 80.0))
-        total = index.window_count()
-        assert total == len(index.windows)
-        # Each window is visible from both endpoints.
-        assert sum(index.window_count(v) for v in range(10)) == 2 * total
+            assert index.neighbors_at(v, k) == brute_neighbors(positions, v, k, radius)
 
 
 class TestTracesRouting:
@@ -112,28 +155,18 @@ class TestTracesRouting:
             positions=positions,
         )
 
-    def test_small_fleet_stays_on_brute_path(self):
-        traces = self._traces(SWEPT_MIN_VEHICLES - 1)
-        traces.neighbors(0, 1.0, 150.0)
-        assert not getattr(traces, "_contact_indexes", {})
-
-    def test_large_fleet_uses_index_and_matches_brute(self):
-        n = SWEPT_MIN_VEHICLES
+    @pytest.mark.parametrize("n", [1, 2, 6, 32, 48])
+    def test_every_fleet_uses_index_and_matches_brute(self, n):
         traces = self._traces(n)
         radius = 150.0
-        for v in (0, n // 2, n - 1):
+        for v in sorted({0, n // 2, n - 1}):
             for t in (0.0, 1.2, 4.0):
                 got = traces.neighbors(v, t, radius)
-                k = traces.index_at(t)
-                pos = traces.positions[k]
-                d = pos - pos[v]
-                dist = np.sqrt(np.add.reduce(d * d, axis=1))
-                want = [int(i) for i in np.where(dist <= radius)[0] if i != v]
-                assert got == want
-        assert traces._contact_indexes  # the index memo was built
+                assert got == brute_neighbors(traces.positions, v, traces.index_at(t), radius)
+        assert list(traces._contact_indexes) == [radius]  # the index memo was built
 
     def test_index_memo_is_per_radius(self):
-        traces = self._traces(SWEPT_MIN_VEHICLES)
+        traces = self._traces(48)
         a = traces.contact_index(100.0)
         b = traces.contact_index(250.0)
         assert a is traces.contact_index(100.0)

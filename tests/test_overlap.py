@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.ledger import TransferLedger
-from repro.net.channel import ChannelConfig
+from repro.net.channel import CHUNK_SECONDS, ChannelConfig
 from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_fleet
 
@@ -195,7 +195,7 @@ class TestOverlapFlights:
         assert len(chat.legs) > 0
         # Cut the link shortly after the transfer phase begins: the
         # first chunk delivers, then the pair drops out of range.
-        cutoff["t"] = chat.now + channel.chunk_seconds + 1e-6
+        cutoff["t"] = chat.now + CHUNK_SECONDS + 1e-6
 
         class StubTrainer:
             def __init__(self):

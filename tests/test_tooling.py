@@ -851,3 +851,81 @@ class TestEveryModuleHasARunningCaller:
                     reached.add(target)
                     frontier.append(modules[target])
         assert sorted(set(modules) - reached) == sorted(self.ORPHANS)
+
+
+class TestEveryConfigFieldIsSet:
+    """ROADMAP item 18's rule as a gate: every field of a ``*Config``
+    dataclass in ``src/`` is set by something besides its declaration —
+    a keyword (``TrainerConfig(duration=…)``, ``replace(…, seed=…)``), a
+    string key (an ``overrides`` entry, ``{"step_workers": …}``), an
+    attribute store on a config (``config.pair_cooldown = …``) or a CLI
+    flag (``--step-workers``) anywhere in ``src/``, ``tests/``,
+    ``benchmarks/`` or ``examples/`` — or it is named in :attr:`UNSET`
+    with the ROADMAP item that owns it.  A paper constant nothing varies
+    is a module constant naming its section, not a field."""
+
+    #: The only allowlist: field -> the ROADMAP item that decides it.  An
+    #: entry that gets set (or goes) fails the gate like a new unset field.
+    UNSET = {
+        "ProxSkipConfig.sync_probability": "item 16",
+        "RoundConfig.round_interval": "item 16",
+        "EvalConfig.speed_budget": "item 18",
+        "EvalConfig.budget_slack": "item 18",
+        "EvalConfig.off_road_margin": "item 18",
+        "RsuLConfig.n_rsus": "item 18",
+        "RsuLConfig.rsu_cooldown": "item 18",
+        "RsuLConfig.fill_factor": "item 18",
+        "DpConfig.validation_slice": "item 18",
+    }
+
+    REPO = Path(__file__).parent.parent
+
+    @classmethod
+    def config_fields(cls) -> dict[str, str]:
+        """``Class.field -> field`` for every ``*Config`` dataclass under ``src/``."""
+        found = {}
+        for path in sorted((cls.REPO / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (
+                    isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                ):
+                    continue
+                for stmt in node.body:
+                    if (
+                        isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)
+                    ):
+                        found[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+        return found
+
+    @classmethod
+    def names_set(cls) -> set[str]:
+        names = set()
+        for folder in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((cls.REPO / folder).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.keyword) and node.arg:
+                        names.add(node.arg)
+                    elif isinstance(node, ast.Dict):
+                        names.update(
+                            key.value for key in node.keys
+                            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                        )
+                    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                        if isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
+                            names.add(node.slice.value)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                        if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                            names.add(node.attr)
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        if node.value.startswith("--"):
+                            names.add(node.value[2:].removeprefix("no-").replace("-", "_"))
+        return names
+
+    def test_unset_fields_are_exactly_the_named_ones(self):
+        names = self.names_set()
+        unset = {field for field, name in self.config_fields().items() if name not in names}
+        assert sorted(unset) == sorted(self.UNSET)
