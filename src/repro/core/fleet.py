@@ -14,8 +14,9 @@ trainer's event loop calls :meth:`FleetEngine.train_step_all` once per
 train instant: it samples every node's minibatch, runs one batched
 forward/backward over the bank, and applies a vectorized Adam step for
 the whole fleet.  That step, and the fleet's validation pass, run as
-contiguous row shards on threads (:mod:`repro.parallel.stepshard`),
-bit-identical for any shard count.
+contiguous row shards on threads (:mod:`repro.parallel.stepshard`); each
+shard draws its own rows' minibatches, each from the node's own stream,
+so results are bit-identical for any shard count.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class FleetEngine:
     :class:`VehicleNode` on ``(fleet, row)``; a node builds its first
     coreset from its own RNG.  A template the bank cannot stack raises
     :class:`FleetIncompatible` — there is no per-node training to
-    degrade to.
+    degrade to — and so do two members sharing a random stream or a
+    dataset object, which shards drawing concurrently would race on.
     """
 
     def __init__(
@@ -61,6 +63,10 @@ class FleetEngine:
         step_workers: int | None = None,
     ):
         n = len(members)
+        if len({id(rng.bit_generator) for _, _, rng in members}) < n:
+            raise FleetIncompatible("two members share one random stream")
+        if len({id(dataset) for _, dataset, _ in members}) < n:
+            raise FleetIncompatible("two members share one dataset")
         #: The shared initialisation; it stays as born (the rows train).
         self.template = template
         #: The config the fleet was born with: its Adam's learning rate
@@ -162,28 +168,37 @@ class FleetEngine:
     def train_step_all(self) -> np.ndarray:
         """One batched minibatch step for every node; per-node losses.
 
-        Minibatches are sampled from each node's own RNG in row order —
-        the same draws, in the same order, as per-node lock-step
-        training — and every one has ``batch_size`` rows
-        (:meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), gathered
-        straight into the stacked buffers.  Then every shard steps its
-        rows, concurrently.
+        Each shard draws its own rows' minibatches, each from the node's
+        own RNG and dataset — the same draws as per-node lock-step
+        training, whatever thread or shard a row falls in — gathered
+        straight into the stacked buffers (every one ``batch_size`` rows,
+        :meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), then
+        steps those rows; the shards run concurrently.  An empty dataset
+        raises before any shard runs.
         """
         nodes = self.nodes
+        for node in nodes:
+            if len(node.dataset) == 0:
+                raise ValueError(f"node {node.node_id} cannot sample from an empty dataset")
         bev, commands, targets = batch = self._batch_buffers()
-        for row, node in enumerate(nodes):
-            node.dataset.sample_batch(
-                node.config.batch_size,
-                node.rng,
-                balance_commands=node.config.balance_commands,
-                out=(bev[row], commands[row], targets[row]),
-            )
-        self.step_events += len(nodes)
-        self.step_width_sum += len(nodes) * len(nodes)
         losses = np.empty(len(nodes), dtype=np.float64)
+
+        def step(shard: StepShard) -> None:
+            for row in range(shard.lo, shard.hi):
+                node = nodes[row]
+                node.dataset.sample_batch(
+                    node.config.batch_size,
+                    node.rng,
+                    balance_commands=node.config.balance_commands,
+                    out=(bev[row], commands[row], targets[row]),
+                )
+            shard.run_step(*batch, losses)
+
         if len(self.shards) > 1:
             fused_adam_step()  # resolve the kernel once, before shard threads race to load it
-        run_shards(self.shards, lambda shard: shard.run_step(*batch, losses))
+        run_shards(self.shards, step)
+        self.step_events += len(nodes)
+        self.step_width_sum += len(nodes) * len(nodes)
         for node in nodes:
             node.model_version += 1
             node.train_steps += 1

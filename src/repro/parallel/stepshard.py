@@ -19,14 +19,15 @@ a chat's stage 3 runs its two sides through it the same way.
 The time goes to numpy's GEMMs and the ctypes Adam kernel, both of which
 release the GIL, so the shards use as many cores as there are shards.
 
-Determinism is structural, not numerical luck: the engine draws every
-node's minibatch from the node's own RNG stream in row order before any
-shard runs, and every batched op reduces along non-row axes only, in
-the same GEMM shape per row whatever a shard's height.  Row ``r`` sees
-the same float ops on the same operands whether it is stepped by the
-only shard or by shard 3 of 4, so run results are **bit-identical for
-every shard count** — the ``stepshard.*`` rows of ``repro selfcheck``
-and :mod:`tests.test_stepshard` enforce it.
+Determinism is structural, not numerical luck: each shard draws its
+own rows' minibatches, each from the node's own RNG stream and dataset
+(no two rows share either; :class:`~repro.core.fleet.FleetEngine`
+refuses it at birth), and every batched op reduces along non-row axes
+only, in the same GEMM shape per row whatever a shard's height.  Row
+``r`` sees the same float ops on the same operands whether it is stepped
+by the only shard or by shard 3 of 4, so run results are
+**bit-identical for every shard count** — the ``stepshard.*`` rows of
+``repro selfcheck`` and :mod:`tests.test_stepshard` enforce it.
 """
 
 from __future__ import annotations

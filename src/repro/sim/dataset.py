@@ -213,6 +213,8 @@ class DrivingDataset:
         self._generation = 0
         self._views: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._views_generation = -1
+        self._strata: list[tuple[np.ndarray, np.ndarray]] = []
+        self._strata_generation = -1
         for frame in frames or []:
             self.add(frame)
 
@@ -224,6 +226,7 @@ class DrivingDataset:
         state["_views"] = None  # a gather would pickle the frames a second time
         state["_views_generation"] = -1
         del state["_members"]  # rebuilt from the rows
+        del state["_strata"], state["_strata_generation"]  # rebuilt by the next balanced draw
         return state
 
     def __setstate__(self, state):
@@ -234,6 +237,7 @@ class DrivingDataset:
         self.__dict__.update(state)
         _frozen(self._rows), _frozen(self._weights)  # pickling drops the flag
         self._members = set(self._rows.tolist())
+        self._strata, self._strata_generation = [], -1
 
     @classmethod
     def from_arrays(
@@ -431,6 +435,26 @@ class DrivingDataset:
 
     # -- sampling --------------------------------------------------------------
 
+    def _command_strata(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(members, cdf)`` per command present, in command order, for
+        the current generation: the members' indices, and the cumulative
+        sum of their weights over the stratum's total, scaled to end at 1."""
+        if self._strata_generation != self._generation:
+            commands = self.commands
+            strata = []
+            for cmd in np.unique(commands):
+                members = np.where(commands == cmd)[0]
+                weights = self._weights[members]
+                total = weights.sum()
+                if not (np.isfinite(total) and total > 0 and (weights >= 0).all()):
+                    raise ValueError(f"command {cmd}: weights are not a distribution")
+                cdf = (weights / total).cumsum()
+                cdf /= cdf[-1]
+                strata.append((members, cdf))
+            self._strata = strata
+            self._strata_generation = self._generation
+        return self._strata
+
     def sample_batch(
         self,
         batch_size: int,
@@ -450,26 +474,28 @@ class DrivingDataset:
         the commands present in the dataset (the standard trick for
         command-branched imitation models — rare branches like 'turn
         left' would otherwise starve), sampling by weight within each
-        command.
+        command.  The strata come from a table cached per dataset and
+        rebuilt on the first balanced draw after a mutation: per present
+        command, its members' indices and the cumulative distribution of
+        their normalised weights.  A stratum's draw is the statement
+        ``Generator.choice(members, quota, replace=True, p=probs)`` runs
+        — one uniform per pick, located in that distribution — so the
+        picks and the generator's state are the same as ``choice``'s
+        (``tests/test_dataset_balanced_traces_io.py`` holds it to that).
         """
         if len(self) == 0:
             raise ValueError("cannot sample from an empty dataset")
-        weights = self._weights
         if balance_commands:
-            commands_arr = self.commands
-            present = np.unique(commands_arr)
-            picks: list[int] = []
-            share, extra = divmod(batch_size, len(present))
-            for k, cmd in enumerate(present):
-                members = np.where(commands_arr == cmd)[0]
-                quota = share + (1 if k < extra else 0)
-                probs = weights[members] / weights[members].sum()
-                picks.extend(
-                    rng.choice(members, size=quota, replace=True, p=probs).tolist()
-                )
-            idx = np.asarray(picks)
+            strata = self._command_strata()
+            share, extra = divmod(batch_size, len(strata))
+            idx = np.concatenate(
+                [
+                    members[cdf.searchsorted(rng.random(share + (k < extra)), side="right")]
+                    for k, (members, cdf) in enumerate(strata)
+                ]
+            )
         else:
-            probs = weights / weights.sum()
+            probs = self._weights / self._weights.sum()
             idx = rng.choice(
                 len(self), size=batch_size, replace=len(self) < batch_size, p=probs
             )

@@ -28,9 +28,12 @@ from repro.sim.traffic import TrafficManager
 from repro.sim.world import CAR_RADIUS, PED_RADIUS
 
 __all__ = [
+    "BUDGET_SLACK",
     "DrivingCondition",
     "EvalConfig",
     "EpisodeResult",
+    "OFF_ROAD_MARGIN",
+    "SPEED_BUDGET",
     "run_episode",
     "success_rate",
     "evaluate_model",
@@ -56,6 +59,16 @@ class DrivingCondition(Enum):
         return 1.2
 
 
+#: An episode's time budget is route length / 3 + 30 s: the route driven
+#: at an average of ``SPEED_BUDGET`` m/s, plus ``BUDGET_SLACK`` seconds.
+SPEED_BUDGET = 3.0
+BUDGET_SLACK = 30.0
+#: The off-road margin: how far (m) past the paved road's edge the car
+#: may stray before the trial fails as off-road (our stand-in for
+#: CARLA's lane-invasion check).
+OFF_ROAD_MARGIN = 3.0
+
+
 @dataclass
 class EvalConfig:
     """Parameters for online-evaluation episodes."""
@@ -66,10 +79,7 @@ class EvalConfig:
     dt: float = 0.1
     normal_cars: int = 50
     normal_pedestrians: int = 250
-    off_road_margin: float = 3.0
     min_navigation_length: float = 350.0
-    speed_budget: float = 3.0  # time budget = length / speed_budget + slack
-    budget_slack: float = 30.0
 
     def __post_init__(self):
         if self.bev_spec is None:
@@ -141,7 +151,7 @@ def run_episode(
         waypoint_interval=config.waypoint_interval,
         decision_interval=config.waypoint_interval,
     )
-    budget = plan.total_length / config.speed_budget + config.budget_slack
+    budget = plan.total_length / SPEED_BUDGET + BUDGET_SLACK
     time = 0.0
 
     def finish(success: bool, reason: str) -> EpisodeResult:
@@ -156,7 +166,7 @@ def run_episode(
         time += config.dt
         if _collided(state, traffic):
             return finish(False, "collision")
-        if not town.is_on_road(state.position, margin=config.off_road_margin):
+        if not town.is_on_road(state.position, margin=OFF_ROAD_MARGIN):
             return finish(False, "off_road")
         if pilot.done():
             return finish(True, "success")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.nn.model import N_COMMANDS
 from repro.sim.dataset import DrivingDataset, Frame
@@ -73,3 +75,70 @@ class TestBalancedSampling:
         _, _, _, idx = ds.sample_batch(64, rng, balance_commands=True)
         assert (np.asarray(idx) == 1).mean() > 0.95
 
+
+
+def choice_draw(dataset, batch_size, rng):
+    """The balanced draw as ``Generator.choice`` states it, stratum by stratum."""
+    commands, weights = dataset.commands, dataset.weights
+    present, picks = np.unique(commands), []
+    share, extra = divmod(batch_size, len(present))
+    for k, cmd in enumerate(present):
+        members = np.where(commands == cmd)[0]
+        probs = weights[members] / weights[members].sum()
+        quota = share + (1 if k < extra else 0)
+        picks.append(rng.choice(members, size=quota, replace=True, p=probs))
+    return np.concatenate(picks)
+
+
+class TestStratumTable:
+    """The cached stratum table draws what ``Generator.choice`` draws.
+
+    A numpy release that changes ``choice``'s statement fails here, not
+    in a golden digest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(0, N_COMMANDS - 1),
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        batch_size=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_equal_generator_choice(self, frames, batch_size, seed):
+        for cmd in {cmd for cmd, _ in frames}:
+            assume(sum(w for c, w in frames if c == cmd) > 0)
+        ds = DrivingDataset(
+            [
+                Frame(f"f{i}", np.zeros((1, 2, 2), np.float32), cmd, np.zeros(2, np.float32), w)
+                for i, (cmd, w) in enumerate(frames)
+            ]
+        )
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw reads the cached table
+            _, commands, _, idx = ds.sample_batch(batch_size, got_rng, balance_commands=True)
+            want = choice_draw(ds, batch_size, want_rng)
+            assert idx.dtype == want.dtype and idx.tolist() == want.tolist()
+            assert np.array_equal(commands, ds.commands[want])
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_fewer_picks_than_commands_leaves_the_late_strata_empty(self):
+        ds = make_dataset([3, 3, 3, 3])
+        _, commands, _, idx = ds.sample_batch(2, np.random.default_rng(4), balance_commands=True)
+        assert commands.tolist() == [0, 1]
+        assert idx.tolist() == choice_draw(ds, 2, np.random.default_rng(4)).tolist()
+
+    def test_a_stratum_without_weight_is_refused_like_choice_refuses_it(self):
+        frames = [
+            Frame("a", np.zeros((1, 2, 2), np.float32), 0, np.zeros(2, np.float32), 1.0),
+            Frame("b", np.zeros((1, 2, 2), np.float32), 1, np.zeros(2, np.float32), 0.0),
+        ]
+        ds = DrivingDataset(frames)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            choice_draw(ds, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="not a distribution"):
+            ds.sample_batch(4, np.random.default_rng(0), balance_commands=True)

@@ -111,6 +111,17 @@ def test_random_operation_sequences_match_the_reference(seed):
     def pick():
         return pairs[int(rng.integers(len(pairs)))]
 
+    def same_draws(pooled, ref, balanced):
+        batch_size = int(rng.choice([1, 5, 16]))
+        draw = int(rng.integers(1 << 30))
+        rng_a, rng_b = np.random.default_rng(draw), np.random.default_rng(draw)
+        got = pooled.sample_batch(batch_size, rng_a, balance_commands=balanced)
+        want = ref.sample_batch(batch_size, rng_b, balance_commands=balanced)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert len(got[3]) == batch_size
+        assert rng_a.random() == rng_b.random()  # and consumed the same draws
+
     for _ in range(120):
         op = rng.choice(
             ["add", "extend", "absorb", "absorb_w", "subset", "subset_w", "with_weights",
@@ -126,7 +137,11 @@ def test_random_operation_sequences_match_the_reference(seed):
         elif op in ("absorb", "absorb_w"):
             other_pooled, other_ref = pick()  # same pool, another pool, or itself
             weight = None if op == "absorb" else float(rng.uniform(0.5, 2.0))
+            if ref.frames:  # a stratum table of the generation before the absorb
+                same_draws(pooled, ref, balanced=True)
             assert pooled.absorb_from(other_pooled, weight) == ref.absorb_from(other_ref, weight)
+            if ref.frames:
+                same_draws(pooled, ref, balanced=True)
         elif op in ("subset", "subset_w") and ref.frames:
             indices = rng.integers(len(ref.frames), size=int(rng.integers(0, 8)))
             weights = rng.uniform(0.5, 2.0, size=indices.size) if op == "subset_w" else None
@@ -143,18 +158,14 @@ def test_random_operation_sequences_match_the_reference(seed):
             assert rebuilt.pool is not pooled.pool
             pairs.append((rebuilt, RefDataset(ref.frames)))
         elif op == "pickle":
+            if ref.frames:
+                same_draws(pooled, ref, balanced=True)
             pairs.append((pickle.loads(pickle.dumps(pooled)), RefDataset(ref.frames)))
+            assert pairs[-1][0]._strata == []  # the table does not travel
+            if ref.frames:
+                same_draws(*pairs[-1], balanced=True)
         elif op in ("sample", "sample_balanced") and ref.frames:
-            balanced = op == "sample_balanced"
-            batch_size = int(rng.choice([1, 5, 16]))
-            draw = int(rng.integers(1 << 30))
-            rng_a, rng_b = np.random.default_rng(draw), np.random.default_rng(draw)
-            got = pooled.sample_batch(batch_size, rng_a, balance_commands=balanced)
-            want = ref.sample_batch(batch_size, rng_b, balance_commands=balanced)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            assert len(got[3]) == batch_size
-            assert rng_a.random() == rng_b.random()  # and consumed the same draws
+            same_draws(pooled, ref, balanced=op == "sample_balanced")
         for pooled, ref in pairs:
             assert_same(pooled, ref)
         pairs = pairs[-6:]

@@ -32,8 +32,11 @@ from repro.checkpoint import RunStore
 from repro.checkpoint.format import spec_fingerprint
 from repro.checkpoint.resume import resume_run_dir
 from repro.core import fleet as fleet_module
+from repro.core.fleet import FleetEngine, FleetIncompatible
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
+from repro.engine.random import spawn_rng
 from repro.experiments.runner import RunSpec, build_context, run_method
+from repro.nn import make_driving_model
 from repro.parallel import clamp_step_workers, resolve_jobs, run_specs
 from repro.parallel import stepshard
 from repro.parallel.stepshard import (
@@ -46,7 +49,7 @@ from repro.sim.dataset import DrivingDataset
 from repro.telemetry.hooks import TelemetrySession
 from tests.conftest import make_fleet
 from tests.test_checkpoint_resume import TINY, digest
-from tests.test_nn_bank import build_fleet, make_dataset
+from tests.test_nn_bank import BEV_SHAPE, CONFIG, N_WAYPOINTS, build_fleet, make_dataset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -89,15 +92,24 @@ class TestPartitionRows:
 # -- engine-level bit identity ------------------------------------------------
 
 
-def _run_engine(step_workers: int | None, *, use_conv: bool, steps: int = 6):
+def _run_engine(step_workers: int | None, *, use_conv: bool, balance: bool, steps: int = 6):
     engine = build_fleet(n_nodes=5, use_conv=use_conv, step_workers=step_workers)
-    losses = np.array([engine.train_step_all() for _ in range(steps)])
+    for node in engine.nodes:
+        node.config = replace(node.config, balance_commands=balance)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # shard threads interleave their draws as finely as they can
+    try:
+        losses = np.array([engine.train_step_all() for _ in range(steps)])
+    finally:
+        sys.setswitchinterval(switch)
     return (
         losses,
         engine.bank.flat.copy(),
         engine.optim.m.copy(),
         engine.optim.v.copy(),
         engine.optim.steps.copy(),
+        *(buf.copy() for buf in engine._batch),  # the last step's draws
+        np.array([repr(node.rng.bit_generator.state) for node in engine.nodes]),
     )
 
 
@@ -105,10 +117,13 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
     @pytest.mark.parametrize("workers", [2, 4, 5])
     def test_train_step_all_bit_identical(self, use_conv, workers):
-        reference = _run_engine(1, use_conv=use_conv)
-        sharded = _run_engine(workers, use_conv=use_conv)
-        for ref, got in zip(reference, sharded):
-            assert ref.tobytes() == got.tobytes()
+        """Each shard draws its own rows' minibatches: the draws, every
+        node's stream after them and every result are those of one shard."""
+        for balance in (False, True):
+            reference = _run_engine(1, use_conv=use_conv, balance=balance)
+            sharded = _run_engine(workers, use_conv=use_conv, balance=balance)
+            for ref, got in zip(reference, sharded):
+                assert ref.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_evaluate_fleet_bit_identical(self, workers, monkeypatch):
@@ -178,6 +193,34 @@ class TestFaults:
             else:
                 engine.evaluate_fleet(make_dataset(99, 10))
         assert threading.active_count() == threads  # no shard thread outlives the call
+
+    @pytest.mark.parametrize("shared", ["rng", "dataset"])
+    def test_members_sharing_a_stream_or_a_dataset_are_refused_at_birth(self, shared):
+        """Shards draw concurrently, so one generator or dataset behind
+        two rows would race."""
+        template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=0)
+        rngs = [spawn_rng(5, "a"), spawn_rng(5, "b")]
+        datasets = [make_dataset(100, 30), make_dataset(101, 30)]
+        if shared == "rng":
+            rngs[1] = np.random.Generator(rngs[0].bit_generator)
+        else:
+            datasets[1] = datasets[0]
+        members = [(f"v{i}", datasets[i], rngs[i]) for i in range(2)]
+        with pytest.raises(FleetIncompatible, match="share one"):
+            FleetEngine(template, members, CONFIG, step_workers=2)
+
+    def test_an_empty_dataset_raises_before_any_shard_steps(self):
+        engine = build_fleet(n_nodes=4, step_workers=2)
+        engine.train_step_all()
+        before = [engine.bank.flat.copy(), engine.optim.m.copy(), engine.optim.v.copy(),
+                  engine.optim.steps.copy()]
+        engine.nodes[3].dataset = DrivingDataset(pool=engine.nodes[3].dataset.pool)
+        with pytest.raises(ValueError, match="node v3 cannot sample from an empty dataset"):
+            engine.train_step_all()
+        after = [engine.bank.flat, engine.optim.m, engine.optim.v, engine.optim.steps]
+        for was, now in zip(before, after):
+            assert was.tobytes() == now.tobytes()
+        assert [node.train_steps for node in engine.nodes] == [1] * 4
 
     def test_no_thread_outlives_a_step(self):
         threads = threading.active_count()

@@ -869,9 +869,6 @@ class TestEveryConfigFieldIsSet:
     UNSET = {
         "ProxSkipConfig.sync_probability": "item 16",
         "RoundConfig.round_interval": "item 16",
-        "EvalConfig.speed_budget": "item 18",
-        "EvalConfig.budget_slack": "item 18",
-        "EvalConfig.off_road_margin": "item 18",
         "RsuLConfig.n_rsus": "item 18",
         "RsuLConfig.rsu_cooldown": "item 18",
         "RsuLConfig.fill_factor": "item 18",
