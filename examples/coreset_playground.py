@@ -42,7 +42,7 @@ def make_nodes():
     )
     bev_spec = BevSpec(grid=16, cell=2.0)
     datasets = collect_fleet_datasets(world, duration=120.0, bev_spec=bev_spec)
-    config = NodeConfig(coreset_size=30, learning_rate=1e-3)
+    config = NodeConfig(coreset_size=30)
     members = [(vid, dataset, spawn_rng(2, vid)) for vid, dataset in sorted(datasets.items())]
     fleet = FleetEngine(make_driving_model(bev_spec.shape, 5, 64, seed=0), members, config)
     for _ in range(80):  # some training so losses are structured

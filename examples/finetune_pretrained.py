@@ -60,7 +60,7 @@ def main() -> None:
 
     print("Distributing the pre-trained weights to the whole fleet...")
     # The fleet is born with the pre-trained model in every row.
-    node_config = NodeConfig(coreset_size=12, learning_rate=1e-3)
+    node_config = NodeConfig(coreset_size=12)
     members = [(vid, dataset, spawn_rng(4, vid)) for vid, dataset in sorted(local.items())]
     nodes = list(FleetEngine(model, members, node_config).nodes)
 

@@ -57,7 +57,7 @@ def main() -> None:
         outcomes = {}
         for trial in range(8):
             route_rng = spawn_rng(1, f"route-{condition.value}-{trial}")
-            plan = route_for_condition(world.town, condition, route_rng, eval_config)
+            plan = route_for_condition(world.town, condition, route_rng)
             result = run_episode(
                 model, world.town, plan, condition, eval_config, seed=1000 + trial
             )

@@ -10,9 +10,10 @@ Run:  python examples/quickstart.py
 
 from repro.core.chat import pairwise_chat
 from repro.core.fleet import FleetEngine
-from repro.core.node import NodeConfig
+from repro.core.node import NOMINAL_MODEL_BYTES, NodeConfig
+from repro.core.trainer_base import TIME_BUDGET
 from repro.engine.random import spawn_rng
-from repro.net import ChannelConfig, WirelessModel
+from repro.net import WirelessModel
 from repro.nn import make_driving_model
 from repro.sim import BevSpec, World, WorldConfig, collect_fleet_datasets
 
@@ -35,7 +36,7 @@ def main() -> None:
         print(f"  {vid}: {len(dataset)} frames, command mix {dataset.command_counts()}")
 
     print("\n== 2. Wrap the vehicles as LbChat learner nodes ==")
-    config = NodeConfig(coreset_size=20, learning_rate=1e-3)
+    config = NodeConfig(coreset_size=20)
     # Both vehicles start from one initialisation: the fleet is born with
     # it in every row of its parameter bank, one row per vehicle.
     template = make_driving_model(bev_spec.shape, n_waypoints=5, hidden=64, seed=0)
@@ -43,7 +44,7 @@ def main() -> None:
     node_a, node_b = FleetEngine(template, members, config).nodes
     print(f"  coreset sizes: {len(node_a.coreset)} and {len(node_b.coreset)} frames")
     print(f"  coreset wire size: {node_a.coreset.nominal_bytes / 1e6:.2f} MB "
-          f"(model: {config.nominal_model_bytes / 1e6:.0f} MB)")
+          f"(model: {NOMINAL_MODEL_BYTES / 1e6:.0f} MB)")
 
     print("\n== 3. Train one vehicle ahead so its model is 'valuable' ==")
     for step in range(120):
@@ -65,8 +66,7 @@ def main() -> None:
         start_time=0.0,
         contact_deadline=45.0,
         wireless=WirelessModel(),
-        channel=ChannelConfig(),
-        time_budget=15.0,
+        time_budget=TIME_BUDGET,
     )
     after = node_a.evaluate(node_a.coreset.data)
     print(f"  chat duration: {outcome.duration:.1f} s")

@@ -20,7 +20,7 @@ LbChat with one config field fixed.
 from repro.baselines.proxskip import ProxSkipConfig, ProxSkipTrainer
 from repro.baselines.rsul import RsuLConfig, RsuLTrainer
 from repro.baselines.dfl_dds import DflDdsTrainer
-from repro.baselines.dp import DpConfig, DpTrainer
+from repro.baselines.dp import DpTrainer
 
 __all__ = [
     "ProxSkipConfig",
@@ -28,6 +28,5 @@ __all__ = [
     "RsuLConfig",
     "RsuLTrainer",
     "DflDdsTrainer",
-    "DpConfig",
     "DpTrainer",
 ]

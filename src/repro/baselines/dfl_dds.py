@@ -47,7 +47,7 @@ class DflDdsTrainer(RoundTrainer):
                 continue
             neighbors = [
                 j
-                for j in self.traces.neighbors(i, self.sim.now, self.config.max_range)
+                for j in self.traces.neighbors(i, self.sim.now, self.wireless.max_range)
                 if j not in paired and self.is_idle(j) and self.pair_ready(i, j)
             ]
             if not neighbors:

@@ -14,23 +14,33 @@ contact duration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import TIME_BUDGET, TrainerBase
 
-__all__ = ["DpConfig", "DpTrainer", "powerloss_weights"]
+__all__ = ["VALIDATION_SLICE", "DpTrainer", "powerloss_weights"]
+
+#: Frames of the local dataset the receiver scores both models on
+#: (Dinani et al.'s local validation, §IV-B).
+VALIDATION_SLICE = 64
 
 
 def powerloss_weights(loss_local: float, loss_received: float) -> tuple[float, float]:
     """Normalized-log loss weights: lower loss -> larger weight.
 
     Each model's score is ``-log`` of its share of the total loss; the
-    weights are the normalized scores.  Equal losses give 0.5/0.5.
+    weights are the normalized scores.  Equal losses give 0.5/0.5.  A
+    non-finite loss gets weight 0; with both non-finite the receiver
+    keeps its own model.
     """
     if loss_local < 0 or loss_received < 0:
         raise ValueError("losses must be non-negative")
+    if not math.isfinite(loss_received):
+        return 1.0, 0.0
+    if not math.isfinite(loss_local):
+        return 0.0, 1.0
     total = loss_local + loss_received
     if total <= 0:
         return 0.5, 0.5
@@ -43,20 +53,10 @@ def powerloss_weights(loss_local: float, loss_received: float) -> tuple[float, f
     return float(score_local / denom), float(score_received / denom)
 
 
-@dataclass
-class DpConfig(TrainerConfig):
-    """DP gossip timeline configuration."""
-
-    #: Frames of the local dataset used as the gossip validation slice.
-    validation_slice: int = 64
-
-
 class DpTrainer(TrainerBase):
     """Loss-based gossip merging without coresets."""
 
     name = "DP"
-    config_class = DpConfig
-    config: DpConfig
 
     def on_scan(self, i: int) -> None:
         """Gossip with a uniformly random idle neighbor, inside ``T_B``."""
@@ -65,7 +65,7 @@ class DpTrainer(TrainerBase):
             return
         rng = self.nodes[i].rng
         j = int(candidates[rng.integers(len(candidates))])
-        self.exchange_models(i, j, self.config.time_budget, self._merge)
+        self.exchange_models(i, j, TIME_BUDGET, self._merge)
         self.counters.add("gossips")
 
     def _merge(self, receiver: int, sender: int, received_params: np.ndarray) -> None:
@@ -73,7 +73,7 @@ class DpTrainer(TrainerBase):
         # Evaluate both models on a slice of the local dataset, alike:
         # the plain weighted loss (Eq. 6's penalty terms are LbChat's).
         n = len(node.dataset)
-        k = min(self.config.validation_slice, n)
+        k = min(VALIDATION_SLICE, n)
         idx = node.rng.choice(n, size=k, replace=False)
         val = node.dataset.subset(idx)
         loss_local = node.evaluate(val, with_penalty=False)

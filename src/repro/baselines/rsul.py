@@ -16,24 +16,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.node import NOMINAL_MODEL_BYTES
 from repro.core.trainer_base import ROUTE_HORIZON, TrainerBase, TrainerConfig
 from repro.engine.random import spawn_rng
-from repro.net.channel import simulate_transfer
-from repro.net.wireless import WirelessModel, table_loss
+from repro.net.channel import BYTES_PER_SECOND, simulate_transfer
+from repro.net.wireless import RADIO_RANGE, WirelessModel, table_loss
 
-__all__ = ["RsuLConfig", "RsuLTrainer", "RoadSideUnit"]
+__all__ = ["FILL_FACTOR", "N_RSUS", "RSU_COOLDOWN", "RsuLConfig", "RsuLTrainer", "RoadSideUnit"]
+
+#: Road-side units per map (§IV-B's RSU-L setting).
+N_RSUS = 4
+#: A vehicle syncs with (any) RSU at most this often, seconds (§IV-B).
+RSU_COOLDOWN = 30.0
+#: Fraction of the session window the up+down transfers are sized to
+#: fill — the protocol's fixed headroom for retransmissions (§IV-B).
+FILL_FACTOR = 0.75
 
 
 @dataclass
 class RsuLConfig(TrainerConfig):
-    """RSU placement and session configuration."""
-    n_rsus: int = 4
-    rsu_range: float = 500.0
-    #: A vehicle syncs with (any) RSU at most this often.
-    rsu_cooldown: float = 30.0
-    #: Fraction of the session window the up+down transfers are sized to
-    #: fill — the protocol's fixed headroom for retransmissions.
-    fill_factor: float = 0.75
+    """RSU session configuration."""
+
+    #: The RSUs' radio range; the runner scales it to the map.
+    rsu_range: float = RADIO_RANGE
 
 
 class RoadSideUnit:
@@ -92,17 +97,13 @@ class RsuLTrainer(TrainerBase):
         """Spread RSUs over the area the traces actually cover."""
         pts = self.traces.positions.reshape(-1, 2)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        k = self.config.n_rsus
         # Place on a diagonal-ish lattice inside the bounding box.
-        fractions = np.linspace(0.25, 0.75, max(k, 1))
-        return np.stack(
-            [lo + f * (hi - lo) for f in fractions]
-        ) if k > 1 else np.array([(lo + hi) / 2.0])
+        return np.stack([lo + f * (hi - lo) for f in np.linspace(0.25, 0.75, N_RSUS)])
 
     def on_scan(self, i: int) -> None:
         """Sync with the nearest in-range RSU once per cooldown."""
         last = self._last_sync.get(i)
-        if last is not None and self.sim.now - last < self.config.rsu_cooldown:
+        if last is not None and self.sim.now - last < RSU_COOLDOWN:
             return
         pos = self.traces.position(i, self.sim.now)
         best, best_dist = None, np.inf
@@ -134,14 +135,7 @@ class RsuLTrainer(TrainerBase):
         deadline = now + window
         # Size both directions to fit the window at the *raw* bandwidth
         # (the RSU protocol does not do LbChat's loss-aware estimation).
-        bytes_per_second = node.config.bandwidth_bps / 8.0
-        psi = min(
-            self.config.fill_factor
-            * window
-            * bytes_per_second
-            / (2.0 * node.config.nominal_model_bytes),
-            1.0,
-        )
+        psi = min(FILL_FACTOR * window * BYTES_PER_SECOND / (2.0 * NOMINAL_MODEL_BYTES), 1.0)
         # Per §IV-C the RSU link's wireless loss is sampled uniformly
         # from the distance-loss lookup table (as for ProxSkip), one
         # draw per transfer.
@@ -152,7 +146,7 @@ class RsuLTrainer(TrainerBase):
             up_wireless = down_wireless = self.wireless
         up_model = node.compress_model(psi)
         up = simulate_transfer(
-            up_model.nominal_bytes, distance_fn, up_wireless, self.config.channel, now, deadline
+            up_model.nominal_bytes, distance_fn, up_wireless, now, deadline
         )
         elapsed = up.elapsed
         if up.completed:
@@ -163,7 +157,6 @@ class RsuLTrainer(TrainerBase):
                 up_model.nominal_bytes,
                 distance_fn,
                 down_wireless,
-                self.config.channel,
                 now + elapsed,
                 deadline,
             )

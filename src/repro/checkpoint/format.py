@@ -49,8 +49,11 @@ __all__ = [
 #: trains every vehicle — not one per vehicle; 8: every generator's
 #: ``bit_generator.state`` is saved — a node's under ``rng``, ProxSkip's
 #: and RSU-L's in their ``extra`` — where 7 re-derived the streams at
-#: each barrier).  An older format is refused, not loaded.
-FORMAT_VERSION = 8
+#: each barrier; 9: the spec's scale has no ``model_seed``,
+#: ``n_waypoints``, ``learning_rate`` or ``penalty``, and its world no
+#: ``dt``, ``snapshot_interval`` or ``out_of_district_prob`` — §IV-A
+#: constants now).  An older format is refused, not loaded.
+FORMAT_VERSION = 9
 
 
 class CheckpointError(RuntimeError):
@@ -118,7 +121,6 @@ def spec_fingerprint(spec) -> str:
 
 def spec_from_payload(payload: Mapping[str, Any], checkpoint_dir: str | None = None):
     """Rebuild a RunSpec from :func:`spec_payload` output."""
-    from repro.coreset import PenaltyConfig
     from repro.experiments.configs import ExperimentScale
     from repro.experiments.runner import RunSpec
     from repro.sim.bev import BevSpec
@@ -127,7 +129,6 @@ def spec_from_payload(payload: Mapping[str, Any], checkpoint_dir: str | None = N
     scale_kwargs = dict(payload["scale"])
     scale_kwargs["world"] = WorldConfig(**scale_kwargs["world"])
     scale_kwargs["bev"] = BevSpec(**scale_kwargs["bev"])
-    scale_kwargs["penalty"] = PenaltyConfig(**scale_kwargs["penalty"])
     return RunSpec(
         method=payload["method"],
         scale=ExperimentScale(**scale_kwargs),

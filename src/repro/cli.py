@@ -250,7 +250,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     config = EvalConfig(
         bev_spec=scale.bev,
-        n_waypoints=scale.n_waypoints,
         normal_cars=scale.eval_normal_cars,
         normal_pedestrians=scale.eval_normal_pedestrians,
     )

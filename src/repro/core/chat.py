@@ -38,11 +38,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.compression import CompressedModel, TopkPlan
-from repro.core.node import VehicleNode
+from repro.core.node import NOMINAL_MODEL_BYTES, VehicleNode
 from repro.core.psi import PsiDecision, optimize_compression
 from repro.core.value import assess_value
 from repro.coreset.construction import Coreset
-from repro.net.channel import ASSIST_INFO_BYTES, ChannelConfig, TransferSession, simulate_transfer
+from repro.net.channel import ASSIST_INFO_BYTES, BANDWIDTH_BPS, TransferSession, simulate_transfer
 from repro.net.wireless import WirelessModel
 from repro.parallel.stepshard import default_step_shards, run_shards
 from repro.sim.dataset import DrivingDataset
@@ -121,8 +121,8 @@ class Chat:
     """One chat: what it produced so far, its clock, what is left to ship."""
 
     outcome: ChatOutcome
-    #: The pair's link, ``(distance_fn, wireless, channel)``.
-    radio: tuple[Callable[[float], float], WirelessModel, ChannelConfig]
+    #: The pair's link, ``(distance_fn, wireless)``.
+    radio: tuple[Callable[[float], float], WirelessModel]
     start: float
     now: float  # virtual time the inline part of the chat has reached
     mean_aggregation: bool
@@ -229,7 +229,7 @@ class Chat:
                 leg["psi"],
                 payload=CompressedModel(**leg["payload"]),
                 session=leg["session"]
-                and TransferSession.from_snapshot(leg["session"], radio[2]),
+                and TransferSession.from_snapshot(leg["session"]),
             )
             for leg in state["legs"]
         ]
@@ -250,7 +250,6 @@ def negotiate(
     start_time: float,
     contact_deadline: float,
     wireless: WirelessModel,
-    channel: ChannelConfig,
     time_budget: float,
     lambda_c: float = 0.02,
     refresh_coresets: bool = True,
@@ -295,7 +294,7 @@ def negotiate(
     """
     outcome = ChatOutcome(duration=0.0)
     chat = Chat(
-        outcome, (distance_fn, wireless, channel), start_time, start_time, mean_aggregation
+        outcome, (distance_fn, wireless), start_time, start_time, mean_aggregation
     )
 
     def cut(stage: str) -> Chat:
@@ -372,12 +371,11 @@ def negotiate(
     # 4. Eq. 7: optimize both compression ratios jointly.  Planning uses
     # the loss-discounted effective bandwidth the §III-A estimator
     # predicts; actual transfers are simulated against the real channel.
-    bandwidth = min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps)
-    planning_bandwidth = bandwidth * max(min(expected_goodput, 1.0), 1e-3)
+    planning_bandwidth = BANDWIDTH_BPS * max(min(expected_goodput, 1.0), 1e-3)
     remaining_contact = max(contact_deadline - chat.now, 0.0)
     if equal_compression:
         outcome.psi = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
+            NOMINAL_MODEL_BYTES,
             planning_bandwidth,
             time_budget,
             remaining_contact,
@@ -388,7 +386,7 @@ def negotiate(
             built_j[0],
             loss_i_on_cj=value.loss_i_on_cj,
             loss_j_on_ci=value.loss_j_on_ci,
-            model_size_bytes=node_i.config.nominal_model_bytes,
+            model_size_bytes=NOMINAL_MODEL_BYTES,
             bandwidth_bps=planning_bandwidth,
             time_budget=time_budget,
             contact_duration=remaining_contact,
@@ -457,6 +455,6 @@ def estimated_chat_bytes(node_i: VehicleNode, node_j: VehicleNode, psi_total: fl
     return (
         node_i.coreset.nominal_bytes
         + node_j.coreset.nominal_bytes
-        + psi_total * node_i.config.nominal_model_bytes
+        + psi_total * NOMINAL_MODEL_BYTES
     )
 

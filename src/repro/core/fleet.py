@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.node import _EVAL_CHUNK, NodeConfig, VehicleNode
+from repro.core.node import _EVAL_CHUNK, LEARNING_RATE, NodeConfig, VehicleNode
 from repro.nn._fused import fused_adam_step
 from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
 from repro.nn.params import get_flat_params
@@ -69,11 +69,10 @@ class FleetEngine:
             raise FleetIncompatible("two members share one dataset")
         #: The shared initialisation; it stays as born (the rows train).
         self.template = template
-        #: The config the fleet was born with: its Adam's learning rate
-        #: and its stacked minibatches' size.
+        #: The config the fleet was born with: its stacked minibatches' size.
         self.config = config
         self.bank = ParamBank(template, n)
-        self.optim = FleetAdam(self.bank, lr=config.learning_rate)
+        self.optim = FleetAdam(self.bank, lr=LEARNING_RATE)
         self._row_ranges = partition_rows(
             n, default_step_shards() if step_workers is None else step_workers
         )
@@ -113,9 +112,8 @@ class FleetEngine:
         """The fleet ``nodes`` were born in, if a trainer can step them.
 
         Raises :class:`FleetIncompatible` unless ``nodes`` are exactly
-        that fleet's rows, in order, and every one still has the
-        learning rate and batch size the fleet was born with (one Adam;
-        stacked minibatches).
+        that fleet's rows, in order, and every one still has the batch
+        size the fleet was born with (stacked minibatches).
         """
         fleet = nodes[0].fleet
         if len(nodes) != len(fleet.nodes) or any(
@@ -123,14 +121,9 @@ class FleetEngine:
         ):
             raise FleetIncompatible("nodes must be the rows of one fleet, in row order")
         for node in nodes:
-            differing = [
-                name
-                for name in ("learning_rate", "batch_size")
-                if getattr(node.config, name) != getattr(fleet.config, name)
-            ]
-            if differing:
+            if node.config.batch_size != fleet.config.batch_size:
                 raise FleetIncompatible(
-                    f"node {node.node_id} disagrees with its fleet on " + ", ".join(differing)
+                    f"node {node.node_id} disagrees with its fleet on batch_size"
                 )
         return fleet
 
@@ -189,7 +182,6 @@ class FleetEngine:
                 node.dataset.sample_batch(
                     node.config.batch_size,
                     node.rng,
-                    balance_commands=node.config.balance_commands,
                     out=(bev[row], commands[row], targets[row]),
                 )
             shard.run_step(*batch, losses)

@@ -22,7 +22,7 @@ from functools import cached_property
 from repro.core.chat import pairwise_chat
 from repro.core.overlap import DensePsiProber, TransferScheduler, plan_chat
 from repro.core.selection import select_priority, select_random
-from repro.core.trainer_base import TrainerBase, TrainerConfig
+from repro.core.trainer_base import TIME_BUDGET, TrainerBase, TrainerConfig
 from repro.telemetry import hooks as telemetry
 
 __all__ = ["LbChatConfig", "LbChatTrainer"]
@@ -32,9 +32,6 @@ __all__ = ["LbChatConfig", "LbChatTrainer"]
 class LbChatConfig(TrainerConfig):
     """LbChat-specific knobs on top of the shared timeline config."""
 
-    #: Anticipated combined relative model size when *estimating* how
-    #: many bytes a chat will move (the actual value comes from Eq. 7).
-    anticipated_psi_total: float = 0.6
     #: Ablation switches (§IV-F): fixed equal compression instead of
     #: Eq. 7, and plain averaging instead of Eq. 8.
     equal_compression: bool = False
@@ -103,8 +100,7 @@ class LbChatTrainer(TrainerBase):
             start_time=now,
             contact_deadline=now + max(estimate.contact_duration, 1.0),
             wireless=self.wireless,
-            channel=self.config.channel,
-            time_budget=self.config.time_budget,
+            time_budget=TIME_BUDGET,
             lambda_c=self.config.lambda_c,
             equal_compression=self.config.equal_compression,
             mean_aggregation=self.config.mean_aggregation,

@@ -8,7 +8,7 @@ transport-agnostic: all communication timing lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from repro.core.aggregate import aggregate_models, aggregation_weights
 from repro.core.psi import PsiLossMap, build_psi_map
 from repro.coreset import (
     Coreset,
-    PenaltyConfig,
     merge_coresets,
     penalized_loss,
     reduce_coreset,
@@ -27,7 +26,23 @@ from repro.nn.params import clone_model, get_flat_params, set_flat_params
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
-__all__ = ["NodeConfig", "VehicleNode"]
+__all__ = [
+    "CORESET_REFRESH_STEPS",
+    "LEARNING_RATE",
+    "NOMINAL_MODEL_BYTES",
+    "NodeConfig",
+    "VehicleNode",
+]
+
+#: The size of the model a vehicle ships, the 52 MB LBC network of
+#: §IV-A: every compression ratio, transfer and Eq. 7 plan is sized on
+#: it, whatever width the simulated learner has.
+NOMINAL_MODEL_BYTES = 52 * 1024 * 1024
+#: Adam's step size for every vehicle's local training (§IV-A).
+LEARNING_RATE = 1e-3
+#: Rebuild the own coreset after this many train steps since the last
+#: build (§III-D: between rebuilds, merge-and-reduce keeps it current).
+CORESET_REFRESH_STEPS = 25
 
 #: Cache-miss evaluations run through the model in batches of at most
 #: this many frames — a memory guard for very large datasets.  Kept
@@ -47,18 +62,9 @@ class NodeConfig:
 
     coreset_size: int = 150
     batch_size: int = 64
-    learning_rate: float = 1e-4
-    nominal_model_bytes: int = 52 * 1024 * 1024
-    bandwidth_bps: float = 31e6
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    #: Rebuild the coreset after this many absorbed coresets/train steps.
-    coreset_refresh_steps: int = 25
     #: Coreset construction strategy: "layered" (Algorithm 1),
     #: "uniform" or "kmeans" (§V alternatives).
     coreset_strategy: str = "layered"
-    #: Stratify minibatches uniformly over commands — the standard
-    #: branched-imitation trick (rare turn branches starve otherwise).
-    balance_commands: bool = True
     #: Hard cap on loss-cache entries (0 = unbounded, the paper scales).
     #: City-scale fleets set it so per-node resident state stays
     #: O(coreset + validation).  Checked after each cache write; a cache
@@ -133,13 +139,9 @@ class VehicleNode:
         examples call it, but no trainer does — a fleet steps through
         :meth:`~repro.core.fleet.FleetEngine.train_step_all`.
         """
-        bev, commands, targets, _ = self.dataset.sample_batch(
-            self.config.batch_size,
-            self.rng,
-            balance_commands=self.config.balance_commands,
-        )
+        bev, commands, targets, _ = self.dataset.sample_batch(self.config.batch_size, self.rng)
         model = self.detached_model()
-        optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        optimizer = Adam(model.parameters(), lr=LEARNING_RATE)
         optimizer.restore(self.fleet.optim.node_snapshot(self.row))
         pred = model.forward(bev, commands)
         scalar, _, grad = waypoint_l1(pred, targets)
@@ -236,8 +238,8 @@ class VehicleNode:
     def _weighted_loss(self, flat, losses, commands, weights, with_penalty: bool) -> float:
         """Eq. 6 of ``flat`` from its per-sample ``losses`` (or, without
         the penalty, their weighted mean)."""
-        if with_penalty and self.config.penalty.enabled:
-            return penalized_loss(flat, losses, commands, weights, self.config.penalty)
+        if with_penalty:
+            return penalized_loss(flat, losses, commands, weights)
         return float(losses @ (weights / weights.sum()))
 
     def evaluate(self, dataset: DrivingDataset, with_penalty: bool = True) -> float:
@@ -269,10 +271,8 @@ class VehicleNode:
         calls it."""
         bev, commands, targets, weights = dataset.arrays()
         pred = model.forward(bev, commands)
-        scalar, per_sample, _ = waypoint_l1(pred, targets, weights=weights)
-        if self.config.penalty.enabled:
-            return penalized_loss(model, per_sample, commands, weights, self.config.penalty)
-        return scalar
+        _, per_sample, _ = waypoint_l1(pred, targets, weights=weights)
+        return penalized_loss(model, per_sample, commands, weights)
 
     # -- coreset ------------------------------------------------------------
 
@@ -301,7 +301,7 @@ class VehicleNode:
         Only these rebuilds are a run's telemetry: the first coreset is
         built at birth, which a resumed run repeats before its restore.
         """
-        if self._steps_since_refresh >= self.config.coreset_refresh_steps:
+        if self._steps_since_refresh >= CORESET_REFRESH_STEPS:
             self.refresh_coreset()
             telemetry.on_coreset_refresh(self.node_id, len(self.coreset))
 
@@ -336,12 +336,12 @@ class VehicleNode:
         return build_psi_map(
             self.detached_model(),
             lambda probe: self.evaluate_model_on(probe, self.coreset.data),
-            self.config.nominal_model_bytes,
+            NOMINAL_MODEL_BYTES,
         )
 
     def compress_model(self, psi: float) -> CompressedModel:
         """Top-k sparsify the current parameters to relative size ~psi (§III-C)."""
-        return compress_topk(self.flat_params, psi, self.config.nominal_model_bytes)
+        return compress_topk(self.flat_params, psi, NOMINAL_MODEL_BYTES)
 
     def receive_and_aggregate(
         self,

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.compression import topk_for_psi, topk_plan
 from repro.core.chat import Chat, negotiate
+from repro.core.node import NOMINAL_MODEL_BYTES
 from repro.core.psi import DEFAULT_PSI_GRID, PsiLossMap
 from repro.coreset.penalty import penalized_losses
 from repro.net.channel import TransferSession
@@ -92,7 +93,7 @@ class DensePsiProber:
         on side ``side``'s half of the bank."""
         bank, net = self.side_banks[side], self._nets[side]
         flat = np.asarray(node.flat_params, dtype=np.float32)
-        plan = topk_plan(flat, node.config.nominal_model_bytes)
+        plan = topk_plan(flat, NOMINAL_MODEL_BYTES)
         keep = plan.keep([topk_for_psi(flat.size, psi) for psi in self.psis])
         # Row = the parameters' bit patterns times its level's mask: a
         # kept entry keeps every bit and an unsent one is +0.0 (a float
@@ -102,7 +103,7 @@ class DensePsiProber:
         bev, commands, targets, weights = node.coreset.data.arrays()
         pred = net.forward(bev, commands)  # (levels, batch, 2w)
         per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
-        losses = penalized_losses(bank.flat, per_sample, commands, weights, node.config.penalty)
+        losses = penalized_losses(bank.flat, per_sample, commands, weights)
         return PsiLossMap(np.asarray(self.psis), losses), plan
 
 
@@ -186,13 +187,11 @@ class TransferScheduler:
     def _advance(self, flight: _Flight) -> float | None:
         """Zero-time bookkeeping at a wakeup; next wakeup time or None."""
         chat = flight.chat
-        distance_fn, wireless, channel = chat.radio
+        distance_fn, wireless = chat.radio
         while flight.leg_idx < len(chat.legs):
             leg = chat.legs[flight.leg_idx]
             if leg.session is None:
-                leg.session = TransferSession(
-                    leg.payload.nominal_bytes, channel, self.trainer.sim.now
-                )
+                leg.session = TransferSession(leg.payload.nominal_bytes, self.trainer.sim.now)
             if not leg.session.resolved:
                 when = leg.session.step(distance_fn, wireless, chat.model_deadline)
                 if when is not None:
@@ -240,11 +239,7 @@ class TransferScheduler:
         trainer = self.trainer
         self.flights = []
         for flight in (state or {}).get("flights", []):
-            radio = (
-                trainer.pair_distance_fn(flight["i"], flight["j"]),
-                trainer.wireless,
-                trainer.config.channel,
-            )
+            radio = (trainer.pair_distance_fn(flight["i"], flight["j"]), trainer.wireless)
             pool = trainer.nodes[flight["i"]].dataset.pool
             chat = Chat.from_snapshot(flight["chat"], radio, frames, pool)
             self._hold(_Flight(**{**flight, "chat": chat}))

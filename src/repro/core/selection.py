@@ -6,14 +6,19 @@ is zero; :func:`select_random` is what the ``ablation_no_priority``
 artifact (``prioritize_neighbors=False``) runs in its place.
 
 Each is a callable ``(trainer, i, candidates) -> j | None`` over the
-trainer's public helpers (contact estimates, traces, node configs).
+trainer's public helpers (contact estimates, traces, node generators).
 """
 
 from __future__ import annotations
 
 from repro.net.contact import priority_score
 
-__all__ = ["select_random", "select_longest_contact", "select_priority"]
+__all__ = ["ANTICIPATED_PSI_TOTAL", "select_random", "select_longest_contact", "select_priority"]
+
+#: Anticipated combined relative model size ``psi_i + psi_j`` when
+#: *estimating* how many bytes a chat will move for Eq. 5 (§III-A); the
+#: actual value comes from Eq. 7.
+ANTICIPATED_PSI_TOTAL = 0.6
 
 
 def select_random(trainer, i: int, candidates: list) -> int | None:
@@ -59,14 +64,14 @@ def select_priority(trainer, i: int, candidates: list) -> int | None:
     """
     if not candidates:
         return None
-    psi_total = trainer.config.anticipated_psi_total
     estimates = trainer.contact_estimates(
-        i, candidates, [trainer.estimate_chat_bytes(i, j, psi_total) for j in candidates]
+        i,
+        candidates,
+        [trainer.estimate_chat_bytes(i, j, ANTICIPATED_PSI_TOTAL) for j in candidates],
     )
-    bandwidth_i = trainer.nodes[i].config.bandwidth_bps
     best, best_score = None, 0.0
     for j, estimate in zip(candidates, estimates):
-        score = priority_score(estimate, bandwidth_i, trainer.nodes[j].config.bandwidth_bps)
+        score = priority_score(estimate)
         if score > best_score:
             best, best_score = j, score
     if best is None:

@@ -28,7 +28,7 @@ Timing conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,14 @@ from repro.checkpoint.state import FrameTable
 from repro.compression import decompress
 from repro.core.chat import equal_compression_decision, estimated_chat_bytes
 from repro.core.ledger import TransferLedger
-from repro.core.node import VehicleNode
+from repro.core.node import NOMINAL_MODEL_BYTES, VehicleNode
 from repro.engine import (
     CounterSet,
     ReceiveRateRecorder,
     Simulator,
     TimeSeriesRecorder,
 )
-from repro.net.channel import ChannelConfig, simulate_transfer
+from repro.net.channel import BANDWIDTH_BPS, simulate_transfer
 from repro.net.contact import ContactEstimate, estimate_contact, estimate_contacts
 from repro.net.wireless import WirelessModel
 from repro.sim.dataset import DrivingDataset
@@ -51,8 +51,10 @@ from repro.sim.traces import MobilityTraces
 from repro.telemetry import hooks as telemetry
 
 __all__ = [
+    "PAIR_COOLDOWN",
     "ROUTE_HORIZON",
     "SCAN_INTERVAL",
+    "TIME_BUDGET",
     "TrainerConfig",
     "TrainerBase",
     "RoundConfig",
@@ -67,6 +69,12 @@ SCAN_INTERVAL = 5.0
 #: Look-ahead of the routes vehicles share to estimate a contact's
 #: duration (§III-A), seconds.
 ROUTE_HORIZON = 120.0
+#: T_B, the time budget of one exchange's model transfers (§IV-A: 15 s).
+TIME_BUDGET = 15.0
+#: Minimum time before the same pair exchanges again, seconds (§III-A):
+#: repeat chats with a peer whose model and data were just absorbed add
+#: nothing.
+PAIR_COOLDOWN = 60.0
 
 
 def pair_times_state(pairs: dict[tuple[int, int], float]) -> dict:
@@ -92,14 +100,8 @@ class TrainerConfig:
     duration: float = 1200.0  # simulated training time T
     train_interval: float = 2.0  # sim-seconds per local iteration
     record_interval: float = 30.0
-    time_budget: float = 15.0  # T_B (§IV-A)
     lambda_c: float = 0.02
-    #: Minimum time before the same pair exchanges again — repeat chats
-    #: with a peer whose model/data was just absorbed add nothing.
-    pair_cooldown: float = 60.0
     wireless_loss: bool = True
-    max_range: float = 500.0
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
     seed: int = 0
     #: Ring-buffer budget for per-chat logs (0 = unbounded).  City-scale
     #: fleets chat often enough that an append-only log would dominate
@@ -145,9 +147,7 @@ class TrainerBase:
         self.validation = validation
         self.config = config
         self.sim = Simulator()
-        self.wireless = WirelessModel(
-            max_range=config.max_range, enabled=config.wireless_loss
-        )
+        self.wireless = WirelessModel(enabled=config.wireless_loss)
         self.loss_curve = TimeSeriesRecorder()
         self.receive_rate = ReceiveRateRecorder()
         self.counters = CounterSet()
@@ -204,20 +204,14 @@ class TrainerBase:
         return estimated_chat_bytes(self.nodes[i], self.nodes[j], psi_total)
 
     def idle_neighbors(self, i: int) -> list[int]:
-        """Idle, cooldown-clear vehicles within radio range of ``i``.
-
-        A non-positive ``max_range`` disables communication entirely
-        (the local-training-only configuration).
-        """
-        if self.config.max_range <= 0:
-            return []
-        near = self.traces.neighbors(i, self.sim.now, self.config.max_range)
+        """Idle, cooldown-clear vehicles within radio range of ``i``."""
+        near = self.traces.neighbors(i, self.sim.now, self.wireless.max_range)
         return [j for j in near if self.is_idle(j) and self.pair_ready(i, j)]
 
     def pair_ready(self, i: int, j: int) -> bool:
         """Whether pair (i, j) is past its exchange cooldown."""
         last = self._last_chat.get((min(i, j), max(i, j)))
-        return last is None or self.sim.now - last >= self.config.pair_cooldown
+        return last is None or self.sim.now - last >= PAIR_COOLDOWN
 
     def note_chat(self, i: int, j: int) -> None:
         """Record that pair (i, j) just chatted (cooldown start)."""
@@ -233,11 +227,7 @@ class TrainerBase:
             route_j,
             self.traces.interval,
             self.wireless,
-            self.config.channel,
             exchange_bytes,
-            bandwidth_bps=min(
-                self.nodes[i].config.bandwidth_bps, self.nodes[j].config.bandwidth_bps
-            ),
         )
 
     def contact_estimates(
@@ -246,15 +236,12 @@ class TrainerBase:
         """:meth:`contact_estimate` of ``i`` with every candidate, from one
         slice of the traces."""
         now = self.sim.now
-        bandwidth_i = self.nodes[i].config.bandwidth_bps
         return estimate_contacts(
             self.traces.future_positions(i, now, ROUTE_HORIZON),
             self.traces.future_positions(candidates, now, ROUTE_HORIZON),
             self.traces.interval,
             self.wireless,
-            self.config.channel,
             exchange_bytes,
-            [min(bandwidth_i, self.nodes[j].config.bandwidth_bps) for j in candidates],
         )
 
     def pair_distance_fn(self, i: int, j: int):
@@ -274,14 +261,9 @@ class TrainerBase:
         """
         now = self.sim.now
         node_i, node_j = self.nodes[i], self.nodes[j]
-        estimate = self.contact_estimate(i, j, node_i.config.nominal_model_bytes)
+        estimate = self.contact_estimate(i, j, NOMINAL_MODEL_BYTES)
         contact = max(estimate.contact_duration, 1.0)
-        decision = equal_compression_decision(
-            node_i.config.nominal_model_bytes,
-            min(node_i.config.bandwidth_bps, node_j.config.bandwidth_bps),
-            window,
-            contact,
-        )
+        decision = equal_compression_decision(NOMINAL_MODEL_BYTES, BANDWIDTH_BPS, window, contact)
         distance_fn = self.pair_distance_fn(i, j)
         deadline = now + min(contact, window)
         session = telemetry.active()
@@ -300,7 +282,6 @@ class TrainerBase:
                 compressed.nominal_bytes,
                 distance_fn,
                 self.wireless,
-                self.config.channel,
                 now + elapsed,
                 deadline,
             )

@@ -15,7 +15,6 @@ from repro.coreset.construction import (
 )
 from repro.coreset.merge import merge_coresets, reduce_coreset
 from repro.coreset.penalty import (
-    PenaltyConfig,
     command_loss_entropy,
     penalized_loss,
     penalized_losses,
@@ -35,7 +34,6 @@ __all__ = [
     "layer_assignments",
     "merge_coresets",
     "reduce_coreset",
-    "PenaltyConfig",
     "penalized_loss",
     "penalized_losses",
     "command_loss_entropy",

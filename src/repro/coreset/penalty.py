@@ -17,28 +17,23 @@ the opposite of the stated intent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.model import N_COMMANDS
 from repro.nn.params import get_flat_params
 
-__all__ = ["PenaltyConfig", "command_loss_entropy", "penalized_loss", "penalized_losses"]
+__all__ = [
+    "LAMBDA_ENTROPY",
+    "LAMBDA_L2",
+    "command_loss_entropy",
+    "penalized_loss",
+    "penalized_losses",
+]
 
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Coefficients of the Eq. 6 penalty terms."""
-
-    lambda_l2: float = 1e-4
-    lambda_entropy: float = 0.05
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any penalty term is active."""
-        return self.lambda_l2 > 0 or self.lambda_entropy > 0
-
+#: Eq. 6's coefficients (§III-B): ``λ1`` on the L2 norm and ``λ2`` on
+#: the command-loss imbalance.
+LAMBDA_L2 = 1e-4
+LAMBDA_ENTROPY = 0.05
 
 #: Where each command's group starts in a sorted command array (and the last ends).
 _COMMAND_CUTS = np.arange(N_COMMANDS + 1)
@@ -85,7 +80,6 @@ def penalized_losses(
     per_sample_losses: np.ndarray,
     commands: np.ndarray,
     weights: np.ndarray,
-    config: PenaltyConfig,
 ) -> np.ndarray:
     """Eq. 6 for each of several models over the same weighted samples.
 
@@ -93,21 +87,17 @@ def penalized_losses(
     the L2 term only) and ``per_sample_losses`` ``(rows, n)``.  The normalised weights and the
     command groups are derived once; each row's empirical term is its own
     dot product and each L2 term its own norm (a matrix product would
-    sum in another order).  With no penalty term active the value is the
-    plain weighted loss, the weights in the losses' dtype as
-    :func:`~repro.nn.losses.waypoint_l1` states it.
+    sum in another order).
     """
     losses = np.asarray(per_sample_losses)
-    weights = np.asarray(weights, dtype=float if config.enabled else losses.dtype)
+    weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights must have positive sum")
     norm = weights / total
     values = np.array([float(row @ norm) for row in losses.astype(norm.dtype, copy=False)])
-    if config.lambda_l2 > 0:
-        values += config.lambda_l2 * np.array([float(np.linalg.norm(row)) for row in params])
-    if config.lambda_entropy > 0:
-        values += config.lambda_entropy * command_loss_entropy(losses, commands)
+    values += LAMBDA_L2 * np.array([float(np.linalg.norm(row)) for row in params])
+    values += LAMBDA_ENTROPY * command_loss_entropy(losses, commands)
     return values
 
 
@@ -116,7 +106,6 @@ def penalized_loss(
     per_sample_losses: np.ndarray,
     commands: np.ndarray,
     weights: np.ndarray,
-    config: PenaltyConfig,
 ) -> float:
     """Eq. 6: weighted empirical loss plus L2 and command-entropy terms.
 
@@ -124,7 +113,7 @@ def penalized_loss(
     model, or its flat parameter vector when the caller already holds
     one (a bank row view), saving the concatenation.
     """
-    if config.lambda_l2 > 0 and not isinstance(params, np.ndarray):
+    if not isinstance(params, np.ndarray):
         params = get_flat_params(params)
     losses = np.asarray(per_sample_losses)
-    return float(penalized_losses([params], losses[None], commands, weights, config)[0])
+    return float(penalized_losses([params], losses[None], commands, weights)[0])

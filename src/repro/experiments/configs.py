@@ -1,10 +1,12 @@
 """Scale presets for the experiment harness.
 
 ``paper`` mirrors §IV-A: a ~1 km x 1 km town+rural map, 32 expert
-vehicles, 50 background cars, 250 pedestrians, 52 MB nominal model,
-150-sample coresets, 31 Mbps / 500 m radios, T_B = 15 s.  (Training
-horizons are scaled: the paper trains for simulated hours on a GPU; the
-pure-numpy learner here reaches its convergence plateau far sooner.)
+vehicles, 50 background cars, 250 pedestrians and 150-sample coresets.
+What no scale varies — the 52 MB nominal model, the 31 Mbps / 500 m
+radios, T_B = 15 s — is a module constant of the code that reads it.
+(Training horizons are scaled: the paper trains for simulated hours on
+a GPU; the pure-numpy learner here reaches its convergence plateau far
+sooner.)
 
 ``ci`` is a miniature of the same world that keeps every mechanism
 exercised while finishing on one CPU core — used by the test suite and
@@ -28,7 +30,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterator
 
-from repro.coreset import PenaltyConfig
 from repro.sim.bev import BevSpec
 from repro.sim.world import WorldConfig
 
@@ -51,9 +52,7 @@ class ExperimentScale:
     name: str
     world: WorldConfig
     bev: BevSpec = field(default_factory=lambda: BevSpec(grid=20, cell=2.0))
-    n_waypoints: int = 5
     hidden: int = 96
-    model_seed: int = 0
     #: Seconds of expert driving collected per local dataset.
     collect_duration: float = 120.0
     #: Seconds of mobility traces for the communication phase.
@@ -63,9 +62,7 @@ class ExperimentScale:
     train_interval: float = 2.0
     record_interval: float = 30.0
     coreset_size: int = 30
-    learning_rate: float = 1e-3
     batch_size: int = 64
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     #: Online-evaluation trials per driving condition.
     eval_trials: int = 6
     #: Vehicles whose trained models are online-evaluated (averaged).
@@ -165,7 +162,6 @@ PAPER = ExperimentScale(
     eval_models=4,
     eval_normal_cars=50,
     eval_normal_pedestrians=250,
-    learning_rate=1e-3,
 )
 
 #: The ci miniature is a delta of the paper world — same mechanisms,

@@ -42,8 +42,10 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 #: ``city_blocks``/``shard_stepping``, MobilityTraces memoize contact
 #: indexes; format 5: the fleet's frames are one ``FramePool`` and every
 #: dataset is rows and weights over it; format 6: the contact-index memo
-#: is a declared ``MobilityTraces`` field, so older traces lack it).
-_CACHE_FORMAT = 6
+#: is a declared ``MobilityTraces`` field, so older traces lack it;
+#: format 7: ``WorldConfig`` lost ``dt``, ``snapshot_interval`` and
+#: ``out_of_district_prob``, now §IV-A constants of ``repro.sim.world``).
+_CACHE_FORMAT = 7
 
 
 def scale_fingerprint(scale: ExperimentScale) -> str:
@@ -52,7 +54,6 @@ def scale_fingerprint(scale: ExperimentScale) -> str:
         "format": _CACHE_FORMAT,
         "world": asdict(scale.world),
         "bev": (scale.bev.grid, scale.bev.cell, scale.bev.back_fraction),
-        "n_waypoints": scale.n_waypoints,
         "collect_duration": scale.collect_duration,
         "trace_duration": scale.trace_duration,
         "validation_stride": scale.validation_stride,

@@ -34,7 +34,8 @@ from repro.engine.metrics import TimeSeriesRecorder
 from repro.engine.random import spawn_rng
 from repro.experiments.configs import ExperimentScale
 from repro.nn import make_driving_model
-from repro.sim.dataset import DrivingDataset, collect_fleet_datasets
+from repro.net.wireless import RADIO_RANGE
+from repro.sim.dataset import N_WAYPOINTS, DrivingDataset, collect_fleet_datasets
 from repro.sim.evaluate import DrivingCondition, EvalConfig, success_rate
 from repro.sim.map import TownMap
 from repro.sim.traces import MobilityTraces, simulate_traces
@@ -229,9 +230,7 @@ def build_context(scale: ExperimentScale) -> ExperimentContext:
             )
         return cached
     world = World(scale.world)
-    raw = collect_fleet_datasets(
-        world, scale.collect_duration, scale.bev, n_waypoints=scale.n_waypoints
-    )
+    raw = collect_fleet_datasets(world, scale.collect_duration, scale.bev)
     # The split stays on the fleet's one frame pool: the validation set
     # and every local dataset are row numbers over it.
     validation = DrivingDataset(pool=next(iter(raw.values())).pool)
@@ -272,13 +271,9 @@ def make_nodes(
     node_config = NodeConfig(
         coreset_size=scale.coreset_size,
         batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        penalty=scale.penalty,
         loss_cache_budget=scale.loss_cache_budget,
     )
-    template = make_driving_model(
-        scale.bev.shape, scale.n_waypoints, scale.hidden, seed=scale.model_seed
-    )
+    template = make_driving_model(scale.bev.shape, N_WAYPOINTS, scale.hidden, seed=0)
     # Each node gets a *copy* of its dataset: trainers mutate them.  The
     # copy is row numbers over the context's frame pool, which a run
     # reads and never adds to.
@@ -339,7 +334,7 @@ def make_trainer(
     if method == "RSU-L" and "rsu_range" not in kwargs:
         # RSU radio range scaled to the map so that, like in the paper's
         # 1 km world, vehicles regularly leave RSU coverage.
-        kwargs["rsu_range"] = min(500.0, scale.world.map_size * 0.4)
+        kwargs["rsu_range"] = min(RADIO_RANGE, scale.world.map_size * 0.4)
     config = make_config(method, **kwargs)
     trainer_class, _ = METHODS[method]
     trainer = trainer_class(nodes, context.traces, context.validation, config)
@@ -431,7 +426,6 @@ def online_evaluate(
     conditions = conditions or list(DrivingCondition)
     config = EvalConfig(
         bev_spec=scale.bev,
-        n_waypoints=scale.n_waypoints,
         normal_cars=scale.eval_normal_cars,
         normal_pedestrians=scale.eval_normal_pedestrians,
     )

@@ -10,9 +10,10 @@ probabilities (§III-A).
 
 from repro.net.wireless import (
     DEFAULT_LOSS_TABLE,
+    RADIO_RANGE,
     WirelessModel,
 )
-from repro.net.channel import ChannelConfig, TransferResult, simulate_transfer
+from repro.net.channel import BANDWIDTH_BPS, TransferResult, simulate_transfer
 from repro.net.contact import (
     ContactEstimate,
     estimate_contact,
@@ -28,8 +29,9 @@ from repro.net.sweep import (
 
 __all__ = [
     "DEFAULT_LOSS_TABLE",
+    "RADIO_RANGE",
     "WirelessModel",
-    "ChannelConfig",
+    "BANDWIDTH_BPS",
     "TransferResult",
     "simulate_transfer",
     "ContactEstimate",

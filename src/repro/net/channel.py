@@ -21,8 +21,9 @@ from repro.telemetry import hooks as telemetry
 
 __all__ = [
     "ASSIST_INFO_BYTES",
+    "BANDWIDTH_BPS",
+    "BYTES_PER_SECOND",
     "CHUNK_SECONDS",
-    "ChannelConfig",
     "PACKET_BYTES",
     "TransferResult",
     "TransferSession",
@@ -33,23 +34,15 @@ __all__ = [
 
 #: Packet size on the V2V link (§IV-A).
 PACKET_BYTES = 1500
+#: Every vehicle's V2V link rate, ``B_i`` of Eq. 5 (§IV-A: 31 Mbps).
+BANDWIDTH_BPS = 31e6
+#: Raw link throughput in bytes/s (before loss).
+BYTES_PER_SECOND = BANDWIDTH_BPS / 8.0
 #: Size of the route/bandwidth assistive message (§III-A).
 ASSIST_INFO_BYTES = 184
 #: Simulation chunk for re-evaluating distance-dependent loss (§IV-A's
 #: loss model is distance-indexed; the chunk is the simulation's own).
 CHUNK_SECONDS = 0.5
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Link-layer constants from §IV-A."""
-
-    bandwidth_bps: float = 31e6
-
-    @property
-    def bytes_per_second(self) -> float:
-        """Raw link throughput in bytes/s (before loss)."""
-        return self.bandwidth_bps / 8.0
 
 
 @dataclass(frozen=True)
@@ -61,12 +54,12 @@ class TransferResult:
     bytes_delivered: float
 
 
-def transfer_time_lossless(n_bytes: float, config: ChannelConfig) -> float:
+def transfer_time_lossless(n_bytes: float) -> float:
     """Time to ship ``n_bytes`` on a clean link (packetization included)."""
     if n_bytes <= 0:
         return 0.0
     n_packets = max(int(-(-n_bytes // PACKET_BYTES)), 1)
-    return n_packets * PACKET_BYTES / config.bytes_per_second
+    return n_packets * PACKET_BYTES / BYTES_PER_SECOND
 
 
 class TransferSession:
@@ -81,7 +74,6 @@ class TransferSession:
 
     __slots__ = (
         "n_bytes",
-        "config",
         "start_time",
         "remaining",
         "now",
@@ -93,9 +85,8 @@ class TransferSession:
         "abort_cause",
     )
 
-    def __init__(self, n_bytes: float, config: ChannelConfig, start_time: float):
+    def __init__(self, n_bytes: float, start_time: float):
         self.n_bytes = float(n_bytes)
-        self.config = config
         self.start_time = start_time
         self.remaining = float(n_bytes)
         self.now = start_time
@@ -132,7 +123,7 @@ class TransferSession:
             self.abort_cause = "range"
             self.finish_time = self.now
             return None
-        rate = self.config.bytes_per_second * wireless.goodput_factor(distance)
+        rate = BYTES_PER_SECOND * wireless.goodput_factor(distance)
         if rate <= 0:
             self.resolved = True
             self.abort_cause = "rate"
@@ -172,8 +163,8 @@ class TransferSession:
         }
 
     @classmethod
-    def from_snapshot(cls, state: dict, config: ChannelConfig) -> "TransferSession":
-        session = cls(state["n_bytes"], config, state["start_time"])
+    def from_snapshot(cls, state: dict) -> "TransferSession":
+        session = cls(state["n_bytes"], state["start_time"])
         session.remaining = state["remaining"]
         session.now = state["now"]
         session.delivered = state["delivered"]
@@ -189,7 +180,6 @@ def simulate_transfer(
     n_bytes: float,
     distance_fn: Callable[[float], float],
     wireless: WirelessModel,
-    config: ChannelConfig,
     start_time: float,
     deadline: float,
 ) -> TransferResult:
@@ -214,7 +204,7 @@ def simulate_transfer(
     """
     if n_bytes <= 0:
         return TransferResult(True, 0.0, 0.0)
-    session = TransferSession(n_bytes, config, start_time)
+    session = TransferSession(n_bytes, start_time)
     while session.step(distance_fn, wireless, deadline) is not None:
         if session.resolved:
             break

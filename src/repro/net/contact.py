@@ -13,7 +13,8 @@ few minutes, available bandwidth — from which both sides estimate:
   an insufficient contact scores zero,
 * ``p`` — the probability the exchange completes, from the predicted
   distance profile and the distance-based wireless loss, and
-* the Eq. 5 priority ``c = z * p * min(B_i, B_j)``.
+* the Eq. 5 priority ``c = z * p * min(B_i, B_j)``, where every
+  vehicle's ``B`` is the §IV-A link rate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.channel import ChannelConfig
+from repro.net.channel import BANDWIDTH_BPS, BYTES_PER_SECOND
 from repro.net.wireless import WirelessModel
 
 __all__ = ["ContactEstimate", "estimate_contact", "estimate_contacts", "priority_score"]
@@ -43,9 +44,7 @@ def estimate_contacts(
     routes: np.ndarray,
     sample_interval: float,
     wireless: WirelessModel,
-    config: ChannelConfig,
     exchange_bytes,
-    bandwidth_bps=None,
 ) -> list[ContactEstimate]:
     """Estimate one vehicle's contact with each of ``c`` candidates.
 
@@ -59,9 +58,6 @@ def estimate_contacts(
     exchange_bytes:
         Per candidate, the total bytes the planned exchange must move
         (both coresets plus both models at the anticipated compression).
-    bandwidth_bps:
-        Per candidate, the pairwise bandwidth ``min(B_i, B_j)``; ``None``
-        or a zero entry means the channel's.
     """
     k, c = routes.shape[:2]
     nothing = ContactEstimate(0.0, 0.0, 0.0, 0.0)
@@ -74,10 +70,8 @@ def estimate_contacts(
     # Contact lasts until the first predicted sample out of range.
     ends = np.where(in_range.all(axis=1), k, np.argmin(in_range, axis=1)).tolist()
     factors = wireless.goodput_factors(distances)
-    if bandwidth_bps is None:
-        bandwidth_bps = [None] * c
     estimates = []
-    for row, end, needed_bytes, bandwidth in zip(factors, ends, exchange_bytes, bandwidth_bps):
+    for row, end, needed_bytes in zip(factors, ends, exchange_bytes):
         if end == 0:
             estimates.append(nothing)
             continue
@@ -85,7 +79,7 @@ def estimate_contacts(
         goodput = float(row[:end].mean())
 
         # Deliverable bytes over the predicted window vs. what's needed.
-        bytes_per_second = (bandwidth or config.bandwidth_bps) / 8.0 * goodput
+        bytes_per_second = BYTES_PER_SECOND * goodput
         needed_time = needed_bytes / max(bytes_per_second, 1e-9)
         if needed_time <= 0:
             z = 1.0
@@ -106,9 +100,7 @@ def estimate_contact(
     route_b: np.ndarray,
     sample_interval: float,
     wireless: WirelessModel,
-    config: ChannelConfig,
     exchange_bytes: float,
-    bandwidth_bps: float | None = None,
 ) -> ContactEstimate:
     """:func:`estimate_contacts` for one pair's two ``(k, 2)`` routes."""
     k = min(len(route_a), len(route_b))
@@ -117,14 +109,11 @@ def estimate_contact(
         route_b[:k, None],
         sample_interval,
         wireless,
-        config,
         [exchange_bytes],
-        [bandwidth_bps],
     )[0]
 
 
-def priority_score(
-    estimate: ContactEstimate, bandwidth_i: float, bandwidth_j: float
-) -> float:
-    """Eq. 5: ``c_{i,j} = z_{i,j} * p_{i,j} * min(B_i, B_j)``."""
-    return estimate.z * estimate.p * min(bandwidth_i, bandwidth_j)
+def priority_score(estimate: ContactEstimate) -> float:
+    """Eq. 5: ``c_{i,j} = z_{i,j} * p_{i,j} * min(B_i, B_j)``, every ``B``
+    the §IV-A link rate."""
+    return estimate.z * estimate.p * BANDWIDTH_BPS

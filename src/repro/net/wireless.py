@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_LOSS_TABLE", "WirelessModel", "table_loss"]
+__all__ = ["DEFAULT_LOSS_TABLE", "RADIO_RANGE", "WirelessModel", "table_loss"]
+
+#: V2V communication range in meters (§IV-A): the radius of every
+#: neighbour query and the edge past which a link delivers nothing.
+RADIO_RANGE = 500.0
 
 #: (max_distance_m, packet_loss_probability) rows, ascending distance.
 #: Shape follows the 802.11bd highway measurements in Anwar et al.
@@ -53,7 +57,7 @@ class WirelessModel:
     table:
         ``(max_distance, loss)`` rows; beyond the last row loss is 1.
     max_range:
-        Communication range in meters (paper: 500).
+        Communication range in meters (:data:`RADIO_RANGE`).
     enabled:
         When false the channel is lossless within range — the paper's
         "w/o wireless loss" idealization.
@@ -62,7 +66,7 @@ class WirelessModel:
     def __init__(
         self,
         table: tuple[tuple[float, float], ...] = DEFAULT_LOSS_TABLE,
-        max_range: float = 500.0,
+        max_range: float = RADIO_RANGE,
         enabled: bool = True,
     ):
         distances = [row[0] for row in table]
@@ -77,7 +81,7 @@ class WirelessModel:
         self._losses = np.array([row[1] for row in table] + [1.0])
 
     @classmethod
-    def fixed(cls, loss: float, max_range: float = 500.0) -> "WirelessModel":
+    def fixed(cls, loss: float, max_range: float = RADIO_RANGE) -> "WirelessModel":
         """A model with one distance-independent loss value.
 
         Used for infrastructure links where the paper samples the loss

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.blas import blas_threads, pin_blas_threads
 from repro.checkpoint.policy import KILL_BARRIER_ENV, Checkpointer, CheckpointPolicy
+from repro.net.wireless import RADIO_RANGE
 
 __all__ = [
     "CHECKS", "GOLDEN_PATH", "Check", "Run", "Runner", "build_scale", "digest_result", "selfcheck",
@@ -56,7 +57,6 @@ GOLDEN_PATH = Path(__file__).with_name("selfcheck_golden.json")
 
 SEED = 3
 CURVE_POINTS = 9
-RADIO_RADIUS = 500.0  # TrainerConfig.max_range, the contact scan radius
 KILL_AT = 2  # of the kill row's barriers at t=10/20/30
 #: Barrier cadence of the overlap resume rows: 35/70/.../175 s, of which
 #: t=70 falls inside a model flight.  Every barrier is resumed from, so a
@@ -293,7 +293,7 @@ def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
     def rng(i: int):
         return spawn_rng(5, f"fleet-smoke-{i}")
 
-    config = NodeConfig(coreset_size=20, learning_rate=1e-3, batch_size=16)
+    config = NodeConfig(coreset_size=20, batch_size=16)
     members = [(f"smoke{i}", make_dataset(100 + i, 40), rng(i)) for i in range(4)]
     engine = FleetEngine(model(0), members, config)
     nodes = engine.nodes
@@ -317,7 +317,7 @@ def _fleet_segment(runner: "Runner", check: Check, scratch: Path) -> Run:
 
 def _contact_windows(runner: "Runner", check: Check, scratch: Path) -> Run:
     context = _context(check.world)
-    windows = context.traces.contact_index(RADIO_RADIUS).windows
+    windows = context.traces.contact_index(RADIO_RANGE).windows
     packed = np.concatenate([windows.pair_i, windows.pair_j, windows.start, windows.end])
     digests = {
         "n_windows": str(len(windows)),
@@ -471,6 +471,7 @@ def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
     from repro.sim.autopilot import ExpertAutopilot
     from repro.sim.kinematics import VehicleState, advance
     from repro.sim.traffic import road_obstacles
+    from repro.sim.world import DT
 
     fired = dict.fromkeys(ORACLE_BRANCHES, 0)
 
@@ -516,7 +517,7 @@ def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
     run = Run({"alone.cars": _sha(b"")}, facts={"fired": fired, "trajectories": {}})
     for name in ORACLE_WORLDS:
         world, ticks = _oracle_world(name)
-        town, traffic, dt = world.town, world.traffic, world.config.dt
+        town, traffic, dt = world.town, world.traffic, DT
         fleet = [
             Driver(v.plan, partial(world._new_route, i), 1.0)
             for i, v in enumerate(world.vehicles)
@@ -673,8 +674,8 @@ def swept_equals_pairwise(run: Run):
     from repro.net.sweep import pairwise_encounters
 
     traces = run.context.traces
-    swept = traces.contact_index(RADIO_RADIUS).windows
-    if swept.to_tuples() != pairwise_encounters(traces.positions, RADIO_RADIUS).to_tuples():
+    swept = traces.contact_index(RADIO_RANGE).windows
+    if swept.to_tuples() != pairwise_encounters(traces.positions, RADIO_RANGE).to_tuples():
         yield "swept encounter windows diverge from the all-pairs reference"
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "CRUISE_SPEED",
     "TURN_SPEED",
     "OBSTACLE_RADIUS",
+    "WAYPOINT_INTERVAL",
 ]
 
 CRUISE_SPEED = 12.0  # m/s on open road
@@ -45,6 +46,10 @@ _SPEED_GAIN = 1.8
 _OBSTACLE_LANE_HALF_WIDTH = 2.6
 _INTERSECTION_SLOW_DISTANCE = 14.0
 OBSTACLE_RADIUS = 45.0  # road_obstacles' default: how far a driver looks
+#: Time spacing of a driving model's waypoints, and how often a pilot
+#: asks its model for new ones: the paper collects and acts at 2 fps
+#: (§IV-A), seconds.
+WAYPOINT_INTERVAL = 0.5
 
 
 class ExpertAutopilot:
@@ -382,27 +387,17 @@ class ModelPilot:
         Callable ``(state, plan) -> bev`` rendering the current BEV
         observation; injected so the pilot stays decoupled from world
         internals.
-    waypoint_interval:
-        Time spacing of the model's waypoints in seconds.
-    decision_interval:
-        How often the model is queried (paper collects/acts at 2 fps).
+
+    The model is queried every :data:`WAYPOINT_INTERVAL`, the spacing of
+    the waypoints it predicts.
     """
 
-    def __init__(
-        self,
-        model,
-        plan: RoutePlan,
-        bev_fn,
-        waypoint_interval: float = 0.5,
-        decision_interval: float = 0.5,
-    ):
+    def __init__(self, model, plan: RoutePlan, bev_fn):
         bank = ParamBank(model, 1)
         bank.flat[0] = get_flat_params(model)
         self._net = FleetWaypointNet(bank, model)
         self.plan = plan
         self._bev_fn = bev_fn
-        self.waypoint_interval = waypoint_interval
-        self.decision_interval = decision_interval
         self._s = 0.0
         self._since_decision = np.inf  # force a decision on first step
         self._waypoints: np.ndarray | None = None  # vehicle-frame at decision time
@@ -421,7 +416,7 @@ class ModelPilot:
         """Compute (turn_rate, accel) for one step of length ``dt``."""
         self._s = self.plan.project(state.position, hint=self._s)
         self._since_decision += dt
-        if self._since_decision >= self.decision_interval or self._waypoints is None:
+        if self._since_decision >= WAYPOINT_INTERVAL or self._waypoints is None:
             self._decide(state)
             self._since_decision = 0.0
         assert self._waypoints is not None and self._decision_state is not None
@@ -452,7 +447,7 @@ class ModelPilot:
         spacing = np.linalg.norm(np.diff(chain, axis=0), axis=1)
         near_term = spacing[: max(len(spacing) // 2, 1)]
         implied = min(float(near_term.min()), float(spacing.mean()))
-        target_speed = float(np.clip(implied / self.waypoint_interval, 0.0, CRUISE_SPEED))
+        target_speed = float(np.clip(implied / WAYPOINT_INTERVAL, 0.0, CRUISE_SPEED))
         accel = _SPEED_GAIN * (target_speed - state.speed)
         return turn_rate, float(accel)
 

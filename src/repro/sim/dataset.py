@@ -29,11 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.model import N_COMMANDS
+from repro.sim.autopilot import WAYPOINT_INTERVAL
 from repro.sim.bev import BevSpec, render_fleet_bev
 from repro.sim.geometry import to_vehicle_frame_fleet
-from repro.sim.world import World
+from repro.sim.world import SNAPSHOT_INTERVAL, World
 
-__all__ = ["Frame", "FramePool", "DrivingDataset", "collect_fleet_datasets"]
+__all__ = ["N_WAYPOINTS", "Frame", "FramePool", "DrivingDataset", "collect_fleet_datasets"]
+
+#: Waypoints in a frame's label, ``WAYPOINT_INTERVAL`` apart: the
+#: expert's next 2.5 s, what the driving model predicts (§IV-A).
+N_WAYPOINTS = 5
 
 _MIN_CAPACITY = 8
 
@@ -459,10 +464,9 @@ class DrivingDataset:
         self,
         batch_size: int,
         rng: np.random.Generator,
-        balance_commands: bool = False,
         out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Weighted random minibatch: (bev, commands, targets, indices).
+        """Command-balanced weighted minibatch: (bev, commands, targets, indices).
 
         Always ``batch_size`` rows, drawn with replacement when the
         dataset holds fewer frames than that, so every node's batch
@@ -470,14 +474,13 @@ class DrivingDataset:
         The rows are gathered from the pool (read-only), or into ``out``
         (the fleet's stacked buffers; the same draws either way).
 
-        With ``balance_commands`` the batch is stratified uniformly over
-        the commands present in the dataset (the standard trick for
-        command-branched imitation models — rare branches like 'turn
-        left' would otherwise starve), sampling by weight within each
-        command.  The strata come from a table cached per dataset and
-        rebuilt on the first balanced draw after a mutation: per present
-        command, its members' indices and the cumulative distribution of
-        their normalised weights.  A stratum's draw is the statement
+        The batch is stratified uniformly over the commands present in
+        the dataset (the standard trick for command-branched imitation
+        models — rare branches like 'turn left' would otherwise starve),
+        sampling by weight within each command.  The strata come from a
+        table cached per dataset and rebuilt on the first draw after a
+        mutation: per present command, its members' indices and the
+        cumulative distribution of their normalised weights.  A stratum's draw is the statement
         ``Generator.choice(members, quota, replace=True, p=probs)`` runs
         — one uniform per pick, located in that distribution — so the
         picks and the generator's state are the same as ``choice``'s
@@ -485,20 +488,14 @@ class DrivingDataset:
         """
         if len(self) == 0:
             raise ValueError("cannot sample from an empty dataset")
-        if balance_commands:
-            strata = self._command_strata()
-            share, extra = divmod(batch_size, len(strata))
-            idx = np.concatenate(
-                [
-                    members[cdf.searchsorted(rng.random(share + (k < extra)), side="right")]
-                    for k, (members, cdf) in enumerate(strata)
-                ]
-            )
-        else:
-            probs = self._weights / self._weights.sum()
-            idx = rng.choice(
-                len(self), size=batch_size, replace=len(self) < batch_size, p=probs
-            )
+        strata = self._command_strata()
+        share, extra = divmod(batch_size, len(strata))
+        idx = np.concatenate(
+            [
+                members[cdf.searchsorted(rng.random(share + (k < extra)), side="right")]
+                for k, (members, cdf) in enumerate(strata)
+            ]
+        )
         return (*self._pool.take(self._rows[idx], out=out), idx)
 
 
@@ -506,8 +503,7 @@ def collect_fleet_datasets(
     world: World,
     duration: float,
     bev_spec: BevSpec,
-    n_waypoints: int = 5,
-    waypoint_interval: float = 0.5,
+    n_waypoints: int = N_WAYPOINTS,
 ) -> dict[str, DrivingDataset]:
     """Run the world and build each vehicle's local dataset, on one pool.
 
@@ -519,8 +515,8 @@ def collect_fleet_datasets(
     any returned dataset's ``pool``), which whatever is later derived
     from these datasets shares.
     """
-    snap_dt = world.config.snapshot_interval
-    stride = max(int(round(waypoint_interval / snap_dt)), 1)
+    snap_dt = SNAPSHOT_INTERVAL
+    stride = max(int(round(WAYPOINT_INTERVAL / snap_dt)), 1)
     horizon = n_waypoints * stride
     world.run(duration + horizon * snap_dt + snap_dt)
     snapshots = world.snapshots

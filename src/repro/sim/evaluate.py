@@ -25,13 +25,14 @@ from repro.sim.kinematics import VehicleState, advance
 from repro.sim.map import TownMap
 from repro.sim.router import CMD_STRAIGHT, RoutePlan, random_route
 from repro.sim.traffic import TrafficManager
-from repro.sim.world import CAR_RADIUS, PED_RADIUS
+from repro.sim.world import CAR_RADIUS, DT, PED_RADIUS
 
 __all__ = [
     "BUDGET_SLACK",
     "DrivingCondition",
     "EvalConfig",
     "EpisodeResult",
+    "MIN_NAVIGATION_LENGTH",
     "OFF_ROAD_MARGIN",
     "SPEED_BUDGET",
     "run_episode",
@@ -67,6 +68,9 @@ BUDGET_SLACK = 30.0
 #: may stray before the trial fails as off-road (our stand-in for
 #: CARLA's lane-invasion check).
 OFF_ROAD_MARGIN = 3.0
+#: The shortest route a Navigation trial drives, meters (the CARLA
+#: benchmark's multi-turn routes, §IV-D).
+MIN_NAVIGATION_LENGTH = 350.0
 
 
 @dataclass
@@ -74,12 +78,8 @@ class EvalConfig:
     """Parameters for online-evaluation episodes."""
 
     bev_spec: BevSpec = None  # type: ignore[assignment]
-    n_waypoints: int = 5
-    waypoint_interval: float = 0.5
-    dt: float = 0.1
     normal_cars: int = 50
     normal_pedestrians: int = 250
-    min_navigation_length: float = 350.0
 
     def __post_init__(self):
         if self.bev_spec is None:
@@ -96,7 +96,7 @@ class EpisodeResult:
 
 
 def route_for_condition(
-    town: TownMap, condition: DrivingCondition, rng: np.random.Generator, config: EvalConfig
+    town: TownMap, condition: DrivingCondition, rng: np.random.Generator
 ) -> RoutePlan:
     """Sample a route whose turn structure matches the condition."""
     for _ in range(256):
@@ -109,7 +109,7 @@ def route_for_condition(
             if len(turning) == 1 and plan.total_length <= 500.0:
                 return plan
         else:
-            if len(turning) >= 2 and plan.total_length >= config.min_navigation_length:
+            if len(turning) >= 2 and plan.total_length >= MIN_NAVIGATION_LENGTH:
                 return plan
     raise RuntimeError(f"could not sample a route for {condition}")
 
@@ -144,13 +144,7 @@ def run_episode(
             traffic.pedestrian_positions(),
         )
 
-    pilot = ModelPilot(
-        model,
-        plan,
-        bev_fn,
-        waypoint_interval=config.waypoint_interval,
-        decision_interval=config.waypoint_interval,
-    )
+    pilot = ModelPilot(model, plan, bev_fn)
     budget = plan.total_length / SPEED_BUDGET + BUDGET_SLACK
     time = 0.0
 
@@ -158,12 +152,10 @@ def run_episode(
         return EpisodeResult(success, reason, time, plan.total_length)
 
     while time < budget:
-        turn_rate, accel = pilot.control(state, config.dt)
-        state = advance(state, turn_rate, accel, config.dt)
-        traffic.step(
-            state.position[None, :], config.dt, extra_speeds=np.array([state.speed])
-        )
-        time += config.dt
+        turn_rate, accel = pilot.control(state, DT)
+        state = advance(state, turn_rate, accel, DT)
+        traffic.step(state.position[None, :], DT, extra_speeds=np.array([state.speed]))
+        time += DT
         if _collided(state, traffic):
             return finish(False, "collision")
         if not town.is_on_road(state.position, margin=OFF_ROAD_MARGIN):
@@ -198,7 +190,7 @@ def success_rate(
     successes = 0
     for trial in range(n_trials):
         rng = spawn_rng(seed, f"route-{condition.value}-{trial}")
-        plan = route_for_condition(town, condition, rng, config)
+        plan = route_for_condition(town, condition, rng)
         result = run_episode(model, town, plan, condition, config, seed=seed * 1000 + trial)
         successes += int(result.success)
     return successes / n_trials

@@ -93,12 +93,9 @@ class MobilityTraces:
         return self.positions[k0 : k1 + 1, vehicle]
 
 
-def simulate_traces(
-    config: WorldConfig,
-    duration: float,
-    sample_interval: float = 0.5,
-) -> MobilityTraces:
-    """Generate fleet mobility traces by running the world.
+def simulate_traces(config: WorldConfig, duration: float) -> MobilityTraces:
+    """Generate fleet mobility traces by running the world, sampled every
+    :data:`~repro.sim.world.SNAPSHOT_INTERVAL`.
 
     Background traffic is disabled for speed — it does not participate
     in V2V communication — while the fleet still renews random routes
@@ -110,8 +107,6 @@ def simulate_traces(
         n_vehicles=config.n_vehicles,
         n_background_cars=0,
         n_pedestrians=0,
-        dt=config.dt,
-        snapshot_interval=sample_interval,
         min_route_length=config.min_route_length,
         seed=config.seed + 1,  # decorrelated from data collection
         rural=config.rural,

@@ -284,14 +284,6 @@ class TrafficManager:
                 self._ped_pos[j] = ped.position
 
 
-def _nearby(positions: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Filter ``positions`` to those within ``radius`` of ``center``."""
-    if len(positions) == 0:
-        return positions
-    dist = np.linalg.norm(positions - center, axis=1)
-    return positions[dist < radius]
-
-
 def road_obstacles(
     town: TownMap,
     positions: np.ndarray,

@@ -13,10 +13,30 @@ from repro.sim.map import TownMap
 from repro.sim.router import RoutePlan, random_route
 from repro.sim.traffic import TrafficManager
 
-__all__ = ["WorldConfig", "ExpertVehicle", "World", "CAR_RADIUS", "PED_RADIUS"]
+__all__ = [
+    "WorldConfig",
+    "ExpertVehicle",
+    "World",
+    "CAR_RADIUS",
+    "DT",
+    "OUT_OF_DISTRICT_PROB",
+    "PED_RADIUS",
+    "SNAPSHOT_INTERVAL",
+]
 
 CAR_RADIUS = 1.2  # collision circle of a car (~half its width + margin)
 PED_RADIUS = 0.4  # collision circle of a pedestrian
+#: The control tick every simulated car, pedestrian and tested model
+#: pilot advances by, seconds (CARLA's 10 Hz, §IV-A).
+DT = 0.1
+#: Seconds between recorded snapshots: 2 fps, as the paper collects
+#: data (§IV-A); also the mobility traces' sample interval.
+SNAPSHOT_INTERVAL = 0.5
+#: Fraction of a districted vehicle's trips whose destination leaves its
+#: home district (commutes), so every road geometry — straight runs
+#: through intersections in particular — is in everyone's data (§IV-A's
+#: heterogeneous fleet).
+OUT_OF_DISTRICT_PROB = 0.25
 
 
 @dataclass
@@ -28,18 +48,12 @@ class WorldConfig:
     n_vehicles: int = 32
     n_background_cars: int = 50
     n_pedestrians: int = 250
-    dt: float = 0.1
-    snapshot_interval: float = 0.5  # 2 fps, as the paper collects data
     min_route_length: float = 250.0
     seed: int = 0
     rural: bool = True
     #: Fleet data heterogeneity: vehicles get a home district (map
     #: quadrant) their route endpoints stay in.  1 disables districts.
     n_districts: int = 1
-    #: Fraction of trips whose destination leaves the home district
-    #: (commutes); keeps every road geometry — in particular straight
-    #: runs through intersections — represented in everyone's data.
-    out_of_district_prob: float = 0.25
     #: Skew pedestrian spawn density across districts (heterogeneous
     #: hazard exposure); requires n_districts > 1.
     ped_district_skew: bool = False
@@ -53,7 +67,7 @@ class WorldConfig:
     #: shard.  Still accepted because the frozen
     #: ``benchmarks/perf/workloads.py`` sets it and ``scale_fingerprint``
     #: hashes it; ROADMAP items 1 and 6: item 6 deletes it, with the
-    #: ``_CACHE_FORMAT`` bump that takes.
+    #: ``_CACHE_FORMAT`` bump (7 → 8) that takes.
     shard_stepping: bool = False
 
 
@@ -165,17 +179,12 @@ class World:
         self._fleet_pos_view = self.bank.position.view()
         self._fleet_pos_view.flags.writeable = False
 
-    def _district_nodes(self, district: int) -> list | None:
-        if self.config.n_districts <= 1:
-            return None
-        return self.town.district_nodes(district, self.config.n_districts)
-
     def _route_endpoints(self, district: int, rng: np.random.Generator) -> list | None:
         """Endpoint candidates for one trip: usually the home district,
         sometimes anywhere (a commute out of the district)."""
         if self.config.n_districts <= 1:
             return None
-        if rng.uniform() < self.config.out_of_district_prob:
+        if rng.uniform() < OUT_OF_DISTRICT_PROB:
             return None
         return self.town.district_nodes(district, self.config.n_districts)
 
@@ -194,13 +203,9 @@ class World:
         """(n, 2) array of the fleet's current positions (read-only view)."""
         return self._fleet_pos_view
 
-    def all_car_positions(self) -> np.ndarray:
-        """Expert fleet plus background cars, stacked."""
-        return np.vstack([self.vehicle_positions(), self.traffic.car_positions()])
-
     def step(self) -> None:
         """Advance the world by one control timestep."""
-        dt = self.config.dt
+        dt = DT
         # Pre-step positions of every agent: the vstack copies out of
         # the live state, so the whole world this tick reacts to where
         # everyone *was*, the background cars included.
@@ -216,13 +221,13 @@ class World:
         self.traffic.step(everything[:n], dt, extra_speeds=self.bank.speed)
         self.time += dt
         self._since_snapshot += dt
-        if self._since_snapshot >= self.config.snapshot_interval - 1e-9:
+        if self._since_snapshot >= SNAPSHOT_INTERVAL - 1e-9:
             self._take_snapshot()
             self._since_snapshot = 0.0
 
     def run(self, duration: float) -> None:
         """Step the world for ``duration`` simulated seconds."""
-        steps = int(round(duration / self.config.dt))
+        steps = int(round(duration / DT))
         for _ in range(steps):
             self.step()
 

@@ -91,9 +91,7 @@ def make_fleet(
 ) -> list[VehicleNode]:
     """Nodes born in one fleet of a small model, one per ``datasets``
     entry in id order, each over a copy of its dataset."""
-    config = NodeConfig(
-        coreset_size=coreset_size, learning_rate=1e-3, **config_overrides
-    )
+    config = NodeConfig(coreset_size=coreset_size, **config_overrides)
     template = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=32, seed=0)
     members = [
         (node_id, DrivingDataset(dataset.frames()), spawn_rng(seed, node_id))

@@ -27,7 +27,7 @@ from repro.core.fleet import FleetEngine
 from repro.core.node import NodeConfig
 from repro.core.overlap import DensePsiProber
 from repro.engine.random import spawn_rng
-from repro.net import ChannelConfig, WirelessModel
+from repro.net import WirelessModel
 from repro.nn import make_driving_model
 from repro.parallel import stepshard
 from repro.sim.dataset import DrivingDataset
@@ -74,7 +74,7 @@ def one_fleet_pair(fleet_datasets, seed: int = 5):
         ("v1", whole.subset(range(n0, len(whole))), spawn_rng(seed, "v1")),
     ]
     template = make_driving_model(MODEL_SHAPE, N_WAYPOINTS, hidden=32, seed=0)
-    config = NodeConfig(coreset_size=12, learning_rate=1e-3, loss_cache_budget=40)
+    config = NodeConfig(coreset_size=12, loss_cache_budget=40)
     fleet = FleetEngine(template, members, config)
     for _ in range(3):
         fleet.train_step_all()
@@ -102,7 +102,6 @@ def run_negotiate(pair, prober, **protocol):
         start_time=0.0,
         contact_deadline=60.0,
         wireless=WirelessModel(enabled=False),
-        channel=ChannelConfig(),
         time_budget=15.0,
         prober=prober,
         **protocol,

@@ -90,8 +90,9 @@ class TestDerivedScales:
     def test_builtin_scales_are_derived_from_paper(self):
         # CI and CITY are expressed as PAPER.derived(...) overrides;
         # spot-check fields that must inherit.
-        assert CI.n_waypoints == PAPER.n_waypoints
-        assert CITY.n_waypoints == PAPER.n_waypoints
+        assert CI.hidden == PAPER.hidden
+        assert CI.world.n_districts == PAPER.world.n_districts
+        assert CITY.world.ped_district_skew == PAPER.world.ped_district_skew
         assert CITY.world.n_districts == 9
         assert CITY.world.shard_stepping is True
         assert CITY.loss_cache_budget > 0 and CITY.chat_log_budget > 0

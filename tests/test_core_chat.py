@@ -10,13 +10,13 @@ from repro.core.chat import (
     estimated_chat_bytes,
     pairwise_chat,
 )
+from repro.core.node import NOMINAL_MODEL_BYTES
 from repro.core.overlap import plan_chat
 from repro.core.psi import PsiDecision
-from repro.net import ChannelConfig, WirelessModel
-from repro.net.channel import ASSIST_INFO_BYTES
+from repro.net import WirelessModel
+from repro.net.channel import ASSIST_INFO_BYTES, BYTES_PER_SECOND
 from tests.conftest import make_node
 
-CHANNEL = ChannelConfig()
 CLEAN = WirelessModel(enabled=False)
 LOSSY = WirelessModel()
 
@@ -30,7 +30,6 @@ def run_chat(
         start_time=0.0,
         contact_deadline=deadline,
         wireless=wireless,
-        channel=CHANNEL,
         time_budget=15.0,
     )
     return entry(node_a, node_b, **{**protocol, **kwargs})
@@ -54,11 +53,11 @@ ENDING_EARLY = {
     # Deadline lands between the coreset exchange and the (tiny)
     # results payload completing.
     "results": lambda a, b: dict(
-        deadline=stage_bytes(a, b, 256) / CHANNEL.bytes_per_second, refresh_coresets=False
+        deadline=stage_bytes(a, b, 256) / BYTES_PER_SECOND, refresh_coresets=False
     ),
     # Deadline clears all three transfers but not the 0.1 s overhead.
     "results_overhead": lambda a, b: dict(
-        deadline=stage_bytes(a, b, 2 * 256) / CHANNEL.bytes_per_second + 0.05,
+        deadline=stage_bytes(a, b, 2 * 256) / BYTES_PER_SECOND + 0.05,
         refresh_coresets=False,
     ),
     "coreset_only": lambda a, b: dict(coreset_only=True),
@@ -231,6 +230,6 @@ class TestEstimatedChatBytes:
         expected = (
             node_a.coreset.nominal_bytes
             + node_b.coreset.nominal_bytes
-            + node_a.config.nominal_model_bytes
+            + NOMINAL_MODEL_BYTES
         )
         assert total == expected

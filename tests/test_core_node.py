@@ -71,8 +71,11 @@ class TestCoresetLifecycle:
     def test_initial_coreset_built(self, node):
         assert 0 < len(node.coreset) <= len(node.dataset)
 
-    def test_refresh_after_steps(self, fleet_datasets):
-        node = make_node("v0", fleet_datasets["v0"], coreset_refresh_steps=3)
+    def test_refresh_after_steps(self, fleet_datasets, monkeypatch):
+        from repro.core import node as node_module
+
+        monkeypatch.setattr(node_module, "CORESET_REFRESH_STEPS", 3)
+        node = make_node("v0", fleet_datasets["v0"])
         ids_before = node.coreset.data.ids
         for _ in range(4):
             node.train_step()

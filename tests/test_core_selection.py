@@ -64,7 +64,7 @@ class TestPolicies:
             trainer.traces.positions[:] = far
 
     def test_priority_falls_back_when_scores_zero_but_contact_exists(
-        self, fleet_datasets
+        self, fleet_datasets, monkeypatch
     ):
         """Regression: Eq. 5 scores all-zero (z truncates because no
         contact fits the anticipated exchange) used to return None and
@@ -72,7 +72,10 @@ class TestPolicies:
         falls back to the longest reachable contact."""
         # An absurdly large nominal model makes every exchange infeasible
         # within any contact window -> z = 0 -> score = 0 for everyone.
-        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=15, nominal_model_bytes=10**14)
+        from repro.core import chat
+
+        monkeypatch.setattr(chat, "NOMINAL_MODEL_BYTES", 10**14)
+        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=15)
         # A convoy: all four vehicles drive together 100 m apart, so every
         # pair stays in radio range for the whole trace.
         times = np.arange(0.0, 300.0, 5.0)
@@ -107,15 +110,11 @@ class TestPolicies:
         """Every Eq. 5 score zero: the pick is the first-longest reachable
         candidate, from the one batch of estimates ``select_priority``
         already took — it used to estimate every reachable one again."""
-        from types import SimpleNamespace
-
         from repro.net.contact import ContactEstimate
 
         durations = {1: 0.0, 2: 12.5, 3: 30.0, 4: 30.0, 5: 7.0}
 
         class CountingTrainer:
-            config = SimpleNamespace(anticipated_psi_total=0.6)
-            nodes = [SimpleNamespace(config=SimpleNamespace(bandwidth_bps=31e6))] * 6
             batches, singles = [], 0
 
             def estimate_chat_bytes(self, i, j, psi_total):

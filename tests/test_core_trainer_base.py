@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.trainer_base import RoundTrainer, TrainerBase, TrainerConfig
+from repro.core.trainer_base import PAIR_COOLDOWN, RoundTrainer, TrainerBase, TrainerConfig
 from repro.engine import Simulator
 from repro.experiments.runner import METHOD_NAMES, RunSpec, build_context, prepare_trainer
 from repro.sim.dataset import DrivingDataset
@@ -51,7 +51,7 @@ class TestPairCooldown:
         base.note_chat(0, 1)
         assert not base.pair_ready(0, 1)
         assert not base.pair_ready(1, 0)  # symmetric
-        base.sim.run(until=base.config.pair_cooldown + 1.0)
+        base.sim.run(until=PAIR_COOLDOWN + 1.0)
         assert base.pair_ready(0, 1)
 
     def test_other_pairs_unaffected(self, base):

@@ -1,9 +1,14 @@
 """Tests for value assessment (§III-B), Eq. 7 optimization, and Eq. 8."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.aggregate import aggregate_models, aggregation_weights
+from repro.core.node import NOMINAL_MODEL_BYTES
 from repro.core.psi import (
     PsiLossMap,
     build_psi_map,
@@ -58,7 +63,7 @@ class TestPsiLossMap:
         psi_map = build_psi_map(
             node.detached_model(),
             lambda probe: node.evaluate_model_on(probe, node.coreset.data),
-            node.config.nominal_model_bytes,
+            NOMINAL_MODEL_BYTES,
         )
         # Full model (psi=1) should score no worse than the 5% model.
         assert psi_map.loss_at(1.0) <= psi_map.loss_at(0.05) + 1e-6
@@ -71,7 +76,7 @@ class TestPsiLossMap:
         build_psi_map(
             model,
             lambda probe: node.evaluate_model_on(probe, node.coreset.data),
-            node.config.nominal_model_bytes,
+            NOMINAL_MODEL_BYTES,
         )
         assert np.array_equal(get_flat_params(model), before)
 
@@ -319,6 +324,12 @@ class TestEq7Lattice:
         assert sent > 10  # the lattice was not all "send nothing"
 
 
+#: Non-negative losses, diverged ones (inf, NaN) included.
+LOSSES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True), st.just(math.inf), st.just(math.nan)
+)
+
+
 class TestAggregation:
     def test_lower_loss_gets_larger_weight(self):
         w_local, w_received = aggregation_weights(2.0, 1.0)
@@ -334,6 +345,21 @@ class TestAggregation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             aggregation_weights(-1.0, 1.0)
+
+    @given(loss_local=LOSSES, loss_received=LOSSES)
+    def test_any_losses_give_a_distribution(self, loss_local, loss_received):
+        """A diverged (inf/NaN) loss gets weight 0 and both diverged keep
+        the local model; finite losses keep the formula's exact bits."""
+        w_local, w_received = aggregation_weights(loss_local, loss_received)
+        assert 0.0 <= w_local <= 1.0 and 0.0 <= w_received <= 1.0
+        assert w_local + w_received == pytest.approx(1.0, abs=1e-12)
+        if not math.isfinite(loss_received):
+            assert (w_local, w_received) == (1.0, 0.0)
+        elif not math.isfinite(loss_local):
+            assert (w_local, w_received) == (0.0, 1.0)
+        elif 0 < loss_local + loss_received < math.inf:
+            total = loss_local + loss_received
+            assert (w_local, w_received) == (loss_received / total, loss_local / total)
 
     def test_aggregate_convex_combination(self):
         local = np.zeros(4, dtype=np.float32)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.coreset import (
-    PenaltyConfig,
     build_coreset,
     command_loss_entropy,
     merge_coresets,
@@ -12,6 +11,13 @@ from repro.coreset import (
     penalized_losses,
     reduce_coreset,
 )
+from repro.coreset import penalty
+
+
+def set_penalty(monkeypatch, lambda_l2: float, lambda_entropy: float) -> None:
+    """Run Eq. 6 with other coefficients than §III-B's."""
+    monkeypatch.setattr(penalty, "LAMBDA_L2", lambda_l2)
+    monkeypatch.setattr(penalty, "LAMBDA_ENTROPY", lambda_entropy)
 
 
 @pytest.fixture
@@ -101,70 +107,67 @@ class TestCommandLossEntropy:
 
 
 class TestPenalizedLoss:
-    def test_reduces_to_weighted_mean_when_disabled(self, model):
-        config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
+    def test_reduces_to_weighted_mean_when_disabled(self, model, monkeypatch):
+        set_penalty(monkeypatch, 0.0, 0.0)
         losses = np.array([1.0, 3.0])
-        value = penalized_loss(model, losses, np.array([0, 1]), np.array([1.0, 1.0]), config)
+        value = penalized_loss(model, losses, np.array([0, 1]), np.array([1.0, 1.0]))
         assert value == pytest.approx(2.0)
 
-    def test_l2_term_added(self, model):
+    def test_l2_term_added(self, model, monkeypatch):
         from repro.nn.params import get_flat_params
 
-        config = PenaltyConfig(lambda_l2=0.5, lambda_entropy=0.0)
+        set_penalty(monkeypatch, 0.5, 0.0)
         losses = np.array([1.0])
-        value = penalized_loss(model, losses, np.array([0]), np.array([1.0]), config)
+        value = penalized_loss(model, losses, np.array([0]), np.array([1.0]))
         expected = 1.0 + 0.5 * np.linalg.norm(get_flat_params(model))
         assert value == pytest.approx(expected, rel=1e-5)
 
-    def test_entropy_term_added(self, model):
-        config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=1.0)
+    def test_entropy_term_added(self, model, monkeypatch):
+        set_penalty(monkeypatch, 0.0, 1.0)
         losses = np.array([10.0, 0.01])
         commands = np.array([0, 1])
-        value = penalized_loss(model, losses, commands, np.ones(2), config)
+        value = penalized_loss(model, losses, commands, np.ones(2))
         assert value > losses.mean()
 
-    def test_weights_respected(self, model):
-        config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
+    def test_weights_respected(self, model, monkeypatch):
+        set_penalty(monkeypatch, 0.0, 0.0)
         losses = np.array([1.0, 3.0])
-        value = penalized_loss(model, losses, np.array([0, 1]), np.array([3.0, 1.0]), config)
+        value = penalized_loss(model, losses, np.array([0, 1]), np.array([3.0, 1.0]))
         assert value == pytest.approx(1.5)
 
     def test_zero_weight_sum_rejected(self, model):
         with pytest.raises(ValueError):
-            penalized_loss(model, np.ones(2), np.zeros(2, int), np.zeros(2), PenaltyConfig())
+            penalized_loss(model, np.ones(2), np.zeros(2, int), np.zeros(2))
 
     def test_enabled_flag(self):
-        assert PenaltyConfig().enabled
-        assert not PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0).enabled
+        """Both §III-B terms are on in every run."""
+        assert penalty.LAMBDA_L2 > 0 and penalty.LAMBDA_ENTROPY > 0
 
 
-def eq6_one_model(flat, per_sample_losses, commands, weights, config):
+def eq6_one_model(flat, per_sample_losses, commands, weights):
     """Eq. 6 for one model, a command mask at a time: the statement
-    :func:`penalized_losses` must equal on every row (with no penalty
-    active, ``waypoint_l1``'s weighted mean in the losses' dtype)."""
-    if not config.enabled:
-        norm = np.asarray(weights, dtype=per_sample_losses.dtype)
-        return float(per_sample_losses @ (norm / norm.sum()))
+    :func:`penalized_losses` must equal on every row."""
     weights = np.asarray(weights, dtype=float)
     value = float(per_sample_losses @ (weights / weights.sum()))
-    if config.lambda_l2 > 0:
-        value += config.lambda_l2 * float(np.linalg.norm(flat))
-    if config.lambda_entropy > 0:
+    if penalty.LAMBDA_L2 > 0:
+        value += penalty.LAMBDA_L2 * float(np.linalg.norm(flat))
+    if penalty.LAMBDA_ENTROPY > 0:
         losses = np.asarray(per_sample_losses, dtype=float)
         means = [losses[commands == cmd].mean() for cmd in range(4) if (commands == cmd).any()]
         q = np.asarray(means)
         if len(means) > 1 and q.sum() > 0:
             q = q / q.sum()
             entropy = float(-(q * np.log(np.clip(q, 1e-12, None))).sum())
-            value += config.lambda_entropy * float(np.log(len(means)) - entropy)
+            value += penalty.LAMBDA_ENTROPY * float(np.log(len(means)) - entropy)
     return value
 
 
+#: ``(LAMBDA_L2, LAMBDA_ENTROPY)``: §III-B's pair, each term alone, neither.
 PENALTIES = {
-    "both": PenaltyConfig(),
-    "l2": PenaltyConfig(lambda_l2=1e-4, lambda_entropy=0.0),
-    "entropy": PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.05),
-    "none": PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0),
+    "both": (1e-4, 0.05),
+    "l2": (1e-4, 0.0),
+    "entropy": (0.0, 0.05),
+    "none": (0.0, 0.0),
 }
 
 
@@ -185,14 +188,14 @@ class TestEq6OverRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("penalty", sorted(PENALTIES))
     @pytest.mark.parametrize("n", [1, 5, 12, 150, 1000])
-    def test_rows_equal_eq6_per_row(self, penalty, dtype, n):
-        config = PENALTIES[penalty]
+    def test_rows_equal_eq6_per_row(self, penalty, dtype, n, monkeypatch):
+        set_penalty(monkeypatch, *PENALTIES[penalty])
         for seed in range(6):
             params, losses, commands, weights = self.rows(seed, n, dtype)
-            got = penalized_losses(params, losses, commands, weights, config)
+            got = penalized_losses(params, losses, commands, weights)
             assert got.dtype == np.float64 and got.shape == (7,)
             for row in range(7):
-                args = (params[row], losses[row], commands, weights, config)
+                args = (params[row], losses[row], commands, weights)
                 assert got[row] == eq6_one_model(*args) == penalized_loss(*args)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -206,12 +209,13 @@ class TestEq6OverRows:
         ],
         ids=["one-absent", "two-absent", "single-command", "zero-loss-rows"],
     )
-    def test_degenerate_command_sets(self, commands, zero_rows, dtype):
+    def test_degenerate_command_sets(self, commands, zero_rows, dtype, monkeypatch):
         params, losses, commands, weights = self.rows(9, 40, dtype, commands, zero_rows)
-        for config in PENALTIES.values():
-            got = penalized_losses(params, losses, commands, weights, config)
+        for lambdas in PENALTIES.values():
+            set_penalty(monkeypatch, *lambdas)
+            got = penalized_losses(params, losses, commands, weights)
             for row in range(7):
-                args = (params[row], losses[row], commands, weights, config)
+                args = (params[row], losses[row], commands, weights)
                 assert got[row] == eq6_one_model(*args) == penalized_loss(*args)
         entropies = command_loss_entropy(losses, commands)
         assert entropies.shape == (7,)
@@ -220,8 +224,9 @@ class TestEq6OverRows:
             assert not entropies.any()
 
     @pytest.mark.parametrize("penalty", sorted(PENALTIES))
-    def test_non_positive_weight_sum_still_raises(self, penalty):
+    def test_non_positive_weight_sum_still_raises(self, penalty, monkeypatch):
+        set_penalty(monkeypatch, *PENALTIES[penalty])
         params, losses, commands, _ = self.rows(1, 10, np.float32)
         for weights in (np.zeros(10), -np.ones(10)):
             with pytest.raises(ValueError, match="positive sum"):
-                penalized_losses(params, losses, commands, weights, PENALTIES[penalty])
+                penalized_losses(params, losses, commands, weights)

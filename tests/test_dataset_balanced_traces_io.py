@@ -32,37 +32,29 @@ class TestBalancedSampling:
     def test_rare_commands_overrepresented(self):
         ds = make_dataset([97, 1, 1, 1])
         rng = np.random.default_rng(0)
-        _, commands, _, _ = ds.sample_batch(64, rng, balance_commands=True)
+        _, commands, _, _ = ds.sample_batch(64, rng)
         counts = np.bincount(commands, minlength=N_COMMANDS)
         # Each present command gets ~a quarter of the batch.
         assert counts.min() >= 10
 
-    def test_unbalanced_respects_frequency(self):
-        ds = make_dataset([97, 1, 1, 1])
-        rng = np.random.default_rng(0)
-        _, commands, _, _ = ds.sample_batch(64, rng, balance_commands=False)
-        counts = np.bincount(commands, minlength=N_COMMANDS)
-        assert counts[0] > 40
-
     def test_batch_size_respected(self):
         ds = make_dataset([10, 10])
         rng = np.random.default_rng(0)
-        bev, commands, targets, idx = ds.sample_batch(16, rng, balance_commands=True)
+        bev, commands, targets, idx = ds.sample_batch(16, rng)
         assert len(commands) == 16
 
-    @pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "plain"])
-    def test_small_dataset_still_fills_the_batch(self, balanced):
+    def test_small_dataset_still_fills_the_batch(self):
         """Ten frames against a batch of 64: drawn with replacement, never
         capped — a short batch is a ragged row the fleet bank cannot stack."""
         ds = make_dataset([4, 3, 2, 1])
-        batch = ds.sample_batch(64, np.random.default_rng(0), balance_commands=balanced)
+        batch = ds.sample_batch(64, np.random.default_rng(0))
         assert [len(part) for part in batch] == [64] * 4
         assert set(np.asarray(batch[3]).tolist()) <= set(range(10))
 
     def test_single_command_dataset(self):
         ds = make_dataset([20])
         rng = np.random.default_rng(0)
-        _, commands, _, _ = ds.sample_batch(8, rng, balance_commands=True)
+        _, commands, _, _ = ds.sample_batch(8, rng)
         assert (commands == 0).all()
 
     def test_weights_still_matter_within_command(self):
@@ -72,7 +64,7 @@ class TestBalancedSampling:
         ]
         ds = DrivingDataset(frames)
         rng = np.random.default_rng(0)
-        _, _, _, idx = ds.sample_batch(64, rng, balance_commands=True)
+        _, _, _, idx = ds.sample_batch(64, rng)
         assert (np.asarray(idx) == 1).mean() > 0.95
 
 
@@ -120,7 +112,7 @@ class TestStratumTable:
         )
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # the second draw reads the cached table
-            _, commands, _, idx = ds.sample_batch(batch_size, got_rng, balance_commands=True)
+            _, commands, _, idx = ds.sample_batch(batch_size, got_rng)
             want = choice_draw(ds, batch_size, want_rng)
             assert idx.dtype == want.dtype and idx.tolist() == want.tolist()
             assert np.array_equal(commands, ds.commands[want])
@@ -128,7 +120,7 @@ class TestStratumTable:
 
     def test_fewer_picks_than_commands_leaves_the_late_strata_empty(self):
         ds = make_dataset([3, 3, 3, 3])
-        _, commands, _, idx = ds.sample_batch(2, np.random.default_rng(4), balance_commands=True)
+        _, commands, _, idx = ds.sample_batch(2, np.random.default_rng(4))
         assert commands.tolist() == [0, 1]
         assert idx.tolist() == choice_draw(ds, 2, np.random.default_rng(4)).tolist()
 
@@ -141,4 +133,4 @@ class TestStratumTable:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             choice_draw(ds, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="not a distribution"):
-            ds.sample_batch(4, np.random.default_rng(0), balance_commands=True)
+            ds.sample_batch(4, np.random.default_rng(0))

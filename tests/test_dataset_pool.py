@@ -60,20 +60,16 @@ class RefDataset:
             np.array([f.weight for f in self.frames], dtype=np.float64),
         )
 
-    def sample_batch(self, batch_size, rng, balance_commands=False):
+    def sample_batch(self, batch_size, rng):
         bev, commands, targets, weights = self.arrays()
-        if balance_commands:
-            present, picks = np.unique(commands), []
-            share, extra = divmod(batch_size, len(present))
-            for k, cmd in enumerate(present):
-                members = np.where(commands == cmd)[0]
-                probs = weights[members] / weights[members].sum()
-                quota = share + (1 if k < extra else 0)
-                picks.extend(rng.choice(members, size=quota, replace=True, p=probs).tolist())
-            idx = np.asarray(picks)
-        else:
-            n = len(self.frames)
-            idx = rng.choice(n, size=batch_size, replace=n < batch_size, p=weights / weights.sum())
+        present, picks = np.unique(commands), []
+        share, extra = divmod(batch_size, len(present))
+        for k, cmd in enumerate(present):
+            members = np.where(commands == cmd)[0]
+            probs = weights[members] / weights[members].sum()
+            quota = share + (1 if k < extra else 0)
+            picks.extend(rng.choice(members, size=quota, replace=True, p=probs).tolist())
+        idx = np.asarray(picks)
         return bev[idx], commands[idx], targets[idx], idx
 
 
@@ -111,12 +107,12 @@ def test_random_operation_sequences_match_the_reference(seed):
     def pick():
         return pairs[int(rng.integers(len(pairs)))]
 
-    def same_draws(pooled, ref, balanced):
+    def same_draws(pooled, ref):
         batch_size = int(rng.choice([1, 5, 16]))
         draw = int(rng.integers(1 << 30))
         rng_a, rng_b = np.random.default_rng(draw), np.random.default_rng(draw)
-        got = pooled.sample_batch(batch_size, rng_a, balance_commands=balanced)
-        want = ref.sample_batch(batch_size, rng_b, balance_commands=balanced)
+        got = pooled.sample_batch(batch_size, rng_a)
+        want = ref.sample_batch(batch_size, rng_b)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert len(got[3]) == batch_size
@@ -125,7 +121,7 @@ def test_random_operation_sequences_match_the_reference(seed):
     for _ in range(120):
         op = rng.choice(
             ["add", "extend", "absorb", "absorb_w", "subset", "subset_w", "with_weights",
-             "copy", "from_arrays", "pickle", "sample", "sample_balanced"]
+             "copy", "from_arrays", "pickle", "sample"]
         )
         pooled, ref = pick()
         if op == "add":
@@ -138,10 +134,10 @@ def test_random_operation_sequences_match_the_reference(seed):
             other_pooled, other_ref = pick()  # same pool, another pool, or itself
             weight = None if op == "absorb" else float(rng.uniform(0.5, 2.0))
             if ref.frames:  # a stratum table of the generation before the absorb
-                same_draws(pooled, ref, balanced=True)
+                same_draws(pooled, ref)
             assert pooled.absorb_from(other_pooled, weight) == ref.absorb_from(other_ref, weight)
             if ref.frames:
-                same_draws(pooled, ref, balanced=True)
+                same_draws(pooled, ref)
         elif op in ("subset", "subset_w") and ref.frames:
             indices = rng.integers(len(ref.frames), size=int(rng.integers(0, 8)))
             weights = rng.uniform(0.5, 2.0, size=indices.size) if op == "subset_w" else None
@@ -159,13 +155,13 @@ def test_random_operation_sequences_match_the_reference(seed):
             pairs.append((rebuilt, RefDataset(ref.frames)))
         elif op == "pickle":
             if ref.frames:
-                same_draws(pooled, ref, balanced=True)
+                same_draws(pooled, ref)
             pairs.append((pickle.loads(pickle.dumps(pooled)), RefDataset(ref.frames)))
             assert pairs[-1][0]._strata == []  # the table does not travel
             if ref.frames:
-                same_draws(*pairs[-1], balanced=True)
-        elif op in ("sample", "sample_balanced") and ref.frames:
-            same_draws(pooled, ref, balanced=op == "sample_balanced")
+                same_draws(*pairs[-1])
+        elif op == "sample" and ref.frames:
+            same_draws(pooled, ref)
         for pooled, ref in pairs:
             assert_same(pooled, ref)
         pairs = pairs[-6:]
@@ -272,21 +268,16 @@ class TestPickling:
 
 
 class TestGatherInPlace:
-    @pytest.mark.parametrize("balance", [False, True], ids=["weighted", "balanced"])
-    def test_the_fleet_buffers_are_todays_batches_stacked(self, balance):
+    def test_the_fleet_buffers_are_todays_batches_stacked(self):
         """``sample_batch(out=...)`` gathers into the fleet's stacked
         buffers what stacking the returned batches would, from the same
         RNG draws."""
-        from dataclasses import replace
-
         from tests.test_nn_bank import build_fleet
 
         engine = build_fleet(n_nodes=3)
-        for node in engine.nodes:
-            node.config = replace(node.config, balance_commands=balance)
         clones = [pickle.loads(pickle.dumps(node.rng)) for node in engine.nodes]
         batches = [
-            node.dataset.sample_batch(node.config.batch_size, rng, balance_commands=balance)
+            node.dataset.sample_batch(node.config.batch_size, rng)
             for node, rng in zip(engine.nodes, clones)
         ]
         engine.train_step_all()

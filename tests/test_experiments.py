@@ -170,11 +170,11 @@ class TestRunner:
             context,
             "LbChat",
             wireless=False,
-            overrides={"lambda_c": 0.5, "time_budget": 10.0},
+            overrides={"lambda_c": 0.5, "record_interval": 40.0},
         )
         result = run_method(context, spec)
         assert result.trainer.config.lambda_c == 0.5
-        assert result.trainer.config.time_budget == 10.0
+        assert result.trainer.config.record_interval == 40.0
 
     def test_trainer_overrides_unknown_field_rejected(self, context):
         spec = RunSpec.for_context(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.chat import pairwise_chat
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
-from repro.net import ChannelConfig, WirelessModel
+from repro.net import WirelessModel
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
 from tests.conftest import make_fleet, make_node
@@ -30,7 +30,6 @@ class TestDeadChannel:
             start_time=0.0,
             contact_deadline=60.0,
             wireless=WirelessModel(),
-            channel=ChannelConfig(),
             time_budget=15.0,
         )
         assert not outcome.coresets_exchanged
@@ -65,7 +64,6 @@ class TestDeadChannel:
             start_time=0.0,
             contact_deadline=60.0,
             wireless=WirelessModel(),
-            channel=ChannelConfig(),
             time_budget=15.0,
         )
         # Coresets (sub-second) made it; the 52 MB models could not.
@@ -90,15 +88,6 @@ class TestLonelyFleet:
         # On a one-row bank: the fleet engine holds any fleet of >= 1.
         assert trainer.fleet.mean_step_width == 1.0
         assert trainer.fleet.step_events == trainer.counters.get("train_steps")
-
-    def test_zero_range_disables_encounters(self, fleet_datasets, traces, validation):
-        nodes = make_fleet(fleet_datasets, coreset_size=8, seed=2)
-        config = LbChatConfig(
-            duration=60.0, train_interval=3.0, record_interval=30.0, seed=1, max_range=0.0
-        )
-        trainer = LbChatTrainer(nodes, traces, validation, config)
-        trainer.run()
-        assert trainer.counters.get("chats") == 0
 
 
 class TestDegenerateData:
@@ -125,7 +114,6 @@ class TestDegenerateData:
             start_time=0.0,
             contact_deadline=120.0,
             wireless=WirelessModel(enabled=False),
-            channel=ChannelConfig(),
             time_budget=15.0,
         )
         # Identical models: value gaps are ~0, so Eq. 7 sends (almost)

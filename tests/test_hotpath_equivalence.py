@@ -60,27 +60,19 @@ def make_synthetic_dataset(n: int = 500) -> DrivingDataset:
 def make_synthetic_node(dataset: DrivingDataset) -> VehicleNode:
     """A one-row fleet's node."""
     model = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=48, seed=0)
-    config = NodeConfig(coreset_size=50, learning_rate=1e-3)
+    config = NodeConfig(coreset_size=50)
     member = ("bench", DrivingDataset(dataset.frames()), spawn_rng(7, "bench"))
     return FleetEngine(model, [member], config).nodes[0]
 
 
 def _sample_batch_record(dataset: DrivingDataset) -> dict:
-    out: dict = {}
-    for label, balanced in (("balanced", True), ("plain", False)):
-        rng = np.random.default_rng(123)
-        idx_lists, blobs = [], []
-        for _ in range(3):
-            bev, commands, targets, idx = dataset.sample_batch(
-                64, rng, balance_commands=balanced
-            )
-            idx_lists.append(np.asarray(idx).tolist())
-            blobs.extend(
-                np.ascontiguousarray(a).tobytes() for a in (bev, commands, targets)
-            )
-        out[f"{label}_idx"] = idx_lists
-        out[f"{label}_digest"] = _sha(*blobs)
-    return out
+    rng = np.random.default_rng(123)
+    idx_lists, blobs = [], []
+    for _ in range(3):
+        bev, commands, targets, idx = dataset.sample_batch(64, rng)
+        idx_lists.append(np.asarray(idx).tolist())
+        blobs.extend(np.ascontiguousarray(a).tobytes() for a in (bev, commands, targets))
+    return {"balanced_idx": idx_lists, "balanced_digest": _sha(*blobs)}
 
 
 def _loss_record(node: VehicleNode) -> dict:
@@ -182,9 +174,7 @@ class TestSampleBatchDeterminism:
     def test_matches_recorded(self, expectations):
         got = _sample_batch_record(make_synthetic_dataset())
         want = expectations["sample_batch"]
-        for label in ("balanced", "plain"):
-            assert got[f"{label}_idx"] == want[f"{label}_idx"], label
-            assert got[f"{label}_digest"] == want[f"{label}_digest"], label
+        assert got == want
 
 
 class TestPerSampleLossDeterminism:

@@ -2,29 +2,27 @@
 
 import pytest
 
-from repro.net import ChannelConfig, WirelessModel, simulate_transfer
-from repro.net.channel import transfer_time_lossless
-
-CONFIG = ChannelConfig()
+from repro.net import WirelessModel, simulate_transfer
+from repro.net.channel import BYTES_PER_SECOND, transfer_time_lossless
 
 
 class TestLosslessTime:
     def test_zero_bytes_instant(self):
-        assert transfer_time_lossless(0, CONFIG) == 0.0
+        assert transfer_time_lossless(0) == 0.0
 
     def test_packetization_rounds_up(self):
-        one = transfer_time_lossless(1, CONFIG)
-        full = transfer_time_lossless(1500, CONFIG)
+        one = transfer_time_lossless(1)
+        full = transfer_time_lossless(1500)
         assert one == full
 
     def test_52mb_takes_tens_of_seconds(self):
         # The paper's headline: a 52 MB model at 31 Mbps takes ~13-14 s.
-        t = transfer_time_lossless(52 * 1024 * 1024, CONFIG)
+        t = transfer_time_lossless(52 * 1024 * 1024)
         assert 12.0 < t < 16.0
 
     def test_coreset_under_half_second(self):
         # §IV-A: a 0.6 MB coreset transmits in < 0.5 s.
-        t = transfer_time_lossless(0.6 * 1024 * 1024, CONFIG)
+        t = transfer_time_lossless(0.6 * 1024 * 1024)
         assert t < 0.5
 
 
@@ -32,26 +30,26 @@ class TestSimulateTransfer:
     def test_completes_on_clean_link(self):
         wireless = WirelessModel(enabled=False)
         result = simulate_transfer(
-            1_000_000, lambda t: 50.0, wireless, CONFIG, 0.0, 100.0
+            1_000_000, lambda t: 50.0, wireless, 0.0, 100.0
         )
         assert result.completed
-        assert result.elapsed == pytest.approx(1_000_000 / CONFIG.bytes_per_second, rel=0.01)
+        assert result.elapsed == pytest.approx(1_000_000 / BYTES_PER_SECOND, rel=0.01)
 
     def test_loss_slows_transfer(self):
         clean = simulate_transfer(
-            2_000_000, lambda t: 10.0, WirelessModel(enabled=False), CONFIG, 0.0, 1e9
+            2_000_000, lambda t: 10.0, WirelessModel(enabled=False), 0.0, 1e9
         )
         lossy = simulate_transfer(
-            2_000_000, lambda t: 499.0, WirelessModel(), CONFIG, 0.0, 1e9
+            2_000_000, lambda t: 499.0, WirelessModel(), 0.0, 1e9
         )
         assert lossy.completed
         assert lossy.elapsed > clean.elapsed * 3
 
     def test_deadline_cuts_transfer(self):
         wireless = WirelessModel(enabled=False)
-        needed = 10_000_000 / CONFIG.bytes_per_second
+        needed = 10_000_000 / BYTES_PER_SECOND
         result = simulate_transfer(
-            10_000_000, lambda t: 50.0, wireless, CONFIG, 0.0, needed / 2
+            10_000_000, lambda t: 50.0, wireless, 0.0, needed / 2
         )
         assert not result.completed
         assert result.bytes_delivered < 10_000_000
@@ -62,12 +60,12 @@ class TestSimulateTransfer:
         def distance(t):
             return 100.0 if t < 1.0 else 1000.0  # drives away after 1 s
 
-        result = simulate_transfer(50_000_000, distance, wireless, CONFIG, 0.0, 100.0)
+        result = simulate_transfer(50_000_000, distance, wireless, 0.0, 100.0)
         assert not result.completed
         assert result.elapsed <= 1.5
 
     def test_zero_bytes_trivially_complete(self):
-        result = simulate_transfer(0, lambda t: 50.0, WirelessModel(), CONFIG, 0.0, 1.0)
+        result = simulate_transfer(0, lambda t: 50.0, WirelessModel(), 0.0, 1.0)
         assert result.completed and result.elapsed == 0.0
 
     def test_absolute_time_offsets_respected(self):
@@ -78,5 +76,5 @@ class TestSimulateTransfer:
             seen.append(t)
             return 50.0
 
-        simulate_transfer(1000, distance, wireless, CONFIG, start_time=42.0, deadline=50.0)
+        simulate_transfer(1000, distance, wireless, start_time=42.0, deadline=50.0)
         assert all(t >= 42.0 for t in seen)

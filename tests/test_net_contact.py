@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
+    BANDWIDTH_BPS,
     DEFAULT_LOSS_TABLE,
-    ChannelConfig,
     ContactEstimate,
     WirelessModel,
     estimate_contact,
@@ -15,7 +15,6 @@ from repro.net import (
     priority_score,
 )
 
-CONFIG = ChannelConfig()
 WIRELESS = WirelessModel()
 INTERVAL = 0.5
 
@@ -38,26 +37,26 @@ def diverging_routes(start_distance=100.0, rate=25.0, n=40):
 class TestEstimateContact:
     def test_close_parallel_pair_long_contact(self):
         a, b = parallel_routes(50.0)
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, exchange_bytes=1e6)
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, exchange_bytes=1e6)
         assert est.contact_duration == pytest.approx((len(a)) * INTERVAL, abs=1.0)
         assert est.p == 1.0
 
     def test_out_of_range_now_zero(self):
         a, b = parallel_routes(600.0)
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, exchange_bytes=1e6)
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, exchange_bytes=1e6)
         assert est.contact_duration == 0.0
         assert est.z == 0.0 and est.p == 0.0
 
     def test_diverging_pair_contact_ends(self):
         a, b = diverging_routes()
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, exchange_bytes=1e5)
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, exchange_bytes=1e5)
         # Distance exceeds 500 m after (500-100)/25 = 16 samples.
         assert est.contact_duration == pytest.approx(16 * INTERVAL, abs=1.0)
 
     def test_insufficient_contact_zero_z(self):
         a, b = diverging_routes(start_distance=480.0, rate=40.0)
         huge = 1e9  # needs far longer than the ~0.5 s of contact left
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, exchange_bytes=huge)
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, exchange_bytes=huge)
         assert est.z == 0.0
         assert est.p < 1.0
 
@@ -67,21 +66,21 @@ class TestEstimateContact:
         bytes_needed = 4e6
         a1, b1 = parallel_routes(50.0, n=10)  # 5 s contact
         a2, b2 = parallel_routes(50.0, n=80)  # 40 s contact
-        est_short = estimate_contact(a1, b1, INTERVAL, WIRELESS, CONFIG, bytes_needed)
-        est_long = estimate_contact(a2, b2, INTERVAL, WIRELESS, CONFIG, bytes_needed)
+        est_short = estimate_contact(a1, b1, INTERVAL, WIRELESS, bytes_needed)
+        est_long = estimate_contact(a2, b2, INTERVAL, WIRELESS, bytes_needed)
         assert est_short.z > est_long.z
         assert est_short.p == est_long.p == 1.0
 
     def test_closer_pair_better_goodput(self):
         a1, b1 = parallel_routes(30.0)
         a2, b2 = parallel_routes(450.0)
-        near = estimate_contact(a1, b1, INTERVAL, WIRELESS, CONFIG, 1e6)
-        far = estimate_contact(a2, b2, INTERVAL, WIRELESS, CONFIG, 1e6)
+        near = estimate_contact(a1, b1, INTERVAL, WIRELESS, 1e6)
+        far = estimate_contact(a2, b2, INTERVAL, WIRELESS, 1e6)
         assert near.mean_goodput_factor > far.mean_goodput_factor
 
     def test_empty_routes(self):
         est = estimate_contact(
-            np.zeros((0, 2)), np.zeros((0, 2)), INTERVAL, WIRELESS, CONFIG, 1e6
+            np.zeros((0, 2)), np.zeros((0, 2)), INTERVAL, WIRELESS, 1e6
         )
         assert est.contact_duration == 0.0
 
@@ -89,20 +88,19 @@ class TestEstimateContact:
 class TestPriorityScore:
     def test_eq5_product(self):
         a, b = parallel_routes(50.0)
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, 4e6)
-        score = priority_score(est, 31e6, 20e6)
-        assert score == pytest.approx(est.z * est.p * 20e6)
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, 4e6)
+        assert est.z * est.p > 0
+        assert priority_score(est) == est.z * est.p * 31e6
 
     def test_zero_for_unreachable(self):
         a, b = parallel_routes(600.0)
-        est = estimate_contact(a, b, INTERVAL, WIRELESS, CONFIG, 4e6)
-        assert priority_score(est, 31e6, 31e6) == 0.0
+        est = estimate_contact(a, b, INTERVAL, WIRELESS, 4e6)
+        assert priority_score(est) == 0.0
 
 
-def scalar_estimate(route_a, route_b, wireless, exchange_bytes, bandwidth_bps):
+def scalar_estimate(route_a, route_b, wireless, exchange_bytes):
     """§III-A for one pair, a sample at a time: the reference
     :func:`estimate_contacts` must equal for every candidate."""
-    bandwidth_bps = bandwidth_bps or CONFIG.bandwidth_bps
     k = min(len(route_a), len(route_b))
     distances = np.linalg.norm(route_a[:k] - route_b[:k], axis=1)
     in_range = distances <= wireless.max_range
@@ -112,7 +110,7 @@ def scalar_estimate(route_a, route_b, wireless, exchange_bytes, bandwidth_bps):
     end = int(out[0]) if len(out) else k
     contact_duration = end * INTERVAL
     goodput = float(np.array([1.0 - wireless.loss_at(d) for d in distances[:end]]).mean())
-    bytes_per_second = bandwidth_bps / 8.0 * goodput
+    bytes_per_second = BANDWIDTH_BPS / 8.0 * goodput
     needed_time = exchange_bytes / max(bytes_per_second, 1e-9)
     if needed_time <= 0:
         z = 1.0
@@ -168,13 +166,9 @@ class TestCandidateSetAgainstTheScalarLoop:
         route = np.cumsum(rng.integers(-12, 13, (k, 2)), axis=0).astype(float)
         routes = candidate_routes(rng, route, c)
         exchange_bytes = rng.choice([0.0, 1.0, 3e5, 4e6, 6e8], c).tolist()
-        bandwidths = [None if b == 0 else b for b in rng.choice([0.0, 5e6, 31e6], c).tolist()]
-        got = estimate_contacts(
-            route, routes, INTERVAL, wireless, CONFIG, exchange_bytes, bandwidths
-        )
+        got = estimate_contacts(route, routes, INTERVAL, wireless, exchange_bytes)
         want = [
-            scalar_estimate(route, routes[:, n], wireless, exchange_bytes[n], bandwidths[n])
-            for n in range(c)
+            scalar_estimate(route, routes[:, n], wireless, exchange_bytes[n]) for n in range(c)
         ]
         assert got == want
         assert all(type(v) is float for estimate in got for v in vars(estimate).values())
@@ -186,13 +180,13 @@ class TestCandidateSetAgainstTheScalarLoop:
         for n in range(min(c, 4)):
             longer = np.concatenate([routes[:, n], routes[-1:, n]])
             assert (
-                estimate_contact(
-                    route, longer, INTERVAL, wireless, CONFIG, exchange_bytes[n], bandwidths[n]
-                )
+                estimate_contact(route, longer, INTERVAL, wireless, exchange_bytes[n])
                 == want[n]
             )
 
     def test_default_bandwidth_is_the_channels(self):
+        """Every pair plans at the §IV-A link rate, the channel's."""
         a, b = parallel_routes(120.0)
-        got = estimate_contacts(a, b[:, None], INTERVAL, WIRELESS, CONFIG, [4e6])
-        assert got == [scalar_estimate(a, b, WIRELESS, 4e6, None)]
+        got = estimate_contacts(a, b[:, None], INTERVAL, WIRELESS, [4e6])
+        assert got == [scalar_estimate(a, b, WIRELESS, 4e6)]
+        assert BANDWIDTH_BPS == 31e6

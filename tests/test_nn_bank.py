@@ -65,7 +65,7 @@ def make_dataset(seed: int, n_frames: int) -> DrivingDataset:
     )
 
 
-CONFIG = NodeConfig(coreset_size=10, learning_rate=1e-3, batch_size=8)
+CONFIG = NodeConfig(coreset_size=10, batch_size=8)
 
 
 def build_fleet(

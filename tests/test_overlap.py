@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.core.ledger import TransferLedger
-from repro.net.channel import CHUNK_SECONDS, ChannelConfig
+from repro.net.channel import CHUNK_SECONDS
 from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_fleet
 
@@ -179,8 +179,7 @@ class TestOverlapFlights:
         from repro.net.wireless import WirelessModel
 
         node_i, node_j = node_pair
-        channel = ChannelConfig()
-        wireless = WirelessModel(max_range=500.0, enabled=False)
+        wireless = WirelessModel(enabled=False)
 
         cutoff = {"t": np.inf}
 
@@ -190,7 +189,7 @@ class TestOverlapFlights:
         chat = plan_chat(
             node_i, node_j, distance_fn=distance_fn,
             start_time=0.0, contact_deadline=300.0,
-            wireless=wireless, channel=channel, time_budget=300.0,
+            wireless=wireless, time_budget=300.0,
         )
         assert len(chat.legs) > 0
         # Cut the link shortly after the transfer phase begins: the

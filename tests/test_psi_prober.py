@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from repro.compression import decompress, topk_for_psi, topk_plan
 from repro.core.chat import negotiate, pairwise_chat
 from repro.core.fleet import FleetEngine
-from repro.core.node import NodeConfig, VehicleNode
+from repro.core.node import NOMINAL_MODEL_BYTES, NodeConfig, VehicleNode
 from repro.core.overlap import DensePsiProber
-from repro.coreset import PenaltyConfig
+from repro.core import fleet as fleet_module
+from repro.core import node as node_module
+from repro.coreset import penalty as penalty_module
 from repro.engine.random import spawn_rng
-from repro.net import ChannelConfig, WirelessModel
+from repro.net import WirelessModel
 from repro.nn import make_driving_model
 from repro.sim.dataset import DrivingDataset, Frame
 
@@ -30,7 +32,22 @@ from tests.test_compression import EQ7_LATTICE, assert_same_payload, bits, brute
 #: (bev shape, hidden) of the paper's and the city scale's models.
 MODEL_SIZES = {"paper": ((4, 20, 20), 96), "city": ((4, 12, 12), 48)}
 N_WAYPOINTS = 5
-NO_PENALTY = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
+#: ``(LAMBDA_L2, LAMBDA_ENTROPY)``: §III-B's Eq. 6, and the plain weighted loss.
+PENALTY, NO_PENALTY = (1e-4, 0.05), (0.0, 0.0)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def fast_learner():
+    """Steps large enough that two of them move every parameter."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fleet_module, "LEARNING_RATE", 1e-2)
+        monkeypatch.setattr(node_module, "LEARNING_RATE", 1e-2)
+        yield
+
+
+def set_penalty(monkeypatch, lambdas) -> None:
+    monkeypatch.setattr(penalty_module, "LAMBDA_L2", lambdas[0])
+    monkeypatch.setattr(penalty_module, "LAMBDA_ENTROPY", lambdas[1])
 
 
 def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDataset:
@@ -49,11 +66,11 @@ def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDatase
     )
 
 
-def fleet(seeds, size: str, use_conv: bool, penalty: PenaltyConfig) -> FleetEngine:
+def fleet(seeds, size: str, use_conv: bool) -> FleetEngine:
     """A fleet of node ``n{k}`` on ``synthetic_dataset(seeds[k])`` each."""
     bev_shape, hidden = MODEL_SIZES[size]
     template = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
-    config = NodeConfig(coreset_size=12, batch_size=16, learning_rate=1e-2, penalty=penalty)
+    config = NodeConfig(coreset_size=12, batch_size=16)
     members = [
         (f"n{k}", synthetic_dataset(seed, bev_shape), spawn_rng(seed, f"n{k}"))
         for k, seed in enumerate(seeds)
@@ -61,7 +78,7 @@ def fleet(seeds, size: str, use_conv: bool, penalty: PenaltyConfig) -> FleetEngi
     return FleetEngine(template, members, config)
 
 
-def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, tie_step=0.0):
+def trained_node(seed: int, size: str, use_conv: bool, tie_step=0.0):
     """A one-row fleet's node a few reference steps away from the shared
     initialization.
 
@@ -69,7 +86,7 @@ def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, t
     a few dozen distinct magnitudes, many exact zeros of both signs, and
     every level's cut inside a long run of equal ones.
     """
-    (node,) = fleet([seed], size, use_conv, penalty).nodes
+    (node,) = fleet([seed], size, use_conv).nodes
     for _ in range(2):
         node.train_step()
     if tie_step:
@@ -79,7 +96,7 @@ def trained_node(seed: int, size: str, use_conv: bool, penalty: PenaltyConfig, t
 
 @pytest.mark.parametrize("size", sorted(MODEL_SIZES))
 @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
-@pytest.mark.parametrize("penalty", [PenaltyConfig(), NO_PENALTY], ids=["penalty", "plain"])
+@pytest.mark.parametrize("penalty", [PENALTY, NO_PENALTY], ids=["penalty", "plain"])
 class TestProberMatchesOracle:
     @settings(max_examples=4, deadline=None)
     @given(
@@ -88,7 +105,13 @@ class TestProberMatchesOracle:
         tie_step=st.sampled_from([0.0, 0.02]),
     )
     def test_detached_node(self, size, use_conv, penalty, seed, psi, tie_step):
-        node = trained_node(seed, size, use_conv, penalty, tie_step=tie_step)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_penalty(monkeypatch, penalty)
+            self.check_detached_node(size, use_conv, seed, psi, tie_step)
+
+    @staticmethod
+    def check_detached_node(size, use_conv, seed, psi, tie_step):
+        node = trained_node(seed, size, use_conv, tie_step=tie_step)
         prober = DensePsiProber(node.fleet.template)
         psi_map, plan = prober.build(node)
         # The probe rows, to the bit: +0.0 in every unsent position.
@@ -99,9 +122,10 @@ class TestProberMatchesOracle:
         assert np.array_equal(psi_map.losses, oracle.losses)
         assert_same_payload(plan.compress(psi), node.compress_model(psi))
 
-    def test_bank_attached_nodes(self, size, use_conv, penalty):
+    def test_bank_attached_nodes(self, size, use_conv, penalty, monkeypatch):
         """The trainer's case: rows of a fleet the engine stepped."""
-        engine = fleet([7, 8], size, use_conv, penalty)
+        set_penalty(monkeypatch, penalty)
+        engine = fleet([7, 8], size, use_conv)
         for _ in range(2):
             engine.train_step_all()
         prober = DensePsiProber(engine.template)
@@ -114,7 +138,7 @@ class TestProberMatchesOracle:
 
 def test_probe_rows_hold_the_brute_force_top_k():
     """The bank rows against the rule itself, on parameters built to tie."""
-    node = trained_node(11, "city", False, NO_PENALTY, tie_step=0.02)
+    node = trained_node(11, "city", False, tie_step=0.02)
     flat = node.flat_params
     assert np.unique(np.abs(flat)).size < 100 and np.signbit(flat[flat == 0]).any()
     prober = DensePsiProber(node.fleet.template)
@@ -134,7 +158,7 @@ def test_probe_rows_hold_the_brute_force_top_k():
 def test_the_probe_bank_is_two_forward_only_halves():
     """Seven levels per chat side in one bank with no gradient array;
     each side builds in its own half and leaves the other alone."""
-    engine = fleet([7, 8], "paper", True, PenaltyConfig())
+    engine = fleet([7, 8], "paper", True)
     engine.train_step_all()
     prober = DensePsiProber(engine.template)
     levels, n_params = len(prober.psis), engine.bank.n_params
@@ -161,7 +185,7 @@ class LoopProber:
     plan ranked from scratch for the payload to reuse."""
 
     def build(self, node, side=0):
-        return node.build_psi_map(), topk_plan(node.flat_params, node.config.nominal_model_bytes)
+        return node.build_psi_map(), topk_plan(node.flat_params, NOMINAL_MODEL_BYTES)
 
 
 def chat(pair, prober, time_budget=15.0, entry=pairwise_chat, **protocol):
@@ -171,7 +195,6 @@ def chat(pair, prober, time_budget=15.0, entry=pairwise_chat, **protocol):
         start_time=0.0,
         contact_deadline=60.0,
         wireless=WirelessModel(enabled=False),
-        channel=ChannelConfig(),
         time_budget=time_budget,
         prober=prober,
         **protocol,

@@ -110,7 +110,7 @@ class TestModelPilot:
             calls.append(state)
             return np.zeros((3, 8, 8), dtype=np.float32)
 
-        pilot = ModelPilot(model, plan, bev_fn, decision_interval=0.5)
+        pilot = ModelPilot(model, plan, bev_fn)
         state = VehicleState(0.0, 0.0, 0.0, 0.0)
         for _ in range(10):
             turn_rate, accel = pilot.control(state, 0.1)

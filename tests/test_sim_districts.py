@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import TownMap, World, WorldConfig
+from repro.sim import world as world_module
 from repro.sim.traffic import TrafficManager
 
 
@@ -59,7 +60,8 @@ class TestDistrictWorld:
         world = World(config)
         assert [v.district for v in world.vehicles] == [0, 1, 2, 3, 0, 1]
 
-    def test_routes_start_in_home_district(self):
+    def test_routes_start_in_home_district(self, monkeypatch):
+        monkeypatch.setattr(world_module, "OUT_OF_DISTRICT_PROB", 0.0)  # pure home-district trips
         config = WorldConfig(
             map_size=400.0,
             grid_n=4,
@@ -69,14 +71,14 @@ class TestDistrictWorld:
             seed=3,
             min_route_length=80.0,
             n_districts=4,
-            out_of_district_prob=0.0,  # pure home-district trips
         )
         world = World(config)
         for vehicle in world.vehicles:
             start = vehicle.plan.point_at(0.0)
             assert world.town.district_of(start, 4) == vehicle.district
 
-    def test_out_of_district_commutes_happen(self):
+    def test_out_of_district_commutes_happen(self, monkeypatch):
+        monkeypatch.setattr(world_module, "OUT_OF_DISTRICT_PROB", 1.0)  # every trip is a commute
         config = WorldConfig(
             map_size=400.0,
             grid_n=4,
@@ -86,7 +88,6 @@ class TestDistrictWorld:
             seed=3,
             min_route_length=80.0,
             n_districts=4,
-            out_of_district_prob=1.0,  # every trip is a commute
         )
         world = World(config)
         world.run(60.0)

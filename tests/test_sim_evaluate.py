@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import make_driving_model
+from repro.sim import evaluate
 from repro.sim.evaluate import (
     DrivingCondition,
     EvalConfig,
@@ -18,13 +19,13 @@ from tests.conftest import BEV_SPEC, N_WAYPOINTS
 
 @pytest.fixture(scope="module")
 def eval_config():
-    return EvalConfig(
-        bev_spec=BEV_SPEC,
-        n_waypoints=N_WAYPOINTS,
-        normal_cars=3,
-        normal_pedestrians=6,
-        min_navigation_length=250.0,
-    )
+    return EvalConfig(bev_spec=BEV_SPEC, normal_cars=3, normal_pedestrians=6)
+
+
+@pytest.fixture(autouse=True)
+def short_navigation(monkeypatch):
+    """The test town is smaller than the paper's: shorter Navigation routes."""
+    monkeypatch.setattr(evaluate, "MIN_NAVIGATION_LENGTH", 250.0)
 
 
 class TestDrivingCondition:
@@ -43,29 +44,29 @@ class TestRouteForCondition:
     def test_straight_has_no_turns(self, town, eval_config):
         rng = spawn_rng(0, "straight")
         for _ in range(5):
-            plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng, eval_config)
+            plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng)
             turning = [c for _, c in plan._turns if c != CMD_STRAIGHT]
             assert not turning
 
     def test_one_turn_has_exactly_one(self, town, eval_config):
         rng = spawn_rng(0, "oneturn")
-        plan = route_for_condition(town, DrivingCondition.ONE_TURN, rng, eval_config)
+        plan = route_for_condition(town, DrivingCondition.ONE_TURN, rng)
         turning = [c for _, c in plan._turns if c != CMD_STRAIGHT]
         assert len(turning) == 1
 
     def test_navigation_long_with_turns(self, town, eval_config):
         rng = spawn_rng(0, "navi")
-        plan = route_for_condition(town, DrivingCondition.NAVI_EMPTY, rng, eval_config)
+        plan = route_for_condition(town, DrivingCondition.NAVI_EMPTY, rng)
         turning = [c for _, c in plan._turns if c != CMD_STRAIGHT]
         assert len(turning) >= 2
-        assert plan.total_length >= eval_config.min_navigation_length
+        assert plan.total_length >= evaluate.MIN_NAVIGATION_LENGTH
 
 
 class TestRunEpisode:
     def test_untrained_model_fails_gracefully(self, town, eval_config):
         model = make_driving_model(BEV_SPEC.shape, N_WAYPOINTS, 16, seed=0)
         rng = spawn_rng(1, "ep")
-        plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng, eval_config)
+        plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng)
         result = run_episode(model, town, plan, DrivingCondition.STRAIGHT, eval_config, seed=0)
         assert result.reason in ("success", "collision", "off_road", "timeout")
         assert result.time > 0
@@ -74,7 +75,7 @@ class TestRunEpisode:
     def test_result_consistency(self, town, eval_config):
         model = make_driving_model(BEV_SPEC.shape, N_WAYPOINTS, 16, seed=0)
         rng = spawn_rng(1, "ep2")
-        plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng, eval_config)
+        plan = route_for_condition(town, DrivingCondition.STRAIGHT, rng)
         result = run_episode(model, town, plan, DrivingCondition.STRAIGHT, eval_config, seed=0)
         assert result.success == (result.reason == "success")
 
@@ -82,8 +83,8 @@ class TestRunEpisode:
         model = make_driving_model(BEV_SPEC.shape, N_WAYPOINTS, 16, seed=0)
         rng_a = spawn_rng(1, "det")
         rng_b = spawn_rng(1, "det")
-        plan_a = route_for_condition(town, DrivingCondition.NAVI_NORMAL, rng_a, eval_config)
-        plan_b = route_for_condition(town, DrivingCondition.NAVI_NORMAL, rng_b, eval_config)
+        plan_a = route_for_condition(town, DrivingCondition.NAVI_NORMAL, rng_a)
+        plan_b = route_for_condition(town, DrivingCondition.NAVI_NORMAL, rng_b)
         result_a = run_episode(model, town, plan_a, DrivingCondition.NAVI_NORMAL, eval_config, seed=5)
         result_b = run_episode(model, town, plan_b, DrivingCondition.NAVI_NORMAL, eval_config, seed=5)
         assert result_a.reason == result_b.reason

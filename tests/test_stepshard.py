@@ -92,10 +92,8 @@ class TestPartitionRows:
 # -- engine-level bit identity ------------------------------------------------
 
 
-def _run_engine(step_workers: int | None, *, use_conv: bool, balance: bool, steps: int = 6):
+def _run_engine(step_workers: int | None, *, use_conv: bool, steps: int = 6):
     engine = build_fleet(n_nodes=5, use_conv=use_conv, step_workers=step_workers)
-    for node in engine.nodes:
-        node.config = replace(node.config, balance_commands=balance)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # shard threads interleave their draws as finely as they can
     try:
@@ -119,11 +117,10 @@ class TestEngineBitIdentity:
     def test_train_step_all_bit_identical(self, use_conv, workers):
         """Each shard draws its own rows' minibatches: the draws, every
         node's stream after them and every result are those of one shard."""
-        for balance in (False, True):
-            reference = _run_engine(1, use_conv=use_conv, balance=balance)
-            sharded = _run_engine(workers, use_conv=use_conv, balance=balance)
-            for ref, got in zip(reference, sharded):
-                assert ref.tobytes() == got.tobytes()
+        reference = _run_engine(1, use_conv=use_conv)
+        sharded = _run_engine(workers, use_conv=use_conv)
+        for ref, got in zip(reference, sharded):
+            assert ref.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_evaluate_fleet_bit_identical(self, workers, monkeypatch):

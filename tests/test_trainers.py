@@ -1,11 +1,14 @@
 """Integration tests for LbChat and all baseline trainers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.baselines import (
     DflDdsTrainer,
-    DpConfig,
     DpTrainer,
     ProxSkipConfig,
     ProxSkipTrainer,
@@ -18,6 +21,10 @@ from repro.sim.dataset import DrivingDataset
 from tests.conftest import make_fleet
 
 DURATION = 120.0
+#: Non-negative losses, diverged ones (inf, NaN) included.
+LOSSES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True), st.just(math.inf), st.just(math.nan)
+)
 
 
 @pytest.fixture()
@@ -76,9 +83,11 @@ class TestLbChatTrainer:
         with pytest.raises(ValueError):
             LbChatTrainer(nodes[:2], traces, validation, LbChatConfig(**config_kwargs()))
 
-    def test_pair_cooldown_limits_rechats(self, nodes, traces, validation):
+    def test_pair_cooldown_limits_rechats(self, nodes, traces, validation, monkeypatch):
+        from repro.core import trainer_base
+
+        monkeypatch.setattr(trainer_base, "PAIR_COOLDOWN", 1e9)  # one chat per pair, ever
         config = LbChatConfig(**config_kwargs())
-        config.pair_cooldown = 1e9  # one chat per pair, ever
         trainer = LbChatTrainer(nodes, traces, validation, config)
         trainer.run()
         n = len(nodes)
@@ -219,7 +228,7 @@ class TestDflDds:
 
 class TestDp:
     def test_learns_by_gossip(self, nodes, traces, validation):
-        trainer = DpTrainer(nodes, traces, validation, DpConfig(**config_kwargs()))
+        trainer = DpTrainer(nodes, traces, validation, TrainerConfig(**config_kwargs()))
         trainer.run()
         assert trainer.counters.get("gossips") > 0
         assert_learned(trainer, nodes)
@@ -230,7 +239,7 @@ class TestDp:
         weighs exactly as much as the model."""
         from repro.baselines import dp
 
-        trainer = DpTrainer(nodes, traces, validation, DpConfig(**config_kwargs()))
+        trainer = DpTrainer(nodes, traces, validation, TrainerConfig(**config_kwargs()))
         trainer.fleet.train_step_all()  # stale loss cache: both sides are fresh forwards
         node = nodes[0]
         before = node.flat_params.copy()
@@ -252,3 +261,25 @@ class TestDp:
         assert powerloss_weights(0.0, 0.0) == (0.5, 0.5)
         with pytest.raises(ValueError):
             powerloss_weights(-1.0, 1.0)
+
+    @given(loss_local=LOSSES, loss_received=LOSSES)
+    def test_powerloss_weights_of_any_losses_are_a_distribution(
+        self, loss_local, loss_received
+    ):
+        """A diverged (inf/NaN) loss gets weight 0 and both diverged keep
+        the local model; finite losses keep the formula's exact bits."""
+        from repro.baselines.dp import powerloss_weights
+
+        w_local, w_received = powerloss_weights(loss_local, loss_received)
+        assert 0.0 <= w_local <= 1.0 and 0.0 <= w_received <= 1.0
+        assert w_local + w_received == pytest.approx(1.0, abs=1e-12)
+        if not math.isfinite(loss_received):
+            assert (w_local, w_received) == (1.0, 0.0)
+        elif not math.isfinite(loss_local):
+            assert (w_local, w_received) == (0.0, 1.0)
+        elif loss_local + loss_received > 0:
+            total = loss_local + loss_received
+            score_local = -np.log(max(loss_local / total, 1e-6))
+            score_received = -np.log(max(loss_received / total, 1e-6))
+            denom = score_local + score_received
+            assert (w_local, w_received) == (score_local / denom, score_received / denom)
