@@ -25,8 +25,26 @@ _SYMBOLS = (
 )
 
 
-def _loaded_openblas():
+#: The ``(set_num_threads, get_num_threads)`` pairs found, once any is:
+#: an OpenBLAS stays mapped, so later calls skip the maps file and the
+#: ``dlopen``.  One mapped after that is pinned by the environment
+#: variables, which it reads when it loads.
+_FOUND: list | None = None
+
+
+def _loaded_openblas() -> list:
     """``(set_num_threads, get_num_threads)`` of every OpenBLAS mapped into this process."""
+    global _FOUND
+    if _FOUND is None:
+        found = list(_discover())
+        if not found:  # nothing loaded yet: look again next time
+            return found
+        _FOUND = found
+    return _FOUND
+
+
+def _discover():
+    """Read the maps file for OpenBLAS libraries and bind their entry points."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}

@@ -35,6 +35,7 @@ from repro.engine.random import spawn_rng
 from repro.experiments.configs import ExperimentScale
 from repro.nn import make_driving_model
 from repro.net.wireless import RADIO_RANGE
+from repro.parallel.forked import fork_call
 from repro.sim.dataset import N_WAYPOINTS, DrivingDataset, collect_fleet_datasets
 from repro.sim.evaluate import DrivingCondition, EvalConfig, success_rate
 from repro.sim.map import TownMap
@@ -217,6 +218,10 @@ _context_cache: dict[str, ExperimentContext] = {}
 def build_context(scale: ExperimentScale) -> ExperimentContext:
     """Collect datasets and traces for a scale (memoized per process).
 
+    The two worlds are independent, so the trace world steps in a forked
+    child (:func:`~repro.parallel.forked.fork_call`) while this process
+    collects; the traces are the in-process ones bit for bit.
+
     The memo is keyed by ``scale.name``: a second scale under a name
     already built raises :class:`ValueError` instead of serving the
     first one's world (a run would train the wrong model width).
@@ -229,18 +234,19 @@ def build_context(scale: ExperimentScale) -> ExperimentContext:
                 "give the variant its own name"
             )
         return cached
-    world = World(scale.world)
-    raw = collect_fleet_datasets(world, scale.collect_duration, scale.bev)
-    # The split stays on the fleet's one frame pool: the validation set
-    # and every local dataset are row numbers over it.
-    validation = DrivingDataset(pool=next(iter(raw.values())).pool)
-    datasets: dict[str, DrivingDataset] = {}
-    stride = scale.validation_stride
-    for vid, dataset in sorted(raw.items()):
-        n = len(dataset)
-        validation.absorb_from(dataset.subset(range(0, n, stride)))
-        datasets[vid] = dataset.subset([i for i in range(n) if i % stride])
-    traces = simulate_traces(scale.world, scale.trace_duration)
+    with fork_call(simulate_traces, scale.world, scale.trace_duration) as tracing:
+        world = World(scale.world)
+        raw = collect_fleet_datasets(world, scale.collect_duration, scale.bev)
+        # The split stays on the fleet's one frame pool: the validation set
+        # and every local dataset are row numbers over it.
+        validation = DrivingDataset(pool=next(iter(raw.values())).pool)
+        datasets: dict[str, DrivingDataset] = {}
+        stride = scale.validation_stride
+        for vid, dataset in sorted(raw.items()):
+            n = len(dataset)
+            validation.absorb_from(dataset.subset(range(0, n, stride)))
+            datasets[vid] = dataset.subset([i for i in range(n) if i % stride])
+        traces = tracing.result()
     context = ExperimentContext(
         scale=scale, town=world.town, datasets=datasets, validation=validation, traces=traces
     )

@@ -17,7 +17,12 @@ the same per-job code and return bit-identical results in job order::
 The ``parallel.jobs4`` row of ``repro selfcheck`` gates exactly this
 determinism claim.  Inside one run, :mod:`repro.parallel.stepshard`
 steps the fleet's bank rows in shards on threads, bit-identical for
-every shard count.
+every shard count.  Before any run, a set-up's two worlds step on two
+processes: :func:`~repro.experiments.runner.build_context` collects in
+this one while :func:`repro.parallel.forked.fork_call` steps the trace
+world in a forked child, whose traces are the in-process ones bit for
+bit (the ``context.forked`` row).  A process forks nowhere else under
+``src/``.
 """
 
 from repro.parallel.pool import clamp_step_workers, resolve_jobs, run_specs

@@ -8,7 +8,8 @@ experiment, digests what it computed, and is read against a reference:
   (``repro.cli.main`` and ``tests/conftest.py`` pin BLAS for that);
 * another row's name — the *exact* tier: same process, same world, so
   the same bits on any host (1, 2 or 4 step shards vs the default count,
-  resumed vs uninterrupted, ``jobs=4`` vs ``jobs=1``);
+  resumed vs uninterrupted, ``jobs=4`` vs ``jobs=1``, a set-up's forked
+  trace world vs ``simulate_traces`` called in process);
 * ``None`` — a baseline that exact-tier rows are read against.
 
 The ``world.*`` rows need no experiment: they step small worlds through
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -415,6 +417,42 @@ def _run_batch(runner: "Runner", check: Check, scratch: Path, jobs: int) -> Run:
         digests[f"{tag}.probes"] = f"{result.counters.get('psi_probe_builds', 0):.0f}"
         digests.update({f"{tag}.{key}": v for key, v in digest_result(result).items()})
     return Run(digests, context, results, session)
+
+
+# -- a context's two worlds on two processes ---------------------------------
+
+
+def _trace_digests(traces) -> dict[str, str]:
+    digests = {"vehicle_ids": _sha(json.dumps(traces.vehicle_ids).encode())}
+    for name in ("times", "positions"):
+        array = np.ascontiguousarray(getattr(traces, name))
+        digests[name] = _sha(repr((array.dtype.str, array.shape)).encode(), array.tobytes())
+    return digests
+
+
+def _traces_in_process(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """``simulate_traces`` called directly, in this process."""
+    from repro.sim.traces import simulate_traces
+
+    scale = build_scale(check.world)
+    return Run(_trace_digests(simulate_traces(scale.world, scale.trace_duration)))
+
+
+#: Suffixes that give every ``context.forked`` set-up a name the
+#: ``build_context`` memo has not seen, however many runners ask.
+_FRESH_NAMES = itertools.count()
+
+
+def _traces_of_a_fresh_context(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """The traces of a cold ``build_context``, which forks its trace world."""
+    from repro.experiments.runner import build_context
+    from repro.telemetry import TelemetrySession
+
+    scale = build_scale(check.world)
+    fresh = scale.derived(f"{scale.name}#{check.name}-{next(_FRESH_NAMES)}")
+    with TelemetrySession(label=check.name) as session:
+        context = build_context(fresh)
+    return Run(_trace_digests(context.traces), context, session=session)
 
 
 # -- the driver bank against the per-object controller ---------------------------
@@ -827,6 +865,14 @@ def crossed_a_process_boundary(run: Run):
         yield "a result never left this process: the pool fell back to serial"
 
 
+def traces_came_from_a_child(run: Run):
+    """The set-up forked its trace world and the traces crossed the pipe."""
+    counters = run.session.registry.state()["counters"]
+    if counters.get("fork.from_child") != 1:
+        reasons = [name for name in sorted(counters) if name.startswith("fork.in_process.")]
+        yield f"the traces never left this process ({', '.join(reasons) or 'nothing counted'})"
+
+
 def first_divergence(run: Run):
     """Where the bank left the per-object controller, if it did."""
     for name, got in run.facts["trajectories"].items():
@@ -897,6 +943,9 @@ CHECKS: dict[str, Check] = {
         Check("world.scalar", None, produce=_world_scalar),
         Check("world.batched", "world.scalar", produce=_world_batched,
               invariants=(first_divergence, rare_branches_fired)),
+        Check("context.inprocess", None, "hotpath", produce=_traces_in_process),
+        Check("context.forked", "context.inprocess", "hotpath", produce=_traces_of_a_fresh_context,
+              invariants=(traces_came_from_a_child,)),
         Check("parallel.jobs1", None, "hotpath", produce=partial(_run_batch, jobs=1),
               invariants=(in_submission_order, clock_monotone)),
         Check("parallel.jobs4", "parallel.jobs1", "hotpath", produce=partial(_run_batch, jobs=4),

@@ -75,3 +75,35 @@ def test_run_json_records_the_thread_count_and_resume_reports_a_change(tmp_path)
             "now": blas_threads(),
         },
     ]
+
+
+def test_a_loaded_openblas_is_found_once_and_read_live(monkeypatch):
+    """With numpy loaded the maps file is read once for any number of
+    calls (each chat and fleet birth asks); while no OpenBLAS is mapped
+    every call looks again.  The count itself is asked every time."""
+    import builtins
+
+    from repro import blas
+
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(blas, "_FOUND", None)
+    monkeypatch.setattr(blas, "open", counting_open, raising=False)
+    counts = [blas_threads() for _ in range(5)]
+    assert len(set(counts)) == 1
+    assert reads.count("/proc/self/maps") == (5 if counts[0] is None else 1)
+    if counts[0] is None:
+        return
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # restored whatever the pin below writes
+    try:
+        blas.pin_blas_threads(2)
+        assert blas_threads() == 2
+    finally:
+        blas.pin_blas_threads(1)
+    assert blas_threads() == 1
+    assert reads.count("/proc/self/maps") == 1

@@ -170,7 +170,25 @@ def test_clock_monotone_bites(runner):
 
 
 def test_every_row_that_runs_a_trainer_checks_its_clock():
-    no_trainer = {selfcheck._contact_windows, selfcheck._fleet_segment}
+    no_trainer = {
+        selfcheck._contact_windows,
+        selfcheck._fleet_segment,
+        selfcheck._traces_in_process,
+        selfcheck._traces_of_a_fresh_context,
+    }
     for name, check in selfcheck.CHECKS.items():
         if check.world is not None and check.produce not in no_trainer:
             assert selfcheck.clock_monotone in check.invariants, name
+
+
+def test_traces_came_from_a_child_bites(runner):
+    """It passes on the real row (``test_row``); a set-up that ran its
+    trace world in this process, for any reason, fails it by name."""
+    from repro.telemetry import TelemetrySession
+
+    run = runner.check("context.forked")
+    assert list(selfcheck.traces_came_from_a_child(run)) == []
+    session = TelemetrySession()
+    session.registry.counter("fork.in_process.thread_alive").inc()
+    (message,) = selfcheck.traces_came_from_a_child(selfcheck.Run({}, session=session))
+    assert "fork.in_process.thread_alive" in message

@@ -782,6 +782,65 @@ class TestNoRunImportsScipy:
         assert found == [("src/repro/experiments/multiseed.py", "function-local")]
 
 
+class TestProcessesForkInOnePlace:
+    """Under ``src/`` a process forks only in ``repro.parallel``: the run
+    pool's ``ProcessPoolExecutor`` and the set-up's ``os.fork``, each
+    behind the checks that make a fork safe (no live thread, a reaped
+    child, a fallback that is counted).  ``subprocess``'s children — the
+    Adam kernel's compile, the selfcheck kill row — exec a fresh program
+    and are exempt."""
+
+    SRC = Path(__file__).parent.parent / "src"
+
+    @staticmethod
+    def forks_in(path: Path):
+        """``(line, what)`` for each fork primitive ``path`` names."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            for name in names:
+                root, _, leaf = name.partition(".")
+                if (
+                    root == "multiprocessing"
+                    or name.split(".")[-1] == "ProcessPoolExecutor"
+                    or (root == "os" and leaf.startswith("fork"))
+                ):
+                    yield node.lineno, name
+
+    def test_only_repro_parallel_forks(self):
+        allowed = self.SRC / "repro" / "parallel"
+        found = {
+            str(path.relative_to(self.SRC)): sorted(set(self.forks_in(path)))
+            for path in sorted(self.SRC.rglob("*.py"))
+        }
+        outside = {
+            path: hits
+            for path, hits in found.items()
+            if hits and not (self.SRC / path).is_relative_to(allowed)
+        }
+        assert outside == {}
+        assert found["repro/parallel/pool.py"]  # the gate sees what it looks for
+
+    def test_the_gate_bites(self, tmp_path):
+        module = tmp_path / "runner.py"
+        module.write_text("import os\n\ndef build():\n    return os.fork()\n")
+        assert list(self.forks_in(module)) == [(4, "os.fork")]
+        module.write_text("from multiprocessing import Pool\n")
+        assert [what for _, what in self.forks_in(module)] == [
+            "multiprocessing", "multiprocessing.Pool"
+        ]
+
+
 class TestEveryModuleHasARunningCaller:
     """ROADMAP item 1's rule as a gate: a ``src/repro`` module is reached
     from something that runs — the CLI, ``repro selfcheck``, an example,
