@@ -44,8 +44,10 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 #: dataset is rows and weights over it; format 6: the contact-index memo
 #: is a declared ``MobilityTraces`` field, so older traces lack it;
 #: format 7: ``WorldConfig`` lost ``dt``, ``snapshot_interval`` and
-#: ``out_of_district_prob``, now §IV-A constants of ``repro.sim.world``).
-_CACHE_FORMAT = 7
+#: ``out_of_district_prob``, now §IV-A constants of ``repro.sim.world``;
+#: format 8: ``TownMap``'s roads are an adjacency dict, no networkx
+#: graph, and ``TrafficManager``'s pedestrians are rows of arrays).
+_CACHE_FORMAT = 8
 
 
 def scale_fingerprint(scale: ExperimentScale) -> str:

@@ -13,8 +13,9 @@ experiment, digests what it computed, and is read against a reference:
 * ``None`` — a baseline that exact-tier rows are read against.
 
 The ``world.*`` rows need no experiment: they step small worlds through
-the driver bank and through a loop over the per-object controller it
-replaced, and require the two equal at every tick.
+the driver bank and the pedestrian rows, and through a loop over the
+per-object controller and walkers they replaced, and require the two
+equal at every tick.
 
 A row's invariant hooks say what must be true beyond "nothing changed",
 above all that the variant really executed (the fleet stepped in the
@@ -477,7 +478,9 @@ ORACLE_WORLDS = {
 ORACLE_BRANCHES = (
     "creep engaged", "edged around a blocker", "wide corridor changed the limit",
     "no obstacle in range", "renewed onto a longer table row", "speed_factor != 1",
-    "zero background cars", "zero cars at all",
+    "zero background cars", "zero cars at all", "pedestrian arrived (new target)",
+    "pedestrian blocked (sidewalk point)", "pedestrian waited at the curb",
+    "no car within 16 m of a pedestrian",
 )
 
 
@@ -499,16 +502,18 @@ def _world_digests(name: str, cars: np.ndarray, peds: list) -> dict[str, str]:
 
 
 def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
-    """Step the oracle worlds without their driver banks: a loop over
+    """Step the oracle worlds without their banks: a loop over
     per-object drivers (``ExpertAutopilot.control`` on brute-force
     ``road_obstacles``, then ``advance``) in the order ``World.step``
-    and ``TrafficManager.step`` visited them before the bank.  Route
-    renewal and pedestrians are the worlds' own: production keeps them
-    scalar too.  ``facts["trajectories"][world]`` is ``(ticks, cars, 5)``:
-    x, y, heading, speed, s; fleet first."""
+    and ``TrafficManager.step`` visited them before the bank, and
+    per-object ``Pedestrian`` walkers (``walk_pedestrians``) born from the
+    traffic's initial pedestrian rows and their generators.  Route
+    renewal is the worlds' own: production keeps it scalar too.
+    ``facts["trajectories"][world]`` is ``(ticks, cars, 5)``: x, y,
+    heading, speed, s; fleet first."""
     from repro.sim.autopilot import ExpertAutopilot
     from repro.sim.kinematics import VehicleState, advance
-    from repro.sim.traffic import road_obstacles
+    from repro.sim.traffic import Pedestrian, road_obstacles, walk_pedestrians
     from repro.sim.world import DT
 
     fired = dict.fromkeys(ORACLE_BRANCHES, 0)
@@ -530,6 +535,18 @@ def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
             if wide and limit != super()._obstacle_speed_limit(state, obstacles):
                 fired["wide corridor changed the limit"] += 1
             return limit
+
+    class TallyingPedestrian(Pedestrian):
+        def step(self, dt, car_positions=None, car_speeds=None):
+            position, target = self.position, self._target
+            super().step(dt, car_positions, car_speeds)
+            fired["no car within 16 m of a pedestrian"] += car_positions is None
+            if self._target is not target:
+                arrived = np.linalg.norm(target - position) < 1.0
+                fired["pedestrian arrived (new target)"] += arrived
+                fired["pedestrian blocked (sidewalk point)"] += not arrived
+            elif self.position is position:
+                fired["pedestrian waited at the curb"] += 1
 
     class Driver:
         def __init__(self, plan, renew, speed_factor):
@@ -564,23 +581,30 @@ def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
             Driver(c.plan, partial(traffic._new_route, i), float(traffic.bank.speed_factor[i]))
             for i, c in enumerate(traffic.cars)
         ]
+        walkers = [
+            TallyingPedestrian(town, rng, position, target)
+            for position, target, rng in zip(
+                traffic.ped_position, traffic.ped_target, traffic.ped_rngs
+            )
+        ]
         cars, peds = [], []
         for _ in range(ticks):
             fleet_pre, background_pre = positions(fleet), positions(background)
-            peds_pre = traffic.pedestrian_positions().copy()
+            peds_pre = np.array([w.position for w in walkers]).reshape(-1, 2)
             everything = np.vstack([fleet_pre, background_pre, peds_pre])
             for i, driver in enumerate(fleet):
                 driver.step(town, everything, i, dt)
             everything = np.vstack([background_pre, peds_pre, fleet_pre])
             for i, driver in enumerate(background):
                 driver.step(town, everything, i, dt)
-            traffic._step_pedestrians(
+            walk_pedestrians(
+                walkers,
                 np.vstack([background_pre, fleet_pre]),
                 np.array([d.state.speed for d in background + fleet]),
                 dt,
             )
             cars.append([d.row() for d in fleet + background])
-            peds.append(traffic.pedestrian_positions().copy())
+            peds.append(np.array([w.position for w in walkers]).reshape(-1, 2))
         cars = np.asarray(cars, dtype=np.float64).reshape(ticks, len(fleet + background), 5)
         run.facts["trajectories"][name] = cars
         run.digests.update(_world_digests(name, cars, peds))
@@ -589,14 +613,15 @@ def _world_scalar(runner: "Runner", check: Check, scratch: Path) -> Run:
 
 def _world_batched(runner: "Runner", check: Check, scratch: Path) -> Run:
     """Step the same worlds the production way, ``World.step``, after
-    checking that this numpy can reproduce the per-object controller."""
+    checking that this numpy can reproduce the per-object controller
+    and walkers."""
     from repro.sim.traffic import TrafficManager
 
     reference = runner.check(check.reference)
     fired = dict(reference.facts["fired"])
     run = Run(
         {},
-        failures=list(_elementwise_ufuncs()),
+        failures=[*_elementwise_ufuncs(), *_stacked_dot()],
         facts={"fired": fired, "trajectories": {}, "reference": reference.facts["trajectories"]},
     )
     for name in ORACLE_WORLDS:
@@ -643,6 +668,31 @@ def _elementwise_ufuncs():
                     f"per-element call in {bad} of them: this numpy build cannot "
                     "reproduce the per-object controller, every world digest will shift"
                 )
+
+
+def _stacked_dot():
+    """``np.matmul`` over a stack of 2-vectors (``(n, 1, 2) @ (n, 2, 1)``)
+    must equal each row's ``.dot``: the pedestrian rows measure their
+    walk that way, and equal the scalar walk only on a numpy/BLAS where
+    both reach the same ``ddot``.  ``x*x + y*y`` rounds differently
+    from a fused ``ddot``, so the values are the ones where that shows:
+    signed zeros, subnormals, 1e±150 and squares that end in an exact
+    half of the last place."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-150,
+                -1e-150, 1e150, -1e150, 0.5, -1.5, 2.5, 1 + 2**-27, -(1 + 2**-26), 3 - 2**-51]
+    rng = np.random.default_rng(29)
+    d = np.array([
+        *itertools.product(specials, repeat=2),
+        *rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-3, 4, size=(2000, 1)),
+    ])
+    stacked = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    each = np.array([row.dot(row) for row in d])
+    if bad := int((stacked.view(np.int64) != each.view(np.int64)).sum()):
+        yield (
+            f"np.matmul over a stack of 2-vectors differs from each row's .dot in {bad} "
+            f"of {len(d)}: this numpy/BLAS cannot reproduce the per-object walkers, "
+            "every pedestrian digest will shift"
+        )
 
 
 # -- invariants (each yields one message per violation) -----------------------

@@ -3,8 +3,10 @@
 Mirrors the paper's setting: the largest CARLA built-in map covers about
 1 km x 1 km with both town and rural areas.  Here the town is a jittered
 grid of intersections and the rural part is a sparse outer loop with
-long road segments.  Roads are undirected two-way edges of a networkx
-graph; geometry is straight segments between intersection positions.
+long road segments.  Roads are undirected two-way edges of an adjacency
+dict; geometry is straight segments between intersection positions.
+Routes are bidirectional Dijkstra over it (:func:`_bidirectional_dijkstra`,
+a port of networkx's, so every route is the one networkx would find).
 
 The map also owns a static occupancy grid ("is this point on a road?")
 used both by the BEV rasterizer and by off-road detection during online
@@ -14,9 +16,10 @@ evaluation.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
-import networkx as nx
 
 from repro.sim.geometry import point_segment_distance
 
@@ -65,7 +68,13 @@ class TownMap:
         self.road_half_width = float(road_half_width)
         self.cell = float(cell)
         self.districts_per_side = int(districts_per_side)
-        self.graph = nx.Graph()
+        #: node -> {neighbour: edge data}: one data dict per road, shared
+        #: by both directions, holding ``length``, ``arterial`` and
+        #: ``index`` (the road's place in :meth:`edges`).  Neighbours are
+        #: in the order their roads were added.
+        self.adjacency: dict = {}
+        self._node_pos: dict = {}  # node -> (2,) position
+        self._node_kind: dict = {}  # node -> "town" | "rural"
         rng = np.random.default_rng(seed)
         if districts_per_side == 1:
             self._build_town(grid_n, rng)
@@ -86,8 +95,10 @@ class TownMap:
             ]
         if rural:
             self._build_rural(rng, town_corners)
-        self._edges = list(self.graph.edges())
-        self._node_pos = {n: np.asarray(self.graph.nodes[n]["pos"], dtype=float) for n in self.graph}
+        self._edges = _edge_order(self.adjacency)
+        for k, (a, b) in enumerate(self._edges):
+            self.adjacency[a][b]["index"] = k
+        self._lengths = [self.adjacency[a][b]["length"] for a, b in self._edges]
         self._node_names: list | None = None
         self._node_stack: np.ndarray | None = None
         self._occupancy = self._rasterize_roads()
@@ -108,7 +119,7 @@ class TownMap:
                         ys[j] + rng.uniform(-jitter, jitter),
                     ]
                 )
-                self.graph.add_node(("t", i, j), pos=pos, kind="town")
+                self._add_node(("t", i, j), pos, "town")
         for i in range(grid_n):
             for j in range(grid_n):
                 if i + 1 < grid_n:
@@ -136,7 +147,7 @@ class TownMap:
                                 ys[j] + rng.uniform(-jitter, jitter),
                             ]
                         )
-                        self.graph.add_node(("t", bi, bj, i, j), pos=pos, kind="town")
+                        self._add_node(("t", bi, bj, i, j), pos, "town")
                 for i in range(grid_n):
                     for j in range(grid_n):
                         if i + 1 < grid_n:
@@ -174,17 +185,23 @@ class TownMap:
         for k, base in enumerate(corners):
             pos = base + rng.uniform(-margin / 2, margin / 2, size=2)
             name = ("r", k)
-            self.graph.add_node(name, pos=pos, kind="rural")
+            self._add_node(name, pos, "rural")
             names.append(name)
         for k in range(4):
             self._add_road(names[k], names[(k + 1) % 4])
         for rural_node, town_node in zip(names, town_corners):
             self._add_road(rural_node, town_node)
 
+    def _add_node(self, name, pos: np.ndarray, kind: str) -> None:
+        self._node_pos[name] = pos
+        self._node_kind[name] = kind
+        self.adjacency[name] = {}
+
     def _add_road(self, a, b, arterial: bool = False) -> None:
-        pa = self.graph.nodes[a]["pos"]
-        pb = self.graph.nodes[b]["pos"]
-        self.graph.add_edge(a, b, length=float(np.linalg.norm(pa - pb)), arterial=arterial)
+        pa = self._node_pos[a]
+        pb = self._node_pos[b]
+        data = {"length": float(np.linalg.norm(pa - pb)), "arterial": arterial}
+        self.adjacency[a][b] = self.adjacency[b][a] = data
 
     def _rasterize_roads(self) -> np.ndarray:
         n_cells = int(np.ceil(self.size / self.cell))
@@ -218,11 +235,16 @@ class TownMap:
 
     def nodes(self) -> list:
         """All intersection nodes."""
-        return list(self.graph.nodes)
+        return list(self.adjacency)
+
+    def edges(self) -> list:
+        """Every road once, as ``(a, b)``: each node's roads to nodes
+        not listed before it, in node order (networkx's ``edges()``)."""
+        return list(self._edges)
 
     def town_nodes(self) -> list:
         """Intersections belonging to the town grid (not rural)."""
-        return [n for n in self.graph if self.graph.nodes[n]["kind"] == "town"]
+        return [n for n, kind in self._node_kind.items() if kind == "town"]
 
     def _node_table(self) -> tuple[list, np.ndarray]:
         """Node names and their stacked (n, 2) positions, built lazily.
@@ -254,17 +276,13 @@ class TownMap:
         only, so repeated trips between the same areas take varied paths
         — drivers do not all follow one canonical shortest path, and the
         variety balances left/right turn exposure in collected data.
+        The jitter is one draw per road in :meth:`edges` order.
         """
-        if rng is None:
-            return nx.shortest_path(self.graph, a, b, weight="length")
-        jitter = {
-            frozenset(edge): rng.uniform(0.8, 1.2) for edge in self.graph.edges()
-        }
-
-        def weight(u, v, data):
-            return data["length"] * jitter[frozenset((u, v))]
-
-        return nx.shortest_path(self.graph, a, b, weight=weight)
+        cost = self._lengths
+        if rng is not None:
+            jitter = rng.uniform(0.8, 1.2, size=len(cost))
+            cost = (np.asarray(cost) * jitter).tolist()
+        return _bidirectional_dijkstra(self.adjacency, a, b, cost)
 
     def is_on_road(self, point: np.ndarray, margin: float = 0.0) -> bool:
         """Whether ``point`` lies on the paved road (plus ``margin``)."""
@@ -286,12 +304,21 @@ class TownMap:
     def occupancy_at(self, points: np.ndarray) -> np.ndarray:
         """Vectorized road-occupancy lookup for ``(n, 2)`` world points."""
         points = np.asarray(points, dtype=float)
-        idx = np.floor(points / self.cell).astype(int)
+        return self._occupied(np.floor(points / self.cell).astype(int))
+
+    def on_road(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`is_on_road` of each row of ``(n, 2)`` points: its cell
+        index truncates toward zero, where :meth:`occupancy_at` floors
+        (the two differ on ``(-cell, 0)``)."""
+        points = np.asarray(points, dtype=float)
+        return self._occupied((points / self.cell).astype(int))
+
+    def _occupied(self, idx: np.ndarray) -> np.ndarray:
         n = self._occupancy.shape[0]
         valid = (
             (idx[:, 0] >= 0) & (idx[:, 0] < n) & (idx[:, 1] >= 0) & (idx[:, 1] < n)
         )
-        out = np.zeros(len(points), dtype=bool)
+        out = np.zeros(len(idx), dtype=bool)
         inside = idx[valid]
         out[valid] = self._occupancy[inside[:, 0], inside[:, 1]]
         return out
@@ -325,7 +352,7 @@ class TownMap:
         """Intersections inside one district (never empty for supported counts)."""
         nodes = [
             n
-            for n in self.graph
+            for n in self.adjacency
             if self.district_of(self._node_pos[n], n_districts) == district
         ]
         return nodes or self.nodes()
@@ -342,3 +369,65 @@ class TownMap:
         )
         offset = rng.uniform(-self.road_half_width, self.road_half_width)
         return pa + t * direction + offset * normal
+
+
+def _edge_order(adjacency: dict) -> list:
+    """Each undirected road once, in networkx's ``Graph.edges()`` order."""
+    seen, edges = set(), []
+    for node, neighbours in adjacency.items():
+        edges.extend((node, other) for other in neighbours if other not in seen)
+        seen.add(node)
+    return edges
+
+
+def _bidirectional_dijkstra(adjacency: dict, source, target, cost: list) -> list:
+    """The node path of least total ``cost[edge["index"]]`` from
+    ``source`` to ``target``.
+
+    A port of ``networkx.bidirectional_dijkstra`` for an undirected
+    graph: the same alternation of the two searches, the same neighbour
+    order, the same heap entries ``(distance, tie-break count, node)``
+    and the same meeting rule, so ties resolve as networkx resolves them
+    and every route equals ``nx.shortest_path``'s
+    (``tests/test_sim_map.py::TestRoutingOracle``).
+    """
+    if source not in adjacency or target not in adjacency:
+        raise KeyError(f"{source if source not in adjacency else target} is not a node")
+    if source == target:
+        return [source]
+    dists = [{}, {}]  # final distances, forward and backward
+    preds = [{source: None}, {target: None}]
+    seen = [{source: 0}, {target: 0}]  # tentative distances
+    tie = count()
+    fringe = [[(0, next(tie), source)], [(0, next(tie), target)]]
+    finaldist = meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        if v in dists[direction]:
+            continue
+        dists[direction][v] = dist
+        if v in dists[1 - direction]:
+            forward, node = [], meetnode
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            backward, node = [], preds[1][meetnode]
+            while node is not None:
+                backward.append(node)
+                node = preds[1][node]
+            return forward[::-1] + backward
+        for w, data in adjacency[v].items():
+            length = dist + cost[data["index"]]
+            if w in dists[direction]:
+                continue  # no negative costs: a settled node stays settled
+            if w not in seen[direction] or length < seen[direction][w]:
+                seen[direction][w] = length
+                heappush(fringe[direction], (length, next(tie), w))
+                preds[direction][w] = v
+                if w in seen[1 - direction]:
+                    total = length + seen[1 - direction][w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    raise ValueError(f"no road path from {source} to {target}")

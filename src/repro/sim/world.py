@@ -67,7 +67,7 @@ class WorldConfig:
     #: shard.  Still accepted because the frozen
     #: ``benchmarks/perf/workloads.py`` sets it and ``scale_fingerprint``
     #: hashes it; ROADMAP items 1 and 6: item 6 deletes it, with the
-    #: ``_CACHE_FORMAT`` bump (7 → 8) that takes.
+    #: ``_CACHE_FORMAT`` bump (8 → 9) that takes.
     shard_stepping: bool = False
 
 

@@ -114,23 +114,17 @@ class TestCityMap:
     def test_connected_with_arterials(self, city):
         import networkx as nx
 
-        assert nx.is_connected(city.graph)
-        arterials = [
-            (a, b) for a, b, d in city.graph.edges(data=True) if d.get("arterial")
-        ]
+        assert nx.is_connected(nx.Graph(city.adjacency))
+        arterials = [(a, b) for a, b in city.edges() if city.adjacency[a][b]["arterial"]]
         assert len(arterials) >= 2 * 3 * 2 * 2  # 2 lanes x (3x2 block seams) x 2 axes
         # Town nodes exist in every block.
-        blocks = {
-            (n[1], n[2])
-            for n, d in city.graph.nodes(data=True)
-            if d.get("kind") == "town"
-        }
+        blocks = {(n[1], n[2]) for n in city.town_nodes()}
         assert blocks == {(i, j) for i in range(3) for j in range(3)}
 
     def test_town_map_unchanged_by_default(self):
         a = TownMap(size=500.0, grid_n=3, seed=2)
         b = TownMap(size=500.0, grid_n=3, seed=2, districts_per_side=1)
-        assert sorted(a.graph.nodes) == sorted(b.graph.nodes)
+        assert sorted(a.nodes()) == sorted(b.nodes())
 
     def test_rejects_bad_districts(self):
         with pytest.raises(ValueError):
@@ -157,7 +151,7 @@ class TestCityMap:
         groups = [city.district_nodes(d, 9) for d in range(9)]
         assert all(groups)
         total = sum(len(g) for g in groups)
-        assert total == city.graph.number_of_nodes()
+        assert total == len(city.nodes())
 
 
 class TestShardedSpatialGrid:

@@ -192,3 +192,31 @@ def test_traces_came_from_a_child_bites(runner):
     session.registry.counter("fork.in_process.thread_alive").inc()
     (message,) = selfcheck.traces_came_from_a_child(selfcheck.Run({}, session=session))
     assert "fork.in_process.thread_alive" in message
+
+
+def test_the_stacked_dot_check_bites(monkeypatch):
+    """This numpy passes it; a stacked product that sums ``x*x + y*y``
+    instead of calling ``ddot`` per row fails it, as a BLAS whose
+    ``ddot`` rounds otherwise would."""
+    import numpy as np
+
+    assert list(selfcheck._stacked_dot()) == []
+
+    def unfused(a, b):
+        return np.add.reduce(a[:, 0, :] * b[:, :, 0], axis=1)[:, None, None]
+
+    monkeypatch.setattr(np, "matmul", unfused)
+    (message,) = selfcheck._stacked_dot()
+    assert "per-object walkers" in message
+
+
+def test_every_pedestrian_branch_is_an_oracle_branch():
+    """The walkers' four branches are counted, so ``rare_branches_fired``
+    fails the ``world.*`` rows if one never ran."""
+    walkers = [branch for branch in selfcheck.ORACLE_BRANCHES if "pedestrian" in branch]
+    assert len(walkers) == 4
+    run = selfcheck.Run({}, facts={"fired": dict.fromkeys(selfcheck.ORACLE_BRANCHES, 1)})
+    assert list(selfcheck.rare_branches_fired(run)) == []
+    run.facts["fired"]["pedestrian waited at the curb"] = 0
+    (message,) = selfcheck.rare_branches_fired(run)
+    assert "waited at the curb" in message

@@ -16,7 +16,7 @@ def town():
 
 @pytest.fixture(scope="module")
 def scene(town):
-    a, b = list(town.graph.edges())[0]
+    a, b = town.edges()[0]
     pa, pb = town.node_position(a), town.node_position(b)
     plan = RoutePlan(np.stack([pa, pb]))
     heading = plan.heading_at(0.0)

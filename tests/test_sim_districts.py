@@ -131,11 +131,11 @@ class TestPedestrianSkew:
         manager = TrafficManager(
             town, 0, 40, rng, ped_district_weights=weights, n_districts=4
         )
-        districts = [town.district_of(p.position, 4) for p in manager.pedestrians]
+        districts = [town.district_of(p, 4) for p in manager.pedestrian_positions()]
         assert np.mean(np.array(districts) == 3) > 0.7
 
     def test_uniform_without_weights(self, town):
         rng = np.random.default_rng(0)
         manager = TrafficManager(town, 0, 40, rng)
-        districts = [town.district_of(p.position, 4) for p in manager.pedestrians]
+        districts = [town.district_of(p, 4) for p in manager.pedestrian_positions()]
         assert len(set(districts)) >= 3

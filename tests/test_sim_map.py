@@ -14,16 +14,21 @@ def small_town():
 
 class TestConstruction:
     def test_graph_connected(self, small_town):
-        assert nx.is_connected(small_town.graph)
+        assert nx.is_connected(nx.Graph(small_town.adjacency))
 
     def test_node_count(self, small_town):
         # 3x3 town grid + 4 rural corners.
-        assert len(small_town.graph) == 13
+        assert len(small_town.adjacency) == 13
 
     def test_no_rural_option(self):
         town = TownMap(size=400.0, grid_n=3, rural=False, seed=0)
-        assert len(town.graph) == 9
-        assert all(town.graph.nodes[n]["kind"] == "town" for n in town.graph)
+        assert len(town.adjacency) == 9
+        assert town.town_nodes() == town.nodes()
+
+    def test_one_shared_record_per_road(self, small_town):
+        for k, (a, b) in enumerate(small_town.edges()):
+            assert small_town.adjacency[a][b] is small_town.adjacency[b][a]
+            assert small_town.adjacency[a][b]["index"] == k
 
     def test_town_nodes_within_bounds(self, small_town):
         for node in small_town.town_nodes():
@@ -51,10 +56,10 @@ class TestQueries:
         rng = np.random.default_rng(0)
         path = small_town.shortest_path(nodes[0], nodes[-1], rng=rng)
         for a, b in zip(path, path[1:]):
-            assert small_town.graph.has_edge(a, b)
+            assert b in small_town.adjacency[a]
 
     def test_on_road_at_edge_midpoint(self, small_town):
-        a, b = list(small_town.graph.edges())[0]
+        a, b = small_town.edges()[0]
         mid = (small_town.node_position(a) + small_town.node_position(b)) / 2
         assert small_town.is_on_road(mid)
 
@@ -62,7 +67,7 @@ class TestQueries:
         assert not small_town.is_on_road(np.array([200.0, 1.0]))
 
     def test_margin_widens_road(self, small_town):
-        a, b = list(small_town.graph.edges())[0]
+        a, b = small_town.edges()[0]
         pa, pb = small_town.node_position(a), small_town.node_position(b)
         direction = pb - pa
         normal = np.array([-direction[1], direction[0]]) / np.linalg.norm(direction)
@@ -91,5 +96,90 @@ class TestQueries:
     def test_determinism(self):
         a = TownMap(size=400.0, grid_n=3, seed=5)
         b = TownMap(size=400.0, grid_n=3, seed=5)
-        for node in a.graph:
+        for node in a.nodes():
             assert np.allclose(a.node_position(node), b.node_position(node))
+
+
+class _NetworkxMirror(TownMap):
+    """A town that replays its construction into an ``nx.Graph``: the
+    graph ``TownMap`` built when its roads were networkx's."""
+
+    def __init__(self, **kwargs):
+        self.nx_graph = nx.Graph()
+        super().__init__(**kwargs)
+
+    def _add_node(self, name, pos, kind):
+        self.nx_graph.add_node(name, pos=pos, kind=kind)
+        super()._add_node(name, pos, kind)
+
+    def _add_road(self, a, b, arterial=False):
+        super()._add_road(a, b, arterial)
+        self.nx_graph.add_edge(a, b, length=self.adjacency[a][b]["length"], arterial=arterial)
+
+
+def _networkx_route(graph, a, b, rng=None):
+    """``TownMap.shortest_path`` as it was on networkx."""
+    if rng is None:
+        return nx.shortest_path(graph, a, b, weight="length")
+    jitter = {frozenset(edge): rng.uniform(0.8, 1.2) for edge in graph.edges()}
+
+    def weight(u, v, data):
+        return data["length"] * jitter[frozenset((u, v))]
+
+    return nx.shortest_path(graph, a, b, weight=weight)
+
+
+def _oracle_towns():
+    """The town of every built-in scale and of every selfcheck world."""
+    from repro.experiments.configs import iter_scales
+    from repro.selfcheck import ORACLE_WORLDS, build_scale
+    from repro.sim.world import WorldConfig
+
+    worlds = {scale.name: scale.world for scale in iter_scales()}
+    for name in ("hotpath", "overlap", "city"):
+        worlds[f"selfcheck-{name}"] = build_scale(name).world
+    for name, (config, _) in ORACLE_WORLDS.items():
+        worlds[f"oracle-{name}"] = WorldConfig(**config)
+    return worlds
+
+
+_TOWNS = _oracle_towns()
+
+
+class TestRoutingOracle:
+    """The in-repo bidirectional Dijkstra against ``nx.shortest_path`` on
+    the graph networkx built from the same construction calls: the same
+    road order, neighbour order and jitter draws, the same path, and the
+    route generator left in the same state."""
+
+    @pytest.fixture(scope="class", params=sorted(_TOWNS))
+    def mirrored(self, request):
+        world = _TOWNS[request.param]
+        return _NetworkxMirror(
+            size=world.map_size, grid_n=world.grid_n, rural=world.rural,
+            seed=world.seed, districts_per_side=world.city_blocks,
+        )
+
+    def test_roads_and_neighbours_in_networkx_order(self, mirrored):
+        graph = mirrored.nx_graph
+        assert mirrored.nodes() == list(graph.nodes)
+        assert mirrored.edges() == list(graph.edges())
+        assert {n: list(nbrs) for n, nbrs in mirrored.adjacency.items()} == {
+            n: list(nbrs) for n, nbrs in graph.adj.items()
+        }
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_routes_equal_networkx(self, mirrored, jittered):
+        nodes = mirrored.nodes()
+        pairs = np.random.default_rng(len(nodes)).integers(len(nodes), size=(200, 2))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for i, j in pairs:
+            a, b = nodes[i], nodes[j]
+            got = mirrored.shortest_path(a, b, rng=ours if jittered else None)
+            want = _networkx_route(mirrored.nx_graph, a, b, rng=theirs if jittered else None)
+            assert got == want, (a, b)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_unknown_node_raises(self, small_town):
+        with pytest.raises(KeyError):
+            small_town.shortest_path(("t", 0, 0), ("nowhere",))

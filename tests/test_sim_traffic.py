@@ -1,5 +1,8 @@
 """Unit tests for background traffic."""
 
+import copy
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.sim.traffic import (
     Pedestrian,
     TrafficManager,
     road_obstacles,
+    walk_pedestrians,
 )
 
 
@@ -58,7 +62,7 @@ class TestPedestrian:
     def test_waits_at_curb_for_moving_car(self, town):
         ped = Pedestrian(town, np.random.default_rng(4))
         # Force a crossing: target on the other side of a road.
-        a, b = list(town.graph.edges())[0]
+        a, b = town.edges()[0]
         mid = (town.node_position(a) + town.node_position(b)) / 2
         ped.position = mid + np.array([0.0, town.road_half_width + 1.0])
         ped._target = mid - np.array([0.0, town.road_half_width + 1.0])
@@ -72,7 +76,7 @@ class TestPedestrian:
 
     def test_crosses_for_stopped_car(self, town):
         ped = Pedestrian(town, np.random.default_rng(4))
-        a, b = list(town.graph.edges())[0]
+        a, b = town.edges()[0]
         mid = (town.node_position(a) + town.node_position(b)) / 2
         ped.position = mid + np.array([0.0, town.road_half_width + 0.05])
         ped._target = mid - np.array([0.0, town.road_half_width + 1.0])
@@ -122,9 +126,135 @@ class TestTrafficManager:
         assert not np.allclose(manager.car_positions(), before_cars)
 
 
+def _walkers_of(manager):
+    """Per-object walkers born from the manager's rows, each on a copy of
+    its row's generator."""
+    return [
+        Pedestrian(manager._town, copy.deepcopy(rng), position, target)
+        for position, target, rng in zip(
+            manager.ped_position, manager.ped_target, manager.ped_rngs
+        )
+    ]
+
+
+def _assert_rows_equal_walkers(manager, walkers):
+    def bits(rows):
+        return np.asarray(rows, dtype=np.float64).reshape(-1, 2).tobytes()
+
+    assert bits(manager.ped_position) == bits([w.position for w in walkers])
+    assert bits(manager.ped_target) == bits([w._target for w in walkers])
+    for rng, walker in zip(manager.ped_rngs, walkers):
+        assert rng.bit_generator.state == walker._rng.bit_generator.state
+
+
+class TestPedestrianRows:
+    """The manager's one array statement per tick against
+    :func:`walk_pedestrians`' loop over per-object walkers born from the
+    same rows and generator states: equal to the bit, tick by tick."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_peds, n_cars", [(1, 3), (12, 0), (12, 8), (40, 30)])
+    def test_walk_equals_the_scalar_walk(self, town, seed, n_peds, n_cars):
+        rng = np.random.default_rng(seed)
+        manager = TrafficManager(town, 0, n_peds, np.random.default_rng(seed))
+        walkers = _walkers_of(manager)
+        fired = {"arrived": 0, "blocked": 0, "waited": 0}
+        for _ in range(300):
+            # Cars strewn over the map, plus some 2-14 m from walkers so
+            # personal space and curb waits come up.
+            crowd = manager.ped_position[rng.integers(n_peds, size=n_cars // 2)]
+            angle = rng.uniform(0.0, 2 * np.pi, size=len(crowd))
+            reach = rng.uniform(2.0, 14.0, size=len(crowd))[:, None]
+            cars = np.vstack([
+                crowd + reach * np.column_stack([np.cos(angle), np.sin(angle)]),
+                rng.uniform(0.0, town.size, size=(n_cars - len(crowd), 2)),
+            ])
+            speeds = rng.choice([0.0, 0.4, 6.0], size=n_cars)
+            before = manager.ped_position.copy(), manager.ped_target.copy()
+            manager._walk(cars, speeds, 0.1)
+            walk_pedestrians(walkers, cars, speeds, 0.1)
+            _assert_rows_equal_walkers(manager, walkers)
+            retargeted = (manager.ped_target != before[1]).any(axis=1)
+            arrived = np.linalg.norm(before[1] - before[0], axis=1) < 1.0
+            fired["arrived"] += int((retargeted & arrived).sum())
+            fired["blocked"] += int((retargeted & ~arrived).sum())
+            fired["waited"] += int(
+                (~retargeted & (manager.ped_position == before[0]).all(axis=1)).sum()
+            )
+        assert fired["arrived"]
+        if n_cars:
+            assert fired["blocked"], fired
+        if n_cars >= 30:  # enough curb encounters in 300 ticks
+            assert fired["waited"], fired
+
+    def test_manager_step_equals_the_scalar_walk(self, town):
+        """Through ``step``: pre-step car positions, post-step speeds."""
+        manager = TrafficManager(town, 6, 25, np.random.default_rng(4))
+        walkers = _walkers_of(manager)
+        ego, ego_speed = town.node_position(town.town_nodes()[4])[None, :], np.array([0.0])
+        for _ in range(400):
+            cars = np.vstack([manager.car_positions(), ego])
+            manager.step(ego, 0.1, extra_speeds=ego_speed)
+            walk_pedestrians(walkers, cars, np.concatenate([manager.bank.speed, ego_speed]), 0.1)
+            _assert_rows_equal_walkers(manager, walkers)
+
+    def test_every_walker_arrives_on_one_tick(self, town):
+        manager = TrafficManager(town, 0, 9, np.random.default_rng(6))
+        manager.ped_target[:] = manager.ped_position + 0.5
+        walkers = _walkers_of(manager)
+        before = manager.ped_position.copy()
+        cars = manager.ped_position[:3] + 2.0
+        manager._walk(cars, np.zeros(3), 0.1)
+        walk_pedestrians(walkers, cars, np.zeros(3), 0.1)
+        _assert_rows_equal_walkers(manager, walkers)
+        assert (manager.ped_position == before).all()
+        assert (manager.ped_target != before + 0.5).any(axis=1).all()
+
+    def test_walk_calls_do_not_grow_with_the_walkers(self, town):
+        """A perf gate with no stopwatch: four times the walkers may cost
+        at most 1.5x the function calls of 20 ticks (a loop over
+        walkers costs ~4x).  No walker arrives or is blocked in the
+        window: those two branches draw per row, on purpose."""
+
+        def calls_in_20_walks(n_peds):
+            manager = TrafficManager(town, 0, n_peds, np.random.default_rng(9))
+            manager.ped_target[:] = manager.ped_position + 30.0
+            cars = np.array([[-50.0, -50.0], [450.0, 450.0]])
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event in ("call", "c_call")
+
+            sys.setprofile(count)
+            try:
+                for _ in range(20):
+                    manager._walk(cars, np.ones(2), 0.1)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        few, many = calls_in_20_walks(40), calls_in_20_walks(160)
+        assert many <= 1.5 * few, (few, many)
+
+    def test_no_pedestrians(self, town):
+        manager = TrafficManager(town, 3, 0, np.random.default_rng(7))
+        for _ in range(20):
+            manager.step(np.zeros((1, 2)), 0.1)
+        assert manager.pedestrian_positions().shape == (0, 2)
+
+    def test_positions_are_a_readonly_view_of_the_rows(self, town):
+        manager = TrafficManager(town, 0, 4, np.random.default_rng(8))
+        view = manager.pedestrian_positions()
+        manager.step(np.zeros((0, 2)), 0.1)
+        assert np.shares_memory(view, manager.ped_position)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
 class TestRoadObstacles:
     def test_filters_off_road(self, town):
-        a, b = list(town.graph.edges())[0]
+        a, b = town.edges()[0]
         mid = (town.node_position(a) + town.node_position(b)) / 2
         on_road = mid
         off_road = np.array([200.0, 2.0])
@@ -133,7 +263,7 @@ class TestRoadObstacles:
         assert np.allclose(out[0], on_road)
 
     def test_filters_far_away(self, town):
-        a, b = list(town.graph.edges())[0]
+        a, b = town.edges()[0]
         mid = (town.node_position(a) + town.node_position(b)) / 2
         out = road_obstacles(town, mid[None, :] + 100.0, mid, radius=10.0)
         assert len(out) == 0

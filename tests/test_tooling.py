@@ -164,6 +164,29 @@ class TestContextCache:
         with open(path, "rb") as fh:
             assert sorted(pickle.load(fh).datasets) == sorted(whole.datasets)
 
+    def test_a_format_7_cache_is_refused_and_rebuilt(self, tmp_path, monkeypatch):
+        """Format 8 pickles a ``TownMap`` whose roads are an adjacency
+        dict (format 7's held a networkx graph) and pedestrians as rows.
+        A format-7 file is never opened: the context is rebuilt under
+        the format-8 name and the old file is left as it was."""
+        import warnings
+
+        from repro.experiments import io
+
+        micro = self.micro("format7-test")
+        with monkeypatch.context() as patched:
+            patched.setattr(io, "_CACHE_FORMAT", 7)
+            old = tmp_path / f"context-{micro.name}-{io.scale_fingerprint(micro)}.pkl"
+        old.write_bytes(b"a format-7 context")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # opening it would warn: it does not unpickle
+            context = io.cached_context(micro, cache_dir=tmp_path)
+        new = tmp_path / f"context-{micro.name}-{io.scale_fingerprint(micro)}.pkl"
+        assert io._CACHE_FORMAT == 8 and new != old and new.exists()
+        assert old.read_bytes() == b"a format-7 context"
+        assert len(context.datasets) == 2
+        assert not hasattr(context.town, "graph") and context.town.adjacency
+
     def test_a_cache_from_before_the_frame_pool_is_discarded(self, tmp_path, monkeypatch):
         """Cache format 4 pickled every dataset with frame buffers of its
         own.  Such a file under today's name is not adopted half-way: it
@@ -780,6 +803,32 @@ class TestNoRunImportsScipy:
                     where = "module level" if node in tree.body else "function-local"
                     found.append((str(path.relative_to(self.REPO)), where))
         assert found == [("src/repro/experiments/multiseed.py", "function-local")]
+
+
+class TestNoRunImportsNetworkx:
+    """Routes are the in-repo Dijkstra (``repro.sim.map``), so networkx
+    is a test oracle only: ~0.1 s of a cold import and ~14 MB resident
+    that no run pays."""
+
+    def test_the_runner_leaves_networkx_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.experiments.runner\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestProcessesForkInOnePlace:
