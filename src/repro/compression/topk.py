@@ -14,9 +14,11 @@ Magnitudes compare by the uint32 bit pattern of ``|x|``, which orders
 finite < inf < NaN totally with no special case.  That is the whole
 rule, so a payload's bits depend neither on the sort algorithm nor on
 the SIMD sort numpy dispatches for the CPU.  :func:`compress_topk`,
-:meth:`TopkPlan.compress` and the Eq. 7 probe rows of
-:class:`~repro.core.overlap.DensePsiProber` all select through
-:meth:`TopkPlan.keep`.
+:meth:`TopkPlan.compress` and the Eq. 7 probe levels of
+:class:`~repro.core.overlap.DensePsiProber` all select by
+:meth:`TopkPlan.cuts`: the probe compares its rows against each cut
+itself, and takes :meth:`TopkPlan.keep`'s row wherever a cut has
+surplus ties.
 """
 
 from __future__ import annotations
@@ -102,26 +104,50 @@ class TopkPlan:
     The Eq. 7 psi-map fit samples ~7 compression levels of the *same*
     parameters and the payload is one more; each is a compare of
     ``magnitude`` against one entry of ``ranked``.
+
+    ``magnitude`` and ``ranked`` are the plan's own arrays, but ``flat``
+    is whatever float32 vector it was given: for a vehicle, a view of
+    its live bank row, not a copy.  A plan is therefore only good while
+    that row is unchanged; :meth:`~repro.core.chat.Chat.capture` spends
+    one only at the ``model_version`` it was ranked at.
     """
 
-    flat: np.ndarray  # float32 parameter snapshot
+    flat: np.ndarray  # the ranked parameters (a vehicle's: its live bank row)
     magnitude: np.ndarray  # |flat|
     ranked: np.ndarray  # |flat| ascending: values only, no index order is kept
     nominal_size_bytes: int
 
-    def keep(self, ks) -> np.ndarray:
-        """Row ``r``: mask of the ``ks[r]`` largest magnitudes, equal ones lowest index first."""
-        magnitude, ranked = self.magnitude.view(np.uint32), self.ranked.view(np.uint32)
+    def cuts(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        """``(cuts, surplus)`` of each ``ks[r]``: the bit pattern of the
+        smallest kept magnitude, and how many entries at or above it are
+        not among the ``ks[r]``.
+
+        A cut can repeat below rank ``n - k``; that many of the entries
+        equal to it, the highest-indexed, are the surplus.  Where it is
+        0, the ``k`` largest are exactly the magnitudes ``>= cut``.
+        (k = 0 reads the top magnitude as its cut and finds all of it
+        surplus.)
+        """
+        ranked = self.ranked.view(np.uint32)
         n, ks = ranked.size, np.asarray(ks)
         cuts = ranked[np.minimum(n - ks, n - 1)]
+        return cuts, n - ks - np.searchsorted(ranked, cuts)
+
+    def keep(self, ks) -> np.ndarray:
+        """Row ``r``: mask of the ``ks[r]`` largest magnitudes, equal ones lowest index first."""
+        magnitude = self.magnitude.view(np.uint32)
+        cuts, surplus = self.cuts(ks)
         masks = magnitude >= cuts[:, None]
-        # A cut can repeat below rank n - k; that many of the entries
-        # equal to it, the highest-indexed, are not among the k.  (k = 0
-        # reads the top magnitude as its cut and finds all of it surplus.)
-        surplus = n - ks - np.searchsorted(ranked, cuts)
         for row in np.flatnonzero(surplus):
             masks[row, np.flatnonzero(magnitude == cuts[row])[-surplus[row] :]] = False
         return masks
+
+    def kept_norms(self, ks) -> np.ndarray:
+        """L2 norm of each ``ks[r]``-entry payload: the root of the sum of
+        the ``ks[r]`` largest squares, read off :attr:`ranked` (which
+        entries tie at a cut does not change it)."""
+        top = self.ranked[::-1][: max(ks, default=0)].astype(np.float64)  # largest first
+        return np.sqrt([top[:k] @ top[:k] for k in ks])
 
     def compress(self, psi: float) -> CompressedModel:
         """The plan's parameters sparsified to relative size ``psi``."""

@@ -88,8 +88,9 @@ class ChatOutcome:
     absorbed_by_i: int = 0
     absorbed_by_j: int = 0
     aborted: str = ""  # stage at which contact was lost, if any
-    #: Psi maps this chat fitted on the dense probe bank (trainers tally
-    #: them; ``equal_compression`` and a chat cut before stage 3 fit none).
+    #: Psi-map fits this chat ran on the prober, a diverged side's
+    #: included (trainers tally them; ``equal_compression`` and a chat cut
+    #: before stage 3 run none).
     psi_probe_builds: int = 0
 
 
@@ -279,14 +280,16 @@ def negotiate(
 
     Stage 3 is one function per side, as each vehicle computes on its
     own computer: side ``k`` scores its node on its own coreset and on
-    the peer's, then fits its map in its own half of the probe bank
-    (``prober.build(node, side=k)``).  When the chat's work reaches
+    the peer's, then fits its map from the first of those losses
+    (``prober.build(node, own_loss, side=k)``).  When the chat's work reaches
     :data:`THREADED_SIDES_MIN_WORK` and more than one core is usable,
     side 1 runs on a thread of :func:`~repro.parallel.stepshard.
     run_shards` while side 0 runs here, joined before stage 3 ends;
     otherwise both run here in turn.  A side touches only its own node
-    (row, loss cache, coreset), the peer's coreset frames (read) and its
-    own half of the bank, so both paths compute the same bits.
+    (row, loss cache, coreset), the peer's coreset frames (read) and the
+    prober's arrays for its side, so both paths compute the same bits.
+    A side whose model diverged fits no map (``None``): Eq. 7 gives it
+    nothing to gain, so it sends nothing.
 
     A chat that ends here (stage abort, coreset-only, nothing worth
     sending) has no legs; the caller commits it like any other, which
@@ -339,7 +342,7 @@ def negotiate(
         """One vehicle's stage 3: its loss on both coresets, then its psi map."""
         node, own, peer = sides[side]
         losses = node.evaluate(own.data), node.evaluate(peer.data)
-        return losses, None if equal_compression else prober.build(node, side=side)
+        return losses, None if equal_compression else prober.build(node, losses[0], side=side)
 
     work = node_i.flat_params.size * (len(chat.coreset_i) + len(chat.coreset_j))
     if work >= THREADED_SIDES_MIN_WORK and default_step_shards() >= 2:

@@ -79,10 +79,9 @@ class LbChatTrainer(TrainerBase):
 
     @cached_property
     def prober(self) -> DensePsiProber:
-        """The fleet's dense psi prober, built at the first chat (the
-        chat-free baselines never pay for its bank): one forward-only
-        bank with a half per chat side, so a chat's two maps can be
-        fitted at once, on two threads."""
+        """The fleet's psi prober, built at the first chat (the chat-free
+        baselines never build one).  A build shares nothing with another,
+        so a chat's two maps can be fitted at once, on two threads."""
         return DensePsiProber(self.fleet.template)
 
     def _chat(self, i: int, j: int) -> None:

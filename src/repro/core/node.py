@@ -328,10 +328,10 @@ class VehicleNode:
     def build_psi_map(self) -> PsiLossMap:
         """Fit phi: compression level -> loss on the own coreset, level by level.
 
-        Every chat fits the map on the dense probe bank
-        (:class:`~repro.core.overlap.DensePsiProber`); this loop — clone,
-        compress, decompress and evaluate per level — is kept as that
-        prober's test oracle only, and no chat calls it.
+        Every chat fits the map with :class:`~repro.core.overlap.
+        DensePsiProber`; this loop — clone, compress, decompress and
+        evaluate per level — is kept as that prober's oracle only (tests
+        and the ``psi.loop`` selfcheck row), and no chat calls it.
         """
         return build_psi_map(
             self.detached_model(),

@@ -25,12 +25,12 @@ the receiver's trained-ahead parameters on the plan-time joint coreset
 background-averaged state at a sync point rather than freezing the
 learner.
 
-Both protocols fit their psi maps with :class:`DensePsiProber`: the ~7
-compressed variants are stacked into one side's half of a small
-forward-only :class:`~repro.nn.bank.ParamBank` and scored with a single
-:class:`~repro.nn.bank.FleetWaypointNet` forward over the coreset
-instead of seven sequential per-model forwards, and payload compression
-reuses the psi map's :class:`~repro.compression.TopkPlan` (the sorted
+Both protocols fit their psi maps with :class:`DensePsiProber`: the
+psi = 1 point is the Eq. 6 loss stage 3 already has, and the six
+compressed variants are scored together, their first layer one stacked
+GEMM over the coreset's lit BEV pixels (and one column per constant
+plane) instead of a dense GEMM per level; payload compression reuses
+the psi map's :class:`~repro.compression.TopkPlan` (the sorted
 magnitudes), so a payload costs one compare instead of a fresh sort.
 
 Flights participate in checkpointing: the scheduler snapshots every
@@ -58,53 +58,198 @@ __all__ = ["DensePsiProber", "TransferScheduler", "plan_chat"]
 
 
 class DensePsiProber:
-    """Psi-grid probes of a chat's two models, evaluated as fleet batches.
+    """Eq. 7's psi map of one chat side's model, every level in one batch.
 
-    One forward-only probe bank (no gradient array: nothing here runs
-    backward) with one row per level of :data:`~repro.core.psi.
-    DEFAULT_PSI_GRID` per chat side: row ``k`` of side ``s``'s half
-    holds side ``s``'s model compressed to level ``k`` (dense at
-    ``psi >= 1``).  A single shared-batch forward over the coreset then
-    scores every level at once — the same per-layer GEMMs the fleet
-    engine uses for training, instead of one full forward per level.
-    Each side has its own half (a :meth:`~repro.nn.bank.ParamBank.
-    slice_rows` view) and its own net, so the two sides of one chat can
-    build at once, on two threads (:func:`~repro.core.chat.negotiate`).
-    Every node it is asked about shares ``template``'s parameter layout,
-    as every node of a fleet does.
+    Level ``psi`` of :data:`~repro.core.psi.DEFAULT_PSI_GRID` is the
+    node's parameters under :meth:`~repro.compression.TopkPlan.keep`'s
+    mask, scored on its own coreset with Eq. 6.  The dense level
+    (``psi = 1``) is the node's own Eq. 6 loss on that coreset, which
+    stage 3 has just computed: :meth:`build` is handed it and runs
+    nothing for it.  The six sub-dense levels run in one batch, built
+    from three facts about the MLP trunk's first layer (93.5 % of the
+    paper model's parameters):
+
+    * a BEV pixel that is 0 in every coreset frame multiplies its weight
+      row by 0, so only the *lit* pixels' rows enter the product (the
+      four binary channels light 42–51 % of their pixels over a
+      150-frame paper coreset);
+    * a *constant plane* — a channel that is one value per frame, such as
+      the speed channel — is one operand column whose weight row is the
+      sum of the plane's masked rows (found from the data: a channel
+      constant on the first frame, confirmed on the rest);
+    * a level's mask is a compare against its cut (:meth:`TopkPlan.
+      cuts`), so it is taken on those rows and on the layers after the
+      first weight only, never on a full parameter row; a level whose
+      cut has surplus ties takes ``keep``'s rows instead.
+
+    So the first layer is one stacked GEMM ``(batch, K) @ (levels, K,
+    hidden)`` with K the lit pixels plus one column per lit constant
+    plane (650–850 of 2 000 on paper coresets), and the rest of the
+    network runs as the fleet's layers do.  Eq. 6's L2 term of a level
+    is :meth:`TopkPlan.kept_norms`.  The losses differ from the
+    per-level loop's (:func:`~repro.core.psi.build_psi_map`, the test
+    oracle) by summation order only (at most 2.9e-7 relative over 2 744
+    maps of a full ``paper`` run); which entries a level keeps is the
+    same to the bit.
+
+    A trunk that does not start with a flattened linear layer (the
+    conv trunk, which no run trains) scores full masked rows in a
+    forward-only :class:`~repro.nn.bank.ParamBank` per chat side.
+    Nothing else is shared between builds, so the two sides of
+    one chat can build at once, on two threads
+    (:func:`~repro.core.chat.negotiate`).  Every node it is asked about
+    shares ``template``'s parameter layout, as every node of a fleet does.
     """
 
     SIDES = 2
 
     def __init__(self, template):
         from repro.nn.bank import FleetWaypointNet, ParamBank
+        from repro.nn.layers import Flatten, Linear
 
-        self.psis = [float(p) for p in DEFAULT_PSI_GRID]
-        levels = len(self.psis)
-        self.bank = ParamBank(template, self.SIDES * levels, grads=False)
-        #: Side ``s``'s rows of :attr:`bank`, one per psi level.
-        self.side_banks = tuple(
-            self.bank.slice_rows(s * levels, (s + 1) * levels) for s in range(self.SIDES)
-        )
-        self._nets = tuple(FleetWaypointNet(bank, template) for bank in self.side_banks)
+        self.psis = [float(p) for p in DEFAULT_PSI_GRID]  # ascending, ends at 1.0
+        spans, offset = [], 0  # (start, stop, shape) of each parameter in a row
+        for param in template.parameters():
+            spans.append((offset, offset + param.data.size, param.data.shape))
+            offset += param.data.size
+        modules = template.trunk.modules
+        self._mlp = isinstance(modules[0], Flatten) and isinstance(modules[1], Linear)
+        if not self._mlp:
+            levels = len(self.psis) - 1
+            banks = [ParamBank(template, levels, grads=False) for _ in range(self.SIDES)]
+            self._full_rows = [(bank, FleetWaypointNet(bank, template)) for bank in banks]
+            return
+        # Layers past the first weight, as (slice, shape) spans into the
+        # tail of a row: the first bias, then each later trunk Linear's
+        # (weight, bias) or None for a ReLU, then each head's.
+        self._first = spans[0][2]  # (inputs, hidden)
+        self._tail_start = start = spans[1][0]
+        tail = iter([(slice(lo - start, hi - start), shape) for lo, hi, shape in spans[1:]])
+        self._bias = next(tail)
+        self._trunk = [
+            (next(tail), next(tail)) if isinstance(module, Linear) else None
+            for module in modules[2:]
+        ]
+        self._heads = list(zip(tail, tail))
+        self._outputs = 2 * template.n_waypoints
 
-    def build(self, node, side: int = 0):
-        """``(PsiLossMap, TopkPlan)`` for ``node`` in one batched forward
-        on side ``side``'s half of the bank."""
-        bank, net = self.side_banks[side], self._nets[side]
+    def build(self, node, dense_loss: float, side: int = 0):
+        """``(PsiLossMap, TopkPlan)`` for ``node``, whose own Eq. 6 loss on
+        its coreset is ``dense_loss``; side ``side`` of a chat.
+
+        A model with a non-finite parameter (a diverged one: its
+        magnitudes sort last by bit pattern, so ``ranked[-1]`` tells) or
+        a non-finite loss fits no map: the map is ``None``, which Eq. 7
+        reads as no gain from sending it, and it is counted as
+        ``psi_probe.fallback.non_finite``.
+        """
         flat = np.asarray(node.flat_params, dtype=np.float32)
         plan = topk_plan(flat, NOMINAL_MODEL_BYTES)
-        keep = plan.keep([topk_for_psi(flat.size, psi) for psi in self.psis])
-        # Row = the parameters' bit patterns times its level's mask: a
-        # kept entry keeps every bit and an unsent one is +0.0 (a float
-        # multiply would leave -0.0 and turn inf into NaN), so rows are
-        # bit-identical to ``decompress(plan.compress(psi))``.
-        np.multiply(flat.view(np.uint32), keep, out=bank.flat.view(np.uint32))
-        bev, commands, targets, weights = node.coreset.data.arrays()
-        pred = net.forward(bev, commands)  # (levels, batch, 2w)
-        per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
-        losses = penalized_losses(bank.flat, per_sample, commands, weights)
-        return PsiLossMap(np.asarray(self.psis), losses), plan
+        if np.isfinite(plan.ranked[-1]):
+            ks = [topk_for_psi(flat.size, psi) for psi in self.psis[:-1]]
+            bev, commands, targets, weights = node.coreset.data.arrays()
+            masked = _level_masker(plan, ks)
+            if self._mlp:
+                pred = self._forward(masked, bev, commands)
+            else:
+                bank, net = self._full_rows[side]
+                masked(lambda row: row, out=bank.flat)
+                pred = net.forward(bev, commands)
+            per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
+            losses = penalized_losses(
+                None, per_sample, commands, weights, norms=plan.kept_norms(ks)
+            )
+            losses = np.append(losses, dense_loss)
+            if np.isfinite(losses).all():
+                return PsiLossMap(np.asarray(self.psis), losses), plan
+        telemetry.count("psi_probe.fallback.non_finite")
+        return None, plan
+
+    def _forward(self, masked, bev, commands) -> np.ndarray:
+        """``(levels, batch, 2w)`` predictions of every sub-dense level."""
+        n_in, hidden = self._first
+        batch, channels = bev.shape[:2]
+        operand, lit, planes = _first_layer_operand(bev)
+
+        def first_rows(row):
+            return row[: n_in * hidden].reshape(n_in, hidden)
+
+        tail = masked(lambda row: row[self._tail_start :])
+        levels = len(tail)
+        weight = np.empty((levels, operand.shape[1], hidden), dtype=np.float32)
+        masked(lambda row: first_rows(row)[lit], out=weight[:, : lit.size])
+        plane_rows = masked(lambda row: first_rows(row).reshape(channels, -1, hidden)[planes])
+        plane_rows.sum(axis=2, out=weight[:, lit.size :])
+
+        def param(span):
+            columns, shape = span
+            return tail[:, columns].reshape(levels, *shape)
+
+        h = np.matmul(operand, weight)
+        h += param(self._bias)[:, None, :]
+        for layer in self._trunk:
+            if layer is None:
+                np.maximum(h, 0.0, out=h)
+            else:
+                h = np.matmul(h, param(layer[0]))
+                h += param(layer[1])[:, None, :]
+        out = np.zeros((levels, batch, self._outputs), dtype=np.float32)
+        for cmd, (w, b) in enumerate(self._heads):
+            rows = commands == cmd
+            if rows.any():
+                out[:, rows] = np.matmul(h[:, rows], param(w)) + param(b)[:, None, :]
+        return out
+
+
+def _first_layer_operand(bev):
+    """``(operand, lit, planes)``: the flattened ``bev`` (batch, C, H, W)
+    as the first layer's compact operand — a column per lit pixel
+    (nonzero in some frame; flat indices ``lit``), then one per lit
+    constant plane (channels ``planes``, each one value per frame: a
+    channel constant on the first frame, confirmed on every frame)."""
+    batch, channels = bev.shape[:2]
+    x = bev.reshape(batch, channels, -1)
+    live = x.any(axis=0)  # (C, H * W)
+    # A lit constant plane is lit at every pixel; of those channels, the
+    # ones constant on the first frame are confirmed on all of them.
+    first = x[0]
+    candidates = np.flatnonzero(live.all(axis=1) & (first == first[:, :1]).all(axis=1))
+    confirmed = (x[:, candidates] == x[:, candidates, :1]).all(axis=(0, 2))
+    planes = candidates[confirmed]
+    live[planes] = False  # a constant plane is its one column
+    lit = np.flatnonzero(live)
+    # ``take`` gathers columns C-ordered; ``x[:, lit]`` would come out
+    # Fortran-ordered and make the concatenation a strided copy.
+    operand = np.concatenate((x.reshape(batch, -1).take(lit, axis=1), x[:, planes, 0]), axis=1)
+    return operand, lit, planes
+
+
+def _level_masker(plan, ks):
+    """``masked(select, out=None)``: ``select`` of the plan's parameters,
+    once per ``ks[r]``, each entry outside the top ``ks[r]`` set to +0.0.
+
+    ``select`` picks entries out of a parameter-shaped vector (a slice,
+    a reshape, rows); the mask is taken on the picked entries alone — a
+    compare against the level's cut — except on a level whose cut has
+    surplus ties, which picks from :meth:`TopkPlan.keep`'s row.  A kept
+    entry keeps every bit (the bit patterns are multiplied by the mask:
+    a float multiply would leave -0.0), so ``masked(lambda row: row)[r]``
+    is ``decompress(plan.compress(psi))`` of level ``r`` to the bit.
+    """
+    cuts, surplus = plan.cuts(ks)
+    tied = {level: plan.keep([ks[level]])[0] for level in np.flatnonzero(surplus)}
+    magnitude = plan.magnitude.view(np.uint32)
+
+    def masked(select, out=None):
+        bits = select(magnitude)
+        keep = bits >= cuts.reshape(-1, *(1,) * bits.ndim)
+        for level, mask in tied.items():
+            keep[level] = select(mask)
+        values = select(plan.flat).view(np.uint32)
+        out = None if out is None else out.view(np.uint32)
+        return np.multiply(values, keep, out=out).view(np.float32)
+
+    return masked
 
 
 def plan_chat(node_i, node_j, **protocol) -> Chat:

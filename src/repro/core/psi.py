@@ -23,7 +23,8 @@ from repro.nn.params import get_flat_params
 __all__ = ["PsiLossMap", "build_psi_map", "optimize_compression", "PsiDecision"]
 
 #: The compression levels every psi map samples, ascending (Akima's
-#: abscissae); the dense prober sizes its bank from it.
+#: abscissae).  The last is the dense model, whose loss the prober is
+#: handed rather than computes.
 DEFAULT_PSI_GRID = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
 
@@ -119,8 +120,9 @@ def build_psi_map(model, evaluate_on_coreset, nominal_size_bytes: int) -> PsiLos
 
     The levels share one sort of the magnitudes
     (:func:`repro.compression.topk_plan`) instead of re-sorting per psi.
-    Kept as the test oracle of :class:`~repro.core.overlap.DensePsiProber`,
-    which fits every chat's map in one batched forward; no chat runs
+    Kept as the oracle of :class:`~repro.core.overlap.DensePsiProber`,
+    which fits every chat's map in one batch (``tests/test_psi_prober.py``
+    and the ``psi.loop`` selfcheck row compare the two); no chat runs
     this loop.
 
     Parameters
@@ -160,8 +162,8 @@ class PsiDecision:
 
 
 def optimize_compression(
-    map_i: PsiLossMap,
-    map_j: PsiLossMap,
+    map_i: PsiLossMap | None,
+    map_j: PsiLossMap | None,
     loss_i_on_cj: float,
     loss_j_on_ci: float,
     model_size_bytes: float,
@@ -179,7 +181,8 @@ def optimize_compression(
     concerns.  Gains follow §III-B: the receiver's loss on the sender's
     coreset minus the (compression-degraded) sender loss, truncated at
     zero; ``lambda_c`` rewards unfinished contact time so uninteresting
-    exchanges end quickly.
+    exchanges end quickly.  A side whose map is ``None`` (a diverged
+    model fits none) gains nothing at any psi, so it sends nothing.
     """
     window = min(time_budget, contact_duration)
     bytes_per_second = bandwidth_bps / 8.0
@@ -188,8 +191,13 @@ def optimize_compression(
     # lattice point, nothing at psi = 0 (the objective is separable apart
     # from the shared time constraint).
     sends = grid > 0
-    gains_i_axis = np.where(sends, np.maximum(loss_j_on_ci - map_i.losses_at(grid), 0.0), 0.0)
-    gains_j_axis = np.where(sends, np.maximum(loss_i_on_cj - map_j.losses_at(grid), 0.0), 0.0)
+
+    def gains(sender_map, receiver_loss):
+        if sender_map is None:  # a diverged sender fitted no map: nothing to gain
+            return np.zeros_like(grid)
+        return np.where(sends, np.maximum(receiver_loss - sender_map.losses_at(grid), 0.0), 0.0)
+
+    gains_i_axis, gains_j_axis = gains(map_i, loss_j_on_ci), gains(map_j, loss_i_on_cj)
     t_c = model_size_bytes * (grid[:, None] + grid[None, :]) / bytes_per_second
     objective = (
         gains_i_axis[:, None]

@@ -76,15 +76,19 @@ def command_loss_entropy(
 
 
 def penalized_losses(
-    params: np.ndarray,
+    params: np.ndarray | None,
     per_sample_losses: np.ndarray,
     commands: np.ndarray,
     weights: np.ndarray,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eq. 6 for each of several models over the same weighted samples.
 
     ``params`` is ``(rows, n_params)`` flat parameter vectors (read for
-    the L2 term only) and ``per_sample_losses`` ``(rows, n)``.  The normalised weights and the
+    the L2 term only) and ``per_sample_losses`` ``(rows, n)``.  A caller
+    that knows the rows' L2 norms without holding the rows (the psi
+    probe reads them off its sorted magnitudes) passes them as ``norms``
+    and ``params=None``.  The normalised weights and the
     command groups are derived once; each row's empirical term is its own
     dot product and each L2 term its own norm (a matrix product would
     sum in another order).
@@ -96,7 +100,9 @@ def penalized_losses(
         raise ValueError("weights must have positive sum")
     norm = weights / total
     values = np.array([float(row @ norm) for row in losses.astype(norm.dtype, copy=False)])
-    values += LAMBDA_L2 * np.array([float(np.linalg.norm(row)) for row in params])
+    if norms is None:
+        norms = np.array([float(np.linalg.norm(row)) for row in params])
+    values += LAMBDA_L2 * norms
     values += LAMBDA_ENTROPY * command_loss_entropy(losses, commands)
     return values
 

@@ -9,7 +9,8 @@ experiment, digests what it computed, and is read against a reference:
 * another row's name — the *exact* tier: same process, same world, so
   the same bits on any host (1, 2 or 4 step shards vs the default count,
   resumed vs uninterrupted, ``jobs=4`` vs ``jobs=1``, a set-up's forked
-  trace world vs ``simulate_traces`` called in process);
+  trace world vs ``simulate_traces`` called in process, every psi map
+  also fitted by the per-level loop vs fitted once);
 * ``None`` — a baseline that exact-tier rows are read against.
 
 The ``world.*`` rows need no experiment: they step small worlds through
@@ -240,6 +241,45 @@ def _run_spec(runner: "Runner", check: Check, scratch: Path) -> Run:
     with TelemetrySession(label=check.name) as session:
         result = run_method(context, spec)
     return Run(digest_result(result), context, result, session, scratch)
+
+
+def _maps_fitted_twice(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """The run with every psi map fitted twice: by the probe, whose map
+    the run goes on with, and by the per-level loop ``build_psi_map``,
+    its oracle; each chat's Eq. 7 is solved again on the loop's maps.
+    The loop reads the node and writes nothing, so the run digests as
+    the reference does."""
+    from repro.core import chat as chat_module
+    from repro.core.overlap import DensePsiProber
+
+    fitted, decisions = {}, []  # id(probe map) -> (probe map, loop map)
+    build, solve = DensePsiProber.build, chat_module.optimize_compression
+
+    def build_twice(prober, node, dense_loss, side=0):
+        psi_map, plan = build(prober, node, dense_loss, side=side)
+        if psi_map is not None:
+            fitted[id(psi_map)] = (psi_map, node.build_psi_map())
+        return psi_map, plan
+
+    def solve_twice(map_i, map_j, **kwargs):
+        decision = solve(map_i, map_j, **kwargs)
+        loop = [None if m is None else fitted[id(m)][1] for m in (map_i, map_j)]
+        decisions.append((decision, solve(*loop, **kwargs)))
+        return decision
+
+    DensePsiProber.build, chat_module.optimize_compression = build_twice, solve_twice
+    try:
+        run = _run_spec(runner, check, scratch)
+    finally:
+        DensePsiProber.build, chat_module.optimize_compression = build, solve
+    gaps = [np.abs(probe.losses / loop.losses - 1.0).max() for probe, loop in fitted.values()]
+    run.facts.update(decisions=decisions, largest_map_gap=max(gaps, default=np.nan))
+    sending = sum(1 for decision, _ in decisions if decision.psi_i or decision.psi_j)
+    run.notes.append(
+        f"{len(gaps)} maps, {len(decisions)} Eq. 7 decisions ({sending} sending); "
+        f"largest relative map difference {run.facts['largest_map_gap']:.1e}"
+    )
+    return run
 
 
 def _registry_of_three_runs(runner: "Runner", check: Check, scratch: Path) -> Run:
@@ -699,10 +739,27 @@ def _stacked_dot():
 
 
 def dense_probes(run: Run):
-    """The run reached stage 3 of a chat: psi maps were fitted (on the
-    dense probe bank, the only place a chat fits one)."""
+    """The run reached stage 3 of a chat: psi maps were fitted (by the
+    psi prober, the only place a chat fits one)."""
     if not run.result.counters.get("psi_probe_builds", 0) > 0:
         yield "no psi map was fitted: the run never got to Eq. 7"
+
+
+def decisions_match_the_loop(run: Run):
+    """Every chat's Eq. 7 picked the same (psi_i, psi_j) on the probe's
+    maps as on the per-level loop's."""
+    decisions = run.facts["decisions"]
+    if not any(d.psi_i or d.psi_j for pair in decisions for d in pair):
+        # (0, 0) with no gain on either axis is what any pair of maps decides.
+        yield "no Eq. 7 decision sent a model: equal decisions say nothing of the maps"
+    gap = run.facts["largest_map_gap"]
+    for k, (probe, loop) in enumerate(decisions):
+        if (probe.psi_i, probe.psi_j) != (loop.psi_i, loop.psi_j):
+            yield (
+                f"decision {k} flipped: probe ({probe.psi_i}, {probe.psi_j}) objective "
+                f"{probe.objective!r}, loop ({loop.psi_i}, {loop.psi_j}) objective "
+                f"{loop.objective!r}; largest relative map difference {gap:.1e}"
+            )
 
 
 def dense_steps(run: Run):
@@ -972,6 +1029,10 @@ CHECKS: dict[str, Check] = {
               invariants=(dense_steps, one_span_per_chat, export_round_trips,
                           transfers_conserved, every_chat_accounted_once, clock_monotone,
                           swept_equals_pairwise)),
+        # On the overlap world, where Eq. 7 ships models: every hotpath
+        # decision is (0, 0) with no gain, which any maps would decide.
+        Check("psi.loop", "overlap.off", "overlap", produce=_maps_fitted_twice,
+              invariants=(decisions_match_the_loop, dense_probes, clock_monotone)),
         Check("overlap.on", "golden", "overlap", spec=_ON,
               invariants=(dense_steps, flights_launched, transfers_conserved,
                           every_chat_accounted_once, clock_monotone)),

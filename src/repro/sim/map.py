@@ -247,12 +247,11 @@ class TownMap:
         return [n for n, kind in self._node_kind.items() if kind == "town"]
 
     def _node_table(self) -> tuple[list, np.ndarray]:
-        """Node names and their stacked (n, 2) positions, built lazily.
-
-        Lazy (and guarded with ``getattr``) so ``TownMap`` instances
-        unpickled from older context caches grow the table on first use.
-        """
-        names = getattr(self, "_node_names", None)
+        """Node names and their stacked (n, 2) positions, built on the
+        first nearest-node query (``None`` until then).  A context cache
+        names its format in its file name, so every ``TownMap`` unpickled
+        from one has these fields."""
+        names = self._node_names
         if names is None:
             names = list(self._node_pos)
             self._node_names = names

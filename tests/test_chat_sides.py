@@ -90,8 +90,8 @@ class RecordingProber(DensePsiProber):
         super().__init__(template)
         self.built = {}
 
-    def build(self, node, side=0):
-        self.built[side] = super().build(node, side=side)
+    def build(self, node, dense_loss, side=0):
+        self.built[side] = super().build(node, dense_loss, side=side)
         return self.built[side]
 
 
@@ -188,10 +188,10 @@ class TestFaults:
             pass
 
         class FailingProber(DensePsiProber):
-            def build(self, node, side=0):
+            def build(self, node, dense_loss, side=0):
                 if side == failing:
                     raise SideFailure(f"side {side}")
-                return super().build(node, side=side)
+                return super().build(node, dense_loss, side=side)
 
         with pytest.raises(SideFailure, match=f"side {failing}"):
             run_negotiate(pair, FailingProber(pair[0].fleet.template))

@@ -156,6 +156,28 @@ class TestOptimizeCompression:
         )
         assert decision.exchange_time <= 3.0 + 1e-9
 
+    @pytest.mark.parametrize("lambda_c", [0.0, 0.02])
+    def test_a_side_with_no_map_sends_nothing(self, lambda_c):
+        """A diverged sender fits no map (``None``): its axis is the one a
+        worthless model has, and the other side decides as beside one."""
+        kwargs = dict(
+            loss_i_on_cj=10.0,
+            loss_j_on_ci=10.0,
+            model_size_bytes=self.SIZE,
+            bandwidth_bps=self.BANDWIDTH,
+            time_budget=15.0,
+            contact_duration=100.0,
+            lambda_c=lambda_c,
+        )
+        worthless = flat_maps(loss_at_one=50.0, loss_at_min=60.0)
+        for maps, no_map in (((None, flat_maps()), (worthless, flat_maps())),
+                             ((flat_maps(), None), (flat_maps(), worthless))):
+            decision = optimize_compression(*maps, **kwargs)
+            assert decision == optimize_compression(*no_map, **kwargs)
+        assert optimize_compression(None, flat_maps(), **kwargs).psi_i == 0.0
+        neither = optimize_compression(None, None, **kwargs)
+        assert (neither.psi_i, neither.psi_j) == (0.0, 0.0)
+
     def test_lambda_c_discourages_marginal_sends(self):
         greedy = optimize_compression(
             flat_maps(loss_at_one=1.0, loss_at_min=1.05),

@@ -230,3 +230,13 @@ class TestEq6OverRows:
         for weights in (np.zeros(10), -np.ones(10)):
             with pytest.raises(ValueError, match="positive sum"):
                 penalized_losses(params, losses, commands, weights)
+
+    @pytest.mark.parametrize("penalty", sorted(PENALTIES))
+    def test_given_norms_stand_in_for_the_rows(self, penalty, monkeypatch):
+        """The psi probe hands the L2 norms, not the rows: the same
+        norms give the same bits."""
+        set_penalty(monkeypatch, *PENALTIES[penalty])
+        params, losses, commands, weights = self.rows(4, 150, np.float32)
+        norms = np.array([float(np.linalg.norm(row)) for row in params])
+        got = penalized_losses(None, losses, commands, weights, norms=norms)
+        assert got.tobytes() == penalized_losses(params, losses, commands, weights).tobytes()

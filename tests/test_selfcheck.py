@@ -194,6 +194,29 @@ def test_traces_came_from_a_child_bites(runner):
     assert "fork.in_process.thread_alive" in message
 
 
+def test_decisions_match_the_loop_bites(runner):
+    """It passes on the real row (``test_row``), where Eq. 7 sent models;
+    a decision the loop's maps flip fails it, and so do decisions that
+    never send (any maps decide those alike) or none at all."""
+    from dataclasses import replace
+
+    from repro.core.psi import PsiDecision
+
+    run = runner.check("psi.loop")
+    assert list(selfcheck.decisions_match_the_loop(run)) == []
+    probe, loop = next(pair for pair in run.facts["decisions"] if pair[0].psi_i or pair[0].psi_j)
+
+    def verdicts(decisions):
+        bad = selfcheck.Run({}, facts={**run.facts, "decisions": decisions})
+        return list(selfcheck.decisions_match_the_loop(bad))
+
+    (message,) = verdicts([(probe, replace(loop, psi_j=loop.psi_j + 0.05))])
+    assert "flipped" in message and "largest relative map difference" in message
+    idle = PsiDecision(0.0, 0.0, 0.3, 0.0)
+    assert len(verdicts([(idle, idle)])) == 1
+    assert len(verdicts([])) == 1
+
+
 def test_the_stacked_dot_check_bites(monkeypatch):
     """This numpy passes it; a stacked product that sums ``x*x + y*y``
     instead of calling ``ddot`` per row fails it, as a BLAS whose
