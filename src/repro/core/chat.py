@@ -253,7 +253,6 @@ def negotiate(
     wireless: WirelessModel,
     time_budget: float,
     lambda_c: float = 0.02,
-    refresh_coresets: bool = True,
     equal_compression: bool = False,
     mean_aggregation: bool = False,
     coreset_only: bool = False,
@@ -281,13 +280,13 @@ def negotiate(
     Stage 3 is one function per side, as each vehicle computes on its
     own computer: side ``k`` scores its node on its own coreset and on
     the peer's, then fits its map from the first of those losses
-    (``prober.build(node, own_loss, side=k)``).  When the chat's work reaches
+    (``prober.build(node, own_loss)``).  When the chat's work reaches
     :data:`THREADED_SIDES_MIN_WORK` and more than one core is usable,
     side 1 runs on a thread of :func:`~repro.parallel.stepshard.
     run_shards` while side 0 runs here, joined before stage 3 ends;
     otherwise both run here in turn.  A side touches only its own node
-    (row, loss cache, coreset), the peer's coreset frames (read) and the
-    prober's arrays for its side, so both paths compute the same bits.
+    (row, loss cache, coreset) and the peer's coreset frames (read), so
+    both paths compute the same bits.
     A side whose model diverged fits no map (``None``): Eq. 7 gives it
     nothing to gain, so it sends nothing.
 
@@ -309,9 +308,8 @@ def negotiate(
         return cut("assist")
 
     # 2. coresets (rebuild first so they reflect the current model/data).
-    if refresh_coresets:
-        node_i.maybe_refresh_coreset()
-        node_j.maybe_refresh_coreset()
+    node_i.maybe_refresh_coreset()
+    node_j.maybe_refresh_coreset()
     chat.coreset_i, chat.coreset_j = node_i.coreset, node_j.coreset
     if not chat.exchange(
         "coresets",
@@ -342,7 +340,7 @@ def negotiate(
         """One vehicle's stage 3: its loss on both coresets, then its psi map."""
         node, own, peer = sides[side]
         losses = node.evaluate(own.data), node.evaluate(peer.data)
-        return losses, None if equal_compression else prober.build(node, losses[0], side=side)
+        return losses, None if equal_compression else prober.build(node, losses[0])
 
     work = node_i.flat_params.size * (len(chat.coreset_i) + len(chat.coreset_j))
     if work >= THREADED_SIDES_MIN_WORK and default_step_shards() >= 2:

@@ -92,33 +92,20 @@ class DensePsiProber:
     maps of a full ``paper`` run); which entries a level keeps is the
     same to the bit.
 
-    A trunk that does not start with a flattened linear layer (the
-    conv trunk, which no run trains) scores full masked rows in a
-    forward-only :class:`~repro.nn.bank.ParamBank` per chat side.
-    Nothing else is shared between builds, so the two sides of
-    one chat can build at once, on two threads
-    (:func:`~repro.core.chat.negotiate`).  Every node it is asked about
-    shares ``template``'s parameter layout, as every node of a fleet does.
+    Nothing is shared between builds, so the two sides of one chat can
+    build at once, on two threads (:func:`~repro.core.chat.negotiate`).
+    Every node it is asked about shares ``template``'s parameter layout,
+    as every node of a fleet does.
     """
 
-    SIDES = 2
-
     def __init__(self, template):
-        from repro.nn.bank import FleetWaypointNet, ParamBank
-        from repro.nn.layers import Flatten, Linear
+        from repro.nn.layers import Linear
 
         self.psis = [float(p) for p in DEFAULT_PSI_GRID]  # ascending, ends at 1.0
         spans, offset = [], 0  # (start, stop, shape) of each parameter in a row
         for param in template.parameters():
             spans.append((offset, offset + param.data.size, param.data.shape))
             offset += param.data.size
-        modules = template.trunk.modules
-        self._mlp = isinstance(modules[0], Flatten) and isinstance(modules[1], Linear)
-        if not self._mlp:
-            levels = len(self.psis) - 1
-            banks = [ParamBank(template, levels, grads=False) for _ in range(self.SIDES)]
-            self._full_rows = [(bank, FleetWaypointNet(bank, template)) for bank in banks]
-            return
         # Layers past the first weight, as (slice, shape) spans into the
         # tail of a row: the first bias, then each later trunk Linear's
         # (weight, bias) or None for a ReLU, then each head's.
@@ -128,14 +115,14 @@ class DensePsiProber:
         self._bias = next(tail)
         self._trunk = [
             (next(tail), next(tail)) if isinstance(module, Linear) else None
-            for module in modules[2:]
+            for module in template.trunk.modules[2:]
         ]
         self._heads = list(zip(tail, tail))
         self._outputs = 2 * template.n_waypoints
 
-    def build(self, node, dense_loss: float, side: int = 0):
+    def build(self, node, dense_loss: float):
         """``(PsiLossMap, TopkPlan)`` for ``node``, whose own Eq. 6 loss on
-        its coreset is ``dense_loss``; side ``side`` of a chat.
+        its coreset is ``dense_loss``.
 
         A model with a non-finite parameter (a diverged one: its
         magnitudes sort last by bit pattern, so ``ranked[-1]`` tells) or
@@ -148,13 +135,7 @@ class DensePsiProber:
         if np.isfinite(plan.ranked[-1]):
             ks = [topk_for_psi(flat.size, psi) for psi in self.psis[:-1]]
             bev, commands, targets, weights = node.coreset.data.arrays()
-            masked = _level_masker(plan, ks)
-            if self._mlp:
-                pred = self._forward(masked, bev, commands)
-            else:
-                bank, net = self._full_rows[side]
-                masked(lambda row: row, out=bank.flat)
-                pred = net.forward(bev, commands)
+            pred = self._forward(_level_masker(plan, ks), bev, commands)
             per_sample = np.abs(pred - np.asarray(targets)[None]).mean(axis=2)
             losses = penalized_losses(
                 None, per_sample, commands, weights, norms=plan.kept_norms(ks)

@@ -6,14 +6,14 @@ training, and a flat parameter vector that can be sparsified, shipped to
 a peer, and averaged.
 
 Layers implement explicit ``forward``/``backward`` passes (no autograd
-tape); models are :class:`~repro.nn.layers.Sequential` stacks plus the
-command-branched :class:`~repro.nn.model.WaypointNet` used for the
-BEV-based driving decision task.
+tape); the one model is the command-branched
+:class:`~repro.nn.model.WaypointNet` used for the BEV-based driving
+decision task, a :class:`~repro.nn.layers.Sequential` MLP trunk
+(Flatten, Linear, ReLU) under one linear head per command.
 """
 
 from repro.nn.bank import FleetAdam, FleetWaypointNet, ParamBank
 from repro.nn.layers import (
-    Conv2d,
     Flatten,
     Linear,
     Module,
@@ -34,7 +34,6 @@ from repro.nn.params import (
 __all__ = [
     "Module",
     "Linear",
-    "Conv2d",
     "ReLU",
     "Flatten",
     "Sequential",

@@ -7,17 +7,15 @@ so one batched tensor op per layer trains or evaluates the whole fleet;
 it is the only forward and the only gradient step a run has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
-  float32 matrix (plus a twin for gradients, unless it is a forward-only
-  bank such as the psi prober's), laid out after a template model.  A
-  vehicle's parameters are a bank row from birth and nowhere
+  float32 matrix (plus a twin for gradients), laid out after a template
+  model.  A vehicle's parameters are a bank row from birth and nowhere
   else: :class:`~repro.core.fleet.FleetEngine` writes the template into
   every row and hands each :class:`~repro.core.node.VehicleNode` its
   row, so chat aggregation, compression and checkpoints read and write
   the bank itself — there is nothing to copy.
 * :class:`FleetWaypointNet` mirrors the per-node network with batched
   layers: stacked GEMMs (``np.matmul`` over a leading node axis) for
-  :class:`FleetLinear`, im2col plus one batched GEMM for
-  :class:`FleetConv2d`, and command-masked head dispatch.  One vehicle
+  :class:`FleetLinear` and command-masked head dispatch.  One vehicle
   evaluating alone (its cache misses, the score of a received model) is
   a one-row net over ``bank.slice_rows(r, r + 1)``.
 * :class:`FleetAdam` keeps ``(n_nodes, n_params)`` moment matrices with a
@@ -26,16 +24,15 @@ it is the only forward and the only gradient step a run has:
   every row's optimizer state; a checkpoint reaches one row through
   :meth:`FleetAdam.node_snapshot` / :meth:`FleetAdam.node_restore`.
 
-Bit-identity notes, against the single-vehicle reference
+Bit-identity note, against the single-vehicle reference
 (``WaypointNet.forward`` and ``VehicleNode.train_step``, which runs on a
 detached copy of the row; ``tests/test_nn_bank.py`` holds the bank to
-both): a one-row forward equals
-``WaypointNet.forward`` to the bit, MLP or conv, at any batch size.
-Stacked ``matmul`` runs the *same-shaped* GEMM per node, so MLP-trunk
-forward/backward/Adam match the reference step bit-for-bit.  Head and
-conv gradients batch over a different matrix extent (all rows instead of
-the command-selected subset), which changes BLAS accumulation order —
-those match within float tolerance only.
+both): stacked ``matmul`` runs the *same-shaped* GEMM per node, so a
+one-row forward equals ``WaypointNet.forward`` to the bit at any batch
+size, and trunk forward/backward/Adam match the reference step
+bit-for-bit.  Head gradients batch over a different matrix extent (all
+rows instead of the command-selected subset), which changes BLAS
+accumulation order — those match within float tolerance only.
 """
 
 from __future__ import annotations
@@ -43,13 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn._fused import fused_adam_step
-from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
+from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.model import WaypointNet
 
 __all__ = [
     "ParamBank",
     "FleetLinear",
-    "FleetConv2d",
     "FleetReLU",
     "FleetFlatten",
     "FleetWaypointNet",
@@ -66,13 +62,9 @@ class ParamBank:
     written from (or into) a model of that layout is the model.  The
     bank starts zeroed; ``views[k]``/``grad_views[k]`` expose parameter
     ``k`` of every node as a ``(n_nodes, *shape)`` view into the bank.
-
-    ``grads=False`` makes a forward-only bank: ``grad_flat`` is ``None``
-    and every ``grad_views[k]`` too, so it costs half the memory, and a
-    :class:`FleetWaypointNet` over it refuses ``backward``.
     """
 
-    def __init__(self, template, n_nodes: int, grads: bool = True):
+    def __init__(self, template, n_nodes: int):
         if n_nodes <= 0:
             raise ValueError(f"bank needs at least one node: {n_nodes}")
         params = template.parameters()
@@ -83,9 +75,7 @@ class ParamBank:
         sizes = [int(np.prod(shape)) if shape else 1 for _, shape in self.specs]
         self.n_params = int(sum(sizes))
         self.flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
-        self.grad_flat = (
-            np.zeros((n_nodes, self.n_params), dtype=np.float32) if grads else None
-        )
+        self.grad_flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
         self._build_views()
 
     def _build_views(self) -> None:
@@ -97,9 +87,7 @@ class ParamBank:
             size = int(np.prod(shape)) if shape else 1
             self.views.append(self.flat[:, offset : offset + size].reshape((n_nodes, *shape)))
             self.grad_views.append(
-                None
-                if self.grad_flat is None
-                else self.grad_flat[:, offset : offset + size].reshape((n_nodes, *shape))
+                self.grad_flat[:, offset : offset + size].reshape((n_nodes, *shape))
             )
             offset += size
 
@@ -129,7 +117,7 @@ class ParamBank:
         bank.n_params = self.n_params
         bank.specs = self.specs
         bank.flat = self.flat[lo:hi]
-        bank.grad_flat = None if self.grad_flat is None else self.grad_flat[lo:hi]
+        bank.grad_flat = self.grad_flat[lo:hi]
         bank._build_views()
         return bank
 
@@ -202,89 +190,6 @@ class FleetLinear:
         return np.matmul(grad_out, self.weight.transpose(0, 2, 1))
 
 
-class FleetConv2d:
-    """Stacked 2D convolution (stride 1, 'valid') via batched im2col."""
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray,
-                 grad_w: np.ndarray, grad_b: np.ndarray, kernel_size: int):
-        self.weight = weight  # (n, out_c, in_c, k, k) bank view
-        self.bias = bias  # (n, out_c)
-        self.grad_w = grad_w
-        self.grad_b = grad_b
-        self.kernel_size = kernel_size
-        self.compute_input_grad = True
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    @staticmethod
-    def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        out_h, out_w = height - k + 1, width - k + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-            batch, out_h * out_w, channels * k * k
-        )
-        return np.ascontiguousarray(cols)
-
-    def forward(self, x: np.ndarray, shared: bool) -> tuple[np.ndarray, bool]:
-        k = self.kernel_size
-        n = self.weight.shape[0]
-        if shared:
-            batch, _, height, width = x.shape
-            cols = self._im2col(x, k)  # (b, P, K)
-            cols = cols[None]  # broadcast one patch matrix to all nodes
-        else:
-            n_nodes, batch, _, height, width = x.shape
-            cols = self._im2col(x.reshape((-1, *x.shape[2:])), k)
-            cols = cols.reshape(n_nodes, batch, *cols.shape[1:])  # (n, b, P, K)
-        out_h, out_w = height - k + 1, width - k + 1
-        out_c = self.weight.shape[1]
-        self._cols = cols
-        self._x_shape = x.shape
-        self._shared = shared
-        w_mat = self.weight.reshape(n, out_c, -1)  # (n, out_c, K), still a view
-        # (·, b, P, K) @ (n, 1, K, out_c): one GEMM per (node, sample),
-        # the same shape the per-node layer runs.
-        out = np.matmul(cols, w_mat.transpose(0, 2, 1)[:, None])
-        out += self.bias[:, None, None, :]
-        return (
-            out.transpose(0, 1, 3, 2).reshape(n, batch, out_c, out_h, out_w),
-            False,
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward before forward")
-        if self._shared:
-            raise RuntimeError("fleet backward requires per-node inputs")
-        n, batch, out_c, out_h, out_w = grad_out.shape
-        k = self.kernel_size
-        n_patches = out_h * out_w
-        grad_flat = grad_out.reshape(n, batch, out_c, n_patches).transpose(0, 1, 3, 2)
-        cols = self._cols  # (n, b, P, K)
-        K = cols.shape[-1]
-        # Parameter grads: fold (batch, patches) into one GEMM per node,
-        # assigned (not accumulated) straight into the bank views.
-        g2 = grad_flat.reshape(n, batch * n_patches, out_c)
-        c2 = cols.reshape(n, batch * n_patches, K)
-        np.matmul(g2.transpose(0, 2, 1), c2, out=self.grad_w.reshape(n, out_c, K))
-        np.sum(g2, axis=1, out=self.grad_b)
-        if not self.compute_input_grad:
-            return None
-        # Input grad: columns back through the weights, then col2im.
-        w_mat = self.weight.reshape(n, out_c, -1)
-        grad_cols = np.matmul(grad_flat, w_mat[:, None])  # (n, b, P, K)
-        _, _, channels, height, width = self._x_shape
-        grad_x = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        grad_cols = grad_cols.reshape(n, batch, out_h, out_w, channels, k, k)
-        for di in range(k):
-            for dj in range(k):
-                grad_x[:, :, :, di : di + out_h, dj : dj + out_w] += grad_cols[
-                    :, :, :, :, :, di, dj
-                ].transpose(0, 1, 4, 2, 3)
-        return grad_x
-
-
 class FleetReLU:
     """Elementwise ``max(x, 0)`` — mode-agnostic."""
 
@@ -342,9 +247,6 @@ class FleetWaypointNet:
             if isinstance(module, Linear):
                 (w, gw), (b, gb) = take(), take()
                 self.trunk.append(FleetLinear(w, b, gw, gb))
-            elif isinstance(module, Conv2d):
-                (w, gw), (b, gb) = take(), take()
-                self.trunk.append(FleetConv2d(w, b, gw, gb, module.kernel_size))
             elif isinstance(module, ReLU):
                 self.trunk.append(FleetReLU())
             elif isinstance(module, Flatten):
@@ -362,7 +264,7 @@ class FleetWaypointNet:
         # Nothing below the first parameterized trunk layer needs
         # gradients, so its (large) input-gradient GEMM is pure waste.
         for module in self.trunk:
-            if isinstance(module, (FleetLinear, FleetConv2d)):
+            if isinstance(module, FleetLinear):
                 module.compute_input_grad = False
                 break
         self._features: np.ndarray | None = None
@@ -413,8 +315,6 @@ class FleetWaypointNet:
         between steps is needed; the return value is the input gradient,
         or None because the first parameterized trunk layer skips it.
         """
-        if self.bank.grad_flat is None:
-            raise RuntimeError("backward on a forward-only bank (ParamBank(..., grads=False))")
         if self._features is None or self._masks is None:
             raise RuntimeError("backward needs a per-node forward before it")
         features = self._features

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.params import Parameter
 
-__all__ = ["Module", "Linear", "Conv2d", "ReLU", "Flatten", "Sequential"]
+__all__ = ["Module", "Linear", "ReLU", "Flatten", "Sequential"]
 
 
 class Module:
@@ -76,80 +76,6 @@ class Linear(Module):
         self.weight.grad += self._input.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data.T
-
-
-class Conv2d(Module):
-    """2D convolution (stride 1, 'valid' padding) via im2col.
-
-    Input is ``(batch, channels, height, width)``.  Kept deliberately
-    small-featured: the BEV encoder only needs a couple of 3x3 layers.
-    Unlike :class:`Linear`, no reference to the caller's input survives
-    ``forward`` — backward reads only the im2col matrix, which is an
-    owned contiguous copy — so callers may reuse their input buffer
-    freely between forward and backward.
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        rng: np.random.Generator,
-    ):
-        fan_in = in_channels * kernel_size * kernel_size
-        scale = np.sqrt(2.0 / fan_in)
-        self.weight = Parameter(
-            rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)),
-            name="weight",
-        )
-        self.bias = Parameter(np.zeros(out_channels), name="bias")
-        self.kernel_size = kernel_size
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        k = self.kernel_size
-        out_h, out_w = height - k + 1, width - k + 1
-        # Gather every kxk patch: shape (batch, out_h*out_w, channels*k*k).
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        # windows: (batch, channels, out_h, out_w, k, k)
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, channels * k * k)
-        return np.ascontiguousarray(cols)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, _, height, width = x.shape
-        k = self.kernel_size
-        out_h, out_w = height - k + 1, width - k + 1
-        cols = self._im2col(x)
-        self._cols = cols
-        self._x_shape = x.shape
-        w = self.weight.data.reshape(self.weight.data.shape[0], -1)  # (out_c, c*k*k)
-        out = cols @ w.T + self.bias.data  # (batch, out_h*out_w, out_c)
-        return out.transpose(0, 2, 1).reshape(batch, -1, out_h, out_w)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward before forward")
-        batch, out_c, out_h, out_w = grad_out.shape
-        k = self.kernel_size
-        grad_flat = grad_out.reshape(batch, out_c, out_h * out_w).transpose(0, 2, 1)
-        w = self.weight.data.reshape(out_c, -1)
-        # Parameter grads.
-        grad_w = np.einsum("bpo,bpc->oc", grad_flat, self._cols)
-        self.weight.grad += grad_w.reshape(self.weight.data.shape)
-        self.bias.grad += grad_flat.sum(axis=(0, 1))
-        # Input grad: scatter columns back (col2im).
-        grad_cols = grad_flat @ w  # (batch, out_h*out_w, c*k*k)
-        _, channels, height, width = self._x_shape
-        grad_x = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        grad_cols = grad_cols.reshape(batch, out_h, out_w, channels, k, k)
-        for di in range(k):
-            for dj in range(k):
-                grad_x[:, :, di : di + out_h, dj : dj + out_w] += grad_cols[
-                    :, :, :, :, di, dj
-                ].transpose(0, 3, 1, 2)
-        return grad_x
 
 
 class ReLU(Module):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Conv2d, Flatten, Linear, Module, ReLU, Sequential
+from repro.nn.layers import Flatten, Linear, Module, ReLU, Sequential
 from repro.nn.params import Parameter
 
 __all__ = ["WaypointNet", "make_driving_model", "N_COMMANDS", "COMMAND_NAMES"]
@@ -26,7 +26,8 @@ N_COMMANDS = len(COMMAND_NAMES)
 
 
 class WaypointNet(Module):
-    """Command-branched waypoint predictor.
+    """Command-branched waypoint predictor: the flattened BEV through a
+    two-layer ReLU MLP trunk, then one linear head per command.
 
     Parameters
     ----------
@@ -36,11 +37,6 @@ class WaypointNet(Module):
         Number of future waypoints to predict; output dim is ``2 * n``.
     hidden:
         Trunk width.
-    use_conv:
-        When true the trunk starts with a 3x3 convolution (closer to the
-        paper's CNN encoder); when false the BEV is flattened straight
-        into an MLP, which is much faster on CPU and behaves identically
-        for the algorithmic questions studied here.
     rng:
         Generator for weight initialization.
     """
@@ -51,29 +47,17 @@ class WaypointNet(Module):
         n_waypoints: int,
         hidden: int,
         rng: np.random.Generator,
-        use_conv: bool = False,
     ):
         channels, height, width = bev_shape
         self.bev_shape = bev_shape
         self.n_waypoints = n_waypoints
-        self.use_conv = use_conv
-        if use_conv:
-            conv_out = 8 * (height - 2) * (width - 2)
-            self.trunk = Sequential(
-                Conv2d(channels, 8, 3, rng),
-                ReLU(),
-                Flatten(),
-                Linear(conv_out, hidden, rng),
-                ReLU(),
-            )
-        else:
-            self.trunk = Sequential(
-                Flatten(),
-                Linear(channels * height * width, hidden, rng),
-                ReLU(),
-                Linear(hidden, hidden, rng),
-                ReLU(),
-            )
+        self.trunk = Sequential(
+            Flatten(),
+            Linear(channels * height * width, hidden, rng),
+            ReLU(),
+            Linear(hidden, hidden, rng),
+            ReLU(),
+        )
         self.heads = [Linear(hidden, 2 * n_waypoints, rng) for _ in range(N_COMMANDS)]
         self._features: np.ndarray | None = None
         self._commands: np.ndarray | None = None
@@ -141,7 +125,6 @@ def make_driving_model(
     n_waypoints: int,
     hidden: int,
     seed: int,
-    use_conv: bool = False,
 ) -> WaypointNet:
     """Build a :class:`WaypointNet` with a deterministic initialization.
 
@@ -149,4 +132,4 @@ def make_driving_model(
     assumption that models share one initialization.
     """
     rng = np.random.default_rng(seed)
-    return WaypointNet(bev_shape, n_waypoints, hidden, rng, use_conv=use_conv)
+    return WaypointNet(bev_shape, n_waypoints, hidden, rng)

@@ -31,7 +31,6 @@ def save_model(model: WaypointNet, path: str | Path) -> None:
         bev_shape=np.asarray(model.bev_shape, dtype=np.int64),
         n_waypoints=np.int64(model.n_waypoints),
         hidden=np.int64(_hidden_width(model)),
-        use_conv=np.bool_(model.use_conv),
     )
 
 
@@ -47,7 +46,6 @@ def load_model(path: str | Path) -> WaypointNet:
             n_waypoints=int(data["n_waypoints"]),
             hidden=int(data["hidden"]),
             seed=0,
-            use_conv=bool(data["use_conv"]),
         )
         params = data["params"]
         expected = get_flat_params(model).size

@@ -255,8 +255,8 @@ def _maps_fitted_twice(runner: "Runner", check: Check, scratch: Path) -> Run:
     fitted, decisions = {}, []  # id(probe map) -> (probe map, loop map)
     build, solve = DensePsiProber.build, chat_module.optimize_compression
 
-    def build_twice(prober, node, dense_loss, side=0):
-        psi_map, plan = build(prober, node, dense_loss, side=side)
+    def build_twice(prober, node, dense_loss):
+        psi_map, plan = build(prober, node, dense_loss)
         if psi_map is not None:
             fitted[id(psi_map)] = (psi_map, node.build_psi_map())
         return psi_map, plan

@@ -84,15 +84,15 @@ def one_fleet_pair(fleet_datasets, seed: int = 5):
 
 
 class RecordingProber(DensePsiProber):
-    """The trainer's prober, keeping each side's last ``(map, plan)``."""
+    """The trainer's prober, keeping each node's last ``(map, plan)``."""
 
     def __init__(self, template):
         super().__init__(template)
         self.built = {}
 
-    def build(self, node, dense_loss, side=0):
-        self.built[side] = super().build(node, dense_loss, side=side)
-        return self.built[side]
+    def build(self, node, dense_loss):
+        self.built[node.node_id] = super().build(node, dense_loss)
+        return self.built[node.node_id]
 
 
 def run_negotiate(pair, prober, **protocol):
@@ -119,9 +119,9 @@ def chat_state(chat, prober, pair):
     state["legs"] = [
         (leg.to_i, leg.psi, leg.plan[1], plan_state(leg.plan[0])) for leg in chat.legs
     ]
-    for side, (psi_map, plan) in sorted(prober.built.items()):
-        state[f"map_{side}"] = (psi_map.psis.tobytes(), psi_map.losses.tobytes())
-        state[f"plan_{side}"] = plan_state(plan)
+    for node_id, (psi_map, plan) in sorted(prober.built.items()):
+        state[f"map_{node_id}"] = (psi_map.psis.tobytes(), psi_map.losses.tobytes())
+        state[f"plan_{node_id}"] = plan_state(plan)
     for node in pair:
         node._cache()  # empties a stale version's entries first
         state[f"cache_{node.node_id}"] = (
@@ -143,7 +143,7 @@ class TestBothPathsBitIdentical:
                 chat = run_negotiate(pair, prober)
                 assert paths.threaded_chats == threaded
                 assert chat.outcome.psi is not None and chat.legs
-                assert sorted(prober.built) == [0, 1]
+                assert sorted(prober.built) == sorted(node.node_id for node in pair)
                 assert all(node.loss_cache_size > 0 for node in pair)
                 states[threaded] = chat_state(chat, prober, pair)
         assert states[True] == states[False]
@@ -188,10 +188,10 @@ class TestFaults:
             pass
 
         class FailingProber(DensePsiProber):
-            def build(self, node, dense_loss, side=0):
-                if side == failing:
-                    raise SideFailure(f"side {side}")
-                return super().build(node, dense_loss, side=side)
+            def build(self, node, dense_loss):
+                if node is pair[failing]:
+                    raise SideFailure(f"side {failing}")
+                return super().build(node, dense_loss)
 
         with pytest.raises(SideFailure, match=f"side {failing}"):
             run_negotiate(pair, FailingProber(pair[0].fleet.template))

@@ -36,7 +36,13 @@ def run_chat(
 
 
 def stage_bytes(node_a, node_b, results=0):
-    """Bytes on the air up to the coreset exchange, plus ``results`` more."""
+    """Bytes on the air up to the coreset exchange, plus ``results`` more.
+
+    Both coresets are refreshed first, as the chat's stage 2 would, so
+    the chat's own refresh is a no-op and sends the coresets sized here.
+    """
+    node_a.maybe_refresh_coreset()
+    node_b.maybe_refresh_coreset()
     return (
         2 * ASSIST_INFO_BYTES
         + node_a.coreset.nominal_bytes
@@ -52,13 +58,10 @@ ENDING_EARLY = {
     "deadline_in_coreset_stage": lambda a, b: dict(deadline=0.01),
     # Deadline lands between the coreset exchange and the (tiny)
     # results payload completing.
-    "results": lambda a, b: dict(
-        deadline=stage_bytes(a, b, 256) / BYTES_PER_SECOND, refresh_coresets=False
-    ),
+    "results": lambda a, b: dict(deadline=stage_bytes(a, b, 256) / BYTES_PER_SECOND),
     # Deadline clears all three transfers but not the 0.1 s overhead.
     "results_overhead": lambda a, b: dict(
         deadline=stage_bytes(a, b, 2 * 256) / BYTES_PER_SECOND + 0.05,
-        refresh_coresets=False,
     ),
     "coreset_only": lambda a, b: dict(coreset_only=True),
     "psi_zero": lambda a, b: dict(time_budget=1e-9),  # no time to ship a model

@@ -9,7 +9,7 @@ The load-bearing guarantees tested here:
   with finite-difference checks on the analytic gradients;
 * a fleet trained through :class:`FleetEngine` is *bit-identical* to the
   same fleet's nodes each taking the per-node reference step in
-  lock-step (MLP trunk), including after a staggered snapshot/restore
+  lock-step, including after a staggered snapshot/restore
   that desynchronizes step counters;
 * the fused C Adam kernel, the chunked numpy fallback and per-node
   ``Adam.step`` produce byte-identical parameters and moments, on
@@ -68,10 +68,8 @@ def make_dataset(seed: int, n_frames: int) -> DrivingDataset:
 CONFIG = NodeConfig(coreset_size=10, batch_size=8)
 
 
-def build_fleet(
-    n_nodes: int = 4, use_conv: bool = False, step_workers: int | None = 1
-) -> FleetEngine:
-    template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=0, use_conv=use_conv)
+def build_fleet(n_nodes: int = 4, step_workers: int | None = 1) -> FleetEngine:
+    template = make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=12, seed=0)
     members = [
         (f"v{i}", make_dataset(100 + i, 30), spawn_rng(5, f"bank-{i}")) for i in range(n_nodes)
     ]
@@ -155,53 +153,9 @@ class TestParamBank:
         assert np.array_equal(copied.evaluate_fleet(validation), fleet.evaluate_fleet(validation))
 
 
-class TestForwardOnlyBank:
-    """``ParamBank(..., grads=False)``: the psi prober's bank, which never
-    runs backward, carries no gradient array at all."""
-
-    @staticmethod
-    def banks(use_conv=False):
-        models = [
-            make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=s, use_conv=use_conv)
-            for s in (0, 1, 2)
-        ]
-        full = bank_of(models)
-        bare = ParamBank(models[0], len(models), grads=False)
-        bare.flat[:] = full.flat
-        return models, full, bare
-
-    def test_has_no_gradient_array_and_a_slice_keeps_none(self):
-        _, full, bare = self.banks()
-        assert bare.grad_flat is None and bare.grad_views == [None] * len(bare.views)
-        assert bare.flat.nbytes == full.flat.nbytes
-        rows = bare.slice_rows(1, 3)
-        assert rows.grad_flat is None and rows.grad_views == [None] * len(rows.views)
-        assert np.shares_memory(rows.flat, bare.flat)
-        copied = copy.deepcopy(bare)
-        assert copied.grad_flat is None and np.array_equal(copied.flat, bare.flat)
-
-    @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
-    def test_forward_is_the_full_banks_and_backward_is_refused(self, use_conv):
-        models, full, bare = self.banks(use_conv)
-        rng = np.random.default_rng(2)
-        bev = rng.normal(size=(3, 5, *BEV_SHAPE)).astype(np.float32)
-        commands = rng.integers(0, 4, size=(3, 5))
-        want = FleetWaypointNet(full, models[0]).forward(bev, commands)
-        for bank in (bare, bare.slice_rows(0, 3)):
-            net = FleetWaypointNet(bank, models[0])
-            got = net.forward(bev, commands)
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-            with pytest.raises(RuntimeError, match="forward-only bank"):
-                net.backward(np.ones_like(got))
-
-
 class TestFleetForward:
-    @pytest.mark.parametrize("use_conv", [False, True])
-    def test_forward_matches_per_node(self, use_conv):
-        models = [
-            make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=s, use_conv=use_conv)
-            for s in (0, 1, 2)
-        ]
+    def test_forward_matches_per_node(self):
+        models = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=8, seed=s) for s in (0, 1, 2)]
         rng = np.random.default_rng(0)
         bev = rng.normal(size=(3, 5, *BEV_SHAPE)).astype(np.float32)
         commands = rng.integers(0, 4, size=(3, 5))
@@ -229,16 +183,13 @@ class TestFleetForward:
             fleet.backward(np.ones_like(out))
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 64, 150], ids=lambda b: f"batch{b}")
-    @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
     @pytest.mark.parametrize("size", ["paper", "city"])
-    def test_one_row_slice_is_the_per_node_forward_to_the_bit(self, size, use_conv, batch):
+    def test_one_row_slice_is_the_per_node_forward_to_the_bit(self, size, batch):
         """Every forward a run executes — a vehicle's cache misses, a
         received model's score, the pilot's batch of one — is a one-row
         slice of a bank, standing in for ``WaypointNet.forward``."""
         bev_shape, hidden = {"paper": ((4, 20, 20), 96), "city": ((4, 12, 12), 48)}[size]
-        models = [
-            make_driving_model(bev_shape, 5, hidden, seed=s, use_conv=use_conv) for s in (0, 1, 2)
-        ]
+        models = [make_driving_model(bev_shape, 5, hidden, seed=s) for s in (0, 1, 2)]
         bank = bank_of(models)
         net = FleetWaypointNet(bank.slice_rows(1, 2), models[1])
         rng = np.random.default_rng(batch)
@@ -282,19 +233,12 @@ class TestFleetGradients:
                 analytic.reshape(-1), num, atol=5e-2, rtol=1e-2
             )
 
-    @pytest.mark.parametrize("use_conv", [False, True])
-    def test_fleet_net_gradients_match_per_node(self, use_conv):
+    def test_fleet_net_gradients_match_per_node(self):
         # FD through the full net is unreliable (ReLU kinks), so the
         # batched gradients are checked against the per-node analytic
         # ones, which test_nn_layers.py FD-verifies layer by layer.
-        models = [
-            make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s, use_conv=use_conv)
-            for s in (0, 1)
-        ]
-        detached = [
-            make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s, use_conv=use_conv)
-            for s in (0, 1)
-        ]
+        models = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s) for s in (0, 1)]
+        detached = [make_driving_model(BEV_SHAPE, N_WAYPOINTS, hidden=6, seed=s) for s in (0, 1)]
         bank = bank_of(models)
         fleet = FleetWaypointNet(bank, models[0])
         rng = np.random.default_rng(3)
@@ -342,18 +286,6 @@ class TestFleetEngineEquivalence:
             for node in detached.nodes:
                 node.train_step()
         assert np.array_equal(fleet_params(batched), fleet_params(detached))
-
-    def test_conv_fleet_matches_within_tolerance(self):
-        # Conv gradients batch over a different matrix extent, changing
-        # BLAS accumulation order: equal within float tolerance only.
-        batched = build_fleet(n_nodes=3, use_conv=True)
-        detached = build_fleet(n_nodes=3, use_conv=True)
-        losses = [batched.train_step_all() for _ in range(3)]
-        expected = [[node.train_step() for node in detached.nodes] for _ in range(3)]
-        np.testing.assert_allclose(np.asarray(losses), np.asarray(expected), atol=1e-5)
-        np.testing.assert_allclose(
-            fleet_params(batched), fleet_params(detached), atol=1e-5
-        )
 
     def test_losses_match_per_node(self):
         batched, detached = build_fleet(), build_fleet()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Flatten, Linear, ReLU, Sequential
+from repro.nn import Flatten, Linear, ReLU, Sequential
 from repro.nn.params import get_flat_params, num_params, set_flat_params
 
 
@@ -94,63 +94,6 @@ class TestLinear:
         x.flags.writeable = False
         layer.forward(x)
         assert layer._input is x
-
-
-class TestConv2d:
-    def test_output_shape_valid_padding(self, rng):
-        conv = Conv2d(2, 4, 3, rng)
-        out = conv.forward(rng.normal(size=(2, 2, 8, 8)).astype(np.float32))
-        assert out.shape == (2, 4, 6, 6)
-
-    def test_matches_manual_convolution(self, rng):
-        conv = Conv2d(1, 1, 2, rng)
-        x = rng.normal(size=(1, 1, 3, 3)).astype(np.float32)
-        out = conv.forward(x)
-        w = conv.weight.data[0, 0]
-        expected = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                expected[i, j] = (x[0, 0, i : i + 2, j : j + 2] * w).sum()
-        assert np.allclose(out[0, 0], expected + conv.bias.data[0], atol=1e-5)
-
-    def test_input_gradient_matches_numeric(self, rng):
-        conv = Conv2d(1, 2, 3, rng)
-        x = rng.normal(size=(1, 1, 5, 5)).astype(np.float64)
-
-        def loss():
-            return float(conv.forward(x).sum())
-
-        grad_num = numeric_grad(loss, x)
-        conv.forward(x)
-        grad = conv.backward(np.ones((1, 2, 3, 3)))
-        assert np.allclose(grad, grad_num, atol=1e-3)
-
-    def test_weight_gradient_matches_numeric(self, rng):
-        conv = Conv2d(1, 1, 2, rng)
-        x = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
-
-        def loss():
-            return float(conv.forward(x).sum())
-
-        grad_num = numeric_grad(loss, conv.weight.data)
-        conv.zero_grad()
-        conv.forward(x)
-        conv.backward(np.ones((2, 1, 3, 3), dtype=np.float32))
-        assert np.allclose(conv.weight.grad, grad_num, atol=1e-2)
-
-    def test_input_mutated_between_forward_and_backward(self, rng):
-        conv = Conv2d(1, 2, 3, rng)
-        x = rng.normal(size=(2, 1, 5, 5)).astype(np.float32)
-        pristine = x.copy()
-        conv.zero_grad()
-        conv.forward(x)
-        x[...] = 999.0  # caller reuses its buffer
-        conv.backward(np.ones((2, 2, 3, 3), dtype=np.float32))
-        corrupted_grad = conv.weight.grad.copy()
-        conv.zero_grad()
-        conv.forward(pristine)
-        conv.backward(np.ones((2, 2, 3, 3), dtype=np.float32))
-        assert np.array_equal(corrupted_grad, conv.weight.grad)
 
 
 class TestActivations:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, make_driving_model, waypoint_l1
-from repro.nn.model import N_COMMANDS, WaypointNet
+from repro.nn.model import N_COMMANDS
 from repro.nn.params import get_flat_params, num_params
 
 
@@ -86,17 +86,6 @@ def test_training_reduces_loss(model):
         model.backward(grad)
         opt.step()
     assert scalar < first * 0.5
-
-
-def test_conv_variant_runs():
-    model = WaypointNet(BEV_SHAPE, 4, 16, np.random.default_rng(0), use_conv=True)
-    rng = np.random.default_rng(0)
-    bev, commands = batch(rng, 4)
-    out = model.forward(bev, commands)
-    assert out.shape == (4, 8)
-    model.zero_grad()
-    grad_in = model.backward(np.ones_like(out))
-    assert grad_in.shape == bev.shape
 
 
 def test_parameter_count_stable(model):

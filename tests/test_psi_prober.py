@@ -31,7 +31,7 @@ from repro.coreset.construction import Coreset
 from repro.engine.random import spawn_rng
 from repro.net import WirelessModel
 from repro.nn import make_driving_model
-from repro.nn.bank import FleetWaypointNet
+from repro.nn.bank import FleetWaypointNet, ParamBank
 from repro.sim.dataset import DrivingDataset, Frame
 from repro.telemetry import TelemetrySession
 
@@ -86,10 +86,10 @@ def synthetic_dataset(seed: int, bev_shape, n_frames: int = 40) -> DrivingDatase
     )
 
 
-def fleet(seeds, size: str, use_conv: bool) -> FleetEngine:
+def fleet(seeds, size: str) -> FleetEngine:
     """A fleet of node ``n{k}`` on ``synthetic_dataset(seeds[k])`` each."""
     bev_shape, hidden = MODEL_SIZES[size]
-    template = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0, use_conv=use_conv)
+    template = make_driving_model(bev_shape, N_WAYPOINTS, hidden, seed=0)
     config = NodeConfig(coreset_size=12, batch_size=16)
     members = [
         (f"n{k}", synthetic_dataset(seed, bev_shape), spawn_rng(seed, f"n{k}"))
@@ -98,7 +98,7 @@ def fleet(seeds, size: str, use_conv: bool) -> FleetEngine:
     return FleetEngine(template, members, config)
 
 
-def trained_node(seed: int, size: str, use_conv: bool, tie_step=0.0):
+def trained_node(seed: int, size: str, tie_step=0.0):
     """A one-row fleet's node a few reference steps away from the shared
     initialization.
 
@@ -106,7 +106,7 @@ def trained_node(seed: int, size: str, use_conv: bool, tie_step=0.0):
     a few dozen distinct magnitudes, many exact zeros of both signs, and
     every level's cut inside a long run of equal ones.
     """
-    (node,) = fleet([seed], size, use_conv).nodes
+    (node,) = fleet([seed], size).nodes
     for _ in range(2):
         node.train_step()
     if tie_step:
@@ -114,9 +114,9 @@ def trained_node(seed: int, size: str, use_conv: bool, tie_step=0.0):
     return node
 
 
-def build(prober, node, side: int = 0):
+def build(prober, node):
     """What stage 3 runs: the node's own Eq. 6 loss, then its probe."""
-    return prober.build(node, node.evaluate(node.coreset.data), side=side)
+    return prober.build(node, node.evaluate(node.coreset.data))
 
 
 def sub_dense_ks(plan: TopkPlan) -> list[int]:
@@ -165,7 +165,6 @@ def assert_matches_oracle(node, psi_map, plan):
 
 
 @pytest.mark.parametrize("size", sorted(MODEL_SIZES))
-@pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
 @pytest.mark.parametrize("penalty", [PENALTY, NO_PENALTY], ids=["penalty", "plain"])
 class TestProberMatchesOracle:
     @settings(max_examples=4, deadline=None)
@@ -174,30 +173,30 @@ class TestProberMatchesOracle:
         psi=st.sampled_from([0.05, 0.3, 0.55, 0.95, 1.0]),
         tie_step=st.sampled_from([0.0, 0.02]),
     )
-    def test_detached_node(self, size, use_conv, penalty, seed, psi, tie_step):
+    def test_detached_node(self, size, penalty, seed, psi, tie_step):
         with pytest.MonkeyPatch.context() as monkeypatch:
             set_penalty(monkeypatch, penalty)
-            node = trained_node(seed, size, use_conv, tie_step=tie_step)
+            node = trained_node(seed, size, tie_step=tie_step)
             psi_map, plan = build(DensePsiProber(node.fleet.template), node)
             assert_matches_oracle(node, psi_map, plan)
             assert_same_payload(plan.compress(psi), node.compress_model(psi))
 
-    def test_bank_attached_nodes(self, size, use_conv, penalty, monkeypatch):
+    def test_bank_attached_nodes(self, size, penalty, monkeypatch):
         """The trainer's case: rows of a fleet the engine stepped."""
         set_penalty(monkeypatch, penalty)
-        engine = fleet([7, 8], size, use_conv)
+        engine = fleet([7, 8], size)
         for _ in range(2):
             engine.train_step_all()
         prober = DensePsiProber(engine.template)
-        for side, node in enumerate(engine.nodes):
-            psi_map, plan = build(prober, node, side=side)
+        for node in engine.nodes:
+            psi_map, plan = build(prober, node)
             assert_matches_oracle(node, psi_map, plan)
             assert_same_payload(plan.compress(0.2), node.compress_model(0.2))
 
 
 def test_probe_rows_hold_the_brute_force_top_k():
     """The level rows against the rule itself, on parameters built to tie."""
-    node = trained_node(11, "city", False, tie_step=0.02)
+    node = trained_node(11, "city", tie_step=0.02)
     flat = node.flat_params
     assert np.unique(np.abs(flat)).size < 100 and np.signbit(flat[flat == 0]).any()
     _, plan = build(DensePsiProber(node.fleet.template), node)
@@ -218,7 +217,7 @@ def test_a_cut_with_surplus_takes_keeps_rows():
     """Where a cut repeats past rank n - k, the compare alone would keep
     too many: a picked block of a level is ``keep``'s row at those
     positions, whatever block is picked."""
-    node = trained_node(5, "paper", False, tie_step=0.02)
+    node = trained_node(5, "paper", tie_step=0.02)
     psi_map, plan = build(DensePsiProber(node.fleet.template), node)
     ks = sub_dense_ks(plan)
     _, surplus = plan.cuts(ks)
@@ -235,7 +234,7 @@ def test_a_cut_with_surplus_takes_keeps_rows():
 
 
 def test_kept_norms_are_the_l2_of_each_level():
-    node = trained_node(2, "city", False, tie_step=0.02)
+    node = trained_node(2, "city", tie_step=0.02)
     plan = topk_plan(node.flat_params, NOMINAL_MODEL_BYTES)
     ks = [0, 1, 7, *sub_dense_ks(plan), plan.flat.size]
     rows = plan.keep(ks) * plan.flat.astype(np.float64)
@@ -278,7 +277,7 @@ class TestFirstLayerOperand:
     PIXELS = [5, 90, 391, 400, 612, 799, 800, 1203, 1500, 1599]
 
     def probe(self, monkeypatch, frames):
-        node = trained_node(3, "paper", False)
+        node = trained_node(3, "paper")
         node.coreset = Coreset(DrivingDataset(frames))
         own = node.evaluate(node.coreset.data)  # stage 3's, before the counters
         operands, calls = [], {"keep": 0, "full_forward": 0}
@@ -348,21 +347,17 @@ class TestFirstLayerOperand:
 
 
 def test_the_mlp_probe_allocates_no_bank_and_each_side_builds_alone():
-    """No full row of any level exists for the MLP trunk; the conv trunk's
-    full rows live in one forward-only bank per side."""
-    engine = fleet([7, 8], "paper", False)
+    """The prober keeps no array between builds, so one build reads
+    nothing another left: node i's map is the same after node j's."""
+    engine = fleet([7, 8], "paper")
     engine.train_step_all()
     prober = DensePsiProber(engine.template)
-    assert not hasattr(prober, "_full_rows")
+    assert not any(isinstance(value, (np.ndarray, ParamBank)) for value in vars(prober).values())
     node_i, node_j = engine.nodes
-    map_i, _ = build(prober, node_i, side=0)
-    map_j, _ = build(prober, node_j, side=1)
-    assert np.array_equal(build(prober, node_i, side=1)[0].losses, map_i.losses)
-    conv_fleet = fleet([7], "paper", True)
-    conv = DensePsiProber(conv_fleet.template)
-    for bank, _ in conv._full_rows:
-        assert bank.flat.shape == (len(SUB_DENSE), conv_fleet.bank.n_params)
-        assert bank.grad_flat is None
+    map_i, _ = build(prober, node_i)
+    map_j, _ = build(prober, node_j)
+    assert not np.array_equal(map_j.losses, map_i.losses)
+    assert np.array_equal(build(prober, node_i)[0].losses, map_i.losses)
 
 
 # -- the prober inside a chat ------------------------------------------------------
@@ -372,20 +367,20 @@ class LoopProber:
     """The oracle in the prober's place: the per-level loop's map, and a
     plan ranked from scratch for the payload to reuse."""
 
-    def build(self, node, dense_loss, side=0):
+    def build(self, node, dense_loss):
         return node.build_psi_map(), topk_plan(node.flat_params, NOMINAL_MODEL_BYTES)
 
 
 class RecordingProber(DensePsiProber):
-    """The trainer's prober, keeping each side's last ``(map, plan)``."""
+    """The trainer's prober, keeping each node's last ``(map, plan)``."""
 
     def __init__(self, template):
         super().__init__(template)
         self.built = {}
 
-    def build(self, node, dense_loss, side=0):
-        self.built[side] = super().build(node, dense_loss, side=side)
-        return self.built[side]
+    def build(self, node, dense_loss):
+        self.built[node.node_id] = super().build(node, dense_loss)
+        return self.built[node.node_id]
 
 
 def chat(pair, prober, time_budget=15.0, entry=pairwise_chat, **protocol):
@@ -499,12 +494,12 @@ class TestDivergedSide:
         sick[1].replace_model_params(flat)
         outcome, maps, fallbacks = run(sick)
         assert (healthy_fallbacks, fallbacks) == (0, 1)
-        assert maps[1][0] is None and healthy_maps[1][0] is not None
+        assert maps["v1"][0] is None and healthy_maps["v1"][0] is not None
         assert outcome.psi_probe_builds == 2
         assert outcome.psi.psi_j == 0.0 and not outcome.i_received_model
         # The finite side fitted the map it fits beside a healthy peer.
-        assert maps[0][0].psis.tobytes() == healthy_maps[0][0].psis.tobytes()
-        assert maps[0][0].losses.tobytes() == healthy_maps[0][0].losses.tobytes()
+        assert maps["v0"][0].psis.tobytes() == healthy_maps["v0"][0].psis.tobytes()
+        assert maps["v0"][0].losses.tobytes() == healthy_maps["v0"][0].losses.tobytes()
 
     def test_a_non_finite_loss_fits_no_map(self, fleet_datasets):
         """Finite parameters, but a loss that overflowed."""

@@ -92,8 +92,8 @@ class TestPartitionRows:
 # -- engine-level bit identity ------------------------------------------------
 
 
-def _run_engine(step_workers: int | None, *, use_conv: bool, steps: int = 6):
-    engine = build_fleet(n_nodes=5, use_conv=use_conv, step_workers=step_workers)
+def _run_engine(step_workers: int | None, steps: int = 6):
+    engine = build_fleet(n_nodes=5, step_workers=step_workers)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # shard threads interleave their draws as finely as they can
     try:
@@ -112,13 +112,12 @@ def _run_engine(step_workers: int | None, *, use_conv: bool, steps: int = 6):
 
 
 class TestEngineBitIdentity:
-    @pytest.mark.parametrize("use_conv", [False, True], ids=["mlp", "conv"])
     @pytest.mark.parametrize("workers", [2, 4, 5])
-    def test_train_step_all_bit_identical(self, use_conv, workers):
+    def test_train_step_all_bit_identical(self, workers):
         """Each shard draws its own rows' minibatches: the draws, every
         node's stream after them and every result are those of one shard."""
-        reference = _run_engine(1, use_conv=use_conv)
-        sharded = _run_engine(workers, use_conv=use_conv)
+        reference = _run_engine(1)
+        sharded = _run_engine(workers)
         for ref, got in zip(reference, sharded):
             assert ref.tobytes() == got.tobytes()
 
@@ -130,7 +129,7 @@ class TestEngineBitIdentity:
         validation = make_dataset(99, 30)
 
         def evaluated(step_workers: int):
-            engine = build_fleet(n_nodes=5, use_conv=True, step_workers=step_workers)
+            engine = build_fleet(n_nodes=5, step_workers=step_workers)
             engine.train_step_all()
             per_frame = []  # each row of the batched pass, as handed to its node's cache
             for node in engine.nodes:
@@ -252,7 +251,7 @@ class TestFaults:
 
 def engine_digest(step_workers: int | None) -> tuple[int, str]:
     """Shard count and a digest of a few steps and one validation pass."""
-    engine = build_fleet(n_nodes=5, use_conv=True, step_workers=step_workers)
+    engine = build_fleet(n_nodes=5, step_workers=step_workers)
     losses = [engine.train_step_all() for _ in range(3)]
     values = engine.evaluate_fleet(make_dataset(99, 20))
     blob = b"".join(np.asarray(x).tobytes() for x in (*losses, values, engine.bank.flat))

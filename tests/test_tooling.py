@@ -24,15 +24,32 @@ class TestModelCheckpoints:
         assert restored.bev_shape == model.bev_shape
         assert restored.n_waypoints == model.n_waypoints
 
-    def test_conv_variant_roundtrip(self, tmp_path):
-        from repro.nn.model import WaypointNet
+    def test_a_conv_checkpoint_is_refused_and_an_old_mlp_one_loads(self, tmp_path):
+        """Format-1 files written while a conv trunk existed carry a
+        ``use_conv`` flag, which is no longer read: a conv model's file is
+        refused by its parameter count, an MLP's loads to the same bits."""
 
-        model = WaypointNet((3, 8, 8), 4, 16, np.random.default_rng(0), use_conv=True)
-        path = tmp_path / "conv.npz"
-        save_model(model, path)
-        restored = load_model(path)
-        assert restored.use_conv
-        assert np.array_equal(get_flat_params(restored), get_flat_params(model))
+        def written_with_the_flag(use_conv, params):
+            path = tmp_path / f"use_conv_{use_conv}.npz"
+            np.savez_compressed(
+                path,
+                version=np.int64(1),
+                params=params,
+                bev_shape=np.asarray((3, 8, 8), dtype=np.int64),
+                n_waypoints=np.int64(4),
+                hidden=np.int64(16),
+                use_conv=np.bool_(use_conv),
+            )
+            return path
+
+        # Conv(3 -> 8, 3x3), Linear(8 * 6 * 6 -> 16), 4 heads (16 -> 8).
+        conv_size = (8 * 3 * 3 * 3 + 8) + (8 * 6 * 6 * 16 + 16) + 4 * (16 * 8 + 8)
+        conv = written_with_the_flag(True, np.ones(conv_size, dtype=np.float32))
+        with pytest.raises(ValueError, match=f"stored {conv_size} parameters"):
+            load_model(conv)
+        model = make_driving_model((3, 8, 8), 4, 16, seed=3)
+        restored = load_model(written_with_the_flag(False, get_flat_params(model)))
+        assert get_flat_params(restored).tobytes() == get_flat_params(model).tobytes()
 
     def test_prediction_identical_after_roundtrip(self, tmp_path):
         model = make_driving_model((3, 8, 8), 4, 16, seed=3)
@@ -1083,3 +1100,75 @@ class TestEveryConfigFieldIsSet:
         names = self.names_set()
         unset = {field for field, name in self.config_fields().items() if name not in names}
         assert sorted(unset) == sorted(self.UNSET)
+
+
+class TestEveryBoolKeywordIsSet:
+    """ROADMAP item 21's keyword half of :class:`TestEveryConfigFieldIsSet`:
+    every parameter of a ``src/`` function whose default is ``True`` or
+    ``False`` is passed by a run — as a keyword or a string dict key in
+    ``src/`` or the frozen ``benchmarks/perf`` — or it is named in
+    :attr:`UNSET` with the ROADMAP item that owns it.  Forwarding a value
+    under its own name (``x=x``, ``x=config.x``) sets nothing."""
+
+    #: The only allowlist: ``path:function.parameter`` -> the ROADMAP item
+    #: that decides it.  An entry that gets set (or goes) fails the gate.
+    UNSET: dict[str, str] = {}
+
+    REPO = TestEveryConfigFieldIsSet.REPO
+
+    @classmethod
+    def bool_parameters(cls) -> dict[str, str]:
+        """``path:function.parameter -> parameter`` for every ``src/``
+        parameter whose default is a bool."""
+        found = {}
+        for path in sorted((cls.REPO / "src").rglob("*.py")):
+            where = path.relative_to(cls.REPO / "src")
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [
+                    *zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                    *zip(args.kwonlyargs, args.kw_defaults),
+                ]
+                for arg, default in defaults:
+                    if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+                        found[f"{where}:{node.name}.{arg.arg}"] = arg.arg
+        return found
+
+    @staticmethod
+    def forwards(keyword: ast.keyword) -> bool:
+        """``x=x``, or a config's own field (``x=config.x``)."""
+        value = keyword.value
+        return (
+            isinstance(value, ast.Name) and value.id == keyword.arg
+        ) or TestEveryConfigFieldIsSet.forwards_own_field(keyword)
+
+    @classmethod
+    def names_passed(cls) -> set[str]:
+        names = set()
+        for folder in TestEveryConfigFieldIsSet.RUNS:
+            for path in sorted((cls.REPO / folder).rglob("*.py")):
+                if path.name.startswith(("test_", "conftest")):
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.keyword) and node.arg and not cls.forwards(node):
+                        names.add(node.arg)
+                    elif isinstance(node, ast.Dict):
+                        names.update(
+                            key.value for key in node.keys
+                            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                        )
+        return names
+
+    def test_unset_bool_keywords_are_exactly_the_named_ones(self):
+        parameters = self.bool_parameters()
+        assert len(parameters) > 10  # the gate sees what it looks for
+        names = self.names_passed()
+        unset = {where for where, name in parameters.items() if name not in names}
+        assert sorted(unset) == sorted(self.UNSET)
+
+    def test_the_gate_bites(self):
+        forwarded = ast.parse("f(x=x, y=config.y, z=True)").body[0].value.keywords
+        assert [self.forwards(keyword) for keyword in forwarded] == [True, True, False]
