@@ -56,16 +56,6 @@ class CompressedModel:
     psi: float  # achieved relative size S_c / S
     nominal_bytes: int  # bytes to transmit at nominal model scale
 
-    @property
-    def is_dense(self) -> bool:
-        """Whether every coordinate was retained (psi = 1 send)."""
-        return self.indices.size == self.n_total
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether nothing was retained (psi = 0 send)."""
-        return self.indices.size == 0
-
 
 def topk_for_psi(n_total: int, psi: float) -> int:
     """Number of entries retainable at relative size ``psi``.

@@ -34,9 +34,6 @@ class TransferLedger:
         self.busy_until = np.zeros(n_nodes)
         self.in_flight = np.zeros(n_nodes, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.busy_until)
-
     def occupy(self, i: int, now: float, duration: float) -> float:
         """Merge ``[now, now + duration)`` into node ``i``'s busy window.
 

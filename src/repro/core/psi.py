@@ -82,10 +82,6 @@ class PsiLossMap:
         """:meth:`losses_at` for one psi."""
         return float(self.losses_at(psi))
 
-    def payload(self) -> list[tuple[float, float]]:
-        """The (psi, loss) pairs a vehicle sends to its peer."""
-        return list(zip(self.psis.tolist(), self.losses.tolist()))
-
 
 def _akima(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Akima's cubic through ``y`` at knots ``dx`` apart: ``(4, n - 1)``

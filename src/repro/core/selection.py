@@ -1,7 +1,7 @@
 """LbChat's partner selection.
 
 :func:`select_priority` ranks idle neighbors with the Eq. 5 priority
-score and falls back to :func:`select_longest_contact` when every score
+score and falls back to the longest predicted contact when every score
 is zero; :func:`select_random` is what the ``ablation_no_priority``
 artifact (``prioritize_neighbors=False``) runs in its place.
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.net.contact import priority_score
 
-__all__ = ["ANTICIPATED_PSI_TOTAL", "select_random", "select_longest_contact", "select_priority"]
+__all__ = ["ANTICIPATED_PSI_TOTAL", "select_random", "select_priority"]
 
 #: Anticipated combined relative model size ``psi_i + psi_j`` when
 #: *estimating* how many bytes a chat will move for Eq. 5 (§III-A); the
@@ -27,28 +27,6 @@ def select_random(trainer, i: int, candidates: list) -> int | None:
         return None
     rng = trainer.nodes[i].rng
     return int(candidates[rng.integers(len(candidates))])
-
-
-def _longest_contact(candidates: list, estimates: list, above: float = -1.0) -> int | None:
-    """The first candidate with the longest predicted contact longer than ``above``."""
-    best, best_duration = None, above
-    for j, estimate in zip(candidates, estimates):
-        if estimate.contact_duration > best_duration:
-            best, best_duration = j, estimate.contact_duration
-    return best
-
-
-def select_longest_contact(trainer, i: int, candidates: list) -> int | None:
-    """The neighbor whose predicted contact lasts longest.
-
-    A plausible-but-naive alternative to Eq. 5: it ignores completion
-    probability and urgency, so long-but-lossy contacts win.
-    """
-    if not candidates:
-        return None
-    # A duration does not depend on the bytes to move.
-    estimates = trainer.contact_estimates(i, candidates, [1.0] * len(candidates))
-    return _longest_contact(candidates, estimates)
 
 
 def select_priority(trainer, i: int, candidates: list) -> int | None:
@@ -75,6 +53,9 @@ def select_priority(trainer, i: int, candidates: list) -> int | None:
         if score > best_score:
             best, best_score = j, score
     if best is None:
-        # Among the reachable: the durations are already in the batch.
-        return _longest_contact(candidates, estimates, above=0.0)
+        # The first longest among the reachable: the durations are already in the batch.
+        longest = 0.0
+        for j, estimate in zip(candidates, estimates):
+            if estimate.contact_duration > longest:
+                best, longest = j, estimate.contact_duration
     return best

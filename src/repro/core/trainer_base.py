@@ -513,10 +513,6 @@ class RoundTrainer(TrainerBase):
         super().__init__(nodes, traces, validation, config)
         self.next_round = self.config.round_interval
 
-    def on_round(self) -> None:
-        """One round tick."""
-        raise NotImplementedError
-
     def _round_process(self):
         # Yield-first: a fresh clock waits out its first round, a resumed
         # one its pending timer — the same absolute time either way.

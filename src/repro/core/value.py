@@ -34,26 +34,14 @@ def truncated_gain(receiver_loss: float, sender_compressed_loss: float) -> float
 class ModelValue:
     """Both directions of value from one coreset exchange.
 
-    ``loss_i_on_cj`` is vehicle i's model evaluated on coreset C_j, etc.
-    ``value_to_i`` is what i stands to gain by receiving j's
-    *uncompressed* model (the psi optimization discounts it by
-    compression).
+    ``loss_i_on_cj`` is vehicle i's model evaluated on coreset C_j, etc.;
+    Eq. 7 reads them through :func:`truncated_gain`.
     """
 
     loss_i_on_ci: float
     loss_i_on_cj: float
     loss_j_on_cj: float
     loss_j_on_ci: float
-
-    @property
-    def value_to_i(self) -> float:
-        """Gain vehicle i expects from receiving j's model."""
-        return truncated_gain(self.loss_i_on_cj, self.loss_j_on_cj)
-
-    @property
-    def value_to_j(self) -> float:
-        """Gain vehicle j expects from receiving i's model."""
-        return truncated_gain(self.loss_j_on_ci, self.loss_i_on_ci)
 
 
 def assess_value(

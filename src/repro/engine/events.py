@@ -3,8 +3,7 @@
 :class:`Simulator` keeps a heap of ``(time, seq, callback)`` entries and
 advances virtual time by popping the earliest.  A *process* is a
 generator that yields the absolute virtual time of its next wake-up;
-:meth:`Simulator.timeout` (``now + delay``) and
-:meth:`Simulator.wait_until` (``when``) are the two ways to write it.
+:meth:`Simulator.wait_until` (``when``) writes it.
 Resuming a process is one heap entry that advances the generator and
 queues the time it yields; the process ends when the generator returns.
 
@@ -35,7 +34,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> log = []
     >>> def proc():
-    ...     yield sim.timeout(5.0)
+    ...     yield sim.wait_until(sim.now + 5.0)
     ...     log.append(sim.now)
     >>> sim.process(proc())
     >>> sim.run()
@@ -52,12 +51,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    def timeout(self, delay: float) -> float:
-        """The wake-up time ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        return self._now + delay
 
     def wait_until(self, when: float) -> float:
         """The wake-up time ``when``, exactly as given.

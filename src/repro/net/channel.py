@@ -24,16 +24,12 @@ __all__ = [
     "BANDWIDTH_BPS",
     "BYTES_PER_SECOND",
     "CHUNK_SECONDS",
-    "PACKET_BYTES",
     "TransferResult",
     "TransferSession",
     "simulate_transfer",
-    "transfer_time_lossless",
 ]
 
 
-#: Packet size on the V2V link (§IV-A).
-PACKET_BYTES = 1500
 #: Every vehicle's V2V link rate, ``B_i`` of Eq. 5 (§IV-A: 31 Mbps).
 BANDWIDTH_BPS = 31e6
 #: Raw link throughput in bytes/s (before loss).
@@ -52,14 +48,6 @@ class TransferResult:
     completed: bool
     elapsed: float  # seconds spent transmitting (until done or cut off)
     bytes_delivered: float
-
-
-def transfer_time_lossless(n_bytes: float) -> float:
-    """Time to ship ``n_bytes`` on a clean link (packetization included)."""
-    if n_bytes <= 0:
-        return 0.0
-    n_packets = max(int(-(-n_bytes // PACKET_BYTES)), 1)
-    return n_packets * PACKET_BYTES / BYTES_PER_SECOND
 
 
 class TransferSession:

@@ -123,15 +123,3 @@ class WirelessModel:
         if self.enabled:
             loss = self._losses[np.searchsorted(self._bounds, distances, side="left")]
         return 1.0 - np.where(distances > self.max_range, 1.0, loss)
-
-    def expected_goodput_factor(self, distances: np.ndarray) -> float:
-        """Mean goodput factor over a predicted distance profile.
-
-        Used by the §III-A estimator: given the distance samples two
-        vehicles' shared routes imply, this is the average fraction of
-        bandwidth the link will deliver.
-        """
-        factors = self.goodput_factors(distances)
-        if factors.size == 0:
-            return 0.0
-        return float(factors.mean())

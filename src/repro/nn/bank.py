@@ -209,18 +209,9 @@ class FleetReLU:
 class FleetFlatten:
     """Flattens trailing feature axes, keeping node/batch axes intact."""
 
-    def __init__(self):
-        self._shape: tuple[int, ...] | None = None
-
     def forward(self, x: np.ndarray, shared: bool) -> tuple[np.ndarray, bool]:
-        self._shape = x.shape
         lead = 1 if shared else 2
         return x.reshape((*x.shape[:lead], -1)), shared
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward before forward")
-        return grad_out.reshape(self._shape)
 
 
 class FleetWaypointNet:
@@ -477,4 +468,3 @@ class FleetAdam:
         self.steps[row] = int(state["step"])
         self.m[row] = m
         self.v[row] = v
-

@@ -44,9 +44,6 @@ class Parameter:
         """Reset the accumulated gradient to zero in place."""
         self.grad.fill(0.0)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
-
 
 def num_params(model: "Module") -> int:
     """Total number of scalar parameters in ``model``."""

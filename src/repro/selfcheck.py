@@ -5,7 +5,7 @@ experiment, digests what it computed, and is read against a reference:
 
 * ``golden`` — the *recorded* tier: the digests in
   ``selfcheck_golden.json``, which are single-thread GEMM results
-  (``repro.cli.main`` and ``tests/conftest.py`` pin BLAS for that);
+  (:func:`selfcheck` and ``tests/conftest.py`` pin BLAS for that);
 * another row's name — the *exact* tier: same process, same world, so
   the same bits on any host (1, 2 or 4 step shards vs the default count,
   resumed vs uninterrupted, ``jobs=4`` vs ``jobs=1``, a set-up's forked
@@ -24,6 +24,10 @@ shards asked for, a flight launched, a barrier held a flight): an
 equality that holds because both sides took the same path is a
 failure, not a pass.
 
+Each row also records the ``src/repro`` functions it entered, on its own
+thread and on every thread it started (:func:`entering`): a function no
+row enters is a reference, tooling or dead (``tests/test_selfcheck.py``).
+
     PYTHONPATH=src python -m repro selfcheck [ROW ...]      # all rows by default
     PYTHONPATH=src python -m repro selfcheck ROW --record   # re-baseline ROW
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -41,7 +46,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -54,18 +61,19 @@ from repro.checkpoint.policy import KILL_BARRIER_ENV, Checkpointer, CheckpointPo
 from repro.net.wireless import RADIO_RANGE
 
 __all__ = [
-    "CHECKS", "GOLDEN_PATH", "Check", "Run", "Runner", "build_scale", "digest_result", "selfcheck",
+    "CHECKS", "GOLDEN_PATH", "Check", "Run", "Runner", "build_scale", "digest_result", "entering",
+    "selfcheck",
 ]
 
 GOLDEN_PATH = Path(__file__).with_name("selfcheck_golden.json")
 
 SEED = 3
 CURVE_POINTS = 9
-KILL_AT = 2  # of the kill row's barriers at t=10/20/30
-#: Barrier cadence of the overlap resume rows: 35/70/.../175 s, of which
-#: t=70 falls inside a model flight.  Every barrier is resumed from, so a
-#: finer cadence only re-runs more of the horizon.
+#: Barrier cadence of the overlap world's checkpoint rows: 35/70/.../175
+#: s, of which t=70 falls inside a model flight.  Every barrier is
+#: resumed from, so a finer cadence only re-runs more of the horizon.
 OVERLAP_BARRIER_EVERY = 35.0
+KILL_AT = 2  # the kill row's child dies as its t=70 barrier commits
 
 
 # -- worlds -------------------------------------------------------------------
@@ -195,6 +203,40 @@ def _digest_registry(session) -> str:
     return _sha(payload.encode())
 
 
+# -- what a row enters ---------------------------------------------------------
+
+_PACKAGE = Path(__file__).resolve().parent
+
+
+@contextmanager
+def entering():
+    """Yield a set that fills with ``"repro.module:qualname"`` for every
+    ``src/repro`` function entered inside the block, on this thread and
+    on every thread started in it (not in a child process)."""
+    codes, names = set(), set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    outer, outer_threads = sys.getprofile(), threading.getprofile()
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        yield names
+    finally:
+        sys.setprofile(outer)
+        threading.setprofile(outer_threads)
+        # A thread the block started may outlive it (a process pool's
+        # manager) and still be adding: read a copy.
+        for code in codes.copy():
+            path = Path(code.co_filename)
+            function = code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<")
+            if function and path.is_relative_to(_PACKAGE):
+                module = ".".join(path.relative_to(_PACKAGE.parent).with_suffix("").parts)
+                names.add(f"{module.removesuffix('.__init__')}:{code.co_qualname}")
+
+
 # -- rows ---------------------------------------------------------------------
 
 
@@ -211,6 +253,7 @@ class Run:
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)  # printed under the row, pass or fail
     seconds: float = 0.0
+    entered: set[str] = field(default_factory=set)  # src/repro functions the row entered
 
 
 @dataclass(frozen=True)
@@ -432,7 +475,12 @@ def _kill_and_resume(runner: "Runner", check: Check, scratch: Path) -> Run:
         return Run({}, failures=[f"child exited {child.returncode}, not 3: no kill at a barrier"])
     store = RunStore(scratch)
     run_dir = store.run_dir(spec)
-    facts = {"run_dir": run_dir, "done_at_death": (run_dir / "done.json").exists()}
+    policy = CheckpointPolicy(every=spec.checkpoint_every)
+    facts = {
+        "run_dir": run_dir,
+        "done_at_death": (run_dir / "done.json").exists(),
+        "barriers": [index for index, _ in policy.barriers(base.result.duration)],
+    }
     resumed = resume_run_dir(run_dir)
     facts["events"] = store.events(spec)
     return Run(digest_result(resumed), base.context, resumed, scratch=scratch, facts=facts)
@@ -944,13 +992,14 @@ def export_round_trips(run: Run):
 
 def crash_shaped_history(run: Run):
     """The child saved barriers 1-2 and died; the resume continued from 2,
-    saved 3, marked the run done and left no temp file."""
+    saved the rest, marked the run done and left no temp file."""
     history = [
         (event["event"], event["barrier"])
         for event in run.facts["events"]
         if event["event"] in ("saved", "resumed")
     ]
-    want = [*(("saved", b) for b in range(1, KILL_AT + 1)), ("resumed", KILL_AT), ("saved", 3)]
+    saved = [("saved", barrier) for barrier in run.facts["barriers"]]
+    want = [*saved[:KILL_AT], ("resumed", KILL_AT), *saved[KILL_AT:]]
     if history != want:
         yield f"event log reads {history}, want {want}"
     run_dir = run.facts["run_dir"]
@@ -958,6 +1007,13 @@ def crash_shaped_history(run: Run):
         yield "done marker present at the kill or missing after the resume"
     if leftovers := sorted(path.name for path in run_dir.glob("*.tmp")):
         yield f"temp files survived the kill/resume cycle: {leftovers}"
+
+
+def models_attempted(run: Run):
+    """Eq. 7 sent a model: a resume that restored a wrong psi map or
+    loss cache would move what is sent, which an all-(0, 0) run hides."""
+    if not run.result.receive_attempted:
+        yield "no model transfer was attempted: every decision was (0, 0)"
 
 
 def in_submission_order(run: Run):
@@ -1047,10 +1103,14 @@ CHECKS: dict[str, Check] = {
                   invariants=(dense_steps, clock_monotone, did_its_one_thing))
             for method in ONE_THING
         ),
-        Check("checkpoint.uninterrupted", "hotpath.LbChat", "hotpath",
-              spec={"checkpoint_every": 10.0}, invariants=(dense_steps, clock_monotone)),
-        Check("checkpoint.killed", "checkpoint.uninterrupted", "hotpath",
-              produce=_kill_and_resume, invariants=(crash_shaped_history, clock_monotone)),
+        # On the overlap world, where Eq. 7 sends: a resume must bring
+        # back the psi maps and loss caches that decide what is sent.
+        Check("checkpoint.uninterrupted", "overlap.off", "overlap",
+              spec={"checkpoint_every": OVERLAP_BARRIER_EVERY},
+              invariants=(dense_steps, clock_monotone, models_attempted)),
+        Check("checkpoint.killed", "checkpoint.uninterrupted", "overlap",
+              produce=_kill_and_resume,
+              invariants=(crash_shaped_history, clock_monotone, models_attempted)),
         Check("world.scalar", None, produce=_world_scalar),
         Check("world.batched", "world.scalar", produce=_world_batched,
               invariants=(first_divergence, rare_branches_fired)),
@@ -1081,7 +1141,7 @@ class Runner:
             return self.done[name]
         check = CHECKS[name]
         start = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix=f"selfcheck-{name}-") as tmp:
+        with entering() as entered, tempfile.TemporaryDirectory(prefix=f"selfcheck-{name}-") as tmp:
             run = (check.produce or _run_spec)(self, check, Path(tmp))
             if check.reference == "golden" and record:
                 self.golden[name] = run.digests
@@ -1102,15 +1162,19 @@ class Runner:
                 shutil.copytree(tmp, kept, dirs_exist_ok=True)
                 run.failures.append(f"scratch directory kept at {kept}")
         run.seconds = time.perf_counter() - start
+        run.entered = entered
         self.done[name] = run
         return run
 
 
 def selfcheck(names: Iterable[str] = (), record: bool = False) -> int:
-    """Run the named rows (all by default), print the table, return an exit code."""
+    """Run the named rows (all by default), print the table, return an
+    exit code.  GEMM is pinned to one thread first, whoever calls: the
+    goldens are single-thread results."""
     from repro.nn._fused import kernel_status
     from repro.parallel.stepshard import default_step_shards
 
+    pin_blas_threads()
     names = list(names) or list(CHECKS)
     if unknown := [name for name in names if name not in CHECKS]:
         print(f"unknown row(s) {unknown}; rows: {' '.join(CHECKS)}")

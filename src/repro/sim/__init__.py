@@ -23,7 +23,7 @@ from repro.sim.kinematics import VehicleState, advance
 from repro.sim.bev import BevSpec, render_bev, render_fleet_bev
 from repro.sim.world import World, WorldConfig
 from repro.sim.dataset import DrivingDataset, Frame, collect_fleet_datasets
-from repro.sim.evaluate import DrivingCondition, evaluate_model, success_rate
+from repro.sim.evaluate import DrivingCondition, success_rate
 from repro.sim.traces import MobilityTraces, simulate_traces
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DrivingDataset",
     "collect_fleet_datasets",
     "DrivingCondition",
-    "evaluate_model",
     "success_rate",
     "MobilityTraces",
     "simulate_traces",

@@ -333,41 +333,17 @@ class DriverBank:
 
 
 class BankDriver:
-    """One row of a :class:`DriverBank` behind the per-object driver API.
-
-    A view, not a copy: every attribute reads the bank's arrays when it
-    is asked, so it is current after every ``step()``.
-    """
+    """One row of a :class:`DriverBank`: a view of its route plan, so it
+    is current after every ``step()``."""
 
     def __init__(self, bank: DriverBank, index: int):
         self._bank = bank
         self._index = index
 
     @property
-    def state(self) -> VehicleState:
-        """The car's current kinematic state (a fresh object)."""
-        bank, i = self._bank, self._index
-        return VehicleState(
-            float(bank.x[i]), float(bank.y[i]), float(bank.heading[i]), float(bank.speed[i])
-        )
-
-    @property
     def plan(self) -> RoutePlan:
         """The car's current route plan."""
         return self._bank.routes.plans[self._index]
-
-    @property
-    def route_progress(self) -> float:
-        """Current arc-length position along the route."""
-        return float(self._bank.s[self._index])
-
-    def command(self) -> int:
-        """The high-level command active at the current route position."""
-        return self.plan.command_at(self.route_progress)
-
-    def done(self) -> bool:
-        """Whether the route end has been reached."""
-        return self.plan.done(self.route_progress)
 
 
 class ModelPilot:
@@ -402,11 +378,6 @@ class ModelPilot:
         self._since_decision = np.inf  # force a decision on first step
         self._waypoints: np.ndarray | None = None  # vehicle-frame at decision time
         self._decision_state: VehicleState | None = None
-
-    @property
-    def route_progress(self) -> float:
-        """Current arc-length position along the route."""
-        return self._s
 
     def done(self) -> bool:
         """Whether the route end has been reached."""

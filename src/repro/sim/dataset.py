@@ -201,8 +201,8 @@ class FramePool:
 class DrivingDataset:
     """Weighted collection of frames: rows of a :class:`FramePool` and weights.
 
-    Built on its own (``DrivingDataset()``, ``DrivingDataset(frames)``,
-    :meth:`from_arrays`) a dataset gets a private pool; datasets derived
+    Built on its own (``DrivingDataset()``, ``DrivingDataset(frames)``)
+    a dataset gets a private pool; datasets derived
     from it share that pool, and absorbing from a dataset of another
     pool interns the frames it brings.
     """
@@ -243,27 +243,6 @@ class DrivingDataset:
         _frozen(self._rows), _frozen(self._weights)  # pickling drops the flag
         self._members = set(self._rows.tolist())
         self._strata, self._strata_generation = [], -1
-
-    @classmethod
-    def from_arrays(
-        cls,
-        ids,
-        bev: np.ndarray,
-        commands: np.ndarray,
-        targets: np.ndarray,
-        weights: np.ndarray,
-    ) -> "DrivingDataset":
-        """Build a dataset (on a pool of its own) directly from column arrays.
-
-        ``ids`` must be unique; rows are adopted in order with no dedup
-        pass, so a dataset rebuilt from its own :meth:`arrays` output is
-        identical to the original (same ids, same row order).
-        """
-        ids = [str(frame_id) for frame_id in ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("from_arrays requires unique frame ids")
-        pool = FramePool(capacity=len(ids))
-        return pool.dataset(pool.intern(ids, bev, commands, targets), weights)
 
     @property
     def pool(self) -> FramePool:
@@ -429,10 +408,6 @@ class DrivingDataset:
     def commands(self) -> np.ndarray:
         """Per-frame high-level commands (a fresh gather)."""
         return self._pool.commands[self._rows] if len(self) else np.zeros(0, dtype=np.int64)
-
-    def total_weight(self) -> float:
-        """Sum of all frame weights."""
-        return float(self._weights.sum())
 
     def command_counts(self) -> np.ndarray:
         """Frame counts per high-level command, shape ``(N_COMMANDS,)``."""

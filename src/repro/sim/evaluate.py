@@ -37,7 +37,6 @@ __all__ = [
     "SPEED_BUDGET",
     "run_episode",
     "success_rate",
-    "evaluate_model",
 ]
 
 
@@ -194,19 +193,3 @@ def success_rate(
         result = run_episode(model, town, plan, condition, config, seed=seed * 1000 + trial)
         successes += int(result.success)
     return successes / n_trials
-
-
-def evaluate_model(
-    model,
-    town: TownMap,
-    conditions: list[DrivingCondition] | None = None,
-    n_trials: int = 10,
-    config: EvalConfig | None = None,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Success rate per condition, as percentages keyed by condition name."""
-    conditions = conditions or list(DrivingCondition)
-    return {
-        cond.value: 100.0 * success_rate(model, town, cond, n_trials, config, seed)
-        for cond in conditions
-    }

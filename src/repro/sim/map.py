@@ -74,7 +74,6 @@ class TownMap:
         #: in the order their roads were added.
         self.adjacency: dict = {}
         self._node_pos: dict = {}  # node -> (2,) position
-        self._node_kind: dict = {}  # node -> "town" | "rural"
         rng = np.random.default_rng(seed)
         if districts_per_side == 1:
             self._build_town(grid_n, rng)
@@ -119,7 +118,7 @@ class TownMap:
                         ys[j] + rng.uniform(-jitter, jitter),
                     ]
                 )
-                self._add_node(("t", i, j), pos, "town")
+                self._add_node(("t", i, j), pos)
         for i in range(grid_n):
             for j in range(grid_n):
                 if i + 1 < grid_n:
@@ -147,7 +146,7 @@ class TownMap:
                                 ys[j] + rng.uniform(-jitter, jitter),
                             ]
                         )
-                        self._add_node(("t", bi, bj, i, j), pos, "town")
+                        self._add_node(("t", bi, bj, i, j), pos)
                 for i in range(grid_n):
                     for j in range(grid_n):
                         if i + 1 < grid_n:
@@ -185,16 +184,15 @@ class TownMap:
         for k, base in enumerate(corners):
             pos = base + rng.uniform(-margin / 2, margin / 2, size=2)
             name = ("r", k)
-            self._add_node(name, pos, "rural")
+            self._add_node(name, pos)
             names.append(name)
         for k in range(4):
             self._add_road(names[k], names[(k + 1) % 4])
         for rural_node, town_node in zip(names, town_corners):
             self._add_road(rural_node, town_node)
 
-    def _add_node(self, name, pos: np.ndarray, kind: str) -> None:
+    def _add_node(self, name, pos: np.ndarray) -> None:
         self._node_pos[name] = pos
-        self._node_kind[name] = kind
         self.adjacency[name] = {}
 
     def _add_road(self, a, b, arterial: bool = False) -> None:
@@ -241,10 +239,6 @@ class TownMap:
         """Every road once, as ``(a, b)``: each node's roads to nodes
         not listed before it, in node order (networkx's ``edges()``)."""
         return list(self._edges)
-
-    def town_nodes(self) -> list:
-        """Intersections belonging to the town grid (not rural)."""
-        return [n for n, kind in self._node_kind.items() if kind == "town"]
 
     def _node_table(self) -> tuple[list, np.ndarray]:
         """Node names and their stacked (n, 2) positions, built on the

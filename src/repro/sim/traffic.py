@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.autopilot import OBSTACLE_RADIUS, BankDriver, DriverBank, ExpertAutopilot
-from repro.sim.kinematics import VehicleState, advance
+from repro.sim.autopilot import OBSTACLE_RADIUS, BankDriver, DriverBank
 from repro.sim.map import TownMap
 from repro.sim.router import RoutePlan, random_route
 
-__all__ = ["BackgroundCar", "Pedestrian", "TrafficManager", "walk_pedestrians"]
+__all__ = ["Pedestrian", "TrafficManager", "walk_pedestrians"]
 
 _PED_SPEED = 1.3  # m/s
 _PED_WANDER_RADIUS = 40.0
@@ -29,32 +28,6 @@ def _roaming_route(
     """A background car's next trip: anywhere, or onward from ``position``."""
     start = None if position is None else town.nearest_node(position)
     return random_route(town, rng, min_length=150.0, start=start)
-
-
-class BackgroundCar:
-    """An autopilot car roaming random routes forever.
-
-    The per-object form of a background car: a
-    :class:`TrafficManager` drives its cars as rows of a
-    :class:`~repro.sim.autopilot.DriverBank` instead, and this class is
-    the scalar reference those rows are tested against.
-    """
-
-    def __init__(self, town: TownMap, rng: np.random.Generator, speed_factor: float = 1.0):
-        self._town = town
-        self._rng = rng
-        self.speed_factor = speed_factor
-        plan = _roaming_route(town, rng)
-        start = plan.point_at(0.0)
-        self.state = VehicleState(start[0], start[1], plan.heading_at(0.0), 0.0)
-        self.pilot = ExpertAutopilot(plan)
-
-    def step(self, obstacles: np.ndarray, dt: float) -> None:
-        if self.pilot.done():
-            plan = _roaming_route(self._town, self._rng, self.state.position)
-            self.pilot = ExpertAutopilot(plan)
-        turn_rate, accel = self.pilot.control(self.state, obstacles, dt=dt)
-        self.state = advance(self.state, turn_rate * self.speed_factor, accel, dt)
 
 
 def _sidewalk_point(town: TownMap, rng: np.random.Generator, road_point: np.ndarray) -> np.ndarray:

@@ -76,19 +76,14 @@ class ExpertVehicle:
     """One expert autopilot of the learning fleet.
 
     ``pilot`` is the vehicle's row of the world's
-    :class:`~repro.sim.autopilot.DriverBank`; ``state`` and ``plan``
-    read through it, so they are current after every ``World.step``.
+    :class:`~repro.sim.autopilot.DriverBank`; ``plan`` reads through
+    it, so it is current after every ``World.step``.
     """
 
     vehicle_id: str
     pilot: BankDriver
     rng: np.random.Generator
     district: int = 0
-
-    @property
-    def state(self) -> VehicleState:
-        """The vehicle's current kinematic state."""
-        return self.pilot.state
 
     @property
     def plan(self) -> RoutePlan:
@@ -106,30 +101,6 @@ class Snapshot:
     vehicle_plans: dict[str, RoutePlan]
     bg_car_positions: np.ndarray  # background cars only
     pedestrian_positions: np.ndarray
-
-    def __post_init__(self):
-        self._fleet_cache: tuple[list[str], np.ndarray] | None = None
-
-    def _fleet(self) -> tuple[list[str], np.ndarray]:
-        """Vehicle ids and their stacked (n, 2) positions, built once."""
-        if self._fleet_cache is None:
-            ids = list(self.vehicle_states)
-            stack = (
-                np.array([self.vehicle_states[v].position for v in ids])
-                if ids
-                else np.zeros((0, 2))
-            )
-            self._fleet_cache = (ids, stack)
-        return self._fleet_cache
-
-    def other_car_positions(self, vehicle_id: str) -> np.ndarray:
-        """All cars except ``vehicle_id``: remaining fleet + background."""
-        ids, fleet = self._fleet()
-        try:
-            k = ids.index(vehicle_id)
-        except ValueError:
-            return np.vstack([fleet, self.bg_car_positions])
-        return np.vstack([fleet[:k], fleet[k + 1 :], self.bg_car_positions])
 
 
 class World:
@@ -176,8 +147,6 @@ class World:
             ped_district_weights=self._ped_district_weights(),
             n_districts=config.n_districts,
         )
-        self._fleet_pos_view = self.bank.position.view()
-        self._fleet_pos_view.flags.writeable = False
 
     def _route_endpoints(self, district: int, rng: np.random.Generator) -> list | None:
         """Endpoint candidates for one trip: usually the home district,
@@ -198,10 +167,6 @@ class World:
         return weights / weights.sum()
 
     # -- stepping ----------------------------------------------------------
-
-    def vehicle_positions(self) -> np.ndarray:
-        """(n, 2) array of the fleet's current positions (read-only view)."""
-        return self._fleet_pos_view
 
     def step(self) -> None:
         """Advance the world by one control timestep."""
@@ -261,25 +226,3 @@ class World:
                 pedestrian_positions=self.traffic.pedestrian_positions().copy(),
             )
         )
-
-    # -- collision queries ---------------------------------------------------
-
-    def check_collision(
-        self, position: np.ndarray, exclude_index: int | None = None
-    ) -> bool:
-        """Whether a car at ``position`` overlaps any other agent.
-
-        ``exclude_index`` skips one expert vehicle (the queried one).
-        """
-        fleet = self.vehicle_positions()
-        if exclude_index is not None and len(fleet):
-            fleet = np.delete(fleet, exclude_index, axis=0)
-        cars = np.vstack([fleet, self.traffic.car_positions()])
-        if len(cars):
-            if (np.linalg.norm(cars - position, axis=1) < 2 * CAR_RADIUS).any():
-                return True
-        peds = self.traffic.pedestrian_positions()
-        if len(peds):
-            if (np.linalg.norm(peds - position, axis=1) < CAR_RADIUS + PED_RADIUS).any():
-                return True
-        return False

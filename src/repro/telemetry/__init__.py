@@ -31,7 +31,7 @@ from repro.telemetry.export import (
     export_metrics_csv,
     load_jsonl,
 )
-from repro.telemetry.hooks import TelemetrySession, activate, active, deactivate
+from repro.telemetry.hooks import TelemetrySession, activate, active
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
 from repro.telemetry.report import render_report, report_session, report_trace
 from repro.telemetry.tracer import EventRecord, SpanRecord, Tracer
@@ -40,7 +40,6 @@ __all__ = [
     "TelemetrySession",
     "activate",
     "active",
-    "deactivate",
     "Tracer",
     "SpanRecord",
     "EventRecord",

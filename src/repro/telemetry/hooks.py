@@ -5,8 +5,8 @@ moments: ``net.channel`` and ``core.overlap`` per transfer,
 ``core.chat`` per protocol stage, ``LbChatTrainer.account_chat`` per
 resolved chat, ``core.node`` per coreset rebuild and merge-reduce,
 ``core.trainer_base`` at run start and end and per loss record, and
-``core.fleet`` / ``parallel.pool`` through :func:`count` and
-:func:`set_gauge`.  When no :class:`TelemetrySession` is active every
+``core.fleet`` / ``parallel.pool`` / ``parallel.forked`` through
+:func:`count`.  When no :class:`TelemetrySession` is active every
 call is a global read plus a ``None`` check — the no-op fast path that
 keeps disabled-telemetry overhead well under 5%.  Activating a session
 (via ``with TelemetrySession(): ...`` or :func:`activate`) routes the
@@ -32,10 +32,8 @@ from repro.telemetry.tracer import Tracer
 __all__ = [
     "TelemetrySession",
     "activate",
-    "deactivate",
     "active",
     "count",
-    "set_gauge",
     "on_transfer",
     "on_chat_stage",
     "on_chat_resolved",
@@ -85,11 +83,6 @@ def activate(session: TelemetrySession | None) -> None:
     _ACTIVE = session
 
 
-def deactivate() -> None:
-    """Disable telemetry (equivalent to ``activate(None)``)."""
-    activate(None)
-
-
 def active() -> TelemetrySession | None:
     """The active session, or None when telemetry is off."""
     return _ACTIVE
@@ -110,13 +103,6 @@ def count(name: str, amount: float = 1.0) -> None:
     if s is not None:
         with _COUNT_LOCK:
             s.registry.counter(name).inc(amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge level."""
-    s = _ACTIVE
-    if s is not None:
-        s.registry.gauge(name).set(value)
 
 
 # -- net.channel ------------------------------------------------------------

@@ -60,14 +60,6 @@ class Histogram:
         """Record one observation."""
         self.values.append(float(value))
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
     def summary(self) -> dict:
         """count/sum/min/max/mean/p50/p90 of the observations so far."""
         if not self.values:

@@ -34,11 +34,6 @@ class SpanRecord:
     status: str = "open"  # "open" until ended, then "ok"/"aborted"/...
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        """Span length in virtual seconds (0 while still open)."""
-        return (self.end - self.start) if self.end is not None else 0.0
-
 
 @dataclass
 class EventRecord:
@@ -98,20 +93,9 @@ class Tracer:
 
     # -- queries ------------------------------------------------------------
 
-    def find_spans(self, name: str) -> list[SpanRecord]:
-        """All spans with the given name, in start order."""
-        return [s for s in self.spans if s.name == name]
-
     def span_counts(self) -> dict[str, int]:
         """Span count per name."""
         out: dict[str, int] = {}
         for span in self.spans:
             out[span.name] = out.get(span.name, 0) + 1
-        return out
-
-    def event_counts(self) -> dict[str, int]:
-        """Event count per name."""
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.name] = out.get(event.name, 0) + 1
         return out

@@ -10,6 +10,8 @@ the process pool's crash-retry path with a worker killed mid-run.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -136,6 +138,42 @@ class TestResumeEquivalence:
         assert digest(resumed) == digest(reference)
         assert "resumed" in [event["event"] for event in store.events(spec)]
 
+    @pytest.mark.parametrize("method", ["ProxSkip", "RSU-L", "DFL-DDS"])
+    def test_a_baseline_resumes_the_state_it_keeps_beside_its_nodes(self, method):
+        """ProxSkip's link generator, RSU-L's road-side units and
+        DFL-DDS's source counts are ``extra_state``.  On the selfcheck's
+        overlap world, where each of them acts on its state after t = 70
+        s, barrier 2 holds state a fresh trainer lacks, and the run
+        resumed there is the run left alone; a resume that dropped the
+        state diverges."""
+        from repro import selfcheck
+        from repro.checkpoint.policy import Checkpointer, CheckpointPolicy
+        from repro.experiments.runner import RunResult, prepare_trainer
+
+        class Keep(Checkpointer):
+            def __init__(self):
+                super().__init__(None, None, CheckpointPolicy(selfcheck.OVERLAP_BARRIER_EVERY))
+                self.states = {}
+
+            def _on_barrier(self, trainer, index):
+                self.states[index] = copy.deepcopy(trainer.checkpoint_barrier(index))
+
+        def own(extra):  # what the method keeps, not the round clock
+            return pickle.dumps({key: extra[key] for key in sorted(extra) if key != "next_round"})
+
+        context = build_context(selfcheck.build_scale("overlap"))
+        spec = RunSpec.for_context(context, method, seed=selfcheck.SEED)
+        nodes, trainer = prepare_trainer(context, spec)
+        keep = Keep()
+        trainer.run(checkpointer=keep)
+        reference = RunResult.from_trainer(spec, trainer, nodes)
+        state = keep.states[2]
+        nodes, trainer = prepare_trainer(context, spec)
+        assert own(trainer.extra_state()) != own(state["extra"])
+        trainer.restore(state)
+        trainer.run(checkpointer=Keep())
+        assert digest(RunResult.from_trainer(spec, trainer, nodes)) == digest(reference)
+
     def test_resume_replays_remaining_barriers(self, context, tmp_path):
         spec = RunSpec.for_context(
             context,
@@ -191,7 +229,7 @@ def _on_private_pools(context):
     from repro.sim.dataset import DrivingDataset
 
     def alone(dataset):
-        return DrivingDataset.from_arrays(dataset.ids, *dataset.arrays())
+        return DrivingDataset(dataset.frames())
 
     return replace(
         context,

@@ -118,7 +118,7 @@ class TestCityMap:
         arterials = [(a, b) for a, b in city.edges() if city.adjacency[a][b]["arterial"]]
         assert len(arterials) >= 2 * 3 * 2 * 2  # 2 lanes x (3x2 block seams) x 2 axes
         # Town nodes exist in every block.
-        blocks = {(n[1], n[2]) for n in city.town_nodes()}
+        blocks = {(n[1], n[2]) for n in [n for n in city.nodes() if n[0] == "t"]}
         assert blocks == {(i, j) for i in range(3) for j in range(3)}
 
     def test_town_map_unchanged_by_default(self):
@@ -171,8 +171,8 @@ class TestShardedSpatialGrid:
             plain.step()
             sharded.step()
         np.testing.assert_array_equal(
-            np.asarray(plain.vehicle_positions()),
-            np.asarray(sharded.vehicle_positions()),
+            plain.bank.position,
+            sharded.bank.position,
         )
         np.testing.assert_array_equal(
             np.asarray(plain.traffic.car_positions()),

@@ -90,21 +90,21 @@ class TestCompressTopk:
     def test_dense_at_psi_one(self):
         flat = np.arange(10, dtype=np.float32)
         compressed = compress_topk(flat, 1.0, NOMINAL)
-        assert compressed.is_dense
+        assert compressed.indices.size == compressed.n_total
         assert compressed.nominal_bytes == NOMINAL
         assert np.array_equal(decompress(compressed), flat)
 
     def test_empty_at_psi_zero(self):
         compressed = compress_topk(np.ones(10, dtype=np.float32), 0.0, NOMINAL)
-        assert compressed.is_empty
+        assert compressed.indices.size == 0
         assert compressed.nominal_bytes == 0
 
     def test_small_positive_psi_rounds_to_empty(self):
         # k = psi * n / 2 rounds to 0: a positive psi can still produce a
-        # zero-byte model.  Senders must check nominal_bytes/is_empty, not
+        # zero-byte model.  Senders must check nominal_bytes, not
         # psi > 0 — see the guard in core.chat (and its regression test).
         compressed = compress_topk(np.ones(10, dtype=np.float32), 0.1, NOMINAL)
-        assert compressed.is_empty
+        assert compressed.indices.size == 0
         assert compressed.psi == 0.0
         assert compressed.nominal_bytes == 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
-from repro.core.selection import select_longest_contact, select_priority, select_random
+from repro.core.selection import select_priority, select_random
 from repro.sim.dataset import DrivingDataset
 from repro.sim.traces import MobilityTraces
 from tests.conftest import make_fleet
@@ -24,7 +24,7 @@ def trainer(fleet_datasets, traces):
     )
 
 
-POLICIES = (select_priority, select_longest_contact, select_random)
+POLICIES = (select_priority, select_random)
 
 
 class TestPolicies:
@@ -40,12 +40,22 @@ class TestPolicies:
                 continue  # Eq. 5 may reject all (everyone unreachable)
             assert choice in candidates, policy.__name__
 
-    def test_longest_contact_picks_same_direction(self, trainer):
-        # A peer travelling the same way stays in range longest: the
-        # choice is whichever candidate's predicted contact is longer.
-        candidates = [1, 2]
-        choice = select_longest_contact(trainer, 0, candidates)
+    def test_zero_score_fallback_picks_the_longest_contact(self, trainer, monkeypatch):
+        # No contact fits an absurdly large model, so every Eq. 5 score
+        # is zero: the choice is whichever candidate's predicted contact
+        # is longest.
+        from repro.core import chat
+        from repro.core.selection import ANTICIPATED_PSI_TOTAL
+        from repro.net.contact import priority_score
+
+        monkeypatch.setattr(chat, "NOMINAL_MODEL_BYTES", 10**14)
+        candidates = [1, 2, 3]
+        exchange = [trainer.estimate_chat_bytes(0, j, ANTICIPATED_PSI_TOTAL) for j in candidates]
+        estimates = trainer.contact_estimates(0, candidates, exchange)
+        assert [priority_score(estimate) for estimate in estimates] == [0.0] * 3
         durations = {j: trainer.contact_estimate(0, j, 1.0).contact_duration for j in candidates}
+        assert max(durations.values()) > 0, "fixture must provide a reachable peer"
+        choice = select_priority(trainer, 0, candidates)
         assert durations[choice] == max(durations.values())
 
     def test_random_uses_node_rng(self, trainer):
@@ -104,7 +114,8 @@ class TestPolicies:
         assert reachable, "fixture must provide at least one reachable peer"
         choice = select_priority(trainer, 0, candidates)
         assert choice in reachable
-        assert choice == select_longest_contact(trainer, 0, reachable)
+        durations = {j: trainer.contact_estimate(0, j, 1.0).contact_duration for j in reachable}
+        assert durations[choice] == max(durations.values())
 
     def test_fallback_reads_the_durations_it_already_has(self):
         """Every Eq. 5 score zero: the pick is the first-longest reachable
@@ -131,9 +142,7 @@ class TestPolicies:
         trainer = CountingTrainer()
         assert select_priority(trainer, 0, [1, 2, 3, 4, 5]) == 3  # first of the tie
         assert trainer.batches == [[1, 2, 3, 4, 5]] and trainer.singles == 0
-        assert select_longest_contact(trainer, 0, [2, 3, 4, 5]) == 3
         assert select_priority(trainer, 0, [1]) is None  # nobody reachable
-        assert select_longest_contact(trainer, 0, [1]) == 1
 
     @pytest.mark.parametrize("prioritize", [True, False], ids=["eq5", "random"])
     def test_prioritize_neighbors_is_the_only_switch(self, trainer, monkeypatch, prioritize):

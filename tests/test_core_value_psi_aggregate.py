@@ -27,13 +27,13 @@ class TestValue:
             loss_i_on_ci=0.5, loss_i_on_cj=2.0, loss_j_on_cj=0.4, loss_j_on_ci=0.6
         )
         # i is bad on j's data (2.0) while j is good there (0.4).
-        assert value.value_to_i == pytest.approx(1.6)
-        assert value.value_to_j == pytest.approx(0.1)
+        assert truncated_gain(value.loss_i_on_cj, value.loss_j_on_cj) == pytest.approx(1.6)
+        assert truncated_gain(value.loss_j_on_ci, value.loss_i_on_ci) == pytest.approx(0.1)
 
     def test_similar_models_no_value(self):
         value = assess_value(0.5, 0.5, 0.5, 0.5)
-        assert value.value_to_i == 0.0
-        assert value.value_to_j == 0.0
+        assert truncated_gain(value.loss_i_on_cj, value.loss_j_on_cj) == 0.0
+        assert truncated_gain(value.loss_j_on_ci, value.loss_i_on_ci) == 0.0
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -56,8 +56,9 @@ class TestPsiLossMap:
         assert psi_map.loss_at(2.0) == pytest.approx(1.0)
 
     def test_payload_roundtrip(self):
+        """The (psi, loss) samples a map is fitted to are the ones it keeps."""
         psi_map = PsiLossMap(np.array([0.1, 1.0]), np.array([3.0, 1.0]))
-        assert psi_map.payload() == [(0.1, 3.0), (1.0, 1.0)]
+        assert list(zip(psi_map.psis.tolist(), psi_map.losses.tolist())) == [(0.1, 3.0), (1.0, 1.0)]
 
     def test_build_map_decreasing_overall(self, node):
         psi_map = build_psi_map(

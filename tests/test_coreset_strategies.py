@@ -24,8 +24,8 @@ class TestUniform:
 
     def test_weight_mass_preserved(self, node, losses):
         coreset = uniform_coreset(node.dataset, losses, 15, np.random.default_rng(0))
-        assert coreset.data.total_weight() == pytest.approx(
-            node.dataset.total_weight(), rel=1e-6
+        assert coreset.data.weights.sum() == pytest.approx(
+            node.dataset.weights.sum(), rel=1e-6
         )
 
     def test_small_dataset_whole(self, node, losses):

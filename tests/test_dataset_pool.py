@@ -121,7 +121,7 @@ def test_random_operation_sequences_match_the_reference(seed):
     for _ in range(120):
         op = rng.choice(
             ["add", "extend", "absorb", "absorb_w", "subset", "subset_w", "with_weights",
-             "copy", "from_arrays", "pickle", "sample"]
+             "copy", "pickle", "sample"]
         )
         pooled, ref = pick()
         if op == "add":
@@ -149,10 +149,6 @@ def test_random_operation_sequences_match_the_reference(seed):
         elif op == "copy":
             pairs.append((pooled.copy(), RefDataset(ref.frames)))
             assert pairs[-1][0].pool is pooled.pool
-        elif op == "from_arrays" and ref.frames:
-            rebuilt = DrivingDataset.from_arrays(pooled.ids, *pooled.arrays())
-            assert rebuilt.pool is not pooled.pool
-            pairs.append((rebuilt, RefDataset(ref.frames)))
         elif op == "pickle":
             if ref.frames:
                 same_draws(pooled, ref)

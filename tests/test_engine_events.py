@@ -15,7 +15,7 @@ def test_timeout_advances_clock():
     fired = []
 
     def proc():
-        yield sim.timeout(5.0)
+        yield sim.wait_until(sim.now + 5.0)
         fired.append(sim.now)
 
     sim.process(proc())
@@ -25,8 +25,13 @@ def test_timeout_advances_clock():
 
 def test_negative_timeout_rejected():
     sim = Simulator()
-    with pytest.raises(ValueError, match="negative"):
-        sim.timeout(-1.0)
+
+    def proc():
+        yield sim.now - 1.0
+
+    sim.process(proc())
+    with pytest.raises(ValueError, match="past"):
+        sim.run()
 
 
 def test_sequential_timeouts_accumulate():
@@ -35,7 +40,7 @@ def test_sequential_timeouts_accumulate():
 
     def proc():
         for delay in (1.0, 2.0, 3.0):
-            yield sim.timeout(delay)
+            yield sim.wait_until(sim.now + delay)
             log.append(sim.now)
 
     sim.process(proc())
@@ -49,7 +54,7 @@ def test_two_processes_interleave_deterministically():
 
     def proc(name, delay):
         while sim.now < 10:
-            yield sim.timeout(delay)
+            yield sim.wait_until(sim.now + delay)
             log.append((sim.now, name))
 
     sim.process(proc("a", 2.0))
@@ -64,7 +69,7 @@ def test_run_until_stops_clock_exactly():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(100.0)
+        yield sim.wait_until(sim.now + 100.0)
 
     sim.process(proc())
     sim.run(until=42.0)
@@ -83,7 +88,7 @@ def test_run_until_leaves_later_wakeups_queued():
 
     def proc():
         for _ in range(3):
-            yield sim.timeout(5.0)
+            yield sim.wait_until(sim.now + 5.0)
             log.append(sim.now)
 
     sim.process(proc())
@@ -106,28 +111,28 @@ def test_call_at_runs_callback_at_time():
 
 def test_call_at_armed_before_processes_runs_first():
     """A barrier armed before the processes runs before every process
-    due at its instant, whichever way each wrote its wake-up."""
+    due at its instant, whether a wake-up is relative to now or absolute."""
     sim = Simulator()
     log = []
     sim.call_at(4.0, lambda: log.append("barrier"))
 
-    def by_timeout():
-        yield sim.timeout(4.0)
-        log.append("timeout")
+    def by_delay():
+        yield sim.wait_until(sim.now + 4.0)
+        log.append("delay")
 
     def by_wait_until():
         yield sim.wait_until(4.0)
         log.append("wait_until")
 
-    sim.process(by_timeout())
+    sim.process(by_delay())
     sim.process(by_wait_until())
     sim.run()
-    assert log == ["barrier", "timeout", "wait_until"]
+    assert log == ["barrier", "delay", "wait_until"]
 
 
 def test_processes_due_at_one_instant_resume_in_arming_order():
     """Ties resume in the order the waits were armed, not the order the
-    processes were started, mixing ``timeout`` and ``wait_until``."""
+    processes were started, mixing delays from now and absolute times."""
     sim = Simulator()
     log = []
 
@@ -137,10 +142,10 @@ def test_processes_due_at_one_instant_resume_in_arming_order():
         log.append(name)
 
     # All three wake at t=6.  Arming order of those waits: c (at t=1),
-    # a (at t=2, by timeout), b (at t=3, by wait_until).
-    sim.process(proc("a", 2.0, lambda: sim.timeout(4.0)))
+    # a (at t=2, a delay), b (at t=3, an absolute time).
+    sim.process(proc("a", 2.0, lambda: sim.wait_until(sim.now + 4.0)))
     sim.process(proc("b", 3.0, lambda: sim.wait_until(6.0)))
-    sim.process(proc("c", 1.0, lambda: sim.timeout(5.0)))
+    sim.process(proc("c", 1.0, lambda: sim.wait_until(sim.now + 5.0)))
     sim.run()
     assert log == ["c", "a", "b"]
 
@@ -154,17 +159,17 @@ def test_mid_instant_start_and_wait_until_now_run_after_processes_due():
 
     def late():
         log.append("started")
-        yield sim.timeout(0.0)
+        yield sim.wait_until(sim.now + 0.0)
 
     def first():
-        yield sim.timeout(2.0)
+        yield sim.wait_until(sim.now + 2.0)
         log.append("first")
         sim.process(late())
         yield sim.wait_until(sim.now)
         log.append("first again")
 
     def second():
-        yield sim.timeout(2.0)
+        yield sim.wait_until(sim.now + 2.0)
         log.append("second")
 
     sim.process(first())
@@ -177,11 +182,11 @@ def test_mid_instant_start_and_wait_until_now_run_after_processes_due():
 def test_wait_until_keeps_the_exact_float():
     sim = Simulator()
     now, when = 11.2, 45.699999999999996
-    assert now + (when - now) != when  # the round trip a timeout would take
+    assert now + (when - now) != when  # the round trip a delay from now would take
     seen = []
 
     def proc():
-        yield sim.timeout(now)
+        yield sim.wait_until(sim.now + now)
         yield sim.wait_until(when)
         seen.append(sim.now)
 
@@ -197,7 +202,7 @@ def test_cannot_schedule_in_past():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(5.0)
+        yield sim.wait_until(sim.now + 5.0)
         sim.call_at(1.0, lambda: None)
 
     sim.process(proc())
@@ -209,7 +214,7 @@ def test_yielding_a_past_time_raises():
     sim = Simulator()
 
     def proc():
-        yield sim.timeout(5.0)
+        yield sim.wait_until(sim.now + 5.0)
         yield sim.wait_until(1.0)
 
     sim.process(proc())

@@ -3,26 +3,28 @@
 import pytest
 
 from repro.net import WirelessModel, simulate_transfer
-from repro.net.channel import BYTES_PER_SECOND, transfer_time_lossless
+from repro.net.channel import BYTES_PER_SECOND
+
+
+def clean_link_seconds(n_bytes: float) -> float:
+    """How long ``n_bytes`` take on a lossless link that never leaves range."""
+    result = simulate_transfer(n_bytes, lambda t: 10.0, WirelessModel(enabled=False), 0.0, 1e9)
+    assert result.completed
+    return result.elapsed
 
 
 class TestLosslessTime:
     def test_zero_bytes_instant(self):
-        assert transfer_time_lossless(0) == 0.0
-
-    def test_packetization_rounds_up(self):
-        one = transfer_time_lossless(1)
-        full = transfer_time_lossless(1500)
-        assert one == full
+        assert clean_link_seconds(0) == 0.0
 
     def test_52mb_takes_tens_of_seconds(self):
         # The paper's headline: a 52 MB model at 31 Mbps takes ~13-14 s.
-        t = transfer_time_lossless(52 * 1024 * 1024)
+        t = clean_link_seconds(52 * 1024 * 1024)
         assert 12.0 < t < 16.0
 
     def test_coreset_under_half_second(self):
         # §IV-A: a 0.6 MB coreset transmits in < 0.5 s.
-        t = transfer_time_lossless(0.6 * 1024 * 1024)
+        t = clean_link_seconds(0.6 * 1024 * 1024)
         assert t < 0.5
 
 

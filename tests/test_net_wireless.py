@@ -39,16 +39,6 @@ class TestGoodput:
         assert model.goodput_factor(10.0) == pytest.approx(0.99)
         assert model.goodput_factor(600.0) == 0.0
 
-    def test_expected_goodput_averages(self):
-        model = WirelessModel()
-        distances = np.array([10.0, 499.0])
-        expected = (0.99 + 0.20) / 2
-        assert model.expected_goodput_factor(distances) == pytest.approx(expected)
-
-    def test_expected_goodput_empty(self):
-        assert WirelessModel().expected_goodput_factor(np.zeros(0)) == 0.0
-
-
 #: Every way a model answers: the table, lossless within range, one
 #: distance-independent loss, and a range that ends inside the table.
 MODELS = {
@@ -79,14 +69,3 @@ class TestGoodputOverArrays:
         assert model.goodput_factors(distances).tolist() == want
         grid = distances[:40].reshape(5, 8)
         assert model.goodput_factors(grid).tolist() == np.reshape(want[:40], (5, 8)).tolist()
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_expected_is_the_mean_of_the_scalar(self, name):
-        model = MODELS[name]
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 7, 8, 9, 64, 129, 300):
-            distances = rng.choice(np.concatenate([self.EDGES, rng.uniform(0.0, 700.0, 50)]), n)
-            want = float(np.array([model.goodput_factor(d) for d in distances]).mean())
-            assert model.expected_goodput_factor(distances) == want
-        assert model.expected_goodput_factor(np.zeros(0)) == 0.0
-        assert model.expected_goodput_factor([]) == 0.0

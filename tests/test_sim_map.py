@@ -23,7 +23,7 @@ class TestConstruction:
     def test_no_rural_option(self):
         town = TownMap(size=400.0, grid_n=3, rural=False, seed=0)
         assert len(town.adjacency) == 9
-        assert town.town_nodes() == town.nodes()
+        assert [n for n in town.nodes() if n[0] == "t"] == town.nodes()
 
     def test_one_shared_record_per_road(self, small_town):
         for k, (a, b) in enumerate(small_town.edges()):
@@ -31,7 +31,7 @@ class TestConstruction:
             assert small_town.adjacency[a][b]["index"] == k
 
     def test_town_nodes_within_bounds(self, small_town):
-        for node in small_town.town_nodes():
+        for node in [n for n in small_town.nodes() if n[0] == "t"]:
             pos = small_town.node_position(node)
             assert 0 <= pos[0] <= 400 and 0 <= pos[1] <= 400
 
@@ -42,17 +42,17 @@ class TestConstruction:
 
 class TestQueries:
     def test_nearest_node(self, small_town):
-        node = small_town.town_nodes()[0]
+        node = [n for n in small_town.nodes() if n[0] == "t"][0]
         pos = small_town.node_position(node)
         assert small_town.nearest_node(pos + 1.0) == node
 
     def test_shortest_path_endpoints(self, small_town):
-        nodes = small_town.town_nodes()
+        nodes = [n for n in small_town.nodes() if n[0] == "t"]
         path = small_town.shortest_path(nodes[0], nodes[-1])
         assert path[0] == nodes[0] and path[-1] == nodes[-1]
 
     def test_jittered_path_valid(self, small_town):
-        nodes = small_town.town_nodes()
+        nodes = [n for n in small_town.nodes() if n[0] == "t"]
         rng = np.random.default_rng(0)
         path = small_town.shortest_path(nodes[0], nodes[-1], rng=rng)
         for a, b in zip(path, path[1:]):
@@ -108,9 +108,9 @@ class _NetworkxMirror(TownMap):
         self.nx_graph = nx.Graph()
         super().__init__(**kwargs)
 
-    def _add_node(self, name, pos, kind):
-        self.nx_graph.add_node(name, pos=pos, kind=kind)
-        super()._add_node(name, pos, kind)
+    def _add_node(self, name, pos):
+        self.nx_graph.add_node(name, pos=pos)
+        super()._add_node(name, pos)
 
     def _add_road(self, a, b, arterial=False):
         super()._add_road(a, b, arterial)

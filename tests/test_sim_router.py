@@ -111,7 +111,7 @@ class TestRoutePlan:
 
 class TestPlanRoute:
     def test_endpoints_match_nodes(self, town):
-        nodes = town.town_nodes()
+        nodes = [n for n in town.nodes() if n[0] == "t"]
         plan = plan_route(town, nodes[0], nodes[-1])
         assert np.allclose(plan.point_at(0.0), town.node_position(nodes[0]))
 
@@ -123,7 +123,7 @@ class TestPlanRoute:
 
     def test_random_route_with_start(self, town):
         rng = np.random.default_rng(1)
-        start = town.town_nodes()[0]
+        start = [n for n in town.nodes() if n[0] == "t"][0]
         plan = random_route(town, rng, min_length=100.0, start=start)
         assert np.allclose(plan.point_at(0.0), town.node_position(start))
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.sim import TownMap
 from repro.sim.traffic import (
-    BackgroundCar,
     Pedestrian,
     TrafficManager,
     road_obstacles,
@@ -19,28 +18,6 @@ from repro.sim.traffic import (
 @pytest.fixture(scope="module")
 def town():
     return TownMap(size=400.0, grid_n=3, seed=0)
-
-
-class TestBackgroundCar:
-    def test_spawns_on_its_route(self, town):
-        car = BackgroundCar(town, np.random.default_rng(0))
-        assert town.is_on_road(car.state.position, margin=1.0)
-
-    def test_moves_over_time(self, town):
-        car = BackgroundCar(town, np.random.default_rng(1))
-        start = car.state.position.copy()
-        for _ in range(100):
-            car.step(np.zeros((0, 2)), dt=0.1)
-        assert np.linalg.norm(car.state.position - start) > 5.0
-
-    def test_renews_route_on_completion(self, town):
-        car = BackgroundCar(town, np.random.default_rng(2))
-        first_plan = car.pilot.plan
-        for _ in range(3000):
-            car.step(np.zeros((0, 2)), dt=0.1)
-            if car.pilot.plan is not first_plan:
-                break
-        assert car.pilot.plan is not first_plan
 
 
 class TestPedestrian:
@@ -111,7 +88,7 @@ class TestTrafficManager:
         manager.step(np.zeros((0, 2)), dt=0.1)  # no crash
 
     def test_keep_clear_respected(self, town):
-        center = town.node_position(town.town_nodes()[0])
+        center = town.node_position([n for n in town.nodes() if n[0] == "t"][0])
         manager = TrafficManager(
             town, 6, 0, np.random.default_rng(1), keep_clear=center, keep_clear_radius=30.0
         )
@@ -191,7 +168,7 @@ class TestPedestrianRows:
         """Through ``step``: pre-step car positions, post-step speeds."""
         manager = TrafficManager(town, 6, 25, np.random.default_rng(4))
         walkers = _walkers_of(manager)
-        ego, ego_speed = town.node_position(town.town_nodes()[4])[None, :], np.array([0.0])
+        ego, ego_speed = town.node_position([n for n in town.nodes() if n[0] == "t"][4])[None, :], np.array([0.0])
         for _ in range(400):
             cars = np.vstack([manager.car_positions(), ego])
             manager.step(ego, 0.1, extra_speeds=ego_speed)

@@ -21,9 +21,9 @@ class TestWorld:
 
     def test_vehicles_move(self, world_config):
         world = World(world_config)
-        start = world.vehicle_positions().copy()
+        start = world.bank.position.copy()
         world.run(20.0)
-        moved = np.linalg.norm(world.vehicle_positions() - start, axis=1)
+        moved = np.linalg.norm(world.bank.position - start, axis=1)
         assert moved.max() > 10.0
 
     def test_vehicles_stay_near_roads(self, world_config):
@@ -33,21 +33,6 @@ class TestWorld:
             for state in snap.vehicle_states.values():
                 assert world.town.is_on_road(state.position, margin=4.0)
 
-    def test_snapshot_other_car_positions_excludes_self(self, world_config):
-        world = World(world_config)
-        world.run(2.0)
-        snap = world.snapshots[-1]
-        others = snap.other_car_positions("v0")
-        expected = (world_config.n_vehicles - 1) + world_config.n_background_cars
-        assert others.shape == (expected, 2)
-        own = snap.vehicle_states["v0"].position
-        assert not np.any(np.all(np.isclose(others, own), axis=1))
-
-    def test_check_collision_detects_overlap(self, world_config):
-        world = World(world_config)
-        pos = world.vehicles[0].state.position
-        assert world.check_collision(pos, exclude_index=None)
-        assert not world.check_collision(np.array([-100.0, -100.0]))
 
 
 def calls_in_20_steps(n_vehicles: int) -> int:

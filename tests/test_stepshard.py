@@ -142,6 +142,27 @@ class TestEngineBitIdentity:
 
         assert evaluated(workers) == evaluated(1)
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_shard_evaluates_in_the_fleets_chunk(self, workers, monkeypatch):
+        """The rule the bits above cannot show on every BLAS, as shapes:
+        each shard's forward sees the fleet's chunk (``_EVAL_CHUNK //
+        n_nodes`` frames), whatever its own height."""
+        from repro.nn.bank import FleetWaypointNet
+
+        monkeypatch.setattr(fleet_module, "_EVAL_CHUNK", 40)  # 10 frames a chunk on 4 rows
+        engine = build_fleet(n_nodes=4, step_workers=workers)
+        assert len(engine.shards) == workers
+        seen = {id(shard.model): [] for shard in engine.shards}
+        real = FleetWaypointNet.forward
+
+        def noting(model, bev, commands):
+            seen[id(model)].append(len(bev))
+            return real(model, bev, commands)
+
+        monkeypatch.setattr(FleetWaypointNet, "forward", noting)
+        engine.evaluate_fleet(make_dataset(99, 30))
+        assert list(seen.values()) == [[10, 10, 10]] * workers
+
     def test_shards_cover_the_rows_and_share_the_banks(self):
         engine = build_fleet(n_nodes=5, step_workers=2)
         assert [(shard.lo, shard.hi) for shard in engine.shards] == [(0, 3), (3, 5)]

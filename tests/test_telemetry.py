@@ -48,7 +48,7 @@ class TestTracer:
         tracer.end_span(3.0, status="ok")
         assert tracer.current_span is outer
         tracer.end_span(10.0)
-        assert inner.end == 3.0 and inner.duration == 2.0
+        assert inner.end == 3.0 and inner.end - inner.start == 2.0
         assert outer.status == "ok" and outer.attrs["method"] == "LbChat"
 
     def test_events_attach_to_current_span(self):
@@ -66,8 +66,7 @@ class TestTracer:
             tracer.end_span(float(t) + 0.5)
         tracer.event("transfer", 0.1)
         assert tracer.span_counts() == {"chat": 3}
-        assert tracer.event_counts() == {"transfer": 1}
-        assert len(tracer.find_spans("chat")) == 3
+        assert [event.name for event in tracer.events] == ["transfer"]
 
     def test_end_without_open_span_raises(self):
         with pytest.raises(RuntimeError):
@@ -124,7 +123,6 @@ class TestHooksNoOp:
     def test_all_hooks_are_safe_when_inactive(self):
         assert hooks.active() is None
         hooks.count("x")
-        hooks.set_gauge("x", 1.0)
         hooks.on_chat_stage("assist", 0.0, True)
         hooks.on_coreset_refresh("v0", 10)
         hooks.on_coreset_merge()
@@ -143,10 +141,8 @@ class TestHooksNoOp:
     def test_generic_instruments_route_to_session(self):
         with TelemetrySession() as session:
             hooks.count("c", 2.0)
-            hooks.set_gauge("g", 7.0)
         snap = session.registry.snapshot()
         assert snap["counters"]["c"] == 2.0
-        assert snap["gauges"]["g"] == 7.0
 
 
 class TestExportRoundTrip:
@@ -267,7 +263,7 @@ class TestTracedFleetRun:
         assert counts.get("chat", 0) == len(trainer.chat_log)
         assert len(trainer.chat_log) > 0
         aborted_spans = [
-            s for s in session.tracer.find_spans("chat") if s.status == "aborted"
+            s for s in session.tracer.spans if s.name == "chat" and s.status == "aborted"
         ]
         assert len(aborted_spans) == sum(
             1 for r in trainer.chat_log.records if r.aborted
@@ -299,7 +295,7 @@ class TestTracedFleetRun:
 
     def test_transfers_nest_under_chats(self, traced_run):
         trainer, session = traced_run
-        chat_ids = {s.span_id for s in session.tracer.find_spans("chat")}
+        chat_ids = {s.span_id for s in session.tracer.spans if s.name == "chat"}
         transfer_events = [
             e for e in session.tracer.events if e.name == "transfer"
         ]
@@ -338,7 +334,7 @@ class TestExchangeSpans:
         trainer = trainer_class(nodes, traces, validation, config)
         with TelemetrySession(label=trainer.name) as session:
             trainer.run()
-        spans = session.tracer.find_spans("exchange")
+        spans = [s for s in session.tracer.spans if s.name == "exchange"]
         assert len(spans) == trainer.counters.get(counter) > 0
         received = sum(span.attrs["received"] for span in spans)
         assert received == trainer.receive_rate.completed > 0

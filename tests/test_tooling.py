@@ -2,6 +2,8 @@
 
 import ast
 import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -978,39 +980,77 @@ class TestEveryModuleHasARunningCaller:
 
 class TestEveryDefinitionIsNamed:
     """A function, method or class defined under ``src/`` is named
-    somewhere besides its own definition line — a call, an import, a
-    registry entry, a test — in ``src/``, ``tests/``, ``examples/`` or
-    ``benchmarks/``.  One nothing names is dead code.  Dunder methods
-    are exempt: Python calls them by protocol."""
+    somewhere besides its own definition — a call, an import, an
+    attribute, a string a registry or ``getattr`` reads, a test — in
+    ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``.  Comments,
+    docstrings, ``__all__`` entries and a package ``__init__``'s
+    re-exports name nothing.  One nothing names is dead code.  Dunder
+    methods are exempt: Python calls them by protocol.  (Whether a run
+    enters it is the census's question, ``tests/test_selfcheck.py``.)"""
 
     REPO = Path(__file__).parent.parent
+    FOLDERS = ("src", "tests", "examples", "benchmarks")
 
-    def test_nothing_defined_under_src_is_unnamed(self):
-        import re
-        from collections import Counter
+    @staticmethod
+    def names_in(path: Path, tree: ast.AST):
+        """The words ``tree`` names definitions by."""
+        skipped = set()
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+                skipped.add(id(body[0].value))  # a docstring
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                skipped.update(id(child) for child in ast.walk(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if path.name != "__init__.py":  # a package's imports re-export
+                    for alias in node.names:
+                        yield from alias.name.split(".")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in skipped:
+                    yield from re.findall(r"\w+", node.value)
 
-        words: Counter = Counter()
-        definitions = []  # (name, the words of its definition line, where)
-        for folder in ("src", "tests", "examples", "benchmarks"):
-            for path in sorted((self.REPO / folder).rglob("*.py")):
-                text = path.read_text()
-                words.update(re.findall(r"\w+", text))
+    @classmethod
+    def unnamed(cls, root: Path) -> list[str]:
+        names: Counter = Counter()
+        definitions = []  # (name, where)
+        for folder in cls.FOLDERS:
+            for path in sorted((root / folder).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                names.update(cls.names_in(path, tree))
                 if folder != "src":
                     continue
-                lines = text.splitlines()
-                for node in ast.walk(ast.parse(text)):
+                for node in ast.walk(tree):
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                         if node.name.startswith("__") and node.name.endswith("__"):
                             continue
-                        line = lines[node.lineno - 1]
-                        where = f"{path.relative_to(self.REPO)}:{node.lineno}"
-                        definitions.append((node.name, re.findall(r"\w+", line), where))
-        unnamed = [
-            f"{where} {name}"
-            for name, line_words, where in definitions
-            if words[name] <= line_words.count(name)
-        ]
-        assert unnamed == []
+                        definitions.append((node.name, f"{path.relative_to(root)}:{node.lineno}"))
+        return [f"{where} {name}" for name, where in definitions if not names[name]]
+
+    def test_nothing_defined_under_src_is_unnamed(self):
+        assert self.unnamed(self.REPO) == []
+
+    def test_the_gate_bites(self, tmp_path):
+        """A helper named only by ``__all__``, its package's re-export, a
+        comment and a docstring is unnamed; one call names it."""
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from pkg.mod import helper\n")
+        (package / "mod.py").write_text(
+            '"""The module: see helper."""\n\n__all__ = ["helper"]\n\n\n'
+            "def helper():  # helper\n"
+            '    """helper helps."""\n'
+        )
+        assert self.unnamed(tmp_path) == ["src/pkg/mod.py:6 helper"]
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text("from pkg.mod import helper\n\nhelper()\n")
+        assert self.unnamed(tmp_path) == []
 
 
 class TestEveryConfigFieldIsSet:
