@@ -178,9 +178,9 @@ class RsuLTrainer(TrainerBase):
     def extra_state(self) -> dict:
         items = sorted(self._last_sync.items())
         return {
+            **super().extra_state(),
             "rsus": [
                 {
-                    "params": rsu.params.copy(),
                     "uploads": rsu.uploads,
                     "recent": [params.copy() for params in rsu._recent],
                 }
@@ -192,8 +192,10 @@ class RsuLTrainer(TrainerBase):
         }
 
     def restore_extra(self, state) -> None:
+        super().restore_extra(state)
+        # An RSU's ``params`` is not carried: ``fold_in`` recomputes it from
+        # ``_recent`` before its only read, the merge after an upload.
         for rsu, rsu_state in zip(self.rsus, state["rsus"], strict=True):
-            rsu.params = np.asarray(rsu_state["params"]).copy()
             rsu.uploads = int(rsu_state["uploads"])
             rsu._recent = [np.asarray(p).copy() for p in rsu_state["recent"]]
         self._last_sync = {

@@ -29,7 +29,9 @@ The design rests on three invariants:
 
 Modules: :mod:`~repro.checkpoint.state` (state tree flattening and the
 frame table), :mod:`~repro.checkpoint.store` (atomic, versioned,
-content-fingerprinted on-disk run store), :mod:`~repro.checkpoint.policy`
+content-fingerprinted on-disk run store: the npz's member table — each
+member's name, sizes and CRC-32 — is the fingerprint, so a barrier and
+a resume each pass over the file once), :mod:`~repro.checkpoint.policy`
 (barrier scheduling), :mod:`~repro.checkpoint.format` (format version,
 errors, spec payloads), :mod:`~repro.checkpoint.resume`
 (restore-and-continue entry points — imported lazily to avoid an import

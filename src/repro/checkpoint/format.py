@@ -2,9 +2,10 @@
 
 A checkpoint on disk is two files — ``ckpt-NNNNNN.npz`` (the array
 table) plus ``ckpt-NNNNNN.json`` (the meta tree, format version, and
-the npz's SHA-256 content fingerprint).  The JSON sidecar is written
-last and is the commit point: a checkpoint without a readable sidecar,
-or whose npz hash does not match, does not exist as far as
+the npz's content fingerprint: a digest of its member table, every
+member's name, sizes and CRC-32).  The JSON sidecar is written last and
+is the commit point: a checkpoint without a readable sidecar, or whose
+npz does not match that fingerprint, does not exist as far as
 :meth:`~repro.checkpoint.store.RunStore.latest_checkpoint` is concerned.
 
 Run directories are keyed by a fingerprint of the :class:`RunSpec`:
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any, Mapping
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "spec_payload",
     "spec_fingerprint",
     "spec_from_payload",
-    "file_sha256",
 ]
 
 #: Bump when the on-disk checkpoint representation changes shape
@@ -52,8 +51,11 @@ __all__ = [
 #: each barrier; 9: the spec's scale has no ``model_seed``,
 #: ``n_waypoints``, ``learning_rate`` or ``penalty``, and its world no
 #: ``dt``, ``snapshot_interval`` or ``out_of_district_prob`` — §IV-A
-#: constants now).  An older format is refused, not loaded.
-FORMAT_VERSION = 9
+#: constants now; 10: the sidecar's content fingerprint is ``npz_members``,
+#: a digest of the npz's member table — each member's name, sizes and
+#: CRC-32 — where 9 held ``npz_sha256``, a SHA-256 of the file's bytes).
+#: An older format is refused, not loaded.
+FORMAT_VERSION = 10
 
 
 class CheckpointError(RuntimeError):
@@ -66,16 +68,6 @@ class CheckpointCorruptError(CheckpointError):
 
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by an incompatible format version."""
-
-
-def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes (streamed through one reused buffer)."""
-    digest = hashlib.sha256()
-    buffer = memoryview(bytearray(1 << 18))
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            digest.update(buffer[:size])
-    return digest.hexdigest()
 
 
 def spec_payload(spec) -> dict:

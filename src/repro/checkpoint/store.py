@@ -8,18 +8,30 @@ Layout, one directory per run under the store root::
                           # two for an array written as its nonzero
                           # mask and values; the frames the run's pool
                           # lacks once, under /frame_table
-        ckpt-000003.json  # meta tree + format version + npz SHA-256
-                          # + the split arrays' shapes
+        ckpt-000003.json  # meta tree + format version + the npz's
+                          # member digest + the split arrays' shapes
         events.jsonl      # advisory log: saved / resumed / corrupt
         done.json         # present once the run finished
 
 Every write lands in a temp file first and is moved into place with
 ``os.replace``, so a crash mid-write never leaves a half-written file
 under a checkpoint's name.  The ``.json`` sidecar is written after its
-``.npz`` and is the commit point; loading verifies the recorded SHA-256
-against the npz bytes and raises :class:`CheckpointCorruptError` on any
-mismatch, which :meth:`RunStore.latest_checkpoint` treats as "fall back
-to the next older checkpoint".
+``.npz`` and is the commit point.
+
+The npz's own member table is its content fingerprint.  ``zipfile``
+keeps each member's CRC-32 as it writes it, so the sidecar records a
+SHA-256 of the member table — every member's name, sizes and CRC-32, in
+order — computed from what is already in memory: nothing written is
+read back.  Loading opens the npz once, compares that digest against its
+central directory before reading any member, and reads every member to
+its end, where ``zipfile`` checks the member's CRC-32; a member with
+bytes left over once its npy header's shape is read is refused, since a
+damaged header would stop the read before that check.  A mismatch, a
+torn or truncated file, a damaged directory or a member that is not an
+array raise :class:`CheckpointCorruptError`, which
+:meth:`RunStore.latest_checkpoint` treats as "fall back to the next
+older checkpoint".  An I/O error other than a seek no offset reaches is
+the disk's, not the file's, and propagates.
 
 No member is deflated.  A barrier is written while the simulator waits,
 and deflate spends the same seconds per byte whether or not the bytes
@@ -34,10 +46,14 @@ otherwise — one rule, decided on the whole array.  "Nonzero" is nonzero
 from __future__ import annotations
 
 import contextlib
+import errno
+import hashlib
 import json
 import math
 import os
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +64,6 @@ from repro.checkpoint.format import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
-    file_sha256,
     spec_fingerprint,
     spec_payload,
 )
@@ -61,6 +76,18 @@ DEFAULT_CHECKPOINT_ROOT = Path(".repro_cache") / "checkpoints"
 
 #: Unsigned integer of each itemsize: an element's bits, compared with zero.
 _BITS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+#: What reading a damaged npz raises: ``zipfile`` on a bad CRC-32, a torn
+#: file or a damaged directory (``RuntimeError`` for a flag or compression
+#: method flipped in it, ``zlib`` for garbage it then inflates),
+#: ``read_array`` on a malformed or short member (its npy header parser
+#: lets ``SyntaxError`` and ``tokenize.TokenError`` out on some).  An
+#: ``OSError`` is damage only as ``EINVAL``, an offset no seek reaches; any
+#: other is the disk's, not the file's, and propagates.
+_DAMAGE = (
+    zipfile.BadZipFile, zlib.error, RuntimeError, EOFError, ValueError,
+    SyntaxError, tokenize.TokenError,
+)
 
 
 def _slug(text: str) -> str:
@@ -117,13 +144,22 @@ def _join(path: str, mask: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _write_npz(fh, arrays: dict[str, np.ndarray]) -> tuple[dict[str, list[int]], dict]:
+def _member_digest(members: list[zipfile.ZipInfo]) -> str:
+    """SHA-256 of an npz's member table: each member's name, sizes and CRC-32."""
+    digest = hashlib.sha256()
+    for info in members:
+        fields = (info.filename, info.file_size, info.compress_size, info.CRC)
+        digest.update("\0".join(map(str, fields)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _write_npz(fh, arrays: dict[str, np.ndarray]) -> tuple[dict[str, list[int]], dict, str]:
     """Stream ``arrays`` into ``fh`` as a plain ``.npz`` of stored members.
 
     An array :func:`_split` shrinks becomes two members, ``<path>/mask``
     and ``<path>/values`` (no state path extends an array's: it is a
-    leaf).  Returns the split arrays' shapes by path, and the ``saved``
-    event's facts.
+    leaf).  Returns the split arrays' shapes by path, the ``saved``
+    event's facts and the member digest.
     """
     split: dict[str, list[int]] = {}
     facts = {"raw_bytes": 0, "stored": 0, "split": 0}
@@ -131,7 +167,14 @@ def _write_npz(fh, arrays: dict[str, np.ndarray]) -> tuple[dict[str, list[int]],
 
         def member(name: str, array: np.ndarray) -> None:
             with archive.open(name + ".npy", "w", force_zip64=True) as out:
-                np.lib.format.write_array(out, array, allow_pickle=False)
+                if array.flags.c_contiguous and array.dtype.kind in "biuf":
+                    # write_array's own header, then the array's buffer as
+                    # it lies: write_array copies it a chunk at a time.
+                    data = np.lib.format.header_data_from_array_1_0(array)
+                    np.lib.format.write_array_header_1_0(out, data)
+                    out.write(array.reshape(-1).view(np.uint8))
+                else:
+                    np.lib.format.write_array(out, array, allow_pickle=False)
 
         for name, array in arrays.items():
             halves = _split(array)
@@ -143,7 +186,43 @@ def _write_npz(fh, arrays: dict[str, np.ndarray]) -> tuple[dict[str, list[int]],
                 split[name] = list(array.shape)
             facts["raw_bytes"] += array.nbytes
             facts["stored" if halves is None else "split"] += 1
-    return split, {"npz_bytes": fh.tell(), **facts}
+        digest = _member_digest(archive.infolist())
+    return split, {"npz_bytes": fh.tell(), **facts}, digest
+
+
+def _read_npz(path: Path, digest: str) -> dict[str, np.ndarray]:
+    """The arrays of the npz at ``path``, read once, if its member table
+    has ``digest``; every member is read to its end, where ``zipfile``
+    checks its CRC-32.  A member with bytes left over once its npy header's
+    shape is read is refused: a damaged header would otherwise stop the
+    read short of the end, and of the CRC-32 check there."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+            if _member_digest(members) != digest:
+                raise CheckpointCorruptError(
+                    f"content fingerprint mismatch for {path}: its member table "
+                    "is not the one the sidecar records"
+                )
+            arrays = {}
+            for info in members:
+                with archive.open(info) as member:
+                    array = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        raise CheckpointCorruptError(
+                            f"content fingerprint mismatch for {path}: {info.filename} "
+                            "holds more bytes than its npy header's shape"
+                        )
+                arrays[info.filename.removesuffix(".npy")] = array
+    except CheckpointCorruptError:  # a RuntimeError, as _DAMAGE's flag errors are
+        raise
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+        raise CheckpointCorruptError(f"content fingerprint mismatch for {path}: {exc}") from exc
+    except _DAMAGE as exc:
+        raise CheckpointCorruptError(f"content fingerprint mismatch for {path}: {exc}") from exc
+    return arrays
 
 
 class RunStore:
@@ -243,7 +322,7 @@ class RunStore:
         meta, arrays = flatten_state(state)
         npz_path = run_dir / f"ckpt-{barrier:06d}.npz"
         with _atomic_open(npz_path) as fh:
-            split, facts = _write_npz(fh, arrays)
+            split, facts, digest = _write_npz(fh, arrays)
         table = state.get("frame_table")
         if table is not None:
             facts["frames"] = sum(len(pool["bev"]) for pool in table["pools"])
@@ -256,7 +335,7 @@ class RunStore:
             "barrier": barrier,
             "time": float(state["time"]),
             "fingerprint": spec_fingerprint(spec),
-            "npz_sha256": file_sha256(npz_path),
+            "npz_members": digest,
             "split": split,
             "state": meta,
         }
@@ -284,18 +363,12 @@ class RunStore:
                 f"checkpoint format {version} (supported: {FORMAT_VERSION})"
             )
         split = payload.get("split", {})
-        if not ({"npz_sha256", "state", "barrier"} <= payload.keys() and isinstance(split, dict)):
+        if not ({"npz_members", "state", "barrier"} <= payload.keys() and isinstance(split, dict)):
             raise CheckpointCorruptError(f"malformed sidecar {json_path}")
         npz_path = json_path.with_suffix(".npz")
         if not npz_path.exists():
             raise CheckpointCorruptError(f"missing array table {npz_path}")
-        digest = file_sha256(npz_path)
-        if digest != payload["npz_sha256"]:
-            raise CheckpointCorruptError(
-                f"content fingerprint mismatch for {npz_path}"
-            )
-        with np.load(npz_path) as data:
-            arrays = {name: data[name] for name in data.files}
+        arrays = _read_npz(npz_path, payload["npz_members"])
         for path, shape in split.items():
             try:
                 halves = arrays.pop(path + "/mask"), arrays.pop(path + "/values")

@@ -529,7 +529,8 @@ class RoundTrainer(TrainerBase):
         return [(self.next_round - self.config.round_interval, self._round_process())]
 
     def extra_state(self) -> dict:
-        return {"next_round": self.next_round}
+        return {**super().extra_state(), "next_round": self.next_round}
 
     def restore_extra(self, state) -> None:
+        super().restore_extra(state)
         self.next_round = float(state["next_round"])

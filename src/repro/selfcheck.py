@@ -74,6 +74,9 @@ CURVE_POINTS = 9
 #: resumed from, so a finer cadence only re-runs more of the horizon.
 OVERLAP_BARRIER_EVERY = 35.0
 KILL_AT = 2  # the kill row's child dies as its t=70 barrier commits
+#: Barrier cadence of the city-cache rows: 3.5/7/.../28 s; the flight
+#: that lands at t=3.7 reads the loss cache the t=3.5 barrier carried.
+CACHE_BARRIER_EVERY = 3.5
 
 
 # -- worlds -------------------------------------------------------------------
@@ -119,10 +122,10 @@ def build_scale(world: str = "hotpath"):
             record_interval=20.0,
             coreset_size=10,
         )
-    if world == "city":
+    if world in ("city", "city-cache"):
         # 2x2 blocks and 48 vehicles, the largest fleet a row runs (the
         # contact windows' digest is pinned here); bounded caches on.
-        return CITY.derived(
+        city = CITY.derived(
             "selfcheck-city",
             world=dict(
                 map_size=900.0, grid_n=3, n_vehicles=48, n_background_cars=6,
@@ -140,6 +143,17 @@ def build_scale(world: str = "hotpath"):
             eval_normal_pedestrians=10,
             loss_cache_budget=64,
             chat_log_budget=16,
+        )
+        if world == "city":
+            return city
+        # The city scale's own train interval and loss-cache budget: a
+        # flight lands before the next train instant and finds the
+        # losses its chat cached, so a resume reads the cache it restored.
+        return replace(
+            city,
+            name="selfcheck-city-cache",
+            train_interval=CITY.train_interval,
+            loss_cache_budget=CITY.loss_cache_budget,
         )
     raise KeyError(f"unknown selfcheck world {world!r}")
 
@@ -425,13 +439,14 @@ class _MemoryCheckpointer(Checkpointer):
 
 
 def _run_trainer(context, spec, state=None):
-    """Run ``spec`` (from ``state`` if given) snapshotting every barrier."""
+    """Run ``spec`` (from ``state`` if given) snapshotting every barrier
+    (every ``spec.checkpoint_every`` s, by default the overlap world's)."""
     from repro.experiments.runner import RunResult, prepare_trainer
 
     nodes, trainer = prepare_trainer(context, spec)
     if state is not None:
         trainer.restore(state)
-    saver = _MemoryCheckpointer()
+    saver = _MemoryCheckpointer(spec.checkpoint_every or OVERLAP_BARRIER_EVERY)
     trainer.run(checkpointer=saver)
     return RunResult.from_trainer(spec, trainer, nodes), saver.states
 
@@ -456,6 +471,57 @@ def _resume_every_barrier(runner: "Runner", check: Check, scratch: Path) -> Run:
             if value != base.digests[key]
         ]
     return run
+
+
+def _resume_reading_the_cache(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """:func:`_resume_every_barrier`, counting the lookups that hit a
+    loss the restore put back, before the node's model moved on."""
+    from repro.core.node import VehicleNode
+
+    restored: dict[int, tuple[int, np.ndarray]] = {}  # id(node) -> (version, rows)
+    reads = []
+    restore, lookup = VehicleNode.restore, VehicleNode._lookup
+
+    def restore_noting(node, state, frames):
+        restore(node, state, frames)
+        restored[id(node)] = (node.model_version, node._cache_rows)
+
+    def lookup_counting(node, dataset):
+        hit, values = lookup(node, dataset)
+        version, rows = restored.get(id(node), (None, None))
+        if version == node.model_version and np.isin(dataset.rows[hit], rows).any():
+            reads.append(node.node_id)
+        return hit, values
+
+    VehicleNode.restore, VehicleNode._lookup = restore_noting, lookup_counting
+    try:
+        run = _resume_every_barrier(runner, check, scratch)
+    finally:
+        VehicleNode.restore, VehicleNode._lookup = restore, lookup
+    run.facts["cache_reads"] = len(reads)
+    run.notes.append(f"{len(reads)} lookups read a restored loss cache")
+    return run
+
+
+def _resume_from_a_store(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """The reference row's run checkpointed into an on-disk store at the
+    kill row's barrier time (t=70; barriers every 70 s), rewound to that
+    barrier as a crash there leaves it, and continued from its files by
+    a fresh trainer."""
+    from repro.checkpoint import RunStore, run_with_checkpoints
+
+    base = runner.check(check.reference)
+    spec = replace(
+        base.result.spec,
+        checkpoint_every=KILL_AT * OVERLAP_BARRIER_EVERY,
+        checkpoint_dir=str(scratch),
+    )
+    store = RunStore(scratch)
+    run_with_checkpoints(base.context, spec, store)
+    store.drop_after(spec, 1)
+    resumed = run_with_checkpoints(base.context, spec, store)
+    facts = {"events": store.events(spec)}
+    return Run(digest_result(resumed), base.context, resumed, scratch=scratch, facts=facts)
 
 
 def _kill_and_resume(runner: "Runner", check: Check, scratch: Path) -> Run:
@@ -1009,6 +1075,21 @@ def crash_shaped_history(run: Run):
         yield f"temp files survived the kill/resume cycle: {leftovers}"
 
 
+def resumed_at_the_barrier(run: Run):
+    """The continuation loaded the first barrier from disk."""
+    resumed = [event["barrier"] for event in run.facts["events"] if event["event"] == "resumed"]
+    if resumed != [1]:
+        yield f"resumed from barriers {resumed}, want [1]"
+
+
+def restored_cache_read(run: Run):
+    """A resume read the loss cache it restored, so the row's digests
+    cover it: a restore that dropped the cache fails here, one that
+    damaged its values fails the digests."""
+    if not run.facts["cache_reads"]:
+        yield "no lookup hit a restored loss before the model moved on"
+
+
 def models_attempted(run: Run):
     """Eq. 7 sent a model: a resume that restored a wrong psi map or
     loss cache would move what is sent, which an all-(0, 0) run hides."""
@@ -1111,6 +1192,19 @@ CHECKS: dict[str, Check] = {
         Check("checkpoint.killed", "checkpoint.uninterrupted", "overlap",
               produce=_kill_and_resume,
               invariants=(crash_shaped_history, clock_monotone, models_attempted)),
+        # The baselines that keep state beside their nodes, through the store.
+        *(
+            Check(f"checkpoint.resumed.{method}", f"methods.{method}", "overlap", method,
+                  produce=_resume_from_a_store,
+                  invariants=(resumed_at_the_barrier, clock_monotone, did_its_one_thing))
+            for method in ("ProxSkip", "RSU-L", "DFL-DDS")
+        ),
+        Check("cache.barriers", None, "city-cache",
+              spec={**_ON, "checkpoint_every": CACHE_BARRIER_EVERY},
+              produce=_run_with_barriers, invariants=(clock_monotone,)),
+        Check("cache.resumed", "cache.barriers", "city-cache",
+              spec={**_ON, "checkpoint_every": CACHE_BARRIER_EVERY},
+              produce=_resume_reading_the_cache, invariants=(restored_cache_read, clock_monotone)),
         Check("world.scalar", None, produce=_world_scalar),
         Check("world.batched", "world.scalar", produce=_world_batched,
               invariants=(first_divergence, rare_branches_fired)),

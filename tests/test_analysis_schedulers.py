@@ -56,6 +56,28 @@ class TestCurveStats:
     def test_improvement_rate(self):
         assert improvement_rate(GRID, FAST) == pytest.approx(4.5 / 100.0)
 
+    def test_auc_of_a_line_is_its_trapezoid(self):
+        assert area_under_curve(GRID, FAST) == pytest.approx((5.0 + 0.5) / 2 * 100.0)
+
+    def test_improvement_rate_needs_a_positive_span(self):
+        with pytest.raises(ValueError, match="positive duration"):
+            improvement_rate(np.zeros(3), np.ones(3))
+
+    def test_summary_states_every_value(self):
+        """The default threshold is 110 % of the best final loss (0.55):
+        FAST (5 -> 0.5 over 100 s) crosses it between its samples at 90 s
+        (0.95) and 100 s (0.5); SLOW (5 -> 1.4) never does."""
+        summary = convergence_summary(GRID, {"fast": FAST, "slow": SLOW})
+        assert summary["fast"] == pytest.approx(
+            {"final": 0.5, "time_to_threshold": 90.0 + 10.0 * 0.4 / 0.45,
+             "auc": 275.0, "rate": 0.045}
+        )
+        assert summary["slow"] == pytest.approx(
+            {"final": 1.4, "time_to_threshold": np.inf, "auc": 320.0, "rate": 0.036}
+        )
+        given = convergence_summary(GRID, {"slow": SLOW}, threshold=3.2)
+        assert given["slow"]["time_to_threshold"] == pytest.approx(50.0)
+
     def test_summary_keys(self):
         summary = convergence_summary(GRID, {"a": FAST, "b": SLOW})
         assert set(summary) == {"a", "b"}

@@ -289,7 +289,7 @@ class TestRunStore:
         [
             lambda payload: [payload],
             lambda payload: "ckpt",
-            lambda payload: {k: v for k, v in payload.items() if k != "npz_sha256"},
+            lambda payload: {k: v for k, v in payload.items() if k != "npz_members"},
             lambda payload: {k: v for k, v in payload.items() if k != "state"},
             lambda payload: {k: v for k, v in payload.items() if k != "barrier"},
         ],
@@ -313,13 +313,14 @@ class TestRunStore:
         store.save_checkpoint(spec, _state(1, 10.0))
         sidecar = store.run_dir(spec) / "ckpt-000001.json"
         payload = json.loads(sidecar.read_text())
-        assert FORMAT_VERSION == 9
-        # 8's scale carried fields now constants, 7 saved no generator
+        assert FORMAT_VERSION == 10
+        # 9 fingerprinted the npz by a SHA-256 of its bytes, 8's scale
+        # carried fields now constants, 7 saved no generator
         # state, 6 held one train timer per vehicle,
         # 5 named a loss cache's frames by id, 4 wrote every frame's
         # columns and no split arrays, 3 every dataset's own frames: none
         # has a loader.
-        for refused in (8, 7, 6, 5, 4, 3):
+        for refused in (9, 8, 7, 6, 5, 4, 3):
             payload["format"] = refused
             sidecar.write_text(json.dumps(payload))
             with pytest.raises(CheckpointVersionError, match=f"format {refused}"):

@@ -16,6 +16,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -173,6 +174,29 @@ class TestResumeEquivalence:
         trainer.restore(state)
         trainer.run(checkpointer=Keep())
         assert digest(RunResult.from_trainer(spec, trainer, nodes)) == digest(reference)
+
+    def test_a_resume_reads_the_loss_cache_it_restored(self):
+        """On the selfcheck's city-cache world (10 s train interval) a
+        flight lands at t = 3.7 s, before the next train instant, and
+        Eq. 8 scores the joint coreset with the losses its chat cached:
+        the t = 3.5 s barrier's loss cache is read.  Resumed as saved, it
+        is the run left alone; with those losses 1 % off, it is not."""
+        from repro import selfcheck
+
+        context = selfcheck._context("city-cache")
+        spec = RunSpec.for_context(
+            context, "LbChat", seed=selfcheck.SEED, overrides={"overlap_chat": True},
+            checkpoint_every=selfcheck.CACHE_BARRIER_EVERY,
+        )
+        reference, states = selfcheck._run_trainer(context, spec)
+        state = states[1]
+        assert state["time"] == 3.5
+        resumed, _ = selfcheck._run_trainer(context, spec, copy.deepcopy(state))
+        assert digest(resumed) == digest(reference)
+        for node in state["nodes"]:
+            node["loss_values"] = np.asarray(node["loss_values"]) * np.float32(1.01)
+        off, _ = selfcheck._run_trainer(context, spec, state)
+        assert digest(off) != digest(reference)
 
     def test_resume_replays_remaining_barriers(self, context, tmp_path):
         spec = RunSpec.for_context(

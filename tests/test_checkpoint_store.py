@@ -6,14 +6,24 @@ nonzero values are smaller than it is written as those two members, any
 other whole.  These tests pin that rule, the bit-exact round trip over
 dtypes, special values and memory layouts, compatibility with
 checkpoints written by ``np.savez_compressed``, and that a damaged file
-— a flipped byte, a truncated member, a mask that disagrees with its
-values — falls back to the previous barrier.
+— a flipped bit in a member's data, its npy header or the central
+directory, a truncated member, another barrier's npz, a mask that
+disagrees with its values — falls back to the previous barrier, while a
+read the disk fails does not.  The npz's member table (names,
+sizes, CRC-32s) is its fingerprint: a save never reads back what it
+wrote, and a load reads the npz once.
 """
 
 from __future__ import annotations
 
+import builtins
+import errno
+import io
 import json
+import os
 import zipfile
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import RunStore, flatten_state, spec_fingerprint
-from repro.checkpoint.format import FORMAT_VERSION, CheckpointCorruptError, file_sha256
+from repro.checkpoint.format import FORMAT_VERSION, CheckpointCorruptError
+from repro.checkpoint.store import _member_digest
 from repro.experiments.configs import CI
 from repro.experiments.runner import RunSpec
 
@@ -44,6 +55,12 @@ def _members(store: RunStore, barrier: int = 1) -> dict[str, zipfile.ZipInfo]:
 
 def _sidecar(store: RunStore, barrier: int = 1) -> dict:
     return json.loads((store.run_dir(SPEC) / f"ckpt-{barrier:06d}.json").read_text())
+
+
+def _digest(npz) -> str:
+    """The member-table digest a sidecar records for the npz at ``npz``."""
+    with zipfile.ZipFile(npz) as archive:
+        return _member_digest(archive.infolist())
 
 
 class TestMemberCodec:
@@ -238,7 +255,7 @@ class TestCompatibility:
             "barrier": 2,
             "time": 20.0,
             "fingerprint": spec_fingerprint(SPEC),
-            "npz_sha256": file_sha256(npz),
+            "npz_members": _digest(npz),
             "state": meta,
         }
         (run_dir / "ckpt-000002.json").write_text(json.dumps(sidecar))
@@ -250,7 +267,8 @@ class TestCompatibility:
 
 class TestIntegrity:
     def test_flipped_byte_in_a_stored_member_falls_back(self, tmp_path):
-        """No deflate stream to trip over: only the SHA-256 can notice."""
+        """No deflate stream to trip over: only the member's CRC-32 can
+        notice, checked as the load reads the member to its end."""
         store = RunStore(tmp_path)
         store.save_checkpoint(SPEC, _state(1, params=_noise()))
         store.save_checkpoint(SPEC, _state(2, params=_noise()))
@@ -265,10 +283,11 @@ class TestIntegrity:
         assert store.latest_checkpoint(SPEC)["barrier"] == 1
         (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
         assert corrupt["barrier"] == 2 and "fingerprint mismatch" in corrupt["error"]
+        assert "Bad CRC-32" in corrupt["error"]
 
     def test_an_npz_truncated_mid_member_falls_back(self, tmp_path):
-        """A torn write under a committed sidecar: the hash, left as
-        written, no longer matches."""
+        """A torn write under a committed sidecar: the member table at
+        the end of the file is gone with it."""
         store = RunStore(tmp_path)
         for barrier in (1, 2):
             store.save_checkpoint(SPEC, _state(barrier, params=_noise(), zeros=np.zeros(9000)))
@@ -279,9 +298,66 @@ class TestIntegrity:
         (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
         assert corrupt["barrier"] == 2 and "fingerprint mismatch" in corrupt["error"]
 
+    def test_a_flipped_shape_digit_in_a_members_npy_header_falls_back(self, tmp_path):
+        """A shorter shape stops the read more than a read-ahead short of
+        the member's end, where its CRC-32 is checked: the bytes left over
+        are what notice."""
+        store = RunStore(tmp_path)
+        for barrier in (1, 2):
+            store.save_checkpoint(SPEC, _state(barrier, params=_noise()))
+        info = _members(store, 2)["/params.npy"]
+        npz = store.run_dir(SPEC) / "ckpt-000002.npz"
+        blob = bytearray(npz.read_bytes())
+        at = blob.index(b"(50000,)", info.header_offset)
+        blob[at + 1] ^= 0x01  # '5' -> '4': 40 000 floats, 40 000 bytes unread
+        npz.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="more bytes than its npy header"):
+            store.load_checkpoint(SPEC, 2)
+        assert store.latest_checkpoint(SPEC)["barrier"] == 1
+
+    def test_no_flipped_byte_before_a_members_data_loads_other_arrays(self, tmp_path):
+        """Every single-bit flip in a member's local header and npy header
+        is refused as corrupt or reads the arrays as saved; the member is
+        large enough that a shorter shape leaves over more than a read-ahead."""
+        store = RunStore(tmp_path)
+        store.save_checkpoint(SPEC, _state(1, params=_noise(5000)))
+        npz = store.run_dir(SPEC) / "ckpt-000001.npz"
+        written = npz.read_bytes()
+        info = _members(store, 1)["/params.npy"]
+        data_start = written.index(b"\n", written.index(b"{'descr'", info.header_offset)) + 1
+        refused = 0
+        for at in range(info.header_offset, data_start):
+            for bit in range(8):
+                blob = bytearray(written)
+                blob[at] ^= 1 << bit
+                npz.write_bytes(bytes(blob))
+                try:
+                    loaded = store.load_checkpoint(SPEC, 1)
+                except CheckpointCorruptError:
+                    refused += 1
+                    continue
+                assert np.array_equal(loaded["params"], _noise(5000)), (at, bit)
+        assert refused > 8 * (data_start - info.header_offset) // 2
+
+    def test_an_io_error_reading_the_npz_is_not_damage(self, tmp_path, monkeypatch):
+        """Only the file's own bytes are evidence against it: a read the
+        disk fails propagates instead of falling back to an older barrier."""
+        store = RunStore(tmp_path)
+        for barrier in (1, 2):
+            store.save_checkpoint(SPEC, _state(barrier, params=_noise()))
+
+        def failing_open(self, *args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", failing_open)
+        with pytest.raises(OSError, match="Input/output error") as raised:
+            store.latest_checkpoint(SPEC)
+        assert not isinstance(raised.value, CheckpointCorruptError)
+        assert not [e for e in store.events(SPEC) if e["event"] == "corrupt"]
+
     def test_a_split_member_that_disagrees_with_its_mask_falls_back(self, tmp_path):
-        """The hash matches (re-taken after the damage), so only joining
-        the mask and the values can notice."""
+        """The member digest matches (re-taken after the damage), so only
+        joining the mask and the values can notice."""
         store = RunStore(tmp_path)
         sparse = np.zeros(9000)
         sparse[::100] = 1.5
@@ -293,13 +369,145 @@ class TestIntegrity:
         members["/sparse/values"] = members["/sparse/values"][:-1]
         np.savez(npz, **members)
         sidecar = _sidecar(store, 2)
-        sidecar["npz_sha256"] = file_sha256(npz)
+        sidecar["npz_members"] = _digest(npz)
         (store.run_dir(SPEC) / "ckpt-000002.json").write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointCorruptError, match="mask names 90 values, 89 written"):
             store.load_checkpoint(SPEC, 2)
         assert store.latest_checkpoint(SPEC)["barrier"] == 1
         (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
         assert corrupt["barrier"] == 2 and "/sparse" in corrupt["error"]
+
+
+    def test_another_barriers_npz_under_this_sidecar_falls_back(self, tmp_path):
+        """A well-formed npz whose every CRC-32 checks out, but whose
+        contents are not the ones this sidecar committed."""
+        store = RunStore(tmp_path)
+        for barrier in (1, 2, 3):
+            store.save_checkpoint(SPEC, _state(barrier, params=_noise() + barrier))
+        run_dir = store.run_dir(SPEC)
+        (run_dir / "ckpt-000003.npz").write_bytes((run_dir / "ckpt-000002.npz").read_bytes())
+        with pytest.raises(CheckpointCorruptError, match="member table"):
+            store.load_checkpoint(SPEC, 3)
+        latest = store.latest_checkpoint(SPEC)
+        assert latest["barrier"] == 2
+        assert np.array_equal(latest["params"], _noise() + 2)
+        (corrupt,) = [e for e in store.events(SPEC) if e["event"] == "corrupt"]
+        assert corrupt["barrier"] == 3 and "fingerprint mismatch" in corrupt["error"]
+
+    #: Offsets, in a central directory entry, of the fields that say where
+    #: a member is and what it holds.
+    DIRECTORY_FIELDS = {
+        "compression": 10, "crc32": 16, "compressed_size": 20, "size": 24,
+        "header_offset": 42, "name": 47,
+    }
+
+    @pytest.mark.parametrize("field", DIRECTORY_FIELDS)
+    def test_a_flipped_byte_in_the_central_directory_falls_back(self, tmp_path, field):
+        store = RunStore(tmp_path)
+        for barrier in (1, 2):
+            store.save_checkpoint(SPEC, _state(barrier, params=_noise(), zeros=np.zeros(9000)))
+        npz = store.run_dir(SPEC) / "ckpt-000002.npz"
+        with zipfile.ZipFile(npz) as archive:
+            entry = archive.start_dir  # the first member's directory entry
+        blob = bytearray(npz.read_bytes())
+        assert blob[entry : entry + 4] == b"PK\x01\x02"
+        blob[entry + self.DIRECTORY_FIELDS[field]] ^= 0x01
+        npz.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="fingerprint mismatch"):
+            store.load_checkpoint(SPEC, 2)
+        assert store.latest_checkpoint(SPEC)["barrier"] == 1
+
+    def test_no_flipped_byte_after_the_members_loads_other_arrays(self, tmp_path):
+        """Every single-bit flip in the central directory and the end
+        record is refused as corrupt or reads the arrays as saved."""
+        store = RunStore(tmp_path)
+        sparse = np.zeros(900)
+        sparse[::7] = 2.5
+        store.save_checkpoint(SPEC, _state(1, params=_noise(300), sparse=sparse))
+        npz = store.run_dir(SPEC) / "ckpt-000001.npz"
+        written = npz.read_bytes()
+        with zipfile.ZipFile(npz) as archive:
+            start = archive.start_dir
+        refused = 0
+        for at in range(start, len(written)):
+            for bit in range(8):
+                blob = bytearray(written)
+                blob[at] ^= 1 << bit
+                npz.write_bytes(bytes(blob))
+                try:
+                    loaded = store.load_checkpoint(SPEC, 1)
+                except CheckpointCorruptError:
+                    refused += 1
+                    continue
+                assert np.array_equal(loaded["params"], _noise(300)), (at, bit)
+                assert loaded["sparse"].tobytes() == sparse.tobytes(), (at, bit)
+        assert refused > 8 * (len(written) - start) // 3
+
+
+class _NpzIO:
+    """Every open of an ``.npz`` path while active: its mode, and the
+    bytes read through it."""
+
+    def __init__(self, monkeypatch):
+        self.opens: list[tuple[str, str]] = []
+        self.read: dict[str, int] = defaultdict(int)
+        real = io.open
+
+        def watched(file, mode="r", *args, **kwargs):
+            handle = real(file, mode, *args, **kwargs)
+            name = os.fspath(file) if isinstance(file, (str, os.PathLike)) else ""
+            if ".npz" not in name:
+                return handle
+            self.opens.append((Path(name).name, mode))
+            return _Counted(handle, name, self.read)
+
+        monkeypatch.setattr(builtins, "open", watched)
+        monkeypatch.setattr(io, "open", watched)
+
+
+class _Counted:
+    """A file object that adds what is read through it to ``read[name]``."""
+
+    def __init__(self, handle, name: str, read: dict[str, int]):
+        self._handle, self._name, self._read = handle, name, read
+
+    def read(self, *args):
+        data = self._handle.read(*args)
+        self._read[self._name] += len(data)
+        return data
+
+    def readinto(self, buffer):
+        size = self._handle.readinto(buffer)
+        self._read[self._name] += size or 0
+        return size
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestOnePass:
+    def test_save_never_reopens_what_it_wrote(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        npz_io = _NpzIO(monkeypatch)
+        store.save_checkpoint(SPEC, _state(1, params=_noise(), zeros=np.zeros(9000)))
+        assert npz_io.opens == [("ckpt-000001.npz.tmp", "wb")]
+        assert not npz_io.read
+
+    def test_load_reads_the_npz_once(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        store.save_checkpoint(SPEC, _state(1, params=_noise(), zeros=np.zeros(9000)))
+        npz = store.run_dir(SPEC) / "ckpt-000001.npz"
+        npz_io = _NpzIO(monkeypatch)
+        loaded = store.load_checkpoint(SPEC, 1)
+        assert np.array_equal(loaded["params"], _noise())
+        assert npz_io.opens == [("ckpt-000001.npz", "rb")]
+        assert npz_io.read[str(npz)] < 1.5 * npz.stat().st_size
 
 
 class TestZeroCopyFlatten:

@@ -7,7 +7,7 @@ from repro.core.chatlog import ChatLog, ChatRecord
 from repro.core.psi import PsiDecision
 
 
-def make_record(psi_i=1.0, psi_j=0.0, aborted="", coresets=True, time=5.0):
+def make_record(psi_i=1.0, psi_j=0.0, aborted="", coresets=True, time=5.0, pair=("v0", "v1")):
     outcome = ChatOutcome(
         duration=10.0,
         coresets_exchanged=coresets,
@@ -18,7 +18,7 @@ def make_record(psi_i=1.0, psi_j=0.0, aborted="", coresets=True, time=5.0):
         absorbed_by_j=8,
         aborted=aborted,
     )
-    return ChatRecord.from_outcome(time, "v0", "v1", outcome)
+    return ChatRecord.from_outcome(time, *pair, outcome)
 
 
 class TestChatRecord:
@@ -57,6 +57,19 @@ class TestChatLog:
         log.append(make_record(psi_i=0.0, psi_j=0.0))  # nothing sent
         assert log.one_sided_fraction() == pytest.approx(1 / 3)
 
+    def test_one_sided_fraction_counts_completed_chats_only(self):
+        """Aborted chats and chats whose coresets never crossed are not
+        in the denominator; a psi of 0.01 or less is "not sent"."""
+        log = ChatLog()
+        log.append(make_record(psi_i=0.3, psi_j=0.01))  # one-sided
+        log.append(make_record(psi_i=0.02, psi_j=0.9))  # mutual
+        log.append(make_record(aborted="assess", coresets=False))
+        log.append(make_record(psi_i=1.0, psi_j=0.0, coresets=False))
+        assert log.one_sided_fraction() == 0.5
+        assert ChatLog().one_sided_fraction() == 0.0
+        # Every record's two directions, aborted ones as (0, 0).
+        assert log.mean_psi() == pytest.approx((0.3 + 0.01 + 0.02 + 0.9 + 1.0) / 8)
+
     def test_abort_counts(self):
         log = ChatLog()
         log.append(make_record(aborted="assist", coresets=False))
@@ -70,6 +83,14 @@ class TestChatLog:
         log.append(make_record())
         counts = log.per_vehicle_chats()
         assert counts == {"v0": 2, "v1": 2}
+
+    def test_per_vehicle_chats_counts_either_side(self):
+        log = ChatLog()
+        for pair in (("v0", "v1"), ("v2", "v0"), ("v1", "v2"), ("v0", "v3")):
+            log.append(make_record(pair=pair))
+        log.append(make_record(aborted="coresets", coresets=False, pair=("v3", "v2")))
+        assert log.per_vehicle_chats() == {"v0": 3, "v1": 2, "v2": 3, "v3": 2}
+        assert ChatLog().per_vehicle_chats() == {}
 
 
 class TestTrainerIntegration:

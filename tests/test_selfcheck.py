@@ -81,7 +81,6 @@ class TestEveryFunctionIsEntered:
         "repro.nn._fused:_describe": ("degraded", "tests/test_nn_bank.py"),
         "repro.parallel.pool:run_specs.<locals>.recycle": ("degraded", "tests/test_parallel.py"),
         "repro.parallel.worker:_maybe_crash": ("degraded", "tests/test_parallel.py"),
-        "repro.checkpoint.store:RunStore.drop_after": ("degraded", "tests/test_checkpoint_resume.py"),
         # A pool worker's side of a run, and what it pickles back.
         "repro.parallel.worker:run_job": ("child", "parallel.jobs4"),
         "repro.experiments.runner:RunResult.__getstate__": ("child", "parallel.jobs4"),
@@ -110,9 +109,9 @@ class TestEveryFunctionIsEntered:
         "repro.engine.metrics:TimeSeriesRecorder.final_mean": ("tooling", "benchmarks/perf/workloads.py"),
         "repro.experiments.analysis:relative_slowdown": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.experiments.analysis:time_to_threshold": ("tooling", "src/repro/experiments/artifacts.py"),
-        "repro.experiments.analysis:convergence_summary": ("tooling", "examples/analysis_walkthrough.py"),
-        "repro.experiments.analysis:area_under_curve": ("tooling", "examples/analysis_walkthrough.py"),
-        "repro.experiments.analysis:improvement_rate": ("tooling", "examples/analysis_walkthrough.py"),
+        "repro.experiments.analysis:convergence_summary": ("tooling", "tests/test_analysis_schedulers.py"),
+        "repro.experiments.analysis:area_under_curve": ("tooling", "tests/test_analysis_schedulers.py"),
+        "repro.experiments.analysis:improvement_rate": ("tooling", "tests/test_analysis_schedulers.py"),
         "repro.coreset.strategies:_select": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.coreset.strategies:uniform_coreset": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.coreset.strategies:kmeans_coreset": ("tooling", "src/repro/experiments/artifacts.py"),
@@ -122,9 +121,9 @@ class TestEveryFunctionIsEntered:
         "repro.nn.serialize:_hidden_width": ("tooling", "src/repro/cli.py"),
         "repro.telemetry.export:export_metrics_csv": ("tooling", "src/repro/cli.py"),
         "repro.telemetry.export:_json_default": ("tooling", "src/repro/cli.py"),
-        "repro.core.chatlog:ChatLog.mean_psi": ("tooling", "examples/analysis_walkthrough.py"),
-        "repro.core.chatlog:ChatLog.one_sided_fraction": ("tooling", "examples/analysis_walkthrough.py"),
-        "repro.core.chatlog:ChatLog.per_vehicle_chats": ("tooling", "examples/analysis_walkthrough.py"),
+        "repro.core.chatlog:ChatLog.mean_psi": ("tooling", "tests/test_core_chatlog.py"),
+        "repro.core.chatlog:ChatLog.one_sided_fraction": ("tooling", "tests/test_core_chatlog.py"),
+        "repro.core.chatlog:ChatLog.per_vehicle_chats": ("tooling", "tests/test_core_chatlog.py"),
         "repro.engine.metrics:CounterSet.get": ("tooling", "examples/finetune_pretrained.py"),
         "repro.engine.metrics:ReceiveRateRecorder.rate": ("tooling", "examples/finetune_pretrained.py"),
         "repro.sim.dataset:DrivingDataset.frame": ("tooling", "examples/finetune_pretrained.py"),
@@ -137,16 +136,6 @@ class TestEveryFunctionIsEntered:
         "repro.coreset.theory": ("owed", "ROADMAP item 3"),
         "repro.coreset.verify": ("owed", "ROADMAP item 3"),
         "repro.core.chat:negotiate.<locals>.cut": ("owed", "ROADMAP item 21"),
-        "repro.core.trainer_base:TrainerBase.extra_state": ("owed", "ROADMAP item 21"),
-        "repro.core.trainer_base:TrainerBase.restore_extra": ("owed", "ROADMAP item 21"),
-        "repro.core.trainer_base:RoundTrainer.extra_state": ("owed", "ROADMAP item 21"),
-        "repro.core.trainer_base:RoundTrainer.restore_extra": ("owed", "ROADMAP item 21"),
-        "repro.baselines.proxskip:ProxSkipTrainer.extra_state": ("owed", "ROADMAP item 21"),
-        "repro.baselines.proxskip:ProxSkipTrainer.restore_extra": ("owed", "ROADMAP item 21"),
-        "repro.baselines.rsul:RsuLTrainer.extra_state": ("owed", "ROADMAP item 21"),
-        "repro.baselines.rsul:RsuLTrainer.restore_extra": ("owed", "ROADMAP item 21"),
-        "repro.baselines.dfl_dds:DflDdsTrainer.extra_state": ("owed", "ROADMAP item 21"),
-        "repro.baselines.dfl_dds:DflDdsTrainer.restore_extra": ("owed", "ROADMAP item 21"),
     }
 
     REPO = Path(__file__).parent.parent
