@@ -163,27 +163,36 @@ class FleetEngine:
 
         Each shard draws its own rows' minibatches, each from the node's
         own RNG and dataset — the same draws as per-node lock-step
-        training, whatever thread or shard a row falls in — gathered
-        straight into the stacked buffers (every one ``batch_size`` rows,
-        :meth:`~repro.sim.dataset.DrivingDataset.sample_batch`), then
-        steps those rows; the shards run concurrently.  An empty dataset
-        raises before any shard runs.
+        training, whatever thread or shard a row falls in (every one
+        ``batch_size`` rows, :meth:`~repro.sim.dataset.DrivingDataset.
+        sample_indices`) — then gathers all of them with one
+        :meth:`~repro.sim.dataset.FramePool.take`, decoded straight into
+        the stacked buffers, and steps those rows; the shards run
+        concurrently.  An empty dataset raises before any shard runs.
         """
         nodes = self.nodes
         for node in nodes:
             if len(node.dataset) == 0:
                 raise ValueError(f"node {node.node_id} cannot sample from an empty dataset")
-        bev, commands, targets = batch = self._batch_buffers()
+        batch = self._batch_buffers()
         losses = np.empty(len(nodes), dtype=np.float64)
+        picks = np.empty(batch[1].shape, dtype=np.intp)  # pool row of each batch row
 
         def step(shard: StepShard) -> None:
             for row in range(shard.lo, shard.hi):
                 node = nodes[row]
-                node.dataset.sample_batch(
-                    node.config.batch_size,
-                    node.rng,
-                    out=(bev[row], commands[row], targets[row]),
-                )
+                data = node.dataset
+                picks[row] = data.rows[data.sample_indices(node.config.batch_size, node.rng)]
+            # One gather per run of rows on one pool: the whole shard, in a run.
+            start = shard.lo
+            for stop in range(shard.lo + 1, shard.hi + 1):
+                pool = nodes[start].dataset.pool
+                if stop == shard.hi or nodes[stop].dataset.pool is not pool:
+                    pool.take(
+                        picks[start:stop].ravel(),
+                        out=tuple(buf[start:stop].reshape(-1, *buf.shape[2:]) for buf in batch),
+                    )
+                    start = stop
             shard.run_step(*batch, losses)
 
         if len(self.shards) > 1:
@@ -206,9 +215,10 @@ class FleetEngine:
         if self._batch is None:
             pool = self.nodes[0].dataset.pool
             lead = (len(self.nodes), self.config.batch_size)
-            self._batch = tuple(
-                np.empty((*lead, *column.shape[1:]), dtype=column.dtype)
-                for column in (pool.bev, pool.commands, pool.targets)
+            self._batch = (
+                np.empty((*lead, *pool.frame_shape), dtype=np.float32),
+                np.empty(lead, dtype=pool.commands.dtype),
+                np.empty((*lead, *pool.targets.shape[1:]), dtype=pool.targets.dtype),
             )
         return self._batch
 

@@ -46,10 +46,12 @@ CORESET_REFRESH_STEPS = 25
 
 #: Cache-miss evaluations run through the model in batches of at most
 #: this many frames — a memory guard for very large datasets.  Kept
-#: large so realistic miss sets still evaluate in a single forward,
-#: exactly like the pre-vectorization code (batch composition affects
-#: BLAS accumulation order, and bit-identity with recorded goldens
-#: depends on it).
+#: large so realistic miss sets still evaluate in a single forward, as
+#: the pre-vectorization code did.  That a frame's loss does not depend
+#: on the batch it rides in is a fact of the BLAS the goldens were
+#: recorded on (OpenBLAS sgemm rows do not depend on the row count; a
+#: per-shard chunk moves no bit there), not a property this constant
+#: secures: a BLAS whose rows depend on the batch is ROADMAP item 24's.
 _EVAL_CHUNK = 8192
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
@@ -397,9 +399,13 @@ class VehicleNode:
         strings and ints: a restored node draws on where the snapshotted
         one left off, so a checkpointed run is the run without barriers.
         The loss cache is captured as rows of the frame table and their
-        values — which frames miss determines the batch composition of
-        the next evaluation, and BLAS accumulation order (hence
-        bit-identity) depends on it.
+        values because a resume reads it: a flight that lands before the
+        next train instant aggregates (Eq. 8) with the losses its chat
+        cached (selfcheck rows ``cache.barriers`` / ``cache.resumed``,
+        hook ``restored_cache_read``).  An emptied cache would recompute
+        the same bits on the BLAS the goldens were recorded on, whose
+        sgemm rows do not depend on the batch; on one whose rows do,
+        the batch a resume evaluates could move them (ROADMAP item 24).
         """
         rows, values = self._cache()
         return {

@@ -46,8 +46,11 @@ DEFAULT_CACHE_DIR = Path(".repro_cache")
 #: format 7: ``WorldConfig`` lost ``dt``, ``snapshot_interval`` and
 #: ``out_of_district_prob``, now §IV-A constants of ``repro.sim.world``;
 #: format 8: ``TownMap``'s roads are an adjacency dict, no networkx
-#: graph, and ``TrafficManager``'s pedestrians are rows of arrays).
-_CACHE_FORMAT = 8
+#: graph, and ``TrafficManager``'s pedestrians are rows of arrays;
+#: format 9: ``FramePool`` stores a rendered BEV as ``uint8`` occupancy
+#: plus one ``float32`` speed per frame, in place of one float32 ``bev``
+#: column).
+_CACHE_FORMAT = 9
 
 
 def scale_fingerprint(scale: ExperimentScale) -> str:

@@ -14,11 +14,13 @@ ends with ``D_i <- D_i U C_j``, a chatting fleet's datasets converge on
 the same frames.  Over one pool that costs row numbers: :meth:`subset`,
 :meth:`with_weights`, :meth:`copy` and :meth:`absorb_from` move no frame
 bytes, :meth:`DrivingDataset.sample_batch` and :meth:`take` gather the
-rows they need straight from the pool, and :meth:`arrays` is a read-only
-gather cached until the next mutation — for the small datasets that are
-read whole (a coreset, the validation set), never for a vehicle's
-growing local dataset.  In a run a frame has one name, its pool row:
-a vehicle's loss cache and a checkpoint's frame table key frames by it.
+rows they need straight from the pool (which stores a rendered BEV as
+``uint8`` occupancy and one speed per frame, and decodes on the way
+out), and :meth:`arrays` is a read-only gather cached until the next
+mutation — for the small datasets that are read whole (a coreset, the
+validation set), never for a vehicle's growing local dataset.  In a run
+a frame has one name, its pool row: a vehicle's loss cache and a
+checkpoint's frame table key frames by it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = ["N_WAYPOINTS", "Frame", "FramePool", "DrivingDataset", "collect_fleet
 N_WAYPOINTS = 5
 
 _MIN_CAPACITY = 8
+
+_ONE_BITS = np.float32(1.0).view(np.uint32)
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 _NO_ROWS.flags.writeable = False
@@ -70,15 +74,28 @@ class FramePool:
     row numbers.  The columns live in preallocated buffers that double
     when full (``capacity`` sizes the first allocation for a caller that
     knows how many frames are coming).
+
+    While every frame interned so far is a rendered BEV to the bit —
+    each channel before the last 0/1 (the bits of ``+0.0`` or ``1.0``),
+    the last (the speed) one bit pattern per frame — the BEV is stored
+    as ``uint8`` occupancy plus one ``float32`` per frame: 1/5 of its
+    float32 bytes for the 5-channel BEV.  The first frame that is not
+    (a ``-0.0``, a NaN, a synthetic test frame) re-encodes the pool's
+    rows to ``float32`` per pixel, once; the pool never narrows again.
+    What a reader sees is the float32 frame: :meth:`take` decodes.
     """
 
     def __init__(self, capacity: int = 0):
         self.ids: list[str] = []
         self._index: dict[str, int] = {}
         self._capacity = capacity
-        # Allocated by the first frame (it fixes the BEV shape and the
+        # Set by the first frame (it fixes the BEV shape and the
         # waypoint length).
-        self._bev: np.ndarray | None = None  # (cap, C, H, W) float32
+        self._frame_shape: tuple[int, ...] | None = None  # (C, H, W)
+        # The BEV: ``(occupancy, speeds)``, ``(cap, C-1, H, W)`` uint8 and
+        # ``(cap, 1, 1)`` float32, while every frame is rendered;
+        # ``(bev,)``, ``(cap, C, H, W)`` float32, once one is not.
+        self._stores: tuple[np.ndarray, ...] = ()
         self._commands: np.ndarray | None = None  # (cap,) int64
         self._targets: np.ndarray | None = None  # (cap, 2n) float32
 
@@ -88,9 +105,11 @@ class FramePool:
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_index"]  # rebuilt from ids
-        for name in ("_bev", "_commands", "_targets"):
+        n = len(self)  # drop spare capacity
+        state["_stores"] = tuple(store[:n] for store in self._stores)
+        for name in ("_commands", "_targets"):
             if state[name] is not None:
-                state[name] = state[name][: len(self)]  # drop spare capacity
+                state[name] = state[name][:n]
         return state
 
     def __setstate__(self, state):
@@ -98,9 +117,9 @@ class FramePool:
         self._index = {frame_id: row for row, frame_id in enumerate(self.ids)}
 
     @property
-    def bev(self) -> np.ndarray:
-        """``(len, C, H, W)`` float32 observations, one row per frame."""
-        return self._bev[: len(self)]
+    def frame_shape(self) -> tuple[int, ...] | None:
+        """``(C, H, W)`` of every frame's BEV (``None`` before the first frame)."""
+        return self._frame_shape
 
     @property
     def commands(self) -> np.ndarray:
@@ -116,23 +135,60 @@ class FramePool:
         """The row holding ``frame_id``, or ``None``."""
         return self._index.get(frame_id)
 
-    def _reserve(self, extra: int, bev_shape, target_len: int) -> None:
+    def _reserve(self, extra: int, target_len: int) -> None:
         needed = len(self) + extra
-        if self._bev is None:
+        if self._commands is None:
             cap = max(_MIN_CAPACITY, self._capacity, needed)
-            self._bev = np.empty((cap, *bev_shape), dtype=np.float32)
             self._commands = np.empty(cap, dtype=np.int64)
             self._targets = np.empty((cap, target_len), dtype=np.float32)
             return
-        cap = self._bev.shape[0]
+        cap = self._commands.shape[0]
         if needed <= cap:
             return
         new_cap = max(2 * cap, needed)
-        for name in ("_bev", "_commands", "_targets"):
-            old = getattr(self, name)
-            grown = np.empty((new_cap, *old.shape[1:]), dtype=old.dtype)
-            grown[: len(self)] = old[: len(self)]
-            setattr(self, name, grown)
+
+        def grown(old):
+            new = np.empty((new_cap, *old.shape[1:]), dtype=old.dtype)
+            new[: len(self)] = old[: len(self)]
+            return new
+
+        self._commands, self._targets = grown(self._commands), grown(self._targets)
+        self._stores = tuple(grown(store) for store in self._stores)
+
+    def _write(self, start: int, bev: np.ndarray) -> None:
+        """Store the float32 frames ``bev`` at rows ``start:``, first
+        re-encoding the rows before ``start`` to float32 if ``bev`` is
+        the first batch that is not rendered."""
+        cap = self._commands.shape[0]
+        if len(self._stores) != 1 and not _rendered(bev):
+            dense = np.empty((cap, *bev.shape[1:]), dtype=np.float32)
+            if self._stores:
+                self._decoded(np.arange(start), out=dense[:start])
+            self._stores = (dense,)
+        elif not self._stores:
+            channels, *pixels = bev.shape[1:]
+            self._stores = (
+                np.empty((cap, channels - 1, *pixels), dtype=np.uint8),
+                np.empty((cap, 1, 1), dtype=np.float32),
+            )
+        stop = start + len(bev)
+        if len(self._stores) == 1:
+            self._stores[0][start:stop] = bev
+        else:
+            occupancy, speeds = self._stores
+            occupancy[start:stop] = bev[:, :-1]
+            speeds[start:stop] = bev[:, -1, :1, :1]
+
+    def _decoded(self, rows, out=None, mode="raise") -> np.ndarray:
+        """The float32 BEV of ``rows``, into ``out`` if given."""
+        if len(self._stores) == 1:
+            return self._stores[0].take(rows, axis=0, out=out, mode=mode)
+        if out is None:
+            out = np.empty((len(rows), *self._frame_shape), dtype=np.float32)
+        occupancy, speeds = self._stores
+        out[:, :-1] = occupancy.take(rows, axis=0, mode=mode)
+        out[:, -1] = speeds.take(rows, axis=0, mode=mode)  # broadcast over the pixels
+        return out
 
     def intern(self, ids, bev, commands, targets) -> np.ndarray:
         """The row of each id, appending the frames the pool lacks.
@@ -153,12 +209,24 @@ class FramePool:
                 picks.append(k)
             rows[k] = row
         if picks:
-            bev, targets = np.asarray(bev), np.asarray(targets)
-            self._reserve(len(picks), bev.shape[1:], targets.shape[1])
+            bev = np.asarray(bev)[picks].astype(np.float32, copy=False)
+            targets = np.asarray(targets)[picks]
+            if bev.ndim != 4:
+                raise ValueError(f"a frame's BEV is (C, H, W), not {bev.shape[1:]}")
+            if self._frame_shape is not None and (
+                bev.shape[1:] != self._frame_shape
+                or targets.shape[1:] != self._targets.shape[1:]
+            ):
+                raise ValueError(
+                    f"frames of shape {bev.shape[1:]} / {targets.shape[1:]} in a pool of "
+                    f"{self._frame_shape} / {self._targets.shape[1:]}"
+                )
+            self._reserve(len(picks), targets.shape[1])
+            self._write(start, bev)
+            self._frame_shape = bev.shape[1:]
             stop = start + len(picks)
-            self._bev[start:stop] = bev[picks]
             self._commands[start:stop] = np.asarray(commands)[picks]
-            self._targets[start:stop] = targets[picks]
+            self._targets[start:stop] = targets
             # Committed last: a frame of another shape raises above and
             # leaves the pool as it was.
             index.update(new_rows)
@@ -168,19 +236,23 @@ class FramePool:
     def take(self, rows, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(bev, commands, targets)`` of ``rows``, gathered read-only.
 
-        Read-only because nobody else holds the gather: a forward-only
-        evaluation can alias it without the defensive copy a layer takes
-        of a buffer its caller might refill.  ``out`` (three arrays of
-        the gather's shapes and dtypes) receives the gather instead.
+        The BEV comes out float32, decoded from its stored form.
+        Read-only because nobody else holds the gather: a
+        forward-only evaluation can alias it without the defensive copy
+        a layer takes of a buffer its caller might refill.  ``out``
+        (three arrays of the gather's shapes and dtypes) receives the
+        gather instead.
         """
         if out is not None:
-            for column, buf in zip((self._bev, self._commands, self._targets), out):
-                # Rows are this pool's by construction; "clip" gathers
-                # straight into ``out`` where "raise" would buffer it.
-                np.take(column, rows, axis=0, out=buf, mode="clip")
+            # Rows are this pool's by construction; "clip" gathers
+            # straight into ``out`` where "raise" would buffer it (a
+            # rendered BEV still goes through its uint8 gather).
+            self._decoded(rows, out[0], mode="clip")
+            self._commands.take(rows, axis=0, out=out[1], mode="clip")
+            self._targets.take(rows, axis=0, out=out[2], mode="clip")
             return out
         return (
-            _frozen(self._bev[rows]),
+            _frozen(self._decoded(rows)),
             _frozen(self._commands[rows]),
             _frozen(self._targets[rows]),
         )
@@ -196,6 +268,18 @@ class FramePool:
         if absent or len(out._members) != rows.size:
             raise ValueError("a dataset holds rows of its pool, each at most once")
         return out
+
+
+def _rendered(bev: np.ndarray) -> bool:
+    """Whether every frame of float32 ``bev`` is a rendered BEV to the
+    bit: each channel before the last 0/1, the last one value per frame.
+    Bits, not values: ``-0.0 == 0.0`` but would decode as ``+0.0``."""
+    bits = bev.view(np.uint32)
+    occupancy, speeds = bits[:, :-1], bits[:, -1].reshape(len(bits), -1)
+    return bool(
+        ((occupancy == 0) | (occupancy == _ONE_BITS)).all()
+        and (speeds == speeds[:, :1]).all()
+    )
 
 
 class DrivingDataset:
@@ -347,13 +431,14 @@ class DrivingDataset:
         return self._views
 
     def frame(self, index: int) -> Frame:
-        """Materialize the i-th frame as a Frame object (zero-copy views)."""
+        """Materialize the i-th frame as a Frame object (read-only arrays)."""
         row = int(self._rows[index])
+        bev, commands, targets = self._pool.take([row])
         return Frame(
             frame_id=self._pool.ids[row],
-            bev=_frozen(self._pool.bev[row]),
-            command=int(self._pool.commands[row]),
-            waypoints=_frozen(self._pool.targets[row]),
+            bev=bev[0],
+            command=int(commands[0]),
+            waypoints=targets[0],
             weight=float(self._weights[index]),
         )
 
@@ -435,19 +520,12 @@ class DrivingDataset:
             self._strata_generation = self._generation
         return self._strata
 
-    def sample_batch(
-        self,
-        batch_size: int,
-        rng: np.random.Generator,
-        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Command-balanced weighted minibatch: (bev, commands, targets, indices).
+    def sample_indices(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Indices of a command-balanced weighted minibatch.
 
-        Always ``batch_size`` rows, drawn with replacement when the
+        Always ``batch_size`` of them, drawn with replacement when the
         dataset holds fewer frames than that, so every node's batch
         stacks into the fleet's one dense step whatever it has collected.
-        The rows are gathered from the pool (read-only), or into ``out``
-        (the fleet's stacked buffers; the same draws either way).
 
         The batch is stratified uniformly over the commands present in
         the dataset (the standard trick for command-branched imitation
@@ -465,13 +543,25 @@ class DrivingDataset:
             raise ValueError("cannot sample from an empty dataset")
         strata = self._command_strata()
         share, extra = divmod(batch_size, len(strata))
-        idx = np.concatenate(
+        return np.concatenate(
             [
                 members[cdf.searchsorted(rng.random(share + (k < extra)), side="right")]
                 for k, (members, cdf) in enumerate(strata)
             ]
         )
-        return (*self._pool.take(self._rows[idx], out=out), idx)
+
+    def sample_batch(
+        self, batch_size: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Command-balanced weighted minibatch: (bev, commands, targets, indices).
+
+        The frames at :meth:`sample_indices`' draw, gathered from the
+        pool (read-only).  A fleet step draws the same indices per row
+        and gathers a whole shard's rows at once
+        (:meth:`~repro.core.fleet.FleetEngine.train_step_all`).
+        """
+        idx = self.sample_indices(batch_size, rng)
+        return (*self._pool.take(self._rows[idx]), idx)
 
 
 def collect_fleet_datasets(

@@ -83,13 +83,27 @@ def make_frame(rng, frame_id):
     )
 
 
+def make_rendered_frame(rng, frame_id):
+    """A frame as ``sim.bev`` renders one: 0/1 occupancy channels, then a
+    speed plane (0.0 for a car at rest)."""
+    bev = (rng.random(BEV_SHAPE) < 0.2).astype(np.float32)
+    bev[-1] = np.float32(rng.choice([0.0, rng.uniform(0.0, 1.5)]))
+    return Frame(
+        frame_id,
+        bev,
+        int(rng.integers(0, 4)),
+        rng.normal(size=N_TARGETS).astype(np.float32),
+        float(rng.uniform(0.25, 4.0)),
+    )
+
+
 def assert_same(pooled: DrivingDataset, ref: RefDataset):
     assert pooled.ids == [f.frame_id for f in ref.frames]
     assert len(pooled) == len(ref.frames)
     if not ref.frames:
         return
     for got, want in zip(pooled.arrays(), ref.arrays()):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not got.flags.writeable
     assert np.array_equal(pooled.weights, ref.arrays()[3])
     assert np.array_equal(pooled.commands, ref.arrays()[1])
@@ -98,9 +112,20 @@ def assert_same(pooled: DrivingDataset, ref: RefDataset):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_operation_sequences_match_the_reference(seed):
+    run_operation_sequence(seed, make_frame)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rendered_frames_match_the_reference(seed):
+    """The same sequences over frames the pool stores narrow: absorbs
+    across pools intern them, and pickling carries the narrow columns."""
+    run_operation_sequence(seed, make_rendered_frame)
+
+
+def run_operation_sequence(seed, make):
     rng = np.random.default_rng(seed)
     # The frames any dataset may ever see; an id always names the same content.
-    universe = [make_frame(rng, f"f{i}") for i in range(40)]
+    universe = [make(rng, f"f{i}") for i in range(40)]
     first = universe[:6]
     pairs = [(DrivingDataset(first), RefDataset(first))]
 
@@ -239,7 +264,8 @@ class TestPickling:
         data = DrivingDataset(frames("a", 50))
         family = [data, data.copy(), data.subset(range(0, 50, 2)), data.with_weights(np.ones(50))]
         blob = pickle.dumps(family)
-        assert len(blob) < 1.5 * data.pool.bev.nbytes + 4 * len(pickle.dumps(data.pool.ids)) + 8192
+        frame_bytes = sum(store[: len(data.pool)].nbytes for store in stores(data.pool))
+        assert len(blob) < 1.5 * frame_bytes + 4 * len(pickle.dumps(data.pool.ids)) + 8192
         clones = pickle.loads(blob)
         assert len({id(clone.pool) for clone in clones}) == 1
         assert [clone.ids for clone in clones] == [member.ids for member in family]
@@ -255,7 +281,9 @@ class TestPickling:
         pool = context.validation.pool
         gather = result.nodes[0].coreset.data.arrays()[0]  # cached on the coreset
         blob = pickle.dumps(result)
-        assert blob.count(pool.bev.tobytes()) == 1
+        assert is_rendered(pool)
+        for column in columns(pool):
+            assert blob.count(column.tobytes()) == 1
         assert blob.count(gather.tobytes()) == 0  # a cached gather does not travel
         received = pickle.loads(blob)
         held = [d for node in received.nodes for d in (node.dataset, node.coreset.data)]
@@ -265,8 +293,9 @@ class TestPickling:
 
 class TestGatherInPlace:
     def test_the_fleet_buffers_are_todays_batches_stacked(self):
-        """``sample_batch(out=...)`` gathers into the fleet's stacked
-        buffers what stacking the returned batches would, from the same
+        """A shard's ``sample_indices`` draws, gathered with one
+        ``FramePool.take(out=...)`` into the fleet's stacked buffers,
+        stack what per-node ``sample_batch`` calls return, from the same
         RNG draws."""
         from tests.test_nn_bank import build_fleet
 
@@ -283,14 +312,211 @@ class TestGatherInPlace:
             assert node.rng.bit_generator.state == rng.bit_generator.state
 
     def test_out_returns_the_buffers_and_the_indices(self):
+        """What a shard's one gather is: the draw's pool rows taken into
+        ``out``, the same frames ``sample_batch`` returns."""
         dataset = DrivingDataset(frames("o", 5))
-        out = tuple(
-            np.empty((4, *column.shape[1:]), dtype=column.dtype)
-            for column in (dataset.pool.bev, dataset.pool.commands, dataset.pool.targets)
+        pool = dataset.pool
+        out = (
+            np.empty((4, *pool.frame_shape), dtype=np.float32),
+            np.empty(4, dtype=pool.commands.dtype),
+            np.empty((4, *pool.targets.shape[1:]), dtype=pool.targets.dtype),
         )
-        bev, commands, targets, idx = dataset.sample_batch(4, np.random.default_rng(1), out=out)
-        assert all(got is buf for got, buf in zip((bev, commands, targets), out))
+        idx = dataset.sample_indices(4, np.random.default_rng(1))
+        got = pool.take(dataset.rows[idx], out=out)
+        assert all(column is buf for column, buf in zip(got, out))
         want = dataset.sample_batch(4, np.random.default_rng(1))
         assert np.array_equal(idx, want[3])
-        for got, ref in zip(out, want):
-            assert np.array_equal(got, ref)
+        for column, ref in zip(out, want):
+            assert np.array_equal(column, ref)
+
+
+def stores(pool):
+    """The pool's BEV stores, spare rows included: ``(occupancy, speeds)``
+    while every frame is rendered, ``(bev,)`` once one is not."""
+    return pool._stores
+
+
+def is_rendered(pool):
+    return [store.dtype for store in stores(pool)] == [np.uint8, np.float32]
+
+
+def is_dense(pool):
+    return [store.dtype for store in stores(pool)] == [np.float32]
+
+
+def columns(pool):
+    """Every column the pool stores, its rows only."""
+    return [*(store[: len(pool)] for store in stores(pool)), pool.commands, pool.targets]
+
+
+def pool_of(bevs, prefix="s"):
+    """A pool of ``bevs`` (float32 ``(n, C, H, W)``), interned in one call."""
+    pool = FramePool()
+    n = len(bevs)
+    pool.intern(
+        [f"{prefix}{i}" for i in range(n)],
+        bevs,
+        np.arange(n) % 4,
+        np.arange(n * N_TARGETS, dtype=np.float32).reshape(n, N_TARGETS),
+    )
+    return pool
+
+
+def intern(pool, prefix, bevs):
+    n = len(bevs)
+    pool.intern([f"{prefix}{i}" for i in range(n)], bevs, np.zeros(n), np.zeros((n, N_TARGETS)))
+
+
+def assert_bits(pool, bevs):
+    """Every way out of the pool reads ``bevs`` to the bit."""
+    rows = np.arange(len(bevs))
+    assert pool.take(rows)[0].tobytes() == bevs.tobytes()
+    out = (
+        np.empty_like(bevs),
+        np.empty(len(bevs), dtype=np.int64),
+        np.empty((len(bevs), N_TARGETS), np.float32),
+    )
+    assert pool.take(rows[::-1], out=out)[0].tobytes() == bevs[::-1].tobytes()
+    data = pool.dataset(rows)
+    assert data.arrays()[0].tobytes() == bevs.tobytes()
+    assert data.frame(-1).bev.tobytes() == bevs[-1].tobytes()
+
+
+def rendered(n, seed=0, speed=None):
+    """``(n,) + BEV_SHAPE`` frames as ``sim.bev`` renders them: channel 0
+    occupancy, channel 1 the speed plane (``speed``, or a random value
+    per frame)."""
+    rng = np.random.default_rng(seed)
+    bevs = (rng.random((n, *BEV_SHAPE)) < 0.3).astype(np.float32)
+    values = rng.uniform(0.1, 1.5, n) if speed is None else np.full(n, speed)
+    bevs[:, 1] = values.astype(np.float32)[:, None, None]
+    return bevs
+
+
+class TestStorageForms:
+    """Rendered frames are stored as uint8 occupancy plus one speed per
+    frame; the first frame that is not turns the pool float32, once."""
+
+    def test_each_form_round_trips_to_the_bit(self):
+        bevs = rendered(12)
+        pool = pool_of(bevs)
+        assert is_rendered(pool)
+        assert_bits(pool, bevs)
+        dense = np.random.default_rng(3).normal(size=(12, *BEV_SHAPE)).astype(np.float32)
+        pool = pool_of(dense)
+        assert is_dense(pool)
+        assert_bits(pool, dense)
+
+    def test_a_rendered_frame_takes_a_fifth_of_its_float32_bytes(self):
+        bevs = (np.random.default_rng(0).random((30, 5, 20, 20)) < 0.1).astype(np.float32)
+        bevs[:, 4] = np.linspace(0.0, 1.2, 30, dtype=np.float32)[:, None, None]
+        pool = pool_of(bevs)
+        assert is_rendered(pool)
+        assert sum(store[: len(pool)].nbytes for store in stores(pool)) == 30 * (1600 + 4)
+        assert_bits(pool, bevs)
+
+    def test_an_all_dark_first_batch_stays_rendered(self):
+        dark = np.zeros((3, *BEV_SHAPE), np.float32)
+        pool = pool_of(dark)
+        assert is_rendered(pool)
+        before = stores(pool)
+        lit = rendered(4, seed=1)
+        intern(pool, "l", lit)
+        assert all(now is then for now, then in zip(stores(pool), before))  # no re-encode
+        assert_bits(pool, np.concatenate([dark, lit]))
+
+    def test_a_speed_that_leaves_zero_needs_no_reencode(self):
+        at_rest = rendered(5, seed=2, speed=0.0)
+        pool = pool_of(at_rest, "r")
+        before = stores(pool)
+        moving = rendered(3, seed=3, speed=0.37)
+        intern(pool, "m", moving)
+        assert is_rendered(pool)  # not dense
+        assert all(now is then for now, then in zip(stores(pool), before))
+        assert_bits(pool, np.concatenate([at_rest, moving]))
+
+    @pytest.mark.parametrize("channel", [0, 1], ids=["occupancy", "speed"])
+    def test_a_frame_that_is_not_rendered_makes_the_pool_dense(self, channel):
+        held = rendered(6, seed=4)
+        pool = pool_of(held, "h")
+        odd = rendered(1, seed=5)
+        odd[0, channel, 1, 2] = 0.5  # neither 0/1 nor one value per frame
+        intern(pool, "odd", odd)
+        assert is_dense(pool)
+        # The pool never narrows again: a later rendered frame is written
+        # in place, with no re-encode of the rows before it.
+        before = stores(pool)
+        late = rendered(1, seed=6)
+        intern(pool, "late", late)
+        assert is_dense(pool) and stores(pool)[0] is before[0]
+        assert_bits(pool, np.concatenate([held, odd, late]))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 3, 3)], ids=["occupancy", "speed"])
+    @pytest.mark.parametrize(
+        "special", [np.float32(-0.0), np.float32(np.nan)], ids=["negative_zero", "nan"]
+    )
+    def test_negative_zero_and_nan_stay_dense(self, special, where):
+        """The layout is chosen by bits, not values: ``-0.0 == 0.0`` would
+        let occupancy or a ``+0.0`` speed decode it as ``+0.0``."""
+        bevs = rendered(4, seed=8, speed=0.0)
+        bevs[(2, *where)] = special
+        pool = pool_of(bevs)
+        assert is_dense(pool)
+        assert_bits(pool, bevs)
+        assert np.signbit(pool.take([2])[0][(0, *where)]) == np.signbit(special)
+
+    def test_a_speed_of_one_bit_pattern_stays_rendered(self):
+        """A whole plane of ``-0.0`` is one value per frame: its bits are kept."""
+        bevs = rendered(3, seed=12, speed=-0.0)
+        pool = pool_of(bevs)
+        assert is_rendered(pool)
+        assert_bits(pool, bevs)
+        assert np.signbit(pool.take([1])[0][0, 1]).all()
+
+    def test_frames_interned_one_by_one_read_as_one_batch(self):
+        bevs = np.concatenate([rendered(3, speed=0.0), rendered(3, seed=9)])
+        bevs[5, 0, 2, 2] = 0.75
+        one_by_one = FramePool()
+        for i, bev in enumerate(bevs):
+            one_by_one.intern([f"s{i}"], bev[None], [0], np.zeros((1, N_TARGETS)))
+        assert is_dense(one_by_one) and is_dense(pool_of(bevs))
+        assert_bits(one_by_one, bevs)
+
+    @pytest.mark.parametrize("odd", [None, 15], ids=["rendered", "dense"])
+    def test_pickling_drops_spare_capacity_and_carries_each_column_once(self, odd):
+        bevs = rendered(20, seed=10)
+        if odd is not None:
+            bevs[odd, 0, 0, 0] = 0.5  # the second intern re-encodes the first's rows
+        pool = FramePool(capacity=64)
+        data = pool.dataset([])
+        for start in (0, 10):
+            rows = pool.intern(
+                [f"c{i}" for i in range(start, start + 10)],
+                bevs[start : start + 10],
+                np.zeros(10),
+                np.ones((10, N_TARGETS)),
+            )
+            data._append(rows, np.ones(10))
+        assert is_dense(pool) == (odd is not None)
+        assert all(len(store) == 64 for store in stores(pool))
+        blob = pickle.dumps([data, data.copy()])
+        for column in columns(pool):
+            assert blob.count(column.tobytes()) == 1
+        clone, _ = pickle.loads(blob)
+        assert all(len(store) == 20 for store in stores(clone.pool))  # no spare rows
+        assert_bits(clone.pool, bevs)
+
+    def test_a_checkpoints_carried_frames_reintern_to_equal_bits(self):
+        from repro.checkpoint.state import FrameTable
+
+        bevs = rendered(8, seed=11)
+        data = pool_of(bevs).dataset(range(8))
+        table = FrameTable()
+        ref = table.ref(data.subset([6, 1, 3]))
+        state = table.state()
+        assert state["pools"][0]["bev"].tobytes() == bevs[[1, 3, 6]].tobytes()
+        # A pool that holds none of them, and one that is dense.
+        for pool in (FramePool(), pool_of(np.full((1, *BEV_SHAPE), 0.5, np.float32), "x")):
+            restored = FrameTable(state).dataset(ref, pool)
+            assert restored.ids == ["s6", "s1", "s3"]
+            assert restored.arrays()[0].tobytes() == bevs[[6, 1, 3]].tobytes()

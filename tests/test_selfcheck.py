@@ -69,6 +69,12 @@ class TestEveryFunctionIsEntered:
         "repro.nn.model:WaypointNet.backward": ("oracle", "tests/test_nn_bank.py"),
         "repro.nn.optim": ("oracle", "tests/test_nn_bank.py"),
         "repro.nn.params:Parameter.zero_grad": ("oracle", "tests/test_nn_layers.py"),
+        # A minibatch per node: the fleet gathers a shard's draws at
+        # once, and its stacked buffers are held to these row by row.
+        "repro.sim.dataset:DrivingDataset.sample_batch": (
+            "oracle",
+            "tests/test_dataset_pool.py::TestGatherInPlace",
+        ),
         # Scalar forms of an array statement, one element each.
         "repro.core.psi:PsiLossMap.loss_at": ("oracle", "tests/test_core_value_psi_aggregate.py"),
         "repro.core.value:truncated_gain": ("oracle", "tests/test_core_value_psi_aggregate.py"),
@@ -115,7 +121,6 @@ class TestEveryFunctionIsEntered:
         "repro.coreset.strategies:_select": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.coreset.strategies:uniform_coreset": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.coreset.strategies:kmeans_coreset": ("tooling", "src/repro/experiments/artifacts.py"),
-        "repro.sim.dataset:DrivingDataset.with_weights": ("tooling", "src/repro/experiments/artifacts.py"),
         "repro.nn.serialize:save_model": ("tooling", "src/repro/cli.py"),
         "repro.nn.serialize:load_model": ("tooling", "src/repro/cli.py"),
         "repro.nn.serialize:_hidden_width": ("tooling", "src/repro/cli.py"),
@@ -135,7 +140,6 @@ class TestEveryFunctionIsEntered:
         "repro.experiments.multiseed": ("owed", "ROADMAP item 2"),
         "repro.coreset.theory": ("owed", "ROADMAP item 3"),
         "repro.coreset.verify": ("owed", "ROADMAP item 3"),
-        "repro.core.chat:negotiate.<locals>.cut": ("owed", "ROADMAP item 21"),
     }
 
     REPO = Path(__file__).parent.parent
@@ -397,6 +401,16 @@ def test_the_accounting_hooks_bite(runner, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(run.result, "receive_completed", run.result.receive_attempted + 1)
         assert len(list(selfcheck.transfers_conserved(run))) == 1
+
+
+def test_a_chat_aborted_in_negotiate_bites(runner):
+    """It passes on the short-range row (``test_row``), whose aborted
+    chats the accounting hooks read; the city world's own radio keeps
+    every chat whole and fails it."""
+    run = runner.check("city.short_range")
+    assert list(selfcheck.a_chat_aborted_in_negotiate(run)) == []
+    assert run.result.trainer.chat_log.abort_counts()  # ... and the log holds one
+    assert len(list(selfcheck.a_chat_aborted_in_negotiate(runner.check("city.LbChat")))) == 1
 
 
 def test_models_attempted_bites(runner):

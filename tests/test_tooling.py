@@ -187,7 +187,8 @@ class TestContextCache:
         """Format 8 pickles a ``TownMap`` whose roads are an adjacency
         dict (format 7's held a networkx graph) and pedestrians as rows.
         A format-7 file is never opened: the context is rebuilt under
-        the format-8 name and the old file is left as it was."""
+        the current format's name (9: the frame pool's narrow channel
+        forms) and the old file is left as it was."""
         import warnings
 
         from repro.experiments import io
@@ -201,7 +202,7 @@ class TestContextCache:
             warnings.simplefilter("error")  # opening it would warn: it does not unpickle
             context = io.cached_context(micro, cache_dir=tmp_path)
         new = tmp_path / f"context-{micro.name}-{io.scale_fingerprint(micro)}.pkl"
-        assert io._CACHE_FORMAT == 8 and new != old and new.exists()
+        assert io._CACHE_FORMAT == 9 and new != old and new.exists()
         assert old.read_bytes() == b"a format-7 context"
         assert len(context.datasets) == 2
         assert not hasattr(context.town, "graph") and context.town.adjacency
@@ -735,10 +736,16 @@ class TestFramesAreStoredOnce:
         # gathers of coresets and the validation set, and nothing else.
         distinct = {id(data): data for _, data in datasets}.values()
         views = sum(data._views[0].nbytes for data in distinct if data._views)
-        held = self.frame_bytes(pool) + sum(self.frame_bytes(data) for data in distinct)
-        assert self.frame_bytes(pool) == pool.bev.nbytes  # no spare capacity either
-        assert held == pool.bev.nbytes + views
-        assert views <= sum(len(data) for data in distinct if id(data) not in local) * pool.bev[0].nbytes
+        frame = 4 * int(np.prod(pool.frame_shape))  # one frame's float32 BEV bytes
+        stores = pool._stores
+        assert [len(store) for store in stores] == [len(pool)] * len(stores)  # no spare capacity
+        # No BEV-shaped array beside the stores (a decoded copy, say).
+        assert self.frame_bytes(pool) == sum(store.nbytes for store in stores if store.ndim == 4)
+        # The frames are rendered: uint8 occupancy and one speed per
+        # frame take a fifth of the float32 bytes.
+        assert sum(store.nbytes for store in stores) <= len(pool) * frame / 4
+        assert sum(self.frame_bytes(data) for data in distinct) == views
+        assert views <= sum(len(data) for data in distinct if id(data) not in local) * frame
 
 
 class TestEvaluationInputsAreNotCopied:
