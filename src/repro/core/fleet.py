@@ -11,12 +11,13 @@ its row, and the fleet's Adam owns its optimizer state.
 Every trainer runs all vehicles' local iterations in lock-step — busy
 state gates communication only, never training — so one process of the
 trainer's event loop calls :meth:`FleetEngine.train_step_all` once per
-train instant: it samples every node's minibatch, runs one batched
-forward/backward over the bank, and applies a vectorized Adam step for
-the whole fleet.  That step, and the fleet's validation pass, run as
-contiguous row shards on threads (:mod:`repro.parallel.stepshard`); each
-shard draws its own rows' minibatches, each from the node's own stream,
-so results are bit-identical for any shard count.
+train instant: it samples every node's minibatch, runs batched
+forward/backward passes over the bank, and applies a vectorized Adam
+step to every row.  That step, and the fleet's validation pass, run as
+contiguous row shards on threads, each shard in row blocks over one
+block of scratch (:mod:`repro.parallel.stepshard`); each block draws its
+own rows' minibatches, each from the node's own stream, so results are
+bit-identical for any shard count and block height.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class FleetEngine:
     parameters into every row with one broadcast, cuts the rows into
     ``step_workers`` contiguous :class:`~repro.parallel.stepshard.
     StepShard`\\ s (default: one per usable core, at most one per row)
-    that the two fleet-wide ops run on threads, and constructs each
+    that the two fleet-wide ops run on threads — each with its own
+    row-block scratch, the only gradient and minibatch memory the fleet
+    has — and constructs each
     :class:`VehicleNode` on ``(fleet, row)``; a node builds its first
     coreset from its own RNG.  A template the bank cannot stack raises
     :class:`FleetIncompatible` — there is no per-node training to
@@ -93,19 +96,22 @@ class FleetEngine:
         # ``mean_step_width`` == n_nodes once any step ran.
         self.step_events = 0
         self.step_width_sum = 0
-        #: The stacked ``(n, batch, ...)`` minibatch every step gathers
-        #: into (allocated by the first step, reused by every later one).
-        self._batch: tuple[np.ndarray, ...] | None = None
 
     def _build_shards(self) -> None:
-        shards = []
-        for lo, hi in self._row_ranges:
-            rows = self.bank.slice_rows(lo, hi)
-            net = FleetWaypointNet(rows, self.template)
-            shards.append(StepShard(lo, hi, net, self.optim.slice_rows(lo, hi, rows)))
+        template, batch = self.template, self.config.batch_size
+        # A row's minibatch: its frames, commands and waypoint targets,
+        # in the frame pool's column dtypes (``take`` gathers into them).
+        columns = (
+            ((batch, *template.bev_shape), np.float32),
+            ((batch,), np.int64),
+            ((batch, 2 * template.n_waypoints), np.float32),
+        )
         #: The row shards :meth:`train_step_all` and :meth:`evaluate_fleet`
         #: run concurrently (one shard: the whole fleet, on this thread).
-        self.shards = tuple(shards)
+        self.shards = tuple(
+            StepShard(self.bank, self.optim, template, lo, hi, columns)
+            for lo, hi in self._row_ranges
+        )
 
     @staticmethod
     def of(nodes: list[VehicleNode]) -> "FleetEngine":
@@ -135,14 +141,17 @@ class FleetEngine:
         """
         bank = self._row_banks.get(row)
         if bank is None:
-            bank = self._row_banks[row] = self.bank.slice_rows(row, row + 1)
+            # A forward never writes its gradients, so every one-row net
+            # borrows the first row of shard 0's scratch.
+            grad = self.shards[0].grad[:1]
+            bank = self._row_banks[row] = self.bank.slice_rows(row, row + 1, grad)
         return FleetWaypointNet(bank, self.template)
 
     def __getstate__(self):
         """A fleet crossing processes (a run's result) takes its banks and
         nodes, not its shards' activations or its scratch."""
         state = self.__dict__.copy()
-        state.update(shards=(), _row_banks={}, _batch=None)
+        state.update(shards=(), _row_banks={})
         return state
 
     def __setstate__(self, state):
@@ -161,43 +170,20 @@ class FleetEngine:
     def train_step_all(self) -> np.ndarray:
         """One batched minibatch step for every node; per-node losses.
 
-        Each shard draws its own rows' minibatches, each from the node's
-        own RNG and dataset — the same draws as per-node lock-step
-        training, whatever thread or shard a row falls in (every one
-        ``batch_size`` rows, :meth:`~repro.sim.dataset.DrivingDataset.
-        sample_indices`) — then gathers all of them with one
-        :meth:`~repro.sim.dataset.FramePool.take`, decoded straight into
-        the stacked buffers, and steps those rows; the shards run
-        concurrently.  An empty dataset raises before any shard runs.
+        Each shard steps its row blocks in turn (:meth:`~repro.parallel.
+        stepshard.StepShard.run_step`), and each block draws its rows'
+        minibatches (:meth:`_draw`) into the shard's scratch before it
+        steps them; the shards run concurrently.  An empty dataset
+        raises before any shard runs.
         """
         nodes = self.nodes
         for node in nodes:
             if len(node.dataset) == 0:
                 raise ValueError(f"node {node.node_id} cannot sample from an empty dataset")
-        batch = self._batch_buffers()
         losses = np.empty(len(nodes), dtype=np.float64)
-        picks = np.empty(batch[1].shape, dtype=np.intp)  # pool row of each batch row
-
-        def step(shard: StepShard) -> None:
-            for row in range(shard.lo, shard.hi):
-                node = nodes[row]
-                data = node.dataset
-                picks[row] = data.rows[data.sample_indices(node.config.batch_size, node.rng)]
-            # One gather per run of rows on one pool: the whole shard, in a run.
-            start = shard.lo
-            for stop in range(shard.lo + 1, shard.hi + 1):
-                pool = nodes[start].dataset.pool
-                if stop == shard.hi or nodes[stop].dataset.pool is not pool:
-                    pool.take(
-                        picks[start:stop].ravel(),
-                        out=tuple(buf[start:stop].reshape(-1, *buf.shape[2:]) for buf in batch),
-                    )
-                    start = stop
-            shard.run_step(*batch, losses)
-
         if len(self.shards) > 1:
             fused_adam_step()  # resolve the kernel once, before shard threads race to load it
-        run_shards(self.shards, step)
+        run_shards(self.shards, lambda shard: shard.run_step(self._draw, losses))
         self.step_events += len(nodes)
         self.step_width_sum += len(nodes) * len(nodes)
         for node in nodes:
@@ -206,21 +192,31 @@ class FleetEngine:
             node._steps_since_refresh += 1
         return losses
 
-    def _batch_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The persistent ``(n, batch, ...)`` bev / command / target buffers.
+    def _draw(self, lo: int, hi: int, batch: tuple[np.ndarray, ...]) -> None:
+        """Rows ``[lo, hi)``'s minibatches, gathered into ``batch``.
 
-        Reusing them step over step avoids re-faulting tens of megabytes
-        of freshly mmap'd pages on every training instant.
+        Each row draws from its node's own RNG and dataset — the same
+        draws as per-node lock-step training, whatever thread, shard or
+        block a row falls in (every one ``batch_size`` rows,
+        :meth:`~repro.sim.dataset.DrivingDataset.sample_indices`) — then
+        one :meth:`~repro.sim.dataset.FramePool.take` per run of rows on
+        one pool (the whole block, in a run) decodes the frames straight
+        into ``batch``.
         """
-        if self._batch is None:
-            pool = self.nodes[0].dataset.pool
-            lead = (len(self.nodes), self.config.batch_size)
-            self._batch = (
-                np.empty((*lead, *pool.frame_shape), dtype=np.float32),
-                np.empty(lead, dtype=pool.commands.dtype),
-                np.empty((*lead, *pool.targets.shape[1:]), dtype=pool.targets.dtype),
-            )
-        return self._batch
+        nodes = self.nodes[lo:hi]
+        picks = np.empty(batch[1].shape, dtype=np.intp)  # pool row of each batch row
+        for k, node in enumerate(nodes):
+            data = node.dataset
+            picks[k] = data.rows[data.sample_indices(node.config.batch_size, node.rng)]
+        start = 0
+        for stop in range(1, len(nodes) + 1):
+            pool = nodes[start].dataset.pool
+            if stop == len(nodes) or nodes[stop].dataset.pool is not pool:
+                pool.take(
+                    picks[start:stop].ravel(),
+                    out=tuple(buf[start:stop].reshape(-1, *buf.shape[2:]) for buf in batch),
+                )
+                start = stop
 
     # -- evaluation ----------------------------------------------------------
 
@@ -244,8 +240,8 @@ class FleetEngine:
         if need:
             fresh = np.empty((n_nodes, n), dtype=np.float32)
             # Keep total forward work per chunk near the per-node cap.  The
-            # chunk is the fleet's, whatever a shard's height: a row's
-            # GEMMs keep their shape for any shard count.
+            # chunk is the fleet's, whatever a shard's or a block's height:
+            # a row's GEMMs keep their shape for any shard count.
             chunk = max(1, _EVAL_CHUNK // n_nodes)
             run_shards(
                 self.shards,

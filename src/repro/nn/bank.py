@@ -7,17 +7,21 @@ so one batched tensor op per layer trains or evaluates the whole fleet;
 it is the only forward and the only gradient step a run has:
 
 * :class:`ParamBank` owns one C-contiguous ``(n_nodes, n_params)``
-  float32 matrix (plus a twin for gradients), laid out after a template
-  model.  A vehicle's parameters are a bank row from birth and nowhere
-  else: :class:`~repro.core.fleet.FleetEngine` writes the template into
-  every row and hands each :class:`~repro.core.node.VehicleNode` its
-  row, so chat aggregation, compression and checkpoints read and write
-  the bank itself — there is nothing to copy.
+  float32 matrix of parameters, laid out after a template model.  A
+  vehicle's parameters are a bank row from birth and nowhere else:
+  :class:`~repro.core.fleet.FleetEngine` writes the template into every
+  row and hands each :class:`~repro.core.node.VehicleNode` its row, so
+  chat aggregation, compression and checkpoints read and write the bank
+  itself — there is nothing to copy.  Gradients have no bank: a net is
+  built over :meth:`ParamBank.slice_rows`, which takes the gradient
+  scratch of those rows — a step shard's one row block of it, reused
+  block after block (:mod:`repro.parallel.stepshard`).
 * :class:`FleetWaypointNet` mirrors the per-node network with batched
   layers: stacked GEMMs (``np.matmul`` over a leading node axis) for
   :class:`FleetLinear` and command-masked head dispatch.  One vehicle
   evaluating alone (its cache misses, the score of a received model) is
-  a one-row net over ``bank.slice_rows(r, r + 1)``.
+  a one-row net over ``bank.slice_rows(r, r + 1, grad)``, whose
+  gradient row a forward never writes.
 * :class:`FleetAdam` keeps ``(n_nodes, n_params)`` moment matrices with a
   per-node step counter, so staggered restores (one vehicle resuming
   from an older snapshot) bias-correct each row independently.  It owns
@@ -60,8 +64,10 @@ class ParamBank:
     get_flat_params`: within a row, parameters appear in
     ``template.parameters()`` order, each raveled C-style, so a row
     written from (or into) a model of that layout is the model.  The
-    bank starts zeroed; ``views[k]``/``grad_views[k]`` expose parameter
-    ``k`` of every node as a ``(n_nodes, *shape)`` view into the bank.
+    bank starts zeroed; ``views[k]`` exposes parameter ``k`` of every
+    node as a ``(n_nodes, *shape)`` view into the bank.  A slice
+    (:meth:`slice_rows`) also has ``grad_flat`` and ``grad_views``, the
+    same layout over the gradient scratch it was given.
     """
 
     def __init__(self, template, n_nodes: int):
@@ -75,40 +81,42 @@ class ParamBank:
         sizes = [int(np.prod(shape)) if shape else 1 for _, shape in self.specs]
         self.n_params = int(sum(sizes))
         self.flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
-        self.grad_flat = np.zeros((n_nodes, self.n_params), dtype=np.float32)
-        self._build_views()
+        self.views = self._views(self.flat)
 
-    def _build_views(self) -> None:
-        n_nodes = self.n_nodes
-        self.views: list[np.ndarray] = []
-        self.grad_views: list[np.ndarray] = []
+    def _views(self, matrix: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's ``(rows, *shape)`` view into ``matrix``."""
+        views = []
         offset = 0
         for _, shape in self.specs:
             size = int(np.prod(shape)) if shape else 1
-            self.views.append(self.flat[:, offset : offset + size].reshape((n_nodes, *shape)))
-            self.grad_views.append(
-                self.grad_flat[:, offset : offset + size].reshape((n_nodes, *shape))
-            )
+            views.append(matrix[:, offset : offset + size].reshape((len(matrix), *shape)))
             offset += size
+        return views
 
     def __getstate__(self):
         # Pickled, a view is a copy: the views are taken again on arrival.
         state = self.__dict__.copy()
-        del state["views"], state["grad_views"]
+        state.pop("views")
+        state.pop("grad_views", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._build_views()
+        self.views = self._views(self.flat)
+        if "grad_flat" in state:
+            self.grad_views = self._views(self.grad_flat)
 
-    def slice_rows(self, lo: int, hi: int) -> "ParamBank":
-        """A zero-copy bank over rows ``[lo, hi)`` of this bank.
+    def slice_rows(self, lo: int, hi: int, grad: np.ndarray) -> "ParamBank":
+        """A zero-copy bank over rows ``[lo, hi)``, its gradients in ``grad``.
 
-        The slice shares storage with the parent — every array is a view
-        — so a :class:`FleetWaypointNet` built over it trains those rows
-        in place.  Row ranges are the step-sharding unit: every batched
-        op in this module is independent per leading (node) index, so
-        partitioning rows across shards cannot reorder any float op.
+        The parameters are views of this bank's, so a
+        :class:`FleetWaypointNet` built over the slice trains those rows
+        in place; ``grad``, a C-contiguous float32 ``(hi - lo,
+        n_params)`` scratch the caller owns, is where that net's backward
+        writes and :class:`FleetAdam` reads.  Row ranges are the
+        step-sharding unit: every batched op in this module is
+        independent per leading (node) index, so partitioning rows
+        across shards and blocks cannot reorder any float op.
         """
         if not (0 <= lo < hi <= self.n_nodes):
             raise ValueError(f"invalid row range [{lo}, {hi}) for {self.n_nodes} rows")
@@ -117,8 +125,9 @@ class ParamBank:
         bank.n_params = self.n_params
         bank.specs = self.specs
         bank.flat = self.flat[lo:hi]
-        bank.grad_flat = self.grad_flat[lo:hi]
-        bank._build_views()
+        bank.views = self._views(bank.flat)
+        bank.grad_flat = grad
+        bank.grad_views = self._views(grad)
         return bank
 
     def row_view(self, row: int) -> np.ndarray:
@@ -217,8 +226,9 @@ class FleetFlatten:
 class FleetWaypointNet:
     """Batched mirror of a fleet of identical :class:`WaypointNet`\\ s.
 
-    Built over a :class:`ParamBank` whose rows hold the nodes'
-    parameters; forward/backward touch every node with one batched op
+    Built over a :meth:`ParamBank.slice_rows` slice, whose rows hold the
+    nodes' parameters and whose gradient scratch the backward writes;
+    forward/backward touch every node with one batched op
     per layer.  Inputs are either per-node stacks (``bev`` of shape
     ``(n, b, C, H, W)``, ``commands`` of ``(n, b)``) or one shared batch
     (``(b, C, H, W)`` / ``(b,)``) broadcast to all nodes — the
@@ -336,7 +346,10 @@ class FleetAdam:
     :class:`~repro.nn.optim.Adam` row-wise, with per-node bias
     corrections cast to float32 columns, so a node trained through the
     bank is bitwise
-    indistinguishable from one trained by its own Adam instance.
+    indistinguishable from one trained by its own Adam instance.  It
+    reads the gradients of its bank's :meth:`~ParamBank.slice_rows`
+    scratch, so the fleet's optimizer, over the whole bank, holds the
+    moments and steps through its row slices (:meth:`slice_rows`).
     """
 
     def __init__(
@@ -360,10 +373,10 @@ class FleetAdam:
     def slice_rows(self, lo: int, hi: int, bank_slice: ParamBank) -> "FleetAdam":
         """A zero-copy optimizer over rows ``[lo, hi)`` of this optimizer.
 
-        ``bank_slice`` must be ``self.bank.slice_rows(lo, hi)``.  The
-        slice shares moment matrices and step counters with the parent
-        (views), so a shard advancing its rows is indistinguishable from
-        the whole optimizer advancing them.
+        ``bank_slice`` must be ``self.bank.slice_rows(lo, hi, grad)``;
+        :meth:`step` reads ``grad``.  The slice shares moment matrices and
+        step counters with the parent (views), so a block advancing its
+        rows is indistinguishable from the whole optimizer advancing them.
         """
         other = FleetAdam.__new__(FleetAdam)
         other.bank = bank_slice
@@ -377,7 +390,7 @@ class FleetAdam:
         return other
 
     def step(self) -> None:
-        """One Adam update for every row from the gradient bank.
+        """One Adam update for every row from its gradient scratch.
 
         Every row is bias-corrected by its own step count (rows diverge
         after a staggered restore), through float32 casts of the same

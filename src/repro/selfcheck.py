@@ -450,6 +450,26 @@ def _short_range_run(runner: "Runner", check: Check, scratch: Path) -> Run:
     return Run(digest_result(result), context, result, session, scratch)
 
 
+def _run_in_one_row_blocks(runner: "Runner", check: Check, scratch: Path) -> Run:
+    """The spec's run with every shard stepping one row a block: the
+    block budget below one row's scratch, so a tiny-model world takes
+    the multi-block path a paper fleet takes.  A shard built any other
+    way fails the row."""
+    from repro.parallel import stepshard
+
+    budget = stepshard._BLOCK_BYTES
+    stepshard._BLOCK_BYTES = 1
+    try:
+        run = _run_spec(runner, check, scratch)
+    finally:
+        stepshard._BLOCK_BYTES = budget
+    heights = {block.hi - block.lo for shard in run.result.trainer.fleet.shards
+               for block in shard.blocks}
+    if heights != {1}:
+        run.failures.append(f"row blocks of {sorted(heights)} rows, not of one")
+    return run
+
+
 class _MemoryCheckpointer(Checkpointer):
     """Barrier snapshots kept in memory, every one of them."""
 
@@ -1199,6 +1219,9 @@ CHECKS: dict[str, Check] = {
                   invariants=(shards_stepped, clock_monotone))
             for n in (1, 2, 4)
         ),
+        Check("stepshard.block1", "hotpath.LbChat", "hotpath",
+              spec={"overrides": {"step_workers": 2}}, produce=_run_in_one_row_blocks,
+              invariants=(shards_stepped, clock_monotone)),
         Check("overlap.off", "golden", "overlap",
               invariants=(dense_steps, one_span_per_chat, export_round_trips,
                           transfers_conserved, every_chat_accounted_once, clock_monotone,

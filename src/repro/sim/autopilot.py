@@ -371,7 +371,9 @@ class ModelPilot:
     def __init__(self, model, plan: RoutePlan, bev_fn):
         bank = ParamBank(model, 1)
         bank.flat[0] = get_flat_params(model)
-        self._net = FleetWaypointNet(bank, model)
+        # The pilot only runs forwards, which never write the gradient row.
+        grad = np.empty((1, bank.n_params), dtype=np.float32)
+        self._net = FleetWaypointNet(bank.slice_rows(0, 1, grad), model)
         self.plan = plan
         self._bev_fn = bev_fn
         self._s = 0.0

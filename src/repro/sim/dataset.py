@@ -117,19 +117,9 @@ class FramePool:
         self._index = {frame_id: row for row, frame_id in enumerate(self.ids)}
 
     @property
-    def frame_shape(self) -> tuple[int, ...] | None:
-        """``(C, H, W)`` of every frame's BEV (``None`` before the first frame)."""
-        return self._frame_shape
-
-    @property
     def commands(self) -> np.ndarray:
         """``(len,)`` int64 high-level commands."""
         return self._commands[: len(self)]
-
-    @property
-    def targets(self) -> np.ndarray:
-        """``(len, 2 * n_waypoints)`` float32 expert waypoints."""
-        return self._targets[: len(self)]
 
     def row(self, frame_id: str) -> int | None:
         """The row holding ``frame_id``, or ``None``."""

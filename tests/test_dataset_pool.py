@@ -293,21 +293,24 @@ class TestPickling:
 
 class TestGatherInPlace:
     def test_the_fleet_buffers_are_todays_batches_stacked(self):
-        """A shard's ``sample_indices`` draws, gathered with one
-        ``FramePool.take(out=...)`` into the fleet's stacked buffers,
+        """A block's ``sample_indices`` draws, gathered with one
+        ``FramePool.take(out=...)`` into its shard's stacked scratch,
         stack what per-node ``sample_batch`` calls return, from the same
         RNG draws."""
         from tests.test_nn_bank import build_fleet
+        from tests.test_stepshard import record_draws
 
         engine = build_fleet(n_nodes=3)
+        drawn = record_draws(engine)
         clones = [pickle.loads(pickle.dumps(node.rng)) for node in engine.nodes]
         batches = [
             node.dataset.sample_batch(node.config.batch_size, rng)
             for node, rng in zip(engine.nodes, clones)
         ]
         engine.train_step_all()
-        for buf, k in zip(engine._batch, range(3)):
-            assert buf.tobytes() == np.stack([batch[k] for batch in batches]).tobytes()
+        for k in range(3):
+            stacked = np.stack([drawn[row][k] for row in range(len(engine.nodes))])
+            assert stacked.tobytes() == np.stack([batch[k] for batch in batches]).tobytes()
         for node, rng in zip(engine.nodes, clones):
             assert node.rng.bit_generator.state == rng.bit_generator.state
 
@@ -317,9 +320,9 @@ class TestGatherInPlace:
         dataset = DrivingDataset(frames("o", 5))
         pool = dataset.pool
         out = (
-            np.empty((4, *pool.frame_shape), dtype=np.float32),
+            np.empty((4, *pool._frame_shape), dtype=np.float32),
             np.empty(4, dtype=pool.commands.dtype),
-            np.empty((4, *pool.targets.shape[1:]), dtype=pool.targets.dtype),
+            np.empty((4, *pool._targets.shape[1:]), dtype=pool._targets.dtype),
         )
         idx = dataset.sample_indices(4, np.random.default_rng(1))
         got = pool.take(dataset.rows[idx], out=out)
@@ -346,7 +349,7 @@ def is_dense(pool):
 
 def columns(pool):
     """Every column the pool stores, its rows only."""
-    return [*(store[: len(pool)] for store in stores(pool)), pool.commands, pool.targets]
+    return [*(store[: len(pool)] for store in stores(pool)), pool.commands, pool._targets[: len(pool)]]
 
 
 def pool_of(bevs, prefix="s"):

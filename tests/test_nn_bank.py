@@ -76,12 +76,18 @@ def build_fleet(n_nodes: int = 4, step_workers: int | None = 1) -> FleetEngine:
     return FleetEngine(template, members, CONFIG, step_workers=step_workers)
 
 
+def with_grads(bank: ParamBank) -> ParamBank:
+    """All of ``bank``'s rows as one slice, over a zeroed gradient scratch."""
+    return bank.slice_rows(0, bank.n_nodes, np.zeros(bank.flat.shape, dtype=np.float32))
+
+
 def bank_of(models: list) -> ParamBank:
-    """A bank whose row ``k`` holds ``models[k]``'s parameters."""
+    """A bank whose row ``k`` holds ``models[k]``'s parameters (all its
+    rows, sliced with a gradient scratch a net can write)."""
     bank = ParamBank(models[0], len(models))
     for row, model in enumerate(models):
         bank.flat[row] = get_flat_params(model)
-    return bank
+    return with_grads(bank)
 
 
 def fleet_params(fleet: FleetEngine) -> np.ndarray:
@@ -141,9 +147,9 @@ class TestParamBank:
         fleet.train_step_all()
         copied = pickle.loads(pickle.dumps(fleet))
         assert [(s.lo, s.hi) for s in copied.shards] == [(s.lo, s.hi) for s in fleet.shards]
-        for shard in copied.shards:
-            assert np.shares_memory(shard.model.bank.flat, copied.bank.flat)
-            assert np.shares_memory(shard.optim.m, copied.optim.m)
+        for block in (block for shard in copied.shards for block in shard.blocks):
+            assert np.shares_memory(block.model.bank.flat, copied.bank.flat)
+            assert np.shares_memory(block.optim.m, copied.optim.m)
         assert np.array_equal(copied.bank.flat, fleet.bank.flat)
         for node in copied.nodes:
             assert node.fleet is copied
@@ -191,7 +197,7 @@ class TestFleetForward:
         bev_shape, hidden = {"paper": ((4, 20, 20), 96), "city": ((4, 12, 12), 48)}[size]
         models = [make_driving_model(bev_shape, 5, hidden, seed=s) for s in (0, 1, 2)]
         bank = bank_of(models)
-        net = FleetWaypointNet(bank.slice_rows(1, 2), models[1])
+        net = FleetWaypointNet(bank.slice_rows(1, 2, bank.grad_flat[1:2]), models[1])
         rng = np.random.default_rng(batch)
         bev = rng.normal(size=(batch, *bev_shape)).astype(np.float32)
         commands = rng.integers(0, 4, size=batch)
@@ -403,7 +409,7 @@ class TestFleetAdam:
         status = _fused.kernel_status()
         if status["path"] != path:
             pytest.skip(f"no fused kernel: {status['reason']}")
-        bank = ParamBank(make_driving_model((5, 20, 20), 5, hidden=96, seed=0), 32)
+        bank = with_grads(ParamBank(make_driving_model((5, 20, 20), 5, hidden=96, seed=0), 32))
         assert bank.flat.shape == (32, 205288)
         self.seeded_grads(bank, 0)
         opt = FleetAdam(bank, lr=1e-4)
@@ -456,7 +462,7 @@ def _flat_bank(n_rows: int, n_cols: int) -> ParamBank:
     template = types.SimpleNamespace(
         parameters=lambda: [Parameter(np.zeros(n_cols, dtype=np.float32), "w")]
     )
-    return ParamBank(template, n_rows)
+    return with_grads(ParamBank(template, n_rows))
 
 
 @np.errstate(all="ignore")  # the values are adversarial on purpose
@@ -492,7 +498,7 @@ def _adam_update(path, entry, p, g, m, v):
         else:
             patch.delenv(_fused._DISABLE_ENV, raising=False)
         if entry == "row":
-            opt.slice_rows(0, 1, bank.slice_rows(0, 1)).step()
+            opt.slice_rows(0, 1, bank.slice_rows(0, 1, bank.grad_flat[:1])).step()
         else:
             opt.step()
     assert opt.steps.tolist() == [

@@ -69,8 +69,8 @@ class TestEveryFunctionIsEntered:
         "repro.nn.model:WaypointNet.backward": ("oracle", "tests/test_nn_bank.py"),
         "repro.nn.optim": ("oracle", "tests/test_nn_bank.py"),
         "repro.nn.params:Parameter.zero_grad": ("oracle", "tests/test_nn_layers.py"),
-        # A minibatch per node: the fleet gathers a shard's draws at
-        # once, and its stacked buffers are held to these row by row.
+        # A minibatch per node: the fleet gathers a row block's draws at
+        # once, and its stacked scratch is held to these row by row.
         "repro.sim.dataset:DrivingDataset.sample_batch": (
             "oracle",
             "tests/test_dataset_pool.py::TestGatherInPlace",

@@ -43,6 +43,7 @@ from repro.parallel.stepshard import (
     StepShard,
     default_step_shards,
     partition_rows,
+    run_shards,
     usable_cores,
 )
 from repro.sim.dataset import DrivingDataset
@@ -92,8 +93,25 @@ class TestPartitionRows:
 # -- engine-level bit identity ------------------------------------------------
 
 
-def _run_engine(step_workers: int | None, steps: int = 6):
+def record_draws(engine: FleetEngine) -> dict[int, tuple[np.ndarray, ...]]:
+    """``row -> (bev, commands, targets)``: a copy of the minibatch each
+    row last drew, kept by wrapping the engine's ``_draw``.  A block's
+    scratch holds only its own rows, and only until the next block."""
+    drawn = {}
+    draw = engine._draw
+
+    def recording(lo, hi, batch):
+        draw(lo, hi, batch)
+        for k in range(hi - lo):
+            drawn[lo + k] = tuple(buf[k].copy() for buf in batch)
+
+    engine._draw = recording
+    return drawn
+
+
+def _run_engine(step_workers: int | None, steps: int = 6, validation=None):
     engine = build_fleet(n_nodes=5, step_workers=step_workers)
+    drawn = record_draws(engine)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # shard threads interleave their draws as finely as they can
     try:
@@ -106,9 +124,30 @@ def _run_engine(step_workers: int | None, steps: int = 6):
         engine.optim.m.copy(),
         engine.optim.v.copy(),
         engine.optim.steps.copy(),
-        *(buf.copy() for buf in engine._batch),  # the last step's draws
+        # the last step's draws, stacked in row order
+        *(np.stack([drawn[row][k] for row in range(len(engine.nodes))]) for k in range(3)),
         np.array([repr(node.rng.bit_generator.state) for node in engine.nodes]),
+        *(() if validation is None else (
+            engine.evaluate_fleet(validation), evaluated_by_shards(engine, validation)
+        )),
     )
+
+
+def evaluated_by_shards(engine: FleetEngine, validation) -> np.ndarray:
+    """Every row's per-frame losses from the shards' own pass, written
+    into NaNs: a row no block writes reads NaN, not whatever a freed
+    buffer of the same size held."""
+    bev, commands, targets, _ = validation.arrays()
+    out = np.full((len(engine.nodes), len(validation)), np.nan, dtype=np.float32)
+    chunk = max(1, fleet_module._EVAL_CHUNK // len(engine.nodes))
+    run_shards(engine.shards, lambda shard: shard.evaluate(bev, commands, targets, chunk, out))
+    return out
+
+
+def row_bytes(engine: FleetEngine) -> int:
+    """One row's share of a shard's scratch: its gradients and minibatch."""
+    shard = engine.shards[0]
+    return shard.grad[0].nbytes + sum(buf[0].nbytes for buf in shard.batch)
 
 
 class TestEngineBitIdentity:
@@ -119,6 +158,31 @@ class TestEngineBitIdentity:
         reference = _run_engine(1)
         sharded = _run_engine(workers)
         for ref, got in zip(reference, sharded):
+            assert ref.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
+    @pytest.mark.parametrize("height", [1, 3, "shard"])
+    def test_row_blocks_bit_identical(self, height, workers, monkeypatch):
+        """A shard steps its rows in blocks over one block of scratch:
+        after six steps and a validation pass longer than a chunk, the
+        bank, the moments, the step counters, the losses, the draws and
+        every node's stream are those of one shard in one block."""
+        monkeypatch.setattr(fleet_module, "_EVAL_CHUNK", 40)  # 8 frames a chunk on 5 rows
+        validation = make_dataset(99, 30)
+        reference = _run_engine(1, validation=validation)
+        if height != "shard":
+            budget = height * row_bytes(build_fleet(n_nodes=5))
+            monkeypatch.setattr(stepshard, "_BLOCK_BYTES", budget)
+        engine = build_fleet(n_nodes=5, step_workers=workers)
+        for shard in engine.shards:
+            rows = shard.hi - shard.lo
+            tallest = rows if height == "shard" else min(height, rows)
+            heights = [block.hi - block.lo for block in shard.blocks]
+            assert sum(heights) == rows and max(heights) == len(shard.grad) == tallest
+            assert len(heights) == -(-rows // tallest)  # the fewest blocks that fit
+        blocked = _run_engine(workers, validation=validation)
+        assert len(blocked) == len(reference)
+        for ref, got in zip(reference, blocked):
             assert ref.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 5])
@@ -152,7 +216,8 @@ class TestEngineBitIdentity:
         monkeypatch.setattr(fleet_module, "_EVAL_CHUNK", 40)  # 10 frames a chunk on 4 rows
         engine = build_fleet(n_nodes=4, step_workers=workers)
         assert len(engine.shards) == workers
-        seen = {id(shard.model): [] for shard in engine.shards}
+        assert [len(shard.blocks) for shard in engine.shards] == [1] * workers
+        seen = {id(block.model): [] for shard in engine.shards for block in shard.blocks}
         real = FleetWaypointNet.forward
 
         def noting(model, bev, commands):
@@ -167,8 +232,9 @@ class TestEngineBitIdentity:
         engine = build_fleet(n_nodes=5, step_workers=2)
         assert [(shard.lo, shard.hi) for shard in engine.shards] == [(0, 3), (3, 5)]
         for shard in engine.shards:
-            assert np.shares_memory(shard.optim.m, engine.optim.m)
-            assert shard.model.bank.flat.base is engine.bank.flat
+            for block in shard.blocks:
+                assert np.shares_memory(block.optim.m, engine.optim.m)
+                assert block.model.bank.flat.base is engine.bank.flat
         assert len(build_fleet(n_nodes=3, step_workers=8).shards) == 3
 
     def test_checkpoint_bridge_sees_sharded_updates(self):

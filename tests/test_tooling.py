@@ -591,11 +591,12 @@ class TestOneWayToTakeAGradientStep:
 
     def test_birth_allocates_the_fleet_once(self):
         """``prepare_trainer``'s allocation peak is what the fleet keeps
-        — bank, gradients, Adam moments (four rows a vehicle) and the
-        template's parameters and gradients — plus two rows for one
-        construction evaluation (its gathered frames and activations).
-        A per-vehicle model, bank or ``Adam`` built on the way adds at
-        least two rows a vehicle."""
+        — bank and Adam moments (three rows a vehicle), each step shard's
+        row-block scratch (gradient rows and minibatch), and the
+        template's parameters and gradients
+        — plus two rows for one construction evaluation (its gathered
+        frames and activations).  A per-vehicle model, bank or ``Adam``
+        built on the way adds at least two rows a vehicle."""
         import tracemalloc
 
         from repro import selfcheck
@@ -610,9 +611,13 @@ class TestOneWayToTakeAGradientStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bank = trainer.fleet.bank
+        fleet = trainer.fleet
+        bank = fleet.bank
         row = bank.n_params * bank.flat.itemsize
-        assert peak < (4 * bank.n_nodes + 2 + 2) * row
+        scratch = sum(
+            shard.grad.nbytes + sum(buf.nbytes for buf in shard.batch) for shard in fleet.shards
+        )
+        assert peak < 3 * bank.n_nodes * row + scratch + (2 + 2) * row
 
     @pytest.mark.parametrize(
         "reason",
@@ -736,7 +741,7 @@ class TestFramesAreStoredOnce:
         # gathers of coresets and the validation set, and nothing else.
         distinct = {id(data): data for _, data in datasets}.values()
         views = sum(data._views[0].nbytes for data in distinct if data._views)
-        frame = 4 * int(np.prod(pool.frame_shape))  # one frame's float32 BEV bytes
+        frame = 4 * int(np.prod(pool._frame_shape))  # one frame's float32 BEV bytes
         stores = pool._stores
         assert [len(store) for store in stores] == [len(pool)] * len(stores)  # no spare capacity
         # No BEV-shaped array beside the stores (a decoded copy, say).
@@ -746,6 +751,101 @@ class TestFramesAreStoredOnce:
         assert sum(store.nbytes for store in stores) <= len(pool) * frame / 4
         assert sum(self.frame_bytes(data) for data in distinct) == views
         assert views <= sum(len(data) for data in distinct if id(data) not in local) * frame
+
+
+class TestTrainingScratchIsOneBlockPerWorker:
+    """ROADMAP item 25's training-scratch half as a gate: on a
+    paper-shaped fleet (32 rows of the 205 288-parameter network, batch
+    64, two workers) after a train step and a validation pass, the only
+    fleet-height arrays reachable from the :class:`~repro.core.fleet.
+    FleetEngine` — its shards, their nets and optimizers, its one-row
+    nets — are the parameter bank and Adam's two moment banks.  No
+    stacked ``(n_nodes, batch, ...)`` minibatch is reachable, and each
+    worker's gradient and minibatch scratch fits the block budget."""
+
+    N_NODES, BEV, BATCH = 32, (5, 20, 20), 64
+
+    @classmethod
+    def paper_fleet(cls):
+        from repro.core.fleet import FleetEngine
+        from repro.core.node import NodeConfig
+        from repro.engine.random import spawn_rng
+        from repro.sim.dataset import DrivingDataset, Frame
+
+        rng = np.random.default_rng(0)
+        frames = [
+            Frame(
+                f"f{i}",
+                (rng.random(cls.BEV) < 0.1).astype(np.float32),
+                int(rng.integers(0, 4)),
+                rng.normal(size=10).astype(np.float32),
+                1.0,
+            )
+            for i in range(160)
+        ]
+        pool = DrivingDataset(frames).pool
+        members = [
+            (f"v{i}", pool.dataset(np.arange(i, i + 100)), spawn_rng(5, f"v{i}"))
+            for i in range(cls.N_NODES)
+        ]
+        template = make_driving_model(cls.BEV, 5, hidden=96, seed=0)
+        config = NodeConfig(coreset_size=10, batch_size=cls.BATCH)
+        fleet = FleetEngine(template, members, config, step_workers=2)
+        fleet.train_step_all()
+        fleet.evaluate_fleet(pool.dataset(np.arange(150, 160)))
+        fleet.nodes[0].per_sample_losses(pool.dataset(np.arange(100, 140)))  # a one-row net
+        return fleet
+
+    @staticmethod
+    def reachable_arrays(engine) -> dict[int, tuple[np.ndarray, list[str]]]:
+        """``id(owner) -> (owner, paths)``: every array reachable from the
+        engine's attributes but its nodes and template, through objects,
+        tuples, lists and dicts, grouped by the array owning its memory."""
+        owners: dict[int, tuple[np.ndarray, list[str]]] = {}
+        seen: set[int] = set()
+        stack = [(f"engine.{name}", value) for name, value in vars(engine).items()
+                 if name not in ("nodes", "template")]
+        while stack:
+            path, value = stack.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                owner = value
+                while isinstance(owner.base, np.ndarray):
+                    owner = owner.base
+                owners.setdefault(id(owner), (owner, []))[1].append(path)
+            elif isinstance(value, dict):
+                stack += [(f"{path}[{key!r}]", item) for key, item in value.items()]
+            elif isinstance(value, (tuple, list)):
+                stack += [(f"{path}[{k}]", item) for k, item in enumerate(value)]
+            elif type(value).__module__.startswith("repro."):
+                stack += [(f"{path}.{name}", item) for name, item in vars(value).items()]
+        return owners
+
+    def test_the_only_fleet_height_arrays_are_the_banks(self):
+        from repro.parallel import stepshard
+
+        fleet = self.paper_fleet()
+        owners = self.reachable_arrays(fleet)
+        banks = {id(fleet.bank.flat), id(fleet.optim.m), id(fleet.optim.v)}
+        assert banks <= owners.keys()
+        offenders = sorted(
+            min(paths, key=len)
+            for key, (owner, paths) in owners.items()
+            if key not in banks
+            and (owner.nbytes >= fleet.bank.flat.nbytes  # a gradient bank
+                 or owner.shape[:2] == (self.N_NODES, self.BATCH))  # a stacked minibatch
+        )
+        assert offenders == []
+        for shard in fleet.shards:
+            assert len(shard.blocks) == 2  # 16 rows step as two blocks of 8
+            scratch = shard.grad.nbytes + sum(buf.nbytes for buf in shard.batch)
+            assert scratch <= stepshard._BLOCK_BYTES
+            for block in shard.blocks:  # every block steps in the one scratch
+                assert np.shares_memory(block.model.bank.grad_flat, shard.grad)
+                assert np.shares_memory(block.optim.bank.grad_flat, shard.grad)
+                assert all(np.shares_memory(a, b) for a, b in zip(block.batch, shard.batch))
 
 
 class TestEvaluationInputsAreNotCopied:
